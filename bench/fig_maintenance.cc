@@ -1,15 +1,17 @@
-// Maintenance-engine throughput: threads × views × update-rate sweep over
-// the parallel, cache-reusing DeltaEngine, against the legacy
-// re-filter-per-update configuration (operand_cache off, pool size 1).
+// Maintenance-engine throughput, in two sections:
+//   maintenance_throughput — threads × views × update-rate sweep over a
+//     random chain-join view population. speedup_vs_serial compares the
+//     same engine at threads=N and threads=1; it is bounded by the
+//     machine's core count.
+//   overlap — N ∈ {25, 100, 400} views drawn from 25 distinct keys (exact
+//     duplicates, and predicated views whose unpredicated twin is
+//     present), serial. Shared delta propagation runs one pipeline per
+//     distinct view, so join_work stays flat in N while only the per-view
+//     merges grow.
 //
-// Each cell replays the same pre-generated update stream through a chain-
-// join view population: bases are pre-populated (untimed), then timed
-// rounds of batched updates flow through ApplyUpdates. Reported speedups:
-//   speedup_vs_serial — same engine, threads=N vs threads=1 (both cached);
-//     bounded by the machine's core count.
-//   speedup_vs_legacy — cached serial engine vs the pre-cache engine
-//     (re-filter + re-hash every operand per update), the operand-cache
-//     reuse win; independent of core count.
+// Each cell replays the same pre-generated update stream: bases are
+// pre-populated (untimed), then timed rounds of batched updates flow
+// through ApplyUpdates.
 
 #include <cstdlib>
 #include <string>
@@ -115,16 +117,61 @@ Workload MakeWorkload(int num_views, int base_rows, int rounds,
   return w;
 }
 
+// The overlap section's view population: kOverlapKeys distinct keys, each
+// taken by views/kOverlapKeys views (round-robin). Seven table windows of
+// the chain — the 2-table windows {i, i+1} and the 3-table windows
+// {i, i+1, i+2} for i = 0..3 and 0..2 — each carry the unpredicated view;
+// the other 18 keys put one to three predicates on those windows, so every
+// predicated view has an unpredicated twin.
+constexpr int kOverlapKeys = 25;
+
+std::vector<ViewKey> OverlapKeys() {
+  std::vector<TableSet> windows;
+  for (const int width : {2, 3}) {
+    for (int lo = 0; lo < kNumTables - width; ++lo) {
+      TableSet tables;
+      for (int t = lo; t < lo + width; ++t) tables.Add(static_cast<TableId>(t));
+      windows.push_back(tables);
+    }
+  }
+  std::vector<ViewKey> keys;
+  for (const TableSet& tables : windows) keys.emplace_back(tables);
+  for (int k = 0; static_cast<int>(keys.size()) < kOverlapKeys; ++k) {
+    const TableSet tables = windows[static_cast<size_t>(k) % windows.size()];
+    const std::vector<TableId> members = tables.ToVector();
+    std::vector<Predicate> preds;
+    for (int j = 0; j <= k / static_cast<int>(windows.size()); ++j) {
+      Predicate p;
+      p.table = members[static_cast<size_t>(j) % members.size()];
+      p.column = static_cast<uint16_t>((k + j) % 2);
+      p.op = (k + j) % 2 == 0 ? CompareOp::kLt : CompareOp::kGt;
+      p.value = 256.0 * (1 + (k + j) % 3);
+      preds.push_back(p);
+    }
+    keys.emplace_back(tables, preds);
+  }
+  return keys;
+}
+
+Workload MakeOverlapWorkload(int num_views, int base_rows, int rounds,
+                             int updates_per_table, uint64_t seed) {
+  Workload w = MakeWorkload(/*num_views=*/0, base_rows, rounds,
+                            updates_per_table, seed);
+  const std::vector<ViewKey> keys = OverlapKeys();
+  for (int v = 0; v < num_views; ++v) {
+    w.views.push_back(keys[static_cast<size_t>(v) % keys.size()]);
+  }
+  return w;
+}
+
 struct CellResult {
   double seconds = 0.0;
   uint64_t work = 0;
 };
 
-CellResult RunCell(const Catalog& catalog, const Workload& w, int threads,
-                   bool operand_cache) {
+CellResult RunCell(const Catalog& catalog, const Workload& w, int threads) {
   DeltaEngineOptions options;
   options.pool.num_threads = threads;
-  options.operand_cache = operand_cache;
   DeltaEngine engine(&catalog, options);
   for (TableId t = 0; t < catalog.num_tables(); ++t) {
     if (!engine.RegisterBase(t).ok()) std::abort();
@@ -163,9 +210,8 @@ int Main(int argc, char** argv) {
   std::printf("Maintenance engine throughput (chain joins over %d tables, "
               "%d base rows/table, %d timed rounds)\n\n",
               kNumTables, base_rows, rounds);
-  std::printf("%6s %6s %8s %7s %10s %12s %10s %10s\n", "views", "rate",
-              "threads", "cache", "seconds", "tuples/s", "vs_serial",
-              "vs_legacy");
+  std::printf("%6s %6s %8s %10s %12s %12s %10s\n", "views", "rate",
+              "threads", "seconds", "tuples/s", "join_work", "vs_serial");
   report.BeginSection("maintenance_throughput");
 
   for (const int views : view_counts) {
@@ -173,53 +219,64 @@ int Main(int argc, char** argv) {
       const Workload w =
           MakeWorkload(views, base_rows, rounds, rate,
                        /*seed=*/static_cast<uint64_t>(views * 1009 + rate));
-      // The pre-PR engine: serial, re-filters and re-hashes every operand
-      // on every update.
-      const CellResult legacy = RunCell(catalog, w, 1, false);
-      CellResult serial_cached;
+      CellResult serial;
       for (const int threads : thread_counts) {
-        const CellResult cell = RunCell(catalog, w, threads, true);
-        if (cell.work != legacy.work) std::abort();  // equivalence guard
-        if (threads == 1) serial_cached = cell;
+        const CellResult cell = RunCell(catalog, w, threads);
+        if (threads == 1) serial = cell;
+        if (cell.work != serial.work) std::abort();  // equivalence guard
         const double vs_serial =
-            threads == 1 ? 1.0 : serial_cached.seconds / cell.seconds;
-        const double vs_legacy = legacy.seconds / cell.seconds;
+            threads == 1 ? 1.0 : serial.seconds / cell.seconds;
         const double tuples_per_sec =
             static_cast<double>(w.stream_tuples) / cell.seconds;
-        std::printf("%6d %6d %8d %7s %10.4f %12.0f %9.2fx %9.2fx\n", views,
-                    rate, threads, "on", cell.seconds, tuples_per_sec,
-                    vs_serial, vs_legacy);
+        std::printf("%6d %6d %8d %10.4f %12.0f %12llu %9.2fx\n", views,
+                    rate, threads, cell.seconds, tuples_per_sec,
+                    static_cast<unsigned long long>(cell.work), vs_serial);
         obs::JsonValue row = obs::JsonValue::Object();
         row.Set("views", views);
         row.Set("updates_per_table_per_round", rate);
         row.Set("threads", threads);
-        row.Set("operand_cache", true);
         row.Set("seconds", cell.seconds);
         row.Set("stream_tuples", static_cast<double>(w.stream_tuples));
         row.Set("tuples_per_sec", tuples_per_sec);
         row.Set("join_work", static_cast<double>(cell.work));
         row.Set("speedup_vs_serial", vs_serial);
-        row.Set("speedup_vs_legacy", vs_legacy);
         report.Row(std::move(row));
       }
-      std::printf("%6d %6d %8d %7s %10.4f %12.0f %9s %9s\n", views, rate, 1,
-                  "off", legacy.seconds,
-                  static_cast<double>(w.stream_tuples) / legacy.seconds,
-                  "-", "1.00x");
-      obs::JsonValue row = obs::JsonValue::Object();
-      row.Set("views", views);
-      row.Set("updates_per_table_per_round", rate);
-      row.Set("threads", 1);
-      row.Set("operand_cache", false);
-      row.Set("seconds", legacy.seconds);
-      row.Set("stream_tuples", static_cast<double>(w.stream_tuples));
-      row.Set("tuples_per_sec",
-              static_cast<double>(w.stream_tuples) / legacy.seconds);
-      row.Set("join_work", static_cast<double>(legacy.work));
-      row.Set("speedup_vs_serial", 1.0);
-      row.Set("speedup_vs_legacy", 1.0);
-      report.Row(std::move(row));
     }
+  }
+
+  const std::vector<int> overlap_views =
+      report.smoke() ? std::vector<int>{25, 100}
+                     : std::vector<int>{25, 100, 400};
+  const int overlap_rate = report.smoke() ? 8 : 32;
+  std::printf("\nOverlapping views (%d distinct keys, serial, %d updates/"
+              "table/round)\n\n",
+              kOverlapKeys, overlap_rate);
+  std::printf("%6s %10s %12s %12s %12s\n", "views", "seconds", "tuples/s",
+              "join_work", "work/view");
+  report.BeginSection("overlap");
+  for (const int views : overlap_views) {
+    const Workload w = MakeOverlapWorkload(views, base_rows, rounds,
+                                           overlap_rate, /*seed=*/4242);
+    const CellResult cell = RunCell(catalog, w, /*threads=*/1);
+    const double tuples_per_sec =
+        static_cast<double>(w.stream_tuples) / cell.seconds;
+    const double work_per_view =
+        static_cast<double>(cell.work) / static_cast<double>(views);
+    std::printf("%6d %10.4f %12.0f %12llu %12.1f\n", views, cell.seconds,
+                tuples_per_sec, static_cast<unsigned long long>(cell.work),
+                work_per_view);
+    obs::JsonValue row = obs::JsonValue::Object();
+    row.Set("views", views);
+    row.Set("distinct_keys", kOverlapKeys);
+    row.Set("updates_per_table_per_round", overlap_rate);
+    row.Set("threads", 1);
+    row.Set("seconds", cell.seconds);
+    row.Set("stream_tuples", static_cast<double>(w.stream_tuples));
+    row.Set("tuples_per_sec", tuples_per_sec);
+    row.Set("join_work", static_cast<double>(cell.work));
+    row.Set("join_work_per_view", work_per_view);
+    report.Row(std::move(row));
   }
 
   report.BeginSection("environment");
@@ -227,13 +284,11 @@ int Main(int argc, char** argv) {
   env.Set("hardware_concurrency",
           static_cast<double>(std::thread::hardware_concurrency()));
   env.Set("note",
-          "thread speedups are bounded by hardware_concurrency; "
-          "speedup_vs_legacy (operand-cache reuse) is core-count "
-          "independent");
+          "thread speedups are bounded by hardware_concurrency; overlap "
+          "join_work is a count and repeats exactly");
   report.Row(std::move(env));
 
-  std::printf("\n(vs_serial: same engine at 1 thread; vs_legacy: pre-cache "
-              "engine, serial)\n");
+  std::printf("\n(vs_serial: same engine at 1 thread)\n");
   return report.Finish();
 }
 

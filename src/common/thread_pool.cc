@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <string>
 
@@ -135,10 +137,33 @@ void ThreadPool::ParallelFor(size_t n,
     if (first) std::rethrow_exception(first);
     return;
   }
+  // One task per worker (at most), each pulling indices from a shared
+  // cursor: a batch costs at most num_threads queue pushes and wake-ups
+  // instead of one per item. The caller only waits, so every fn(i) runs on a worker.
+  // A throwing item is captured and its task moves on to the next index,
+  // so the whole batch runs before the first exception is rethrown.
+  std::atomic<size_t> next{0};
   WaitGroup wg;
-  for (size_t i = 0; i < n; ++i) {
-    Submit(&wg, [&fn, i] { fn(i); });
+  const size_t tasks = std::min(n, static_cast<size_t>(num_threads_));
+  DSM_METRIC_COUNTER_ADD("dsm.common.pool_tasks", tasks);
+  wg.Add(tasks);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t t = 0; t < tasks; ++t) {
+      queue_.push_back([&next, &wg, &fn, n] {
+        for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+             i = next.fetch_add(1, std::memory_order_relaxed)) {
+          try {
+            fn(i);
+          } catch (...) {
+            wg.CaptureException(std::current_exception());
+          }
+        }
+        wg.Done();
+      });
+    }
   }
+  for (size_t t = 0; t < tasks; ++t) cv_.notify_one();
   wg.Wait();
 }
 

@@ -77,9 +77,11 @@ class ThreadPool {
   void Submit(WaitGroup* wg, std::function<void()> fn);
 
   // Runs fn(0) .. fn(n-1) and blocks until all complete, rethrowing the
-  // first task exception. Callers keep results deterministic by writing
-  // only to slot i from fn(i). Nested calls from inside a pool task run
-  // inline serially (no deadlock, same results).
+  // first task exception after the whole batch ran. Up to num_threads()
+  // workers pull indices from a shared cursor; the caller only waits.
+  // Callers keep results deterministic by writing only to slot i from
+  // fn(i). Nested calls from inside a pool task run inline serially (no
+  // deadlock, same results).
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   // True when the calling thread is one of this pool's workers.

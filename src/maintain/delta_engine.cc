@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <numeric>
+#include <optional>
 
 #include "maintain/tuple_store.h"
 #include "maintain/value_dict.h"
@@ -179,7 +182,7 @@ Result<ViewId> DeltaEngine::RegisterView(const ViewKey& key,
 void DeltaEngine::PrepareOperands(ViewId id, TableId table) {
   const View& view = views_[id];
   for (const JoinStep& step : view.join_plans.at(table)) {
-    Operand& op = operands_[{id, step.other}];
+    Operand& op = operands_[step.other][id];
     if (op.filtered == nullptr && !op.use_base) {
       if (HasPredicatesOn(view.key, step.other)) {
         Relation scratch;
@@ -201,39 +204,30 @@ void DeltaEngine::PrepareOperands(ViewId id, TableId table) {
 
 const Relation& DeltaEngine::OperandRelation(ViewId id,
                                              TableId other) const {
-  const Operand& op = operands_.at({id, other});
+  const Operand& op = operands_.at(other).at(id);
   return op.use_base ? bases_.at(other) : *op.filtered;
 }
 
-uint64_t DeltaEngine::MaintainView(ViewId id, TableId table,
-                                   const Relation& delta) {
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.view_refreshes", 1);
-  View& view = views_[id];
-  uint64_t local_work = 0;
+size_t DeltaEngine::num_cached_operands() const {
+  size_t n = 0;
+  for (const auto& [table, by_view] : operands_) n += by_view.size();
+  return n;
+}
+
+Relation DeltaEngine::PipelineDelta(ViewId id, TableId table,
+                                    const Relation& delta,
+                                    uint64_t* work) const {
+  const View& view = views_[id];
   Relation delta_scratch;
   const Relation* cur =
       &ApplyTablePredicates(view.key, table, delta, &delta_scratch);
   Relation owned;
-  if (options_.operand_cache) {
-    for (const JoinStep& step : view.join_plans.at(table)) {
-      const Relation& operand = OperandRelation(id, step.other);
-      const Relation::JoinIndex* index =
-          operand.FindIndex(step.key_columns);
-      owned = index != nullptr
-                  ? NaturalJoin(*cur, operand, *index, &local_work)
-                  : NaturalJoin(*cur, operand, &local_work);
-      cur = &owned;
-    }
-  } else {
-    // Legacy path: same connectivity-ordered plan, but re-filters (and
-    // re-hashes, inside NaturalJoin) every operand on every update.
-    for (const JoinStep& step : view.join_plans.at(table)) {
-      Relation scratch;
-      const Relation& filtered = ApplyTablePredicates(
-          view.key, step.other, bases_.at(step.other), &scratch);
-      owned = NaturalJoin(*cur, filtered, &local_work);
-      cur = &owned;
-    }
+  for (const JoinStep& step : view.join_plans.at(table)) {
+    const Relation& operand = OperandRelation(id, step.other);
+    const Relation::JoinIndex* index = operand.FindIndex(step.key_columns);
+    owned = index != nullptr ? NaturalJoin(*cur, operand, *index, work)
+                             : NaturalJoin(*cur, operand, work);
+    cur = &owned;
   }
   // Project to the view's output columns (bag semantics keep projected
   // deltas exact), then permute into the view's canonical column order.
@@ -243,16 +237,31 @@ uint64_t DeltaEngine::MaintainView(ViewId id, TableId table,
   } else if (cur == &delta_scratch) {
     result = std::move(delta_scratch);
   } else {
-    result = *cur;  // single-table unpredicated view: delta-sized copy
+    result = *cur;  // single-table unpredicated view: shares the delta
   }
   if (!view.projection.empty()) {
     result = result.Project(view.projection);
   }
-  result = result.WithColumnOrder(view.contents.columns());
-  // Same schema and order: in compact mode the merge transfers the stored
-  // row hashes — no tuple is rehashed on its way into the view.
-  view.contents.ApplyAll(result);
-  return local_work;
+  return result.WithColumnOrder(view.contents.columns());
+}
+
+Relation DeltaEngine::ResidualDelta(ViewId id,
+                                    const Relation& twin_delta) const {
+  // σ_p(A ⋈ B) = σ_p(A) ⋈ B when p names a column of A, and a natural
+  // join keeps every column name of its inputs, so filtering the twin's
+  // result by column name equals running the predicated pipeline. The
+  // skip rule matches Recompute's: predicates on tables outside the view
+  // or on out-of-range columns never filter.
+  const View& view = views_[id];
+  Relation result = twin_delta;  // shares the row store until filtered
+  for (const Predicate& pred : view.key.predicates) {
+    if (!view.key.tables.Contains(pred.table)) continue;
+    const TableDef& def = catalog_->table(pred.table);
+    if (pred.column >= def.columns.size()) continue;
+    result = result.Filter(def.columns[pred.column].name, pred.op,
+                           pred.value);
+  }
+  return result.WithColumnOrder(view.contents.columns());
 }
 
 Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
@@ -268,25 +277,121 @@ Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
   }
   if (affected.empty()) return Status::OK();
 
-  // Serial prelude: materialize every operand cache and index the fan-out
-  // will probe. After this point shared state is read-only until the
-  // barrier.
-  if (options_.operand_cache) {
-    for (const ViewId id : affected) PrepareOperands(id, table);
-  }
+  // Sort the affected views by (tables, predicates, projection, id).
+  // Equal views then form runs led by their lowest id, and within one
+  // table set the unpredicated, unprojected view — the twin — sorts first.
+  std::vector<size_t> order(affected.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const View& va = views_[affected[a]];
+    const View& vb = views_[affected[b]];
+    if (va.key.tables.mask() != vb.key.tables.mask()) {
+      return va.key.tables.mask() < vb.key.tables.mask();
+    }
+    if (va.key.predicates != vb.key.predicates) {
+      return va.key.predicates < vb.key.predicates;
+    }
+    if (va.projection != vb.projection) return va.projection < vb.projection;
+    return a < b;  // `affected` ascends by id
+  });
 
-  std::vector<uint64_t> task_work(affected.size(), 0);
-  const auto maintain = [&](size_t i) {
-    task_work[i] = MaintainView(affected[i], table, delta);
+  // One scan forms the groups. Duplicates join their run's leader. An
+  // unprojected predicated group after its table set's twin is fed by
+  // residual filter; the groups one twin feeds are contiguous in `fed`.
+  // Every other group runs a pipeline.
+  struct Group {
+    ViewId leader = 0;
+    size_t fed_begin = 0;  // [fed_begin, fed_end) indexes `fed`
+    size_t fed_end = 0;
   };
-  if (pool_ != nullptr && affected.size() > 1) {
-    pool_->ParallelFor(affected.size(), maintain);
-  } else {
-    for (size_t i = 0; i < affected.size(); ++i) maintain(i);
+  constexpr size_t kNoTwin = static_cast<size_t>(-1);
+  std::vector<Group> groups;
+  std::vector<size_t> group_of(affected.size());
+  std::vector<size_t> fed;
+  std::vector<size_t> pipelines;
+  size_t twin = kNoTwin;
+  for (size_t k = 0; k < order.size(); ++k) {
+    const View& view = views_[affected[order[k]]];
+    if (k > 0) {
+      const View& prev = views_[affected[order[k - 1]]];
+      if (prev.key == view.key && prev.projection == view.projection) {
+        group_of[order[k]] = groups.size() - 1;
+        continue;
+      }
+      if (prev.key.tables != view.key.tables) twin = kNoTwin;
+    }
+    const size_t g = groups.size();
+    group_of[order[k]] = g;
+    groups.push_back({affected[order[k]], fed.size(), fed.size()});
+    if (view.projection.empty() && view.key.unpredicated()) {
+      twin = g;
+    } else if (view.projection.empty() && twin != kNoTwin) {
+      fed.push_back(g);
+      groups[twin].fed_end = fed.size();
+      continue;
+    }
+    pipelines.push_back(g);
   }
-  // Deterministic merge: summation in view order, independent of which
-  // thread ran which view.
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.view_refreshes", affected.size());
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.pipeline_runs", pipelines.size());
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.residual_feeds", fed.size());
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.duplicate_feeds",
+                         affected.size() - groups.size());
+
+  const auto run = [this](size_t n, const std::function<void(size_t)>& fn) {
+    if (pool_ != nullptr && n > 1) {
+      pool_->ParallelFor(n, fn);
+    } else {
+      for (size_t i = 0; i < n; ++i) fn(i);
+    }
+  };
+
+  // Serial prelude: materialize every operand cache and index the
+  // pipelines will probe. After this point shared state is read-only until
+  // the barrier.
+  for (const size_t g : pipelines) PrepareOperands(groups[g].leader, table);
+
+  // Each pipeline fills its group's delta slot, then the slots of the
+  // groups it feeds by residual filter. Empty deltas are dropped at once.
+  // With a pool, slots are created and freed on its threads only, so the
+  // caller's heap never holds the per-round churn.
+  std::vector<std::optional<Relation>> group_deltas(groups.size());
+  std::vector<uint64_t> task_work(pipelines.size(), 0);
+  run(pipelines.size(), [&](size_t k) {
+    const Group& group = groups[pipelines[k]];
+    std::optional<Relation>& out = group_deltas[pipelines[k]];
+    out = PipelineDelta(group.leader, table, delta, &task_work[k]);
+    if (out->DistinctSize() == 0) {
+      out.reset();
+      return;
+    }
+    for (size_t f = group.fed_begin; f < group.fed_end; ++f) {
+      std::optional<Relation>& fed_out = group_deltas[fed[f]];
+      fed_out = ResidualDelta(groups[fed[f]].leader, *out);
+      if (fed_out->DistinctSize() == 0) fed_out.reset();
+    }
+  });
+  // Deterministic merge: summation in pipeline order, independent of which
+  // thread ran which pipeline.
   for (const uint64_t w : task_work) work_ += w;
+
+  // Fan-out: every affected view with a non-empty delta merges it into its
+  // own contents (same schema and order, so the stored row hashes
+  // transfer). The last reader of a slot frees it.
+  std::vector<size_t> targets;
+  std::vector<std::atomic<uint32_t>> readers(groups.size());
+  for (size_t i = 0; i < affected.size(); ++i) {
+    if (!group_deltas[group_of[i]].has_value()) continue;
+    targets.push_back(i);
+    readers[group_of[i]].fetch_add(1, std::memory_order_relaxed);
+  }
+  run(targets.size(), [&](size_t k) {
+    const size_t g = group_of[targets[k]];
+    views_[affected[targets[k]]].contents.ApplyAll(*group_deltas[g]);
+    if (readers[g].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      group_deltas[g].reset();
+    }
+  });
   DSM_METRIC_GAUGE_SET("dsm.maintain.join_work",
                        static_cast<double>(work_));
   return Status::OK();
@@ -298,13 +403,13 @@ void DeltaEngine::MergeDelta(TableId table, const Relation& delta) {
   // Patch every cached filtered operand over this table — including those
   // of inactive views, whose caches must stay consistent with the base for
   // re-admission.
-  for (auto& [key, op] : operands_) {
-    if (key.second != table || op.filtered == nullptr) continue;
-    const View& view = views_[key.first];
+  const auto it = operands_.find(table);
+  if (it == operands_.end()) return;
+  for (auto& [id, op] : it->second) {
+    if (op.filtered == nullptr) continue;
     Relation scratch;
-    const Relation& filtered =
-        ApplyTablePredicates(view.key, table, delta, &scratch);
-    op.filtered->ApplyAll(filtered);
+    op.filtered->ApplyAll(
+        ApplyTablePredicates(views_[id].key, table, delta, &scratch));
     DSM_METRIC_COUNTER_ADD("dsm.maintain.operand_cache_patches", 1);
   }
 }

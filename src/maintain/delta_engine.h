@@ -10,20 +10,29 @@
 // meters the work performed, providing a measured counterpart to the
 // DefaultCostModel's CPU estimates.
 //
-// Two amortizations make maintenance scale with the sharing population
-// (DESIGN.md §10):
-//  * Operand caching. For every (view, base table) pair the engine keeps
-//    the filtered join operand — σ_view(T) — as a persistent relation with
-//    a prebuilt equi-join index, incrementally patched by each delta
-//    instead of being re-filtered and re-hashed from scratch per update.
-//    Views without predicates on a table share the base relation (and its
-//    index) directly; no copy is made.
-//  * Parallel fan-out. Views are independent, so per-view delta
-//    propagation runs on a ThreadPool (DeltaEngineOptions::pool, honoring
+// Three amortizations make maintenance scale with the sharing population
+// (DESIGN.md §10, §13):
+//  * Shared propagation. Each update round runs one join pipeline per
+//    *distinct* view, not one per view. Active views with equal ViewKey
+//    and projection share their lowest-id member's delta; a predicated
+//    view whose unpredicated twin (same tables, no predicates, both
+//    unprojected) is also affected takes the twin's delta through a
+//    residual filter (σ commutes with the natural join, so this is exact
+//    under bag semantics). The grouping is rebuilt from the active views
+//    on every round, so registration, SetViewActive and per-view contents
+//    keep their one-view-at-a-time semantics.
+//  * Operand caching. For every (base table, pipeline-running view) pair
+//    the engine keeps the filtered join operand — σ_view(T) — as a
+//    persistent relation with a prebuilt equi-join index, incrementally
+//    patched by each delta instead of being re-filtered and re-hashed from
+//    scratch per update. Views without predicates on a table share the
+//    base relation (and its index) directly; no copy is made.
+//  * Parallel fan-out. Pipelines, and then the per-view merges of their
+//    deltas, run on a ThreadPool (DeltaEngineOptions::pool, honoring
 //    DSM_THREADS). Tasks read shared state (bases, operand caches) that is
-//    frozen during the fan-out and write only their own view; join-work
-//    counts accumulate per task and merge after the barrier, so results
-//    and meters are identical for every pool size.
+//    frozen during the fan-out and write only their own slot or view;
+//    join-work counts accumulate per task and merge after the barrier, so
+//    results and meters are identical for every pool size.
 
 #ifndef DSM_MAINTAIN_DELTA_ENGINE_H_
 #define DSM_MAINTAIN_DELTA_ENGINE_H_
@@ -52,13 +61,9 @@ struct TableUpdate {
 };
 
 struct DeltaEngineOptions {
-  // Sizing for the per-view fan-out pool. The default resolves through
+  // Sizing for the fan-out pool. The default resolves through
   // DSM_THREADS; num_threads = 1 forces fully serial maintenance.
   ThreadPoolOptions pool;
-  // Keep per-(view, table) filtered+indexed operands between updates.
-  // Disabling falls back to re-filtering every base table per update (the
-  // pre-cache behavior; kept for benchmarking the cache's effect).
-  bool operand_cache = true;
   // Store relations in the compact columnar encoding (interned tagged
   // slots, flat tuples, pre-hashed bag tables — DESIGN.md §12). Disabling
   // falls back to the legacy std::unordered_map<Tuple, int64_t> row store;
@@ -120,15 +125,15 @@ class DeltaEngine {
                              const std::vector<std::string>& projection)
       const;
 
-  // Tuple-pairs probed by joins so far (measured maintenance work). The
-  // value is identical for every pool size and with the operand cache on
-  // or off: caching changes where the operand comes from, not which pairs
-  // match.
+  // Tuple-pairs probed by joins so far (measured maintenance work). Only
+  // pipeline-running views probe: duplicates and residual-fed views add
+  // nothing. The value is determined by the update stream and the active
+  // view population, and is identical for every pool size.
   uint64_t work() const { return work_; }
 
   const DeltaEngineOptions& options() const { return options_; }
-  // Materialized (view, table) operand caches built so far.
-  size_t num_cached_operands() const { return operands_.size(); }
+  // Materialized (table, view) operand caches built so far.
+  size_t num_cached_operands() const;
   // The row encoding this engine's relations use.
   RowEncoding row_encoding() const {
     return options_.compact_rows ? RowEncoding::kCompact
@@ -154,7 +159,7 @@ class DeltaEngine {
     std::map<TableId, std::vector<JoinStep>> join_plans;
   };
 
-  // Cached filtered operand for one (view, table) pair. When the view has
+  // Cached filtered operand for one (table, view) pair. When the view has
   // no (applicable) predicates on the table, the shared base relation is
   // used directly instead of a copy.
   struct Operand {
@@ -174,15 +179,21 @@ class DeltaEngine {
                                       TableId delta_table) const;
 
   // Serial prelude to a fan-out: materializes the operand caches and
-  // indexes every affected view will probe, so the parallel phase only
+  // indexes a pipeline-running view will probe, so the parallel phase only
   // reads shared state.
   void PrepareOperands(ViewId id, TableId table);
   const Relation& OperandRelation(ViewId id, TableId other) const;
 
-  // Joins the (filtered) delta through the view's pipeline and merges the
-  // result into the view. Returns the join work performed. Thread-safe
-  // across distinct views: reads frozen shared state, writes only `view`.
-  uint64_t MaintainView(ViewId id, TableId table, const Relation& delta);
+  // Joins the (filtered) delta through the view's pipeline and returns the
+  // view's signed delta, projected and in the view's column order. Adds
+  // the join work performed to `work`. Thread-safe: reads frozen shared
+  // state only.
+  Relation PipelineDelta(ViewId id, TableId table, const Relation& delta,
+                         uint64_t* work) const;
+  // View `id`'s delta derived from `twin_delta`, the delta of the
+  // unpredicated view on the same tables: filtered by the view's
+  // predicates, by column name, skipping those Recompute would skip.
+  Relation ResidualDelta(ViewId id, const Relation& twin_delta) const;
 
   // Refreshes every active view over `table` (fanning out when a pool is
   // available), without merging the delta into the base.
@@ -197,7 +208,8 @@ class DeltaEngine {
   std::unique_ptr<ThreadPool> pool_;  // null when maintenance is serial
   std::map<TableId, Relation> bases_;
   std::vector<View> views_;
-  std::map<std::pair<ViewId, TableId>, Operand> operands_;
+  // Operand caches by base table, then by the view that probes them.
+  std::map<TableId, std::map<ViewId, Operand>> operands_;
   uint64_t work_ = 0;
 };
 

@@ -13,7 +13,7 @@
 //    remap loops over the flat slots; Filter and same-schema merges reuse
 //    the stored hashes outright.
 //  * kLegacy: the original std::unordered_map<Tuple, int64_t> row store,
-//    kept behind the toggle (like operand_cache / reuse_index_enabled) as
+//    kept behind the toggle (like reuse_index_enabled) as
 //    the bit-exact reference the compact plane is tested against.
 //
 // A relation can carry persistent equi-join indexes (EnsureIndex): each

@@ -136,6 +136,47 @@ TEST(ThreadPoolTest, ParallelForRethrowsTaskException) {
   }
 }
 
+TEST(ThreadPoolTest, ParallelForWithFewerItemsThanThreads) {
+  ThreadPool pool(Opts(8));
+  std::vector<int> out(3, 0);
+  std::atomic<int> on_worker{0};
+  pool.ParallelFor(out.size(), [&](size_t i) {
+    out[i] = static_cast<int>(i) + 1;
+    if (pool.OnWorkerThread()) on_worker.fetch_add(1);
+  });
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(on_worker.load(), 3);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsEachIndexOnceWhenItemsFarOutnumberThreads) {
+  ThreadPool pool(Opts(3));
+  std::vector<std::atomic<int>> runs(20000);
+  pool.ParallelFor(runs.size(), [&runs](size_t i) { runs[i].fetch_add(1); });
+  for (size_t i = 0; i < runs.size(); ++i) {
+    ASSERT_EQ(runs[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForThrowMidBatchStillRunsWholeBatch) {
+  ThreadPool pool(Opts(4));
+  std::vector<std::atomic<int>> runs(1000);
+  EXPECT_THROW(pool.ParallelFor(runs.size(),
+                                [&runs](size_t i) {
+                                  runs[i].fetch_add(1);
+                                  if (i == 500 || i == 501) {
+                                    throw std::runtime_error("boom");
+                                  }
+                                }),
+               std::runtime_error);
+  // The worker that caught the throw moved on to later indices.
+  for (size_t i = 0; i < runs.size(); ++i) {
+    ASSERT_EQ(runs[i].load(), 1) << "index " << i;
+  }
+  std::atomic<int> after{0};
+  pool.ParallelFor(64, [&after](size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 64);
+}
+
 TEST(ThreadPoolTest, WaitGroupRethrowsFirstException) {
   ThreadPool pool(Opts(1));  // inline: submission order == execution order
   WaitGroup wg;

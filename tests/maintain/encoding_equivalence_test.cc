@@ -2,8 +2,9 @@
 // random view populations over a string-keyed chain schema and random
 // insert/delete churn, the compact engine (DeltaEngineOptions::compact_rows)
 // must produce views bag-equal to the legacy row store's, with identical
-// measured join work, for every pool size {1, 2, 8} and with the operand
-// cache on or off. This is the toggle matrix of DESIGN.md §12.
+// measured join work, for every pool size {1, 2, 8}, and every view must
+// match its engine's from-scratch Recompute. This is the toggle matrix of
+// DESIGN.md §12.
 
 #include <gtest/gtest.h>
 
@@ -65,6 +66,25 @@ struct Scenario {
   std::vector<std::vector<TableUpdate>> rounds;
 };
 
+// Appends a predicated view on {T1, T2} and predicates every unpredicated
+// view on the same tables, so at least one predicated view has no
+// unpredicated twin: it runs its own pipeline over a filtered operand
+// cache instead of taking a residual feed.
+void AddTwinlessPredicatedView(std::vector<ViewKey>* views) {
+  TableSet tables;
+  tables.Add(1);
+  tables.Add(2);
+  Predicate p;
+  p.table = 2;
+  p.column = 1;
+  p.op = CompareOp::kLt;
+  p.value = 5;
+  for (ViewKey& key : *views) {
+    if (key.tables == tables && key.unpredicated()) key = ViewKey(tables, {p});
+  }
+  views->emplace_back(tables, std::vector<Predicate>{p});
+}
+
 Scenario MakeScenario(uint64_t seed) {
   Rng rng(seed);
   Scenario scenario;
@@ -87,6 +107,7 @@ Scenario MakeScenario(uint64_t seed) {
     }
     scenario.views.emplace_back(tables, preds);
   }
+  AddTwinlessPredicatedView(&scenario.views);
 
   std::vector<std::vector<Tuple>> live(kNumTables);
   const int num_rounds = 8;
@@ -121,14 +142,14 @@ Scenario MakeScenario(uint64_t seed) {
 struct RunOutcome {
   std::vector<Relation> views;
   uint64_t work = 0;
+  size_t cached_operands = 0;
 };
 
 RunOutcome Replay(const Catalog& catalog, const Scenario& scenario,
-                  bool compact_rows, int pool_threads, bool operand_cache) {
+                  bool compact_rows, int pool_threads) {
   DeltaEngineOptions options;
   options.compact_rows = compact_rows;
   options.pool.num_threads = pool_threads;
-  options.operand_cache = operand_cache;
   DeltaEngine engine(&catalog, options);
   for (TableId t = 0; t < catalog.num_tables(); ++t) {
     EXPECT_TRUE(engine.RegisterBase(t).ok());
@@ -144,14 +165,14 @@ RunOutcome Replay(const Catalog& catalog, const Scenario& scenario,
   }
   RunOutcome outcome;
   outcome.work = engine.work();
+  outcome.cached_operands = engine.num_cached_operands();
   for (const ViewId id : ids) {
     // Each engine also matches its own from-scratch oracle.
     const auto expected = engine.Recompute(engine.view_key(id));
     EXPECT_TRUE(expected.ok());
     EXPECT_TRUE(engine.view(id)->BagEquals(*expected))
         << "view " << id << " diverged from recompute (compact="
-        << compact_rows << ", threads=" << pool_threads
-        << ", cache=" << operand_cache << ")";
+        << compact_rows << ", threads=" << pool_threads << ")";
     outcome.views.push_back(*engine.view(id));
   }
   return outcome;
@@ -164,35 +185,30 @@ TEST_P(EncodingEquivalenceTest, CompactMatchesLegacyAcrossToggleMatrix) {
   const Scenario scenario = MakeScenario(GetParam());
   ASSERT_FALSE(scenario.rounds.empty());
 
-  // The reference: legacy row store, serial, cache on.
+  // The reference: legacy row store, serial.
   const RunOutcome legacy = Replay(catalog, scenario, /*compact_rows=*/false,
-                                   /*pool_threads=*/1,
-                                   /*operand_cache=*/true);
+                                   /*pool_threads=*/1);
+  EXPECT_GT(legacy.cached_operands, 0u);
 
   for (const int threads : {1, 2, 8}) {
-    for (const bool cache : {true, false}) {
-      const RunOutcome compact =
-          Replay(catalog, scenario, /*compact_rows=*/true, threads, cache);
-      ASSERT_EQ(compact.views.size(), legacy.views.size());
-      for (size_t v = 0; v < compact.views.size(); ++v) {
-        // Cross-encoding comparison: the compact view must hold the exact
-        // bag the legacy engine computed.
-        EXPECT_TRUE(compact.views[v].BagEquals(legacy.views[v]))
-            << "view " << v << " (threads=" << threads
-            << ", cache=" << cache << ")";
-      }
-      // Work counters are a property of the bags, not the encoding, the
-      // pool size or the cache mode.
-      EXPECT_EQ(compact.work, legacy.work)
-          << "threads=" << threads << ", cache=" << cache;
+    const RunOutcome compact =
+        Replay(catalog, scenario, /*compact_rows=*/true, threads);
+    ASSERT_EQ(compact.views.size(), legacy.views.size());
+    for (size_t v = 0; v < compact.views.size(); ++v) {
+      // Cross-encoding comparison: the compact view must hold the exact
+      // bag the legacy engine computed.
+      EXPECT_TRUE(compact.views[v].BagEquals(legacy.views[v]))
+          << "view " << v << " (threads=" << threads << ")";
     }
+    // Work counters are a property of the bags, not the encoding or the
+    // pool size.
+    EXPECT_EQ(compact.work, legacy.work) << "threads=" << threads;
   }
 
-  // Legacy with the full toggle matrix agrees with itself too (the toggle
-  // must not have perturbed the reference path).
+  // Legacy at a larger pool agrees with itself too (the toggle must not
+  // have perturbed the reference path).
   const RunOutcome legacy_parallel =
-      Replay(catalog, scenario, /*compact_rows=*/false, /*pool_threads=*/8,
-             /*operand_cache=*/false);
+      Replay(catalog, scenario, /*compact_rows=*/false, /*pool_threads=*/8);
   ASSERT_EQ(legacy_parallel.views.size(), legacy.views.size());
   for (size_t v = 0; v < legacy_parallel.views.size(); ++v) {
     EXPECT_TRUE(legacy_parallel.views[v].BagEquals(legacy.views[v]));

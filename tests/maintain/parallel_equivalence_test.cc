@@ -2,7 +2,7 @@
 // engine: for random view populations and random insert/delete streams, the
 // batched parallel path must leave every view bag-equal to a from-scratch
 // recomputation, and results plus measured join work must be identical for
-// every pool size and with the operand cache on or off.
+// every pool size.
 
 #include <gtest/gtest.h>
 
@@ -50,6 +50,25 @@ struct Scenario {
   std::vector<std::vector<TableUpdate>> rounds;
 };
 
+// Appends a predicated view on {T1, T2} and predicates every unpredicated
+// view on the same tables, so at least one predicated view has no
+// unpredicated twin: it runs its own pipeline over a filtered operand
+// cache instead of taking a residual feed.
+void AddTwinlessPredicatedView(std::vector<ViewKey>* views) {
+  TableSet tables;
+  tables.Add(1);
+  tables.Add(2);
+  Predicate p;
+  p.table = 2;
+  p.column = 1;
+  p.op = CompareOp::kLt;
+  p.value = 5;
+  for (ViewKey& key : *views) {
+    if (key.tables == tables && key.unpredicated()) key = ViewKey(tables, {p});
+  }
+  views->emplace_back(tables, std::vector<Predicate>{p});
+}
+
 Scenario MakeScenario(uint64_t seed) {
   Rng rng(seed);
   Scenario scenario;
@@ -74,6 +93,7 @@ Scenario MakeScenario(uint64_t seed) {
     }
     scenario.views.emplace_back(tables, preds);
   }
+  AddTwinlessPredicatedView(&scenario.views);
 
   std::vector<std::vector<Tuple>> live(kNumTables);
   const int num_rounds = 10;
@@ -116,10 +136,9 @@ struct RunOutcome {
 };
 
 RunOutcome Replay(const Catalog& catalog, const Scenario& scenario,
-                  int pool_threads, bool operand_cache) {
+                  int pool_threads) {
   DeltaEngineOptions options;
   options.pool.num_threads = pool_threads;
-  options.operand_cache = operand_cache;
   DeltaEngine engine(&catalog, options);
   for (TableId t = 0; t < catalog.num_tables(); ++t) {
     EXPECT_TRUE(engine.RegisterBase(t).ok());
@@ -141,8 +160,7 @@ RunOutcome Replay(const Catalog& catalog, const Scenario& scenario,
     const auto expected = engine.Recompute(engine.view_key(id));
     EXPECT_TRUE(expected.ok());
     EXPECT_TRUE(engine.view(id)->BagEquals(*expected))
-        << "view " << id << " diverged (threads=" << pool_threads
-        << ", cache=" << operand_cache << ")";
+        << "view " << id << " diverged (threads=" << pool_threads << ")";
     outcome.views.push_back(*engine.view(id));
   }
   return outcome;
@@ -150,33 +168,26 @@ RunOutcome Replay(const Catalog& catalog, const Scenario& scenario,
 
 class ParallelEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ParallelEquivalenceTest, PoolSizesAndCacheModesAgree) {
+TEST_P(ParallelEquivalenceTest, PoolSizesAgree) {
   const Catalog catalog = MakeChainCatalog();
   const Scenario scenario = MakeScenario(GetParam());
   ASSERT_FALSE(scenario.rounds.empty());
 
-  const RunOutcome reference =
-      Replay(catalog, scenario, /*pool_threads=*/1, /*operand_cache=*/true);
+  const RunOutcome reference = Replay(catalog, scenario, /*pool_threads=*/1);
   EXPECT_GT(reference.cached_operands, 0u);
 
   for (const int threads : {2, 8}) {
-    for (const bool cache : {true, false}) {
-      const RunOutcome outcome = Replay(catalog, scenario, threads, cache);
-      ASSERT_EQ(outcome.views.size(), reference.views.size());
-      for (size_t v = 0; v < outcome.views.size(); ++v) {
-        EXPECT_TRUE(outcome.views[v].BagEquals(reference.views[v]))
-            << "view " << v << " differs from serial reference (threads="
-            << threads << ", cache=" << cache << ")";
-      }
-      // Join work is content-determined: caching changes where operands
-      // come from and threading changes who probes, never which tuple
-      // pairs meet.
-      EXPECT_EQ(outcome.work, reference.work)
-          << "threads=" << threads << ", cache=" << cache;
-      if (!cache) {
-        EXPECT_EQ(outcome.cached_operands, 0u);
-      }
+    const RunOutcome outcome = Replay(catalog, scenario, threads);
+    ASSERT_EQ(outcome.views.size(), reference.views.size());
+    for (size_t v = 0; v < outcome.views.size(); ++v) {
+      EXPECT_TRUE(outcome.views[v].BagEquals(reference.views[v]))
+          << "view " << v << " differs from serial reference (threads="
+          << threads << ")";
     }
+    // Join work is content-determined: threading changes who probes,
+    // never which tuple pairs meet.
+    EXPECT_EQ(outcome.work, reference.work) << "threads=" << threads;
+    EXPECT_EQ(outcome.cached_operands, reference.cached_operands);
   }
 }
 
@@ -184,8 +195,7 @@ TEST_P(ParallelEquivalenceTest, BatchedMatchesSequentialApplyUpdate) {
   const Catalog catalog = MakeChainCatalog();
   const Scenario scenario = MakeScenario(GetParam());
 
-  const RunOutcome batched =
-      Replay(catalog, scenario, /*pool_threads=*/8, /*operand_cache=*/true);
+  const RunOutcome batched = Replay(catalog, scenario, /*pool_threads=*/8);
 
   DeltaEngineOptions options;
   options.pool.num_threads = 1;
