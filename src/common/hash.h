@@ -1,8 +1,8 @@
-// Shared hashing primitives for the engine's hash tables.
+// Hashing primitives for the data plane's pre-hashed tables.
 //
-// One seeded fnv1a-style byte mix plus a splitmix64 finalizer, used by both
-// the legacy row store's TupleHash and the compact data plane's pre-hashed
-// bag tables (maintain/tuple_store.h). Keeping the mix in one place means a
+// One seeded fnv1a-style mix over 64-bit lanes plus a splitmix64 finalizer,
+// used by the compact data plane's bag tables and join indexes
+// (maintain/tuple_store.h). Keeping the mix in one place means a
 // hash-quality fix lands everywhere at once, and the forced-collision
 // regression tests can reason about a single function.
 
@@ -17,19 +17,6 @@ namespace dsm {
 
 inline constexpr uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
 inline constexpr uint64_t kFnv1a64Prime = 0x100000001b3ULL;
-
-// fnv1a over raw bytes. The seed replaces the standard offset basis, so
-// independent tables can hash the same keys differently.
-inline uint64_t Fnv1a64(const void* data, size_t size,
-                        uint64_t seed = kFnv1a64Offset) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= kFnv1a64Prime;
-  }
-  return h;
-}
 
 // splitmix64 finalizer: full-avalanche bit mix. fnv1a alone is weak in the
 // high bits (the last byte only reaches them through one multiply); open

@@ -23,6 +23,25 @@ std::vector<std::string> TableColumnNames(const Catalog& catalog,
   return names;
 }
 
+// InvalidArgument unless every tuple has one value per column of `base`.
+// Ingest encodes tuples into fixed-width rows of the base schema's arity,
+// so a short or long tuple must be refused before it touches any state.
+Status CheckArity(const Relation& base, const std::vector<Tuple>& inserts,
+                  const std::vector<Tuple>& deletes) {
+  const size_t arity = base.columns().size();
+  for (const auto* tuples : {&inserts, &deletes}) {
+    for (const Tuple& t : *tuples) {
+      if (t.size() != arity) {
+        return Status::InvalidArgument(
+            "tuple arity " + std::to_string(t.size()) +
+            " does not match the base schema's " + std::to_string(arity) +
+            " columns");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 // Mirrors the compact data plane's global stats into the metrics registry.
 // The stats are cumulative process-wide atomics; counters get the delta
 // since the last export (monotone guard keeps concurrent engines from
@@ -69,8 +88,7 @@ Status DeltaEngine::RegisterBase(TableId table) {
   if (bases_.count(table) != 0) {
     return Status::AlreadyExists("base table already registered");
   }
-  bases_.emplace(table, Relation(TableColumnNames(*catalog_, table),
-                                 row_encoding()));
+  bases_.emplace(table, Relation(TableColumnNames(*catalog_, table)));
   return Status::OK();
 }
 
@@ -421,11 +439,12 @@ Status DeltaEngine::ApplyUpdate(TableId table,
   if (base_it == bases_.end()) {
     return Status::NotFound("base table not registered");
   }
+  DSM_RETURN_IF_ERROR(CheckArity(base_it->second, inserts, deletes));
   DSM_METRIC_COUNTER_ADD("dsm.maintain.delta_tuples",
                          inserts.size() + deletes.size());
 
   // The signed delta relation ΔT.
-  Relation delta(base_it->second.columns(), row_encoding());
+  Relation delta(base_it->second.columns());
   for (const Tuple& t : inserts) delta.Apply(t, +1);
   for (const Tuple& t : deletes) delta.Apply(t, -1);
 
@@ -437,9 +456,12 @@ Status DeltaEngine::ApplyUpdate(TableId table,
 
 Status DeltaEngine::ApplyUpdates(std::span<const TableUpdate> updates) {
   for (const TableUpdate& update : updates) {
-    if (bases_.find(update.table) == bases_.end()) {
+    const auto base_it = bases_.find(update.table);
+    if (base_it == bases_.end()) {
       return Status::NotFound("base table not registered");
     }
+    DSM_RETURN_IF_ERROR(
+        CheckArity(base_it->second, update.inserts, update.deletes));
   }
   DSM_METRIC_COUNTER_ADD("dsm.maintain.batches", 1);
 
@@ -451,7 +473,7 @@ Status DeltaEngine::ApplyUpdates(std::span<const TableUpdate> updates) {
                            update.inserts.size() + update.deletes.size());
     auto [it, inserted] = deltas.try_emplace(
         update.table,
-        Relation(bases_.at(update.table).columns(), row_encoding()));
+        Relation(bases_.at(update.table).columns()));
     if (!inserted) {
       DSM_METRIC_COUNTER_ADD("dsm.maintain.batch_coalesced", 1);
     }
@@ -475,7 +497,7 @@ Status DeltaEngine::SetViewActive(ViewId id, bool active) {
   if (view.active == active) return Status::OK();
   if (!active) {
     // The machine holding the view is gone; so are its contents.
-    view.contents = Relation(view.contents.columns(), row_encoding());
+    view.contents = Relation(view.contents.columns());
     view.active = false;
     return Status::OK();
   }

@@ -8,7 +8,10 @@
 // is merged into the view — the apply-updates / copy / merge / join
 // pipeline of the paper's Figure 2, collapsed onto one machine. It also
 // meters the work performed, providing a measured counterpart to the
-// DefaultCostModel's CPU estimates.
+// DefaultCostModel's CPU estimates. Every relation it keeps — bases,
+// deltas, operand caches, views — is a compact columnar Relation
+// (DESIGN.md §12); DeltaEngine::Recompute is the from-scratch oracle the
+// incremental path is tested against.
 //
 // Three amortizations make maintenance scale with the sharing population
 // (DESIGN.md §10, §13):
@@ -64,11 +67,6 @@ struct DeltaEngineOptions {
   // Sizing for the fan-out pool. The default resolves through
   // DSM_THREADS; num_threads = 1 forces fully serial maintenance.
   ThreadPoolOptions pool;
-  // Store relations in the compact columnar encoding (interned tagged
-  // slots, flat tuples, pre-hashed bag tables — DESIGN.md §12). Disabling
-  // falls back to the legacy std::unordered_map<Tuple, int64_t> row store;
-  // results and work counters are bit-identical either way.
-  bool compact_rows = true;
 };
 
 class DeltaEngine {
@@ -91,7 +89,9 @@ class DeltaEngine {
                               std::vector<std::string> projection = {});
 
   // Applies inserts/deletes to base `table`: all registered views over the
-  // table are brought up to date, then the base relation is updated.
+  // table are brought up to date, then the base relation is updated. Every
+  // tuple must have the base schema's arity; otherwise InvalidArgument is
+  // returned and no state changes.
   Status ApplyUpdate(TableId table, const std::vector<Tuple>& inserts,
                      const std::vector<Tuple>& deletes);
 
@@ -99,8 +99,8 @@ class DeltaEngine {
   // combined delta per table in ascending table order. Equivalent to the
   // corresponding sequence of ApplyUpdate calls (deltas to one table
   // commute through filters and joins), but each view is refreshed once
-  // per table instead of once per batch entry. Validates every table
-  // before touching any state.
+  // per table instead of once per batch entry. Validates every table and
+  // every tuple's arity before touching any state.
   Status ApplyUpdates(std::span<const TableUpdate> updates);
 
   // Degraded mode: an inactive view is not maintained (its contents are
@@ -134,11 +134,6 @@ class DeltaEngine {
   const DeltaEngineOptions& options() const { return options_; }
   // Materialized (table, view) operand caches built so far.
   size_t num_cached_operands() const;
-  // The row encoding this engine's relations use.
-  RowEncoding row_encoding() const {
-    return options_.compact_rows ? RowEncoding::kCompact
-                                 : RowEncoding::kLegacy;
-  }
 
  private:
   // One probe step of a view's delta-propagation join pipeline.

@@ -33,13 +33,6 @@ JoinShape ComputeJoinShape(const Relation& a, const Relation& b) {
   return shape;
 }
 
-Tuple ProjectKey(const Tuple& tuple, const std::vector<int>& positions) {
-  Tuple key;
-  key.reserve(positions.size());
-  for (const int i : positions) key.push_back(tuple[static_cast<size_t>(i)]);
-  return key;
-}
-
 void GatherSlots(const Slot* row, const std::vector<int>& positions,
                  Slot* out) {
   for (size_t i = 0; i < positions.size(); ++i) {
@@ -49,14 +42,10 @@ void GatherSlots(const Slot* row, const std::vector<int>& positions,
 
 }  // namespace
 
-Relation::Relation(std::vector<std::string> column_names,
-                   RowEncoding encoding)
-    : columns_(std::move(column_names)), encoding_(encoding) {
-  if (encoding_ == RowEncoding::kCompact) {
-    store_ = std::make_shared<TupleStore>(
-        static_cast<uint32_t>(columns_.size()));
-  }
-}
+Relation::Relation(std::vector<std::string> column_names)
+    : columns_(std::move(column_names)),
+      store_(std::make_shared<TupleStore>(
+          static_cast<uint32_t>(columns_.size()))) {}
 
 TupleStore* Relation::MutableStore() {
   // Copy-on-write: relations that merely returned the bag unchanged (no-op
@@ -75,28 +64,9 @@ int Relation::FindColumn(const std::string& name) const {
   return -1;
 }
 
-Relation Relation::WithEncoding(RowEncoding encoding) const {
-  if (encoding == encoding_) return *this;
-  Relation out(columns_, encoding);
-  ForEachRow([&out](const Tuple& tuple, int64_t count) {
-    out.Apply(tuple, count);
-  });
-  return out;
-}
-
 void Relation::Apply(const Tuple& tuple, int64_t delta) {
   if (delta == 0) return;
-  if (encoding_ == RowEncoding::kLegacy) {
-    const auto it = rows_.find(tuple);
-    if (it == rows_.end()) {
-      rows_.emplace(tuple, delta);
-    } else {
-      it->second += delta;
-      if (it->second == 0) rows_.erase(it);
-    }
-    PatchIndexesLegacy(tuple, delta);
-    return;
-  }
+  assert(tuple.size() == columns_.size() && "tuple arity != schema arity");
   Slot stack_buf[16];
   std::vector<Slot> heap_buf;
   Slot* slots = stack_buf;
@@ -117,39 +87,12 @@ void Relation::ApplyEncoded(const Slot* slots, uint64_t hash,
 }
 
 void Relation::ApplyAll(const Relation& src) {
-  if (encoding_ == RowEncoding::kCompact &&
-      src.encoding_ == RowEncoding::kCompact) {
-    assert(src.columns_ == columns_ && "ApplyAll requires matching schemas");
-    const TupleStore& from = *src.store_;
-    from.ForEachLive([&](uint32_t r) {
-      // Same schema, same global hash function: the stored hash transfers.
-      ApplyEncoded(from.row_slots(r), from.row_hash(r), from.row_count(r));
-    });
-    return;
-  }
-  src.ForEachRow(
-      [this](const Tuple& tuple, int64_t count) { Apply(tuple, count); });
-}
-
-void Relation::PatchIndexesLegacy(const Tuple& tuple, int64_t delta) {
-  for (const auto& index : indexes_) {
-    Tuple key = ProjectKey(tuple, index->key_positions);
-    auto& bucket = index->buckets[std::move(key)];
-    bool patched = false;
-    for (auto it = bucket.begin(); it != bucket.end(); ++it) {
-      if (it->first != tuple) continue;
-      it->second += delta;
-      if (it->second == 0) {
-        bucket.erase(it);
-        if (bucket.empty()) {
-          index->buckets.erase(ProjectKey(tuple, index->key_positions));
-        }
-      }
-      patched = true;
-      break;
-    }
-    if (!patched) bucket.emplace_back(tuple, delta);
-  }
+  assert(src.columns_ == columns_ && "ApplyAll requires matching schemas");
+  const TupleStore& from = *src.store_;
+  from.ForEachLive([&](uint32_t r) {
+    // Same schema, same global hash function: the stored hash transfers.
+    ApplyEncoded(from.row_slots(r), from.row_hash(r), from.row_count(r));
+  });
 }
 
 void Relation::PatchIndexesEncoded(const Slot* slots, uint32_t row,
@@ -164,43 +107,34 @@ void Relation::PatchIndexesEncoded(const Slot* slots, uint32_t row,
       key = heap_buf.data();
     }
     GatherSlots(slots, index->key_positions, key);
-    index->slot_index->Patch(key, HashTupleSlots(key, k), row, delta);
+    index->slots.Patch(key, HashTupleSlots(key, k), row, delta);
   }
 }
 
 const Relation::JoinIndex* Relation::EnsureIndex(
     const std::vector<std::string>& key_columns) {
   if (const JoinIndex* existing = FindIndex(key_columns)) return existing;
-  auto index = std::make_unique<JoinIndex>();
-  index->key_columns = key_columns;
-  index->key_positions.reserve(key_columns.size());
+  std::vector<int> positions;
+  positions.reserve(key_columns.size());
   for (const std::string& name : key_columns) {
     const int pos = FindColumn(name);
     assert(pos >= 0 && "index key column not in schema");
-    index->key_positions.push_back(pos);
+    positions.push_back(pos);
   }
+  auto index = std::make_unique<JoinIndex>(key_columns, std::move(positions));
   BuildIndex(index.get());
   indexes_.push_back(std::move(index));
   return indexes_.back().get();
 }
 
 void Relation::BuildIndex(JoinIndex* index) const {
-  if (encoding_ == RowEncoding::kLegacy) {
-    for (const auto& [tuple, count] : rows_) {
-      index->buckets[ProjectKey(tuple, index->key_positions)].emplace_back(
-          tuple, count);
-    }
-    return;
-  }
   const size_t k = index->key_positions.size();
-  index->slot_index = std::make_unique<SlotKeyIndex>(
-      static_cast<uint32_t>(k));
   std::vector<Slot> key(k);
   const TupleStore& st = *store_;
   st.ForEachLive([&](uint32_t r) {
     GatherSlots(st.row_slots(r), index->key_positions, key.data());
-    index->slot_index->Patch(key.data(), HashTupleSlots(key.data(), k), r,
-                             st.row_count(r));
+    index->slots.Patch(key.data(), HashTupleSlots(key.data(), k), r,
+                       st.row_count(r));
   });
 }
 
@@ -213,10 +147,7 @@ const Relation::JoinIndex* Relation::FindIndex(
 }
 
 int64_t Relation::Count(const Tuple& tuple) const {
-  if (encoding_ == RowEncoding::kLegacy) {
-    const auto it = rows_.find(tuple);
-    return it == rows_.end() ? 0 : it->second;
-  }
+  if (tuple.size() != columns_.size()) return 0;
   Slot stack_buf[16];
   std::vector<Slot> heap_buf;
   Slot* slots = stack_buf;
@@ -235,37 +166,22 @@ int64_t Relation::Count(const Tuple& tuple) const {
 
 int64_t Relation::TotalSize() const {
   int64_t total = 0;
-  if (encoding_ == RowEncoding::kLegacy) {
-    for (const auto& [tuple, count] : rows_) total += count;
-  } else {
-    store_->ForEachLive(
-        [&](uint32_t r) { total += store_->row_count(r); });
-  }
+  store_->ForEachLive([&](uint32_t r) { total += store_->row_count(r); });
   return total;
 }
 
 bool Relation::BagEquals(const Relation& other) const {
   if (DistinctSize() != other.DistinctSize()) return false;
-  if (encoding_ == RowEncoding::kCompact &&
-      other.encoding_ == RowEncoding::kCompact) {
-    if (store_ == other.store_) return true;  // shared bag
-    if (store_->arity() != other.store_->arity()) {
-      return DistinctSize() == 0;
-    }
-    const TupleStore& st = *store_;
-    const TupleStore& ot = *other.store_;
-    bool equal = true;
-    st.ForEachLive([&](uint32_t r) {
-      if (!equal) return;
-      if (ot.Count(st.row_slots(r), st.row_hash(r)) != st.row_count(r)) {
-        equal = false;
-      }
-    });
-    return equal;
-  }
+  if (store_ == other.store_) return true;  // shared bag
+  if (store_->arity() != other.store_->arity()) return DistinctSize() == 0;
+  const TupleStore& st = *store_;
+  const TupleStore& ot = *other.store_;
   bool equal = true;
-  ForEachRow([&](const Tuple& tuple, int64_t count) {
-    if (equal && other.Count(tuple) != count) equal = false;
+  st.ForEachLive([&](uint32_t r) {
+    if (!equal) return;
+    if (ot.Count(st.row_slots(r), st.row_hash(r)) != st.row_count(r)) {
+      equal = false;
+    }
   });
   return equal;
 }
@@ -274,18 +190,9 @@ Relation Relation::Filter(const std::string& column, CompareOp op,
                           double constant) const {
   const int idx = FindColumn(column);
   if (idx < 0) {
-    // Unknown column: the bag is returned unchanged. In compact mode the
-    // copy shares the row store — no rows are touched.
+    // Unknown column: the bag is returned unchanged. The copy shares the
+    // row store — no rows are touched.
     return *this;
-  }
-  if (encoding_ == RowEncoding::kLegacy) {
-    Relation out(columns_, RowEncoding::kLegacy);
-    for (const auto& [tuple, count] : rows_) {
-      if (ValueSatisfies(tuple[static_cast<size_t>(idx)], op, constant)) {
-        out.Apply(tuple, count);
-      }
-    }
-    return out;
   }
   // Columnar kernel: pass 1 scans one column of slots and collects
   // surviving row ids; pass 2 copies the flat rows. The schema is
@@ -298,7 +205,7 @@ Relation Relation::Filter(const std::string& column, CompareOp op,
       keep.push_back(r);
     }
   });
-  Relation out(columns_, RowEncoding::kCompact);
+  Relation out(columns_);
   TupleStore* dst = out.store_.get();
   dst->Reserve(keep.size());
   for (const uint32_t r : keep) {
@@ -315,21 +222,9 @@ Relation Relation::WithColumnOrder(
     source[i] = FindColumn(columns[i]);
     assert(source[i] >= 0 && "target schema is not a permutation");
   }
-  if (encoding_ == RowEncoding::kLegacy) {
-    Relation out(columns, RowEncoding::kLegacy);
-    for (const auto& [tuple, count] : rows_) {
-      Tuple reordered;
-      reordered.reserve(columns.size());
-      for (const int idx : source) {
-        reordered.push_back(tuple[static_cast<size_t>(idx)]);
-      }
-      out.Apply(reordered, count);
-    }
-    return out;
-  }
   // Position-remap loop over flat slots; no decoding, no per-row
   // allocation. Permuted slots hash differently, so hashes are recomputed.
-  Relation out(columns, RowEncoding::kCompact);
+  Relation out(columns);
   const TupleStore& st = *store_;
   TupleStore* dst = out.store_.get();
   dst->Reserve(st.live_rows());
@@ -352,19 +247,7 @@ Relation Relation::Project(const std::vector<std::string>& columns) const {
     source.push_back(idx);
     kept.push_back(name);
   }
-  if (encoding_ == RowEncoding::kLegacy) {
-    Relation out(std::move(kept), RowEncoding::kLegacy);
-    for (const auto& [tuple, count] : rows_) {
-      Tuple projected;
-      projected.reserve(source.size());
-      for (const int idx : source) {
-        projected.push_back(tuple[static_cast<size_t>(idx)]);
-      }
-      out.Apply(projected, count);
-    }
-    return out;
-  }
-  Relation out(std::move(kept), RowEncoding::kCompact);
+  Relation out(std::move(kept));
   const TupleStore& st = *store_;
   TupleStore* dst = out.store_.get();
   dst->Reserve(st.live_rows());
@@ -393,42 +276,20 @@ std::vector<std::string> SharedJoinColumns(
 
 namespace {
 
-// Legacy probe loop shared by the transient and prebuilt index paths:
-// `buckets` maps a key projection of b to its (row, count) pairs.
-template <typename Buckets>
-Relation ProbeJoinLegacy(const Relation& a, const JoinShape& shape,
-                         const Buckets& buckets, uint64_t* work) {
-  Relation out(shape.out_columns, RowEncoding::kLegacy);
-  for (const auto& [ta, ca] : a.rows()) {
-    const auto it = buckets.find(ProjectKey(ta, shape.shared_a));
-    if (it == buckets.end()) continue;
-    for (const auto& [tb, cb] : it->second) {
-      if (work != nullptr) ++*work;
-      Tuple joined = ta;
-      for (const int i : shape.b_extra) {
-        joined.push_back(tb[static_cast<size_t>(i)]);
-      }
-      out.Apply(joined, ca * cb);
-    }
-  }
-  return out;
-}
-
-// Compact probe loop: keys are pre-hashed slot projections, output rows
-// are flat slot copies. `b_index` is either a transient index built here
-// or a persistent one patched by b's Apply. Work accounting (pairs
-// probed) matches the legacy loop exactly: which tuple pairs meet is a
-// property of the bags, not the encoding.
-Relation ProbeJoinCompact(const Relation& a, const Relation& b,
-                          const JoinShape& shape,
-                          const SlotKeyIndex& b_index, uint64_t* work) {
+// Probe loop: keys are pre-hashed slot projections, output rows are flat
+// slot copies. `b_index` is either a transient index built here or a
+// persistent one patched by b's Apply. Work counts probed pairs — which
+// tuple pairs meet is a property of the bags.
+Relation ProbeJoin(const Relation& a, const Relation& b,
+                   const JoinShape& shape, const SlotKeyIndex& b_index,
+                   uint64_t* work) {
   const TupleStore& sa = a.store();
   const TupleStore& sb = b.store();
   const size_t key_arity = shape.shared_a.size();
   const size_t a_arity = a.columns().size();
   const size_t out_arity = shape.out_columns.size();
 
-  Relation out(shape.out_columns, RowEncoding::kCompact);
+  Relation out(shape.out_columns);
   // Writing through the private store would need friendship; ApplyEncoded
   // on a fresh relation has no indexes to patch, so it is equivalent.
   std::vector<Slot> key(key_arity);
@@ -462,8 +323,10 @@ Relation ProbeJoinCompact(const Relation& a, const Relation& b,
   return out;
 }
 
-Relation JoinCompact(const Relation& a, const Relation& b,
-                     const JoinShape& shape, uint64_t* work) {
+}  // namespace
+
+Relation NaturalJoin(const Relation& a, const Relation& b, uint64_t* work) {
+  const JoinShape shape = ComputeJoinShape(a, b);
   // Transient pre-hashed index on b's shared-column projection.
   const TupleStore& sb = b.store();
   const size_t key_arity = shape.shared_b.size();
@@ -474,45 +337,7 @@ Relation JoinCompact(const Relation& a, const Relation& b,
     index.Patch(key.data(), HashTupleSlots(key.data(), key_arity), rb,
                 sb.row_count(rb));
   });
-  return ProbeJoinCompact(a, b, shape, index, work);
-}
-
-}  // namespace
-
-Relation NaturalJoin(const Relation& a, const Relation& b, uint64_t* work) {
-  if (a.encoding() != b.encoding()) {
-    // Mixed encodings only occur in tests and conversions; join in a's
-    // encoding.
-    return NaturalJoin(a, b.WithEncoding(a.encoding()), work);
-  }
-  const JoinShape shape = ComputeJoinShape(a, b);
-  if (a.encoding() == RowEncoding::kCompact) {
-    return JoinCompact(a, b, shape, work);
-  }
-  // Transient index on b's shared-column projection; buckets hold
-  // (row pointer, count) pairs so each probe is one hash lookup.
-  std::unordered_map<Tuple,
-                     std::vector<std::pair<const Tuple*, int64_t>>,
-                     TupleHash>
-      index;
-  for (const auto& [tuple, count] : b.rows()) {
-    index[ProjectKey(tuple, shape.shared_b)].emplace_back(&tuple, count);
-  }
-
-  Relation out(shape.out_columns, RowEncoding::kLegacy);
-  for (const auto& [ta, ca] : a.rows()) {
-    const auto it = index.find(ProjectKey(ta, shape.shared_a));
-    if (it == index.end()) continue;
-    for (const auto& [tb, cb] : it->second) {
-      if (work != nullptr) ++*work;
-      Tuple joined = ta;
-      for (const int i : shape.b_extra) {
-        joined.push_back((*tb)[static_cast<size_t>(i)]);
-      }
-      out.Apply(joined, ca * cb);
-    }
-  }
-  return out;
+  return ProbeJoin(a, b, shape, index, work);
 }
 
 Relation NaturalJoin(const Relation& a, const Relation& b,
@@ -525,19 +350,7 @@ Relation NaturalJoin(const Relation& a, const Relation& b,
     assert(false && "join index key does not match the shared columns");
     return NaturalJoin(a, b, work);
   }
-  if (a.encoding() == RowEncoding::kCompact &&
-      b.encoding() == RowEncoding::kCompact &&
-      b_index.slot_index != nullptr) {
-    return ProbeJoinCompact(a, b, shape, *b_index.slot_index, work);
-  }
-  if (a.encoding() == RowEncoding::kLegacy &&
-      b.encoding() == RowEncoding::kLegacy &&
-      b_index.slot_index == nullptr) {
-    return ProbeJoinLegacy(a, shape, b_index.buckets, work);
-  }
-  // Encoding mismatch between the caller's relations and the index owner:
-  // answer through the index-free path.
-  return NaturalJoin(a, b, work);
+  return ProbeJoin(a, b, shape, b_index.slots, work);
 }
 
 }  // namespace dsm

@@ -3,18 +3,14 @@
 // maintenance engine. Negative counts occur only transiently inside delta
 // relations; materialized views and base tables stay non-negative.
 //
-// Two row encodings live behind one interface (DESIGN.md §12):
-//  * kCompact (the default): rows live in a TupleStore — every Value is a
-//    tagged 8-byte slot (maintain/value_dict.h), a tuple is a flat
-//    fixed-width uint64_t array, and the bag table is open addressing over
-//    precomputed row hashes. Copies share the store (copy-on-write), so
-//    returning a relation "unfiltered" or caching an unpredicated operand
-//    costs one shared_ptr. Filter/Project/WithColumnOrder are position-
-//    remap loops over the flat slots; Filter and same-schema merges reuse
-//    the stored hashes outright.
-//  * kLegacy: the original std::unordered_map<Tuple, int64_t> row store,
-//    kept behind the toggle (like reuse_index_enabled) as
-//    the bit-exact reference the compact plane is tested against.
+// Rows live in a compact columnar TupleStore (DESIGN.md §12): every Value
+// is a tagged 8-byte slot (maintain/value_dict.h), a tuple is a flat
+// fixed-width uint64_t array, and the bag table is open addressing over
+// precomputed row hashes. Copies share the store (copy-on-write), so
+// returning a relation "unfiltered" or caching an unpredicated operand
+// costs one shared_ptr. Filter/Project/WithColumnOrder are position-remap
+// loops over the flat slots; Filter and same-schema merges reuse the
+// stored hashes outright.
 //
 // A relation can carry persistent equi-join indexes (EnsureIndex): each
 // maps the projection of a row onto a fixed column subset to the rows
@@ -28,7 +24,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,48 +34,35 @@
 
 namespace dsm {
 
-enum class RowEncoding : uint8_t {
-  kCompact,
-  kLegacy,
-};
-
 class Relation {
  public:
   // A persistent hash index on the projection of each row onto
-  // `key_columns`. Empty `key_columns` is allowed: every row lands in one
-  // bucket (the cross-product case). The representation follows the owning
-  // relation's encoding:
-  //  * legacy: buckets store (row, count) value pairs — probing never
-  //    chases pointers into the row map, so rehashes there are harmless.
-  //  * compact: a SlotKeyIndex of (row id, count) entries keyed by
-  //    pre-hashed key slots; row ids stay valid because an index entry
-  //    exists exactly while its row is live in the store.
+  // `key_columns`: a SlotKeyIndex of (row id, count) entries keyed by
+  // pre-hashed key slots. Row ids stay valid because an index entry exists
+  // exactly while its row is live in the store. Empty `key_columns` is
+  // allowed: every row lands in one bucket (the cross-product case).
   struct JoinIndex {
+    JoinIndex(std::vector<std::string> columns, std::vector<int> positions)
+        : key_columns(std::move(columns)),
+          key_positions(std::move(positions)),
+          slots(static_cast<uint32_t>(key_positions.size())) {}
+
     std::vector<std::string> key_columns;  // names, in b-schema order
     std::vector<int> key_positions;        // same, as column positions
-    std::unordered_map<Tuple, std::vector<std::pair<Tuple, int64_t>>,
-                       TupleHash>
-        buckets;                              // legacy owners
-    std::unique_ptr<SlotKeyIndex> slot_index;  // compact owners
+    SlotKeyIndex slots;
   };
 
   Relation() : Relation(std::vector<std::string>{}) {}
-  explicit Relation(std::vector<std::string> column_names,
-                    RowEncoding encoding = RowEncoding::kCompact);
+  explicit Relation(std::vector<std::string> column_names);
 
   // Copies carry rows but not indexes (consumers index what they need);
-  // moves carry both. A compact copy shares the row store copy-on-write —
-  // the deep copy happens only if one side later mutates.
+  // moves carry both. A copy shares the row store copy-on-write — the deep
+  // copy happens only if one side later mutates.
   Relation(const Relation& other)
-      : columns_(other.columns_),
-        encoding_(other.encoding_),
-        rows_(other.rows_),
-        store_(other.store_) {}
+      : columns_(other.columns_), store_(other.store_) {}
   Relation& operator=(const Relation& other) {
     if (this != &other) {
       columns_ = other.columns_;
-      encoding_ = other.encoding_;
-      rows_ = other.rows_;
       store_ = other.store_;
       indexes_.clear();
     }
@@ -89,41 +71,25 @@ class Relation {
   Relation(Relation&&) = default;
   Relation& operator=(Relation&&) = default;
 
-  RowEncoding encoding() const { return encoding_; }
-  // The same bag re-encoded (decode + re-intern). Identity when `encoding`
-  // already matches.
-  Relation WithEncoding(RowEncoding encoding) const;
-
   const std::vector<std::string>& columns() const { return columns_; }
   int FindColumn(const std::string& name) const;
 
   // Adds `delta` to the tuple's multiplicity (entries at zero are erased).
-  // Every persistent index is patched to match.
+  // Every persistent index is patched to match. The tuple must have one
+  // value per column; callers taking outside input validate first.
   void Apply(const Tuple& tuple, int64_t delta);
 
+  // 0 for tuples not in the bag, including tuples of the wrong arity.
   int64_t Count(const Tuple& tuple) const;
-  size_t DistinctSize() const {
-    return encoding_ == RowEncoding::kLegacy ? rows_.size()
-                                             : store_->live_rows();
-  }
+  size_t DistinctSize() const { return store_->live_rows(); }
   // Σ multiplicities (meaningful for non-negative relations).
   int64_t TotalSize() const;
 
-  // Legacy row map; only meaningful in kLegacy mode. Generic consumers use
-  // ForEachRow, hot paths use the encoded entry points below.
-  const std::unordered_map<Tuple, int64_t, TupleHash>& rows() const {
-    return rows_;
-  }
-
-  // Calls f(const Tuple&, int64_t count) for every distinct row. In
-  // compact mode each row is decoded through the dictionary — fine for
-  // tests, reporting and conversions; hot paths stay on slots.
+  // Calls f(const Tuple&, int64_t count) for every distinct row. Each row
+  // is decoded through the dictionary — fine for tests and reporting; hot
+  // paths stay on slots.
   template <typename F>
   void ForEachRow(F&& f) const {
-    if (encoding_ == RowEncoding::kLegacy) {
-      for (const auto& [tuple, count] : rows_) f(tuple, count);
-      return;
-    }
     const TupleStore& st = *store_;
     const ValueDict& dict = ValueDict::Global();
     const uint32_t arity = st.arity();
@@ -138,8 +104,7 @@ class Relation {
     });
   }
 
-  // True when the two relations hold the same tuple multiset, regardless
-  // of encoding (cross-encoding comparison decodes through the dictionary).
+  // True when the two relations hold the same tuple multiset.
   bool BagEquals(const Relation& other) const;
 
   // Returns the persistent index keyed on `key_columns` (each name must be
@@ -152,11 +117,11 @@ class Relation {
   size_t num_indexes() const { return indexes_.size(); }
 
   // Tuples satisfying `column op constant`; schema unchanged. Columns
-  // absent from the schema leave the relation unfiltered — in compact mode
-  // that path shares the row store instead of deep-copying it. In compact
-  // mode the predicate runs as a columnar kernel: one pass over the
-  // column's slots collects surviving row ids, a second pass copies the
-  // flat rows with their stored hashes (never recomputed).
+  // absent from the schema leave the relation unfiltered — that path shares
+  // the row store instead of deep-copying it. The predicate runs as a
+  // columnar kernel: one pass over the column's slots collects surviving
+  // row ids, a second pass copies the flat rows with their stored hashes
+  // (never recomputed).
   Relation Filter(const std::string& column, CompareOp op,
                   double constant) const;
 
@@ -171,9 +136,9 @@ class Relation {
   // dropped from the output schema.
   Relation Project(const std::vector<std::string>& columns) const;
 
-  // --- compact-mode hot-path entry points ----------------------------------
+  // --- hot-path entry points on encoded slots -------------------------------
 
-  // The compact row store (compact mode only).
+  // The row store.
   const TupleStore& store() const { return *store_; }
 
   // Apply on already-encoded slots with a precomputed hash
@@ -181,30 +146,26 @@ class Relation {
   void ApplyEncoded(const Slot* slots, uint64_t hash, int64_t delta);
 
   // Merges every row of `src` (same schema, in this relation's column
-  // order) into this relation. When both sides are compact the stored row
-  // hashes transfer directly — the merge never rehashes a tuple.
+  // order) into this relation. The stored row hashes transfer directly —
+  // the merge never rehashes a tuple.
   void ApplyAll(const Relation& src);
 
  private:
   TupleStore* MutableStore();
-  void PatchIndexesLegacy(const Tuple& tuple, int64_t delta);
   void PatchIndexesEncoded(const Slot* slots, uint32_t row, int64_t delta);
   void BuildIndex(JoinIndex* index) const;
 
   std::vector<std::string> columns_;
-  RowEncoding encoding_ = RowEncoding::kCompact;
-  std::unordered_map<Tuple, int64_t, TupleHash> rows_;  // legacy mode
-  std::shared_ptr<TupleStore> store_;                   // compact mode
+  std::shared_ptr<TupleStore> store_;
   // unique_ptr for pointer stability across container growth.
   std::vector<std::unique_ptr<JoinIndex>> indexes_;
 };
 
 // Natural join on all shared column names; multiplicities multiply
 // (counting algorithm). `work` is incremented per probed pair, giving the
-// measured-cost counter the cost model's CPU term mirrors. Output and
-// work accounting are identical for both encodings; the compact kernel
+// measured-cost counter the cost model's CPU term mirrors. The kernel
 // probes pre-hashed slot buckets and assembles output rows as flat slot
-// copies. Mixed-encoding inputs are joined in `a`'s encoding.
+// copies.
 Relation NaturalJoin(const Relation& a, const Relation& b, uint64_t* work);
 
 // Same join, probing `b_index` — a persistent index on `b` whose key must

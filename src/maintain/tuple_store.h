@@ -1,4 +1,4 @@
-// TupleStore: the compact row store behind Relation's encoded mode.
+// TupleStore: the compact row store behind every Relation.
 //
 // A tuple is `arity` contiguous 8-byte slots (maintain/value_dict.h) in one
 // row-major flat array; its 64-bit hash is computed once on insert and

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "common/hash.h"
-
 namespace dsm {
 
 std::string ValueToString(const Value& value) {
@@ -36,30 +34,6 @@ bool ValueSatisfies(const Value& value, CompareOp op, double constant) {
       return v == constant;
   }
   return false;
-}
-
-size_t TupleHash::operator()(const Tuple& tuple) const {
-  // Seeded fnv1a over (alternative tag, payload) pairs with a splitmix64
-  // finisher — the same mix the compact data plane's pre-hashed tables use
-  // (common/hash.h). The tag keeps int64 5 and double 5.0 distinct even
-  // though their payload bits could collide.
-  uint64_t h = kFnv1a64Offset;
-  for (const Value& value : tuple) {
-    if (const auto* i = std::get_if<int64_t>(&value)) {
-      h = HashMix64(h, 1);
-      h = HashMix64(h, static_cast<uint64_t>(*i));
-    } else if (const auto* d = std::get_if<double>(&value)) {
-      uint64_t bits;
-      __builtin_memcpy(&bits, d, sizeof(bits));
-      h = HashMix64(h, 2);
-      h = HashMix64(h, bits);
-    } else {
-      const std::string& s = std::get<std::string>(value);
-      h = HashMix64(h, 3);
-      h = Fnv1a64(s.data(), s.size(), h);
-    }
-  }
-  return static_cast<size_t>(HashFinish(h));
 }
 
 }  // namespace dsm

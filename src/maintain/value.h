@@ -22,10 +22,6 @@ std::string ValueToString(const Value& value);
 // "Table.Attribute [>, <, =] Constant").
 bool ValueSatisfies(const Value& value, CompareOp op, double constant);
 
-struct TupleHash {
-  size_t operator()(const Tuple& tuple) const;
-};
-
 }  // namespace dsm
 
 #endif  // DSM_MAINTAIN_VALUE_H_

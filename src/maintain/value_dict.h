@@ -11,15 +11,14 @@
 //               equality IS string equality and probes never touch bytes.
 //   kDouble     payload is the id of an interned double (by bit pattern,
 //               with -0.0 canonicalized to +0.0 so Value equality and slot
-//               equality agree). NaN payloads are unsupported, exactly as
-//               they already were in the legacy row store, whose hash was
-//               inconsistent with NaN equality.
+//               equality agree). NaN payloads are unsupported: NaN != NaN
+//               as a Value, so no slot can represent it consistently.
 //   kWideInt    payload is the id of an interned int64 outside the inline
 //               range.
 //
 // Concurrency (DESIGN.md §12): interning takes the writer lock; resolving
 // an id takes the reader lock. The maintenance engine's parallel fan-out
-// (PR 3) never interns — joins, filters, projections and merges only
+// never interns — joins, filters, projections and merges only
 // rearrange slots that already exist — so the fan-out's only dictionary
 // traffic is rare reader-locked numeric lookups for non-inline operands of
 // predicates. New values enter the dictionary on the serial ingest path

@@ -1,9 +1,12 @@
-// Property tests for the compact columnar data plane (DESIGN.md §12),
-// exercised against both row encodings:
+// Property and oracle tests for the compact columnar data plane
+// (DESIGN.md §12):
+//  * every relational kernel — NaturalJoin (transient and persistent
+//    index), Filter, Project, WithColumnOrder, BagEquals — matches a
+//    nested-loop oracle over plain vector<pair<Tuple, int64_t>> bags that
+//    never touches slots, hashes or the row store;
 //  * WithColumnOrder permute -> restore is the identity;
 //  * projection commutes with natural join when the projected-away columns
 //    are not join columns (bag semantics: sums distribute over products);
-//  * BagEquals agrees across encodings;
 //  * the pre-hashed tables stay correct under forced hash collisions
 //    (probe chains, tombstones, row-id recycling);
 //  * Relation::Filter on an absent column shares the row store instead of
@@ -11,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -24,8 +28,7 @@
 namespace dsm {
 namespace {
 
-constexpr RowEncoding kEncodings[] = {RowEncoding::kCompact,
-                                      RowEncoding::kLegacy};
+using Bag = std::vector<std::pair<Tuple, int64_t>>;
 
 Value RandomValue(Rng& rng) {
   switch (rng.UniformInt(0, 3)) {
@@ -40,9 +43,8 @@ Value RandomValue(Rng& rng) {
   }
 }
 
-std::vector<std::pair<Tuple, int64_t>> RandomBag(Rng& rng, size_t arity,
-                                                 int rows) {
-  std::vector<std::pair<Tuple, int64_t>> bag;
+Bag RandomBag(Rng& rng, size_t arity, int rows) {
+  Bag bag;
   for (int i = 0; i < rows; ++i) {
     Tuple t;
     for (size_t c = 0; c < arity; ++c) t.push_back(RandomValue(rng));
@@ -52,28 +54,240 @@ std::vector<std::pair<Tuple, int64_t>> RandomBag(Rng& rng, size_t arity,
 }
 
 Relation Materialize(const std::vector<std::string>& columns,
-                     const std::vector<std::pair<Tuple, int64_t>>& bag,
-                     RowEncoding encoding) {
-  Relation rel(columns, encoding);
+                     const Bag& bag) {
+  Relation rel(columns);
   for (const auto& [tuple, count] : bag) rel.Apply(tuple, count);
   return rel;
 }
 
+// --- the oracle: plain bags, nested loops --------------------------------
+
+// Sorted, one entry per distinct tuple, zero counts dropped.
+Bag Canonical(Bag bag) {
+  std::sort(bag.begin(), bag.end());
+  Bag out;
+  for (auto& [tuple, count] : bag) {
+    if (!out.empty() && out.back().first == tuple) {
+      out.back().second += count;
+    } else {
+      out.emplace_back(std::move(tuple), count);
+    }
+    if (out.back().second == 0) out.pop_back();
+  }
+  return out;
+}
+
+// The relation's rows as stored, sorted but not merged: a bag that keeps
+// one tuple in two rows, or a row at count zero, does not compare equal to
+// a canonical bag.
+Bag Decode(const Relation& rel) {
+  Bag bag;
+  rel.ForEachRow([&](const Tuple& tuple, int64_t count) {
+    bag.emplace_back(tuple, count);
+  });
+  std::sort(bag.begin(), bag.end());
+  return bag;
+}
+
+int Position(const std::vector<std::string>& columns,
+             const std::string& name) {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i] == name) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+Tuple Gather(const Tuple& tuple, const std::vector<int>& positions) {
+  Tuple out;
+  for (const int p : positions) out.push_back(tuple[static_cast<size_t>(p)]);
+  return out;
+}
+
+// Natural join of two canonical bags; `pairs` counts the (a row, b row)
+// pairs that agree on every shared column — the join's `work`.
+Bag OracleJoin(const std::vector<std::string>& a_columns, const Bag& a,
+               const std::vector<std::string>& b_columns, const Bag& b,
+               uint64_t* pairs) {
+  std::vector<int> shared_a, shared_b, b_extra;
+  for (size_t i = 0; i < b_columns.size(); ++i) {
+    const int in_a = Position(a_columns, b_columns[i]);
+    if (in_a >= 0) {
+      shared_a.push_back(in_a);
+      shared_b.push_back(static_cast<int>(i));
+    } else {
+      b_extra.push_back(static_cast<int>(i));
+    }
+  }
+  Bag out;
+  for (const auto& [ta, ca] : a) {
+    for (const auto& [tb, cb] : b) {
+      if (Gather(ta, shared_a) != Gather(tb, shared_b)) continue;
+      ++*pairs;
+      Tuple joined = ta;
+      for (const Value& v : Gather(tb, b_extra)) joined.push_back(v);
+      out.emplace_back(std::move(joined), ca * cb);
+    }
+  }
+  return Canonical(std::move(out));
+}
+
+Bag OracleProject(const Bag& bag, const std::vector<int>& positions) {
+  Bag out;
+  for (const auto& [tuple, count] : bag) {
+    out.emplace_back(Gather(tuple, positions), count);
+  }
+  return Canonical(std::move(out));
+}
+
 class ColumnarPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ColumnarPropertyTest, JoinMatchesNestedLoopOracle) {
+  Rng rng(GetParam());
+  struct Shape {
+    std::vector<std::string> a, b;
+    int rows;
+  };
+  const std::vector<Shape> shapes = {
+      {{"k", "a1"}, {"k", "b1"}, 60},                // one key column
+      {{"k", "a1", "j"}, {"j", "b1", "k"}, 80},      // two, permuted
+      {{"a1", "a2"}, {"b1"}, 20},                    // cross product
+      {{"k", "j"}, {"j", "k"}, 60},                  // every column shared
+  };
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    SCOPED_TRACE("shape " + std::to_string(i));
+    const Shape& shape = shapes[i];
+    const Bag bag_a = RandomBag(rng, shape.a.size(), shape.rows);
+    const Bag bag_b = RandomBag(rng, shape.b.size(), shape.rows);
+    const Relation a = Materialize(shape.a, bag_a);
+    Relation b = Materialize(shape.b, bag_b);
+
+    uint64_t pairs = 0;
+    const Bag expected = OracleJoin(shape.a, Canonical(bag_a), shape.b,
+                                    Canonical(bag_b), &pairs);
+    uint64_t work = 0;
+    const Relation joined = NaturalJoin(a, b, &work);
+    EXPECT_GT(pairs, 0u);  // the inputs do meet; no vacuous agreement
+    EXPECT_EQ(Decode(joined), expected);
+    EXPECT_EQ(work, pairs);
+
+    // Persistent index, then patched in place: more rows arrive and some
+    // existing rows are deleted before the indexed join runs.
+    const Relation::JoinIndex* index =
+        b.EnsureIndex(SharedJoinColumns(shape.a, b));
+    Bag final_b = bag_b;
+    for (auto& [tuple, count] : RandomBag(rng, shape.b.size(), 20)) {
+      b.Apply(tuple, count);
+      final_b.emplace_back(std::move(tuple), count);
+    }
+    for (size_t i = 0; i < bag_b.size(); i += 3) {
+      b.Apply(bag_b[i].first, -bag_b[i].second);
+      final_b.emplace_back(bag_b[i].first, -bag_b[i].second);
+    }
+    uint64_t indexed_pairs = 0;
+    const Bag indexed_expected = OracleJoin(
+        shape.a, Canonical(bag_a), shape.b, Canonical(final_b),
+        &indexed_pairs);
+    uint64_t indexed_work = 0;
+    EXPECT_EQ(Decode(NaturalJoin(a, b, *index, &indexed_work)),
+              indexed_expected);
+    EXPECT_EQ(indexed_work, indexed_pairs);
+  }
+}
+
+TEST_P(ColumnarPropertyTest, FilterMatchesOracle) {
+  Rng rng(GetParam());
+  const std::vector<std::string> columns = {"a", "b", "c"};
+  const Bag bag = RandomBag(rng, columns.size(), 80);
+  const Relation rel = Materialize(columns, bag);
+  for (const CompareOp op : {CompareOp::kLt, CompareOp::kGt, CompareOp::kEq}) {
+    for (const double constant : {-2.0, 0.0, 0.5, 3.0}) {
+      Bag expected;
+      for (const auto& [tuple, count] : bag) {
+        if (ValueSatisfies(tuple[1], op, constant)) {
+          expected.emplace_back(tuple, count);
+        }
+      }
+      const Relation filtered = rel.Filter("b", op, constant);
+      EXPECT_EQ(filtered.columns(), columns);
+      EXPECT_EQ(Decode(filtered), Canonical(expected))
+          << "op=" << static_cast<int>(op) << " c=" << constant;
+    }
+  }
+  // A column outside the schema filters nothing.
+  EXPECT_EQ(Decode(rel.Filter("absent", CompareOp::kLt, 0.0)),
+            Canonical(bag));
+}
+
+TEST_P(ColumnarPropertyTest, ProjectAndReorderMatchOracle) {
+  Rng rng(GetParam());
+  const std::vector<std::string> columns = {"a", "b", "c", "d"};
+  const Bag bag = RandomBag(rng, columns.size(), 80);
+  const Relation rel = Materialize(columns, bag);
+
+  // Projections: narrowing (multiplicities of collapsing tuples add up),
+  // reordering, an unknown name (dropped from the schema), and the empty
+  // projection (everything collapses onto the empty tuple).
+  const std::vector<std::vector<std::string>> projections = {
+      {"a"}, {"d", "b"}, {"c", "zz", "a"}, {"b", "c", "d", "a"}, {}};
+  for (const auto& projection : projections) {
+    std::vector<int> positions;
+    std::vector<std::string> kept;
+    for (const std::string& name : projection) {
+      const int p = Position(columns, name);
+      if (p < 0) continue;
+      positions.push_back(p);
+      kept.push_back(name);
+    }
+    const Relation projected = rel.Project(projection);
+    EXPECT_EQ(projected.columns(), kept);
+    EXPECT_EQ(Decode(projected), OracleProject(bag, positions));
+  }
+
+  const std::vector<std::string> order = {"c", "a", "d", "b"};
+  const Relation reordered = rel.WithColumnOrder(order);
+  EXPECT_EQ(reordered.columns(), order);
+  EXPECT_EQ(Decode(reordered), OracleProject(bag, {2, 0, 3, 1}));
+}
+
+TEST_P(ColumnarPropertyTest, BagEqualsMatchesOracle) {
+  Rng rng(GetParam());
+  const std::vector<std::string> columns = {"x", "y", "z"};
+  const Bag bag = RandomBag(rng, columns.size(), 50);
+  const Relation rel = Materialize(columns, bag);
+  // The same bag built in another order, from its canonical form.
+  const Bag canonical = Canonical(bag);
+  const Relation same = Materialize(columns, Bag(canonical.rbegin(),
+                                                 canonical.rend()));
+  EXPECT_TRUE(rel.BagEquals(same));
+  EXPECT_TRUE(same.BagEquals(rel));
+
+  // Any one-tuple perturbation breaks equality, in either direction:
+  // a count change on a present tuple, and a tuple the bag lacks.
+  Relation bumped = same;
+  bumped.Apply(bag.front().first, +1);
+  EXPECT_FALSE(rel.BagEquals(bumped));
+  EXPECT_FALSE(bumped.BagEquals(rel));
+  Relation extra = same;
+  const Tuple fresh = {Value(std::string("fresh")), Value(int64_t{0}),
+                       Value(0.5)};
+  extra.Apply(fresh, 1);
+  EXPECT_FALSE(rel.BagEquals(extra));
+  EXPECT_FALSE(extra.BagEquals(rel));
+  // Undoing the perturbation restores equality.
+  bumped.Apply(bag.front().first, -1);
+  EXPECT_TRUE(rel.BagEquals(bumped));
+}
 
 TEST_P(ColumnarPropertyTest, PermuteThenRestoreIsIdentity) {
   Rng rng(GetParam());
   const std::vector<std::string> columns = {"a", "b", "c", "d"};
   const auto bag = RandomBag(rng, columns.size(), 60);
-  for (const RowEncoding encoding : kEncodings) {
-    const Relation rel = Materialize(columns, bag, encoding);
-    const std::vector<std::string> permuted = {"c", "a", "d", "b"};
-    const Relation round_trip =
-        rel.WithColumnOrder(permuted).WithColumnOrder(columns);
-    EXPECT_TRUE(round_trip.BagEquals(rel))
-        << "encoding=" << static_cast<int>(encoding);
-    EXPECT_EQ(round_trip.columns(), rel.columns());
-  }
+  const Relation rel = Materialize(columns, bag);
+  const std::vector<std::string> permuted = {"c", "a", "d", "b"};
+  const Relation round_trip =
+      rel.WithColumnOrder(permuted).WithColumnOrder(columns);
+  EXPECT_TRUE(round_trip.BagEquals(rel));
+  EXPECT_EQ(round_trip.columns(), rel.columns());
 }
 
 TEST_P(ColumnarPropertyTest, ProjectionCommutesWithJoin) {
@@ -83,36 +297,15 @@ TEST_P(ColumnarPropertyTest, ProjectionCommutesWithJoin) {
   // products when the dropped column is not a join column.
   const auto bag_a = RandomBag(rng, 2, 40);
   const auto bag_b = RandomBag(rng, 2, 40);
-  for (const RowEncoding encoding : kEncodings) {
-    const Relation a = Materialize({"k", "a1"}, bag_a, encoding);
-    const Relation b = Materialize({"k", "b1"}, bag_b, encoding);
-    uint64_t work_after = 0;
-    const Relation project_after =
-        NaturalJoin(a, b, &work_after).Project({"k", "b1"});
-    uint64_t work_before = 0;
-    const Relation project_before =
-        NaturalJoin(a.Project({"k"}), b, &work_before);
-    EXPECT_TRUE(project_after.BagEquals(project_before))
-        << "encoding=" << static_cast<int>(encoding);
-  }
-}
-
-TEST_P(ColumnarPropertyTest, BagEqualsAgreesAcrossEncodings) {
-  Rng rng(GetParam());
-  const std::vector<std::string> columns = {"x", "y", "z"};
-  const auto bag = RandomBag(rng, columns.size(), 50);
-  const Relation compact = Materialize(columns, bag, RowEncoding::kCompact);
-  const Relation legacy = Materialize(columns, bag, RowEncoding::kLegacy);
-  EXPECT_TRUE(compact.BagEquals(legacy));
-  EXPECT_TRUE(legacy.BagEquals(compact));
-  EXPECT_TRUE(compact.WithEncoding(RowEncoding::kLegacy).BagEquals(compact));
-  EXPECT_TRUE(legacy.WithEncoding(RowEncoding::kCompact).BagEquals(legacy));
-
-  // Any single-tuple perturbation breaks equality, in either direction.
-  Relation perturbed = legacy;
-  perturbed.Apply(bag.front().first, +1);
-  EXPECT_FALSE(compact.BagEquals(perturbed));
-  EXPECT_FALSE(perturbed.BagEquals(compact));
+  const Relation a = Materialize({"k", "a1"}, bag_a);
+  const Relation b = Materialize({"k", "b1"}, bag_b);
+  uint64_t work_after = 0;
+  const Relation project_after =
+      NaturalJoin(a, b, &work_after).Project({"k", "b1"});
+  uint64_t work_before = 0;
+  const Relation project_before =
+      NaturalJoin(a.Project({"k"}), b, &work_before);
+  EXPECT_TRUE(project_after.BagEquals(project_before));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarPropertyTest,
@@ -163,7 +356,7 @@ TEST(TupleStoreCollisionTest, ForcedCollisionsKeepTuplesDistinct) {
 Tuple T2(int64_t a, int64_t b) { return Tuple{Value(a), Value(b)}; }
 
 TEST(RelationCowTest, FilterOnAbsentColumnSharesTheStore) {
-  Relation rel({"a", "b"}, RowEncoding::kCompact);
+  Relation rel({"a", "b"});
   for (int64_t i = 0; i < 100; ++i) rel.Apply(T2(i, i % 7), 1);
 
   const TupleStoreStats& stats = TupleStoreStats::Global();
@@ -193,17 +386,6 @@ TEST(RelationCowTest, FilterOnAbsentColumnSharesTheStore) {
   EXPECT_EQ(stats.deep_copies.load(std::memory_order_relaxed),
             copies_after_fork);
   EXPECT_EQ(same.Count(T2(555, 555)), 0);
-}
-
-TEST(RelationCowTest, LegacyFilterOnAbsentColumnStillCopies) {
-  // The legacy encoding has no shared store; the absent-column path must
-  // still return an equal, independent relation.
-  Relation rel({"a", "b"}, RowEncoding::kLegacy);
-  for (int64_t i = 0; i < 20; ++i) rel.Apply(T2(i, i), 1);
-  Relation same = rel.Filter("absent_column", CompareOp::kGt, 0.0);
-  EXPECT_TRUE(same.BagEquals(rel));
-  same.Apply(T2(999, 999), 1);
-  EXPECT_EQ(rel.Count(T2(999, 999)), 0);
 }
 
 }  // namespace

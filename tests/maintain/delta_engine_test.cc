@@ -136,6 +136,85 @@ TEST_F(DeltaEngineTest, UpdateToUnregisteredBaseFails) {
             StatusCode::kNotFound);
 }
 
+TEST_F(DeltaEngineTest, TuplesOfTheWrongArityAreRejected) {
+  // USERS and TWEETS have two columns; WIDE has twenty, so its short tuple
+  // still has more values than fit the ingest path's stack buffer.
+  TableDef wide_def;
+  wide_def.name = "WIDE";
+  for (int c = 0; c < 20; ++c) {
+    ColumnDef col;
+    col.name = "w" + std::to_string(c);
+    wide_def.columns.push_back(col);
+  }
+  const TableId wide = *catalog_.AddTable(wide_def);
+  auto wide_tuple = [](size_t arity) {
+    Tuple t;
+    for (size_t i = 0; i < arity; ++i) t.emplace_back(int64_t{7});
+    return t;
+  };
+
+  DeltaEngine engine(&catalog_);
+  ASSERT_TRUE(engine.RegisterBase(users_).ok());
+  ASSERT_TRUE(engine.RegisterBase(tweets_).ok());
+  ASSERT_TRUE(engine.RegisterBase(wide).ok());
+  const ViewId v = *engine.RegisterView(ViewKey(TS({users_, tweets_})));
+  const ViewId w = *engine.RegisterView(ViewKey(TS({wide})));
+  ASSERT_TRUE(engine.ApplyUpdate(users_, {T({1, 30})}, {}).ok());
+  ASSERT_TRUE(engine.ApplyUpdate(tweets_, {T({100, 1})}, {}).ok());
+  ASSERT_TRUE(engine.ApplyUpdate(wide, {wide_tuple(20)}, {}).ok());
+
+  const Relation users_before = *engine.base(users_);
+  const Relation tweets_before = *engine.base(tweets_);
+  const Relation wide_before = *engine.base(wide);
+  const Relation v_before = *engine.view(v);
+  const Relation w_before = *engine.view(w);
+  const uint64_t work_before = engine.work();
+  auto expect_unchanged = [&] {
+    EXPECT_TRUE(engine.base(users_)->BagEquals(users_before));
+    EXPECT_TRUE(engine.base(tweets_)->BagEquals(tweets_before));
+    EXPECT_TRUE(engine.base(wide)->BagEquals(wide_before));
+    EXPECT_TRUE(engine.view(v)->BagEquals(v_before));
+    EXPECT_TRUE(engine.view(w)->BagEquals(w_before));
+    EXPECT_EQ(engine.work(), work_before);
+  };
+
+  // Single-table entry point: short and long inserts, a short delete.
+  EXPECT_EQ(engine.ApplyUpdate(users_, {T({2})}, {}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.ApplyUpdate(users_, {T({2, 40, 9})}, {}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.ApplyUpdate(users_, {}, {T({1})}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.ApplyUpdate(wide, {wide_tuple(18)}, {}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.ApplyUpdate(wide, {wide_tuple(21)}, {}).code(),
+            StatusCode::kInvalidArgument);
+  expect_unchanged();
+
+  // Batched entry point: one bad tuple inside a batch of good ones rejects
+  // the whole batch before any table is touched — also the good entries
+  // that precede it.
+  std::vector<TableUpdate> batch(3);
+  batch[0].table = users_;
+  batch[0].inserts = {T({2, 40}), T({3, 50})};
+  batch[1].table = tweets_;
+  batch[1].inserts = {T({101, 2}), T({102})};  // the short one
+  batch[1].deletes = {T({100, 1})};
+  batch[2].table = wide;
+  batch[2].inserts = {wide_tuple(20)};
+  EXPECT_EQ(engine.ApplyUpdates(batch).code(), StatusCode::kInvalidArgument);
+  batch[1].inserts = {T({101, 2})};
+  batch[2].deletes = {wide_tuple(19)};
+  EXPECT_EQ(engine.ApplyUpdates(batch).code(), StatusCode::kInvalidArgument);
+  expect_unchanged();
+
+  // The same batch with well-formed tuples goes through.
+  batch[2].deletes.clear();
+  ASSERT_TRUE(engine.ApplyUpdates(batch).ok());
+  EXPECT_EQ(engine.view(v)->TotalSize(), 1);  // uid 2 joins tweet 101
+  EXPECT_EQ(engine.view(w)->TotalSize(), 2);
+}
+
 TEST_F(DeltaEngineTest, WorkCounterAdvances) {
   DeltaEngine engine(&catalog_);
   ASSERT_TRUE(engine.RegisterBase(users_).ok());

@@ -3,10 +3,18 @@
 // batched parallel path must leave every view bag-equal to a from-scratch
 // recomputation, and results plus measured join work must be identical for
 // every pool size.
+//
+// Two inputs feed it. The integer chain keeps every value an inline slot.
+// The mixed-type chain adds a table-local attribute holding strings,
+// doubles and wide ints, so churn drives every dictionary path of the
+// compact data plane (DESIGN.md §12) through joins, projections and
+// merges; it is the engine-level coverage of interned values.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -15,19 +23,19 @@
 namespace dsm {
 namespace {
 
-Tuple T(std::initializer_list<int64_t> values) {
-  Tuple t;
-  for (const int64_t v : values) t.emplace_back(v);
-  return t;
-}
+struct ChainShape {
+  int num_tables;
+  bool attr;  // one extra non-join column per table, of mixed type
+};
 
-// A chain schema: consecutive tables share one column, so any contiguous
-// table range forms a connected join.
-constexpr int kNumTables = 4;
+constexpr ChainShape kIntChain = {4, false};
+constexpr ChainShape kMixedChain = {3, true};
 
-Catalog MakeChainCatalog() {
+// A chain schema: consecutive tables share one integer column, so any
+// contiguous table range forms a connected join.
+Catalog MakeChainCatalog(ChainShape shape) {
   Catalog catalog;
-  for (int i = 0; i < kNumTables; ++i) {
+  for (int i = 0; i < shape.num_tables; ++i) {
     TableDef def;
     def.name = "T" + std::to_string(i);
     for (const int c : {i, i + 1}) {
@@ -38,9 +46,30 @@ Catalog MakeChainCatalog() {
       col.max_value = 8;
       def.columns.push_back(col);
     }
+    if (shape.attr) {
+      ColumnDef attr;
+      attr.name = "attr" + std::to_string(i);
+      attr.distinct_values = 16;
+      attr.min_value = 0;
+      attr.max_value = 16;
+      def.columns.push_back(attr);
+    }
     *catalog.AddTable(def);
   }
   return catalog;
+}
+
+Value RandomAttr(Rng& rng) {
+  switch (rng.UniformInt(0, 3)) {
+    case 0:
+      return Value("user-" + std::to_string(rng.UniformInt(0, 9)));
+    case 1:
+      return Value(static_cast<double>(rng.UniformInt(0, 6)) + 0.5);
+    case 2:
+      return Value((int64_t{1} << 62) + rng.UniformInt(0, 3));  // wide int
+    default:
+      return Value(rng.UniformInt(0, 9));
+  }
 }
 
 struct Scenario {
@@ -69,23 +98,22 @@ void AddTwinlessPredicatedView(std::vector<ViewKey>* views) {
   views->emplace_back(tables, std::vector<Predicate>{p});
 }
 
-Scenario MakeScenario(uint64_t seed) {
+Scenario MakeScenario(uint64_t seed, ChainShape shape) {
   Rng rng(seed);
   Scenario scenario;
+  const int num_tables = shape.num_tables;
 
-  const int num_views = 2 + static_cast<int>(rng.UniformInt(0, 4));
+  const int num_views = 2 + static_cast<int>(rng.UniformInt(0, num_tables));
   for (int v = 0; v < num_views; ++v) {
-    const int lo = static_cast<int>(rng.UniformInt(0, kNumTables - 2));
+    const int lo = static_cast<int>(rng.UniformInt(0, num_tables - 2));
     const int hi =
-        lo + 1 +
-        static_cast<int>(rng.UniformInt(0, kNumTables - lo - 2));
+        lo + 1 + static_cast<int>(rng.UniformInt(0, num_tables - lo - 2));
     TableSet tables;
     for (int t = lo; t <= hi; ++t) tables.Add(static_cast<TableId>(t));
     std::vector<Predicate> preds;
     while (rng.Bernoulli(0.5) && preds.size() < 2) {
       Predicate p;
-      p.table = static_cast<TableId>(
-          rng.UniformInt(lo, hi));
+      p.table = static_cast<TableId>(rng.UniformInt(lo, hi));
       p.column = static_cast<uint16_t>(rng.UniformInt(0, 1));
       p.op = rng.Bernoulli(0.5) ? CompareOp::kLt : CompareOp::kGt;
       p.value = static_cast<double>(rng.UniformInt(1, 6));
@@ -95,11 +123,11 @@ Scenario MakeScenario(uint64_t seed) {
   }
   AddTwinlessPredicatedView(&scenario.views);
 
-  std::vector<std::vector<Tuple>> live(kNumTables);
+  std::vector<std::vector<Tuple>> live(static_cast<size_t>(num_tables));
   const int num_rounds = 10;
   for (int round = 0; round < num_rounds; ++round) {
     std::vector<TableUpdate> updates;
-    for (int t = 0; t < kNumTables; ++t) {
+    for (int t = 0; t < num_tables; ++t) {
       if (!rng.Bernoulli(0.8)) continue;
       // Occasionally split one table's round into two batch entries.
       const int entries = rng.Bernoulli(0.25) ? 2 : 1;
@@ -108,17 +136,18 @@ Scenario MakeScenario(uint64_t seed) {
         update.table = static_cast<TableId>(t);
         const int ops = 1 + static_cast<int>(rng.UniformInt(0, 4));
         for (int i = 0; i < ops; ++i) {
-          if (!live[static_cast<size_t>(t)].empty() && rng.Bernoulli(0.3)) {
-            auto& pool = live[static_cast<size_t>(t)];
+          auto& pool = live[static_cast<size_t>(t)];
+          if (!pool.empty() && rng.Bernoulli(0.3)) {
             const size_t idx = static_cast<size_t>(
                 rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1));
             update.deletes.push_back(pool[idx]);
             pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
           } else {
-            const Tuple tuple =
-                T({rng.UniformInt(0, 7), rng.UniformInt(0, 7)});
-            live[static_cast<size_t>(t)].push_back(tuple);
-            update.inserts.push_back(tuple);
+            Tuple tuple = {Value(rng.UniformInt(0, 7)),
+                           Value(rng.UniformInt(0, 7))};
+            if (shape.attr) tuple.push_back(RandomAttr(rng));
+            pool.push_back(tuple);
+            update.inserts.push_back(std::move(tuple));
           }
         }
         updates.push_back(std::move(update));
@@ -166,11 +195,16 @@ RunOutcome Replay(const Catalog& catalog, const Scenario& scenario,
   return outcome;
 }
 
-class ParallelEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+class ParallelEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, ChainShape>> {
+ protected:
+  uint64_t seed() const { return std::get<0>(GetParam()); }
+  ChainShape shape() const { return std::get<1>(GetParam()); }
+};
 
 TEST_P(ParallelEquivalenceTest, PoolSizesAgree) {
-  const Catalog catalog = MakeChainCatalog();
-  const Scenario scenario = MakeScenario(GetParam());
+  const Catalog catalog = MakeChainCatalog(shape());
+  const Scenario scenario = MakeScenario(seed(), shape());
   ASSERT_FALSE(scenario.rounds.empty());
 
   const RunOutcome reference = Replay(catalog, scenario, /*pool_threads=*/1);
@@ -192,8 +226,8 @@ TEST_P(ParallelEquivalenceTest, PoolSizesAgree) {
 }
 
 TEST_P(ParallelEquivalenceTest, BatchedMatchesSequentialApplyUpdate) {
-  const Catalog catalog = MakeChainCatalog();
-  const Scenario scenario = MakeScenario(GetParam());
+  const Catalog catalog = MakeChainCatalog(shape());
+  const Scenario scenario = MakeScenario(seed(), shape());
 
   const RunOutcome batched = Replay(catalog, scenario, /*pool_threads=*/8);
 
@@ -221,8 +255,15 @@ TEST_P(ParallelEquivalenceTest, BatchedMatchesSequentialApplyUpdate) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquivalenceTest,
-                         ::testing::Values(1, 7, 42, 99, 1234, 8675309));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ParallelEquivalenceTest,
+    ::testing::Combine(::testing::Values(1, 7, 42, 99, 1234, 8675309),
+                       ::testing::Values(kIntChain, kMixedChain)),
+    [](const auto& info) {
+      const bool mixed = std::get<1>(info.param).attr;
+      return std::string(mixed ? "MixedChain" : "IntChain") + "_" +
+             std::to_string(std::get<0>(info.param));
+    });
 
 }  // namespace
 }  // namespace dsm

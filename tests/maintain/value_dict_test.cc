@@ -59,7 +59,7 @@ TEST(SlotEncodingTest, DoubleRoundTripAndNegativeZeroCanonical) {
 TEST(SlotEncodingTest, IntAndDoubleOfSameMagnitudeStayDistinct) {
   ValueDict& dict = ValueDict::Global();
   // Value(5) != Value(5.0) (different variant alternatives); the slots
-  // must differ too, or bags would merge rows the legacy store keeps apart.
+  // must differ too, or a bag would merge two distinct tuples into one row.
   EXPECT_NE(dict.Encode(Value(int64_t{5})), dict.Encode(Value(5.0)));
 }
 
@@ -128,24 +128,6 @@ TEST(SlotEncodingTest, SlotSatisfiesAgreesWithValueSatisfies) {
       }
     }
   }
-}
-
-TEST(TupleHashTest, MixSeparatesPermutationsAndConcatenations) {
-  const TupleHash hash;
-  // Order matters.
-  EXPECT_NE(hash(Tuple{Value(int64_t{1}), Value(int64_t{2})}),
-            hash(Tuple{Value(int64_t{2}), Value(int64_t{1})}));
-  // Variant alternative matters: int 5 vs double 5.0.
-  EXPECT_NE(hash(Tuple{Value(int64_t{5})}), hash(Tuple{Value(5.0)}));
-  // String boundaries matter: ("ab","c") vs ("a","bc") — the per-value
-  // tag mixed between fields breaks concatenation ambiguity, a collision
-  // family the pre-seeded mix was vulnerable to.
-  EXPECT_NE(hash(Tuple{Value(std::string("ab")), Value(std::string("c"))}),
-            hash(Tuple{Value(std::string("a")), Value(std::string("bc"))}));
-  // Zero-ish values don't all collapse onto one hash.
-  EXPECT_NE(hash(Tuple{Value(int64_t{0})}), hash(Tuple{}));
-  EXPECT_NE(hash(Tuple{Value(int64_t{0})}),
-            hash(Tuple{Value(int64_t{0}), Value(int64_t{0})}));
 }
 
 }  // namespace
