@@ -4,9 +4,13 @@
 // incremental containment DAG (vs the scratch O(n²) rebuild) as the
 // sharing population grows. Decisions and attributed costs are identical
 // across modes (enforced by the admission equivalence tests); only the
-// wall clock differs.
+// wall clock differs. A last section times failover: one server lost
+// under N admitted sharings, then a forced retry of the parked ones once
+// it returns, with the victims split into migrated, ruled out by liveness
+// and parked.
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -16,6 +20,8 @@
 #include "costing/costing_session.h"
 #include "costing/lpc.h"
 #include "costing/savings.h"
+#include "obs/metrics.h"
+#include "online/recovery_planner.h"
 #include "workload/predicate_gen.h"
 #include "workload/twitter.h"
 
@@ -203,6 +209,61 @@ RefreshResult RunRefreshMode(size_t population, size_t refreshes,
   return result;
 }
 
+struct FailoverResult {
+  size_t sharings = 0;
+  size_t victims = 0;
+  size_t migrated = 0;
+  size_t ruled_out = 0;
+  size_t parked = 0;
+  size_t readmitted = 0;
+  double server_down_ms = 0.0;
+  double retry_ms = 0.0;
+};
+
+// Admits `population` Twitter sharings with MANAGEDRISK on six machines,
+// loses server 1 (OnServerDown timed), brings it back and forces a retry
+// of every parked sharing (RetryParked timed).
+FailoverResult RunFailover(size_t population, uint64_t seed) {
+  auto stack = MakeTwitterStack(6);
+  TwitterSequenceOptions options;
+  options.num_sharings = population;
+  options.max_predicates = 2;
+  options.seed = seed;
+  ManagedRiskPlanner planner(stack->ctx);
+  for (const Sharing& s : GenerateTwitterSequence(
+           stack->catalog, stack->tables, stack->cluster, options)) {
+    (void)planner.ProcessSharing(s);
+  }
+
+  FailoverResult result;
+  result.sharings = stack->global_plan->num_sharings();
+  RecoveryPlanner recovery(stack->ctx);
+  constexpr ServerId kLost = 1;
+  obs::Counter* ruled_out =
+      obs::MetricsRegistry::Global().GetCounter("dsm.recovery.ruled_out");
+  const uint64_t ruled_before = ruled_out->value();
+  (void)stack->cluster.MarkDown(kLost);
+  {
+    const Timer timer;
+    const auto report = recovery.OnServerDown(kLost, /*now_tick=*/0);
+    result.server_down_ms = timer.Millis();
+    if (report.ok()) {
+      result.migrated = report->migrated.size();
+      result.parked = report->parked.size();
+      result.victims = result.migrated + result.parked;
+    }
+  }
+  result.ruled_out = static_cast<size_t>(ruled_out->value() - ruled_before);
+  (void)stack->cluster.MarkUp(kLost);
+  {
+    const Timer timer;
+    const auto readmitted = recovery.RetryParked(1, /*force=*/true);
+    result.retry_ms = timer.Millis();
+    if (readmitted.ok()) result.readmitted = readmitted->size();
+  }
+  return result;
+}
+
 int Main(int argc, char** argv) {
   BenchReport report("fig_admission", argc, argv);
   const bool smoke = report.smoke();
@@ -271,6 +332,45 @@ int Main(int argc, char** argv) {
     row.Set("scratch_mean_ms", r.scratch_mean_ms);
     row.Set("incremental_mean_ms", r.incremental_mean_ms);
     row.Set("speedup_incremental_vs_scratch", speedup);
+    report.Row(std::move(row));
+  }
+
+  std::printf("\n(c) failover: lose server 1, then force a retry after it "
+              "returns (median of %d runs, nproc %u)\n",
+              smoke ? 1 : 5, std::thread::hardware_concurrency());
+  std::printf("%-9s %8s %9s %10s %7s %11s %15s %9s\n", "sharings",
+              "victims", "migrated", "ruled_out", "parked", "readmitted",
+              "server_down(ms)", "retry(ms)");
+  report.BeginSection("failover");
+  for (const size_t population : smoke ? std::vector<size_t>{30}
+                                       : std::vector<size_t>{100, 400,
+                                                             1000}) {
+    const int repeats = smoke ? 1 : 5;
+    std::vector<double> down_ms;
+    std::vector<double> retry_ms;
+    FailoverResult r;
+    for (int rep = 0; rep < repeats; ++rep) {
+      r = RunFailover(population, 73);  // counts repeat exactly per seed
+      down_ms.push_back(r.server_down_ms);
+      retry_ms.push_back(r.retry_ms);
+    }
+    const LatencySummary down = LatencySummary::FromSamples(down_ms);
+    const LatencySummary retry = LatencySummary::FromSamples(retry_ms);
+    std::printf("%-9zu %8zu %9zu %10zu %7zu %11zu %15.2f %9.2f\n",
+                r.sharings, r.victims, r.migrated, r.ruled_out, r.parked,
+                r.readmitted, down.median_ms, retry.median_ms);
+    obs::JsonValue row = obs::JsonValue::Object();
+    row.Set("sharings", static_cast<int64_t>(r.sharings));
+    row.Set("victims", static_cast<int64_t>(r.victims));
+    row.Set("migrated", static_cast<int64_t>(r.migrated));
+    row.Set("ruled_out", static_cast<int64_t>(r.ruled_out));
+    row.Set("parked", static_cast<int64_t>(r.parked));
+    row.Set("readmitted", static_cast<int64_t>(r.readmitted));
+    row.Set("repeats", static_cast<int64_t>(repeats));
+    row.Set("nproc",
+            static_cast<int64_t>(std::thread::hardware_concurrency()));
+    row.Set("server_down", down.ToJson());
+    row.Set("forced_retry", retry.ToJson());
     report.Row(std::move(row));
   }
 

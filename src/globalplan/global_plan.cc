@@ -289,6 +289,28 @@ GlobalPlan::PlanEvaluation GlobalPlan::EvaluatePlan(
   return eval;
 }
 
+bool GlobalPlan::LivenessRulesOut(const Sharing& sharing) const {
+  if (!model_->SupportsConcurrentQueries()) return false;
+  if (!cluster_->is_up(sharing.destination())) return true;
+  for (const TableId t : sharing.tables().ToVector()) {
+    const Result<ServerId> home = cluster_->HomeOf(t);
+    if (!home.ok() || cluster_->is_up(*home)) continue;
+    // Buckets hold alive ids only (KillNode erases), so one id on an up
+    // server is a view a reused ancestor could take `t`'s data from.
+    const auto on_up_server = [this](int id) {
+      return cluster_->is_up(nodes_[static_cast<size_t>(id)].server);
+    };
+    const bool covered = std::any_of(
+        by_tables_.begin(), by_tables_.end(), [&](const auto& entry) {
+          return TableSet(entry.first).Contains(t) &&
+                 std::any_of(entry.second.ids.begin(),
+                             entry.second.ids.end(), on_up_server);
+        });
+    if (!covered) return true;
+  }
+  return false;
+}
+
 double GlobalPlan::NodeLoad(const GPNode& node) const {
   switch (node.type) {
     case PlanNodeType::kLeaf:

@@ -106,6 +106,26 @@ class GlobalPlan {
   PlanEvaluation EvaluatePlan(const SharingPlan& plan,
                               const AddOptions& options) const;
 
+  // True when cluster liveness alone makes every enumerated plan of
+  // `sharing` infeasible, so a planner may reject or park it without
+  // enumerating a single plan (DESIGN.md §8). It holds when
+  //  (a) the destination is down, or
+  //  (b) some member table's home is down and no alive view on an up
+  //      server has that table in its table set.
+  // Exact, because EvaluatePlan marks a plan infeasible as soon as it
+  // places work (a fresh node, or a reuse with a residual) on a down
+  // server, and FindBestReuse only returns alive sources on up servers
+  // from the bucket of the needed table set. Every plan's root sits on the
+  // destination and is never skipped, so (a) dooms it. Every plan has a
+  // leaf for each member table on its home; a leaf on a dead home escapes
+  // only as kSkipped under a reused ancestor, whose source would be an
+  // alive, up view containing the table, which (b) rules out.
+  // Returns false for stateful cost models (!SupportsConcurrentQueries):
+  // skipping their calls would reorder their lazily drawn costs. Says
+  // nothing about validity: callers check the sharing is one Enumerate
+  // accepts, so invalid sharings keep their validation error.
+  bool LivenessRulesOut(const Sharing& sharing) const;
+
   // Integrates the plan (no feasibility enforcement here; planners check
   // EvaluatePlan().feasible first, per Algorithm 2).
   Result<PlanEvaluation> AddSharing(SharingId id, const Sharing& sharing,

@@ -7,6 +7,13 @@
 
 namespace dsm {
 
+bool LivenessRulesOut(const PlannerContext& ctx, const Sharing& sharing) {
+  // The rule-out is the cheap test and almost always false, so it runs
+  // first; validation only confirms a positive answer.
+  return ctx.global_plan->LivenessRulesOut(sharing) &&
+         ctx.enumerator->Validate(sharing).ok();
+}
+
 uint64_t OnlinePlanner::IdenticalKey(const Sharing& sharing) const {
   return sharing.QueryHash() ^
          (0x9e3779b97f4a7c15ULL * (sharing.destination() + 1));
@@ -47,6 +54,14 @@ Result<PlanChoice> OnlinePlanner::ProcessSharing(const Sharing& sharing) {
       return choice;
     }
     // Capacity changed since; fall through to full planning.
+  }
+
+  if (LivenessRulesOut(ctx_, sharing)) {
+    DSM_METRIC_COUNTER_ADD("dsm.online.liveness_rejections", 1);
+    DSM_METRIC_COUNTER_ADD("dsm.online.sharings_rejected", 1);
+    return Status::CapacityExceeded(
+        "no feasible plan: sharing rejected (a down server rules out "
+        "every plan)");
   }
 
   DSM_ASSIGN_OR_RETURN(std::vector<SharingPlan> plans,

@@ -6,6 +6,11 @@
 // plan that violates no server capacity (Algorithm 2); if none is feasible
 // the sharing is rejected. Subclasses differ only in the scoring rule:
 // GREEDY, NORMALIZE and MANAGEDRISK from Section 4.
+//
+// One rejection needs no dry run: when a down server makes every plan
+// infeasible (dead destination, or a dead base-table home no live view
+// covers — GlobalPlan::LivenessRulesOut), the sharing is rejected with
+// kCapacityExceeded before enumeration, exactly as the full path would.
 
 #ifndef DSM_ONLINE_PLANNER_H_
 #define DSM_ONLINE_PLANNER_H_
@@ -42,6 +47,12 @@ struct PlannerContext {
   ThreadPool* scoring_pool = nullptr;
 };
 
+// True when `sharing` is one the enumerator accepts and cluster liveness
+// alone makes every plan of it infeasible (GlobalPlan::LivenessRulesOut).
+// An invalid sharing is never ruled out, so it still reaches Enumerate and
+// gets its validation error.
+bool LivenessRulesOut(const PlannerContext& ctx, const Sharing& sharing);
+
 struct PlanChoice {
   SharingId id = 0;
   SharingPlan plan;
@@ -65,7 +76,8 @@ class OnlinePlanner {
   virtual const char* name() const = 0;
 
   // Plans and integrates the next sharing of the online sequence.
-  // Returns kCapacityExceeded if every plan violates some server capacity.
+  // Returns kCapacityExceeded if every plan violates some server capacity
+  // or sits on a down server (the latter decided without enumeration).
   Result<PlanChoice> ProcessSharing(const Sharing& sharing);
 
   const PlannerContext& context() const { return ctx_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -10,6 +11,14 @@ namespace dsm {
 
 Result<double> RecoveryPlanner::PlanOnLiveServers(SharingId id,
                                                  const Sharing& sharing) {
+  if (DSM_INJECT_FAULT("recovery/replan")) {
+    return Status::Internal("injected fault: recovery/replan");
+  }
+  if (LivenessRulesOut(ctx_, sharing)) {
+    DSM_METRIC_COUNTER_ADD("dsm.recovery.ruled_out", 1);
+    return Status::CapacityExceeded(
+        "a down server rules out every plan; sharing parked");
+  }
   GlobalPlan* gp = ctx_.global_plan;
   DSM_ASSIGN_OR_RETURN(const std::vector<SharingPlan> plans,
                        ctx_.enumerator->Enumerate(sharing));
@@ -30,6 +39,19 @@ Result<double> RecoveryPlanner::PlanOnLiveServers(SharingId id,
   DSM_ASSIGN_OR_RETURN(const GlobalPlan::PlanEvaluation eval,
                        gp->AddSharing(id, sharing, *best));
   return eval.marginal_cost;
+}
+
+void RecoveryPlanner::Park(SharingId id, Sharing sharing, double cost_before,
+                           int64_t now_tick) {
+  ParkedSharing parked;
+  parked.id = id;
+  parked.sharing = std::move(sharing);
+  parked.cost_before = cost_before;
+  parked.attempts = 0;
+  parked.backoff_ticks = options_.initial_backoff_ticks;
+  parked.next_retry_tick = now_tick + parked.backoff_ticks;
+  parked_.push_back(std::move(parked));
+  DSM_METRIC_COUNTER_ADD("dsm.recovery.parkings", 1);
 }
 
 Result<RecoveryReport> RecoveryPlanner::OnServerDown(ServerId server,
@@ -57,7 +79,8 @@ Result<RecoveryReport> RecoveryPlanner::OnServerDown(ServerId server,
     DSM_RETURN_IF_ERROR(gp->RemoveSharing(v.id));
   }
 
-  for (const Victim& v : victims) {
+  for (size_t i = 0; i < victims.size(); ++i) {
+    Victim& v = victims[i];
     const Result<double> migrated = PlanOnLiveServers(v.id, v.sharing);
     if (migrated.ok()) {
       DSM_METRIC_COUNTER_ADD("dsm.recovery.migrations", 1);
@@ -66,18 +89,16 @@ Result<RecoveryReport> RecoveryPlanner::OnServerDown(ServerId server,
       continue;
     }
     if (migrated.status().code() != StatusCode::kCapacityExceeded) {
+      // The victims are already out of the global plan: park every one
+      // not yet migrated, so none is dropped, then surface the error.
+      for (size_t j = i; j < victims.size(); ++j) {
+        Park(victims[j].id, std::move(victims[j].sharing),
+             victims[j].old_marginal, now_tick);
+      }
       return migrated.status();
     }
-    ParkedSharing parked;
-    parked.id = v.id;
-    parked.sharing = v.sharing;
-    parked.cost_before = v.old_marginal;
-    parked.attempts = 0;
-    parked.backoff_ticks = options_.initial_backoff_ticks;
-    parked.next_retry_tick = now_tick + parked.backoff_ticks;
-    parked_.push_back(std::move(parked));
+    Park(v.id, std::move(v.sharing), v.old_marginal, now_tick);
     report.parked.push_back(v.id);
-    DSM_METRIC_COUNTER_ADD("dsm.recovery.parkings", 1);
   }
 
   report.cost_after = gp->TotalCost();
@@ -86,33 +107,52 @@ Result<RecoveryReport> RecoveryPlanner::OnServerDown(ServerId server,
 
 Result<std::vector<MigratedSharing>> RecoveryPlanner::RetryParked(
     int64_t now_tick, bool force) {
+  DSM_METRIC_SCOPED_LATENCY_MS("dsm.recovery.retry_ms");
+  DSM_TRACE_SPAN("recovery/retry_parked");
+  // Outcomes are decided first and applied to parked_ only once the whole
+  // batch succeeded, so an error leaves the queue exactly as it was.
+  enum class Outcome : uint8_t { kWaiting, kReadmitted, kBackedOff };
+  std::vector<Outcome> outcome(parked_.size(), Outcome::kWaiting);
   std::vector<MigratedSharing> readmitted;
-  std::vector<ParkedSharing> still_parked;
-  still_parked.reserve(parked_.size());
-
-  for (ParkedSharing& p : parked_) {
-    if (!force && now_tick < p.next_retry_tick) {
-      still_parked.push_back(std::move(p));
-      continue;
-    }
-    DSM_METRIC_COUNTER_ADD("dsm.recovery.retry_attempts", 1);
+  size_t attempts = 0;
+  for (size_t i = 0; i < parked_.size(); ++i) {
+    const ParkedSharing& p = parked_[i];
+    if (!force && now_tick < p.next_retry_tick) continue;
+    ++attempts;
     const Result<double> placed = PlanOnLiveServers(p.id, p.sharing);
     if (placed.ok()) {
-      DSM_METRIC_COUNTER_ADD("dsm.recovery.readmissions", 1);
+      outcome[i] = Outcome::kReadmitted;
       readmitted.push_back(
           MigratedSharing{p.id, p.cost_before, *placed, false});
       continue;
     }
     if (placed.status().code() != StatusCode::kCapacityExceeded) {
+      // Undo this call's re-admissions: every id stays parked.
+      for (auto it = readmitted.rbegin(); it != readmitted.rend(); ++it) {
+        DSM_RETURN_IF_ERROR(ctx_.global_plan->RemoveSharing(it->id));
+      }
       return placed.status();
     }
-    ++p.attempts;
-    p.backoff_ticks =
-        std::min(p.backoff_ticks * 2, options_.max_backoff_ticks);
-    p.next_retry_tick = now_tick + p.backoff_ticks;
-    still_parked.push_back(std::move(p));
+    outcome[i] = Outcome::kBackedOff;
   }
-  parked_ = std::move(still_parked);
+
+  DSM_METRIC_COUNTER_ADD("dsm.recovery.retry_attempts", attempts);
+  DSM_METRIC_COUNTER_ADD("dsm.recovery.readmissions", readmitted.size());
+  size_t kept = 0;
+  for (size_t i = 0; i < parked_.size(); ++i) {
+    if (outcome[i] == Outcome::kReadmitted) continue;
+    ParkedSharing& p = parked_[i];
+    if (outcome[i] == Outcome::kBackedOff) {
+      ++p.attempts;
+      p.backoff_ticks =
+          std::min(p.backoff_ticks * 2, options_.max_backoff_ticks);
+      p.next_retry_tick = now_tick + p.backoff_ticks;
+    }
+    if (kept != i) parked_[kept] = std::move(p);
+    ++kept;
+  }
+  parked_.erase(parked_.begin() + static_cast<std::ptrdiff_t>(kept),
+                parked_.end());
   return readmitted;
 }
 

@@ -14,6 +14,18 @@
 // with bounded exponential backoff (in simulation ticks) and are
 // re-admitted automatically once capacity returns. Every migration reports
 // the marginal-cost delta so FAIRCOST can re-price the surviving sharings.
+//
+// The first two cases need no dry run. Before enumerating, replanning asks
+// GlobalPlan::LivenessRulesOut whether a down server already makes every
+// plan infeasible (dead destination, or a dead base-table home that no
+// live view covers); if so the sharing parks, or stays parked, at once.
+// The answer is exact, so decisions match the full path; it is skipped
+// for stateful cost models and for sharings the enumerator would reject.
+//
+// A planning error other than kCapacityExceeded (e.g. the injected
+// "recovery/replan" fault) never loses a sharing: OnServerDown parks every
+// victim it has not migrated yet, and RetryParked undoes the batch, so
+// every sharing stays in exactly one of the global plan or the queue.
 
 #ifndef DSM_ONLINE_RECOVERY_PLANNER_H_
 #define DSM_ONLINE_RECOVERY_PLANNER_H_
@@ -73,13 +85,17 @@ class RecoveryPlanner {
   // Handles the loss of `server` (the caller has already MarkDown()ed it
   // on the cluster): removes every affected sharing from the global plan,
   // migrates the recoverable ones to live servers, parks the rest.
-  // `now_tick` anchors the parked sharings' retry backoff.
+  // `now_tick` anchors the parked sharings' retry backoff. On a planning
+  // error the victims not yet migrated are parked and the error returned.
   Result<RecoveryReport> OnServerDown(ServerId server, int64_t now_tick);
 
   // Attempts to re-admit parked sharings. Without `force`, only sharings
   // whose backoff has elapsed at `now_tick` are tried; with `force` (e.g.
   // right after a server returned) every parked sharing is tried. Returns
   // the sharings that were re-admitted; the rest back off further.
+  // All-or-nothing: on a planning error the sharings re-admitted by this
+  // call are removed again, the queue is left exactly as it was, and the
+  // error is returned.
   Result<std::vector<MigratedSharing>> RetryParked(int64_t now_tick,
                                                    bool force = false);
 
@@ -92,6 +108,10 @@ class RecoveryPlanner {
   // Algorithm 2 restricted to live servers: cheapest feasible plan for
   // `sharing`, committed under `id`. kCapacityExceeded when nothing fits.
   Result<double> PlanOnLiveServers(SharingId id, const Sharing& sharing);
+
+  // Queues a sharing that lost its plan, with the initial backoff.
+  void Park(SharingId id, Sharing sharing, double cost_before,
+            int64_t now_tick);
 
   PlannerContext ctx_;
   RecoveryOptions options_;

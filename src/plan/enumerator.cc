@@ -204,11 +204,7 @@ Result<std::vector<SharingPlan>> PlanEnumerator::EnumerateChoice(
   return out;
 }
 
-Result<std::vector<SharingPlan>> PlanEnumerator::Enumerate(
-    const Sharing& sharing) const {
-  DSM_METRIC_COUNTER_ADD("dsm.plan.enumerations", 1);
-  DSM_METRIC_SCOPED_LATENCY_MS("dsm.plan.enumerate_ms");
-  DSM_TRACE_SPAN("plan/enumerate");
+Status PlanEnumerator::Validate(const Sharing& sharing) const {
   const TableSet tables = sharing.tables();
   if (tables.empty()) {
     return Status::InvalidArgument("sharing has no tables");
@@ -218,10 +214,23 @@ Result<std::vector<SharingPlan>> PlanEnumerator::Enumerate(
         "sharing's tables are not connected in the join graph "
         "(cross products are not supported)");
   }
-  const std::vector<Predicate>& all_preds = sharing.predicates();
   if (options_.per_subset_cap > 0 && model_ == nullptr) {
     return Status::InvalidArgument("beam pruning requires a cost model");
   }
+  for (const TableId t : tables.ToVector()) {
+    DSM_RETURN_IF_ERROR(cluster_->HomeOf(t).status());
+  }
+  return Status::OK();
+}
+
+Result<std::vector<SharingPlan>> PlanEnumerator::Enumerate(
+    const Sharing& sharing) const {
+  DSM_METRIC_COUNTER_ADD("dsm.plan.enumerations", 1);
+  DSM_METRIC_SCOPED_LATENCY_MS("dsm.plan.enumerate_ms");
+  DSM_TRACE_SPAN("plan/enumerate");
+  DSM_RETURN_IF_ERROR(Validate(sharing));
+  const TableSet tables = sharing.tables();
+  const std::vector<Predicate>& all_preds = sharing.predicates();
 
   // Choices of which predicates are pushed down to the leaves; the rest are
   // applied at the root. With many predicates the exhaustive 2^p blowup is

@@ -64,6 +64,11 @@ class PlanEnumerator {
   // are not connected in the join graph or a table has no home server.
   Result<std::vector<SharingPlan>> Enumerate(const Sharing& sharing) const;
 
+  // The error Enumerate would return for `sharing` before producing any
+  // plan (InvalidArgument: no tables, unconnected tables, beam without a
+  // cost model; NotFound: an unplaced table), or OK if it would enumerate.
+  Status Validate(const Sharing& sharing) const;
+
   const EnumeratorOptions& options() const { return options_; }
 
  private:

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 
+#include "common/fault.h"
 #include "cost/default_cost_model.h"
 #include "workload/twitter.h"
 
@@ -298,6 +301,116 @@ TEST(RecoveryPlannerTest, ParkedSharingBacksOffExponentially) {
   EXPECT_EQ((*r)[0].id, 9u);
   EXPECT_EQ(recovery.num_parked(), 0u);
   ASSERT_NE(rig->gp->record(9), nullptr);
+}
+
+// Admits `n` random Twitter sharings under ids 1..n, each with a buyer, a
+// projection and predicates: everything a moved-from Sharing would lose.
+std::map<SharingId, Sharing> AdmitTwitterMix(RecoveryRig* rig, size_t n,
+                                             uint64_t seed) {
+  TwitterSequenceOptions options;
+  options.num_sharings = n;
+  options.max_predicates = 2;
+  options.frac_with_predicates = 1.0;
+  options.seed = seed;
+  std::map<SharingId, Sharing> originals;
+  SharingId id = 1;
+  for (const Sharing& s : GenerateTwitterSequence(
+           rig->catalog, rig->tables, rig->cluster, options)) {
+    Sharing sharing(s.tables(), s.predicates(), s.destination(),
+                    "buyer" + std::to_string(id));
+    sharing.set_projection({ProjectionColumn{s.tables().ToVector()[0], 0}});
+    AddCheapest(rig, id, sharing);
+    originals.emplace(id, std::move(sharing));
+    ++id;
+  }
+  return originals;
+}
+
+// Every admitted id is in exactly one of the global plan and the parked
+// queue, and each parked Sharing is the one that was admitted.
+void ExpectEachSharingOnce(const RecoveryRig& rig,
+                           const RecoveryPlanner& recovery,
+                           const std::map<SharingId, Sharing>& originals) {
+  std::map<SharingId, int> parked_times;
+  for (const ParkedSharing& p : recovery.parked()) {
+    ++parked_times[p.id];
+    const Sharing& want = originals.at(p.id);
+    EXPECT_TRUE(p.sharing.IdenticalTo(want)) << "sharing " << p.id;
+    EXPECT_EQ(p.sharing.destination(), want.destination());
+    EXPECT_EQ(p.sharing.buyer(), want.buyer());
+  }
+  for (const auto& [id, sharing] : originals) {
+    const int in_plan = rig.gp->record(id) != nullptr ? 1 : 0;
+    EXPECT_EQ(in_plan + parked_times[id], 1) << "sharing " << id;
+  }
+}
+
+TEST(RecoveryPlannerTest, ErrorMidFailoverParksTheRemainingVictims) {
+  auto rig = MakeRecoveryRig(/*spare_server=*/false);
+  const auto originals = AdmitTwitterMix(rig.get(), 24, 3);
+  const size_t victims = rig->gp->SharingsTouchingServer(1).size();
+  ASSERT_GE(victims, 4u);
+
+  ASSERT_TRUE(rig->cluster.MarkDown(1).ok());
+  RecoveryPlanner recovery(rig->ctx);
+  {
+    // The third victim's replan fails after two were handled.
+    ScopedFault fault("recovery/replan", FaultSpec{1.0, 2, 1});
+    const auto report = recovery.OnServerDown(1, /*now_tick=*/0);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInternal);
+  }
+  EXPECT_GE(recovery.num_parked(), victims - 2);
+  ExpectEachSharingOnce(*rig, recovery, originals);
+
+  // Nothing was lost: once the machine returns every sharing is served.
+  ASSERT_TRUE(rig->cluster.MarkUp(1).ok());
+  ASSERT_TRUE(recovery.RetryParked(1, /*force=*/true).ok());
+  EXPECT_EQ(recovery.num_parked(), 0u);
+  EXPECT_EQ(rig->gp->num_sharings(), originals.size());
+}
+
+TEST(RecoveryPlannerTest, ErrorMidRetryLeavesTheQueueAsItWas) {
+  auto rig = MakeRecoveryRig(/*spare_server=*/false);
+  const auto originals = AdmitTwitterMix(rig.get(), 24, 5);
+  ASSERT_TRUE(rig->cluster.MarkDown(1).ok());
+  RecoveryPlanner recovery(rig->ctx);
+  ASSERT_TRUE(recovery.OnServerDown(1, /*now_tick=*/0).ok());
+  ASSERT_GE(recovery.num_parked(), 4u);
+  // One unforced retry while the machine is still down, so the queue
+  // carries non-initial attempts and backoffs into the failing batch.
+  ASSERT_TRUE(recovery.RetryParked(1).ok());
+
+  const std::vector<ParkedSharing> before = recovery.parked();
+  const std::vector<SharingId> served_before = rig->gp->sharing_ids();
+  ASSERT_TRUE(rig->cluster.MarkUp(1).ok());
+  for (const int fail_after : {0, 2, static_cast<int>(before.size()) - 1}) {
+    ScopedFault fault("recovery/replan",
+                      FaultSpec{1.0, fail_after, 1});
+    const auto readmitted = recovery.RetryParked(2, /*force=*/true);
+    ASSERT_FALSE(readmitted.ok());
+    EXPECT_EQ(readmitted.status().code(), StatusCode::kInternal);
+
+    ASSERT_EQ(recovery.parked().size(), before.size());
+    for (size_t i = 0; i < before.size(); ++i) {
+      const ParkedSharing& p = recovery.parked()[i];
+      EXPECT_EQ(p.id, before[i].id);
+      EXPECT_EQ(p.attempts, before[i].attempts);
+      EXPECT_EQ(p.backoff_ticks, before[i].backoff_ticks);
+      EXPECT_EQ(p.next_retry_tick, before[i].next_retry_tick);
+      EXPECT_DOUBLE_EQ(p.cost_before, before[i].cost_before);
+    }
+    EXPECT_EQ(rig->gp->sharing_ids(), served_before);
+    ExpectEachSharingOnce(*rig, recovery, originals);
+  }
+
+  // The batch is retried cleanly: no AlreadyExists from a half-applied
+  // earlier attempt, and every parked sharing comes back.
+  const auto readmitted = recovery.RetryParked(3, /*force=*/true);
+  ASSERT_TRUE(readmitted.ok()) << readmitted.status().ToString();
+  EXPECT_EQ(readmitted->size(), before.size());
+  EXPECT_EQ(recovery.num_parked(), 0u);
+  ExpectEachSharingOnce(*rig, recovery, originals);
 }
 
 }  // namespace
