@@ -16,8 +16,8 @@
 #include "bench_common.h"
 #include "bench_report.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "costing/costing_session.h"
+#include "costing/fair_cost.h"
+#include "costing/incremental_containment.h"
 #include "costing/lpc.h"
 #include "costing/savings.h"
 #include "obs/metrics.h"
@@ -65,21 +65,14 @@ std::vector<Sharing> AdmissionSequence(const TwitterStack& stack, size_t n,
   return out;
 }
 
-// Evaluates every candidate plan (serially or on `pool`), commits the
-// cheapest feasible one — the admission hot path with enumeration
-// excluded, which fig6 reports separately.
+// Evaluates every candidate plan and commits the cheapest feasible one —
+// the admission hot path with enumeration excluded, which fig6 reports
+// separately.
 bool PlanAndCommit(GlobalPlan* gp, const Sharing& sharing,
-                   const std::vector<SharingPlan>& plans, SharingId id,
-                   ThreadPool* pool) {
+                   const std::vector<SharingPlan>& plans, SharingId id) {
   std::vector<GlobalPlan::PlanEvaluation> evals(plans.size());
-  if (pool != nullptr) {
-    pool->ParallelFor(plans.size(), [&](size_t i) {
-      evals[i] = gp->EvaluatePlan(plans[i]);
-    });
-  } else {
-    for (size_t i = 0; i < plans.size(); ++i) {
-      evals[i] = gp->EvaluatePlan(plans[i]);
-    }
+  for (size_t i = 0; i < plans.size(); ++i) {
+    evals[i] = gp->EvaluatePlan(plans[i]);
   }
   int best = -1;
   for (size_t i = 0; i < plans.size(); ++i) {
@@ -102,7 +95,7 @@ struct ModeResult {
 // Grows a fresh global plan until `target_views` alive views, then times
 // the admission of `probes` further sharings (enumeration pre-done).
 ModeResult RunAdmissionMode(size_t target_views, size_t probes,
-                            bool indexed, ThreadPool* pool, uint64_t seed) {
+                            bool indexed, uint64_t seed) {
   EnumeratorOptions enum_options;
   enum_options.per_subset_cap = 16;  // bound the 8/9-table plan explosion
   auto stack = MakeTwitterStack(6, enum_options);
@@ -119,7 +112,7 @@ ModeResult RunAdmissionMode(size_t target_views, size_t probes,
     const auto plans = stack->enumerator->Enumerate(sequence[pos]);
     if (plans.ok()) {
       PlanAndCommit(stack->global_plan.get(), sequence[pos], *plans,
-                    next_id++, nullptr);
+                    next_id++);
     }
     ++pos;
   }
@@ -132,7 +125,7 @@ ModeResult RunAdmissionMode(size_t target_views, size_t probes,
     if (!plans.ok()) continue;
     const Timer timer;
     PlanAndCommit(stack->global_plan.get(), sequence[pos], *plans,
-                  next_id++, pool);
+                  next_id++);
     samples.push_back(timer.Millis());
   }
   result.latency = LatencySummary::FromSamples(std::move(samples));
@@ -146,9 +139,11 @@ struct RefreshResult {
 };
 
 // Admits `population` sharings, then measures per-arrival FAIRCOST
-// refreshes with the scratch containment DAG vs the persistent index.
-// Both sessions share one memoized LPC calculator, and each arrival's LPC
-// is warmed before the timers so only the refresh machinery differs.
+// refreshes with the scratch containment DAG vs the persistent index: one
+// refresh is BuildFairCostProblem then FairCost::Compute with a
+// CostingSession's options. Both sides share one memoized LPC calculator,
+// and each arrival's LPC is warmed before the timers so only the
+// containment DAG differs.
 RefreshResult RunRefreshMode(size_t population, size_t refreshes,
                              uint64_t seed) {
   EnumeratorOptions enum_options;
@@ -167,17 +162,25 @@ RefreshResult RunRefreshMode(size_t population, size_t refreshes,
     const auto plans = stack->enumerator->Enumerate(sequence[pos]);
     if (plans.ok()) {
       PlanAndCommit(stack->global_plan.get(), sequence[pos], *plans,
-                    next_id++, nullptr);
+                    next_id++);
     }
   }
 
   LpcCalculator lpc(stack->enumerator.get(), stack->model.get());
-  CostingSession incremental(stack->global_plan.get(), &lpc);
-  CostingSession scratch(stack->global_plan.get(), &lpc);
-  scratch.set_incremental_dag_enabled(false);
+  IncrementalContainmentIndex index;
+  FairCost::Options faircost_options;
+  faircost_options.lpc_overrun_fallback = true;  // as CostingSession bills
+  const auto refresh = [&](IncrementalContainmentIndex* dag_index) {
+    const auto problem =
+        BuildFairCostProblem(*stack->global_plan, &lpc, dag_index);
+    if (problem.ok()) {
+      (void)FairCost::Compute(problem->entries, problem->global_cost,
+                              faircost_options);
+    }
+  };
   // Warm-up: pays every LPC enumeration and builds the persistent index.
-  (void)incremental.Refresh();
-  (void)scratch.Refresh();
+  refresh(&index);
+  refresh(nullptr);
 
   RefreshResult result;
   std::vector<double> scratch_ms;
@@ -186,18 +189,18 @@ RefreshResult RunRefreshMode(size_t population, size_t refreshes,
     const auto plans = stack->enumerator->Enumerate(sequence[pos]);
     if (!plans.ok()) continue;
     if (!PlanAndCommit(stack->global_plan.get(), sequence[pos], *plans,
-                       next_id++, nullptr)) {
+                       next_id++)) {
       continue;
     }
     (void)lpc.Lpc(sequence[pos]);  // warm, so neither timer pays it
     {
       const Timer timer;
-      (void)scratch.Refresh();
+      refresh(nullptr);
       scratch_ms.push_back(timer.Millis());
     }
     {
       const Timer timer;
-      (void)incremental.Refresh();
+      refresh(&index);
       inc_ms.push_back(timer.Millis());
     }
   }
@@ -272,10 +275,9 @@ int Main(int argc, char** argv) {
   std::printf("Admission & costing fast paths\n\n");
   std::printf("(a) per-sharing planning time vs alive views "
               "(enumeration excluded)\n");
-  std::printf("%-12s %10s %12s %14s %20s %10s\n", "target_views", "alive",
-              "legacy(ms)", "indexed(ms)", "indexed+pool(ms)", "speedup");
+  std::printf("%-12s %10s %12s %14s %10s\n", "target_views", "alive",
+              "legacy(ms)", "indexed(ms)", "speedup");
   report.BeginSection("admission_scaling");
-  ThreadPool pool;  // DSM_THREADS / hardware-sized
   for (const size_t target : smoke ? std::vector<size_t>{60}
                              : full ? std::vector<size_t>{500, 1000, 2000,
                                                           4000}
@@ -283,30 +285,22 @@ int Main(int argc, char** argv) {
                                                           2000}) {
     const size_t probes = smoke ? 8 : 50;
     const ModeResult legacy =
-        RunAdmissionMode(target, probes, /*indexed=*/false, nullptr, 71);
+        RunAdmissionMode(target, probes, /*indexed=*/false, 71);
     const ModeResult indexed =
-        RunAdmissionMode(target, probes, /*indexed=*/true, nullptr, 71);
-    const ModeResult indexed_pool =
-        RunAdmissionMode(target, probes, /*indexed=*/true, &pool, 71);
+        RunAdmissionMode(target, probes, /*indexed=*/true, 71);
     const double speedup =
-        indexed_pool.latency.mean_ms > 0.0
-            ? legacy.latency.mean_ms / indexed_pool.latency.mean_ms
+        indexed.latency.mean_ms > 0.0
+            ? legacy.latency.mean_ms / indexed.latency.mean_ms
             : 0.0;
-    std::printf("%-12zu %10zu %12.3f %14.3f %20.3f %9.1fx\n", target,
+    std::printf("%-12zu %10zu %12.3f %14.3f %9.1fx\n", target,
                 legacy.alive_views, legacy.latency.mean_ms,
-                indexed.latency.mean_ms, indexed_pool.latency.mean_ms,
-                speedup);
+                indexed.latency.mean_ms, speedup);
     obs::JsonValue row = obs::JsonValue::Object();
     row.Set("target_views", static_cast<int64_t>(target));
     row.Set("alive_views", static_cast<int64_t>(legacy.alive_views));
     row.Set("legacy", legacy.latency.ToJson());
     row.Set("indexed", indexed.latency.ToJson());
-    row.Set("indexed_parallel", indexed_pool.latency.ToJson());
-    row.Set("speedup_indexed_vs_legacy",
-            indexed.latency.mean_ms > 0.0
-                ? legacy.latency.mean_ms / indexed.latency.mean_ms
-                : 0.0);
-    row.Set("speedup_indexed_parallel_vs_legacy", speedup);
+    row.Set("speedup_indexed_vs_legacy", speedup);
     report.Row(std::move(row));
   }
 

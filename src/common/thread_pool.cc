@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
-#include <string>
+#include <cstring>
+#include <exception>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -15,47 +18,56 @@ namespace {
 // on their own pool.
 thread_local const ThreadPool* current_pool = nullptr;
 
+// The tasks of one ParallelFor batch still running. Wait blocks until the
+// count drains to zero and rethrows the first exception a task captured.
+class BatchWait {
+ public:
+  explicit BatchWait(size_t tasks) : pending_(tasks) {}
+  BatchWait(const BatchWait&) = delete;
+  BatchWait& operator=(const BatchWait&) = delete;
+
+  // First captured exception wins; later ones are dropped.
+  void Capture(std::exception_ptr e) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!error_) error_ = std::move(e);
+  }
+
+  void Done() {
+    // Notify while holding the lock: the moment the waiter observes
+    // pending_ == 0 it may destroy this object, so cv_ must not be touched
+    // after the unlock.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--pending_ == 0) cv_.notify_all();
+  }
+
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return pending_ == 0; });
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t pending_;
+  std::exception_ptr error_;
+};
+
 }  // namespace
 
 int ResolveThreadCount(const ThreadPoolOptions& options) {
   if (options.num_threads > 0) return options.num_threads;
   if (const char* env = std::getenv("DSM_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
-    return 1;  // malformed or explicitly disabled: stay serial
+    // The whole string must be a positive int: "4x", "" and out-of-range
+    // values are malformed, and like "0" they keep the pool serial.
+    const char* end = env + std::strlen(env);
+    int parsed = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, parsed);
+    if (ec == std::errc() && ptr == end && parsed > 0) return parsed;
+    return 1;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-void WaitGroup::Add(size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_ += n;
-}
-
-void WaitGroup::Done() {
-  // Notify while holding the lock: the moment the waiter observes
-  // pending_ == 0 it may destroy this WaitGroup, so cv_ must not be
-  // touched after the unlock.
-  std::lock_guard<std::mutex> lock(mu_);
-  --pending_;
-  if (pending_ == 0) cv_.notify_all();
-}
-
-void WaitGroup::CaptureException(std::exception_ptr e) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!error_) error_ = std::move(e);
-}
-
-void WaitGroup::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return pending_ == 0; });
-  if (error_) {
-    std::exception_ptr e = std::move(error_);
-    error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(e);
-  }
 }
 
 ThreadPool::ThreadPool(ThreadPoolOptions options)
@@ -92,38 +104,10 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-bool ThreadPool::OnWorkerThread() const { return current_pool == this; }
-
-void ThreadPool::Submit(WaitGroup* wg, std::function<void()> fn) {
-  DSM_METRIC_COUNTER_ADD("dsm.common.pool_tasks", 1);
-  wg->Add(1);
-  auto wrapped = [wg, fn = std::move(fn)] {
-    try {
-      fn();
-    } catch (...) {
-      wg->CaptureException(std::current_exception());
-    }
-    wg->Done();
-  };
-  // Inline mode — single-threaded pools and re-entrant submissions from a
-  // worker run the task immediately on the calling thread, preserving
-  // submission order exactly.
-  if (num_threads_ <= 1 || OnWorkerThread()) {
-    DSM_METRIC_COUNTER_ADD("dsm.common.pool_tasks_inline", 1);
-    wrapped();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(wrapped));
-  }
-  cv_.notify_one();
-}
-
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (n == 1 || num_threads_ <= 1 || OnWorkerThread()) {
+  if (n == 1 || num_threads_ <= 1 || current_pool == this) {
     // Same exception contract as the pooled path: the whole batch runs,
     // the first exception is rethrown afterwards.
     std::exception_ptr first;
@@ -143,33 +127,27 @@ void ThreadPool::ParallelFor(size_t n,
   // A throwing item is captured and its task moves on to the next index,
   // so the whole batch runs before the first exception is rethrown.
   std::atomic<size_t> next{0};
-  WaitGroup wg;
   const size_t tasks = std::min(n, static_cast<size_t>(num_threads_));
+  BatchWait wait(tasks);
   DSM_METRIC_COUNTER_ADD("dsm.common.pool_tasks", tasks);
-  wg.Add(tasks);
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t t = 0; t < tasks; ++t) {
-      queue_.push_back([&next, &wg, &fn, n] {
+      queue_.push_back([&next, &wait, &fn, n] {
         for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
              i = next.fetch_add(1, std::memory_order_relaxed)) {
           try {
             fn(i);
           } catch (...) {
-            wg.CaptureException(std::current_exception());
+            wait.Capture(std::current_exception());
           }
         }
-        wg.Done();
+        wait.Done();
       });
     }
   }
   for (size_t t = 0; t < tasks; ++t) cv_.notify_one();
-  wg.Wait();
-}
-
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool* const pool = new ThreadPool(ThreadPoolOptions{});
-  return *pool;
+  wait.Wait();
 }
 
 }  // namespace dsm

@@ -10,6 +10,12 @@
 //  * TableDrivenCostModel — explicit per-join costs, used for the paper's
 //    synthetic experiments ("the cost of each join is a random number
 //    between 1 and 1e5") and the worked examples (4.1, 4.2, 5.1).
+//
+// Models are queried from one thread only (enumeration, admission and
+// costing are serial), so their memos are unlocked. HasPureQueries() says
+// whether answers are independent of query order: true for the analytical
+// model, false for the table-driven one, which draws memoized costs from
+// an Rng in first-query order.
 
 #ifndef DSM_COST_COST_MODEL_H_
 #define DSM_COST_COST_MODEL_H_
@@ -40,13 +46,14 @@ class CostModel {
  public:
   virtual ~CostModel() = default;
 
-  // True if the model's query methods may be called from multiple threads
-  // concurrently AND answer independently of query order. The online
-  // planner only fans candidate scoring out over a thread pool when this
-  // holds; models whose memoization is order-dependent (e.g. the
+  // True if every query's answer is independent of query order, so a
+  // caller may skip or memoize calls without changing later answers (the
+  // global plan's residual-cost memo and its liveness rule-out rely on
+  // this). Models whose memoization is order-dependent (e.g. the
   // TableDrivenCostModel, which draws memoized values from an Rng in
-  // first-query order) must keep the default false.
-  virtual bool SupportsConcurrentQueries() const { return false; }
+  // first-query order) must keep the default false. Query methods are not
+  // thread-safe either way.
+  virtual bool HasPureQueries() const { return false; }
 
   // $ per time unit to maintain the join view `out` at `server` from the
   // child views (each possibly on a different server; cross-server children

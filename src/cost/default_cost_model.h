@@ -23,10 +23,9 @@ class DefaultCostModel : public CostModel {
   DefaultCostModel(const Catalog* catalog, const Cluster* cluster)
       : catalog_(catalog), cluster_(cluster), estimator_(catalog) {}
 
-  // All estimates are pure functions of the catalog; the estimator's
-  // memo is lock-protected, so concurrent queries are safe and
-  // order-independent.
-  bool SupportsConcurrentQueries() const override { return true; }
+  // All estimates are pure functions of the catalog; the estimator's memo
+  // only caches them, so answers are independent of query order.
+  bool HasPureQueries() const override { return true; }
 
   double JoinCost(const ViewKey& out, ServerId server, const ViewKey& left,
                   ServerId left_server, const ViewKey& right,

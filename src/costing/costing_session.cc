@@ -9,10 +9,8 @@ namespace dsm {
 
 Result<CostingSession::Snapshot> CostingSession::Refresh() {
   DSM_METRIC_COUNTER_ADD("dsm.costing.refreshes", 1);
-  DSM_ASSIGN_OR_RETURN(
-      const FairCostProblem problem,
-      BuildFairCostProblem(*global_plan_, lpc_,
-                           incremental_dag_enabled_ ? &dag_index_ : nullptr));
+  DSM_ASSIGN_OR_RETURN(const FairCostProblem problem,
+                       BuildFairCostProblem(*global_plan_, lpc_, &dag_index_));
   FairCost::Options options;
   options.lpc_overrun_fallback = true;  // bill even mid-amortization
   DSM_ASSIGN_OR_RETURN(

@@ -49,15 +49,6 @@ class CostingSession {
   // Current AC of a sharing per the latest snapshot (-1 if unknown).
   double CurrentAc(SharingId id) const;
 
-  // When disabled, each Refresh rebuilds the containment DAG from scratch
-  // instead of diffing against the persistent index (same result; used by
-  // benchmarks to measure the scratch baseline).
-  void set_incremental_dag_enabled(bool enabled) {
-    incremental_dag_enabled_ = enabled;
-    if (!enabled) dag_index_.Reset();
-  }
-  bool incremental_dag_enabled() const { return incremental_dag_enabled_; }
-
  private:
   const GlobalPlan* global_plan_;
   LpcCalculator* lpc_;
@@ -65,7 +56,6 @@ class CostingSession {
   // Containment DAG carried across refreshes; only sharings added or
   // removed since the previous Refresh are compared.
   IncrementalContainmentIndex dag_index_;
-  bool incremental_dag_enabled_ = true;
 };
 
 }  // namespace dsm

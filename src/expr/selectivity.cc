@@ -45,11 +45,8 @@ double StatsEstimator::CombinedSelectivity(
 }
 
 double StatsEstimator::JoinCardinality(TableSet tables) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    const auto it = join_card_cache_.find(tables);
-    if (it != join_card_cache_.end()) return it->second;
-  }
+  const auto it = join_card_cache_.find(tables);
+  if (it != join_card_cache_.end()) return it->second;
 
   const std::vector<TableId> members = tables.ToVector();
   double card = 0.0;
@@ -77,7 +74,6 @@ double StatsEstimator::JoinCardinality(TableSet tables) {
     }
     card = std::max(card, 1.0);
   }
-  std::lock_guard<std::mutex> lock(cache_mu_);
   join_card_cache_.emplace(tables, card);
   return card;
 }
@@ -107,7 +103,6 @@ double StatsEstimator::TupleBytes(TableSet tables) const {
 }
 
 void StatsEstimator::InvalidateCache() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
   join_card_cache_.clear();
 }
 

@@ -5,12 +5,14 @@
 // Algorithm 2 (the fraction of a subexpression's tuples a predicated plan
 // node materializes). Classic System-R style assumptions are used:
 // attribute-value independence, uniform value distributions, and
-// containment of value sets for join selectivity.
+// containment of value sets for join selectivity. The join-cardinality
+// memo is unlocked: the estimator is queried only through a cost model,
+// and every cost-model caller (enumeration, admission, costing) runs
+// single-threaded.
 
 #ifndef DSM_EXPR_SELECTIVITY_H_
 #define DSM_EXPR_SELECTIVITY_H_
 
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -30,9 +32,8 @@ class StatsEstimator {
   // Product of the member predicates' selectivities (independence).
   double CombinedSelectivity(const std::vector<Predicate>& preds) const;
 
-  // Estimated number of tuples in the view. Memoized per key. Safe to
-  // call concurrently: memoized values are pure functions of the catalog,
-  // so the lock only protects the cache map, never the answer.
+  // Estimated number of tuples in the view. Memoized per key; memoized
+  // values are pure functions of the catalog. Not thread-safe.
   double Cardinality(const ViewKey& key);
 
   // Estimated update tuples per time unit flowing *into* the view, i.e.
@@ -51,7 +52,6 @@ class StatsEstimator {
   double JoinCardinality(TableSet tables);
 
   const Catalog* catalog_;
-  std::mutex cache_mu_;  // guards join_card_cache_ under concurrent queries
   std::unordered_map<TableSet, double, TableSetHash> join_card_cache_;
 };
 

@@ -29,7 +29,7 @@ bool CostTies(double cost, double best_cost) {
 
 }  // namespace
 
-int GlobalPlan::InternKeyLocked(const ViewKey& key) const {
+int GlobalPlan::InternKey(const ViewKey& key) const {
   // find-before-insert: every reuse probe passes through here, and an
   // unconditional emplace would allocate a node (and copy the key's
   // predicate vector) per probe just to discard it on the common repeat.
@@ -55,7 +55,7 @@ int GlobalPlan::ScanForBestReuse(const TableBucket& bucket,
   // hence legacy-vs-indexed decisions — would diverge.
   const bool memo_costs = needed_key_id >= 0 &&
                           needed_key_id < (1 << 24) &&
-                          model_->SupportsConcurrentQueries();
+                          model_->HasPureQueries();
   // Signature prefilter (indexed mode): a candidate whose predicate
   // signature has bits outside `needed`'s cannot have a predicate subset
   // (see PredicateSignature), so most non-subsumers cost one AND instead
@@ -143,8 +143,7 @@ int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
   // The forbid check above only gates `needed` itself, never which
   // candidates may serve it, so the cached answer for (needed, server) is
   // valid under any AddOptions that reach this point.
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  const int needed_key_id = InternKeyLocked(needed);
+  const int needed_key_id = InternKey(needed);
   const uint64_t cache_key =
       (static_cast<uint64_t>(needed_key_id) << 32) | server;
   const uint64_t liveness = cluster_->liveness_epoch();
@@ -187,7 +186,6 @@ int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
 }
 
 void GlobalPlan::set_reuse_index_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(cache_mu_);
   reuse_index_enabled_ = enabled;
   best_source_cache_.clear();
   subsumes_memo_.clear();
@@ -290,7 +288,7 @@ GlobalPlan::PlanEvaluation GlobalPlan::EvaluatePlan(
 }
 
 bool GlobalPlan::LivenessRulesOut(const Sharing& sharing) const {
-  if (!model_->SupportsConcurrentQueries()) return false;
+  if (!model_->HasPureQueries()) return false;
   if (!cluster_->is_up(sharing.destination())) return true;
   for (const TableId t : sharing.tables().ToVector()) {
     const Result<ServerId> home = cluster_->HomeOf(t);
@@ -332,10 +330,7 @@ int GlobalPlan::CreateNode(GPNode node) {
   node.alive = true;
   node.pred_fp = PredicateFingerprint(node.key.predicates);
   node.pred_sig = PredicateSignature(node.key.predicates);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    node.key_id = InternKeyLocked(node.key);
-  }
+  node.key_id = InternKey(node.key);
   const int id = static_cast<int>(nodes_.size());
   total_cost_ += node.cost;
   server_load_[node.server] += node.load;
@@ -460,22 +455,19 @@ Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
   // Distinct non-leaf keys, interned once at admission so every later
   // costing refresh aggregates savings over dense ids. Plans are small, so
   // a linear dedup beats a hash set here.
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    for (size_t i = 0; i < n; ++i) {
-      const PlanNode& pn = plan.nodes[i];
-      if (pn.type == PlanNodeType::kLeaf) continue;
-      const int kid = InternKeyLocked(pn.key);
-      bool seen = false;
-      for (const auto& [prev_kid, prev_node] : rec.distinct_keys) {
-        (void)prev_node;
-        if (prev_kid == kid) {
-          seen = true;
-          break;
-        }
+  for (size_t i = 0; i < n; ++i) {
+    const PlanNode& pn = plan.nodes[i];
+    if (pn.type == PlanNodeType::kLeaf) continue;
+    const int kid = InternKey(pn.key);
+    bool seen = false;
+    for (const auto& [prev_kid, prev_node] : rec.distinct_keys) {
+      (void)prev_node;
+      if (prev_kid == kid) {
+        seen = true;
+        break;
       }
-      if (!seen) rec.distinct_keys.emplace_back(kid, static_cast<int>(i));
     }
+    if (!seen) rec.distinct_keys.emplace_back(kid, static_cast<int>(i));
   }
 
   // Closure: every GP node this sharing depends on, transitively.
@@ -570,7 +562,7 @@ const std::vector<int>* GlobalPlan::closure(SharingId id) const {
   return it == closures_.end() ? nullptr : &it->second;
 }
 
-void GlobalPlan::AccumulateReuseLocked(std::vector<double>* saving,
+void GlobalPlan::AccumulateReuse(std::vector<double>* saving,
                                        std::vector<int>* num) const {
   saving->assign(interned_keys_.size(), 0.0);
   num->assign(interned_keys_.size(), 0);
@@ -589,10 +581,9 @@ void GlobalPlan::AccumulateReuseLocked(std::vector<double>* saving,
 }
 
 std::vector<GlobalPlan::ReuseStat> GlobalPlan::ComputeReuseStats() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
   std::vector<double> saving;
   std::vector<int> num;
-  AccumulateReuseLocked(&saving, &num);
+  AccumulateReuse(&saving, &num);
   std::vector<ReuseStat> out;
   for (size_t kid = 0; kid < num.size(); ++kid) {
     if (num[kid] == 0) continue;
@@ -606,10 +597,9 @@ std::vector<GlobalPlan::ReuseStat> GlobalPlan::ComputeReuseStats() const {
 }
 
 std::vector<double> GlobalPlan::ComputeSavingShares() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
   std::vector<double> saving;
   std::vector<int> num;
-  AccumulateReuseLocked(&saving, &num);
+  AccumulateReuse(&saving, &num);
   for (size_t kid = 0; kid < num.size(); ++kid) {
     saving[kid] = num[kid] > 0 ? saving[kid] / num[kid] : 0.0;
   }

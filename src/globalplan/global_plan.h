@@ -16,15 +16,15 @@
 // verdicts are memoized on interned key pairs, and a per-(key, server)
 // best-source cache short-circuits repeated probes. All caches are
 // epoch-invalidated (structure epoch bumped on node create/kill, cluster
-// liveness epoch on server up/down) and guarded by a mutex so the planner
-// may score candidate plans concurrently; decisions are bit-identical to
-// the legacy linear scan (kept behind set_reuse_index_enabled(false)).
+// liveness epoch on server up/down); decisions are bit-identical to the
+// legacy linear scan (kept behind set_reuse_index_enabled(false)).
+// Admission is single-threaded, so the caches are unlocked and no method
+// is thread-safe — not even the const ones.
 
 #ifndef DSM_GLOBALPLAN_GLOBAL_PLAN_H_
 #define DSM_GLOBALPLAN_GLOBAL_PLAN_H_
 
 #include <map>
-#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -98,8 +98,7 @@ class GlobalPlan {
   GlobalPlan& operator=(const GlobalPlan&) = delete;
 
   // Dry run: what would integrating `plan` cost, and is it feasible?
-  // Thread-safe against concurrent EvaluatePlan calls (the planner scores
-  // candidates in parallel); never against concurrent mutation.
+  // Not thread-safe: though const, it fills the reuse caches.
   PlanEvaluation EvaluatePlan(const SharingPlan& plan) const {
     return EvaluatePlan(plan, AddOptions{});
   }
@@ -120,7 +119,7 @@ class GlobalPlan {
   // leaf for each member table on its home; a leaf on a dead home escapes
   // only as kSkipped under a reused ancestor, whose source would be an
   // alive, up view containing the table, which (b) rules out.
-  // Returns false for stateful cost models (!SupportsConcurrentQueries):
+  // Returns false for stateful cost models (!HasPureQueries):
   // skipping their calls would reorder their lazily drawn costs. Says
   // nothing about validity: callers check the sharing is one Enumerate
   // accepts, so invalid sharings keep their validation error.
@@ -238,18 +237,18 @@ class GlobalPlan {
 
   // The legacy linear scan over `bucket.ids` (also the index's fallback
   // when no exact match exists). `memo` != nullptr memoizes Subsumes
-  // verdicts on (candidate key id, needed key id); requires cache_mu_.
+  // verdicts on (candidate key id, needed key id).
   int ScanForBestReuse(const TableBucket& bucket, const ViewKey& needed,
                        ServerId server, int needed_key_id,
                        double* residual_cost) const;
 
-  // Interns `key`, returning its dense id. Requires cache_mu_.
-  int InternKeyLocked(const ViewKey& key) const;
+  // Interns `key`, returning its dense id.
+  int InternKey(const ViewKey& key) const;
 
   // Accumulates saving(r)/num(r) numerators and counts per interned key
-  // id (sized to the current intern table). Requires cache_mu_.
-  void AccumulateReuseLocked(std::vector<double>* saving,
-                             std::vector<int>* num) const;
+  // id (sized to the current intern table).
+  void AccumulateReuse(std::vector<double>* saving,
+                       std::vector<int>* num) const;
 
   // Fills `eval` for `plan`; shared by EvaluatePlan and AddSharing.
   void Decide(const SharingPlan& plan, const AddOptions& options,
@@ -282,18 +281,16 @@ class GlobalPlan {
   // older epoch (or an older cluster liveness epoch) are stale.
   uint64_t epoch_ = 0;
 
-  // Read-side caches mutated from const EvaluatePlan paths, which the
-  // planner runs concurrently — hence the mutex. Values are pure functions
-  // of (structure epoch, liveness epoch, key, server), so concurrent
-  // fills are idempotent and results stay deterministic.
-  mutable std::mutex cache_mu_;
+  // Read-side caches filled from const EvaluatePlan paths. Values are pure
+  // functions of (structure epoch, liveness epoch, key, server), so a fill
+  // never changes a decision.
   mutable std::unordered_map<ViewKey, int, ViewKeyHash> key_intern_;
   mutable std::vector<ViewKey> interned_keys_;  // id -> key (reverse table)
   // (candidate key id << 32 | needed key id) -> Subsumes verdict.
   mutable std::unordered_map<uint64_t, bool> subsumes_memo_;
   // (GP node id << 40 | needed key id << 16 | server) -> residual
   // FilterCopyCost. Only filled for stateless cost models (see
-  // CostModel::SupportsConcurrentQueries); never invalidated, since node
+  // CostModel::HasPureQueries); never invalidated, since node
   // ids are not reused and a node's key/server are immutable.
   mutable std::unordered_map<uint64_t, double> residual_cost_memo_;
   // (needed key id << 32 | server) -> cached best source.

@@ -70,22 +70,14 @@ Result<PlanChoice> OnlinePlanner::ProcessSharing(const Sharing& sharing) {
     return Status::InvalidArgument("no plan found for sharing");
   }
 
-  // Dry-run every candidate against the global plan. EvaluatePlan is
-  // const, so the loop fans out on the scoring pool when the cost model
-  // tolerates concurrent queries; results land in index-addressed slots,
-  // keeping the merge deterministic for every pool size. Score runs
-  // serially afterwards in index order — scorers may hold order-sensitive
-  // state (NORMALIZE's counts, MANAGEDRISK's tracker and cost model).
+  // Dry-run every candidate against the global plan, then Score them in
+  // index order. The two passes must not interleave: a stateful cost model
+  // (TableDrivenCostModel) draws memoized costs in first-query order, and
+  // scorers may hold order-sensitive state (NORMALIZE's counts,
+  // MANAGEDRISK's tracker and cost model).
   std::vector<GlobalPlan::PlanEvaluation> evals(plans.size());
-  if (ctx_.scoring_pool != nullptr &&
-      ctx_.model->SupportsConcurrentQueries()) {
-    ctx_.scoring_pool->ParallelFor(plans.size(), [&](size_t i) {
-      evals[i] = ctx_.global_plan->EvaluatePlan(plans[i]);
-    });
-  } else {
-    for (size_t i = 0; i < plans.size(); ++i) {
-      evals[i] = ctx_.global_plan->EvaluatePlan(plans[i]);
-    }
+  for (size_t i = 0; i < plans.size(); ++i) {
+    evals[i] = ctx_.global_plan->EvaluatePlan(plans[i]);
   }
 
   struct Scored {

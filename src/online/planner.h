@@ -11,6 +11,10 @@
 // infeasible (dead destination, or a dead base-table home no live view
 // covers — GlobalPlan::LivenessRulesOut), the sharing is rejected with
 // kCapacityExceeded before enumeration, exactly as the full path would.
+//
+// Planning is single-threaded: every candidate is dry-run against the
+// global plan, then scored in index order. Cost models may draw memoized
+// costs in first-query order, so this order is part of the decision.
 
 #ifndef DSM_ONLINE_PLANNER_H_
 #define DSM_ONLINE_PLANNER_H_
@@ -21,7 +25,6 @@
 #include "catalog/catalog.h"
 #include "cluster/cluster.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "cost/cost_model.h"
 #include "globalplan/global_plan.h"
 #include "plan/enumerator.h"
@@ -39,12 +42,6 @@ struct PlannerContext {
   CostModel* model = nullptr;
   GlobalPlan* global_plan = nullptr;
   PlanEnumerator* enumerator = nullptr;
-  // When set (and the cost model supports concurrent queries), candidate
-  // plans are dry-run-evaluated on this pool. EvaluatePlan is const and
-  // results land in index-addressed slots before the serial Score pass, so
-  // any pool size — including 1, which runs inline — produces the exact
-  // PlanChoice of the serial path.
-  ThreadPool* scoring_pool = nullptr;
 };
 
 // True when `sharing` is one the enumerator accepts and cluster liveness

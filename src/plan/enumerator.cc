@@ -1,7 +1,7 @@
 #include "plan/enumerator.h"
 
 #include <algorithm>
-#include <optional>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -69,18 +69,7 @@ PlanEnumerator::PlanEnumerator(const Catalog* catalog, const Cluster* cluster,
       cluster_(cluster),
       graph_(graph),
       model_(model),
-      options_(options) {
-  // Cost models may be stateful (TableDrivenCostModel memoizes lazily from
-  // an Rng), so cost queries must keep their serial order; only model-free
-  // enumeration fans out.
-  if (model_ == nullptr) {
-    ThreadPoolOptions pool_options;
-    pool_options.num_threads = options_.num_threads;
-    if (ResolveThreadCount(pool_options) > 1) {
-      pool_ = std::make_unique<ThreadPool>(pool_options);
-    }
-  }
-}
+      options_(options) {}
 
 Result<std::vector<SharingPlan>> PlanEnumerator::EnumerateChoice(
     const Sharing& sharing, const std::vector<TableSet>& subsets,
@@ -256,39 +245,19 @@ Result<std::vector<SharingPlan>> PlanEnumerator::Enumerate(
   std::sort(subsets.begin(), subsets.end(),
             [](TableSet a, TableSet b) { return a.size() < b.size(); });
 
+  // Plans of every choice are merged in choice order under one global
+  // dedup, stopping at the max_plans cap.
   std::vector<SharingPlan> out;
   std::unordered_set<uint64_t> seen;
-  // Merges one choice's plans, preserving the serial enumeration's global
-  // dedup order and max_plans cutoff. Returns true when the cap is hit.
-  auto merge = [&](std::vector<SharingPlan>&& plans) {
+  for (const uint64_t pushdown : pushdown_choices) {
+    DSM_ASSIGN_OR_RETURN(std::vector<SharingPlan> plans,
+                         EnumerateChoice(sharing, subsets, pushdown));
     for (SharingPlan& plan : plans) {
       if (!seen.insert(plan.Signature()).second) continue;
       out.push_back(std::move(plan));
-      if (out.size() >= options_.max_plans) return true;
+      if (out.size() >= options_.max_plans) break;
     }
-    return false;
-  };
-
-  if (pool_ != nullptr && pushdown_choices.size() > 1) {
-    // Choices are independent when no cost model is attached (the only
-    // configuration with a pool, see the constructor): fan out, then merge
-    // in choice order so the output matches the serial enumeration.
-    std::vector<std::optional<Result<std::vector<SharingPlan>>>> per_choice(
-        pushdown_choices.size());
-    pool_->ParallelFor(pushdown_choices.size(), [&](size_t i) {
-      per_choice[i].emplace(
-          EnumerateChoice(sharing, subsets, pushdown_choices[i]));
-    });
-    for (auto& result : per_choice) {
-      if (!result->ok()) return result->status();
-      if (merge(std::move(*result).value())) break;
-    }
-  } else {
-    for (const uint64_t pushdown : pushdown_choices) {
-      DSM_ASSIGN_OR_RETURN(std::vector<SharingPlan> plans,
-                           EnumerateChoice(sharing, subsets, pushdown));
-      if (merge(std::move(plans))) break;
-    }
+    if (out.size() >= options_.max_plans) break;
   }
   DSM_METRIC_COUNTER_ADD("dsm.plan.plans_emitted", out.size());
   return out;

@@ -10,23 +10,21 @@
 //
 // Internally sub-plans are immutable fragments shared by every plan built
 // on top of them (combining two fragments is O(1)); node arrays are
-// materialized once per emitted plan. Independent predicate-pushdown
-// choices fan out across a thread pool (`num_threads`, honoring
-// DSM_THREADS) with results merged in choice order, so output is
-// identical to the serial enumeration.
+// materialized once per emitted plan. Enumeration is single-threaded:
+// predicate-pushdown choices run one after another, and cost-model queries
+// keep their order, which a stateful model (lazy memoization from an Rng)
+// needs for reproducible costs.
 
 #ifndef DSM_PLAN_ENUMERATOR_H_
 #define DSM_PLAN_ENUMERATOR_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "cluster/cluster.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "cost/cost_model.h"
 #include "plan/join_graph.h"
 #include "plan/plan.h"
@@ -46,11 +44,6 @@ struct EnumeratorOptions {
   // Also consider materializing each join at the sharing's destination
   // server (in addition to the children's servers).
   bool consider_destination_server = true;
-  // Threads for fanning out across predicate-pushdown choices; 0 = auto
-  // (DSM_THREADS, else hardware). Only model-free enumeration fans out:
-  // cost models may be stateful (lazy memoization), so their query order
-  // must stay serial and deterministic.
-  int num_threads = 0;
 };
 
 class PlanEnumerator {
@@ -81,7 +74,6 @@ class PlanEnumerator {
   const JoinGraph* graph_;
   CostModel* model_;
   EnumeratorOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // null when enumeration is serial
 };
 
 }  // namespace dsm

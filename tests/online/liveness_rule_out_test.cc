@@ -229,7 +229,7 @@ TEST(LivenessRuleOutTest, UnconnectedSharingToDeadDestinationIsInvalid) {
 // never skip its calls.
 TEST(LivenessRuleOutTest, NeverFiresForStatefulCostModels) {
   auto st = MakeStack(3, /*table_driven=*/true);
-  ASSERT_FALSE(st->model->SupportsConcurrentQueries());
+  ASSERT_FALSE(st->model->HasPureQueries());
   ASSERT_TRUE(st->cluster.MarkDown(1).ok());
   GreedyPlanner planner(st->ctx);
   for (const Sharing& base : TwitterMix(*st, 10, 4)) {

@@ -1,14 +1,25 @@
 // Behaviour shared by all online planners: the identical-sharing fast
-// path, capacity-aware plan selection and rejection (Algorithm 2), and
+// path (including its collision regression: a forced 64-bit key collision
+// must degrade to a cache miss, never reuse another query's plan),
+// capacity-aware plan selection and rejection (Algorithm 2), and
 // NORMALIZE's occurrence counting.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "cost/default_cost_model.h"
+#include "globalplan/global_plan.h"
 #include "online/greedy.h"
 #include "online/managed_risk.h"
 #include "online/normalize.h"
+#include "plan/enumerator.h"
+#include "plan/join_graph.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
+#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
@@ -129,6 +140,85 @@ TEST(OnlinePlannerTest, PlannerNamesAreDistinct) {
   EXPECT_STREQ(g.name(), "Greedy");
   EXPECT_STREQ(n.name(), "Normalize");
   EXPECT_STREQ(m.name(), "ManagedRisk");
+}
+
+// A four-server Twitter market with the default cost model.
+struct Stack {
+  Catalog catalog;
+  Cluster cluster;
+  TwitterTables tables;
+  std::unique_ptr<JoinGraph> graph;
+  std::unique_ptr<DefaultCostModel> model;
+  std::unique_ptr<PlanEnumerator> enumerator;
+  std::unique_ptr<GlobalPlan> global_plan;
+  PlannerContext ctx;
+};
+
+std::unique_ptr<Stack> MakeStack() {
+  auto stack = std::make_unique<Stack>();
+  const auto tables = BuildTwitterCatalog(&stack->catalog);
+  EXPECT_TRUE(tables.ok());
+  stack->tables = *tables;
+  for (int i = 0; i < 4; ++i) {
+    stack->cluster.AddServer("m" + std::to_string(i));
+  }
+  stack->cluster.PlaceRoundRobin(stack->catalog.num_tables());
+  stack->graph =
+      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(stack->catalog));
+  stack->model =
+      std::make_unique<DefaultCostModel>(&stack->catalog, &stack->cluster);
+  stack->enumerator = std::make_unique<PlanEnumerator>(
+      &stack->catalog, &stack->cluster, stack->graph.get(),
+      stack->model.get(), EnumeratorOptions{});
+  stack->global_plan =
+      std::make_unique<GlobalPlan>(&stack->cluster, stack->model.get());
+  stack->ctx = {&stack->catalog,          &stack->cluster,
+                stack->graph.get(),       stack->model.get(),
+                stack->global_plan.get(), stack->enumerator.get()};
+  return stack;
+}
+
+// Forces every sharing onto one identical-plan cache key. The planner must
+// detect that the colliding entries are *not* identical queries and fall
+// back to full planning — reusing the first sharing's plan for a different
+// query would deliver wrong data.
+class CollidingKeyPlanner : public GreedyPlanner {
+ public:
+  explicit CollidingKeyPlanner(PlannerContext context)
+      : GreedyPlanner(context) {}
+
+ protected:
+  uint64_t IdenticalKey(const Sharing&) const override { return 42; }
+};
+
+TEST(IdenticalPlanCollisionTest, CollisionDoesNotReuseWrongPlan) {
+  auto stack = MakeStack();
+  CollidingKeyPlanner planner(stack->ctx);
+
+  const std::vector<Sharing> base =
+      TwitterBaseSharings(stack->tables, stack->cluster);
+  ASSERT_GE(base.size(), 3u);
+
+  // Three pairwise-different queries, all hashed onto key 42.
+  const auto c1 = planner.ProcessSharing(base[0]);
+  ASSERT_TRUE(c1.ok());
+  EXPECT_FALSE(c1->reused_identical);
+
+  const auto c2 = planner.ProcessSharing(base[1]);
+  ASSERT_TRUE(c2.ok());
+  // Key collides with base[0]'s entry, but the stored sharing differs, so
+  // the fast path must not fire.
+  EXPECT_FALSE(c2->reused_identical);
+  EXPECT_NE(c2->plan.ToString(stack->catalog),
+            c1->plan.ToString(stack->catalog));
+
+  // A genuinely identical resubmission still reuses (the collision check
+  // compares real queries, not hashes) — base[1] now owns key 42.
+  const auto c3 = planner.ProcessSharing(base[1]);
+  ASSERT_TRUE(c3.ok());
+  EXPECT_TRUE(c3->reused_identical);
+  EXPECT_EQ(c3->plan.ToString(stack->catalog),
+            c2->plan.ToString(stack->catalog));
 }
 
 }  // namespace

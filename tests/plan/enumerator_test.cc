@@ -207,36 +207,6 @@ TEST_F(EnumeratorTest, ManyPredicatesKeepFullPushdownMask) {
   EXPECT_EQ(max_leaf_preds, preds.size());
 }
 
-TEST_F(EnumeratorTest, ParallelEnumerationMatchesSerial) {
-  // Three predicates -> 8 pushdown choices to fan out across. Model-free
-  // enumeration (the only parallel configuration) must emit exactly the
-  // serial plan list, in the same order.
-  std::vector<Predicate> preds;
-  for (int i = 0; i < 3; ++i) {
-    Predicate p;
-    p.table = i == 2 ? b_ : a_;
-    p.column = 0;
-    p.op = i == 1 ? CompareOp::kGt : CompareOp::kLt;
-    p.value = 10 + 30 * i;
-    preds.push_back(p);
-  }
-  const Sharing sharing(TS({a_, b_, c_}), preds, 0);
-  auto run = [&](int threads) {
-    EnumeratorOptions options;
-    options.num_threads = threads;
-    PlanEnumerator e(&catalog_, &cluster_, graph_.get(), nullptr, options);
-    const auto plans = e.Enumerate(sharing);
-    EXPECT_TRUE(plans.ok());
-    std::vector<uint64_t> sigs;
-    for (const SharingPlan& plan : *plans) sigs.push_back(plan.Signature());
-    return sigs;
-  };
-  const std::vector<uint64_t> serial = run(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(run(8), serial);
-  EXPECT_EQ(run(2), serial);
-}
-
 TEST(EnumeratorMultiServerTest, ServerPlacementsEnumerated) {
   // Two tables on different servers, destination on a third: the join can
   // run at either home or the destination -> 3 plans.
