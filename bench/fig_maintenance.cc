@@ -5,14 +5,16 @@
 //     machine's core count.
 //   overlap — N ∈ {25, 100, 400} views drawn from 25 distinct keys (exact
 //     duplicates, and predicated views whose unpredicated twin is
-//     present), serial. Shared delta propagation runs one pipeline per
-//     distinct view, so join_work stays flat in N while only the per-view
-//     merges grow.
+//     present), serial. Exact duplicates share one engine node, and
+//     predicated nodes are fed from their twin, so join_work, merges and
+//     resident_bytes stay flat in N. Each cell's time is the median of 5
+//     runs, with min and max (1 run under --smoke).
 //
 // Each cell replays the same pre-generated update stream: bases are
 // pre-populated (untimed), then timed rounds of batched updates flow
 // through ApplyUpdates.
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "bench_report.h"
 #include "common/rng.h"
 #include "maintain/delta_engine.h"
+#include "maintain/tuple_store.h"
 
 namespace dsm {
 namespace bench {
@@ -167,9 +170,18 @@ Workload MakeOverlapWorkload(int num_views, int base_rows, int rounds,
 struct CellResult {
   double seconds = 0.0;
   uint64_t work = 0;
+  // Heap bytes of the engine's row stores (bases, operand caches, views)
+  // after the timed rounds.
+  int64_t resident_bytes = 0;
 };
 
+int64_t ResidentBytes() {
+  return TupleStoreStats::Global().resident_bytes.load(
+      std::memory_order_relaxed);
+}
+
 CellResult RunCell(const Catalog& catalog, const Workload& w, int threads) {
+  const int64_t resident_before = ResidentBytes();
   DeltaEngineOptions options;
   options.pool.num_threads = threads;
   DeltaEngine engine(&catalog, options);
@@ -187,6 +199,7 @@ CellResult RunCell(const Catalog& catalog, const Workload& w, int threads) {
   CellResult result;
   result.seconds = timer.Seconds();
   result.work = engine.work();
+  result.resident_bytes = ResidentBytes() - resident_before;
   return result;
 }
 
@@ -249,33 +262,52 @@ int Main(int argc, char** argv) {
       report.smoke() ? std::vector<int>{25, 100}
                      : std::vector<int>{25, 100, 400};
   const int overlap_rate = report.smoke() ? 8 : 32;
+  const int overlap_runs = report.smoke() ? 1 : 5;
   std::printf("\nOverlapping views (%d distinct keys, serial, %d updates/"
-              "table/round)\n\n",
-              kOverlapKeys, overlap_rate);
-  std::printf("%6s %10s %12s %12s %12s\n", "views", "seconds", "tuples/s",
-              "join_work", "work/view");
+              "table/round, median of %d runs)\n\n",
+              kOverlapKeys, overlap_rate, overlap_runs);
+  std::printf("%6s %10s %10s %10s %12s %12s %12s %14s\n", "views", "seconds",
+              "min", "max", "tuples/s", "join_work", "work/view",
+              "resident_bytes");
   report.BeginSection("overlap");
   for (const int views : overlap_views) {
     const Workload w = MakeOverlapWorkload(views, base_rows, rounds,
                                            overlap_rate, /*seed=*/4242);
-    const CellResult cell = RunCell(catalog, w, /*threads=*/1);
+    std::vector<double> seconds;
+    CellResult cell;
+    for (int run = 0; run < overlap_runs; ++run) {
+      const CellResult one = RunCell(catalog, w, /*threads=*/1);
+      if (run > 0 && (one.work != cell.work ||
+                      one.resident_bytes != cell.resident_bytes)) {
+        std::abort();  // repeat guard: counts must not vary across runs
+      }
+      cell = one;
+      seconds.push_back(one.seconds);
+    }
+    std::sort(seconds.begin(), seconds.end());
+    const double median = seconds[seconds.size() / 2];
     const double tuples_per_sec =
-        static_cast<double>(w.stream_tuples) / cell.seconds;
+        static_cast<double>(w.stream_tuples) / median;
     const double work_per_view =
         static_cast<double>(cell.work) / static_cast<double>(views);
-    std::printf("%6d %10.4f %12.0f %12llu %12.1f\n", views, cell.seconds,
+    std::printf("%6d %10.4f %10.4f %10.4f %12.0f %12llu %12.1f %14lld\n",
+                views, median, seconds.front(), seconds.back(),
                 tuples_per_sec, static_cast<unsigned long long>(cell.work),
-                work_per_view);
+                work_per_view, static_cast<long long>(cell.resident_bytes));
     obs::JsonValue row = obs::JsonValue::Object();
     row.Set("views", views);
     row.Set("distinct_keys", kOverlapKeys);
     row.Set("updates_per_table_per_round", overlap_rate);
     row.Set("threads", 1);
-    row.Set("seconds", cell.seconds);
+    row.Set("runs", overlap_runs);
+    row.Set("seconds", median);
+    row.Set("seconds_min", seconds.front());
+    row.Set("seconds_max", seconds.back());
     row.Set("stream_tuples", static_cast<double>(w.stream_tuples));
     row.Set("tuples_per_sec", tuples_per_sec);
     row.Set("join_work", static_cast<double>(cell.work));
     row.Set("join_work_per_view", work_per_view);
+    row.Set("resident_bytes", static_cast<double>(cell.resident_bytes));
     report.Row(std::move(row));
   }
 

@@ -7,8 +7,14 @@ namespace dsm {
 Result<double> LpcCalculator::Lpc(const Sharing& sharing) {
   const uint64_t key = sharing.QueryHash() ^
                        (0x9e3779b97f4a7c15ULL * (sharing.destination() + 1));
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+  const auto [begin, end] = cache_.equal_range(key);
+  for (auto it = begin; it != end; ++it) {
+    const Sharing& cached = it->second.sharing;
+    if (cached.IdenticalTo(sharing) &&
+        cached.destination() == sharing.destination()) {
+      return it->second.lpc;
+    }
+  }
 
   DSM_ASSIGN_OR_RETURN(const std::vector<SharingPlan> plans,
                        enumerator_->Enumerate(sharing));
@@ -19,7 +25,7 @@ Result<double> LpcCalculator::Lpc(const Sharing& sharing) {
   for (const SharingPlan& plan : plans) {
     lpc = std::min(lpc, PlanCost(plan, model_));
   }
-  cache_.emplace(key, lpc);
+  cache_.emplace(key, Entry{sharing, lpc});
   return lpc;
 }
 

@@ -24,9 +24,16 @@ class LpcCalculator {
   Result<double> Lpc(const Sharing& sharing);
 
  private:
+  // A memo entry keeps its sharing: the 64-bit key alone would let a hash
+  // collision bill one sharing at another's LPC.
+  struct Entry {
+    Sharing sharing;
+    double lpc = 0.0;
+  };
+
   const PlanEnumerator* enumerator_;
   CostModel* model_;
-  std::unordered_map<uint64_t, double> cache_;
+  std::unordered_multimap<uint64_t, Entry> cache_;
 };
 
 }  // namespace dsm

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
-#include <numeric>
 #include <optional>
 
 #include "maintain/tuple_store.h"
@@ -183,29 +182,75 @@ std::vector<DeltaEngine::JoinStep> DeltaEngine::BuildJoinPlan(
   return steps;
 }
 
-Result<ViewId> DeltaEngine::RegisterView(const ViewKey& key,
-                                         std::vector<std::string> projection) {
-  DSM_ASSIGN_OR_RETURN(Relation initial, Recompute(key, projection));
-  View view;
-  view.key = key;
-  view.projection = std::move(projection);
-  view.contents = std::move(initial);
-  for (const TableId t : key.tables.ToVector()) {
-    view.join_plans[t] = BuildJoinPlan(key, t);
+size_t DeltaEngine::NodeKeyHash::operator()(const NodeKey& k) const {
+  size_t h = ViewKeyHash()(k.key);
+  for (const std::string& column : k.projection) {
+    h ^= std::hash<std::string>()(column) + 0x9e3779b97f4a7c15ULL +
+         (h << 6) + (h >> 2);
   }
-  views_.push_back(std::move(view));
-  return views_.size() - 1;
+  return h;
 }
 
-void DeltaEngine::PrepareOperands(ViewId id, TableId table) {
-  const View& view = views_[id];
-  for (const JoinStep& step : view.join_plans.at(table)) {
+void DeltaEngine::SetLiveNodes(size_t n) {
+  live_nodes_ = n;
+  DSM_METRIC_GAUGE_SET("dsm.maintain.view_nodes", static_cast<double>(n));
+}
+
+Status DeltaEngine::AddLiveHandle(NodeId id) {
+  Node& node = nodes_[id];
+  if (node.live_handles == 0) {
+    DSM_ASSIGN_OR_RETURN(node.contents,
+                         Recompute(node.key, node.projection));
+    SetLiveNodes(live_nodes_ + 1);
+  }
+  ++node.live_handles;
+  return Status::OK();
+}
+
+void DeltaEngine::DropLiveHandle(NodeId id) {
+  Node& node = nodes_[id];
+  if (--node.live_handles > 0) return;
+  // The machine holding the view is gone; so are its contents.
+  node.contents = node.empty;
+  SetLiveNodes(live_nodes_ - 1);
+}
+
+Result<ViewId> DeltaEngine::RegisterView(const ViewKey& key,
+                                         std::vector<std::string> projection) {
+  NodeKey node_key{key, std::move(projection)};
+  const auto it = node_of_.find(node_key);
+  if (it != node_of_.end()) {
+    DSM_RETURN_IF_ERROR(AddLiveHandle(it->second));
+    handles_.push_back({it->second, true});
+    return handles_.size() - 1;
+  }
+  DSM_ASSIGN_OR_RETURN(Relation initial, Recompute(key, node_key.projection));
+  Node node;
+  node.key = key;
+  node.projection = node_key.projection;
+  node.empty = Relation(initial.columns());
+  node.contents = std::move(initial);
+  node.live_handles = 1;
+  for (const TableId t : key.tables.ToVector()) {
+    node.join_plans[t] = BuildJoinPlan(key, t);
+  }
+  const NodeId id = nodes_.size();
+  nodes_.push_back(std::move(node));
+  node_of_.emplace(std::move(node_key), id);
+  SetLiveNodes(live_nodes_ + 1);
+  handles_.push_back({id, true});
+  return handles_.size() - 1;
+}
+
+void DeltaEngine::PrepareOperands(NodeId id, TableId table) {
+  const Node& node = nodes_[id];
+  for (const JoinStep& step : node.join_plans.at(table)) {
     Operand& op = operands_[step.other][id];
     if (op.filtered == nullptr && !op.use_base) {
-      if (HasPredicatesOn(view.key, step.other)) {
+      if (HasPredicatesOn(node.key, step.other)) {
         Relation scratch;
         const Relation& filtered = ApplyTablePredicates(
-            view.key, step.other, bases_.at(step.other), &scratch);
+            node.key, step.other, bases_.at(step.other), &scratch);
         (void)filtered;  // predicates exist, so `filtered` aliases scratch
         op.filtered = std::make_unique<Relation>(std::move(scratch));
       } else {
@@ -220,7 +265,7 @@ void DeltaEngine::PrepareOperands(ViewId id, TableId table) {
   }
 }
 
-const Relation& DeltaEngine::OperandRelation(ViewId id,
+const Relation& DeltaEngine::OperandRelation(NodeId id,
                                              TableId other) const {
   const Operand& op = operands_.at(other).at(id);
   return op.use_base ? bases_.at(other) : *op.filtered;
@@ -228,27 +273,27 @@ const Relation& DeltaEngine::OperandRelation(ViewId id,
 
 size_t DeltaEngine::num_cached_operands() const {
   size_t n = 0;
-  for (const auto& [table, by_view] : operands_) n += by_view.size();
+  for (const auto& [table, by_node] : operands_) n += by_node.size();
   return n;
 }
 
-Relation DeltaEngine::PipelineDelta(ViewId id, TableId table,
+Relation DeltaEngine::PipelineDelta(NodeId id, TableId table,
                                     const Relation& delta,
                                     uint64_t* work) const {
-  const View& view = views_[id];
+  const Node& node = nodes_[id];
   Relation delta_scratch;
   const Relation* cur =
-      &ApplyTablePredicates(view.key, table, delta, &delta_scratch);
+      &ApplyTablePredicates(node.key, table, delta, &delta_scratch);
   Relation owned;
-  for (const JoinStep& step : view.join_plans.at(table)) {
+  for (const JoinStep& step : node.join_plans.at(table)) {
     const Relation& operand = OperandRelation(id, step.other);
     const Relation::JoinIndex* index = operand.FindIndex(step.key_columns);
     owned = index != nullptr ? NaturalJoin(*cur, operand, *index, work)
                              : NaturalJoin(*cur, operand, work);
     cur = &owned;
   }
-  // Project to the view's output columns (bag semantics keep projected
-  // deltas exact), then permute into the view's canonical column order.
+  // Project to the node's output columns (bag semantics keep projected
+  // deltas exact), then permute into the node's canonical column order.
   Relation result;
   if (cur == &owned) {
     result = std::move(owned);
@@ -257,29 +302,29 @@ Relation DeltaEngine::PipelineDelta(ViewId id, TableId table,
   } else {
     result = *cur;  // single-table unpredicated view: shares the delta
   }
-  if (!view.projection.empty()) {
-    result = result.Project(view.projection);
+  if (!node.projection.empty()) {
+    result = result.Project(node.projection);
   }
-  return result.WithColumnOrder(view.contents.columns());
+  return result.WithColumnOrder(node.empty.columns());
 }
 
-Relation DeltaEngine::ResidualDelta(ViewId id,
+Relation DeltaEngine::ResidualDelta(NodeId id,
                                     const Relation& twin_delta) const {
   // σ_p(A ⋈ B) = σ_p(A) ⋈ B when p names a column of A, and a natural
   // join keeps every column name of its inputs, so filtering the twin's
   // result by column name equals running the predicated pipeline. The
   // skip rule matches Recompute's: predicates on tables outside the view
   // or on out-of-range columns never filter.
-  const View& view = views_[id];
+  const Node& node = nodes_[id];
   Relation result = twin_delta;  // shares the row store until filtered
-  for (const Predicate& pred : view.key.predicates) {
-    if (!view.key.tables.Contains(pred.table)) continue;
+  for (const Predicate& pred : node.key.predicates) {
+    if (!node.key.tables.Contains(pred.table)) continue;
     const TableDef& def = catalog_->table(pred.table);
     if (pred.column >= def.columns.size()) continue;
     result = result.Filter(def.columns[pred.column].name, pred.op,
                            pred.value);
   }
-  return result.WithColumnOrder(view.contents.columns());
+  return result.WithColumnOrder(node.empty.columns());
 }
 
 Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
@@ -287,74 +332,64 @@ Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
   DSM_METRIC_SCOPED_LATENCY_MS("dsm.maintain.apply_ms");
   DSM_TRACE_SPAN("maintain/apply_update");
 
-  std::vector<ViewId> affected;
-  for (ViewId id = 0; id < views_.size(); ++id) {
-    if (views_[id].active && views_[id].key.tables.Contains(table)) {
+  std::vector<NodeId> affected;
+  size_t refreshes = 0;  // active views brought up to date
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    if (nodes_[id].live_handles > 0 && nodes_[id].key.tables.Contains(table)) {
       affected.push_back(id);
+      refreshes += nodes_[id].live_handles;
     }
   }
   if (affected.empty()) return Status::OK();
 
-  // Sort the affected views by (tables, predicates, projection, id).
-  // Equal views then form runs led by their lowest id, and within one
-  // table set the unpredicated, unprojected view — the twin — sorts first.
-  std::vector<size_t> order(affected.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const View& va = views_[affected[a]];
-    const View& vb = views_[affected[b]];
-    if (va.key.tables.mask() != vb.key.tables.mask()) {
-      return va.key.tables.mask() < vb.key.tables.mask();
+  // Sort the affected nodes by (tables, predicates, projection, id): within
+  // one table set the unpredicated, unprojected node — the twin — sorts
+  // first.
+  std::sort(affected.begin(), affected.end(), [this](NodeId a, NodeId b) {
+    const Node& na = nodes_[a];
+    const Node& nb = nodes_[b];
+    if (na.key.tables.mask() != nb.key.tables.mask()) {
+      return na.key.tables.mask() < nb.key.tables.mask();
     }
-    if (va.key.predicates != vb.key.predicates) {
-      return va.key.predicates < vb.key.predicates;
+    if (na.key.predicates != nb.key.predicates) {
+      return na.key.predicates < nb.key.predicates;
     }
-    if (va.projection != vb.projection) return va.projection < vb.projection;
-    return a < b;  // `affected` ascends by id
+    if (na.projection != nb.projection) return na.projection < nb.projection;
+    return a < b;
   });
 
-  // One scan forms the groups. Duplicates join their run's leader. An
-  // unprojected predicated group after its table set's twin is fed by
-  // residual filter; the groups one twin feeds are contiguous in `fed`.
-  // Every other group runs a pipeline.
-  struct Group {
-    ViewId leader = 0;
+  // One scan pairs each unprojected predicated node after its table set's
+  // twin with that twin, which feeds it by residual filter; the nodes one
+  // twin feeds are contiguous in `fed`. Every other node runs a pipeline.
+  // Slots, `fed` and Pipeline::slot index `affected`.
+  struct Pipeline {
+    size_t slot = 0;
     size_t fed_begin = 0;  // [fed_begin, fed_end) indexes `fed`
     size_t fed_end = 0;
   };
   constexpr size_t kNoTwin = static_cast<size_t>(-1);
-  std::vector<Group> groups;
-  std::vector<size_t> group_of(affected.size());
+  std::vector<Pipeline> pipelines;
   std::vector<size_t> fed;
-  std::vector<size_t> pipelines;
-  size_t twin = kNoTwin;
-  for (size_t k = 0; k < order.size(); ++k) {
-    const View& view = views_[affected[order[k]]];
-    if (k > 0) {
-      const View& prev = views_[affected[order[k - 1]]];
-      if (prev.key == view.key && prev.projection == view.projection) {
-        group_of[order[k]] = groups.size() - 1;
-        continue;
-      }
-      if (prev.key.tables != view.key.tables) twin = kNoTwin;
+  size_t twin = kNoTwin;  // indexes `pipelines`
+  for (size_t k = 0; k < affected.size(); ++k) {
+    const Node& node = nodes_[affected[k]];
+    if (k > 0 && nodes_[affected[k - 1]].key.tables != node.key.tables) {
+      twin = kNoTwin;
     }
-    const size_t g = groups.size();
-    group_of[order[k]] = g;
-    groups.push_back({affected[order[k]], fed.size(), fed.size()});
-    if (view.projection.empty() && view.key.unpredicated()) {
-      twin = g;
-    } else if (view.projection.empty() && twin != kNoTwin) {
-      fed.push_back(g);
-      groups[twin].fed_end = fed.size();
+    if (node.projection.empty() && node.key.unpredicated()) {
+      twin = pipelines.size();
+    } else if (node.projection.empty() && twin != kNoTwin) {
+      fed.push_back(k);
+      pipelines[twin].fed_end = fed.size();
       continue;
     }
-    pipelines.push_back(g);
+    pipelines.push_back({k, fed.size(), fed.size()});
   }
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.view_refreshes", affected.size());
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.view_refreshes", refreshes);
   DSM_METRIC_COUNTER_ADD("dsm.maintain.pipeline_runs", pipelines.size());
   DSM_METRIC_COUNTER_ADD("dsm.maintain.residual_feeds", fed.size());
   DSM_METRIC_COUNTER_ADD("dsm.maintain.duplicate_feeds",
-                         affected.size() - groups.size());
+                         refreshes - affected.size());
 
   const auto run = [this](size_t n, const std::function<void(size_t)>& fn) {
     if (pool_ != nullptr && n > 1) {
@@ -367,25 +402,25 @@ Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
   // Serial prelude: materialize every operand cache and index the
   // pipelines will probe. After this point shared state is read-only until
   // the barrier.
-  for (const size_t g : pipelines) PrepareOperands(groups[g].leader, table);
+  for (const Pipeline& p : pipelines) PrepareOperands(affected[p.slot], table);
 
-  // Each pipeline fills its group's delta slot, then the slots of the
-  // groups it feeds by residual filter. Empty deltas are dropped at once.
-  // With a pool, slots are created and freed on its threads only, so the
-  // caller's heap never holds the per-round churn.
-  std::vector<std::optional<Relation>> group_deltas(groups.size());
+  // Each pipeline fills its node's delta slot, then the slots of the nodes
+  // it feeds by residual filter. Empty deltas are dropped at once. With a
+  // pool, slots are created and freed on its threads only, so the caller's
+  // heap never holds the per-round churn.
+  std::vector<std::optional<Relation>> deltas(affected.size());
   std::vector<uint64_t> task_work(pipelines.size(), 0);
   run(pipelines.size(), [&](size_t k) {
-    const Group& group = groups[pipelines[k]];
-    std::optional<Relation>& out = group_deltas[pipelines[k]];
-    out = PipelineDelta(group.leader, table, delta, &task_work[k]);
+    const Pipeline& p = pipelines[k];
+    std::optional<Relation>& out = deltas[p.slot];
+    out = PipelineDelta(affected[p.slot], table, delta, &task_work[k]);
     if (out->DistinctSize() == 0) {
       out.reset();
       return;
     }
-    for (size_t f = group.fed_begin; f < group.fed_end; ++f) {
-      std::optional<Relation>& fed_out = group_deltas[fed[f]];
-      fed_out = ResidualDelta(groups[fed[f]].leader, *out);
+    for (size_t f = p.fed_begin; f < p.fed_end; ++f) {
+      std::optional<Relation>& fed_out = deltas[fed[f]];
+      fed_out = ResidualDelta(affected[fed[f]], *out);
       if (fed_out->DistinctSize() == 0) fed_out.reset();
     }
   });
@@ -393,22 +428,17 @@ Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
   // thread ran which pipeline.
   for (const uint64_t w : task_work) work_ += w;
 
-  // Fan-out: every affected view with a non-empty delta merges it into its
-  // own contents (same schema and order, so the stored row hashes
-  // transfer). The last reader of a slot frees it.
+  // Fan-out: one task per node with a non-empty delta merges it into the
+  // node's contents (same schema and order, so the stored row hashes
+  // transfer) and frees the slot, its only reader.
   std::vector<size_t> targets;
-  std::vector<std::atomic<uint32_t>> readers(groups.size());
-  for (size_t i = 0; i < affected.size(); ++i) {
-    if (!group_deltas[group_of[i]].has_value()) continue;
-    targets.push_back(i);
-    readers[group_of[i]].fetch_add(1, std::memory_order_relaxed);
+  for (size_t k = 0; k < affected.size(); ++k) {
+    if (deltas[k].has_value()) targets.push_back(k);
   }
-  run(targets.size(), [&](size_t k) {
-    const size_t g = group_of[targets[k]];
-    views_[affected[targets[k]]].contents.ApplyAll(*group_deltas[g]);
-    if (readers[g].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      group_deltas[g].reset();
-    }
+  run(targets.size(), [&](size_t i) {
+    const size_t k = targets[i];
+    nodes_[affected[k]].contents.ApplyAll(*deltas[k]);
+    deltas[k].reset();
   });
   DSM_METRIC_GAUGE_SET("dsm.maintain.join_work",
                        static_cast<double>(work_));
@@ -419,7 +449,7 @@ void DeltaEngine::MergeDelta(TableId table, const Relation& delta) {
   Relation& base = bases_.at(table);
   base.ApplyAll(delta);  // also patches the base's indexes
   // Patch every cached filtered operand over this table — including those
-  // of inactive views, whose caches must stay consistent with the base for
+  // of parked nodes, whose caches must stay consistent with the base for
   // re-admission.
   const auto it = operands_.find(table);
   if (it == operands_.end()) return;
@@ -427,7 +457,7 @@ void DeltaEngine::MergeDelta(TableId table, const Relation& delta) {
     if (op.filtered == nullptr) continue;
     Relation scratch;
     op.filtered->ApplyAll(
-        ApplyTablePredicates(views_[id].key, table, delta, &scratch));
+        ApplyTablePredicates(nodes_[id].key, table, delta, &scratch));
     DSM_METRIC_COUNTER_ADD("dsm.maintain.operand_cache_patches", 1);
   }
 }
@@ -490,20 +520,17 @@ Status DeltaEngine::ApplyUpdates(std::span<const TableUpdate> updates) {
 }
 
 Status DeltaEngine::SetViewActive(ViewId id, bool active) {
-  if (id >= views_.size()) {
+  if (id >= handles_.size()) {
     return Status::NotFound("unknown view id");
   }
-  View& view = views_[id];
-  if (view.active == active) return Status::OK();
-  if (!active) {
-    // The machine holding the view is gone; so are its contents.
-    view.contents = Relation(view.contents.columns());
-    view.active = false;
-    return Status::OK();
+  Handle& handle = handles_[id];
+  if (handle.active == active) return Status::OK();
+  if (active) {
+    DSM_RETURN_IF_ERROR(AddLiveHandle(handle.node));
+  } else {
+    DropLiveHandle(handle.node);
   }
-  DSM_ASSIGN_OR_RETURN(view.contents,
-                       Recompute(view.key, view.projection));
-  view.active = true;
+  handle.active = active;
   return Status::OK();
 }
 
@@ -513,7 +540,15 @@ const Relation* DeltaEngine::base(TableId table) const {
 }
 
 const Relation* DeltaEngine::view(ViewId id) const {
-  return id < views_.size() ? &views_[id].contents : nullptr;
+  if (id >= handles_.size()) return nullptr;
+  const Node& node = nodes_[handles_[id].node];
+  return handles_[id].active ? &node.contents : &node.empty;
+}
+
+const ViewKey& DeltaEngine::view_key(ViewId id) const {
+  static const ViewKey kUnregistered;
+  return id < handles_.size() ? nodes_[handles_[id].node].key
+                              : kUnregistered;
 }
 
 }  // namespace dsm

@@ -13,27 +13,32 @@
 // (DESIGN.md §12); DeltaEngine::Recompute is the from-scratch oracle the
 // incremental path is tested against.
 //
+// Views are held as nodes and handles (DESIGN.md §13). A *node* is one
+// distinct (ViewKey, projection): it owns the materialized contents, the
+// join plans and the operand caches. A *handle* is what RegisterView
+// returns as a ViewId: a node index and an active flag. Any number of
+// handles (one per buyer sharing) can hold one node; the node is live
+// while at least one of them is active.
+//
 // Three amortizations make maintenance scale with the sharing population
 // (DESIGN.md §10, §13):
-//  * Shared propagation. Each update round runs one join pipeline per
-//    *distinct* view, not one per view. Active views with equal ViewKey
-//    and projection share their lowest-id member's delta; a predicated
-//    view whose unpredicated twin (same tables, no predicates, both
-//    unprojected) is also affected takes the twin's delta through a
+//  * Shared propagation. Each update round computes one delta and does
+//    one merge per affected *node*, however many handles hold it. A
+//    predicated node whose unpredicated twin (same tables, no predicates,
+//    both unprojected) is also affected takes the twin's delta through a
 //    residual filter (σ commutes with the natural join, so this is exact
-//    under bag semantics). The grouping is rebuilt from the active views
-//    on every round, so registration, SetViewActive and per-view contents
-//    keep their one-view-at-a-time semantics.
-//  * Operand caching. For every (base table, pipeline-running view) pair
+//    under bag semantics); every other node runs its own join pipeline.
+//    The twin pairing is rebuilt from the live nodes on every round.
+//  * Operand caching. For every (base table, pipeline-running node) pair
 //    the engine keeps the filtered join operand — σ_view(T) — as a
 //    persistent relation with a prebuilt equi-join index, incrementally
 //    patched by each delta instead of being re-filtered and re-hashed from
-//    scratch per update. Views without predicates on a table share the
+//    scratch per update. Nodes without predicates on a table share the
 //    base relation (and its index) directly; no copy is made.
-//  * Parallel fan-out. Pipelines, and then the per-view merges of their
+//  * Parallel fan-out. Pipelines, and then the per-node merges of their
 //    deltas, run on a ThreadPool (DeltaEngineOptions::pool, honoring
 //    DSM_THREADS). Tasks read shared state (bases, operand caches) that is
-//    frozen during the fan-out and write only their own slot or view;
+//    frozen during the fan-out and write only their own slot or node;
 //    join-work counts accumulate per task and merge after the barrier, so
 //    results and meters are identical for every pool size.
 
@@ -43,6 +48,8 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -84,7 +91,9 @@ class DeltaEngine {
   // base tables and kept incrementally fresh afterwards. The optional
   // `projection` (column names) restricts the view to those columns, with
   // bag semantics — the counting algorithm keeps projected views correct
-  // under deletions. An empty projection keeps every column.
+  // under deletions. An empty projection keeps every column. A view equal
+  // in key and projection to one already live attaches to its node: no
+  // recompute, no second copy of the contents.
   Result<ViewId> RegisterView(const ViewKey& key,
                               std::vector<std::string> projection = {});
 
@@ -103,20 +112,23 @@ class DeltaEngine {
   // every tuple's arity before touching any state.
   Status ApplyUpdates(std::span<const TableUpdate> updates);
 
-  // Degraded mode: an inactive view is not maintained (its contents are
-  // dropped — the hosting machine is gone). Reactivating recomputes the
-  // view from the current base tables, the provider's recovery story for
-  // a sharing re-admitted after being parked.
+  // Degraded mode: an inactive view is not maintained and reads as empty
+  // (the hosting machine is gone). Its node drops its contents once no
+  // active view holds it. Reactivating a view whose node is still live is
+  // O(1); otherwise the node is recomputed from the current base tables,
+  // the provider's recovery story for a sharing re-admitted after being
+  // parked.
   Status SetViewActive(ViewId id, bool active);
   bool view_active(ViewId id) const {
-    return id < views_.size() && views_[id].active;
+    return id < handles_.size() && handles_[id].active;
   }
 
   // nullptr when not registered.
   const Relation* base(TableId table) const;
   const Relation* view(ViewId id) const;
-  const ViewKey& view_key(ViewId id) const { return views_[id].key; }
-  size_t num_views() const { return views_.size(); }
+  // An empty key when not registered.
+  const ViewKey& view_key(ViewId id) const;
+  size_t num_views() const { return handles_.size(); }
 
   // From-scratch evaluation of `key` over the current base tables (the
   // oracle the incremental path is tested against).
@@ -126,17 +138,19 @@ class DeltaEngine {
       const;
 
   // Tuple-pairs probed by joins so far (measured maintenance work). Only
-  // pipeline-running views probe: duplicates and residual-fed views add
-  // nothing. The value is determined by the update stream and the active
-  // view population, and is identical for every pool size.
+  // pipeline-running nodes probe: duplicate views and residual-fed nodes
+  // add nothing. The value is determined by the update stream and the live
+  // node population, and is identical for every pool size.
   uint64_t work() const { return work_; }
 
   const DeltaEngineOptions& options() const { return options_; }
-  // Materialized (table, view) operand caches built so far.
+  // Materialized (table, node) operand caches built so far.
   size_t num_cached_operands() const;
 
  private:
-  // One probe step of a view's delta-propagation join pipeline.
+  using NodeId = size_t;
+
+  // One probe step of a node's delta-propagation join pipeline.
   struct JoinStep {
     TableId other = 0;
     // Shared columns between the accumulated join schema and `other`, in
@@ -144,17 +158,36 @@ class DeltaEngine {
     std::vector<std::string> key_columns;
   };
 
-  struct View {
+  // One distinct (key, projection), shared by every view registered with
+  // it.
+  struct Node {
     ViewKey key;
     std::vector<std::string> projection;  // empty = all columns
+    // Maintained while live_handles > 0; empty (columns only) otherwise.
     Relation contents;
-    bool active = true;
+    // Columns only: what view() returns for an inactive handle.
+    Relation empty;
+    size_t live_handles = 0;
     // Per updated table: the other tables in join order with the index
-    // key for each probe. Fixed at registration (schemas are static).
+    // key for each probe. Fixed at creation (schemas are static).
     std::map<TableId, std::vector<JoinStep>> join_plans;
   };
 
-  // Cached filtered operand for one (table, view) pair. When the view has
+  struct Handle {
+    NodeId node = 0;
+    bool active = true;
+  };
+
+  struct NodeKey {
+    ViewKey key;
+    std::vector<std::string> projection;
+    friend bool operator==(const NodeKey&, const NodeKey&) = default;
+  };
+  struct NodeKeyHash {
+    size_t operator()(const NodeKey& k) const;
+  };
+
+  // Cached filtered operand for one (table, node) pair. When the node has
   // no (applicable) predicates on the table, the shared base relation is
   // used directly instead of a copy.
   struct Operand {
@@ -173,28 +206,35 @@ class DeltaEngine {
   std::vector<JoinStep> BuildJoinPlan(const ViewKey& key,
                                       TableId delta_table) const;
 
-  // Serial prelude to a fan-out: materializes the operand caches and
-  // indexes a pipeline-running view will probe, so the parallel phase only
-  // reads shared state.
-  void PrepareOperands(ViewId id, TableId table);
-  const Relation& OperandRelation(ViewId id, TableId other) const;
+  // Counts one more active handle on `node`. The first one recomputes the
+  // contents from the current base tables; no state changes on error.
+  Status AddLiveHandle(NodeId node);
+  // Counts one fewer; the last one out drops the contents.
+  void DropLiveHandle(NodeId node);
+  void SetLiveNodes(size_t n);
 
-  // Joins the (filtered) delta through the view's pipeline and returns the
-  // view's signed delta, projected and in the view's column order. Adds
+  // Serial prelude to a fan-out: materializes the operand caches and
+  // indexes a pipeline-running node will probe, so the parallel phase only
+  // reads shared state.
+  void PrepareOperands(NodeId node, TableId table);
+  const Relation& OperandRelation(NodeId node, TableId other) const;
+
+  // Joins the (filtered) delta through the node's pipeline and returns the
+  // node's signed delta, projected and in the node's column order. Adds
   // the join work performed to `work`. Thread-safe: reads frozen shared
   // state only.
-  Relation PipelineDelta(ViewId id, TableId table, const Relation& delta,
+  Relation PipelineDelta(NodeId node, TableId table, const Relation& delta,
                          uint64_t* work) const;
-  // View `id`'s delta derived from `twin_delta`, the delta of the
-  // unpredicated view on the same tables: filtered by the view's
+  // Node `node`'s delta derived from `twin_delta`, the delta of the
+  // unpredicated node on the same tables: filtered by the node's
   // predicates, by column name, skipping those Recompute would skip.
-  Relation ResidualDelta(ViewId id, const Relation& twin_delta) const;
+  Relation ResidualDelta(NodeId node, const Relation& twin_delta) const;
 
-  // Refreshes every active view over `table` (fanning out when a pool is
+  // Refreshes every live node over `table` (fanning out when a pool is
   // available), without merging the delta into the base.
   Status PropagateDelta(TableId table, const Relation& delta);
   // Merges the delta into the base relation and patches every cached
-  // filtered operand over `table` (active or not — parked views' caches
+  // filtered operand over `table` (live or not — parked nodes' caches
   // must stay fresh for re-admission).
   void MergeDelta(TableId table, const Relation& delta);
 
@@ -202,9 +242,12 @@ class DeltaEngine {
   DeltaEngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // null when maintenance is serial
   std::map<TableId, Relation> bases_;
-  std::vector<View> views_;
-  // Operand caches by base table, then by the view that probes them.
-  std::map<TableId, std::map<ViewId, Operand>> operands_;
+  std::vector<Node> nodes_;
+  std::vector<Handle> handles_;  // indexed by ViewId
+  std::unordered_map<NodeKey, NodeId, NodeKeyHash> node_of_;
+  size_t live_nodes_ = 0;  // the dsm.maintain.view_nodes gauge
+  // Operand caches by base table, then by the node that probes them.
+  std::map<TableId, std::map<NodeId, Operand>> operands_;
   uint64_t work_ = 0;
 };
 

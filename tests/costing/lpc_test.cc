@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "cost/default_cost_model.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
 
@@ -89,6 +93,75 @@ TEST(LpcTest, DistinctDestinationsCachedSeparately) {
   // coincide under the zero-transfer table model, but must not collide in
   // the cache and crash or cross-contaminate).
   EXPECT_TRUE(lpc.Lpc(here).ok());
+}
+
+TEST(LpcTest, HashCollisionsAreNotConfused) {
+  // QueryHash mixes (column << 24) ^ bits(value), so a predicate on column
+  // 0 with value v and one on column 1 with v's bit 24 flipped hash alike.
+  // The two columns have different statistics, so the sharings' LPCs
+  // differ, and each must be billed its own.
+  Catalog catalog;
+  TableDef r;
+  r.name = "R";
+  ColumnDef uid;
+  uid.name = "uid";
+  uid.distinct_values = 1000;
+  uid.min_value = 0;
+  uid.max_value = 1000;
+  ColumnDef score;
+  score.name = "score";
+  score.distinct_values = 100000;
+  score.min_value = 0;
+  score.max_value = 1000000;
+  r.columns = {uid, score};
+  r.stats.cardinality = 100000;
+  r.stats.update_rate = 100;
+  r.stats.tuple_bytes = 100;
+  const TableId r_id = *catalog.AddTable(r);
+  TableDef s;
+  s.name = "S";
+  s.columns = {uid};
+  s.stats = r.stats;
+  const TableId s_id = *catalog.AddTable(s);
+  Cluster cluster;
+  cluster.AddServer("s0");
+  cluster.AddServer("s1");
+  ASSERT_TRUE(cluster.PlaceTable(r_id, 0).ok());
+  ASSERT_TRUE(cluster.PlaceTable(s_id, 1).ok());
+  const JoinGraph graph = JoinGraph::FromCatalog(catalog);
+  DefaultCostModel model(&catalog, &cluster);
+  const PlanEnumerator enumerator(&catalog, &cluster, &graph, &model);
+
+  const double v = 500.0;
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  bits ^= uint64_t{1} << 24;
+  double flipped;
+  std::memcpy(&flipped, &bits, sizeof(flipped));
+  Predicate on_uid;
+  on_uid.table = r_id;
+  on_uid.column = 0;
+  on_uid.op = CompareOp::kLt;
+  on_uid.value = v;
+  Predicate on_score = on_uid;
+  on_score.column = 1;
+  on_score.value = flipped;
+  const Sharing by_uid(TS({r_id, s_id}), {on_uid}, 0);
+  const Sharing by_score(TS({r_id, s_id}), {on_score}, 0);
+  ASSERT_EQ(by_uid.QueryHash(), by_score.QueryHash());
+
+  LpcCalculator shared(&enumerator, &model);
+  for (const Sharing* sharing : {&by_uid, &by_score}) {
+    LpcCalculator fresh(&enumerator, &model);
+    const auto memoized = shared.Lpc(*sharing);
+    const auto expected = fresh.Lpc(*sharing);
+    ASSERT_TRUE(memoized.ok());
+    ASSERT_TRUE(expected.ok());
+    EXPECT_DOUBLE_EQ(*memoized, *expected);
+  }
+  LpcCalculator a(&enumerator, &model);
+  LpcCalculator b(&enumerator, &model);
+  EXPECT_NE(*a.Lpc(by_uid), *b.Lpc(by_score));  // the test has teeth
 }
 
 }  // namespace

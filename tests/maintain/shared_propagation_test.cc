@@ -1,9 +1,9 @@
-// Shared delta propagation: each update round runs one join pipeline per
-// distinct view. Exact duplicates take their leader's delta, predicated
-// views take their unpredicated twin's delta through a residual filter,
-// and SetViewActive flips re-form the groups between rounds. Every active
-// view must stay bag-equal to a from-scratch Recompute after every round,
-// and contents and work() must be identical for every pool size.
+// Shared delta propagation: exact duplicates share one node, so each update
+// round computes and merges one delta per distinct view. Predicated nodes
+// take their unpredicated twin's delta through a residual filter, and
+// SetViewActive flips re-form the pairing between rounds. Every active view
+// must stay bag-equal to a from-scratch Recompute after every round, and
+// contents and work() must be identical for every pool size.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "maintain/delta_engine.h"
+#include "obs/metrics.h"
 
 namespace dsm {
 namespace {
@@ -114,6 +115,16 @@ Scenario MakeScenario(uint64_t seed) {
     scenario.views.push_back(pool[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))]);
   }
+  // A seeded key held by three more views, each flipped independently of
+  // the others: its node must stay live, and right, while any of them is
+  // active.
+  const size_t clustered = static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1));
+  std::vector<size_t> cluster;
+  for (int d = 0; d < 3; ++d) {
+    cluster.push_back(scenario.views.size());
+    scenario.views.push_back(pool[clustered]);
+  }
 
   std::vector<std::vector<Tuple>> live(kNumTables);
   const int num_rounds = 8;
@@ -124,6 +135,9 @@ Scenario MakeScenario(uint64_t seed) {
       for (int i = 0; i < n; ++i) {
         flips.push_back(static_cast<size_t>(rng.UniformInt(
             0, static_cast<int64_t>(scenario.views.size()) - 1)));
+      }
+      for (const size_t v : cluster) {
+        if (rng.Bernoulli(0.4)) flips.push_back(v);
       }
     }
     scenario.flips.push_back(std::move(flips));
@@ -263,8 +277,9 @@ TEST_F(SharedPropagationWorkTest, DuplicatesAndResidualFeedsProbeNothing) {
   const ViewId p = *engine_->RegisterView(predicated);
   EXPECT_EQ(WorkOfOneUpdate(1), alone);
 
-  // Without its twin the predicated view runs its own pipeline; with the
-  // twin's duplicate still active, the duplicate takes over as leader.
+  // The twin's node stays live while either of its views is active, so
+  // parking one of them changes nothing; without any, the predicated view
+  // runs its own pipeline.
   ASSERT_TRUE(engine_->SetViewActive(t, false).ok());
   EXPECT_EQ(WorkOfOneUpdate(2), alone);
   ASSERT_TRUE(engine_->SetViewActive(dup, false).ok());
@@ -293,6 +308,81 @@ TEST_F(SharedPropagationWorkTest, ProjectedViewsRunTheirOwnPipeline) {
   EXPECT_EQ(WorkOfOneUpdate(1), 2 * alone);
   EXPECT_TRUE(engine_->view(projected)->BagEquals(
       *engine_->Recompute(twin, {"c2"})));
+}
+
+TEST_F(SharedPropagationWorkTest, DuplicatesShareOneNodeAcrossTheirLifecycle) {
+#ifndef DSM_DISABLE_TELEMETRY
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto recomputes = [&registry] {
+    return registry.GetCounter("dsm.maintain.recomputes")->value();
+  };
+  // An empty batch changes nothing but exports the data-plane gauges.
+  const auto resident_bytes = [&] {
+    EXPECT_TRUE(engine_->ApplyUpdates({}).ok());
+    return registry.GetGauge("dsm.maintain.resident_bytes")->value();
+  };
+  const ViewKey twin(Chain(0, 1));
+  const auto matches = [&](ViewId id) {
+    return engine_->view(id)->BagEquals(*engine_->Recompute(twin));
+  };
+  const ViewId a = *engine_->RegisterView(twin);
+  const ViewId b = *engine_->RegisterView(twin);
+  // Enough rows that the view's store dominates the gauge's other movers.
+  std::vector<Tuple> rows;
+  for (int64_t v = 0; v < 600; ++v) {
+    rows.push_back(Tuple{Value(v), Value(v % 6)});
+  }
+  ASSERT_TRUE(engine_->ApplyUpdate(0, rows, {}).ok());
+  ASSERT_GT(engine_->view(a)->TotalSize(), 0);
+
+  // Parking one duplicate leaves the other maintained; the parked one
+  // reads as empty, with the view's columns.
+  ASSERT_TRUE(engine_->SetViewActive(a, false).ok());
+  WorkOfOneUpdate(1000);
+  EXPECT_TRUE(matches(b));
+  EXPECT_EQ(engine_->view(a)->TotalSize(), 0);
+  EXPECT_EQ(engine_->view(a)->columns(), engine_->view(b)->columns());
+
+  // Its node is still live, so it comes back without a recompute.
+  uint64_t before = recomputes();
+  ASSERT_TRUE(engine_->SetViewActive(a, true).ok());
+  EXPECT_EQ(recomputes(), before);
+  WorkOfOneUpdate(1001);
+  EXPECT_TRUE(matches(a));
+  EXPECT_TRUE(matches(b));
+
+  // Parking both drops the node's contents.
+  const double live_bytes = resident_bytes();
+  ASSERT_TRUE(engine_->SetViewActive(a, false).ok());
+  ASSERT_TRUE(engine_->SetViewActive(b, false).ok());
+  EXPECT_LT(resident_bytes(), live_bytes);
+  WorkOfOneUpdate(1002);
+
+  // Reviving the node recomputes it once; a third duplicate attaches to
+  // it without another.
+  before = recomputes();
+  ASSERT_TRUE(engine_->SetViewActive(a, true).ok());
+  EXPECT_EQ(recomputes(), before + 1);
+  const ViewId c = *engine_->RegisterView(twin);
+  EXPECT_EQ(recomputes(), before + 1);
+  WorkOfOneUpdate(1003);
+  EXPECT_TRUE(matches(a));
+  EXPECT_TRUE(matches(c));
+  EXPECT_EQ(engine_->view(b)->TotalSize(), 0);
+#else
+  SUCCEED();
+#endif
+}
+
+TEST(SharedPropagationHandleTest, UnknownIdsAreBoundsChecked) {
+  const Catalog catalog = MakeChainCatalog();
+  DeltaEngine engine(&catalog);
+  ASSERT_TRUE(engine.RegisterBase(0).ok());
+  const ViewId v = *engine.RegisterView(ViewKey(Chain(0, 0)));
+  EXPECT_EQ(engine.view(v + 1), nullptr);
+  EXPECT_FALSE(engine.view_active(v + 1));
+  EXPECT_TRUE(engine.view_key(v + 1).tables.empty());
+  EXPECT_EQ(engine.SetViewActive(v + 1, true).code(), StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -71,6 +71,9 @@ TEST_F(RunReportTest, ReportCarriesSimulationOutcome) {
   ASSERT_TRUE(report.metrics.counters.count("dsm.maintain.delta_tuples"));
   EXPECT_EQ(report.metrics.counters.at("dsm.maintain.delta_tuples"),
             sim.updates_applied());
+  // One buyer view: one live engine node.
+  ASSERT_TRUE(report.metrics.gauges.count("dsm.maintain.view_nodes"));
+  EXPECT_EQ(report.metrics.gauges.at("dsm.maintain.view_nodes"), 1.0);
 #endif
 }
 
