@@ -1,14 +1,13 @@
-// Maintenance-engine throughput, in two sections:
-//   maintenance_throughput — threads × views × update-rate sweep over a
-//     random chain-join view population. speedup_vs_serial compares the
-//     same engine at threads=N and threads=1; it is bounded by the
-//     machine's core count.
+// Maintenance-engine throughput (the engine is serial), in two sections:
+//   maintenance_throughput — views × update-rate sweep over a random
+//     chain-join view population.
 //   overlap — N ∈ {25, 100, 400} views drawn from 25 distinct keys (exact
 //     duplicates, and predicated views whose unpredicated twin is
-//     present), serial. Exact duplicates share one engine node, and
-//     predicated nodes are fed from their twin, so join_work, merges and
-//     resident_bytes stay flat in N. Each cell's time is the median of 5
-//     runs, with min and max (1 run under --smoke).
+//     present). Exact duplicates share one engine node, and predicated
+//     nodes are fed from their twin, so join_work, merges and
+//     resident_bytes stay flat in N.
+// Each cell's time is the median of 5 runs, with min and max (1 run under
+// --smoke).
 //
 // Each cell replays the same pre-generated update stream: bases are
 // pre-populated (untimed), then timed rounds of batched updates flow
@@ -180,11 +179,9 @@ int64_t ResidentBytes() {
       std::memory_order_relaxed);
 }
 
-CellResult RunCell(const Catalog& catalog, const Workload& w, int threads) {
+CellResult RunCell(const Catalog& catalog, const Workload& w) {
   const int64_t resident_before = ResidentBytes();
-  DeltaEngineOptions options;
-  options.pool.num_threads = threads;
-  DeltaEngine engine(&catalog, options);
+  DeltaEngine engine(&catalog);
   for (TableId t = 0; t < catalog.num_tables(); ++t) {
     if (!engine.RegisterBase(t).ok()) std::abort();
   }
@@ -203,6 +200,46 @@ CellResult RunCell(const Catalog& catalog, const Workload& w, int threads) {
   return result;
 }
 
+// A cell timed over `runs` runs: the counts of the last run, and the
+// sorted per-run seconds.
+struct TimedCell {
+  CellResult cell;
+  std::vector<double> seconds;
+  double median() const { return seconds[seconds.size() / 2]; }
+};
+
+TimedCell TimeCell(const Catalog& catalog, const Workload& w, int runs) {
+  TimedCell timed;
+  for (int run = 0; run < runs; ++run) {
+    const CellResult one = RunCell(catalog, w);
+    if (run > 0 && (one.work != timed.cell.work ||
+                    one.resident_bytes != timed.cell.resident_bytes)) {
+      std::abort();  // repeat guard: counts must not vary across runs
+    }
+    timed.cell = one;
+    timed.seconds.push_back(one.seconds);
+  }
+  std::sort(timed.seconds.begin(), timed.seconds.end());
+  return timed;
+}
+
+// The fields every row shares.
+obs::JsonValue CellRow(int views, int rate, int runs, const Workload& w,
+                       const TimedCell& timed) {
+  obs::JsonValue row = obs::JsonValue::Object();
+  row.Set("views", views);
+  row.Set("updates_per_table_per_round", rate);
+  row.Set("runs", runs);
+  row.Set("seconds", timed.median());
+  row.Set("seconds_min", timed.seconds.front());
+  row.Set("seconds_max", timed.seconds.back());
+  row.Set("stream_tuples", static_cast<double>(w.stream_tuples));
+  row.Set("tuples_per_sec",
+          static_cast<double>(w.stream_tuples) / timed.median());
+  row.Set("join_work", static_cast<double>(timed.cell.work));
+  return row;
+}
+
 int Main(int argc, char** argv) {
   BenchReport report("fig_maintenance", argc, argv);
   const bool full = FullScale();
@@ -214,17 +251,16 @@ int Main(int argc, char** argv) {
       report.smoke() ? std::vector<int>{8}
       : full         ? std::vector<int>{8, 32, 128}
                      : std::vector<int>{8, 64};
-  const std::vector<int> thread_counts =
-      report.smoke() ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4};
   const int base_rows = report.smoke() ? 400 : 4000;
   const int rounds = report.smoke() ? 2 : 5;
+  const int runs = report.smoke() ? 1 : 5;
   const Catalog catalog = MakeChainCatalog();
 
   std::printf("Maintenance engine throughput (chain joins over %d tables, "
-              "%d base rows/table, %d timed rounds)\n\n",
-              kNumTables, base_rows, rounds);
-  std::printf("%6s %6s %8s %10s %12s %12s %10s\n", "views", "rate",
-              "threads", "seconds", "tuples/s", "join_work", "vs_serial");
+              "%d base rows/table, %d timed rounds, median of %d runs)\n\n",
+              kNumTables, base_rows, rounds, runs);
+  std::printf("%6s %6s %10s %10s %10s %12s %12s\n", "views", "rate",
+              "seconds", "min", "max", "tuples/s", "join_work");
   report.BeginSection("maintenance_throughput");
 
   for (const int views : view_counts) {
@@ -232,29 +268,13 @@ int Main(int argc, char** argv) {
       const Workload w =
           MakeWorkload(views, base_rows, rounds, rate,
                        /*seed=*/static_cast<uint64_t>(views * 1009 + rate));
-      CellResult serial;
-      for (const int threads : thread_counts) {
-        const CellResult cell = RunCell(catalog, w, threads);
-        if (threads == 1) serial = cell;
-        if (cell.work != serial.work) std::abort();  // equivalence guard
-        const double vs_serial =
-            threads == 1 ? 1.0 : serial.seconds / cell.seconds;
-        const double tuples_per_sec =
-            static_cast<double>(w.stream_tuples) / cell.seconds;
-        std::printf("%6d %6d %8d %10.4f %12.0f %12llu %9.2fx\n", views,
-                    rate, threads, cell.seconds, tuples_per_sec,
-                    static_cast<unsigned long long>(cell.work), vs_serial);
-        obs::JsonValue row = obs::JsonValue::Object();
-        row.Set("views", views);
-        row.Set("updates_per_table_per_round", rate);
-        row.Set("threads", threads);
-        row.Set("seconds", cell.seconds);
-        row.Set("stream_tuples", static_cast<double>(w.stream_tuples));
-        row.Set("tuples_per_sec", tuples_per_sec);
-        row.Set("join_work", static_cast<double>(cell.work));
-        row.Set("speedup_vs_serial", vs_serial);
-        report.Row(std::move(row));
-      }
+      const TimedCell timed = TimeCell(catalog, w, runs);
+      std::printf("%6d %6d %10.4f %10.4f %10.4f %12.0f %12llu\n", views,
+                  rate, timed.median(), timed.seconds.front(),
+                  timed.seconds.back(),
+                  static_cast<double>(w.stream_tuples) / timed.median(),
+                  static_cast<unsigned long long>(timed.cell.work));
+      report.Row(CellRow(views, rate, runs, w, timed));
     }
   }
 
@@ -262,10 +282,9 @@ int Main(int argc, char** argv) {
       report.smoke() ? std::vector<int>{25, 100}
                      : std::vector<int>{25, 100, 400};
   const int overlap_rate = report.smoke() ? 8 : 32;
-  const int overlap_runs = report.smoke() ? 1 : 5;
-  std::printf("\nOverlapping views (%d distinct keys, serial, %d updates/"
+  std::printf("\nOverlapping views (%d distinct keys, %d updates/"
               "table/round, median of %d runs)\n\n",
-              kOverlapKeys, overlap_rate, overlap_runs);
+              kOverlapKeys, overlap_rate, runs);
   std::printf("%6s %10s %10s %10s %12s %12s %12s %14s\n", "views", "seconds",
               "min", "max", "tuples/s", "join_work", "work/view",
               "resident_bytes");
@@ -273,41 +292,21 @@ int Main(int argc, char** argv) {
   for (const int views : overlap_views) {
     const Workload w = MakeOverlapWorkload(views, base_rows, rounds,
                                            overlap_rate, /*seed=*/4242);
-    std::vector<double> seconds;
-    CellResult cell;
-    for (int run = 0; run < overlap_runs; ++run) {
-      const CellResult one = RunCell(catalog, w, /*threads=*/1);
-      if (run > 0 && (one.work != cell.work ||
-                      one.resident_bytes != cell.resident_bytes)) {
-        std::abort();  // repeat guard: counts must not vary across runs
-      }
-      cell = one;
-      seconds.push_back(one.seconds);
-    }
-    std::sort(seconds.begin(), seconds.end());
-    const double median = seconds[seconds.size() / 2];
-    const double tuples_per_sec =
-        static_cast<double>(w.stream_tuples) / median;
+    const TimedCell timed = TimeCell(catalog, w, runs);
     const double work_per_view =
-        static_cast<double>(cell.work) / static_cast<double>(views);
+        static_cast<double>(timed.cell.work) / static_cast<double>(views);
     std::printf("%6d %10.4f %10.4f %10.4f %12.0f %12llu %12.1f %14lld\n",
-                views, median, seconds.front(), seconds.back(),
-                tuples_per_sec, static_cast<unsigned long long>(cell.work),
-                work_per_view, static_cast<long long>(cell.resident_bytes));
-    obs::JsonValue row = obs::JsonValue::Object();
-    row.Set("views", views);
+                views, timed.median(), timed.seconds.front(),
+                timed.seconds.back(),
+                static_cast<double>(w.stream_tuples) / timed.median(),
+                static_cast<unsigned long long>(timed.cell.work),
+                work_per_view,
+                static_cast<long long>(timed.cell.resident_bytes));
+    obs::JsonValue row = CellRow(views, overlap_rate, runs, w, timed);
     row.Set("distinct_keys", kOverlapKeys);
-    row.Set("updates_per_table_per_round", overlap_rate);
-    row.Set("threads", 1);
-    row.Set("runs", overlap_runs);
-    row.Set("seconds", median);
-    row.Set("seconds_min", seconds.front());
-    row.Set("seconds_max", seconds.back());
-    row.Set("stream_tuples", static_cast<double>(w.stream_tuples));
-    row.Set("tuples_per_sec", tuples_per_sec);
-    row.Set("join_work", static_cast<double>(cell.work));
     row.Set("join_work_per_view", work_per_view);
-    row.Set("resident_bytes", static_cast<double>(cell.resident_bytes));
+    row.Set("resident_bytes",
+            static_cast<double>(timed.cell.resident_bytes));
     report.Row(std::move(row));
   }
 
@@ -316,11 +315,11 @@ int Main(int argc, char** argv) {
   env.Set("hardware_concurrency",
           static_cast<double>(std::thread::hardware_concurrency()));
   env.Set("note",
-          "thread speedups are bounded by hardware_concurrency; overlap "
-          "join_work is a count and repeats exactly");
+          "the machine's core count, for the record: the engine is "
+          "single-threaded, so timings do not scale with it; join_work is "
+          "a count and repeats exactly");
   report.Row(std::move(env));
 
-  std::printf("\n(vs_serial: same engine at 1 thread)\n");
   return report.Finish();
 }
 

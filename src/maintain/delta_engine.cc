@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <optional>
 
 #include "maintain/tuple_store.h"
@@ -72,13 +71,6 @@ void ExportTupleStoreMetrics() {
 }
 
 }  // namespace
-
-DeltaEngine::DeltaEngine(const Catalog* catalog, DeltaEngineOptions options)
-    : catalog_(catalog), options_(options) {
-  if (ResolveThreadCount(options_.pool) > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.pool);
-  }
-}
 
 Status DeltaEngine::RegisterBase(TableId table) {
   if (table >= catalog_->num_tables()) {
@@ -391,55 +383,36 @@ Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
   DSM_METRIC_COUNTER_ADD("dsm.maintain.duplicate_feeds",
                          refreshes - affected.size());
 
-  const auto run = [this](size_t n, const std::function<void(size_t)>& fn) {
-    if (pool_ != nullptr && n > 1) {
-      pool_->ParallelFor(n, fn);
-    } else {
-      for (size_t i = 0; i < n; ++i) fn(i);
-    }
-  };
-
-  // Serial prelude: materialize every operand cache and index the
-  // pipelines will probe. After this point shared state is read-only until
-  // the barrier.
+  // Prelude: materialize every operand cache and index the pipelines will
+  // probe.
   for (const Pipeline& p : pipelines) PrepareOperands(affected[p.slot], table);
 
-  // Each pipeline fills its node's delta slot, then the slots of the nodes
-  // it feeds by residual filter. Empty deltas are dropped at once. With a
-  // pool, slots are created and freed on its threads only, so the caller's
-  // heap never holds the per-round churn.
+  // Two phases: every node's delta for the round is computed before any is
+  // merged, so a pipeline that throws leaves every node of the round
+  // untouched. Each pipeline fills its node's delta slot, then the slots of
+  // the nodes it feeds by residual filter; empty deltas are dropped at once.
   std::vector<std::optional<Relation>> deltas(affected.size());
-  std::vector<uint64_t> task_work(pipelines.size(), 0);
-  run(pipelines.size(), [&](size_t k) {
-    const Pipeline& p = pipelines[k];
+  for (const Pipeline& p : pipelines) {
     std::optional<Relation>& out = deltas[p.slot];
-    out = PipelineDelta(affected[p.slot], table, delta, &task_work[k]);
+    out = PipelineDelta(affected[p.slot], table, delta, &work_);
     if (out->DistinctSize() == 0) {
       out.reset();
-      return;
+      continue;
     }
     for (size_t f = p.fed_begin; f < p.fed_end; ++f) {
       std::optional<Relation>& fed_out = deltas[fed[f]];
       fed_out = ResidualDelta(affected[fed[f]], *out);
       if (fed_out->DistinctSize() == 0) fed_out.reset();
     }
-  });
-  // Deterministic merge: summation in pipeline order, independent of which
-  // thread ran which pipeline.
-  for (const uint64_t w : task_work) work_ += w;
-
-  // Fan-out: one task per node with a non-empty delta merges it into the
-  // node's contents (same schema and order, so the stored row hashes
-  // transfer) and frees the slot, its only reader.
-  std::vector<size_t> targets;
-  for (size_t k = 0; k < affected.size(); ++k) {
-    if (deltas[k].has_value()) targets.push_back(k);
   }
-  run(targets.size(), [&](size_t i) {
-    const size_t k = targets[i];
-    nodes_[affected[k]].contents.ApplyAll(*deltas[k]);
-    deltas[k].reset();
-  });
+
+  // Merge each non-empty delta into its node's contents (same schema and
+  // order, so the stored row hashes transfer).
+  for (size_t k = 0; k < affected.size(); ++k) {
+    if (deltas[k].has_value()) {
+      nodes_[affected[k]].contents.ApplyAll(*deltas[k]);
+    }
+  }
   DSM_METRIC_GAUGE_SET("dsm.maintain.join_work",
                        static_cast<double>(work_));
   return Status::OK();

@@ -20,7 +20,7 @@
 // handles (one per buyer sharing) can hold one node; the node is live
 // while at least one of them is active.
 //
-// Three amortizations make maintenance scale with the sharing population
+// Two amortizations make maintenance scale with the sharing population
 // (DESIGN.md §10, §13):
 //  * Shared propagation. Each update round computes one delta and does
 //    one merge per affected *node*, however many handles hold it. A
@@ -35,12 +35,11 @@
 //    patched by each delta instead of being re-filtered and re-hashed from
 //    scratch per update. Nodes without predicates on a table share the
 //    base relation (and its index) directly; no copy is made.
-//  * Parallel fan-out. Pipelines, and then the per-node merges of their
-//    deltas, run on a ThreadPool (DeltaEngineOptions::pool, honoring
-//    DSM_THREADS). Tasks read shared state (bases, operand caches) that is
-//    frozen during the fan-out and write only their own slot or node;
-//    join-work counts accumulate per task and merge after the barrier, so
-//    results and meters are identical for every pool size.
+//
+// Maintenance is single-threaded and the engine starts no threads: each
+// round computes every affected node's delta, then merges them. A worker
+// pool over the nodes measured slower than this serial path once shared
+// propagation left too little work per round (DESIGN.md §10).
 
 #ifndef DSM_MAINTAIN_DELTA_ENGINE_H_
 #define DSM_MAINTAIN_DELTA_ENGINE_H_
@@ -55,7 +54,6 @@
 
 #include "catalog/catalog.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "expr/view_key.h"
 #include "maintain/relation.h"
 
@@ -70,16 +68,9 @@ struct TableUpdate {
   std::vector<Tuple> deletes;
 };
 
-struct DeltaEngineOptions {
-  // Sizing for the fan-out pool. The default resolves through
-  // DSM_THREADS; num_threads = 1 forces fully serial maintenance.
-  ThreadPoolOptions pool;
-};
-
 class DeltaEngine {
  public:
-  explicit DeltaEngine(const Catalog* catalog,
-                       DeltaEngineOptions options = {});
+  explicit DeltaEngine(const Catalog* catalog) : catalog_(catalog) {}
 
   DeltaEngine(const DeltaEngine&) = delete;
   DeltaEngine& operator=(const DeltaEngine&) = delete;
@@ -140,10 +131,9 @@ class DeltaEngine {
   // Tuple-pairs probed by joins so far (measured maintenance work). Only
   // pipeline-running nodes probe: duplicate views and residual-fed nodes
   // add nothing. The value is determined by the update stream and the live
-  // node population, and is identical for every pool size.
+  // node population.
   uint64_t work() const { return work_; }
 
-  const DeltaEngineOptions& options() const { return options_; }
   // Materialized (table, node) operand caches built so far.
   size_t num_cached_operands() const;
 
@@ -213,16 +203,14 @@ class DeltaEngine {
   void DropLiveHandle(NodeId node);
   void SetLiveNodes(size_t n);
 
-  // Serial prelude to a fan-out: materializes the operand caches and
-  // indexes a pipeline-running node will probe, so the parallel phase only
-  // reads shared state.
+  // Materializes the operand caches and indexes a pipeline-running node
+  // will probe.
   void PrepareOperands(NodeId node, TableId table);
   const Relation& OperandRelation(NodeId node, TableId other) const;
 
   // Joins the (filtered) delta through the node's pipeline and returns the
   // node's signed delta, projected and in the node's column order. Adds
-  // the join work performed to `work`. Thread-safe: reads frozen shared
-  // state only.
+  // the join work performed to `work`.
   Relation PipelineDelta(NodeId node, TableId table, const Relation& delta,
                          uint64_t* work) const;
   // Node `node`'s delta derived from `twin_delta`, the delta of the
@@ -230,8 +218,8 @@ class DeltaEngine {
   // predicates, by column name, skipping those Recompute would skip.
   Relation ResidualDelta(NodeId node, const Relation& twin_delta) const;
 
-  // Refreshes every live node over `table` (fanning out when a pool is
-  // available), without merging the delta into the base.
+  // Refreshes every live node over `table`, without merging the delta
+  // into the base.
   Status PropagateDelta(TableId table, const Relation& delta);
   // Merges the delta into the base relation and patches every cached
   // filtered operand over `table` (live or not — parked nodes' caches
@@ -239,8 +227,6 @@ class DeltaEngine {
   void MergeDelta(TableId table, const Relation& delta);
 
   const Catalog* catalog_;
-  DeltaEngineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // null when maintenance is serial
   std::map<TableId, Relation> bases_;
   std::vector<Node> nodes_;
   std::vector<Handle> handles_;  // indexed by ViewId

@@ -121,8 +121,7 @@ class TupleStore {
   size_t tombstones_ = 0;
 
   // Heap bytes last reported into the global resident-bytes gauge. Only
-  // mutating entry points touch accounting: const lookups may run
-  // concurrently from the maintenance fan-out and must stay write-free.
+  // mutating entry points touch accounting; const lookups stay write-free.
   int64_t reported_bytes_ = 0;
 };
 

@@ -17,13 +17,10 @@
 //               range.
 //
 // Concurrency (DESIGN.md §12): interning takes the writer lock; resolving
-// an id takes the reader lock. The maintenance engine's parallel fan-out
-// never interns — joins, filters, projections and merges only
-// rearrange slots that already exist — so the fan-out's only dictionary
-// traffic is rare reader-locked numeric lookups for non-inline operands of
-// predicates. New values enter the dictionary on the serial ingest path
-// (building a delta from caller Tuples), strictly before the fan-out that
-// reads them; the pool barrier orders publication.
+// an id takes the reader lock. Maintenance itself is single-threaded, but
+// the dictionary is process-wide and nothing stops an embedder from
+// running two engines on two threads, so the lock stays until the
+// dictionary becomes per-engine.
 
 #ifndef DSM_MAINTAIN_VALUE_DICT_H_
 #define DSM_MAINTAIN_VALUE_DICT_H_

@@ -55,13 +55,11 @@ class MarketSimulation {
   // `domain_compression` < 1 shrinks every column's value domain by that
   // factor when generating tuples, raising join hit rates — useful for
   // demos that stream far fewer tuples than the catalog's cardinalities.
-  // `engine_options` controls the maintenance engine's fan-out pool and
-  // operand caching; the default honors DSM_THREADS.
+  // Maintenance runs on the calling thread; the simulation starts none.
   MarketSimulation(const Catalog* catalog, uint64_t seed,
-                   double domain_compression = 1.0,
-                   DeltaEngineOptions engine_options = {})
+                   double domain_compression = 1.0)
       : catalog_(catalog),
-        engine_(catalog, engine_options),
+        engine_(catalog),
         rng_(seed),
         seed_(seed),
         domain_compression_(domain_compression) {}

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
+#include <system_error>
+
 #include "common/rng.h"
 
 namespace dsm {
@@ -224,6 +228,35 @@ TEST_F(DeltaEngineTest, WorkCounterAdvances) {
   const uint64_t before = engine.work();
   ASSERT_TRUE(engine.ApplyUpdate(tweets_, {T({100, 1})}, {}).ok());
   EXPECT_GT(engine.work(), before);
+}
+
+// Threads of this process, or -1 when /proc/self/task is unavailable.
+long CountThreads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<long>(
+      std::distance(it, std::filesystem::directory_iterator()));
+}
+
+// Maintenance is serial: neither constructing an engine nor a round of
+// updates over several views starts a thread.
+TEST_F(DeltaEngineTest, StartsNoThreads) {
+  const long before = CountThreads();
+  if (before < 0) GTEST_SKIP() << "/proc/self/task is unavailable";
+  DeltaEngine engine(&catalog_);
+  ASSERT_TRUE(engine.RegisterBase(users_).ok());
+  ASSERT_TRUE(engine.RegisterBase(tweets_).ok());
+  ASSERT_TRUE(engine.RegisterView(ViewKey(TS({users_, tweets_}))).ok());
+  ASSERT_TRUE(
+      engine.RegisterView(ViewKey(TS({users_, tweets_})), {"uid"}).ok());
+  std::vector<TableUpdate> round(2);
+  round[0].table = users_;
+  round[0].inserts = {T({1, 30}), T({2, 40})};
+  round[1].table = tweets_;
+  round[1].inserts = {T({100, 1}), T({101, 2})};
+  ASSERT_TRUE(engine.ApplyUpdates(round).ok());
+  EXPECT_EQ(CountThreads(), before);
 }
 
 // Property: after any random interleaving of inserts and deletes, the

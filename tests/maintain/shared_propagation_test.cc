@@ -2,8 +2,7 @@
 // round computes and merges one delta per distinct view. Predicated nodes
 // take their unpredicated twin's delta through a residual filter, and
 // SetViewActive flips re-form the pairing between rounds. Every active view
-// must stay bag-equal to a from-scratch Recompute after every round, and
-// contents and work() must be identical for every pool size.
+// must stay bag-equal to a from-scratch Recompute after every round.
 
 #include <gtest/gtest.h>
 
@@ -168,23 +167,17 @@ Scenario MakeScenario(uint64_t seed) {
   return scenario;
 }
 
-struct RunOutcome {
-  std::vector<Relation> views;  // final contents
-  uint64_t work = 0;
-};
-
-RunOutcome Replay(const Catalog& catalog, const Scenario& scenario,
-                  int pool_threads) {
-  DeltaEngineOptions options;
-  options.pool.num_threads = pool_threads;
-  DeltaEngine engine(&catalog, options);
+// Replays `scenario`, checking every active view against Recompute after
+// every round.
+void Replay(const Catalog& catalog, const Scenario& scenario) {
+  DeltaEngine engine(&catalog);
   for (TableId t = 0; t < catalog.num_tables(); ++t) {
-    EXPECT_TRUE(engine.RegisterBase(t).ok());
+    ASSERT_TRUE(engine.RegisterBase(t).ok());
   }
   std::vector<ViewId> ids;
   for (const ViewSpec& spec : scenario.views) {
     const auto id = engine.RegisterView(spec.key, spec.projection);
-    EXPECT_TRUE(id.ok());
+    ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
   for (size_t r = 0; r < scenario.rounds.size(); ++r) {
@@ -199,32 +192,15 @@ RunOutcome Replay(const Catalog& catalog, const Scenario& scenario,
                                              scenario.views[v].projection);
       EXPECT_TRUE(expected.ok());
       EXPECT_TRUE(engine.view(ids[v])->BagEquals(*expected))
-          << "view " << v << " diverged after round " << r
-          << " (threads=" << pool_threads << ")";
+          << "view " << v << " diverged after round " << r;
     }
   }
-  RunOutcome outcome;
-  outcome.work = engine.work();
-  for (const ViewId id : ids) outcome.views.push_back(*engine.view(id));
-  return outcome;
 }
 
 class SharedPropagationTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SharedPropagationTest, MatchesRecomputeForEveryPoolSize) {
-  const Catalog catalog = MakeChainCatalog();
-  const Scenario scenario = MakeScenario(GetParam());
-
-  const RunOutcome reference = Replay(catalog, scenario, /*pool_threads=*/1);
-  for (const int threads : {2, 8}) {
-    const RunOutcome outcome = Replay(catalog, scenario, threads);
-    ASSERT_EQ(outcome.views.size(), reference.views.size());
-    for (size_t v = 0; v < outcome.views.size(); ++v) {
-      EXPECT_TRUE(outcome.views[v].BagEquals(reference.views[v]))
-          << "view " << v << " (threads=" << threads << ")";
-    }
-    EXPECT_EQ(outcome.work, reference.work) << "threads=" << threads;
-  }
+TEST_P(SharedPropagationTest, MatchesRecompute) {
+  Replay(MakeChainCatalog(), MakeScenario(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedPropagationTest,
@@ -236,9 +212,7 @@ class SharedPropagationWorkTest : public ::testing::Test {
  protected:
   void SetUp() override {
     catalog_ = MakeChainCatalog();
-    DeltaEngineOptions options;
-    options.pool.num_threads = 1;
-    engine_ = std::make_unique<DeltaEngine>(&catalog_, options);
+    engine_ = std::make_unique<DeltaEngine>(&catalog_);
     for (TableId t = 0; t < catalog_.num_tables(); ++t) {
       ASSERT_TRUE(engine_->RegisterBase(t).ok());
     }

@@ -44,9 +44,7 @@ TableSet Tables(std::initializer_list<TableId> ids) {
 TEST(MaintainMetricsTest, GroupingCountersPartitionViewRefreshes) {
 #ifndef DSM_DISABLE_TELEMETRY
   const Catalog catalog = MakeChainCatalog();
-  DeltaEngineOptions options;
-  options.pool.num_threads = 1;
-  DeltaEngine engine(&catalog, options);
+  DeltaEngine engine(&catalog);
   for (TableId t = 0; t < 3; ++t) ASSERT_TRUE(engine.RegisterBase(t).ok());
 
   Predicate p;
@@ -88,9 +86,7 @@ TEST(MaintainMetricsTest, GroupingCountersPartitionViewRefreshes) {
 TEST(MaintainMetricsTest, ViewNodesGaugeCountsDistinctActiveViews) {
 #ifndef DSM_DISABLE_TELEMETRY
   const Catalog catalog = MakeChainCatalog();
-  DeltaEngineOptions options;
-  options.pool.num_threads = 1;
-  DeltaEngine engine(&catalog, options);
+  DeltaEngine engine(&catalog);
   for (TableId t = 0; t < 3; ++t) ASSERT_TRUE(engine.RegisterBase(t).ok());
 
   Predicate p;
