@@ -8,7 +8,6 @@
 // slightly *decreasing* in sequence length (repeat sharings skip
 // planning), increasing in machines, flat in dims/facts.
 
-#include <functional>
 #include <vector>
 
 #include "bench_common.h"
@@ -190,44 +189,6 @@ int Main(int argc, char** argv) {
     Report(&report, facts, p);
   }
 
-  // Indexed reuse lookup vs the legacy linear scan, same workload and
-  // identical decisions; only the per-sharing planning clock differs (the
-  // fig_admission bench covers the large-plan regime in depth).
-  std::printf("\n(g) reuse lookup: legacy scan vs index (sequence length, "
-              "1 machine)\n");
-  std::printf("%-10s %12s %12s %8s\n", "x", "legacy(ms)", "indexed(ms)",
-              "speedup");
-  report.BeginSection("g_reuse_index");
-  for (const int n : smoke ? std::vector<int>{40}
-                     : full ? std::vector<int>{500, 1000, 2000}
-                            : std::vector<int>{200, 400}) {
-    StarSequenceOptions seq_options;
-    seq_options.num_sharings = static_cast<size_t>(n);
-    seq_options.max_tables = smoke ? 5 : 7;
-    seq_options.exact_size = false;
-    seq_options.seed = 607;
-    double mode_ms[2] = {0.0, 0.0};
-    for (const bool indexed : {false, true}) {
-      auto stack = MakeStarStack(1, 20, 1, EnumeratorOptions{});
-      stack->global_plan->set_reuse_index_enabled(indexed);
-      const auto sequence =
-          GenerateStarSharings(stack->schema, stack->cluster, seq_options);
-      const auto planner = MakePlanner(Algo::kManagedRisk, stack->ctx);
-      const RunStats stats = RunPlanner(planner.get(), sequence);
-      mode_ms[indexed ? 1 : 0] =
-          stats.seconds * 1e3 / static_cast<double>(sequence.size());
-    }
-    const double speedup =
-        mode_ms[1] > 0.0 ? mode_ms[0] / mode_ms[1] : 0.0;
-    std::printf("%-10d %12.3f %12.3f %7.2fx\n", n, mode_ms[0], mode_ms[1],
-                speedup);
-    obs::JsonValue row = obs::JsonValue::Object();
-    row.Set("x", n);
-    row.Set("legacy_ms", mode_ms[0]);
-    row.Set("indexed_ms", mode_ms[1]);
-    row.Set("speedup", speedup);
-    report.Row(std::move(row));
-  }
   return report.Finish();
 }
 

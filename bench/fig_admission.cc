@@ -1,13 +1,12 @@
-// Admission & costing fast paths: per-sharing planning time with the
-// indexed reuse lookup (vs the legacy linear scan) as the global plan
-// grows to a thousand-plus alive views, and FAIRCOST refresh time with the
-// incremental containment DAG (vs the scratch O(n²) rebuild) as the
-// sharing population grows. Decisions and attributed costs are identical
-// across modes (enforced by the admission equivalence tests); only the
-// wall clock differs. A last section times failover: one server lost
-// under N admitted sharings, then a forced retry of the parked ones once
-// it returns, with the victims split into migrated, ruled out by liveness
-// and parked.
+// Admission & costing fast paths: (a) per-sharing planning time as the
+// global plan grows to a thousand-plus alive views, and (b) FAIRCOST
+// refresh time with the incremental containment DAG vs the scratch O(n²)
+// rebuild as the sharing population grows (attributed costs are
+// identical in both modes, enforced by the admission tests; only the wall
+// clock differs). A last section (c) times failover: one server lost under
+// N admitted sharings, then a forced retry of the parked ones once it
+// returns, with the victims split into migrated, ruled out by liveness and
+// parked.
 
 #include <memory>
 #include <thread>
@@ -34,7 +33,7 @@ namespace {
 // small per-query pool. Keys recur across arrivals and predicate sets are
 // subset-related, so each table-mask bucket accumulates hundreds of alive
 // views, many of which genuinely subsume an incoming probe — the workload
-// the reuse index exists for (the sparse-key regime is fig6 section (g)).
+// the reuse index exists for (fig6 covers the sparse-key regime).
 std::vector<Sharing> AdmissionSequence(const TwitterStack& stack, size_t n,
                                        uint64_t seed) {
   const std::vector<Sharing> base =
@@ -87,19 +86,18 @@ bool PlanAndCommit(GlobalPlan* gp, const Sharing& sharing,
   return gp->AddSharing(id, sharing, plans[static_cast<size_t>(best)]).ok();
 }
 
-struct ModeResult {
+struct AdmissionResult {
   size_t alive_views = 0;
   LatencySummary latency;
 };
 
 // Grows a fresh global plan until `target_views` alive views, then times
 // the admission of `probes` further sharings (enumeration pre-done).
-ModeResult RunAdmissionMode(size_t target_views, size_t probes,
-                            bool indexed, uint64_t seed) {
+AdmissionResult RunAdmission(size_t target_views, size_t probes,
+                             uint64_t seed) {
   EnumeratorOptions enum_options;
   enum_options.per_subset_cap = 16;  // bound the 8/9-table plan explosion
   auto stack = MakeTwitterStack(6, enum_options);
-  stack->global_plan->set_reuse_index_enabled(indexed);
   // Dense reuse means most arrivals add at most a residual view, so the
   // sequence is oversized relative to the target view count.
   const auto sequence =
@@ -117,7 +115,7 @@ ModeResult RunAdmissionMode(size_t target_views, size_t probes,
     ++pos;
   }
 
-  ModeResult result;
+  AdmissionResult result;
   result.alive_views = stack->global_plan->num_alive_views();
   std::vector<double> samples;
   for (size_t i = 0; i < probes && pos < sequence.size(); ++i, ++pos) {
@@ -274,33 +272,26 @@ int Main(int argc, char** argv) {
 
   std::printf("Admission & costing fast paths\n\n");
   std::printf("(a) per-sharing planning time vs alive views "
-              "(enumeration excluded)\n");
-  std::printf("%-12s %10s %12s %14s %10s\n", "target_views", "alive",
-              "legacy(ms)", "indexed(ms)", "speedup");
+              "(enumeration excluded, nproc %u)\n",
+              std::thread::hardware_concurrency());
+  std::printf("%-12s %10s %10s %12s %10s\n", "target_views", "alive",
+              "mean(ms)", "median(ms)", "p95(ms)");
   report.BeginSection("admission_scaling");
   for (const size_t target : smoke ? std::vector<size_t>{60}
                              : full ? std::vector<size_t>{500, 1000, 2000,
                                                           4000}
                                     : std::vector<size_t>{250, 500, 1000,
                                                           2000}) {
-    const size_t probes = smoke ? 8 : 50;
-    const ModeResult legacy =
-        RunAdmissionMode(target, probes, /*indexed=*/false, 71);
-    const ModeResult indexed =
-        RunAdmissionMode(target, probes, /*indexed=*/true, 71);
-    const double speedup =
-        indexed.latency.mean_ms > 0.0
-            ? legacy.latency.mean_ms / indexed.latency.mean_ms
-            : 0.0;
-    std::printf("%-12zu %10zu %12.3f %14.3f %9.1fx\n", target,
-                legacy.alive_views, legacy.latency.mean_ms,
-                indexed.latency.mean_ms, speedup);
+    const AdmissionResult r = RunAdmission(target, smoke ? 8 : 50, 71);
+    std::printf("%-12zu %10zu %10.3f %12.3f %10.3f\n", target,
+                r.alive_views, r.latency.mean_ms, r.latency.median_ms,
+                r.latency.p95_ms);
     obs::JsonValue row = obs::JsonValue::Object();
     row.Set("target_views", static_cast<int64_t>(target));
-    row.Set("alive_views", static_cast<int64_t>(legacy.alive_views));
-    row.Set("legacy", legacy.latency.ToJson());
-    row.Set("indexed", indexed.latency.ToJson());
-    row.Set("speedup_indexed_vs_legacy", speedup);
+    row.Set("alive_views", static_cast<int64_t>(r.alive_views));
+    row.Set("nproc",
+            static_cast<int64_t>(std::thread::hardware_concurrency()));
+    row.Set("latency", r.latency.ToJson());
     report.Row(std::move(row));
   }
 

@@ -10,8 +10,7 @@
 // write, dead server, dropped message) when the point fires.
 //
 // All randomness flows through the registry's own seeded Rng, so a failing
-// run replays bit-for-bit. When DSM_DISABLE_FAULT_INJECTION is defined the
-// macro compiles to a constant false and the whole mechanism costs nothing.
+// run replays bit-for-bit.
 
 #ifndef DSM_COMMON_FAULT_H_
 #define DSM_COMMON_FAULT_H_
@@ -115,11 +114,7 @@ class ScopedFault {
 
 // The injection point. Reads as a condition: the failure branch runs only
 // when a test (or the simulation) armed the point and its trigger fires.
-#ifndef DSM_DISABLE_FAULT_INJECTION
 #define DSM_INJECT_FAULT(point) \
   (::dsm::FaultInjector::Global().ShouldFail(point))
-#else
-#define DSM_INJECT_FAULT(point) (false)
-#endif
 
 #endif  // DSM_COMMON_FAULT_H_

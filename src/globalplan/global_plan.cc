@@ -10,21 +10,15 @@
 namespace dsm {
 namespace {
 
-// Relative tolerance of the reuse tie-break: costs this close count as
-// equal, and an exact-match view (no residual filter/copy node needed)
-// wins the tie regardless of FP noise in the cost model.
+// Relative tolerance of the reuse tie-break: a source must be cheaper than
+// the best so far by more than this to replace it, so near-ties keep the
+// earliest candidate regardless of FP noise in the cost model.
 constexpr double kReuseTieTol = 1e-9;
 
 bool CostStrictlyBetter(double cost, double best_cost) {
   const double tol =
       kReuseTieTol * std::max({1.0, std::abs(cost), std::abs(best_cost)});
   return cost < best_cost - tol;
-}
-
-bool CostTies(double cost, double best_cost) {
-  const double tol =
-      kReuseTieTol * std::max({1.0, std::abs(cost), std::abs(best_cost)});
-  return cost <= best_cost + tol;
 }
 
 }  // namespace
@@ -45,78 +39,60 @@ int GlobalPlan::ScanForBestReuse(const TableBucket& bucket,
                                  const ViewKey& needed, ServerId server,
                                  int needed_key_id,
                                  double* residual_cost) const {
+  // An exact same-server match never gets here: FindBestReuse's fast path
+  // takes it first. So every candidate pays a residual filter/copy, and
+  // near-ties keep the earliest (lowest-id) candidate.
   int best = -1;
   double best_cost = 0.0;
-  bool best_exact = false;
   // Residual costs are pure in (candidate, needed, server) for stateless
   // models, so repeated scans (the index re-scans after every structure
   // epoch bump) skip the model call. Stateful models (memoizing via an
-  // order-sensitive Rng) must see every call, or their later answers — and
-  // hence legacy-vs-indexed decisions — would diverge.
-  const bool memo_costs = needed_key_id >= 0 &&
-                          needed_key_id < (1 << 24) &&
+  // order-sensitive Rng) must see every call, or their later answers would
+  // depend on which probes the memo absorbed.
+  const bool memo_costs = needed_key_id < (1 << 24) &&
+                          server < static_cast<ServerId>(1 << 16) &&
                           model_->HasPureQueries();
-  // Signature prefilter (indexed mode): a candidate whose predicate
-  // signature has bits outside `needed`'s cannot have a predicate subset
-  // (see PredicateSignature), so most non-subsumers cost one AND instead
-  // of a memo probe. Never rejects a true subsumer — decisions match the
-  // unfiltered scan exactly.
-  const uint64_t needed_sig =
-      needed_key_id >= 0 ? PredicateSignature(needed.predicates) : 0;
+  // Signature prefilter: a candidate whose predicate signature has bits
+  // outside `needed`'s cannot have a predicate subset (see
+  // PredicateSignature), so most non-subsumers cost one AND instead of a
+  // memo probe. It never rejects a true subsumer.
+  const uint64_t needed_sig = PredicateSignature(needed.predicates);
   for (const int id : bucket.ids) {
     const GPNode& cand = nodes_[static_cast<size_t>(id)];
     if (!cand.alive) continue;
-    if (needed_key_id >= 0 && (cand.pred_sig & ~needed_sig) != 0) continue;
+    if ((cand.pred_sig & ~needed_sig) != 0) continue;
+    const uint64_t memo_key = (static_cast<uint64_t>(cand.key_id) << 32) |
+                              static_cast<uint32_t>(needed_key_id);
     bool subsumes;
-    if (needed_key_id >= 0 && cand.key_id >= 0) {
-      const uint64_t memo_key =
-          (static_cast<uint64_t>(cand.key_id) << 32) |
-          static_cast<uint32_t>(needed_key_id);
-      const auto mit = subsumes_memo_.find(memo_key);
-      if (mit != subsumes_memo_.end()) {
-        subsumes = mit->second;
-      } else {
-        subsumes = cand.key.Subsumes(needed);
-        subsumes_memo_.emplace(memo_key, subsumes);
-      }
+    const auto mit = subsumes_memo_.find(memo_key);
+    if (mit != subsumes_memo_.end()) {
+      subsumes = mit->second;
     } else {
       subsumes = cand.key.Subsumes(needed);
+      subsumes_memo_.emplace(memo_key, subsumes);
     }
     if (!subsumes) continue;
     // A view on a down server is lost; it cannot feed anyone.
     if (!cluster_->is_up(cand.server)) continue;
-    const bool exact = cand.server == server &&
-                       (needed_key_id >= 0 && cand.key_id >= 0
-                            ? cand.key_id == needed_key_id
-                            : cand.key == needed);
-    double cost = 0.0;
-    if (!exact) {
-      if (memo_costs && id < (1 << 24) &&
-          server < static_cast<ServerId>(1 << 16)) {
-        const uint64_t cost_key = (static_cast<uint64_t>(id) << 40) |
-                                  (static_cast<uint64_t>(needed_key_id)
-                                   << 16) |
-                                  static_cast<uint64_t>(server);
-        const auto cit = residual_cost_memo_.find(cost_key);
-        if (cit != residual_cost_memo_.end()) {
-          cost = cit->second;
-        } else {
-          cost = model_->FilterCopyCost(cand.key, cand.server, needed,
-                                        server);
-          residual_cost_memo_.emplace(cost_key, cost);
-        }
+    double cost;
+    if (memo_costs && id < (1 << 24)) {
+      const uint64_t cost_key =
+          (static_cast<uint64_t>(id) << 40) |
+          (static_cast<uint64_t>(needed_key_id) << 16) |
+          static_cast<uint64_t>(server);
+      const auto cit = residual_cost_memo_.find(cost_key);
+      if (cit != residual_cost_memo_.end()) {
+        cost = cit->second;
       } else {
-        cost = model_->FilterCopyCost(cand.key, cand.server, needed,
-                                      server);
+        cost = model_->FilterCopyCost(cand.key, cand.server, needed, server);
+        residual_cost_memo_.emplace(cost_key, cost);
       }
+    } else {
+      cost = model_->FilterCopyCost(cand.key, cand.server, needed, server);
     }
-    // Prefer cheaper sources; on (near-)ties prefer an exact match, which
-    // needs no residual filter/copy node at all.
-    if (best < 0 || CostStrictlyBetter(cost, best_cost) ||
-        (CostTies(cost, best_cost) && exact && !best_exact)) {
+    if (best < 0 || CostStrictlyBetter(cost, best_cost)) {
       best = id;
       best_cost = cost;
-      best_exact = exact;
     }
   }
   if (best >= 0) *residual_cost = best_cost;
@@ -126,7 +102,6 @@ int GlobalPlan::ScanForBestReuse(const TableBucket& bucket,
 int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
                               const AddOptions& options,
                               double* residual_cost) const {
-  if (!options.allow_reuse) return -1;
   if (options.forbid_reuse_keys != nullptr &&
       options.forbid_reuse_keys->count(needed) != 0) {
     return -1;
@@ -134,11 +109,6 @@ int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
   const auto it = by_tables_.find(needed.tables.mask());
   if (it == by_tables_.end()) return -1;
   const TableBucket& bucket = it->second;
-
-  if (!reuse_index_enabled_) {
-    return ScanForBestReuse(bucket, needed, server, /*needed_key_id=*/-1,
-                            residual_cost);
-  }
 
   // The forbid check above only gates `needed` itself, never which
   // candidates may serve it, so the cached answer for (needed, server) is
@@ -159,11 +129,11 @@ int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
 
   int best = -1;
   double residual = 0.0;
-  // Exact fast path: a same-key view already on `server` costs zero and
-  // wins the exact-preference tie-break against every other candidate
-  // (costs are non-negative), so the scan can be skipped outright. The
-  // fingerprint sub-bucket preserves insertion order, so the first match
-  // here is the one the legacy scan would keep.
+  // Exact fast path: a same-key view already on `server` needs no residual
+  // filter/copy, costs zero and is preferred to every other candidate
+  // (costs are non-negative, and an exact match wins a tie), so the scan
+  // is skipped outright. The fingerprint sub-bucket preserves insertion
+  // order, so the earliest such view wins.
   const auto fit =
       bucket.by_fingerprint.find(PredicateFingerprint(needed.predicates));
   if (fit != bucket.by_fingerprint.end() && cluster_->is_up(server)) {
@@ -183,13 +153,6 @@ int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
                                              residual};
   if (best >= 0) *residual_cost = residual;
   return best;
-}
-
-void GlobalPlan::set_reuse_index_enabled(bool enabled) {
-  reuse_index_enabled_ = enabled;
-  best_source_cache_.clear();
-  subsumes_memo_.clear();
-  residual_cost_memo_.clear();
 }
 
 void GlobalPlan::Decide(const SharingPlan& plan, const AddOptions& options,

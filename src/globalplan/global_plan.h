@@ -12,12 +12,13 @@
 //
 // Admission is the hot path once plans number in the thousands, so reuse
 // lookup is indexed (see DESIGN.md §11): buckets by table mask are
-// sub-bucketed by predicate fingerprint (exact matches in O(1)), Subsumes
-// verdicts are memoized on interned key pairs, and a per-(key, server)
-// best-source cache short-circuits repeated probes. All caches are
-// epoch-invalidated (structure epoch bumped on node create/kill, cluster
-// liveness epoch on server up/down); decisions are bit-identical to the
-// legacy linear scan (kept behind set_reuse_index_enabled(false)).
+// sub-bucketed by predicate fingerprint (exact matches in O(1)), a
+// per-(key, server) best-source cache short-circuits repeated probes, and
+// the scan behind both memoizes Subsumes verdicts and residual costs on
+// interned key ids. Cached answers are epoch-invalidated (structure epoch
+// bumped on node create/kill, cluster liveness epoch on server up/down).
+// tests/globalplan/reuse_oracle_test.cc checks every decision against a
+// brute-force pass over the alive views.
 // Admission is single-threaded, so the caches are unlocked and no method
 // is thread-safe — not even the const ones.
 
@@ -60,7 +61,6 @@ class GlobalPlan {
   };
 
   struct AddOptions {
-    bool allow_reuse = true;
     // Keys whose reuse is forbidden (used to reconstruct published global
     // plans, e.g. Figure 3's, where the provider made different choices).
     const std::unordered_set<ViewKey, ViewKeyHash>* forbid_reuse_keys =
@@ -190,12 +190,6 @@ class GlobalPlan {
   // whole lifetime: their refcount is >= 1 until RemoveSharing).
   std::vector<SharingId> SharingsTouchingServer(ServerId server) const;
 
-  // Legacy toggle for benchmarking and equivalence testing: with the index
-  // disabled every reuse probe is the original linear Subsumes scan.
-  // Decisions are identical either way. Flipping it drops the caches.
-  void set_reuse_index_enabled(bool enabled);
-  bool reuse_index_enabled() const { return reuse_index_enabled_; }
-
  private:
   struct GPNode {
     ViewKey key;
@@ -208,13 +202,13 @@ class GlobalPlan {
     double load = 0.0;
     int refcount = 0;
     bool alive = true;
-    int key_id = -1;        // interned ViewKey id (Subsumes memo)
+    int key_id = -1;        // InternKey(key), set by CreateNode
     uint64_t pred_fp = 0;   // PredicateFingerprint(key.predicates)
     uint64_t pred_sig = 0;  // PredicateSignature(key.predicates)
   };
 
   // Alive node ids over one table mask. `ids` keeps insertion order (the
-  // legacy scan order, which tie-breaking depends on); `by_fingerprint`
+  // scan order, which tie-breaking depends on); `by_fingerprint`
   // sub-buckets the same ids by predicate fingerprint so an exact-key probe
   // touches only candidates with identical predicate sets.
   struct TableBucket {
@@ -235,9 +229,11 @@ class GlobalPlan {
   int FindBestReuse(const ViewKey& needed, ServerId server,
                     const AddOptions& options, double* residual_cost) const;
 
-  // The legacy linear scan over `bucket.ids` (also the index's fallback
-  // when no exact match exists). `memo` != nullptr memoizes Subsumes
-  // verdicts on (candidate key id, needed key id).
+  // Linear scan over `bucket.ids` for the cheapest alive subsuming view on
+  // an up server: the index's fallback when no exact same-server match
+  // exists. `needed_key_id` is InternKey(needed); Subsumes verdicts are
+  // memoized on (candidate key id, needed key id), residual costs on
+  // (candidate, needed key id, server) for stateless cost models.
   int ScanForBestReuse(const TableBucket& bucket, const ViewKey& needed,
                        ServerId server, int needed_key_id,
                        double* residual_cost) const;
@@ -276,7 +272,6 @@ class GlobalPlan {
   std::unordered_map<ServerId, double> server_load_;
   size_t alive_count_ = 0;
 
-  bool reuse_index_enabled_ = true;
   // Bumped by CreateNode/KillNode; best-source cache entries filled at an
   // older epoch (or an older cluster liveness epoch) are stale.
   uint64_t epoch_ = 0;

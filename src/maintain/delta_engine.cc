@@ -45,7 +45,6 @@ Status CheckArity(const Relation& base, const std::vector<Tuple>& inserts,
 // since the last export (monotone guard keeps concurrent engines from
 // double-counting), gauges get the current value.
 void ExportTupleStoreMetrics() {
-#ifndef DSM_DISABLE_TELEMETRY
   const TupleStoreStats& stats = TupleStoreStats::Global();
   static std::atomic<uint64_t> last_probes{0};
   static std::atomic<uint64_t> last_rehashes{0};
@@ -67,7 +66,6 @@ void ExportTupleStoreMetrics() {
   DSM_METRIC_GAUGE_SET(
       "dsm.maintain.resident_bytes",
       stats.resident_bytes.load(std::memory_order_relaxed));
-#endif  // DSM_DISABLE_TELEMETRY
 }
 
 }  // namespace
@@ -438,23 +436,8 @@ void DeltaEngine::MergeDelta(TableId table, const Relation& delta) {
 Status DeltaEngine::ApplyUpdate(TableId table,
                                 const std::vector<Tuple>& inserts,
                                 const std::vector<Tuple>& deletes) {
-  const auto base_it = bases_.find(table);
-  if (base_it == bases_.end()) {
-    return Status::NotFound("base table not registered");
-  }
-  DSM_RETURN_IF_ERROR(CheckArity(base_it->second, inserts, deletes));
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.delta_tuples",
-                         inserts.size() + deletes.size());
-
-  // The signed delta relation ΔT.
-  Relation delta(base_it->second.columns());
-  for (const Tuple& t : inserts) delta.Apply(t, +1);
-  for (const Tuple& t : deletes) delta.Apply(t, -1);
-
-  DSM_RETURN_IF_ERROR(PropagateDelta(table, delta));
-  MergeDelta(table, delta);
-  ExportTupleStoreMetrics();
-  return Status::OK();
+  const TableUpdate update{table, inserts, deletes};
+  return ApplyUpdates(std::span<const TableUpdate>(&update, 1));
 }
 
 Status DeltaEngine::ApplyUpdates(std::span<const TableUpdate> updates) {

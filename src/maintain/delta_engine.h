@@ -91,7 +91,8 @@ class DeltaEngine {
   // Applies inserts/deletes to base `table`: all registered views over the
   // table are brought up to date, then the base relation is updated. Every
   // tuple must have the base schema's arity; otherwise InvalidArgument is
-  // returned and no state changes.
+  // returned and no state changes. A one-entry ApplyUpdates, so it also
+  // counts as one batch in `dsm.maintain.batches`.
   Status ApplyUpdate(TableId table, const std::vector<Tuple>& inserts,
                      const std::vector<Tuple>& deletes);
 
@@ -100,7 +101,8 @@ class DeltaEngine {
   // corresponding sequence of ApplyUpdate calls (deltas to one table
   // commute through filters and joins), but each view is refreshed once
   // per table instead of once per batch entry. Validates every table and
-  // every tuple's arity before touching any state.
+  // every tuple's arity before touching any state. Each call counts one
+  // batch in `dsm.maintain.batches`.
   Status ApplyUpdates(std::span<const TableUpdate> updates);
 
   // Degraded mode: an inactive view is not maintained and reads as empty

@@ -31,9 +31,8 @@
 namespace dsm {
 
 // Process-wide counters for the compact data plane. Plain atomics (not
-// obs instruments) so benches and regression tests can read them even in
-// DSM_DISABLE_TELEMETRY builds; the engine mirrors them into the metrics
-// registry.
+// obs instruments) that benches and regression tests read directly; the
+// engine mirrors them into the metrics registry.
 struct TupleStoreStats {
   std::atomic<uint64_t> probes{0};
   std::atomic<uint64_t> rehashes{0};

@@ -20,11 +20,6 @@
 //    do exactly that — one registry lock per call site per process).
 //  * Metric names follow the `dsm.<module>.<name>` convention (DESIGN.md
 //    §9); nothing enforces it, everything assumes it.
-//
-// Compiling with -DDSM_DISABLE_TELEMETRY turns every DSM_METRIC_* macro
-// into a no-op with zero code at the call site. The registry classes stay
-// available (FaultInjector's audit counters and the tests use them
-// directly), only the hot-path instrumentation compiles out.
 
 #ifndef DSM_OBS_METRICS_H_
 #define DSM_OBS_METRICS_H_
@@ -216,8 +211,6 @@ class ScopedLatencyTimer {
 // Each call site caches its instrument pointer in a function-local static:
 // the registry lock is taken once per site, then updates are lock-free.
 
-#ifndef DSM_DISABLE_TELEMETRY
-
 #define DSM_METRIC_COUNTER_ADD(name, delta)                               \
   do {                                                                    \
     static ::dsm::obs::Counter* const dsm_metric_counter_ =               \
@@ -250,14 +243,5 @@ class ScopedLatencyTimer {
   ::dsm::obs::ScopedLatencyTimer DSM_METRIC_SCOPED_LATENCY_MS_CAT(        \
       dsm_metric_scoped_timer_, __LINE__)(                                \
       DSM_METRIC_SCOPED_LATENCY_MS_CAT(dsm_metric_scoped_hist_, __LINE__))
-
-#else  // DSM_DISABLE_TELEMETRY
-
-#define DSM_METRIC_COUNTER_ADD(name, delta) ((void)0)
-#define DSM_METRIC_GAUGE_SET(name, value) ((void)0)
-#define DSM_METRIC_HISTOGRAM_OBSERVE(name, value) ((void)0)
-#define DSM_METRIC_SCOPED_LATENCY_MS(name) ((void)0)
-
-#endif  // DSM_DISABLE_TELEMETRY
 
 #endif  // DSM_OBS_METRICS_H_

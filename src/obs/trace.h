@@ -12,9 +12,6 @@
 // tail, the most recent activity, is exactly what a post-mortem wants.
 // DumpJson()/ToJson() export the buffer; ParseSpansJson round-trips a dump
 // back into spans (used by tests and offline tooling).
-//
-// DSM_TRACE_SPAN compiles to nothing under -DDSM_DISABLE_TELEMETRY, like
-// the metrics macros.
 
 #ifndef DSM_OBS_TRACE_H_
 #define DSM_OBS_TRACE_H_
@@ -122,8 +119,6 @@ class ScopedSpan {
 }  // namespace obs
 }  // namespace dsm
 
-#ifndef DSM_DISABLE_TELEMETRY
-
 #define DSM_TRACE_CAT2(a, b) a##b
 #define DSM_TRACE_CAT(a, b) DSM_TRACE_CAT2(a, b)
 // Opens a span on the global tracer for the enclosing scope.
@@ -133,12 +128,5 @@ class ScopedSpan {
 // Key/value annotation on this thread's innermost active span.
 #define DSM_TRACE_ANNOTATE(key, value) \
   ::dsm::obs::ScopedSpan::AnnotateCurrent((key), (value))
-
-#else  // DSM_DISABLE_TELEMETRY
-
-#define DSM_TRACE_SPAN(name) ((void)0)
-#define DSM_TRACE_ANNOTATE(key, value) ((void)0)
-
-#endif  // DSM_DISABLE_TELEMETRY
 
 #endif  // DSM_OBS_TRACE_H_

@@ -179,13 +179,14 @@ class Figure3Test : public ::testing::Test {
                        4, s4, PlanVia(s4, {ab, abc, TS({a_, b_, c_, e_})}))
                     .ok());
 
-    // S5 computes its own ab and (ab)c (the figure's right-hand chain).
+    // S5 computes its own ab and (ab)c (the figure's right-hand chain):
+    // reuse of every key of its plan, leaves included, is forbidden.
+    const SharingPlan p5 = PlanVia(s5, {ab, abc, TS({a_, b_, c_, f_})});
+    std::unordered_set<ViewKey, ViewKeyHash> forbid_all;
+    for (const PlanNode& node : p5.nodes) forbid_all.insert(node.key);
     GlobalPlan::AddOptions no_reuse;
-    no_reuse.allow_reuse = false;
-    ASSERT_TRUE(gp_->AddSharing(5, s5,
-                                PlanVia(s5, {ab, abc, TS({a_, b_, c_, f_})}),
-                                no_reuse)
-                    .ok());
+    no_reuse.forbid_reuse_keys = &forbid_all;
+    ASSERT_TRUE(gp_->AddSharing(5, s5, p5, no_reuse).ok());
   }
 
   Catalog catalog_;

@@ -210,13 +210,19 @@ TEST_F(GlobalPlanTest, ForbidReuseForcesFreshComputation) {
   EXPECT_NEAR(gp_->TotalCost(), 8.0, 1e-9);
 }
 
-TEST_F(GlobalPlanTest, AllowReuseFalseDisablesAllReuse) {
+TEST_F(GlobalPlanTest, ForbiddingEveryPlanKeyDisablesAllReuse) {
   const Sharing s(TS({a_, b_, c_}), {}, 0);
   ASSERT_TRUE(gp_->AddSharing(1, s, PlanFor(s, true)).ok());
+  const SharingPlan plan = PlanFor(s, true);
+  std::unordered_set<ViewKey, ViewKeyHash> forbid;
+  for (const PlanNode& node : plan.nodes) forbid.insert(node.key);
   GlobalPlan::AddOptions options;
-  options.allow_reuse = false;
-  const auto eval = gp_->EvaluatePlan(PlanFor(s, true), options);
+  options.forbid_reuse_keys = &forbid;
+  const auto eval = gp_->EvaluatePlan(plan, options);
   EXPECT_NEAR(eval.marginal_cost, 14.0, 1e-9);
+  for (const GlobalPlan::NodeDecision& d : eval.decisions) {
+    EXPECT_EQ(d.state, GlobalPlan::NodeDecision::kFresh);
+  }
 }
 
 TEST_F(GlobalPlanTest, DuplicateIdRejected) {

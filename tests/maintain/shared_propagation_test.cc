@@ -285,7 +285,6 @@ TEST_F(SharedPropagationWorkTest, ProjectedViewsRunTheirOwnPipeline) {
 }
 
 TEST_F(SharedPropagationWorkTest, DuplicatesShareOneNodeAcrossTheirLifecycle) {
-#ifndef DSM_DISABLE_TELEMETRY
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const auto recomputes = [&registry] {
     return registry.GetCounter("dsm.maintain.recomputes")->value();
@@ -343,9 +342,6 @@ TEST_F(SharedPropagationWorkTest, DuplicatesShareOneNodeAcrossTheirLifecycle) {
   EXPECT_TRUE(matches(a));
   EXPECT_TRUE(matches(c));
   EXPECT_EQ(engine_->view(b)->TotalSize(), 0);
-#else
-  SUCCEED();
-#endif
 }
 
 TEST(SharedPropagationHandleTest, UnknownIdsAreBoundsChecked) {

@@ -42,7 +42,6 @@ TableSet Tables(std::initializer_list<TableId> ids) {
 }
 
 TEST(MaintainMetricsTest, GroupingCountersPartitionViewRefreshes) {
-#ifndef DSM_DISABLE_TELEMETRY
   const Catalog catalog = MakeChainCatalog();
   DeltaEngine engine(&catalog);
   for (TableId t = 0; t < 3; ++t) ASSERT_TRUE(engine.RegisterBase(t).ok());
@@ -84,7 +83,6 @@ TEST(MaintainMetricsTest, GroupingCountersPartitionViewRefreshes) {
 }
 
 TEST(MaintainMetricsTest, ViewNodesGaugeCountsDistinctActiveViews) {
-#ifndef DSM_DISABLE_TELEMETRY
   const Catalog catalog = MakeChainCatalog();
   DeltaEngine engine(&catalog);
   for (TableId t = 0; t < 3; ++t) ASSERT_TRUE(engine.RegisterBase(t).ok());
@@ -131,12 +129,6 @@ TEST(MaintainMetricsTest, ViewNodesGaugeCountsDistinctActiveViews) {
   ASSERT_TRUE(engine.SetViewActive(ids[1], true).ok());
   EXPECT_EQ(gauge(), 2.0);
   EXPECT_EQ(gauge(), distinct_active());
-#else
-  SUCCEED();
-#endif
-#else
-  SUCCEED();
-#endif
 }
 
 }  // namespace

@@ -189,19 +189,11 @@ TEST(ScopedLatencyTimerTest, ObservesOnDestruction) {
 }
 
 TEST(MacroTest, MacrosFeedGlobalRegistry) {
-  // Macros are compiled out under DSM_DISABLE_TELEMETRY; the registry API
-  // itself must keep working either way.
-#ifndef DSM_DISABLE_TELEMETRY
   Counter* c =
       MetricsRegistry::Global().GetCounter("dsm.test.macro_counter");
   const uint64_t before = c->value();
   DSM_METRIC_COUNTER_ADD("dsm.test.macro_counter", 3);
   EXPECT_EQ(c->value(), before + 3);
-#else
-  DSM_METRIC_COUNTER_ADD("dsm.test.macro_counter", 3);
-  DSM_METRIC_GAUGE_SET("dsm.test.macro_gauge", 1.0);
-  SUCCEED();
-#endif
 }
 
 }  // namespace

@@ -85,7 +85,6 @@ uint64_t CounterValue(const char* name) {
 }
 
 TEST(RecoveryMetricsTest, RuledOutAndFullPathParkingsAddUp) {
-#ifndef DSM_DISABLE_TELEMETRY
   StarRig rig;
   GreedyPlanner planner(rig.ctx);
   // A: the join delivered to m2, where it must be computed.
@@ -134,13 +133,9 @@ TEST(RecoveryMetricsTest, RuledOutAndFullPathParkingsAddUp) {
     if (span.name == "recovery/retry_parked") ++spans;
   }
   EXPECT_EQ(spans, 1);
-#else
-  SUCCEED();
-#endif
 }
 
 TEST(RecoveryMetricsTest, LivenessRejectionsCountAsRejections) {
-#ifndef DSM_DISABLE_TELEMETRY
   StarRig rig;
   GreedyPlanner planner(rig.ctx);
   ASSERT_TRUE(rig.cluster.MarkDown(2).ok());
@@ -164,9 +159,6 @@ TEST(RecoveryMetricsTest, LivenessRejectionsCountAsRejections) {
   const auto served = planner.ProcessSharing(Sharing(FactDim(), {}, 2, "z"));
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_EQ(served->id, 3u);
-#else
-  SUCCEED();
-#endif
 }
 
 }  // namespace

@@ -65,7 +65,6 @@ TEST_F(RunReportTest, ReportCarriesSimulationOutcome) {
   ASSERT_EQ(report.view_sizes.size(), 1u);
   EXPECT_EQ(report.view_sizes[0].first, 1u);
   EXPECT_GE(report.view_sizes[0].second, 0);
-#ifndef DSM_DISABLE_TELEMETRY
   // The instrumented delta engine must have counted every delta tuple the
   // simulation streamed (registry was reset just before this run).
   ASSERT_TRUE(report.metrics.counters.count("dsm.maintain.delta_tuples"));
@@ -74,7 +73,6 @@ TEST_F(RunReportTest, ReportCarriesSimulationOutcome) {
   // One buyer view: one live engine node.
   ASSERT_TRUE(report.metrics.gauges.count("dsm.maintain.view_nodes"));
   EXPECT_EQ(report.metrics.gauges.at("dsm.maintain.view_nodes"), 1.0);
-#endif
 }
 
 TEST_F(RunReportTest, EpochCountsCompletedRuns) {
@@ -120,12 +118,10 @@ TEST_F(RunReportTest, TimingsIncludedByDefault) {
   const std::string text = SeededReportText(55, /*include_timings=*/true);
   const auto doc = ParseJson(text);
   ASSERT_TRUE(doc.ok());
-#ifndef DSM_DISABLE_TELEMETRY
   const JsonValue* telemetry = doc->Find("telemetry");
   ASSERT_TRUE(telemetry->Has("histograms"));
   // The delta engine's apply timer must have fired during the run.
   EXPECT_TRUE(telemetry->Find("histograms")->Has("dsm.maintain.apply_ms"));
-#endif
 }
 
 TEST(RunReportSchemaTest, CostingSectionIsOptionalButSerialized) {
