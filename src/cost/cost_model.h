@@ -47,12 +47,11 @@ class CostModel {
   virtual ~CostModel() = default;
 
   // True if every query's answer is independent of query order, so a
-  // caller may skip or memoize calls without changing later answers (the
-  // global plan's residual-cost memo and its liveness rule-out rely on
-  // this). Models whose memoization is order-dependent (e.g. the
-  // TableDrivenCostModel, which draws memoized values from an Rng in
-  // first-query order) must keep the default false. Query methods are not
-  // thread-safe either way.
+  // caller may skip calls without changing later answers (only the global
+  // plan's liveness rule-out relies on this). Models whose memoization is
+  // order-dependent (e.g. the TableDrivenCostModel, which draws memoized
+  // values from an Rng in first-query order) must keep the default false.
+  // Query methods are not thread-safe either way.
   virtual bool HasPureQueries() const { return false; }
 
   // $ per time unit to maintain the join view `out` at `server` from the

@@ -10,6 +10,11 @@
 namespace dsm {
 namespace {
 
+// Absolute slack when comparing summed bounds against cost(GP).
+constexpr double kTolerance = 1e-9;
+// Bisection steps on α.
+constexpr int kMaxIterations = 80;
+
 // Alpha-independent scratch state of ComputeBounds. The bisection loop
 // calls ComputeBounds dozens of times over the same entries; the LPC order
 // and group count only depend on the entries, and the group_min/ub buffers
@@ -106,7 +111,7 @@ Result<FairCostResult> FairCost::Compute(
   // Lemma 5.2: satisfiable iff the bounds at α = 0 (which equal the LPCs
   // when GPC >= LPC) can still recover the global plan cost.
   const std::vector<double>& ub0 = ComputeBounds(entries, 0.0, ws);
-  if (Sum(ub0) + options.tolerance < global_cost) {
+  if (Sum(ub0) + kTolerance < global_cost) {
     if (!options.lpc_overrun_fallback) {
       return Status::Infeasible(
           "fairness criteria unsatisfiable: sum of LPCs below cost(GP) "
@@ -130,14 +135,14 @@ Result<FairCostResult> FairCost::Compute(
 
   FairCostResult result;
   const std::vector<double>& ub = ComputeBounds(entries, 1.0, ws);
-  if (Sum(ub) + options.tolerance >= global_cost) {
+  if (Sum(ub) + kTolerance >= global_cost) {
     // Maximum fairness achievable outright.
     result.alpha = 1.0;
   } else {
     // Binary search the largest α whose bounds still cover cost(GP).
     double lo = 0.0;  // SumBounds(lo) >= global_cost
     double hi = 1.0;  // SumBounds(hi) <  global_cost
-    for (int iter = 0; iter < options.max_iterations; ++iter) {
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
       DSM_METRIC_COUNTER_ADD("dsm.costing.bisect_iterations", 1);
       const double mid = 0.5 * (lo + hi);
       if (Sum(ComputeBounds(entries, mid, ws)) >= global_cost) {
@@ -155,7 +160,7 @@ Result<FairCostResult> FairCost::Compute(
   // constraint (equalities and orderings included) survives the scaling.
   const double total = Sum(ub);
   const double scale = total > 0.0 ? global_cost / total : 0.0;
-  result.scaled_down = total > global_cost + options.tolerance &&
+  result.scaled_down = total > global_cost + kTolerance &&
                        result.alpha >= 1.0;
   result.ac.resize(entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {

@@ -57,8 +57,6 @@ struct FairCostResult {
 class FairCost {
  public:
   struct Options {
-    double tolerance = 1e-9;
-    int max_iterations = 80;
     // When cost(GP) > Σ LPC the five criteria are unsatisfiable
     // (Lemma 5.2). With this flag the computation does not fail: every
     // sharing is charged its LPC scaled up by the common overrun factor —

@@ -77,14 +77,6 @@ uint64_t HashPredicate(const Predicate& p) {
 
 }  // namespace
 
-uint64_t PredicateFingerprint(const std::vector<Predicate>& preds) {
-  uint64_t h = 0x6a09e667f3bcc909ULL;
-  for (const Predicate& p : preds) {
-    h ^= HashPredicate(p) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
 uint64_t PredicateSignature(const std::vector<Predicate>& preds) {
   uint64_t sig = 0;
   for (const Predicate& p : preds) {

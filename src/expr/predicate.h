@@ -55,12 +55,6 @@ bool PredicateSubset(const std::vector<Predicate>& a,
 std::vector<Predicate> PredicateDifference(
     const std::vector<Predicate>& a, const std::vector<Predicate>& b);
 
-// Order-sensitive 64-bit fingerprint of a normalized predicate list. Equal
-// lists have equal fingerprints, so a hash bucket keyed by it finds
-// exact-predicate-set matches in O(1); collisions are possible and callers
-// must re-verify equality.
-uint64_t PredicateFingerprint(const std::vector<Predicate>& preds);
-
 // Bloom-style superset signature: each predicate sets one bit. If
 // PredicateSubset(a, b) then (Signature(a) & ~Signature(b)) == 0, so a
 // failed bit test refutes subset-ness without walking the lists. The

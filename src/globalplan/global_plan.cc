@@ -35,61 +35,40 @@ int GlobalPlan::InternKey(const ViewKey& key) const {
   return id;
 }
 
-int GlobalPlan::ScanForBestReuse(const TableBucket& bucket,
+int GlobalPlan::ScanForBestReuse(const std::vector<int>& bucket,
                                  const ViewKey& needed, ServerId server,
-                                 int needed_key_id,
                                  double* residual_cost) const {
-  // An exact same-server match never gets here: FindBestReuse's fast path
-  // takes it first. So every candidate pays a residual filter/copy, and
+  // Pass 1: a same-key view already on `server` needs no residual
+  // filter/copy, costs zero and is preferred to every other candidate
+  // (costs are non-negative, and an exact match wins a tie), so the
+  // earliest one is returned before any cost-model call.
+  if (cluster_->is_up(server)) {
+    for (const int id : bucket) {
+      const GPNode& cand = nodes_[static_cast<size_t>(id)];
+      if (cand.alive && cand.server == server && cand.key == needed) {
+        *residual_cost = 0.0;
+        return id;
+      }
+    }
+  }
+  // Pass 2: every remaining candidate pays a residual filter/copy, and
   // near-ties keep the earliest (lowest-id) candidate.
   int best = -1;
   double best_cost = 0.0;
-  // Residual costs are pure in (candidate, needed, server) for stateless
-  // models, so repeated scans (the index re-scans after every structure
-  // epoch bump) skip the model call. Stateful models (memoizing via an
-  // order-sensitive Rng) must see every call, or their later answers would
-  // depend on which probes the memo absorbed.
-  const bool memo_costs = needed_key_id < (1 << 24) &&
-                          server < static_cast<ServerId>(1 << 16) &&
-                          model_->HasPureQueries();
   // Signature prefilter: a candidate whose predicate signature has bits
   // outside `needed`'s cannot have a predicate subset (see
   // PredicateSignature), so most non-subsumers cost one AND instead of a
-  // memo probe. It never rejects a true subsumer.
+  // Subsumes call. It never rejects a true subsumer.
   const uint64_t needed_sig = PredicateSignature(needed.predicates);
-  for (const int id : bucket.ids) {
+  for (const int id : bucket) {
     const GPNode& cand = nodes_[static_cast<size_t>(id)];
     if (!cand.alive) continue;
     if ((cand.pred_sig & ~needed_sig) != 0) continue;
-    const uint64_t memo_key = (static_cast<uint64_t>(cand.key_id) << 32) |
-                              static_cast<uint32_t>(needed_key_id);
-    bool subsumes;
-    const auto mit = subsumes_memo_.find(memo_key);
-    if (mit != subsumes_memo_.end()) {
-      subsumes = mit->second;
-    } else {
-      subsumes = cand.key.Subsumes(needed);
-      subsumes_memo_.emplace(memo_key, subsumes);
-    }
-    if (!subsumes) continue;
+    if (!cand.key.Subsumes(needed)) continue;
     // A view on a down server is lost; it cannot feed anyone.
     if (!cluster_->is_up(cand.server)) continue;
-    double cost;
-    if (memo_costs && id < (1 << 24)) {
-      const uint64_t cost_key =
-          (static_cast<uint64_t>(id) << 40) |
-          (static_cast<uint64_t>(needed_key_id) << 16) |
-          static_cast<uint64_t>(server);
-      const auto cit = residual_cost_memo_.find(cost_key);
-      if (cit != residual_cost_memo_.end()) {
-        cost = cit->second;
-      } else {
-        cost = model_->FilterCopyCost(cand.key, cand.server, needed, server);
-        residual_cost_memo_.emplace(cost_key, cost);
-      }
-    } else {
-      cost = model_->FilterCopyCost(cand.key, cand.server, needed, server);
-    }
+    const double cost =
+        model_->FilterCopyCost(cand.key, cand.server, needed, server);
     if (best < 0 || CostStrictlyBetter(cost, best_cost)) {
       best = id;
       best_cost = cost;
@@ -108,14 +87,12 @@ int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
   }
   const auto it = by_tables_.find(needed.tables.mask());
   if (it == by_tables_.end()) return -1;
-  const TableBucket& bucket = it->second;
 
   // The forbid check above only gates `needed` itself, never which
   // candidates may serve it, so the cached answer for (needed, server) is
   // valid under any AddOptions that reach this point.
-  const int needed_key_id = InternKey(needed);
   const uint64_t cache_key =
-      (static_cast<uint64_t>(needed_key_id) << 32) | server;
+      (static_cast<uint64_t>(InternKey(needed)) << 32) | server;
   const uint64_t liveness = cluster_->liveness_epoch();
   const auto cached = best_source_cache_.find(cache_key);
   if (cached != best_source_cache_.end() &&
@@ -127,28 +104,8 @@ int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
   }
   DSM_METRIC_COUNTER_ADD("dsm.globalplan.reuse_index_misses", 1);
 
-  int best = -1;
   double residual = 0.0;
-  // Exact fast path: a same-key view already on `server` needs no residual
-  // filter/copy, costs zero and is preferred to every other candidate
-  // (costs are non-negative, and an exact match wins a tie), so the scan
-  // is skipped outright. The fingerprint sub-bucket preserves insertion
-  // order, so the earliest such view wins.
-  const auto fit =
-      bucket.by_fingerprint.find(PredicateFingerprint(needed.predicates));
-  if (fit != bucket.by_fingerprint.end() && cluster_->is_up(server)) {
-    for (const int id : fit->second) {
-      const GPNode& cand = nodes_[static_cast<size_t>(id)];
-      if (cand.alive && cand.server == server && cand.key == needed) {
-        best = id;
-        break;
-      }
-    }
-  }
-  if (best < 0) {
-    best = ScanForBestReuse(bucket, needed, server, needed_key_id,
-                            &residual);
-  }
+  const int best = ScanForBestReuse(it->second, needed, server, &residual);
   best_source_cache_[cache_key] = BestSource{epoch_, liveness, best,
                                              residual};
   if (best >= 0) *residual_cost = residual;
@@ -264,8 +221,8 @@ bool GlobalPlan::LivenessRulesOut(const Sharing& sharing) const {
     const bool covered = std::any_of(
         by_tables_.begin(), by_tables_.end(), [&](const auto& entry) {
           return TableSet(entry.first).Contains(t) &&
-                 std::any_of(entry.second.ids.begin(),
-                             entry.second.ids.end(), on_up_server);
+                 std::any_of(entry.second.begin(), entry.second.end(),
+                             on_up_server);
         });
     if (!covered) return true;
   }
@@ -291,15 +248,14 @@ int GlobalPlan::CreateNode(GPNode node) {
   node.load = NodeLoad(node);
   node.refcount = 0;
   node.alive = true;
-  node.pred_fp = PredicateFingerprint(node.key.predicates);
   node.pred_sig = PredicateSignature(node.key.predicates);
-  node.key_id = InternKey(node.key);
+  // Interned on creation too, so key ids (and ComputeReuseStats's order)
+  // follow first appearance even for keys no reuse probe reached.
+  InternKey(node.key);
   const int id = static_cast<int>(nodes_.size());
   total_cost_ += node.cost;
   server_load_[node.server] += node.load;
-  TableBucket& bucket = by_tables_[node.key.tables.mask()];
-  bucket.ids.push_back(id);
-  bucket.by_fingerprint[node.pred_fp].push_back(id);
+  by_tables_[node.key.tables.mask()].push_back(id);
   ++alive_count_;
   ++epoch_;
   nodes_.push_back(std::move(node));
@@ -316,13 +272,8 @@ void GlobalPlan::KillNode(int id) {
   node.alive = false;
   total_cost_ -= node.cost;
   server_load_[node.server] -= node.load;
-  TableBucket& bucket = by_tables_[node.key.tables.mask()];
-  bucket.ids.erase(std::remove(bucket.ids.begin(), bucket.ids.end(), id),
-                   bucket.ids.end());
-  auto& fp_bucket = bucket.by_fingerprint[node.pred_fp];
-  fp_bucket.erase(std::remove(fp_bucket.begin(), fp_bucket.end(), id),
-                  fp_bucket.end());
-  if (fp_bucket.empty()) bucket.by_fingerprint.erase(node.pred_fp);
+  std::vector<int>& bucket = by_tables_[node.key.tables.mask()];
+  bucket.erase(std::remove(bucket.begin(), bucket.end(), id), bucket.end());
   --alive_count_;
   ++epoch_;
   DSM_METRIC_COUNTER_ADD("dsm.globalplan.nodes_killed", 1);
@@ -483,17 +434,10 @@ double GlobalPlan::ServerLoad(ServerId server) const {
 bool GlobalPlan::HasUnpredicatedView(TableSet tables) const {
   const auto it = by_tables_.find(tables.mask());
   if (it == by_tables_.end()) return false;
-  // The unpredicated view, if any, lives in the empty-fingerprint
-  // sub-bucket; other fingerprints can only collide into it, so the
-  // predicate check below still verifies.
-  static const uint64_t kEmptyFp = PredicateFingerprint({});
-  const auto fit = it->second.by_fingerprint.find(kEmptyFp);
-  if (fit == it->second.by_fingerprint.end()) return false;
-  for (const int id : fit->second) {
+  return std::any_of(it->second.begin(), it->second.end(), [this](int id) {
     const GPNode& node = nodes_[static_cast<size_t>(id)];
-    if (node.alive && node.key.predicates.empty()) return true;
-  }
-  return false;
+    return node.alive && node.key.predicates.empty();
+  });
 }
 
 std::vector<SharingId> GlobalPlan::SharingsTouchingServer(

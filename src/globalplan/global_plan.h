@@ -10,17 +10,15 @@
 // The structure also keeps the bookkeeping fair costing needs: per-sharing
 // GPC, and saving(r)/num(r) for every intermediate result (Definition 5.1).
 //
-// Admission is the hot path once plans number in the thousands, so reuse
-// lookup is indexed (see DESIGN.md §11): buckets by table mask are
-// sub-bucketed by predicate fingerprint (exact matches in O(1)), a
-// per-(key, server) best-source cache short-circuits repeated probes, and
-// the scan behind both memoizes Subsumes verdicts and residual costs on
-// interned key ids. Cached answers are epoch-invalidated (structure epoch
-// bumped on node create/kill, cluster liveness epoch on server up/down).
+// Reuse lookup (DESIGN.md §11) buckets alive views by table mask. One
+// per-(key, server) best-source cache answers repeated probes; on a miss
+// one scan of the bucket finds the answer. Cached answers are
+// epoch-invalidated (structure epoch bumped on node create/kill, cluster
+// liveness epoch on server up/down).
 // tests/globalplan/reuse_oracle_test.cc checks every decision against a
 // brute-force pass over the alive views.
-// Admission is single-threaded, so the caches are unlocked and no method
-// is thread-safe — not even the const ones.
+// Admission is single-threaded, so the cache is unlocked and no method is
+// thread-safe — not even the const ones.
 
 #ifndef DSM_GLOBALPLAN_GLOBAL_PLAN_H_
 #define DSM_GLOBALPLAN_GLOBAL_PLAN_H_
@@ -98,7 +96,7 @@ class GlobalPlan {
   GlobalPlan& operator=(const GlobalPlan&) = delete;
 
   // Dry run: what would integrating `plan` cost, and is it feasible?
-  // Not thread-safe: though const, it fills the reuse caches.
+  // Not thread-safe: though const, it fills the reuse cache.
   PlanEvaluation EvaluatePlan(const SharingPlan& plan) const {
     return EvaluatePlan(plan, AddOptions{});
   }
@@ -202,18 +200,7 @@ class GlobalPlan {
     double load = 0.0;
     int refcount = 0;
     bool alive = true;
-    int key_id = -1;        // InternKey(key), set by CreateNode
-    uint64_t pred_fp = 0;   // PredicateFingerprint(key.predicates)
     uint64_t pred_sig = 0;  // PredicateSignature(key.predicates)
-  };
-
-  // Alive node ids over one table mask. `ids` keeps insertion order (the
-  // scan order, which tie-breaking depends on); `by_fingerprint`
-  // sub-buckets the same ids by predicate fingerprint so an exact-key probe
-  // touches only candidates with identical predicate sets.
-  struct TableBucket {
-    std::vector<int> ids;
-    std::unordered_map<uint64_t, std::vector<int>> by_fingerprint;
   };
 
   // Cached result of one (needed key, server) reuse probe.
@@ -229,14 +216,12 @@ class GlobalPlan {
   int FindBestReuse(const ViewKey& needed, ServerId server,
                     const AddOptions& options, double* residual_cost) const;
 
-  // Linear scan over `bucket.ids` for the cheapest alive subsuming view on
-  // an up server: the index's fallback when no exact same-server match
-  // exists. `needed_key_id` is InternKey(needed); Subsumes verdicts are
-  // memoized on (candidate key id, needed key id), residual costs on
-  // (candidate, needed key id, server) for stateless cost models.
-  int ScanForBestReuse(const TableBucket& bucket, const ViewKey& needed,
-                       ServerId server, int needed_key_id,
-                       double* residual_cost) const;
+  // Scans `bucket` (alive ids of needed's table set, insertion order) for
+  // the cheapest alive subsuming view on an up server. The first exact
+  // same-key view on `server` wins outright at residual 0; otherwise the
+  // cheapest residual wins, and near-ties keep the earliest candidate.
+  int ScanForBestReuse(const std::vector<int>& bucket, const ViewKey& needed,
+                       ServerId server, double* residual_cost) const;
 
   // Interns `key`, returning its dense id.
   int InternKey(const ViewKey& key) const;
@@ -259,8 +244,9 @@ class GlobalPlan {
   CostModel* model_;
 
   std::vector<GPNode> nodes_;
-  // tables mask -> alive GP node ids over that table set (reuse index).
-  std::unordered_map<uint64_t, TableBucket> by_tables_;
+  // tables mask -> alive GP node ids over that table set, in insertion
+  // order (the scan order, which tie-breaking depends on).
+  std::unordered_map<uint64_t, std::vector<int>> by_tables_;
   std::map<SharingId, SharingRecord> records_;
   std::map<SharingId, std::vector<int>> closures_;  // refcounted node sets
 
@@ -276,19 +262,14 @@ class GlobalPlan {
   // older epoch (or an older cluster liveness epoch) are stale.
   uint64_t epoch_ = 0;
 
-  // Read-side caches filled from const EvaluatePlan paths. Values are pure
-  // functions of (structure epoch, liveness epoch, key, server), so a fill
-  // never changes a decision.
+  // Filled by reuse probes (const EvaluatePlan paths included) and
+  // CreateNode. Interned ids key the best-source cache and
+  // SharingRecord::distinct_keys.
   mutable std::unordered_map<ViewKey, int, ViewKeyHash> key_intern_;
   mutable std::vector<ViewKey> interned_keys_;  // id -> key (reverse table)
-  // (candidate key id << 32 | needed key id) -> Subsumes verdict.
-  mutable std::unordered_map<uint64_t, bool> subsumes_memo_;
-  // (GP node id << 40 | needed key id << 16 | server) -> residual
-  // FilterCopyCost. Only filled for stateless cost models (see
-  // CostModel::HasPureQueries); never invalidated, since node
-  // ids are not reused and a node's key/server are immutable.
-  mutable std::unordered_map<uint64_t, double> residual_cost_memo_;
-  // (needed key id << 32 | server) -> cached best source.
+  // (needed key id << 32 | server) -> best source. Values are pure
+  // functions of (structure epoch, liveness epoch, key, server), so a fill
+  // never changes a decision.
   mutable std::unordered_map<uint64_t, BestSource> best_source_cache_;
 };
 

@@ -61,6 +61,9 @@ Status MarketSimulation::ScheduleServerFailure(int tick, ServerId server) {
   if (server >= cluster_->num_servers()) {
     return Status::InvalidArgument("no such server");
   }
+  if (tick < ticks_elapsed_) {
+    return Status::InvalidArgument("tick already elapsed");
+  }
   events_.push_back(ServerEvent{tick, server, /*up=*/false});
   return Status::OK();
 }
@@ -72,6 +75,9 @@ Status MarketSimulation::ScheduleServerRecovery(int tick, ServerId server) {
   }
   if (server >= cluster_->num_servers()) {
     return Status::InvalidArgument("no such server");
+  }
+  if (tick < ticks_elapsed_) {
+    return Status::InvalidArgument("tick already elapsed");
   }
   events_.push_back(ServerEvent{tick, server, /*up=*/true});
   return Status::OK();

@@ -78,7 +78,8 @@ class MarketSimulation {
   void AttachFaultDomain(Cluster* cluster, RecoveryPlanner* recovery);
 
   // Schedules server `s` to fail (resp. return) at the start of absolute
-  // tick `tick` (ticks count from 0 across Run() calls).
+  // tick `tick` (ticks count from 0 across Run() calls). A tick before
+  // ticks_elapsed() would never fire and is rejected (InvalidArgument).
   Status ScheduleServerFailure(int tick, ServerId server);
   Status ScheduleServerRecovery(int tick, ServerId server);
 

@@ -9,7 +9,7 @@ Result<ReplanReport> Replanner::Improve() {
   ReplanReport report;
   report.cost_before = gp->TotalCost();
 
-  for (int round = 0; round < options_.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     const double round_start_cost = gp->TotalCost();
     bool changed = false;
 
@@ -47,8 +47,7 @@ Result<ReplanReport> Replanner::Improve() {
 
     ++report.rounds;
     const double gained = round_start_cost - gp->TotalCost();
-    if (!changed ||
-        gained <= options_.min_relative_gain * round_start_cost) {
+    if (!changed || gained <= kMinRelativeGain * round_start_cost) {
       break;
     }
   }

@@ -15,13 +15,6 @@
 
 namespace dsm {
 
-struct ReplannerOptions {
-  // Maximum improvement sweeps over all sharings per Improve() call.
-  int max_rounds = 2;
-  // Stop a sweep early once relative improvement falls below this.
-  double min_relative_gain = 1e-6;
-};
-
 struct ReplanReport {
   double cost_before = 0.0;
   double cost_after = 0.0;
@@ -31,15 +24,19 @@ struct ReplanReport {
 
 class Replanner {
  public:
-  Replanner(PlannerContext context, ReplannerOptions options = {})
-      : ctx_(context), options_(options) {}
+  explicit Replanner(PlannerContext context) : ctx_(context) {}
 
-  // Greedily improves the global plan by re-planning existing sharings.
+  // Greedily improves the global plan by re-planning existing sharings:
+  // at most kMaxRounds sweeps over all sharings, stopping early once a
+  // sweep changes no plan or gains no more than kMinRelativeGain of the
+  // cost it started from.
   Result<ReplanReport> Improve();
 
  private:
+  static constexpr int kMaxRounds = 2;
+  static constexpr double kMinRelativeGain = 1e-6;
+
   PlannerContext ctx_;
-  ReplannerOptions options_;
 };
 
 }  // namespace dsm

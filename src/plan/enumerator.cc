@@ -126,11 +126,11 @@ Result<std::vector<SharingPlan>> PlanEnumerator::EnumerateChoice(
             }
             candidates[num_candidates++] = s;
           };
+          // Each join may sit on either child's server or at the
+          // sharing's destination.
           add_candidate(f1->node.server);
           add_candidate(f2->node.server);
-          if (options_.consider_destination_server) {
-            add_candidate(sharing.destination());
-          }
+          add_candidate(sharing.destination());
           for (size_t ci = 0; ci < num_candidates; ++ci) {
             PlanNode join;
             join.type = PlanNodeType::kJoin;

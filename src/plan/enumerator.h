@@ -41,9 +41,6 @@ struct EnumeratorOptions {
   // Enumerate leaf-pushdown vs. root placement per predicate. When false,
   // all predicates are applied at the root.
   bool predicate_placement = true;
-  // Also consider materializing each join at the sharing's destination
-  // server (in addition to the children's servers).
-  bool consider_destination_server = true;
 };
 
 class PlanEnumerator {

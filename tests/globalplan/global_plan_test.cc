@@ -186,6 +186,33 @@ TEST_F(GlobalPlanTest, RemoveSharingDropsOrphans) {
   EXPECT_EQ(gp_->num_alive_views(), 0u);
 }
 
+TEST_F(GlobalPlanTest, HasUnpredicatedViewIgnoresPredicatedViews) {
+  // A pushdown plan for a filtered ab: every node over {a, b} carries the
+  // predicate, so the bucket of {a, b} holds only predicated views.
+  const Sharing filtered(TS({a_, b_}), {P(a_, 50)}, 0);
+  const auto plans = enumerator_->Enumerate(filtered);
+  ASSERT_TRUE(plans.ok());
+  const auto pushdown = std::find_if(
+      plans->begin(), plans->end(), [this](const SharingPlan& plan) {
+        return std::none_of(
+            plan.nodes.begin(), plan.nodes.end(), [this](const PlanNode& n) {
+              return n.key.tables == TS({a_, b_}) && n.key.predicates.empty();
+            });
+      });
+  ASSERT_NE(pushdown, plans->end());
+  ASSERT_TRUE(gp_->AddSharing(1, filtered, *pushdown).ok());
+  EXPECT_FALSE(gp_->HasUnpredicatedView(TS({a_, b_})));
+
+  const Sharing full(TS({a_, b_}), {}, 0);
+  ASSERT_TRUE(gp_->AddSharing(2, full, PlanFor(full, true)).ok());
+  EXPECT_TRUE(gp_->HasUnpredicatedView(TS({a_, b_})));
+
+  // The predicated views stay alive; only the unpredicated one goes.
+  ASSERT_TRUE(gp_->RemoveSharing(2).ok());
+  EXPECT_GT(gp_->num_alive_views(), 0u);
+  EXPECT_FALSE(gp_->HasUnpredicatedView(TS({a_, b_})));
+}
+
 TEST_F(GlobalPlanTest, SharedNodeSurvivesProducerRemoval) {
   const Sharing s1(TS({a_, b_}), {}, 0);
   const Sharing s2(TS({a_, b_, c_}), {}, 0);

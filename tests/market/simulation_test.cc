@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cost/default_cost_model.h"
+#include "online/recovery_planner.h"
 #include "workload/twitter.h"
 
 namespace dsm {
@@ -88,6 +90,34 @@ TEST_F(SimulationTest, ZeroScaleAppliesNothing) {
           .ok());
   ASSERT_TRUE(sim.Run(3, 0.0).ok());
   EXPECT_EQ(sim.updates_applied(), 0u);
+}
+
+TEST_F(SimulationTest, RejectsEventsInThePast) {
+  Cluster cluster;
+  for (int i = 0; i < 3; ++i) cluster.AddServer("m" + std::to_string(i));
+  cluster.PlaceRoundRobin(catalog_.num_tables());
+  const JoinGraph graph = JoinGraph::FromCatalog(catalog_);
+  DefaultCostModel model(&catalog_, &cluster);
+  PlanEnumerator enumerator(&catalog_, &cluster, &graph, &model);
+  GlobalPlan gp(&cluster, &model);
+  RecoveryPlanner recovery(PlannerContext{&catalog_, &cluster, &graph,
+                                          &model, &gp, &enumerator});
+  MarketSimulation sim(&catalog_, 82);
+  sim.AttachFaultDomain(&cluster, &recovery);
+  ASSERT_TRUE(sim.Run(2, 0.0).ok());
+
+  // Ticks 0 and -1 have passed; such an event could never fire.
+  for (const int tick : {0, -1}) {
+    EXPECT_EQ(sim.ScheduleServerFailure(tick, 1).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(sim.ScheduleServerRecovery(tick, 1).code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The current tick is still ahead of the next Run's first step.
+  ASSERT_TRUE(sim.ScheduleServerFailure(2, 1).ok());
+  ASSERT_TRUE(sim.Run(1, 0.0).ok());
+  EXPECT_EQ(sim.recovery_stats().failures, 1);
+  EXPECT_FALSE(cluster.is_up(1));
 }
 
 }  // namespace
