@@ -9,7 +9,9 @@
 //      ends with an auditable bill and verified view contents.
 
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "cost/default_cost_model.h"
 #include "costing/costing_session.h"
@@ -42,6 +44,9 @@ int main() {
   const size_t picks[] = {4, 1, 5, 9, 4};  // S5, S2, S6, S10, S5 again
   std::printf("five buyers purchase sharings (S5, S2, S6, S10, S5):\n\n");
   std::vector<dsm::SharingId> ids;
+  // The session keeps only its latest snapshot; the per-refresh AC table
+  // printed below is collected from Refresh()'s return values.
+  std::vector<std::map<dsm::SharingId, double>> ac_history;
   for (const size_t pick : picks) {
     const auto choice = planner.ProcessSharing(base[pick]);
     if (!choice.ok()) return 1;
@@ -52,7 +57,9 @@ int main() {
                 choice->marginal_cost,
                 choice->reused_identical ? "  (identical; plan reused)"
                                          : "");
-    if (!costing.Refresh().ok()) return 1;
+    const auto snapshot = costing.Refresh();
+    if (!snapshot.ok()) return 1;
+    ac_history.push_back(snapshot->ac);
   }
 
   std::printf("\n%s\n", dsm::ExplainGlobalPlan(global_plan, cluster,
@@ -63,9 +70,9 @@ int main() {
 
   std::printf("attributed-cost history (AC per refresh; ACs drift as "
               "reuse appears, never above LPC):\n");
-  for (size_t r = 0; r < costing.history().size(); ++r) {
+  for (size_t r = 0; r < ac_history.size(); ++r) {
     std::printf("  after buyer %zu:", r + 1);
-    for (const auto& [id, ac] : costing.history()[r].ac) {
+    for (const auto& [id, ac] : ac_history[r]) {
       std::printf(" S%llu=$%.5f", static_cast<unsigned long long>(id), ac);
     }
     std::printf("\n");
@@ -138,9 +145,9 @@ int main() {
   std::printf("  all views (including re-admitted) verified ✓\n");
 
   // --- Final bill -------------------------------------------------------
-  const auto& last = costing.history().back();
+  const dsm::CostingSession::Snapshot* last = costing.latest();
   std::printf("\nfinal bill (per time unit): total $%.5f, fairness alpha "
               "%.3f\n",
-              last.global_cost, last.alpha);
+              last->global_cost, last->alpha);
   return 0;
 }

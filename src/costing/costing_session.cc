@@ -25,31 +25,27 @@ Result<CostingSession::Snapshot> CostingSession::Refresh() {
     snapshot.ac[problem.ids[i]] = result.ac[i];
     snapshot.lpc[problem.ids[i]] = problem.entries[i].lpc;
   }
-  history_.push_back(snapshot);
+
+  // Drift against the previous refresh, for sharings present in both.
+  if (const Snapshot* prev = latest()) {
+    for (const auto& [id, ac] : snapshot.ac) {
+      const auto it = prev->ac.find(id);
+      if (it == prev->ac.end()) continue;
+      const double lpc = snapshot.lpc.at(id);
+      if (lpc <= 0.0) continue;
+      max_ac_increase_ = std::max(max_ac_increase_, (ac - it->second) / lpc);
+    }
+  }
+  latest_.assign(1, snapshot);
+  ++num_refreshes_;
   return snapshot;
 }
 
-double CostingSession::MaxAcIncreaseFractionOfLpc() const {
-  double worst = 0.0;
-  for (size_t i = 1; i < history_.size(); ++i) {
-    const Snapshot& prev = history_[i - 1];
-    const Snapshot& cur = history_[i];
-    for (const auto& [id, ac] : cur.ac) {
-      const auto it = prev.ac.find(id);
-      if (it == prev.ac.end()) continue;
-      const auto lpc_it = cur.lpc.find(id);
-      const double lpc = lpc_it == cur.lpc.end() ? 0.0 : lpc_it->second;
-      if (lpc <= 0.0) continue;
-      worst = std::max(worst, (ac - it->second) / lpc);
-    }
-  }
-  return worst;
-}
-
 double CostingSession::CurrentAc(SharingId id) const {
-  if (history_.empty()) return -1.0;
-  const auto it = history_.back().ac.find(id);
-  return it == history_.back().ac.end() ? -1.0 : it->second;
+  const Snapshot* last = latest();
+  if (last == nullptr) return -1.0;
+  const auto it = last->ac.find(id);
+  return it == last->ac.end() ? -1.0 : it->second;
 }
 
 }  // namespace dsm

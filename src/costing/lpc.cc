@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "obs/metrics.h"
+
 namespace dsm {
 
 Result<double> LpcCalculator::Lpc(const Sharing& sharing) {
@@ -16,6 +18,7 @@ Result<double> LpcCalculator::Lpc(const Sharing& sharing) {
     }
   }
 
+  DSM_METRIC_COUNTER_ADD("dsm.costing.lpc_enumerations", 1);
   DSM_ASSIGN_OR_RETURN(const std::vector<SharingPlan> plans,
                        enumerator_->Enumerate(sharing));
   if (plans.empty()) {

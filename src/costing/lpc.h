@@ -1,6 +1,12 @@
 // LPC(S): the lowest possible cost of a sharing — the cheapest standalone
 // plan, with no reuse of any other sharing's views (Section 5, criterion
 // (2)). "It represents the actual complexity of S."
+//
+// Planners record each admitted sharing's LPC from the plans they already
+// priced (GlobalPlan::SharingRecord::lpc). This calculator is the
+// from-scratch path for records that carry none: plans built by hand and
+// restored global plans. Each memo miss enumerates the sharing's plans
+// and bumps dsm.costing.lpc_enumerations.
 
 #ifndef DSM_COSTING_LPC_H_
 #define DSM_COSTING_LPC_H_

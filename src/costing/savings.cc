@@ -28,7 +28,13 @@ Result<FairCostProblem> BuildFairCostProblem(
     FairCostEntry entry;
     entry.id = id;
     entry.gpc = rec.gpc;
-    DSM_ASSIGN_OR_RETURN(entry.lpc, lpc->Lpc(rec.sharing));
+    // The admitting planner priced every plan already; only hand-built
+    // and restored records are enumerated again.
+    if (rec.lpc.has_value()) {
+      entry.lpc = *rec.lpc;
+    } else {
+      DSM_ASSIGN_OR_RETURN(entry.lpc, lpc->Lpc(rec.sharing));
+    }
 
     // Σ_{r ∈ S's plan} saving(r)/num(r), over distinct intermediate
     // results of the sharing's individual plan.

@@ -1,6 +1,8 @@
 // Builds a FairCost problem (entries + global cost) from a live GlobalPlan:
-// LPCs via plan enumeration, GPCs and saving(r)/num(r) from the global
-// plan's per-sharing records, and the identity/containment partial order.
+// LPCs, GPCs and saving(r)/num(r) from the global plan's per-sharing
+// records, and the identity/containment partial order. A record admitted
+// by a planner carries its LPC; `lpc` prices the rest (hand-built and
+// restored records) by enumeration.
 
 #ifndef DSM_COSTING_SAVINGS_H_
 #define DSM_COSTING_SAVINGS_H_

@@ -118,8 +118,10 @@ void GlobalPlan::Decide(const SharingPlan& plan, const AddOptions& options,
   eval->decisions.assign(n, NodeDecision{});
 
   std::vector<double> op_cost(n);
+  eval->standalone_cost = 0.0;
   for (size_t i = 0; i < n; ++i) {
     op_cost[i] = PlanNodeCost(plan, i, model_);
+    eval->standalone_cost += op_cost[i];  // PlanCost's order and rounding
   }
 
   std::function<void(int)> mark_skipped = [&](int i) {
@@ -284,7 +286,7 @@ void GlobalPlan::KillNode(int id) {
 
 Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
     SharingId id, const Sharing& sharing, const SharingPlan& plan,
-    const AddOptions& options) {
+    const AddOptions& options, std::optional<double> lpc) {
   if (records_.count(id) != 0) {
     return Status::AlreadyExists("sharing id already integrated");
   }
@@ -304,6 +306,7 @@ Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
   rec.standalone_cost.assign(n, 0.0);
   rec.subtree_cost.assign(n, 0.0);
   rec.marginal_cost = eval.marginal_cost;
+  rec.lpc = lpc;
 
   for (size_t i = 0; i < n; ++i) {
     const PlanNode& pn = plan.nodes[i];
@@ -362,9 +365,7 @@ Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
     }
   }
 
-  double standalone_total = 0.0;
-  for (const double c : rec.standalone_cost) standalone_total += c;
-  rec.gpc = standalone_total + rec.residual_cost;
+  rec.gpc = eval.standalone_cost + rec.residual_cost;
 
   // Distinct non-leaf keys, interned once at admission so every later
   // costing refresh aggregates savings over dense ids. Plans are small, so

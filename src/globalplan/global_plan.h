@@ -24,6 +24,7 @@
 #define DSM_GLOBALPLAN_GLOBAL_PLAN_H_
 
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -54,6 +55,10 @@ class GlobalPlan {
 
   struct PlanEvaluation {
     double marginal_cost = 0.0;  // total additional $ (GREEDY's criterion)
+    // Σ per-node op cost with no reuse, summed in node-index order: equal
+    // bit for bit to PlanCost(plan, model). Its minimum over a sharing's
+    // enumerated plans is the sharing's LPC (Section 5, criterion (2)).
+    double standalone_cost = 0.0;
     bool feasible = true;        // all server capacities respected
     std::vector<NodeDecision> decisions;  // parallel to plan.nodes
   };
@@ -76,6 +81,10 @@ class GlobalPlan {
     double residual_cost = 0.0;  // extra filter/copy ops created on reuse
     double marginal_cost = 0.0;  // $ the sharing added when integrated
     double gpc = 0.0;            // GPC(S): Σ standalone + residual ops
+    // LPC(S) as priced by the admitting planner (min standalone_cost over
+    // every enumerated plan); empty for hand-built or restored records,
+    // which costing prices from scratch.
+    std::optional<double> lpc;
     // Distinct non-leaf plan keys as (interned key id, first plan-node
     // index), in first-appearance order. Lets the per-refresh saving
     // aggregation run on dense integer ids instead of re-hashing ViewKeys
@@ -124,14 +133,17 @@ class GlobalPlan {
   bool LivenessRulesOut(const Sharing& sharing) const;
 
   // Integrates the plan (no feasibility enforcement here; planners check
-  // EvaluatePlan().feasible first, per Algorithm 2).
+  // EvaluatePlan().feasible first, per Algorithm 2). `lpc` is stored in the
+  // record as the sharing's LPC; planners pass the one they priced.
   Result<PlanEvaluation> AddSharing(SharingId id, const Sharing& sharing,
-                                    const SharingPlan& plan) {
-    return AddSharing(id, sharing, plan, AddOptions{});
+                                    const SharingPlan& plan,
+                                    std::optional<double> lpc = std::nullopt) {
+    return AddSharing(id, sharing, plan, AddOptions{}, lpc);
   }
   Result<PlanEvaluation> AddSharing(SharingId id, const Sharing& sharing,
                                     const SharingPlan& plan,
-                                    const AddOptions& options);
+                                    const AddOptions& options,
+                                    std::optional<double> lpc = std::nullopt);
 
   // Removes a sharing; views no longer referenced by anyone are dropped.
   Status RemoveSharing(SharingId id);

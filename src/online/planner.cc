@@ -1,6 +1,7 @@
 #include "online/planner.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -41,7 +42,8 @@ Result<PlanChoice> OnlinePlanner::ProcessSharing(const Sharing& sharing) {
     if (probe.feasible) {
       DSM_ASSIGN_OR_RETURN(
           const GlobalPlan::PlanEvaluation eval,
-          ctx_.global_plan->AddSharing(id, sharing, it->second.plan));
+          ctx_.global_plan->AddSharing(id, sharing, it->second.plan,
+                                       it->second.lpc));
       OnPlanChosen(sharing, it->second.plan, eval);
       DSM_METRIC_COUNTER_ADD("dsm.online.sharings_planned", 1);
       DSM_METRIC_COUNTER_ADD("dsm.online.reuse_identical_hits", 1);
@@ -75,9 +77,13 @@ Result<PlanChoice> OnlinePlanner::ProcessSharing(const Sharing& sharing) {
   // (TableDrivenCostModel) draws memoized costs in first-query order, and
   // scorers may hold order-sensitive state (NORMALIZE's counts,
   // MANAGEDRISK's tracker and cost model).
+  // The dry runs also price every plan standalone, so the sharing's LPC
+  // (cheapest standalone plan, feasible or not) comes for free.
   std::vector<GlobalPlan::PlanEvaluation> evals(plans.size());
+  double lpc = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < plans.size(); ++i) {
     evals[i] = ctx_.global_plan->EvaluatePlan(plans[i]);
+    lpc = std::min(lpc, evals[i].standalone_cost);
   }
 
   struct Scored {
@@ -101,9 +107,9 @@ Result<PlanChoice> OnlinePlanner::ProcessSharing(const Sharing& sharing) {
     if (!cand.eval.feasible) continue;
     DSM_ASSIGN_OR_RETURN(
         const GlobalPlan::PlanEvaluation eval,
-        ctx_.global_plan->AddSharing(id, sharing, plans[cand.index]));
+        ctx_.global_plan->AddSharing(id, sharing, plans[cand.index], lpc));
     OnPlanChosen(sharing, plans[cand.index], eval);
-    identical_plans_[ident] = IdenticalEntry{sharing, plans[cand.index]};
+    identical_plans_[ident] = IdenticalEntry{sharing, plans[cand.index], lpc};
     DSM_METRIC_COUNTER_ADD("dsm.online.sharings_planned", 1);
     PlanChoice choice;
     choice.id = id;

@@ -102,12 +102,13 @@ class OnlinePlanner {
   PlannerContext ctx_;
 
  private:
-  // A previously planned sharing and the plan chosen for it; the sharing
-  // itself is kept so a 64-bit hash collision cannot smuggle in another
-  // query's plan.
+  // A previously planned sharing, the plan chosen for it and its LPC; the
+  // sharing itself is kept so a 64-bit hash collision cannot smuggle in
+  // another query's plan.
   struct IdenticalEntry {
     Sharing sharing;
     SharingPlan plan;
+    double lpc = 0.0;
   };
 
   SharingId next_id_ = 1;

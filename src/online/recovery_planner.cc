@@ -24,8 +24,10 @@ Result<double> RecoveryPlanner::PlanOnLiveServers(SharingId id,
                        ctx_.enumerator->Enumerate(sharing));
   const SharingPlan* best = nullptr;
   double best_marginal = std::numeric_limits<double>::infinity();
+  double lpc = std::numeric_limits<double>::infinity();
   for (const SharingPlan& plan : plans) {
     const GlobalPlan::PlanEvaluation eval = gp->EvaluatePlan(plan);
+    lpc = std::min(lpc, eval.standalone_cost);
     if (!eval.feasible) continue;
     if (eval.marginal_cost < best_marginal) {
       best_marginal = eval.marginal_cost;
@@ -37,7 +39,7 @@ Result<double> RecoveryPlanner::PlanOnLiveServers(SharingId id,
         "no plan fits on the live servers; sharing parked");
   }
   DSM_ASSIGN_OR_RETURN(const GlobalPlan::PlanEvaluation eval,
-                       gp->AddSharing(id, sharing, *best));
+                       gp->AddSharing(id, sharing, *best, lpc));
   return eval.marginal_cost;
 }
 

@@ -1,6 +1,8 @@
 #include "online/replanner.h"
 
+#include <algorithm>
 #include <limits>
+#include <optional>
 
 namespace dsm {
 
@@ -25,6 +27,7 @@ Result<ReplanReport> Replanner::Improve() {
                            ctx_.enumerator->Enumerate(sharing));
       const SharingPlan* best = &original;
       double best_marginal = std::numeric_limits<double>::infinity();
+      double lpc = std::numeric_limits<double>::infinity();
       {
         const GlobalPlan::PlanEvaluation orig_eval =
             gp->EvaluatePlan(original);
@@ -32,13 +35,17 @@ Result<ReplanReport> Replanner::Improve() {
       }
       for (const SharingPlan& plan : plans) {
         const GlobalPlan::PlanEvaluation eval = gp->EvaluatePlan(plan);
+        lpc = std::min(lpc, eval.standalone_cost);
         if (!eval.feasible) continue;
         if (eval.marginal_cost < best_marginal) {
           best_marginal = eval.marginal_cost;
           best = &plan;
         }
       }
-      DSM_RETURN_IF_ERROR(gp->AddSharing(id, sharing, *best).status());
+      // No plans leaves no LPC to record; costing then prices it afresh.
+      const std::optional<double> priced =
+          plans.empty() ? std::nullopt : std::optional<double>(lpc);
+      DSM_RETURN_IF_ERROR(gp->AddSharing(id, sharing, *best, priced).status());
       if (best != &original) {
         ++report.plans_changed;
         changed = true;

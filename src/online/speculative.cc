@@ -1,5 +1,6 @@
 #include "online/speculative.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "globalplan/global_plan.h"
@@ -24,15 +25,16 @@ Result<SpeculationReport> SpeculativeViewAdvisor::MaybeSpeculate() {
     DSM_ASSIGN_OR_RETURN(std::vector<SharingPlan> plans,
                          ctx.enumerator->Enumerate(view));
     double cheapest = std::numeric_limits<double>::infinity();
+    double lpc = std::numeric_limits<double>::infinity();
     const SharingPlan* best = nullptr;
-    GlobalPlan::PlanEvaluation best_eval;
     for (const SharingPlan& plan : plans) {
-      GlobalPlan::PlanEvaluation eval = ctx.global_plan->EvaluatePlan(plan);
+      const GlobalPlan::PlanEvaluation eval =
+          ctx.global_plan->EvaluatePlan(plan);
+      lpc = std::min(lpc, eval.standalone_cost);
       if (!eval.feasible) continue;
       if (eval.marginal_cost < cheapest) {
         cheapest = eval.marginal_cost;
         best = &plan;
-        best_eval = std::move(eval);
       }
     }
     if (best == nullptr) continue;
@@ -40,7 +42,7 @@ Result<SpeculationReport> SpeculativeViewAdvisor::MaybeSpeculate() {
 
     const SharingId id = kSpeculativeIdBase + views_created_;
     DSM_RETURN_IF_ERROR(
-        ctx.global_plan->AddSharing(id, view, *best).status());
+        ctx.global_plan->AddSharing(id, view, *best, lpc).status());
     planner_->mutable_tracker()->MarkProduced(tables);
     ++views_created_;
     ++report.views_created;

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "online/managed_risk.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
@@ -68,6 +71,55 @@ TEST(CostingSessionTest, AcsChangeWhenReuseAppears) {
   const double second_shared = session.CurrentAc(2);
   EXPECT_LT(first_shared, first_alone);
   EXPECT_NEAR(first_shared, second_shared, 1e-9);
+}
+
+TEST(CostingSessionTest, BoundedHistoryKeepsTheRunningDrift) {
+  // Arrivals interleaved with removals. The test keeps its own copy of
+  // every Refresh() result and computes the drift statistic over the full
+  // history; the session keeps only the latest snapshot.
+  const Scenario sc = MakeGreedyTrap(10, 10.0, 10.0, 1e-3);
+  auto rig = MakeRig(sc);
+  ManagedRiskPlanner planner(rig.ctx);
+  LpcCalculator lpc(rig.enumerator.get(), rig.ctx.model);
+  CostingSession session(rig.global_plan.get(), &lpc);
+  EXPECT_EQ(session.latest(), nullptr);
+
+  std::vector<CostingSession::Snapshot> full;
+  const auto refresh = [&] {
+    const auto snapshot = session.Refresh();
+    ASSERT_TRUE(snapshot.ok());
+    full.push_back(*snapshot);
+    EXPECT_LE(session.history().size(), 1u);
+    ASSERT_NE(session.latest(), nullptr);
+    EXPECT_EQ(session.latest()->ac, snapshot->ac);
+    EXPECT_EQ(session.num_refreshes(), full.size());
+  };
+  std::vector<SharingId> ids;
+  for (size_t i = 0; i < sc.sharings.size(); ++i) {
+    const auto choice = planner.ProcessSharing(sc.sharings[i]);
+    ASSERT_TRUE(choice.ok());
+    ids.push_back(choice->id);
+    refresh();
+    if (i % 3 == 2) {  // a buyer leaves; the others' ACs rise
+      ASSERT_TRUE(rig.global_plan->RemoveSharing(ids[i - 1]).ok());
+      refresh();
+    }
+  }
+
+  double expected = 0.0;
+  for (size_t r = 1; r < full.size(); ++r) {
+    for (const auto& [id, ac] : full[r].ac) {
+      const auto prev = full[r - 1].ac.find(id);
+      if (prev == full[r - 1].ac.end()) continue;
+      const double sharing_lpc = full[r].lpc.at(id);
+      if (sharing_lpc <= 0.0) continue;
+      expected = std::max(expected, (ac - prev->second) / sharing_lpc);
+    }
+  }
+  EXPECT_GT(expected, 0.0);  // removals did raise some AC
+  EXPECT_EQ(session.MaxAcIncreaseFractionOfLpc(), expected);
+  EXPECT_EQ(session.num_refreshes(), full.size());
+  EXPECT_EQ(session.history().size(), 1u);
 }
 
 TEST(CostingSessionTest, CurrentAcUnknownBeforeRefresh) {
