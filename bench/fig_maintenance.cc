@@ -1,11 +1,11 @@
 // Maintenance-engine throughput (the engine is serial), in two sections:
 //   maintenance_throughput — views × update-rate sweep over a random
 //     chain-join view population.
-//   overlap — N ∈ {25, 100, 400} views drawn from 25 distinct keys (exact
-//     duplicates, and predicated views whose unpredicated twin is
-//     present). Exact duplicates share one engine node, and predicated
-//     nodes are fed from their twin, so join_work, merges and
-//     resident_bytes stay flat in N.
+//   overlap — N ∈ {25, 100, 400} views drawn from 25 distinct keys over 7
+//     table sets (exact duplicates, and predicated views beside their
+//     table set's unpredicated view). Exact duplicates share one engine
+//     node, and every node derives its delta from its table set's one
+//     join, so join_work, merges and resident_bytes stay flat in N.
 // Each cell's time is the median of 5 runs, with min and max (1 run under
 // --smoke).
 //
@@ -124,7 +124,7 @@ Workload MakeWorkload(int num_views, int base_rows, int rounds,
 // the chain — the 2-table windows {i, i+1} and the 3-table windows
 // {i, i+1, i+2} for i = 0..3 and 0..2 — each carry the unpredicated view;
 // the other 18 keys put one to three predicates on those windows, so every
-// predicated view has an unpredicated twin.
+// predicated view shares its table set with an unpredicated view.
 constexpr int kOverlapKeys = 25;
 
 std::vector<ViewKey> OverlapKeys() {
@@ -169,7 +169,7 @@ Workload MakeOverlapWorkload(int num_views, int base_rows, int rounds,
 struct CellResult {
   double seconds = 0.0;
   uint64_t work = 0;
-  // Heap bytes of the engine's row stores (bases, operand caches, views)
+  // Heap bytes of the engine's row stores (bases, views)
   // after the timed rounds.
   int64_t resident_bytes = 0;
 };

@@ -81,14 +81,6 @@ Status DeltaEngine::RegisterBase(TableId table) {
   return Status::OK();
 }
 
-bool DeltaEngine::HasPredicatesOn(const ViewKey& key, TableId table) const {
-  const TableDef& def = catalog_->table(table);
-  for (const Predicate& pred : key.predicates) {
-    if (pred.table == table && pred.column < def.columns.size()) return true;
-  }
-  return false;
-}
-
 const Relation& DeltaEngine::ApplyTablePredicates(const ViewKey& key,
                                                   TableId table,
                                                   const Relation& rel,
@@ -134,8 +126,32 @@ Result<Relation> DeltaEngine::Recompute(
   return full.Project(projection);
 }
 
+Result<const DeltaEngine::TableSetJoin*> DeltaEngine::JoinOf(
+    const TableSet& tables) {
+  const auto it = joins_.find(tables);
+  if (it != joins_.end()) return &it->second;
+  TableSetJoin join;
+  for (const TableId t : tables.ToVector()) {
+    const auto base = bases_.find(t);
+    if (base == bases_.end()) {
+      return Status::NotFound("view references an unregistered base table");
+    }
+    // Recompute's natural-join order: each table's new columns append.
+    for (const std::string& col : base->second.columns()) {
+      if (std::find(join.columns.begin(), join.columns.end(), col) ==
+          join.columns.end()) {
+        join.columns.push_back(col);
+      }
+    }
+  }
+  for (const TableId t : tables.ToVector()) {
+    join.plans[t] = BuildJoinPlan(tables, t);
+  }
+  return &joins_.emplace(tables, std::move(join)).first->second;
+}
+
 std::vector<DeltaEngine::JoinStep> DeltaEngine::BuildJoinPlan(
-    const ViewKey& key, TableId delta_table) const {
+    const TableSet& tables, TableId delta_table) const {
   // Orders the probes by connectivity: each step joins the lowest-id
   // remaining table that shares a column with the schema accumulated so
   // far, so a delta entering mid-chain never takes a cartesian product
@@ -145,7 +161,7 @@ std::vector<DeltaEngine::JoinStep> DeltaEngine::BuildJoinPlan(
   // does the plan fall back to the lowest-id table.
   std::vector<std::string> schema = TableColumnNames(*catalog_, delta_table);
   std::vector<TableId> remaining;
-  for (const TableId other : key.tables.ToVector()) {
+  for (const TableId other : tables.ToVector()) {
     if (other != delta_table) remaining.push_back(other);
   }
   std::vector<JoinStep> steps;
@@ -214,16 +230,26 @@ Result<ViewId> DeltaEngine::RegisterView(const ViewKey& key,
     handles_.push_back({it->second, true});
     return handles_.size() - 1;
   }
-  DSM_ASSIGN_OR_RETURN(Relation initial, Recompute(key, node_key.projection));
+  DSM_ASSIGN_OR_RETURN(const TableSetJoin* join, JoinOf(key.tables));
+  const std::vector<std::string>& proj = node_key.projection;
+  for (auto col = proj.begin(); col != proj.end(); ++col) {
+    if (std::find(join->columns.begin(), join->columns.end(), *col) ==
+        join->columns.end()) {
+      return Status::InvalidArgument("projection column '" + *col +
+                                     "' is not in the view's join");
+    }
+    if (std::find(proj.begin(), col, *col) != col) {
+      return Status::InvalidArgument("projection names column '" + *col +
+                                     "' twice");
+    }
+  }
+  DSM_ASSIGN_OR_RETURN(Relation initial, Recompute(key, proj));
   Node node;
   node.key = key;
-  node.projection = node_key.projection;
+  node.projection = proj;
   node.empty = Relation(initial.columns());
   node.contents = std::move(initial);
   node.live_handles = 1;
-  for (const TableId t : key.tables.ToVector()) {
-    node.join_plans[t] = BuildJoinPlan(key, t);
-  }
   const NodeId id = nodes_.size();
   nodes_.push_back(std::move(node));
   node_of_.emplace(std::move(node_key), id);
@@ -232,81 +258,27 @@ Result<ViewId> DeltaEngine::RegisterView(const ViewKey& key,
   return handles_.size() - 1;
 }
 
-void DeltaEngine::PrepareOperands(NodeId id, TableId table) {
-  const Node& node = nodes_[id];
-  for (const JoinStep& step : node.join_plans.at(table)) {
-    Operand& op = operands_[step.other][id];
-    if (op.filtered == nullptr && !op.use_base) {
-      if (HasPredicatesOn(node.key, step.other)) {
-        Relation scratch;
-        const Relation& filtered = ApplyTablePredicates(
-            node.key, step.other, bases_.at(step.other), &scratch);
-        (void)filtered;  // predicates exist, so `filtered` aliases scratch
-        op.filtered = std::make_unique<Relation>(std::move(scratch));
-      } else {
-        op.use_base = true;
-      }
-      DSM_METRIC_COUNTER_ADD("dsm.maintain.operand_cache_builds", 1);
-    } else {
-      DSM_METRIC_COUNTER_ADD("dsm.maintain.operand_cache_hits", 1);
-    }
-    Relation& rel = op.use_base ? bases_.at(step.other) : *op.filtered;
-    rel.EnsureIndex(step.key_columns);
-  }
-}
-
-const Relation& DeltaEngine::OperandRelation(NodeId id,
-                                             TableId other) const {
-  const Operand& op = operands_.at(other).at(id);
-  return op.use_base ? bases_.at(other) : *op.filtered;
-}
-
-size_t DeltaEngine::num_cached_operands() const {
-  size_t n = 0;
-  for (const auto& [table, by_node] : operands_) n += by_node.size();
-  return n;
-}
-
-Relation DeltaEngine::PipelineDelta(NodeId id, TableId table,
-                                    const Relation& delta,
-                                    uint64_t* work) const {
-  const Node& node = nodes_[id];
-  Relation delta_scratch;
-  const Relation* cur =
-      &ApplyTablePredicates(node.key, table, delta, &delta_scratch);
+Relation DeltaEngine::JoinDelta(const TableSetJoin& join, TableId table,
+                                const Relation& delta) {
+  const Relation* cur = &delta;
   Relation owned;
-  for (const JoinStep& step : node.join_plans.at(table)) {
-    const Relation& operand = OperandRelation(id, step.other);
-    const Relation::JoinIndex* index = operand.FindIndex(step.key_columns);
-    owned = index != nullptr ? NaturalJoin(*cur, operand, *index, work)
-                             : NaturalJoin(*cur, operand, work);
+  for (const JoinStep& step : join.plans.at(table)) {
+    Relation& base = bases_.at(step.other);
+    owned = NaturalJoin(*cur, base, *base.EnsureIndex(step.key_columns),
+                        &work_);
     cur = &owned;
   }
-  // Project to the node's output columns (bag semantics keep projected
-  // deltas exact), then permute into the node's canonical column order.
-  Relation result;
-  if (cur == &owned) {
-    result = std::move(owned);
-  } else if (cur == &delta_scratch) {
-    result = std::move(delta_scratch);
-  } else {
-    result = *cur;  // single-table unpredicated view: shares the delta
-  }
-  if (!node.projection.empty()) {
-    result = result.Project(node.projection);
-  }
-  return result.WithColumnOrder(node.empty.columns());
+  return cur->WithColumnOrder(join.columns);
 }
 
-Relation DeltaEngine::ResidualDelta(NodeId id,
-                                    const Relation& twin_delta) const {
+Relation DeltaEngine::DerivedDelta(NodeId id, const Relation& joined) const {
   // σ_p(A ⋈ B) = σ_p(A) ⋈ B when p names a column of A, and a natural
-  // join keeps every column name of its inputs, so filtering the twin's
-  // result by column name equals running the predicated pipeline. The
+  // join keeps every column name of its inputs, so filtering the table
+  // set's join by column name equals joining the filtered operands. The
   // skip rule matches Recompute's: predicates on tables outside the view
   // or on out-of-range columns never filter.
   const Node& node = nodes_[id];
-  Relation result = twin_delta;  // shares the row store until filtered
+  Relation result = joined;  // shares the row store until filtered
   for (const Predicate& pred : node.key.predicates) {
     if (!node.key.tables.Contains(pred.table)) continue;
     const TableDef& def = catalog_->table(pred.table);
@@ -314,6 +286,7 @@ Relation DeltaEngine::ResidualDelta(NodeId id,
     result = result.Filter(def.columns[pred.column].name, pred.op,
                            pred.value);
   }
+  if (!node.projection.empty()) result = result.Project(node.projection);
   return result.WithColumnOrder(node.empty.columns());
 }
 
@@ -324,85 +297,49 @@ Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
 
   std::vector<NodeId> affected;
   size_t refreshes = 0;  // active views brought up to date
+  size_t derived = 0;    // predicated or projected nodes
   for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id].live_handles > 0 && nodes_[id].key.tables.Contains(table)) {
+    const Node& node = nodes_[id];
+    if (node.live_handles > 0 && node.key.tables.Contains(table)) {
       affected.push_back(id);
-      refreshes += nodes_[id].live_handles;
+      refreshes += node.live_handles;
+      if (!node.key.unpredicated() || !node.projection.empty()) ++derived;
     }
   }
   if (affected.empty()) return Status::OK();
 
-  // Sort the affected nodes by (tables, predicates, projection, id): within
-  // one table set the unpredicated, unprojected node — the twin — sorts
-  // first.
-  std::sort(affected.begin(), affected.end(), [this](NodeId a, NodeId b) {
-    const Node& na = nodes_[a];
-    const Node& nb = nodes_[b];
-    if (na.key.tables.mask() != nb.key.tables.mask()) {
-      return na.key.tables.mask() < nb.key.tables.mask();
-    }
-    if (na.key.predicates != nb.key.predicates) {
-      return na.key.predicates < nb.key.predicates;
-    }
-    if (na.projection != nb.projection) return na.projection < nb.projection;
-    return a < b;
-  });
-
-  // One scan pairs each unprojected predicated node after its table set's
-  // twin with that twin, which feeds it by residual filter; the nodes one
-  // twin feeds are contiguous in `fed`. Every other node runs a pipeline.
-  // Slots, `fed` and Pipeline::slot index `affected`.
-  struct Pipeline {
-    size_t slot = 0;
-    size_t fed_begin = 0;  // [fed_begin, fed_end) indexes `fed`
-    size_t fed_end = 0;
-  };
-  constexpr size_t kNoTwin = static_cast<size_t>(-1);
-  std::vector<Pipeline> pipelines;
-  std::vector<size_t> fed;
-  size_t twin = kNoTwin;  // indexes `pipelines`
-  for (size_t k = 0; k < affected.size(); ++k) {
-    const Node& node = nodes_[affected[k]];
-    if (k > 0 && nodes_[affected[k - 1]].key.tables != node.key.tables) {
-      twin = kNoTwin;
-    }
-    if (node.projection.empty() && node.key.unpredicated()) {
-      twin = pipelines.size();
-    } else if (node.projection.empty() && twin != kNoTwin) {
-      fed.push_back(k);
-      pipelines[twin].fed_end = fed.size();
-      continue;
-    }
-    pipelines.push_back({k, fed.size(), fed.size()});
-  }
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.view_refreshes", refreshes);
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.pipeline_runs", pipelines.size());
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.residual_feeds", fed.size());
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.duplicate_feeds",
-                         refreshes - affected.size());
-
-  // Prelude: materialize every operand cache and index the pipelines will
-  // probe.
-  for (const Pipeline& p : pipelines) PrepareOperands(affected[p.slot], table);
+  // Group the affected nodes by table set.
+  std::stable_sort(affected.begin(), affected.end(),
+                   [this](NodeId a, NodeId b) {
+                     return nodes_[a].key.tables < nodes_[b].key.tables;
+                   });
 
   // Two phases: every node's delta for the round is computed before any is
-  // merged, so a pipeline that throws leaves every node of the round
-  // untouched. Each pipeline fills its node's delta slot, then the slots of
-  // the nodes it feeds by residual filter; empty deltas are dropped at once.
+  // merged, so a join that throws leaves every node of the round
+  // untouched. Each table set's join fills the delta slots of its nodes;
+  // empty deltas are dropped at once.
   std::vector<std::optional<Relation>> deltas(affected.size());
-  for (const Pipeline& p : pipelines) {
-    std::optional<Relation>& out = deltas[p.slot];
-    out = PipelineDelta(affected[p.slot], table, delta, &work_);
-    if (out->DistinctSize() == 0) {
-      out.reset();
-      continue;
+  size_t joins = 0;
+  for (size_t begin = 0, end = 0; begin < affected.size(); begin = end) {
+    const TableSet tables = nodes_[affected[begin]].key.tables;
+    end = begin + 1;
+    while (end < affected.size() &&
+           nodes_[affected[end]].key.tables == tables) {
+      ++end;
     }
-    for (size_t f = p.fed_begin; f < p.fed_end; ++f) {
-      std::optional<Relation>& fed_out = deltas[fed[f]];
-      fed_out = ResidualDelta(affected[fed[f]], *out);
-      if (fed_out->DistinctSize() == 0) fed_out.reset();
+    ++joins;
+    const Relation joined = JoinDelta(joins_.at(tables), table, delta);
+    if (joined.DistinctSize() == 0) continue;
+    for (size_t k = begin; k < end; ++k) {
+      Relation out = DerivedDelta(affected[k], joined);
+      if (out.DistinctSize() != 0) deltas[k] = std::move(out);
     }
   }
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.view_refreshes", refreshes);
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.pipeline_runs", joins);
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.residual_feeds", derived);
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.duplicate_feeds",
+                         refreshes - affected.size());
 
   // Merge each non-empty delta into its node's contents (same schema and
   // order, so the stored row hashes transfer).
@@ -414,23 +351,6 @@ Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
   DSM_METRIC_GAUGE_SET("dsm.maintain.join_work",
                        static_cast<double>(work_));
   return Status::OK();
-}
-
-void DeltaEngine::MergeDelta(TableId table, const Relation& delta) {
-  Relation& base = bases_.at(table);
-  base.ApplyAll(delta);  // also patches the base's indexes
-  // Patch every cached filtered operand over this table — including those
-  // of parked nodes, whose caches must stay consistent with the base for
-  // re-admission.
-  const auto it = operands_.find(table);
-  if (it == operands_.end()) return;
-  for (auto& [id, op] : it->second) {
-    if (op.filtered == nullptr) continue;
-    Relation scratch;
-    op.filtered->ApplyAll(
-        ApplyTablePredicates(nodes_[id].key, table, delta, &scratch));
-    DSM_METRIC_COUNTER_ADD("dsm.maintain.operand_cache_patches", 1);
-  }
 }
 
 Status DeltaEngine::ApplyUpdate(TableId table,
@@ -469,7 +389,7 @@ Status DeltaEngine::ApplyUpdates(std::span<const TableUpdate> updates) {
   }
   for (const auto& [table, delta] : deltas) {
     DSM_RETURN_IF_ERROR(PropagateDelta(table, delta));
-    MergeDelta(table, delta);
+    bases_.at(table).ApplyAll(delta);  // also patches the base's indexes
   }
   ExportTupleStoreMetrics();
   return Status::OK();

@@ -3,38 +3,30 @@
 // The paper's evaluation costs plans analytically, but a real data market
 // must actually keep purchased views fresh. The engine maintains
 // materialized views σ_Q(⋈ T_1..T_k) under base-table inserts and deletes
-// using the counting algorithm: a delta to table t is filtered, joined
-// against the other (current) base tables, and the resulting signed delta
-// is merged into the view — the apply-updates / copy / merge / join
+// using the counting algorithm: a delta to table t is joined against the
+// other (current) base tables, and the resulting signed delta is filtered
+// and merged into the view — the apply-updates / copy / merge / join
 // pipeline of the paper's Figure 2, collapsed onto one machine. It also
 // meters the work performed, providing a measured counterpart to the
 // DefaultCostModel's CPU estimates. Every relation it keeps — bases,
-// deltas, operand caches, views — is a compact columnar Relation
-// (DESIGN.md §12); DeltaEngine::Recompute is the from-scratch oracle the
-// incremental path is tested against.
+// deltas, views — is a compact columnar Relation (DESIGN.md §12);
+// DeltaEngine::Recompute is the from-scratch oracle the incremental path
+// is tested against.
 //
 // Views are held as nodes and handles (DESIGN.md §13). A *node* is one
-// distinct (ViewKey, projection): it owns the materialized contents, the
-// join plans and the operand caches. A *handle* is what RegisterView
-// returns as a ViewId: a node index and an active flag. Any number of
-// handles (one per buyer sharing) can hold one node; the node is live
-// while at least one of them is active.
+// distinct (ViewKey, projection): it owns the materialized contents. A
+// *handle* is what RegisterView returns as a ViewId: a node index and an
+// active flag. Any number of handles (one per buyer sharing) can hold one
+// node; the node is live while at least one of them is active.
 //
-// Two amortizations make maintenance scale with the sharing population
-// (DESIGN.md §10, §13):
-//  * Shared propagation. Each update round computes one delta and does
-//    one merge per affected *node*, however many handles hold it. A
-//    predicated node whose unpredicated twin (same tables, no predicates,
-//    both unprojected) is also affected takes the twin's delta through a
-//    residual filter (σ commutes with the natural join, so this is exact
-//    under bag semantics); every other node runs its own join pipeline.
-//    The twin pairing is rebuilt from the live nodes on every round.
-//  * Operand caching. For every (base table, pipeline-running node) pair
-//    the engine keeps the filtered join operand — σ_view(T) — as a
-//    persistent relation with a prebuilt equi-join index, incrementally
-//    patched by each delta instead of being re-filtered and re-hashed from
-//    scratch per update. Nodes without predicates on a table share the
-//    base relation (and its index) directly; no copy is made.
+// Shared propagation makes maintenance scale with the sharing population
+// (DESIGN.md §10, §13). Each update round groups the affected live nodes
+// by table set and runs one unpredicated, unprojected join per group,
+// probing the base relations through their persistent equi-join indexes.
+// Every node of the group derives its delta from that join: filtered by
+// its predicates (σ commutes with the natural join, so this is exact
+// under bag semantics), then projected. Each node then does one merge,
+// however many handles hold it.
 //
 // Maintenance is single-threaded and the engine starts no threads: each
 // round computes every affected node's delta, then merges them. A worker
@@ -45,7 +37,6 @@
 #define DSM_MAINTAIN_DELTA_ENGINE_H_
 
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -80,11 +71,13 @@ class DeltaEngine {
 
   // Registers a view to maintain; its content is computed from the current
   // base tables and kept incrementally fresh afterwards. The optional
-  // `projection` (column names) restricts the view to those columns, with
-  // bag semantics — the counting algorithm keeps projected views correct
-  // under deletions. An empty projection keeps every column. A view equal
-  // in key and projection to one already live attaches to its node: no
-  // recompute, no second copy of the contents.
+  // `projection` (column names) restricts the view to those columns, in
+  // that order, with bag semantics — the counting algorithm keeps
+  // projected views correct under deletions. An empty projection keeps
+  // every column. A projection naming a column outside the view's join, or
+  // one column twice, is InvalidArgument and changes no state. A view
+  // equal in key and projection to one already live attaches to its node:
+  // no recompute, no second copy of the contents.
   Result<ViewId> RegisterView(const ViewKey& key,
                               std::vector<std::string> projection = {});
 
@@ -130,24 +123,31 @@ class DeltaEngine {
                              const std::vector<std::string>& projection)
       const;
 
-  // Tuple-pairs probed by joins so far (measured maintenance work). Only
-  // pipeline-running nodes probe: duplicate views and residual-fed nodes
-  // add nothing. The value is determined by the update stream and the live
-  // node population.
+  // Tuple-pairs probed by joins so far (measured maintenance work). Each
+  // round runs one join per affected table set: duplicate views and the
+  // predicated or projected nodes of a table set add nothing. The value is
+  // determined by the update stream and the live table sets.
   uint64_t work() const { return work_; }
-
-  // Materialized (table, node) operand caches built so far.
-  size_t num_cached_operands() const;
 
  private:
   using NodeId = size_t;
 
-  // One probe step of a node's delta-propagation join pipeline.
+  // One probe step of a table set's delta-propagation join.
   struct JoinStep {
     TableId other = 0;
     // Shared columns between the accumulated join schema and `other`, in
-    // `other`-schema order — the key the operand's index is built on.
+    // `other`-schema order — the key the base's index is built on.
     std::vector<std::string> key_columns;
+  };
+
+  // The join every node over one table set derives its delta from. Fixed
+  // at the first registration over the set (schemas are static).
+  struct TableSetJoin {
+    // The unpredicated, unprojected join's columns, in Recompute's order.
+    std::vector<std::string> columns;
+    // Per updated table: the other tables in join order with the index
+    // key for each probe.
+    std::map<TableId, std::vector<JoinStep>> plans;
   };
 
   // One distinct (key, projection), shared by every view registered with
@@ -160,9 +160,6 @@ class DeltaEngine {
     // Columns only: what view() returns for an inactive handle.
     Relation empty;
     size_t live_handles = 0;
-    // Per updated table: the other tables in join order with the index
-    // key for each probe. Fixed at creation (schemas are static).
-    std::map<TableId, std::vector<JoinStep>> join_plans;
   };
 
   struct Handle {
@@ -179,23 +176,17 @@ class DeltaEngine {
     size_t operator()(const NodeKey& k) const;
   };
 
-  // Cached filtered operand for one (table, node) pair. When the node has
-  // no (applicable) predicates on the table, the shared base relation is
-  // used directly instead of a copy.
-  struct Operand {
-    std::unique_ptr<Relation> filtered;  // null when use_base
-    bool use_base = false;
-  };
-
-  // Returns `rel` filtered by the key's predicates that apply to `table`;
-  // when none apply the input reference is returned and `scratch` is left
-  // untouched (no copy).
+  // Recompute's per-table filter: returns `rel` filtered by the key's
+  // predicates that apply to `table`; when none apply the input reference
+  // is returned and `scratch` is left untouched (no copy).
   const Relation& ApplyTablePredicates(const ViewKey& key, TableId table,
                                        const Relation& rel,
                                        Relation* scratch) const;
-  bool HasPredicatesOn(const ViewKey& key, TableId table) const;
 
-  std::vector<JoinStep> BuildJoinPlan(const ViewKey& key,
+  // The shared join of `tables`, built on first request. NotFound when a
+  // table of the set has no registered base.
+  Result<const TableSetJoin*> JoinOf(const TableSet& tables);
+  std::vector<JoinStep> BuildJoinPlan(const TableSet& tables,
                                       TableId delta_table) const;
 
   // Counts one more active handle on `node`. The first one recomputes the
@@ -205,28 +196,19 @@ class DeltaEngine {
   void DropLiveHandle(NodeId node);
   void SetLiveNodes(size_t n);
 
-  // Materializes the operand caches and indexes a pipeline-running node
-  // will probe.
-  void PrepareOperands(NodeId node, TableId table);
-  const Relation& OperandRelation(NodeId node, TableId other) const;
-
-  // Joins the (filtered) delta through the node's pipeline and returns the
-  // node's signed delta, projected and in the node's column order. Adds
-  // the join work performed to `work`.
-  Relation PipelineDelta(NodeId node, TableId table, const Relation& delta,
-                         uint64_t* work) const;
-  // Node `node`'s delta derived from `twin_delta`, the delta of the
-  // unpredicated node on the same tables: filtered by the node's
-  // predicates, by column name, skipping those Recompute would skip.
-  Relation ResidualDelta(NodeId node, const Relation& twin_delta) const;
+  // Joins `delta` to `table` against the other bases of `join`'s table
+  // set, through their indexes (built here on first use), and returns it
+  // in the set's column order. Adds the join work performed to work_.
+  Relation JoinDelta(const TableSetJoin& join, TableId table,
+                     const Relation& delta);
+  // Node `node`'s delta derived from `joined`, its table set's delta:
+  // filtered by the node's predicates, by column name, skipping those
+  // Recompute would skip; then projected, in the node's column order.
+  Relation DerivedDelta(NodeId node, const Relation& joined) const;
 
   // Refreshes every live node over `table`, without merging the delta
   // into the base.
   Status PropagateDelta(TableId table, const Relation& delta);
-  // Merges the delta into the base relation and patches every cached
-  // filtered operand over `table` (live or not — parked nodes' caches
-  // must stay fresh for re-admission).
-  void MergeDelta(TableId table, const Relation& delta);
 
   const Catalog* catalog_;
   std::map<TableId, Relation> bases_;
@@ -234,8 +216,7 @@ class DeltaEngine {
   std::vector<Handle> handles_;  // indexed by ViewId
   std::unordered_map<NodeKey, NodeId, NodeKeyHash> node_of_;
   size_t live_nodes_ = 0;  // the dsm.maintain.view_nodes gauge
-  // Operand caches by base table, then by the node that probes them.
-  std::map<TableId, std::map<NodeId, Operand>> operands_;
+  std::map<TableSet, TableSetJoin> joins_;
   uint64_t work_ = 0;
 };
 

@@ -49,8 +49,8 @@ Relation::Relation(std::vector<std::string> column_names)
 
 TupleStore* Relation::MutableStore() {
   // Copy-on-write: relations that merely returned the bag unchanged (no-op
-  // filters, unpredicated operand caches) share one store; the deep copy
-  // happens only when a sharer mutates.
+  // filters, a join delta handed to its consumers) share one store; the
+  // deep copy happens only when a sharer mutates.
   if (store_.use_count() > 1) {
     store_ = std::make_shared<TupleStore>(*store_);
   }

@@ -7,17 +7,17 @@
 // is a tagged 8-byte slot (maintain/value_dict.h), a tuple is a flat
 // fixed-width uint64_t array, and the bag table is open addressing over
 // precomputed row hashes. Copies share the store (copy-on-write), so
-// returning a relation "unfiltered" or caching an unpredicated operand
-// costs one shared_ptr. Filter/Project/WithColumnOrder are position-remap
-// loops over the flat slots; Filter and same-schema merges reuse the
-// stored hashes outright.
+// returning a relation "unfiltered" or handing one join delta to many
+// consumers costs one shared_ptr. Filter/Project/WithColumnOrder are
+// position-remap loops over the flat slots; Filter and same-schema merges
+// reuse the stored hashes outright.
 //
 // A relation can carry persistent equi-join indexes (EnsureIndex): each
 // maps the projection of a row onto a fixed column subset to the rows
 // carrying that key, with multiplicities. Indexes are patched in place by
-// every Apply(), so a long-lived operand (a base table, or a cached
-// filtered copy of one) pays the hash build once instead of once per join.
-// Copies drop indexes (a copy is a fresh operand); moves keep them.
+// every Apply(), so a long-lived operand (a base table) pays the hash
+// build once instead of once per join. Copies drop indexes (a copy is a
+// fresh operand); moves keep them.
 
 #ifndef DSM_MAINTAIN_RELATION_H_
 #define DSM_MAINTAIN_RELATION_H_

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "maintain/delta_engine.h"
 
@@ -99,6 +103,31 @@ TEST_F(ProjectedViewTest, ProjectedViewHandlesDeletes) {
   ASSERT_TRUE(engine_->ApplyUpdate(r_, {}, {T({1, 7})}).ok());
   // Only (1,8) remains on the R side.
   EXPECT_EQ(engine_->view(v)->Count(T({1, 5})), 1);
+}
+
+TEST_F(ProjectedViewTest, ProjectionOutsideTheJoinIsRejected) {
+  TableSet r_only;
+  r_only.Add(r_);
+  const std::vector<std::pair<TableSet, std::vector<std::string>>> bad = {
+      {RS(), {"zzz"}},
+      {RS(), {"k", "zzz"}},
+      {RS(), {"k", "y", "k"}},
+      {r_only, {"y"}},  // S's column, outside a view over R alone
+  };
+  for (const auto& [tables, projection] : bad) {
+    const auto id = engine_->RegisterView(ViewKey(tables), projection);
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument)
+        << projection.back();
+  }
+  // No state changed: the first valid view is view 0, and its node is new.
+  EXPECT_EQ(engine_->num_views(), 0u);
+  ASSERT_TRUE(engine_->ApplyUpdate(r_, {T({1, 7})}, {}).ok());
+  ASSERT_TRUE(engine_->ApplyUpdate(s_, {T({1, 5})}, {}).ok());
+  const auto v = engine_->RegisterView(ViewKey(RS()), {"k"});
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, 0u);
+  EXPECT_EQ(engine_->view(*v)->columns(), std::vector<std::string>{"k"});
+  EXPECT_EQ(engine_->view(*v)->Count(T({1})), 1);
 }
 
 TEST_F(ProjectedViewTest, IncrementalMatchesRecomputeUnderChurn) {

@@ -1,8 +1,9 @@
 // Shared delta propagation: exact duplicates share one node, so each update
-// round computes and merges one delta per distinct view. Predicated nodes
-// take their unpredicated twin's delta through a residual filter, and
-// SetViewActive flips re-form the pairing between rounds. Every active view
-// must stay bag-equal to a from-scratch Recompute after every round.
+// round computes and merges one delta per distinct view, and every node
+// derives its delta from one join per table set, by residual filter and
+// projection. SetViewActive flips change which table sets are live between
+// rounds. Every active view must stay bag-equal to a from-scratch Recompute
+// after every round.
 
 #include <gtest/gtest.h>
 
@@ -68,10 +69,10 @@ struct Scenario {
 };
 
 // The key pool the population draws from: every chain window carries its
-// unpredicated view and a predicated one, so predicated views have a twin
-// exactly while the window's unpredicated view is active; one window
-// ({T2, T3}) only ever carries predicated views, which always run their
-// own pipeline.
+// unpredicated view and predicated ones, so a window's join feeds an
+// unpredicated view exactly while that view is active. One window
+// ({T2, T3}) only ever carries predicated views and one ({T0..T3}) only
+// projected views: their joins feed residual filters and projections only.
 std::vector<ViewSpec> KeyPool() {
   std::vector<ViewSpec> pool;
   for (const auto& [lo, hi] :
@@ -85,11 +86,14 @@ std::vector<ViewSpec> KeyPool() {
   }
   pool.push_back({ViewKey(Chain(2, 3), {Pred(3, 1, CompareOp::kEq, 2)}), {}});
   pool.push_back({ViewKey(Chain(2, 3), {Pred(2, 0, CompareOp::kGt, 2)}), {}});
-  // Projected views: never twins, never residual-fed.
+  // Projected views, beside unprojected ones on the same tables and alone.
   pool.push_back({ViewKey(Chain(0, 1)), {"c1"}});
   pool.push_back({ViewKey(Chain(1, 3)), {"c4", "c2"}});
   pool.push_back({ViewKey(Chain(0, 2), {Pred(0, 0, CompareOp::kLt, 3)}),
                   {"c0", "c3"}});
+  pool.push_back({ViewKey(Chain(0, 3)), {"c4", "c0"}});
+  pool.push_back(
+      {ViewKey(Chain(0, 3), {Pred(3, 1, CompareOp::kLt, 4)}), {"c2"}});
   // A single-table view and a predicate on an out-of-range column, which
   // Recompute (and so the residual filter) skips.
   pool.push_back({ViewKey(Chain(1, 1)), {}});
@@ -206,8 +210,9 @@ TEST_P(SharedPropagationTest, MatchesRecompute) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedPropagationTest,
                          ::testing::Values(3, 17, 256, 4099, 65537));
 
-// Deterministic checks of the grouping, through work(): only pipelines
-// probe, so a duplicate or a residual-fed view adds no join work.
+// Deterministic checks of the grouping, through work(): only the one join
+// per table set probes, so a duplicate, a predicated or a projected view
+// adds no join work.
 class SharedPropagationWorkTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -239,29 +244,27 @@ class SharedPropagationWorkTest : public ::testing::Test {
 };
 
 TEST_F(SharedPropagationWorkTest, DuplicatesAndResidualFeedsProbeNothing) {
-  const ViewKey twin(Chain(0, 1));
-  // Keeps T1's row (1, 5), so the view's own pipeline probes it too.
+  const ViewKey plain(Chain(0, 1));
+  // Keeps T1's row (1, 5), so every update below reaches the view.
   const ViewKey predicated(Chain(0, 1), {Pred(1, 1, CompareOp::kGt, 3)});
-  const ViewId t = *engine_->RegisterView(twin);
+  const ViewId t = *engine_->RegisterView(plain);
   const uint64_t alone = WorkOfOneUpdate(0);
   ASSERT_GT(alone, 0u);
 
-  // A duplicate of the twin and a predicated view fed from it.
-  const ViewId dup = *engine_->RegisterView(twin);
+  // A duplicate of the plain view and a predicated view on the same join.
+  const ViewId dup = *engine_->RegisterView(plain);
   const ViewId p = *engine_->RegisterView(predicated);
   EXPECT_EQ(WorkOfOneUpdate(1), alone);
 
-  // The twin's node stays live while either of its views is active, so
-  // parking one of them changes nothing; without any, the predicated view
-  // runs its own pipeline.
+  // The plain node stays live while either of its views is active, so
+  // parking one of them changes nothing; without any, the table set's join
+  // still runs once, for the predicated view alone.
   ASSERT_TRUE(engine_->SetViewActive(t, false).ok());
   EXPECT_EQ(WorkOfOneUpdate(2), alone);
   ASSERT_TRUE(engine_->SetViewActive(dup, false).ok());
-  const uint64_t own_pipeline = WorkOfOneUpdate(3);
-  EXPECT_GT(own_pipeline, 0u);
-  EXPECT_LE(own_pipeline, alone);
+  EXPECT_EQ(WorkOfOneUpdate(3), alone);
 
-  // Back to the residual path once the twin returns.
+  // Its return changes nothing either.
   ASSERT_TRUE(engine_->SetViewActive(t, true).ok());
   ASSERT_TRUE(engine_->SetViewActive(dup, true).ok());
   EXPECT_EQ(WorkOfOneUpdate(4), alone);
@@ -273,15 +276,35 @@ TEST_F(SharedPropagationWorkTest, DuplicatesAndResidualFeedsProbeNothing) {
   }
 }
 
-TEST_F(SharedPropagationWorkTest, ProjectedViewsRunTheirOwnPipeline) {
-  const ViewKey twin(Chain(0, 1));
-  ASSERT_TRUE(engine_->RegisterView(twin).ok());
+TEST_F(SharedPropagationWorkTest, ProjectedViewsAddNoJoinWork) {
+  const ViewKey plain(Chain(0, 1));
+  ASSERT_TRUE(engine_->RegisterView(plain).ok());
   const uint64_t alone = WorkOfOneUpdate(0);
-  // Same key, different projection: a group of its own.
-  const ViewId projected = *engine_->RegisterView(twin, {"c2"});
-  EXPECT_EQ(WorkOfOneUpdate(1), 2 * alone);
+  ASSERT_GT(alone, 0u);
+  // Same key, different projection: a node of its own, on the same join.
+  const ViewId projected = *engine_->RegisterView(plain, {"c2"});
+  EXPECT_EQ(WorkOfOneUpdate(1), alone);
   EXPECT_TRUE(engine_->view(projected)->BagEquals(
-      *engine_->Recompute(twin, {"c2"})));
+      *engine_->Recompute(plain, {"c2"})));
+}
+
+TEST_F(SharedPropagationWorkTest, PredicatedViewsWithoutTwinShareOneJoin) {
+  const ViewId plain = *engine_->RegisterView(ViewKey(Chain(0, 1)));
+  const uint64_t alone = WorkOfOneUpdate(0);
+  ASSERT_GT(alone, 0u);
+  ASSERT_TRUE(engine_->SetViewActive(plain, false).ok());
+
+  // Different predicates on one table set, and no unpredicated view: both
+  // keep the update's join row, and both derive it from one join.
+  const ViewKey on_t1(Chain(0, 1), {Pred(1, 1, CompareOp::kGt, 3)});
+  const ViewKey on_t0(Chain(0, 1), {Pred(0, 0, CompareOp::kLt, 2)});
+  const ViewId a = *engine_->RegisterView(on_t1);
+  const ViewId b = *engine_->RegisterView(on_t0);
+  EXPECT_EQ(WorkOfOneUpdate(1), alone);
+  EXPECT_GT(engine_->view(a)->TotalSize(), 0);
+  EXPECT_GT(engine_->view(b)->TotalSize(), 0);
+  EXPECT_TRUE(engine_->view(a)->BagEquals(*engine_->Recompute(on_t1)));
+  EXPECT_TRUE(engine_->view(b)->BagEquals(*engine_->Recompute(on_t0)));
 }
 
 TEST_F(SharedPropagationWorkTest, DuplicatesShareOneNodeAcrossTheirLifecycle) {
@@ -294,12 +317,12 @@ TEST_F(SharedPropagationWorkTest, DuplicatesShareOneNodeAcrossTheirLifecycle) {
     EXPECT_TRUE(engine_->ApplyUpdates({}).ok());
     return registry.GetGauge("dsm.maintain.resident_bytes")->value();
   };
-  const ViewKey twin(Chain(0, 1));
+  const ViewKey plain(Chain(0, 1));
   const auto matches = [&](ViewId id) {
-    return engine_->view(id)->BagEquals(*engine_->Recompute(twin));
+    return engine_->view(id)->BagEquals(*engine_->Recompute(plain));
   };
-  const ViewId a = *engine_->RegisterView(twin);
-  const ViewId b = *engine_->RegisterView(twin);
+  const ViewId a = *engine_->RegisterView(plain);
+  const ViewId b = *engine_->RegisterView(plain);
   // Enough rows that the view's store dominates the gauge's other movers.
   std::vector<Tuple> rows;
   for (int64_t v = 0; v < 600; ++v) {
@@ -336,7 +359,7 @@ TEST_F(SharedPropagationWorkTest, DuplicatesShareOneNodeAcrossTheirLifecycle) {
   before = recomputes();
   ASSERT_TRUE(engine_->SetViewActive(a, true).ok());
   EXPECT_EQ(recomputes(), before + 1);
-  const ViewId c = *engine_->RegisterView(twin);
+  const ViewId c = *engine_->RegisterView(plain);
   EXPECT_EQ(recomputes(), before + 1);
   WorkOfOneUpdate(1003);
   EXPECT_TRUE(matches(a));
