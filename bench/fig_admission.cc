@@ -8,8 +8,6 @@
 // returns, with the victims split into migrated, ruled out by liveness and
 // parked.
 
-#include <algorithm>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -66,28 +64,17 @@ std::vector<Sharing> AdmissionSequence(const TwitterStack& stack, size_t n,
   return out;
 }
 
-// Evaluates every candidate plan and commits the cheapest feasible one
-// with the LPC the evaluations priced, as a planner does — the admission
-// hot path with enumeration excluded, which fig6 reports separately.
+// Dry-runs every candidate plan and commits the cheapest feasible one
+// with the LPC the dry run priced, as a planner does — the admission hot
+// path with enumeration excluded, which fig6 reports separately.
 bool PlanAndCommit(GlobalPlan* gp, const Sharing& sharing,
-                   const std::vector<SharingPlan>& plans, SharingId id) {
-  std::vector<GlobalPlan::PlanEvaluation> evals(plans.size());
-  double lpc = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < plans.size(); ++i) {
-    evals[i] = gp->EvaluatePlan(plans[i]);
-    lpc = std::min(lpc, evals[i].standalone_cost);
-  }
-  int best = -1;
-  for (size_t i = 0; i < plans.size(); ++i) {
-    if (!evals[i].feasible) continue;
-    if (best < 0 ||
-        evals[i].marginal_cost < evals[static_cast<size_t>(best)]
-                                     .marginal_cost) {
-      best = static_cast<int>(i);
-    }
-  }
+                   const PlanSpace& space, SharingId id) {
+  const GlobalPlan::SpaceEvaluation evals = gp->EvaluateSpace(space);
+  const int best = evals.CheapestFeasible();
   if (best < 0) return false;
-  return gp->AddSharing(id, sharing, plans[static_cast<size_t>(best)], lpc)
+  return gp
+      ->AddSharing(id, sharing, space.Materialize(static_cast<size_t>(best)),
+                   evals.lpc)
       .ok();
 }
 

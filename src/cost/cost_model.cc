@@ -4,24 +4,50 @@
 
 namespace dsm {
 
-double PlanNodeCost(const SharingPlan& plan, size_t index, CostModel* model) {
-  const PlanNode& n = plan.nodes[index];
+namespace {
+
+const PlanNode* Child(const SharingPlan& plan, int index) {
+  return index < 0 ? nullptr : &plan.nodes[static_cast<size_t>(index)];
+}
+
+}  // namespace
+
+double NodeCost(const PlanNode& n, const PlanNode* left,
+                const PlanNode* right, CostModel* model) {
   switch (n.type) {
     case PlanNodeType::kLeaf:
       return model->LeafCost(n.base_table, n.key, n.server);
-    case PlanNodeType::kJoin: {
-      const PlanNode& l = plan.nodes[static_cast<size_t>(n.left)];
-      const PlanNode& r = plan.nodes[static_cast<size_t>(n.right)];
-      return model->JoinCost(n.key, n.server, l.key, l.server, r.key,
-                             r.server);
-    }
-    case PlanNodeType::kFilterCopy: {
-      const PlanNode& src = plan.nodes[static_cast<size_t>(n.left)];
-      return model->FilterCopyCost(src.key, src.server, n.key, n.server);
-    }
+    case PlanNodeType::kJoin:
+      return model->JoinCost(n.key, n.server, left->key, left->server,
+                             right->key, right->server);
+    case PlanNodeType::kFilterCopy:
+      return model->FilterCopyCost(left->key, left->server, n.key,
+                                   n.server);
   }
   assert(false && "unreachable");
   return 0.0;
+}
+
+double NodeLoad(const PlanNode& n, const PlanNode* left,
+                const PlanNode* right, CostModel* model) {
+  switch (n.type) {
+    case PlanNodeType::kLeaf:
+      // Filtered leaves process the base table's delta stream.
+      return n.key.predicates.empty()
+                 ? 0.0
+                 : model->DeltaRate(ViewKey(TableSet::Of(n.base_table)));
+    case PlanNodeType::kJoin:
+      return model->DeltaRate(left->key) + model->DeltaRate(right->key);
+    case PlanNodeType::kFilterCopy:
+      return model->DeltaRate(left->key);
+  }
+  assert(false && "unreachable");
+  return 0.0;
+}
+
+double PlanNodeCost(const SharingPlan& plan, size_t index, CostModel* model) {
+  const PlanNode& n = plan.nodes[index];
+  return NodeCost(n, Child(plan, n.left), Child(plan, n.right), model);
 }
 
 double PlanCost(const SharingPlan& plan, CostModel* model) {
@@ -61,24 +87,7 @@ CostBreakdown PlanCostBreakdown(const SharingPlan& plan, CostModel* model) {
 
 double PlanNodeLoad(const SharingPlan& plan, size_t index, CostModel* model) {
   const PlanNode& n = plan.nodes[index];
-  switch (n.type) {
-    case PlanNodeType::kLeaf:
-      // Filtered leaves process the base table's delta stream.
-      return n.key.predicates.empty()
-                 ? 0.0
-                 : model->DeltaRate(ViewKey(TableSet::Of(n.base_table)));
-    case PlanNodeType::kJoin: {
-      const PlanNode& l = plan.nodes[static_cast<size_t>(n.left)];
-      const PlanNode& r = plan.nodes[static_cast<size_t>(n.right)];
-      return model->DeltaRate(l.key) + model->DeltaRate(r.key);
-    }
-    case PlanNodeType::kFilterCopy: {
-      const PlanNode& src = plan.nodes[static_cast<size_t>(n.left)];
-      return model->DeltaRate(src.key);
-    }
-  }
-  assert(false && "unreachable");
-  return 0.0;
+  return NodeLoad(n, Child(plan, n.left), Child(plan, n.right), model);
 }
 
 }  // namespace dsm

@@ -101,14 +101,25 @@ class CostModel {
   }
 };
 
-// Standalone $ cost of one plan node (no reuse considered).
+// Standalone $ cost of one plan node (no reuse considered). `left` and
+// `right` are the node's children (nullptr where absent); the node's own
+// child indices are ignored, so callers may store children anywhere.
+double NodeCost(const PlanNode& node, const PlanNode* left,
+                const PlanNode* right, CostModel* model);
+
+// Input delta rate `node` imposes on its server (for capacity checks);
+// children as for NodeCost.
+double NodeLoad(const PlanNode& node, const PlanNode* left,
+                const PlanNode* right, CostModel* model);
+
+// NodeCost of plan.nodes[index].
 double PlanNodeCost(const SharingPlan& plan, size_t index, CostModel* model);
 
 // Standalone $ cost of a whole plan: the sum of its node costs. This is
 // C[P] in the paper's notation when no subexpression is reused.
 double PlanCost(const SharingPlan& plan, CostModel* model);
 
-// Input delta rate a node imposes on its server (for capacity checks).
+// NodeLoad of plan.nodes[index].
 double PlanNodeLoad(const SharingPlan& plan, size_t index, CostModel* model);
 
 // Itemized standalone cost of a whole plan (cpu / network / storage).

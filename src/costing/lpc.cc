@@ -1,5 +1,6 @@
 #include "costing/lpc.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "obs/metrics.h"
@@ -19,14 +20,14 @@ Result<double> LpcCalculator::Lpc(const Sharing& sharing) {
   }
 
   DSM_METRIC_COUNTER_ADD("dsm.costing.lpc_enumerations", 1);
-  DSM_ASSIGN_OR_RETURN(const std::vector<SharingPlan> plans,
+  DSM_ASSIGN_OR_RETURN(const PlanSpace space,
                        enumerator_->Enumerate(sharing));
-  if (plans.empty()) {
+  if (space.empty()) {
     return Status::InvalidArgument("sharing has no plans");
   }
   double lpc = std::numeric_limits<double>::infinity();
-  for (const SharingPlan& plan : plans) {
-    lpc = std::min(lpc, PlanCost(plan, model_));
+  for (size_t k = 0; k < space.size(); ++k) {
+    lpc = std::min(lpc, space.StandaloneCost(k));
   }
   cache_.emplace(key, Entry{sharing, lpc});
   return lpc;

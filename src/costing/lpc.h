@@ -5,8 +5,9 @@
 // Planners record each admitted sharing's LPC from the plans they already
 // priced (GlobalPlan::SharingRecord::lpc). This calculator is the
 // from-scratch path for records that carry none: plans built by hand and
-// restored global plans. Each memo miss enumerates the sharing's plans
-// and bumps dsm.costing.lpc_enumerations.
+// restored global plans. Each memo miss enumerates the sharing's plan
+// space, takes the cheapest plan's standalone cost from the fragment
+// costs the enumerator priced, and bumps dsm.costing.lpc_enumerations.
 
 #ifndef DSM_COSTING_LPC_H_
 #define DSM_COSTING_LPC_H_
@@ -22,8 +23,9 @@ namespace dsm {
 
 class LpcCalculator {
  public:
-  LpcCalculator(const PlanEnumerator* enumerator, CostModel* model)
-      : enumerator_(enumerator), model_(model) {}
+  // `model` must be the enumerator's: the plan space arrives priced by it.
+  LpcCalculator(const PlanEnumerator* enumerator, CostModel* /*model*/)
+      : enumerator_(enumerator) {}
 
   // Minimum standalone plan cost for `sharing`. Memoized per query (and
   // destination, since delivery is part of the plan).
@@ -38,7 +40,6 @@ class LpcCalculator {
   };
 
   const PlanEnumerator* enumerator_;
-  CostModel* model_;
   std::unordered_multimap<uint64_t, Entry> cache_;
 };
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -207,6 +208,136 @@ GlobalPlan::PlanEvaluation GlobalPlan::EvaluatePlan(
   PlanEvaluation eval;
   Decide(plan, options, &eval);
   return eval;
+}
+
+GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
+    const PlanSpace& space) const {
+  const std::vector<PlanSpace::Fragment>& frags = space.fragments();
+  SpaceEvaluation eval;
+  eval.fragment_decisions.resize(frags.size());
+  // Per fragment, once decided: what serving it costs (Decide's return
+  // value) and the load its decision places on its server.
+  struct Served {
+    bool decided = false;
+    double cost = 0.0;
+    double load = 0.0;
+  };
+  std::vector<Served> served(frags.size());
+  const AddOptions no_options;
+
+  // Decide's rule for fragment f, its children first.
+  const auto decide = [&](const auto& self, int f) -> void {
+    const auto fi = static_cast<size_t>(f);
+    Served& me = served[fi];
+    if (me.decided) return;
+    const PlanSpace::Fragment& frag = frags[fi];
+    const PlanNode& pn = frag.node;
+    double fresh = frag.op_cost;
+    if (pn.left >= 0) {
+      self(self, pn.left);
+      fresh += served[static_cast<size_t>(pn.left)].cost;
+    }
+    if (pn.right >= 0) {
+      self(self, pn.right);
+      fresh += served[static_cast<size_t>(pn.right)].cost;
+    }
+    NodeDecision& d = eval.fragment_decisions[fi];
+    double residual = 0.0;
+    const int src = FindBestReuse(pn.key, pn.server, no_options, &residual);
+    if (src >= 0 && residual <= fresh) {
+      const GPNode& s = nodes_[static_cast<size_t>(src)];
+      d.state = NodeDecision::kReused;
+      d.reuse_source = src;
+      d.needs_residual = !(s.key == pn.key && s.server == pn.server);
+      d.marginal_cost = residual;
+      me.cost = residual;
+      me.load = d.needs_residual ? model_->DeltaRate(s.key) : 0.0;
+    } else {
+      d.state = NodeDecision::kFresh;
+      d.marginal_cost = frag.op_cost;
+      me.cost = fresh;
+      me.load = frag.load;
+    }
+    me.decided = true;
+  };
+
+  // Appends fragment f's subtree to eval.steps in post-order; everything
+  // under a reused or skipped node is skipped.
+  const auto walk = [&](const auto& self, int f, bool skipped) -> void {
+    const PlanNode& pn = frags[static_cast<size_t>(f)].node;
+    const NodeDecision::State state =
+        skipped ? NodeDecision::kSkipped
+                : eval.fragment_decisions[static_cast<size_t>(f)].state;
+    const bool skip_children = state != NodeDecision::kFresh;
+    if (pn.left >= 0) self(self, pn.left, skip_children);
+    if (pn.right >= 0) self(self, pn.right, skip_children);
+    eval.steps.push_back(SpaceEvaluation::Step{f, state});
+  };
+
+  eval.plans.reserve(space.size());
+  std::vector<std::pair<ServerId, double>> added;  // Decide's per-server sums
+  for (size_t k = 0; k < space.size(); ++k) {
+    const int root = space.root(k);
+    decide(decide, root);
+    SpaceEvaluation::Plan plan;
+    plan.marginal_cost = served[static_cast<size_t>(root)].cost;
+    plan.first_step = eval.steps.size();
+    walk(walk, root, false);
+    plan.num_steps = eval.steps.size() - plan.first_step;
+
+    // Node-index order, as Decide sums: standalone cost, liveness, load.
+    added.clear();
+    for (size_t i = plan.first_step; i < eval.steps.size(); ++i) {
+      const SpaceEvaluation::Step& step = eval.steps[i];
+      const auto fi = static_cast<size_t>(step.fragment);
+      plan.standalone_cost += frags[fi].op_cost;
+      if (step.state == NodeDecision::kSkipped) continue;
+      const ServerId server = frags[fi].node.server;
+      const bool places_work = step.state == NodeDecision::kFresh ||
+                               eval.fragment_decisions[fi].needs_residual;
+      if (places_work && !cluster_->is_up(server)) plan.feasible = false;
+      const double load = served[fi].load;
+      if (load <= 0.0) continue;
+      const auto it = std::find_if(
+          added.begin(), added.end(),
+          [server](const auto& entry) { return entry.first == server; });
+      if (it == added.end()) {
+        added.emplace_back(server, load);
+      } else {
+        it->second += load;
+      }
+    }
+    for (const auto& [server, load] : added) {
+      if (!plan.feasible) break;
+      if (ServerLoad(server) + load > cluster_->effective_capacity(server)) {
+        plan.feasible = false;
+      }
+    }
+    eval.lpc = std::min(eval.lpc, plan.standalone_cost);
+    eval.plans.push_back(plan);
+  }
+  return eval;
+}
+
+GlobalPlan::NodeDecision GlobalPlan::SpaceEvaluation::decision(
+    const Step& step) const {
+  NodeDecision d = fragment_decisions[static_cast<size_t>(step.fragment)];
+  if (step.state == NodeDecision::kSkipped) {
+    d.state = NodeDecision::kSkipped;
+    d.marginal_cost = 0.0;
+  }
+  return d;
+}
+
+int GlobalPlan::SpaceEvaluation::CheapestFeasible(double bound) const {
+  int best = -1;
+  for (size_t k = 0; k < plans.size(); ++k) {
+    if (plans[k].feasible && plans[k].marginal_cost < bound) {
+      best = static_cast<int>(k);
+      bound = plans[k].marginal_cost;
+    }
+  }
+  return best;
 }
 
 bool GlobalPlan::LivenessRulesOut(const Sharing& sharing) const {

@@ -10,6 +10,10 @@
 // The structure also keeps the bookkeeping fair costing needs: per-sharing
 // GPC, and saving(r)/num(r) for every intermediate result (Definition 5.1).
 //
+// Planners dry-run a sharing's whole PlanSpace with EvaluateSpace, which
+// decides reuse once per shared sub-plan (DESIGN.md §11, "Planning over
+// the fragment DAG"); EvaluatePlan dry-runs one node array.
+//
 // Reuse lookup (DESIGN.md §11) buckets alive views by table mask. One
 // per-(key, server) best-source cache answers repeated probes; on a miss
 // one scan of the bucket finds the answer. Cached answers are
@@ -23,9 +27,11 @@
 #ifndef DSM_GLOBALPLAN_GLOBAL_PLAN_H_
 #define DSM_GLOBALPLAN_GLOBAL_PLAN_H_
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -35,6 +41,7 @@
 #include "common/status.h"
 #include "cost/cost_model.h"
 #include "plan/plan.h"
+#include "plan/plan_space.h"
 #include "sharing/sharing.h"
 
 namespace dsm {
@@ -61,6 +68,45 @@ class GlobalPlan {
     double standalone_cost = 0.0;
     bool feasible = true;        // all server capacities respected
     std::vector<NodeDecision> decisions;  // parallel to plan.nodes
+  };
+
+  // The dry run of every plan of a PlanSpace (EvaluateSpace). Each plan's
+  // values equal, bit for bit, EvaluatePlan(space.Materialize(k)).
+  struct SpaceEvaluation {
+    // One node of one plan, in the plan's node-index order: its fragment
+    // and its state in that plan.
+    struct Step {
+      int fragment = -1;
+      NodeDecision::State state = NodeDecision::kFresh;
+    };
+    struct Plan {
+      double marginal_cost = 0.0;
+      double standalone_cost = 0.0;
+      bool feasible = true;
+      size_t first_step = 0;  // this plan's nodes: steps[first_step, +num)
+      size_t num_steps = 0;
+    };
+
+    // Per fragment: Decide's fresh-vs-reuse answer (kFresh or kReused),
+    // for every fragment some plan reaches.
+    std::vector<NodeDecision> fragment_decisions;
+    std::vector<Step> steps;
+    std::vector<Plan> plans;  // parallel to the space's plans
+    // Min standalone_cost over all plans, feasible or not: the sharing's
+    // LPC (Section 5, criterion (2)); +inf for an empty space.
+    double lpc = std::numeric_limits<double>::infinity();
+
+    std::span<const Step> steps_of(size_t k) const {
+      return std::span<const Step>(steps).subspan(plans[k].first_step,
+                                                  plans[k].num_steps);
+    }
+    // The step's decision as EvaluatePlan reports it: a skipped node keeps
+    // its fragment's decision fields with state kSkipped and cost 0.
+    NodeDecision decision(const Step& step) const;
+    // The feasible plan with the lowest marginal cost strictly below
+    // `bound` (the first one wins a tie), or -1 if there is none.
+    int CheapestFeasible(
+        double bound = std::numeric_limits<double>::infinity()) const;
   };
 
   struct AddOptions {
@@ -104,13 +150,25 @@ class GlobalPlan {
   GlobalPlan(const GlobalPlan&) = delete;
   GlobalPlan& operator=(const GlobalPlan&) = delete;
 
-  // Dry run: what would integrating `plan` cost, and is it feasible?
+  // Dry run of one plan: what would integrating it cost, and is it
+  // feasible? Planners dry-run whole spaces with EvaluateSpace; this
+  // serves single plans (the identical-plan fast path, restored or
+  // hand-built plans) and is EvaluateSpace's test oracle.
   // Not thread-safe: though const, it fills the reuse cache.
   PlanEvaluation EvaluatePlan(const SharingPlan& plan) const {
     return EvaluatePlan(plan, AddOptions{});
   }
   PlanEvaluation EvaluatePlan(const SharingPlan& plan,
                               const AddOptions& options) const;
+
+  // Dry run of every plan in `space` at once, which must be priced by this
+  // global plan's cost model. Decide's fresh-vs-reuse rule depends only on
+  // a node's subtree and the (unchanging) global plan, so it runs once per
+  // fragment: fragments are decided children first in the order the plans
+  // reach them, which is the order EvaluatePlan would probe them plan
+  // after plan. Each plan's totals then come from one post-order walk.
+  // Not thread-safe: though const, it fills the reuse cache.
+  SpaceEvaluation EvaluateSpace(const PlanSpace& space) const;
 
   // True when cluster liveness alone makes every enumerated plan of
   // `sharing` infeasible, so a planner may reject or park it without

@@ -70,27 +70,27 @@ Result<ExhaustiveResult> ExhaustivePlanner::Solve(
   std::vector<std::vector<SharingPlan>> plan_sets;
   plan_sets.reserve(sharings.size());
   for (const Sharing& s : sharings) {
-    DSM_ASSIGN_OR_RETURN(std::vector<SharingPlan> plans,
+    DSM_ASSIGN_OR_RETURN(const PlanSpace space,
                          ctx_.enumerator->Enumerate(s));
-    if (plans.empty()) {
+    if (space.empty()) {
       return Status::InvalidArgument("sharing has no plans");
     }
     // Cheapest standalone plans first: improves pruning and makes the
     // per-sharing cap keep the most promising candidates.
     std::vector<std::pair<double, size_t>> order;
-    order.reserve(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      order.emplace_back(PlanCost(plans[i], ctx_.model), i);
+    order.reserve(space.size());
+    for (size_t i = 0; i < space.size(); ++i) {
+      order.emplace_back(space.StandaloneCost(i), i);
     }
     std::sort(order.begin(), order.end());
     std::vector<SharingPlan> sorted;
     const size_t limit =
         options_.max_plans_per_sharing == 0
-            ? plans.size()
-            : std::min(plans.size(), options_.max_plans_per_sharing);
+            ? space.size()
+            : std::min(space.size(), options_.max_plans_per_sharing);
     sorted.reserve(limit);
     for (size_t i = 0; i < limit; ++i) {
-      sorted.push_back(std::move(plans[order[i].second]));
+      sorted.push_back(space.Materialize(order[i].second));
     }
     plan_sets.push_back(std::move(sorted));
   }

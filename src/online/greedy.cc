@@ -3,9 +3,10 @@
 namespace dsm {
 
 double GreedyPlanner::Score(const Sharing& /*sharing*/,
-                            const SharingPlan& /*plan*/,
-                            const GlobalPlan::PlanEvaluation& eval) {
-  return -eval.marginal_cost;
+                            const PlanSpace& /*space*/,
+                            const GlobalPlan::SpaceEvaluation& eval,
+                            size_t k) {
+  return -eval.plans[k].marginal_cost;
 }
 
 }  // namespace dsm

@@ -18,8 +18,8 @@ class GreedyPlanner : public OnlinePlanner {
   const char* name() const override { return "Greedy"; }
 
  protected:
-  double Score(const Sharing& sharing, const SharingPlan& plan,
-               const GlobalPlan::PlanEvaluation& eval) override;
+  double Score(const Sharing& sharing, const PlanSpace& space,
+               const GlobalPlan::SpaceEvaluation& eval, size_t k) override;
 };
 
 }  // namespace dsm

@@ -9,50 +9,46 @@ int ManagedRiskPlanner::EffectiveJoins(const Sharing& sharing) const {
   return options_.divide_by_joins ? sharing.NumJoins() : 2;
 }
 
-double ManagedRiskPlanner::RegretIncentive(
-    const Sharing& sharing, const SharingPlan& plan,
-    const GlobalPlan::PlanEvaluation& eval) const {
-  double incentive = 0.0;
-  for (size_t i = 0; i < plan.nodes.size(); ++i) {
-    const PlanNode& node = plan.nodes[i];
-    if (!node.is_join()) continue;
-    if (eval.decisions[i].state != GlobalPlan::NodeDecision::kFresh) {
-      continue;  // reused/skipped nodes produce nothing new
-    }
-    const double rg =
-        tracker_.Regret(node.key.tables, EffectiveJoins(sharing));
-    if (rg <= 0.0) continue;
-    const double perc = options_.use_perc ? ctx_.model->Perc(node.key) : 1.0;
-    incentive += rg * perc;
-  }
-  return incentive;
+double ManagedRiskPlanner::JoinIncentive(const Sharing& sharing,
+                                         const PlanNode& join) const {
+  const double rg = tracker_.Regret(join.key.tables, EffectiveJoins(sharing));
+  if (rg <= 0.0) return 0.0;
+  const double perc = options_.use_perc ? ctx_.model->Perc(join.key) : 1.0;
+  return rg * perc;
 }
 
 double ManagedRiskPlanner::Score(const Sharing& sharing,
-                                 const SharingPlan& plan,
-                                 const GlobalPlan::PlanEvaluation& eval) {
+                                 const PlanSpace& space,
+                                 const GlobalPlan::SpaceEvaluation& eval,
+                                 size_t k) {
   DSM_METRIC_COUNTER_ADD("dsm.online.risk_scores", 1);
-  const double incentive = RegretIncentive(sharing, plan, eval);
+  double incentive = 0.0;
+  for (const GlobalPlan::SpaceEvaluation::Step& step : eval.steps_of(k)) {
+    const PlanNode& node = space.fragment(step.fragment).node;
+    if (node.is_join() && step.state == GlobalPlan::NodeDecision::kFresh) {
+      incentive += JoinIncentive(sharing, node);
+    }
+  }
   if (incentive > 0.0) {
     DSM_METRIC_COUNTER_ADD("dsm.online.risk_incentive_plans", 1);
   }
-  return incentive - eval.marginal_cost;
+  return incentive - eval.plans[k].marginal_cost;
 }
 
 void ManagedRiskPlanner::OnPlanChosen(
     const Sharing& sharing, const SharingPlan& plan,
     const GlobalPlan::PlanEvaluation& eval) {
-  const double consumed = options_.subtract_consumed_regret
-                              ? RegretIncentive(sharing, plan, eval)
-                              : 0.0;
-
+  double consumed = 0.0;
   std::vector<TableSet> produced_full;
   std::vector<std::pair<TableSet, double>> produced_partial;
   for (size_t i = 0; i < plan.nodes.size(); ++i) {
     const PlanNode& node = plan.nodes[i];
     if (!node.is_join()) continue;
     if (eval.decisions[i].state != GlobalPlan::NodeDecision::kFresh) {
-      continue;
+      continue;  // reused/skipped nodes produce nothing new
+    }
+    if (options_.subtract_consumed_regret) {
+      consumed += JoinIncentive(sharing, node);
     }
     if (node.key.predicates.empty()) {
       produced_full.push_back(node.key.tables);

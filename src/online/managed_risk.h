@@ -43,15 +43,15 @@ class ManagedRiskPlanner : public OnlinePlanner {
   RegretTracker* mutable_tracker() { return &tracker_; }
 
  protected:
-  double Score(const Sharing& sharing, const SharingPlan& plan,
-               const GlobalPlan::PlanEvaluation& eval) override;
+  double Score(const Sharing& sharing, const PlanSpace& space,
+               const GlobalPlan::SpaceEvaluation& eval, size_t k) override;
   void OnPlanChosen(const Sharing& sharing, const SharingPlan& plan,
                     const GlobalPlan::PlanEvaluation& eval) override;
 
  private:
-  // Σ rg_i(s)·perc_s over the plan's fresh join nodes.
-  double RegretIncentive(const Sharing& sharing, const SharingPlan& plan,
-                         const GlobalPlan::PlanEvaluation& eval) const;
+  // rg_i(s)·perc_s of a join node computed fresh (0 without regret); a
+  // plan's incentive sums it over its fresh joins in node-index order.
+  double JoinIncentive(const Sharing& sharing, const PlanNode& join) const;
 
   int EffectiveJoins(const Sharing& sharing) const;
 

@@ -17,19 +17,20 @@ void NormalizePlanner::OnSharingArrived(const Sharing& sharing) {
 }
 
 double NormalizePlanner::Score(const Sharing& /*sharing*/,
-                               const SharingPlan& plan,
-                               const GlobalPlan::PlanEvaluation& eval) {
+                               const PlanSpace& space,
+                               const GlobalPlan::SpaceEvaluation& eval,
+                               size_t k) {
   // Normalized plan cost: fresh join nodes are discounted by how many
   // sharings (so far) contain their subexpression; residual/leaf costs are
   // charged as-is.
   double normalized = 0.0;
-  for (size_t i = 0; i < plan.nodes.size(); ++i) {
-    const GlobalPlan::NodeDecision& d = eval.decisions[i];
+  for (const GlobalPlan::SpaceEvaluation::Step& step : eval.steps_of(k)) {
+    const GlobalPlan::NodeDecision d = eval.decision(step);
     if (d.state == GlobalPlan::NodeDecision::kSkipped) continue;
+    const PlanNode& node = space.fragment(step.fragment).node;
     double cost = d.marginal_cost;
-    if (d.state == GlobalPlan::NodeDecision::kFresh &&
-        plan.nodes[i].is_join()) {
-      cost /= std::max(1, OccurrenceCount(plan.nodes[i].key.tables));
+    if (d.state == GlobalPlan::NodeDecision::kFresh && node.is_join()) {
+      cost /= std::max(1, OccurrenceCount(node.key.tables));
     }
     normalized += cost;
   }

@@ -26,8 +26,8 @@ class NormalizePlanner : public OnlinePlanner {
   int OccurrenceCount(TableSet tables) const;
 
  protected:
-  double Score(const Sharing& sharing, const SharingPlan& plan,
-               const GlobalPlan::PlanEvaluation& eval) override;
+  double Score(const Sharing& sharing, const PlanSpace& space,
+               const GlobalPlan::SpaceEvaluation& eval, size_t k) override;
   void OnSharingArrived(const Sharing& sharing) override;
 
  private:

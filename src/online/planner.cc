@@ -1,7 +1,7 @@
 #include "online/planner.h"
 
 #include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -66,9 +66,9 @@ Result<PlanChoice> OnlinePlanner::ProcessSharing(const Sharing& sharing) {
         "every plan)");
   }
 
-  DSM_ASSIGN_OR_RETURN(std::vector<SharingPlan> plans,
+  DSM_ASSIGN_OR_RETURN(const PlanSpace space,
                        ctx_.enumerator->Enumerate(sharing));
-  if (plans.empty()) {
+  if (space.empty()) {
     return Status::InvalidArgument("no plan found for sharing");
   }
 
@@ -77,46 +77,41 @@ Result<PlanChoice> OnlinePlanner::ProcessSharing(const Sharing& sharing) {
   // (TableDrivenCostModel) draws memoized costs in first-query order, and
   // scorers may hold order-sensitive state (NORMALIZE's counts,
   // MANAGEDRISK's tracker and cost model).
-  // The dry runs also price every plan standalone, so the sharing's LPC
+  // The dry run also prices every plan standalone, so the sharing's LPC
   // (cheapest standalone plan, feasible or not) comes for free.
-  std::vector<GlobalPlan::PlanEvaluation> evals(plans.size());
-  double lpc = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < plans.size(); ++i) {
-    evals[i] = ctx_.global_plan->EvaluatePlan(plans[i]);
-    lpc = std::min(lpc, evals[i].standalone_cost);
-  }
+  const GlobalPlan::SpaceEvaluation evals =
+      ctx_.global_plan->EvaluateSpace(space);
 
   struct Scored {
     size_t index;
     double score;
-    GlobalPlan::PlanEvaluation eval;
   };
   std::vector<Scored> scored;
-  scored.reserve(plans.size());
-  for (size_t i = 0; i < plans.size(); ++i) {
-    const double s = Score(sharing, plans[i], evals[i]);
-    scored.push_back(Scored{i, s, std::move(evals[i])});
+  scored.reserve(space.size());
+  for (size_t i = 0; i < space.size(); ++i) {
+    scored.push_back(Scored{i, Score(sharing, space, evals, i)});
   }
-  DSM_METRIC_COUNTER_ADD("dsm.online.plans_considered", plans.size());
+  DSM_METRIC_COUNTER_ADD("dsm.online.plans_considered", space.size());
   std::sort(scored.begin(), scored.end(),
             [](const Scored& a, const Scored& b) { return a.score > b.score; });
 
   // Algorithm 2: take plans in descending score order; use the first one
   // that does not violate any server capacity, else reject the sharing.
   for (const Scored& cand : scored) {
-    if (!cand.eval.feasible) continue;
+    if (!evals.plans[cand.index].feasible) continue;
+    SharingPlan plan = space.Materialize(cand.index);
     DSM_ASSIGN_OR_RETURN(
         const GlobalPlan::PlanEvaluation eval,
-        ctx_.global_plan->AddSharing(id, sharing, plans[cand.index], lpc));
-    OnPlanChosen(sharing, plans[cand.index], eval);
-    identical_plans_[ident] = IdenticalEntry{sharing, plans[cand.index], lpc};
+        ctx_.global_plan->AddSharing(id, sharing, plan, evals.lpc));
+    OnPlanChosen(sharing, plan, eval);
+    identical_plans_[ident] = IdenticalEntry{sharing, plan, evals.lpc};
     DSM_METRIC_COUNTER_ADD("dsm.online.sharings_planned", 1);
     PlanChoice choice;
     choice.id = id;
-    choice.plan = plans[cand.index];
+    choice.plan = std::move(plan);
     choice.marginal_cost = eval.marginal_cost;
     choice.score = cand.score;
-    choice.plans_considered = plans.size();
+    choice.plans_considered = space.size();
     return choice;
   }
   DSM_METRIC_COUNTER_ADD("dsm.online.sharings_rejected", 1);

@@ -7,12 +7,17 @@
 // the sharing is rejected. Subclasses differ only in the scoring rule:
 // GREEDY, NORMALIZE and MANAGEDRISK from Section 4.
 //
+// The plans arrive as a PlanSpace and are dry-run together
+// (GlobalPlan::EvaluateSpace: each shared sub-plan priced and probed for
+// reuse once); scorers fold over each plan's (node, decision) walk, and
+// only the committed plan is materialized.
+//
 // One rejection needs no dry run: when a down server makes every plan
 // infeasible (dead destination, or a dead base-table home no live view
 // covers — GlobalPlan::LivenessRulesOut), the sharing is rejected with
 // kCapacityExceeded before enumeration, exactly as the full path would.
 //
-// Planning is single-threaded: every candidate is dry-run against the
+// Planning is single-threaded: the candidates are dry-run against the
 // global plan, then scored in index order. Cost models may draw memoized
 // costs in first-query order, so this order is part of the decision.
 
@@ -80,9 +85,11 @@ class OnlinePlanner {
   const PlannerContext& context() const { return ctx_; }
 
  protected:
-  // Higher is better. `eval` is the dry-run integration of `plan`.
-  virtual double Score(const Sharing& sharing, const SharingPlan& plan,
-                       const GlobalPlan::PlanEvaluation& eval) = 0;
+  // Higher is better. Scores plan `k` of `space`, whose dry run is
+  // eval.plans[k] with its nodes at eval.steps_of(k).
+  virtual double Score(const Sharing& sharing, const PlanSpace& space,
+                       const GlobalPlan::SpaceEvaluation& eval,
+                       size_t k) = 0;
 
   // Called once per arriving sharing before planning (e.g. NORMALIZE's
   // occurrence counts, which include the current sharing).

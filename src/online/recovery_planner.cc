@@ -1,7 +1,6 @@
 #include "online/recovery_planner.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/fault.h"
 #include "obs/metrics.h"
@@ -19,27 +18,20 @@ Result<double> RecoveryPlanner::PlanOnLiveServers(SharingId id,
     return Status::CapacityExceeded(
         "a down server rules out every plan; sharing parked");
   }
-  GlobalPlan* gp = ctx_.global_plan;
-  DSM_ASSIGN_OR_RETURN(const std::vector<SharingPlan> plans,
+  DSM_ASSIGN_OR_RETURN(const PlanSpace space,
                        ctx_.enumerator->Enumerate(sharing));
-  const SharingPlan* best = nullptr;
-  double best_marginal = std::numeric_limits<double>::infinity();
-  double lpc = std::numeric_limits<double>::infinity();
-  for (const SharingPlan& plan : plans) {
-    const GlobalPlan::PlanEvaluation eval = gp->EvaluatePlan(plan);
-    lpc = std::min(lpc, eval.standalone_cost);
-    if (!eval.feasible) continue;
-    if (eval.marginal_cost < best_marginal) {
-      best_marginal = eval.marginal_cost;
-      best = &plan;
-    }
-  }
-  if (best == nullptr) {
+  const GlobalPlan::SpaceEvaluation evals =
+      ctx_.global_plan->EvaluateSpace(space);
+  const int best = evals.CheapestFeasible();
+  if (best < 0) {
     return Status::CapacityExceeded(
         "no plan fits on the live servers; sharing parked");
   }
-  DSM_ASSIGN_OR_RETURN(const GlobalPlan::PlanEvaluation eval,
-                       gp->AddSharing(id, sharing, *best, lpc));
+  DSM_ASSIGN_OR_RETURN(
+      const GlobalPlan::PlanEvaluation eval,
+      ctx_.global_plan->AddSharing(
+          id, sharing, space.Materialize(static_cast<size_t>(best)),
+          evals.lpc));
   return eval.marginal_cost;
 }
 

@@ -5,8 +5,10 @@
 // view materialized on it is lost, so each sharing whose plan closure
 // touches the dead machine must be re-planned: the recovery planner
 // removes the victims, then re-runs Algorithm 2 for each one restricted to
-// live servers (plans placing any work on a down server are infeasible —
-// see GlobalPlan::EvaluatePlan) and commits the cheapest feasible plan.
+// live servers: it dry-runs the sharing's whole plan space at once
+// (GlobalPlan::EvaluateSpace; plans placing any work on a down server are
+// infeasible) and materializes and commits only the cheapest feasible
+// plan (SpaceEvaluation::CheapestFeasible).
 //
 // Sharings that no longer fit anywhere — destination dead, a member
 // table's home machine dead, or live capacity exhausted — are *parked*

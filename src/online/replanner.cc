@@ -1,6 +1,5 @@
 #include "online/replanner.h"
 
-#include <algorithm>
 #include <limits>
 #include <optional>
 
@@ -23,30 +22,25 @@ Result<ReplanReport> Replanner::Improve() {
 
       DSM_RETURN_IF_ERROR(gp->RemoveSharing(id));
 
-      DSM_ASSIGN_OR_RETURN(std::vector<SharingPlan> plans,
+      DSM_ASSIGN_OR_RETURN(const PlanSpace space,
                            ctx_.enumerator->Enumerate(sharing));
-      const SharingPlan* best = &original;
-      double best_marginal = std::numeric_limits<double>::infinity();
-      double lpc = std::numeric_limits<double>::infinity();
-      {
-        const GlobalPlan::PlanEvaluation orig_eval =
-            gp->EvaluatePlan(original);
-        if (orig_eval.feasible) best_marginal = orig_eval.marginal_cost;
-      }
-      for (const SharingPlan& plan : plans) {
-        const GlobalPlan::PlanEvaluation eval = gp->EvaluatePlan(plan);
-        lpc = std::min(lpc, eval.standalone_cost);
-        if (!eval.feasible) continue;
-        if (eval.marginal_cost < best_marginal) {
-          best_marginal = eval.marginal_cost;
-          best = &plan;
-        }
-      }
+      // The original plan stays unless a plan is strictly cheaper.
+      const GlobalPlan::PlanEvaluation orig_eval = gp->EvaluatePlan(original);
+      const GlobalPlan::SpaceEvaluation evals = gp->EvaluateSpace(space);
+      const int best = evals.CheapestFeasible(
+          orig_eval.feasible ? orig_eval.marginal_cost
+                             : std::numeric_limits<double>::infinity());
       // No plans leaves no LPC to record; costing then prices it afresh.
       const std::optional<double> priced =
-          plans.empty() ? std::nullopt : std::optional<double>(lpc);
-      DSM_RETURN_IF_ERROR(gp->AddSharing(id, sharing, *best, priced).status());
-      if (best != &original) {
+          space.empty() ? std::nullopt : std::optional<double>(evals.lpc);
+      DSM_RETURN_IF_ERROR(
+          gp->AddSharing(id, sharing,
+                         best < 0 ? original
+                                  : space.Materialize(
+                                        static_cast<size_t>(best)),
+                         priced)
+              .status());
+      if (best >= 0) {
         ++report.plans_changed;
         changed = true;
       }

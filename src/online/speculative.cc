@@ -1,8 +1,5 @@
 #include "online/speculative.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "globalplan/global_plan.h"
 
 namespace dsm {
@@ -22,27 +19,23 @@ Result<SpeculationReport> SpeculativeViewAdvisor::MaybeSpeculate() {
                          ctx.cluster->HomeOf(tables.ToVector().front()));
     const Sharing view(tables, {}, dest, "provider-speculative");
 
-    DSM_ASSIGN_OR_RETURN(std::vector<SharingPlan> plans,
+    DSM_ASSIGN_OR_RETURN(const PlanSpace space,
                          ctx.enumerator->Enumerate(view));
-    double cheapest = std::numeric_limits<double>::infinity();
-    double lpc = std::numeric_limits<double>::infinity();
-    const SharingPlan* best = nullptr;
-    for (const SharingPlan& plan : plans) {
-      const GlobalPlan::PlanEvaluation eval =
-          ctx.global_plan->EvaluatePlan(plan);
-      lpc = std::min(lpc, eval.standalone_cost);
-      if (!eval.feasible) continue;
-      if (eval.marginal_cost < cheapest) {
-        cheapest = eval.marginal_cost;
-        best = &plan;
-      }
-    }
-    if (best == nullptr) continue;
+    const GlobalPlan::SpaceEvaluation evals =
+        ctx.global_plan->EvaluateSpace(space);
+    const int best = evals.CheapestFeasible();
+    if (best < 0) continue;
+    const double cheapest =
+        evals.plans[static_cast<size_t>(best)].marginal_cost;
     if (pending < options_.regret_multiple * cheapest) continue;
 
     const SharingId id = kSpeculativeIdBase + views_created_;
     DSM_RETURN_IF_ERROR(
-        ctx.global_plan->AddSharing(id, view, *best, lpc).status());
+        ctx.global_plan
+            ->AddSharing(id, view,
+                         space.Materialize(static_cast<size_t>(best)),
+                         evals.lpc)
+            .status());
     planner_->mutable_tracker()->MarkProduced(tables);
     ++views_created_;
     ++report.views_created;

@@ -8,12 +8,14 @@
 // sharings a beam (`per_subset_cap`) bounds the space, matching the
 // paper's "heuristics can be applied to filter sharing plans" escape hatch.
 //
-// Internally sub-plans are immutable fragments shared by every plan built
-// on top of them (combining two fragments is O(1)); node arrays are
-// materialized once per emitted plan. Enumeration is single-threaded:
-// predicate-pushdown choices run one after another, and cost-model queries
-// keep their order, which a stateful model (lazy memoization from an Rng)
-// needs for reproducible costs.
+// The result is a PlanSpace (plan/plan_space.h): the dynamic program's
+// sub-plans as one flat fragment array shared by every plan built on top
+// of them, each fragment priced once when the DP creates it, and one root
+// per plan. No node array is built unless a caller asks PlanSpace to
+// Materialize a plan. Enumeration is single-threaded: predicate-pushdown
+// choices run one after another, and cost-model queries keep the DP's
+// order, which a stateful model (lazy memoization from an Rng) needs for
+// reproducible costs.
 
 #ifndef DSM_PLAN_ENUMERATOR_H_
 #define DSM_PLAN_ENUMERATOR_H_
@@ -28,6 +30,7 @@
 #include "cost/cost_model.h"
 #include "plan/join_graph.h"
 #include "plan/plan.h"
+#include "plan/plan_space.h"
 #include "sharing/sharing.h"
 
 namespace dsm {
@@ -36,7 +39,7 @@ struct EnumeratorOptions {
   // Hard cap on the number of plans returned for one sharing.
   size_t max_plans = 200000;
   // If nonzero, keep only the cheapest `per_subset_cap` sub-plans per
-  // connected subset (beam search; requires a cost model).
+  // connected subset (beam search).
   size_t per_subset_cap = 0;
   // Enumerate leaf-pushdown vs. root placement per predicate. When false,
   // all predicates are applied at the root.
@@ -45,26 +48,33 @@ struct EnumeratorOptions {
 
 class PlanEnumerator {
  public:
-  // `model` may be nullptr when per_subset_cap == 0 (no pruning needed).
+  // `model` prices every fragment; Enumerate rejects a null one.
   PlanEnumerator(const Catalog* catalog, const Cluster* cluster,
                  const JoinGraph* graph, CostModel* model,
                  EnumeratorOptions options = {});
 
-  // All plans for `sharing` (deduplicated). Errors if the sharing's tables
-  // are not connected in the join graph or a table has no home server.
-  Result<std::vector<SharingPlan>> Enumerate(const Sharing& sharing) const;
+  // All plans for `sharing` (deduplicated), in a fixed order. Errors if
+  // the sharing's tables are not connected in the join graph or a table
+  // has no home server.
+  Result<PlanSpace> Enumerate(const Sharing& sharing) const;
 
   // The error Enumerate would return for `sharing` before producing any
-  // plan (InvalidArgument: no tables, unconnected tables, beam without a
-  // cost model; NotFound: an unplaced table), or OK if it would enumerate.
+  // plan (InvalidArgument: no tables, unconnected tables, no cost model;
+  // NotFound: an unplaced table), or OK if it would enumerate.
   Status Validate(const Sharing& sharing) const;
 
   const EnumeratorOptions& options() const { return options_; }
 
  private:
-  Result<std::vector<SharingPlan>> EnumerateChoice(
-      const Sharing& sharing, const std::vector<TableSet>& subsets,
-      uint64_t pushdown) const;
+  struct SpaceBuilder;  // enumerator.cc
+
+  // Runs the DP for one predicate-pushdown choice, adding the slots and
+  // fragments no earlier choice built to `builder`. `full` receives the
+  // slot over all the sharing's tables.
+  Status EnumerateChoice(const Sharing& sharing,
+                         const std::vector<TableSet>& subsets,
+                         uint64_t pushdown, SpaceBuilder* builder,
+                         const std::vector<int>** full) const;
 
   const Catalog* catalog_;
   const Cluster* cluster_;

@@ -5,6 +5,7 @@
 #include "cost/default_cost_model.h"
 #include "cost/table_cost_model.h"
 #include "plan/enumerator.h"
+#include "testing/plans.h"
 
 namespace dsm {
 namespace {
@@ -76,7 +77,8 @@ TEST_F(BreakdownTest, PlanBreakdownSumsNodes) {
   DefaultCostModel model(&catalog_, &cluster_);
   const JoinGraph graph = JoinGraph::FromCatalog(catalog_);
   PlanEnumerator enumerator(&catalog_, &cluster_, &graph, &model, {});
-  const auto plans = enumerator.Enumerate(Sharing(TS({r_, s_}), {}, 0));
+  const auto plans =
+      testing_support::EnumerateAll(enumerator, Sharing(TS({r_, s_}), {}, 0));
   ASSERT_TRUE(plans.ok());
   for (const SharingPlan& plan : *plans) {
     const CostBreakdown detail = PlanCostBreakdown(plan, &model);

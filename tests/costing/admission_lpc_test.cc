@@ -31,6 +31,7 @@
 #include "online/recovery_planner.h"
 #include "online/replanner.h"
 #include "online/speculative.h"
+#include "testing/plans.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
 #include "workload/synthetic.h"
@@ -133,7 +134,8 @@ TEST(AdmissionLpcTest, StandaloneCostIsPlanCost) {
       }
       ASSERT_GT(st->gp->num_alive_views(), 0u);
       for (size_t i = 15; i < st->sharings.size(); ++i) {
-        const auto plans = st->enumerator->Enumerate(st->sharings[i]);
+        const auto plans =
+            testing_support::EnumerateAll(*st->enumerator, st->sharings[i]);
         ASSERT_TRUE(plans.ok()) << plans.status().ToString();
         for (const SharingPlan& plan : *plans) {
           EXPECT_EQ(st->gp->EvaluatePlan(plan).standalone_cost,

@@ -14,6 +14,7 @@
 #include "costing/savings.h"
 #include "globalplan/global_plan.h"
 #include "plan/enumerator.h"
+#include "testing/plans.h"
 #include "workload/predicate_gen.h"
 
 namespace dsm {
@@ -135,7 +136,7 @@ class Figure3Test : public ::testing::Test {
   // down one chain of Figure 3(a).
   SharingPlan PlanVia(const Sharing& sharing,
                       std::vector<TableSet> joins) {
-    const auto plans = enumerator_->Enumerate(sharing);
+    const auto plans = testing_support::EnumerateAll(*enumerator_, sharing);
     EXPECT_TRUE(plans.ok());
     std::sort(joins.begin(), joins.end());
     for (const SharingPlan& plan : *plans) {

@@ -7,6 +7,7 @@
 
 #include "cost/table_cost_model.h"
 #include "plan/enumerator.h"
+#include "testing/plans.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
 
@@ -30,7 +31,7 @@ class EvenSplitTest : public ::testing::Test {
   }
 
   SharingPlan PlanWith(const Sharing& sharing, TableSet wanted_join) {
-    const auto plans = rig_.enumerator->Enumerate(sharing);
+    const auto plans = testing_support::EnumerateAll(*rig_.enumerator, sharing);
     EXPECT_TRUE(plans.ok());
     for (const SharingPlan& plan : *plans) {
       for (const PlanNode& node : plan.nodes) {

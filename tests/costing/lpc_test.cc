@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "cost/default_cost_model.h"
+#include "testing/plans.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
 
@@ -48,7 +49,8 @@ TEST(LpcTest, IndependentOfGlobalPlanState) {
   auto rig = MakeRig(sc);
   LpcCalculator lpc(rig.enumerator.get(), sc.model.get());
   const auto before = lpc.Lpc(sc.sharings[1]);
-  const auto plans = rig.enumerator->Enumerate(sc.sharings[0]);
+  const auto plans =
+      testing_support::EnumerateAll(*rig.enumerator, sc.sharings[0]);
   ASSERT_TRUE(plans.ok());
   ASSERT_TRUE(
       rig.global_plan->AddSharing(1, sc.sharings[0], plans->front()).ok());

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "globalplan/global_plan.h"
+#include "testing/plans.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
 
@@ -37,7 +38,7 @@ TEST_P(GlobalPlanPropertyTest, ChurnKeepsAccountingExact) {
     } else {
       const Sharing& sharing = sc.sharings[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(sc.sharings.size()) - 1))];
-      const auto plans = enumerator.Enumerate(sharing);
+      const auto plans = testing_support::EnumerateAll(enumerator, sharing);
       ASSERT_TRUE(plans.ok());
       const SharingPlan& plan = (*plans)[static_cast<size_t>(rng.UniformInt(
           0, static_cast<int64_t>(plans->size()) - 1))];
@@ -72,7 +73,7 @@ TEST_P(GlobalPlanPropertyTest, GpcAtLeastLpc) {
   // LPCs computed standalone.
   std::vector<double> lpcs;
   for (const Sharing& sharing : sc.sharings) {
-    const auto plans = enumerator.Enumerate(sharing);
+    const auto plans = testing_support::EnumerateAll(enumerator, sharing);
     ASSERT_TRUE(plans.ok());
     double lpc = std::numeric_limits<double>::infinity();
     for (const SharingPlan& p : *plans) {
@@ -82,7 +83,8 @@ TEST_P(GlobalPlanPropertyTest, GpcAtLeastLpc) {
   }
   Rng rng(GetParam());
   for (size_t i = 0; i < sc.sharings.size(); ++i) {
-    const auto plans = enumerator.Enumerate(sc.sharings[i]);
+    const auto plans =
+        testing_support::EnumerateAll(enumerator, sc.sharings[i]);
     ASSERT_TRUE(plans.ok());
     const SharingPlan& plan = (*plans)[static_cast<size_t>(rng.UniformInt(
         0, static_cast<int64_t>(plans->size()) - 1))];
@@ -102,7 +104,8 @@ TEST_P(GlobalPlanPropertyTest, ReuseStatsConsistent) {
                             sc.graph.get(), sc.model.get(), {});
   GlobalPlan gp(sc.cluster.get(), sc.model.get());
   for (size_t i = 0; i < sc.sharings.size(); ++i) {
-    const auto plans = enumerator.Enumerate(sc.sharings[i]);
+    const auto plans =
+        testing_support::EnumerateAll(enumerator, sc.sharings[i]);
     ASSERT_TRUE(plans.ok());
     ASSERT_TRUE(gp.AddSharing(i + 1, sc.sharings[i], plans->front()).ok());
   }

@@ -6,6 +6,7 @@
 
 #include "cost/table_cost_model.h"
 #include "plan/enumerator.h"
+#include "testing/plans.h"
 
 namespace dsm {
 namespace {
@@ -64,7 +65,7 @@ class GlobalPlanTest : public ::testing::Test {
 
   // The cheapest enumerated plan whose join order matches `want_ab_first`.
   SharingPlan PlanFor(const Sharing& sharing, bool want_ab_first) {
-    const auto plans = enumerator_->Enumerate(sharing);
+    const auto plans = testing_support::EnumerateAll(*enumerator_, sharing);
     EXPECT_TRUE(plans.ok());
     for (const SharingPlan& plan : *plans) {
       for (const PlanNode& node : plan.nodes) {
@@ -148,7 +149,7 @@ TEST_F(GlobalPlanTest, SubsumptionAddsResidualFilter) {
   ASSERT_TRUE(gp_->AddSharing(1, full, PlanFor(full, true)).ok());
 
   const Sharing filtered(TS({a_, b_}), {P(a_, 50)}, 0);
-  const auto plans = enumerator_->Enumerate(filtered);
+  const auto plans = testing_support::EnumerateAll(*enumerator_, filtered);
   ASSERT_TRUE(plans.ok());
   // Pick the plan that applies the predicate at the root (pure filter on
   // top of ab, as in Example 1.1).
@@ -190,7 +191,7 @@ TEST_F(GlobalPlanTest, HasUnpredicatedViewIgnoresPredicatedViews) {
   // A pushdown plan for a filtered ab: every node over {a, b} carries the
   // predicate, so the bucket of {a, b} holds only predicated views.
   const Sharing filtered(TS({a_, b_}), {P(a_, 50)}, 0);
-  const auto plans = enumerator_->Enumerate(filtered);
+  const auto plans = testing_support::EnumerateAll(*enumerator_, filtered);
   ASSERT_TRUE(plans.ok());
   const auto pushdown = std::find_if(
       plans->begin(), plans->end(), [this](const SharingPlan& plan) {

@@ -1,0 +1,251 @@
+// GlobalPlan::EvaluateSpace against its oracle: for every plan k of an
+// enumerated space, the one-pass evaluation over the fragment DAG must
+// equal, bit for bit, EvaluatePlan(space.Materialize(k)) — marginal cost,
+// standalone cost, feasibility and the per-node decision walk — and the
+// space's LPC must be the minimum standalone cost. The global plans are
+// churned (random removals) with one server down and one server near its
+// capacity, so reuse, liveness and capacity all decide some plans. A dry
+// run must leave the global plan's cost, views and loads untouched.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "cost/default_cost_model.h"
+#include "cost/table_cost_model.h"
+#include "globalplan/global_plan.h"
+#include "plan/enumerator.h"
+#include "plan/join_graph.h"
+#include "workload/predicate_gen.h"
+#include "workload/synthetic.h"
+#include "workload/twitter.h"
+
+namespace dsm {
+namespace {
+
+using NodeDecision = GlobalPlan::NodeDecision;
+
+struct Rig {
+  Catalog catalog;
+  Cluster cluster;
+  std::unique_ptr<JoinGraph> graph;
+  std::unique_ptr<CostModel> model;
+  std::unique_ptr<PlanEnumerator> enumerator;
+  std::unique_ptr<GlobalPlan> gp;
+  std::vector<Sharing> sequence;
+};
+
+void Finish(Rig* rig, EnumeratorOptions options) {
+  rig->graph =
+      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(rig->catalog));
+  rig->enumerator = std::make_unique<PlanEnumerator>(
+      &rig->catalog, &rig->cluster, rig->graph.get(), rig->model.get(),
+      options);
+  rig->gp = std::make_unique<GlobalPlan>(&rig->cluster, rig->model.get());
+}
+
+// Twitter sharings with 0–3 predicates, analytical cost model.
+std::unique_ptr<Rig> TwitterRig(uint64_t seed, EnumeratorOptions options) {
+  auto rig = std::make_unique<Rig>();
+  const auto tables = BuildTwitterCatalog(&rig->catalog);
+  EXPECT_TRUE(tables.ok());
+  for (int i = 0; i < 5; ++i) rig->cluster.AddServer("m" + std::to_string(i));
+  rig->cluster.PlaceRoundRobin(rig->catalog.num_tables());
+  rig->model =
+      std::make_unique<DefaultCostModel>(&rig->catalog, &rig->cluster);
+  Finish(rig.get(), options);
+  TwitterSequenceOptions seq;
+  seq.num_sharings = 36;
+  seq.max_predicates = 3;
+  seq.frac_with_predicates = 0.7;
+  seq.seed = seed;
+  rig->sequence =
+      GenerateTwitterSequence(rig->catalog, *tables, rig->cluster, seq);
+  return rig;
+}
+
+// Star sharings (up to 5 tables) with 0–3 random predicates attached,
+// table-driven cost model (stateful: costs drawn in first-query order).
+std::unique_ptr<Rig> StarRig(uint64_t seed, EnumeratorOptions options) {
+  auto rig = std::make_unique<Rig>();
+  StarSchemaOptions schema_options;
+  schema_options.num_fact = 2;
+  schema_options.num_dim = 8;
+  const auto schema = BuildStarCatalog(&rig->catalog, schema_options);
+  EXPECT_TRUE(schema.ok());
+  for (int i = 0; i < 5; ++i) rig->cluster.AddServer("m" + std::to_string(i));
+  rig->cluster.PlaceRoundRobin(rig->catalog.num_tables());
+  TableDrivenCostModel::Options model_options;
+  model_options.seed = seed;
+  model_options.transfer_cost = 7.0;
+  rig->model = std::make_unique<TableDrivenCostModel>(model_options);
+  Finish(rig.get(), options);
+  StarSequenceOptions seq;
+  seq.num_sharings = 36;
+  seq.max_tables = 5;
+  seq.seed = seed;
+  Rng rng(seed ^ 0x5eed);
+  for (const Sharing& s : GenerateStarSharings(*schema, rig->cluster, seq)) {
+    const int count = static_cast<int>(rng.UniformInt(0, 3));
+    rig->sequence.emplace_back(
+        s.tables(), RandomPredicates(rig->catalog, s.tables(), count, &rng),
+        s.destination());
+  }
+  return rig;
+}
+
+struct Seen {
+  size_t plans = 0;
+  size_t infeasible = 0;
+  size_t reused_nodes = 0;
+};
+
+// Checks every plan of `space` against EvaluatePlan on its node array.
+void ExpectSpaceMatchesPlans(const Rig& rig, const PlanSpace& space,
+                             Seen* seen) {
+  const GlobalPlan& gp = *rig.gp;
+  const double total_before = gp.TotalCost();
+  const size_t alive_before = gp.num_alive_views();
+  std::vector<double> loads_before;
+  for (ServerId s = 0; s < rig.cluster.num_servers(); ++s) {
+    loads_before.push_back(gp.ServerLoad(s));
+  }
+
+  const GlobalPlan::SpaceEvaluation got = gp.EvaluateSpace(space);
+
+  EXPECT_EQ(gp.TotalCost(), total_before);
+  EXPECT_EQ(gp.num_alive_views(), alive_before);
+  for (ServerId s = 0; s < rig.cluster.num_servers(); ++s) {
+    EXPECT_EQ(gp.ServerLoad(s), loads_before[s]);
+  }
+
+  ASSERT_EQ(got.plans.size(), space.size());
+  double lpc = std::numeric_limits<double>::infinity();
+  for (size_t k = 0; k < space.size(); ++k) {
+    const SharingPlan plan = space.Materialize(k);
+    const GlobalPlan::PlanEvaluation want = gp.EvaluatePlan(plan);
+    const GlobalPlan::SpaceEvaluation::Plan& p = got.plans[k];
+    EXPECT_EQ(p.marginal_cost, want.marginal_cost) << "plan " << k;
+    EXPECT_EQ(p.standalone_cost, want.standalone_cost) << "plan " << k;
+    EXPECT_EQ(p.standalone_cost, space.StandaloneCost(k)) << "plan " << k;
+    EXPECT_EQ(p.feasible, want.feasible) << "plan " << k;
+    lpc = std::min(lpc, want.standalone_cost);
+
+    const auto steps = got.steps_of(k);
+    ASSERT_EQ(steps.size(), plan.nodes.size()) << "plan " << k;
+    for (size_t i = 0; i < steps.size(); ++i) {
+      const PlanNode& node = space.fragment(steps[i].fragment).node;
+      EXPECT_EQ(node.type, plan.nodes[i].type);
+      EXPECT_TRUE(node.key == plan.nodes[i].key);
+      EXPECT_EQ(node.server, plan.nodes[i].server);
+      const NodeDecision d = got.decision(steps[i]);
+      const NodeDecision& w = want.decisions[i];
+      EXPECT_EQ(d.state, w.state) << "plan " << k << " node " << i;
+      EXPECT_EQ(d.reuse_source, w.reuse_source);
+      EXPECT_EQ(d.needs_residual, w.needs_residual);
+      EXPECT_EQ(d.marginal_cost, w.marginal_cost);
+      if (w.state == NodeDecision::kReused) ++seen->reused_nodes;
+    }
+    ++seen->plans;
+    if (!want.feasible) ++seen->infeasible;
+  }
+  EXPECT_EQ(got.lpc, lpc);
+}
+
+// Drives `rig`'s sequence: every space is checked before its cheapest
+// feasible plan is committed; a quarter of the arrivals also remove a
+// random earlier sharing. A third of the way in, server 1 goes down; half
+// way, server 2 gets just half a fragment's load of headroom left.
+void RunChurn(Rig* rig, uint64_t seed, bool expect_capped = false) {
+  Rng rng(seed);
+  std::vector<SharingId> active;
+  SharingId next_id = 1;
+  Seen seen;
+  size_t capped = 0;
+  const size_t n = rig->sequence.size();
+  for (size_t i = 0; i < n; ++i) {
+    const Sharing& sharing = rig->sequence[i];
+    if (i == n / 3) {
+      ASSERT_TRUE(rig->cluster.MarkDown(1).ok());
+    }
+    if (!active.empty() && rng.Bernoulli(0.25)) {
+      const auto pick = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(active.size()) - 1));
+      ASSERT_TRUE(rig->gp->RemoveSharing(active[pick]).ok());
+      active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    const auto space = rig->enumerator->Enumerate(sharing);
+    ASSERT_TRUE(space.ok()) << space.status().ToString();
+    const size_t cap = rig->enumerator->options().max_plans;
+    EXPECT_LE(space->size(), cap);
+    if (space->size() == cap) ++capped;
+    if (i == n / 2) {
+      double max_load = 0.0;
+      for (const PlanSpace::Fragment& f : space->fragments()) {
+        if (f.node.server == 2) max_load = std::max(max_load, f.load);
+      }
+      rig->cluster.mutable_server(2).capacity_tuples_per_unit =
+          rig->gp->ServerLoad(2) + 0.5 * max_load;
+    }
+    ExpectSpaceMatchesPlans(*rig, *space, &seen);
+    const GlobalPlan::SpaceEvaluation evals = rig->gp->EvaluateSpace(*space);
+    const int best = evals.CheapestFeasible();
+    if (best < 0) continue;
+    ASSERT_TRUE(rig->gp
+                    ->AddSharing(next_id, sharing,
+                                 space->Materialize(static_cast<size_t>(best)),
+                                 evals.lpc)
+                    .ok());
+    active.push_back(next_id++);
+  }
+  EXPECT_GT(seen.plans, 200u);
+  if (expect_capped) {
+    EXPECT_GT(capped, 0u);
+  }
+  EXPECT_GT(seen.infeasible, 0u);
+  EXPECT_GT(seen.reused_nodes, 0u);
+}
+
+class PlanSpaceOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PlanSpaceOracleTest, TwitterExhaustive) {
+  auto rig = TwitterRig(GetParam(), EnumeratorOptions{});
+  RunChurn(rig.get(), GetParam());
+}
+
+TEST_P(PlanSpaceOracleTest, TwitterBeam) {
+  EnumeratorOptions options;
+  options.per_subset_cap = 4;
+  auto rig = TwitterRig(GetParam() ^ 0xbea, options);
+  RunChurn(rig.get(), GetParam());
+}
+
+TEST_P(PlanSpaceOracleTest, TwitterMaxPlansCap) {
+  EnumeratorOptions options;
+  options.max_plans = 37;
+  auto rig = TwitterRig(GetParam() ^ 0xcab, options);
+  RunChurn(rig.get(), GetParam(), /*expect_capped=*/true);
+}
+
+TEST_P(PlanSpaceOracleTest, StarExhaustive) {
+  auto rig = StarRig(GetParam(), EnumeratorOptions{});
+  RunChurn(rig.get(), GetParam());
+}
+
+TEST_P(PlanSpaceOracleTest, StarBeam) {
+  EnumeratorOptions options;
+  options.per_subset_cap = 3;
+  auto rig = StarRig(GetParam() ^ 0xbea, options);
+  RunChurn(rig.get(), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PlanSpaceOracleTest,
+                         ::testing::Values(5, 23, 101));
+
+}  // namespace
+}  // namespace dsm

@@ -6,6 +6,7 @@
 
 #include "globalplan/global_plan.h"
 #include "plan/enumerator.h"
+#include "testing/plans.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
 
@@ -37,7 +38,7 @@ class ReuseChainTest : public ::testing::Test {
   }
 
   SharingPlan RootFilterPlan(const Sharing& sharing) {
-    const auto plans = rig_.enumerator->Enumerate(sharing);
+    const auto plans = testing_support::EnumerateAll(*rig_.enumerator, sharing);
     EXPECT_TRUE(plans.ok());
     for (const SharingPlan& plan : *plans) {
       if (plan.root().type == PlanNodeType::kFilterCopy &&
@@ -51,7 +52,7 @@ class ReuseChainTest : public ::testing::Test {
   }
 
   SharingPlan AnyPlan(const Sharing& sharing) {
-    const auto plans = rig_.enumerator->Enumerate(sharing);
+    const auto plans = testing_support::EnumerateAll(*rig_.enumerator, sharing);
     EXPECT_TRUE(plans.ok());
     return plans->front();
   }
@@ -134,7 +135,7 @@ TEST_F(ReuseChainTest, SubsumptionPrefersTighterSource) {
 TEST_F(ReuseChainTest, ForbiddenKeyStillAllowsDescendantReuse) {
   // Forbidding reuse of the root key must not forbid reusing ab below it.
   const Sharing full(TS({0, 1, 2}), {}, 0, "abc");
-  const auto plans = rig_.enumerator->Enumerate(full);
+  const auto plans = testing_support::EnumerateAll(*rig_.enumerator, full);
   ASSERT_TRUE(plans.ok());
   const SharingPlan* via_ab = nullptr;
   for (const SharingPlan& plan : *plans) {

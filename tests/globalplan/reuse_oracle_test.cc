@@ -28,6 +28,7 @@
 #include "globalplan/global_plan.h"
 #include "plan/enumerator.h"
 #include "plan/join_graph.h"
+#include "testing/plans.h"
 #include "workload/twitter.h"
 
 namespace dsm {
@@ -295,7 +296,7 @@ TEST_P(ReuseOracleTest, RandomPlansMatchOracle) {
       active.erase(active.begin() + static_cast<int64_t>(pick));
     }
 
-    const auto plans = rig->enumerator->Enumerate(sharing);
+    const auto plans = testing_support::EnumerateAll(*rig->enumerator, sharing);
     ASSERT_TRUE(plans.ok());
     size_t best = 0;
     double best_cost = 0.0;
@@ -341,7 +342,7 @@ TEST_P(ReuseOracleTest, LivenessFlipsMatchOracle) {
         ASSERT_TRUE(rig->cluster.MarkUp(victim).ok());
       }
     }
-    const auto plans = rig->enumerator->Enumerate(sharing);
+    const auto plans = testing_support::EnumerateAll(*rig->enumerator, sharing);
     ASSERT_TRUE(plans.ok());
     for (const SharingPlan& plan : *plans) {
       ExpectIdenticalEvaluations(rig->gp->EvaluatePlan(plan),

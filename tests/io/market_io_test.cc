@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "cost/default_cost_model.h"
 #include "online/managed_risk.h"
+#include "testing/plans.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
 #include "workload/twitter.h"
@@ -329,7 +330,8 @@ TEST(MarketIoTest, FuzzedInputNeverCrashes) {
 TEST(MarketIoTest, RestoreRequiresEmptyPlan) {
   const Scenario sc = MakeGreedyTrap(1);
   auto rig = MakeRig(sc);
-  const auto plans = rig.enumerator->Enumerate(sc.sharings[0]);
+  const auto plans =
+      testing_support::EnumerateAll(*rig.enumerator, sc.sharings[0]);
   ASSERT_TRUE(plans.ok());
   ASSERT_TRUE(
       rig.global_plan->AddSharing(1, sc.sharings[0], plans->front()).ok());

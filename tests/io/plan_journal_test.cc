@@ -12,6 +12,7 @@
 #include "common/fault.h"
 #include "cost/default_cost_model.h"
 #include "online/greedy.h"
+#include "testing/plans.h"
 #include "workload/twitter.h"
 
 namespace dsm {
@@ -209,7 +210,7 @@ TEST(PlanJournalTest, FileBackedJournalSurvivesReopen) {
   ASSERT_TRUE(reopened.Open().ok());
   {
     const auto base = TwitterBaseSharings(rig->tables, rig->cluster);
-    const auto plans = rig->enumerator->Enumerate(base[5]);
+    const auto plans = testing_support::EnumerateAll(*rig->enumerator, base[5]);
     ASSERT_TRUE(plans.ok());
     ASSERT_TRUE(reopened.Append(100, base[5], plans->front()).ok());
   }

@@ -8,6 +8,7 @@
 #include "online/managed_risk.h"
 #include "online/replanner.h"
 #include "online/speculative.h"
+#include "testing/plans.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
 
@@ -56,7 +57,8 @@ TEST(ReplannerTest, MovesSharingsOntoExistingViews) {
 
   // Force ab into the plan via a direct two-table sharing, then replan.
   const Sharing ab_sharing(TS({0, 1}), {}, 0, "provider");
-  const auto plans = rig2.enumerator->Enumerate(ab_sharing);
+  const auto plans =
+      testing_support::EnumerateAll(*rig2.enumerator, ab_sharing);
   ASSERT_TRUE(plans.ok());
   ASSERT_TRUE(
       rig2.global_plan->AddSharing(99, ab_sharing, plans->front()).ok());

@@ -15,6 +15,7 @@
 #include "cost/table_cost_model.h"
 #include "online/greedy.h"
 #include "online/recovery_planner.h"
+#include "testing/plans.h"
 #include "workload/twitter.h"
 
 namespace dsm {
@@ -78,7 +79,7 @@ std::vector<Sharing> TwitterMix(const Stack& st, size_t n, uint64_t seed) {
 }
 
 bool AnyPlanFeasible(const Stack& st, const Sharing& sharing) {
-  const auto plans = st.enumerator->Enumerate(sharing);
+  const auto plans = testing_support::EnumerateAll(*st.enumerator, sharing);
   EXPECT_TRUE(plans.ok()) << plans.status().ToString();
   if (!plans.ok()) return false;
   for (const SharingPlan& plan : *plans) {
@@ -159,7 +160,7 @@ TEST(LivenessRuleOutTest, CoveredDeadHomeIsNotRuledOut) {
   // USERS lives on m0, TWEETS on m1 (round-robin).
   const Sharing s(TS({st->tables.users, st->tables.tweets}), {},
                   /*destination=*/0, "ann");
-  const auto plans = st->enumerator->Enumerate(s);
+  const auto plans = testing_support::EnumerateAll(*st->enumerator, s);
   ASSERT_TRUE(plans.ok());
   const SharingPlan* at_dest = nullptr;
   for (const SharingPlan& plan : *plans) {

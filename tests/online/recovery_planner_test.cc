@@ -13,6 +13,7 @@
 
 #include "common/fault.h"
 #include "cost/default_cost_model.h"
+#include "testing/plans.h"
 #include "workload/twitter.h"
 
 namespace dsm {
@@ -71,7 +72,7 @@ std::unique_ptr<RecoveryRig> MakeRecoveryRig(bool spare_server) {
 // Integrates `sharing` under the cheapest feasible plan (Algorithm 2 with
 // the GREEDY criterion) and returns its marginal cost.
 double AddCheapest(RecoveryRig* rig, SharingId id, const Sharing& sharing) {
-  const auto plans = rig->enumerator->Enumerate(sharing);
+  const auto plans = testing_support::EnumerateAll(*rig->enumerator, sharing);
   EXPECT_TRUE(plans.ok());
   const SharingPlan* best = nullptr;
   double best_cost = 0.0;
@@ -159,7 +160,7 @@ TEST(RecoveryPlannerTest, MigratesReuseVictimAndParksDeadDestination) {
   // Sharing 1: FACT ⋈ DIM delivered to m2, joined directly there — the
   // only view of that join in the market lives on m2.
   const Sharing a(TS({0, 1}), {}, /*destination=*/2, "alice");
-  const auto a_plans = rig->enumerator->Enumerate(a);
+  const auto a_plans = testing_support::EnumerateAll(*rig->enumerator, a);
   ASSERT_TRUE(a_plans.ok());
   const SharingPlan* a_plan = JoinAtDestinationPlan(*a_plans, 2);
   ASSERT_NE(a_plan, nullptr);

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "plan/enumerator.h"
+#include "testing/plans.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
 #include "workload/predicate_gen.h"
@@ -80,7 +81,7 @@ TEST_P(EnumeratorPropertyTest, AllPlansValidAndUnique) {
         &rng);
     const Sharing sharing(base.tables(), std::move(preds),
                           base.destination());
-    const auto plans = enumerator.Enumerate(sharing);
+    const auto plans = testing_support::EnumerateAll(enumerator, sharing);
     ASSERT_TRUE(plans.ok());
     ASSERT_FALSE(plans->empty());
     std::set<uint64_t> signatures;
@@ -104,8 +105,8 @@ TEST_P(EnumeratorPropertyTest, BeamPlansAreSubsetQuality) {
   PlanEnumerator beam(sc.catalog.get(), sc.cluster.get(), sc.graph.get(),
                       sc.model.get(), beam_options);
   for (const Sharing& sharing : sc.sharings) {
-    const auto full_plans = full.Enumerate(sharing);
-    const auto beam_plans = beam.Enumerate(sharing);
+    const auto full_plans = testing_support::EnumerateAll(full, sharing);
+    const auto beam_plans = testing_support::EnumerateAll(beam, sharing);
     ASSERT_TRUE(full_plans.ok());
     ASSERT_TRUE(beam_plans.ok());
     ASSERT_FALSE(beam_plans->empty());

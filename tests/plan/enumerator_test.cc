@@ -3,9 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "cost/default_cost_model.h"
 #include "cost/table_cost_model.h"
+#include "testing/plans.h"
+#include "workload/predicate_gen.h"
+#include "workload/synthetic.h"
+#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
@@ -61,7 +69,8 @@ TEST_F(EnumeratorTest, PathGraphHasTwoJoinOrders) {
   // (a,b,c) over a-b-c admits exactly (ab)c and a(bc); (ac)b is not
   // connected. Single server, no predicates -> exactly 2 plans.
   const PlanEnumerator e = MakeEnumerator();
-  const auto plans = e.Enumerate(Sharing(TS({a_, b_, c_}), {}, 0));
+  const auto plans =
+      testing_support::EnumerateAll(e, Sharing(TS({a_, b_, c_}), {}, 0));
   ASSERT_TRUE(plans.ok());
   EXPECT_EQ(plans->size(), 2u);
   for (const SharingPlan& p : *plans) {
@@ -72,7 +81,8 @@ TEST_F(EnumeratorTest, PathGraphHasTwoJoinOrders) {
 
 TEST_F(EnumeratorTest, TwoTableSharingHasOnePlan) {
   const PlanEnumerator e = MakeEnumerator();
-  const auto plans = e.Enumerate(Sharing(TS({a_, b_}), {}, 0));
+  const auto plans =
+      testing_support::EnumerateAll(e, Sharing(TS({a_, b_}), {}, 0));
   ASSERT_TRUE(plans.ok());
   EXPECT_EQ(plans->size(), 1u);
   EXPECT_EQ((*plans)[0].nodes.size(), 3u);  // two leaves + join
@@ -80,7 +90,7 @@ TEST_F(EnumeratorTest, TwoTableSharingHasOnePlan) {
 
 TEST_F(EnumeratorTest, SingleTableSharing) {
   const PlanEnumerator e = MakeEnumerator();
-  const auto plans = e.Enumerate(Sharing(TS({a_}), {}, 0));
+  const auto plans = testing_support::EnumerateAll(e, Sharing(TS({a_}), {}, 0));
   ASSERT_TRUE(plans.ok());
   ASSERT_EQ(plans->size(), 1u);
   // Leaf only: already at the destination with no predicates.
@@ -89,7 +99,8 @@ TEST_F(EnumeratorTest, SingleTableSharing) {
 
 TEST_F(EnumeratorTest, DisconnectedSharingRejected) {
   const PlanEnumerator e = MakeEnumerator();
-  const auto plans = e.Enumerate(Sharing(TS({a_, c_}), {}, 0));
+  const auto plans =
+      testing_support::EnumerateAll(e, Sharing(TS({a_, c_}), {}, 0));
   EXPECT_EQ(plans.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -100,7 +111,8 @@ TEST_F(EnumeratorTest, PredicatePlacementDoublesPlans) {
   p.op = CompareOp::kLt;
   p.value = 50;
   const PlanEnumerator e = MakeEnumerator();
-  const auto plans = e.Enumerate(Sharing(TS({a_, b_}), {p}, 0));
+  const auto plans =
+      testing_support::EnumerateAll(e, Sharing(TS({a_, b_}), {p}, 0));
   ASSERT_TRUE(plans.ok());
   // Pushdown to the leaf vs applied at the root.
   EXPECT_EQ(plans->size(), 2u);
@@ -115,7 +127,8 @@ TEST_F(EnumeratorTest, PredicatePlacementDisabled) {
   EnumeratorOptions options;
   options.predicate_placement = false;
   const PlanEnumerator e = MakeEnumerator(options);
-  const auto plans = e.Enumerate(Sharing(TS({a_, b_}), {p}, 0));
+  const auto plans =
+      testing_support::EnumerateAll(e, Sharing(TS({a_, b_}), {p}, 0));
   ASSERT_TRUE(plans.ok());
   EXPECT_EQ(plans->size(), 1u);
 }
@@ -128,7 +141,7 @@ TEST_F(EnumeratorTest, AllPlansDeliverResultKeyAtDestination) {
   p.value = 10;
   const Sharing sharing(TS({a_, b_, c_}), {p}, 0);
   const PlanEnumerator e = MakeEnumerator();
-  const auto plans = e.Enumerate(sharing);
+  const auto plans = testing_support::EnumerateAll(e, sharing);
   ASSERT_TRUE(plans.ok());
   ASSERT_FALSE(plans->empty());
   for (const SharingPlan& plan : *plans) {
@@ -146,7 +159,8 @@ TEST_F(EnumeratorTest, MaxPlansCap) {
   EnumeratorOptions options;
   options.max_plans = 1;
   const PlanEnumerator e = MakeEnumerator(options);
-  const auto plans = e.Enumerate(Sharing(TS({a_, b_, c_}), {p}, 0));
+  const auto plans =
+      testing_support::EnumerateAll(e, Sharing(TS({a_, b_, c_}), {p}, 0));
   ASSERT_TRUE(plans.ok());
   EXPECT_EQ(plans->size(), 1u);
 }
@@ -155,7 +169,8 @@ TEST_F(EnumeratorTest, BeamRequiresCostModel) {
   EnumeratorOptions options;
   options.per_subset_cap = 1;
   PlanEnumerator e(&catalog_, &cluster_, graph_.get(), nullptr, options);
-  const auto plans = e.Enumerate(Sharing(TS({a_, b_}), {}, 0));
+  const auto plans =
+      testing_support::EnumerateAll(e, Sharing(TS({a_, b_}), {}, 0));
   EXPECT_EQ(plans.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -168,7 +183,8 @@ TEST_F(EnumeratorTest, BeamKeepsCheapestPlan) {
   EnumeratorOptions options;
   options.per_subset_cap = 1;
   const PlanEnumerator e = MakeEnumerator(options);
-  const auto plans = e.Enumerate(Sharing(TS({a_, b_, c_}), {}, 0));
+  const auto plans =
+      testing_support::EnumerateAll(e, Sharing(TS({a_, b_, c_}), {}, 0));
   ASSERT_TRUE(plans.ok());
   ASSERT_EQ(plans->size(), 1u);
   EXPECT_NEAR(PlanCost((*plans)[0], &model_), 2.0, 1e-9);
@@ -194,7 +210,8 @@ TEST_F(EnumeratorTest, ManyPredicatesKeepFullPushdownMask) {
     preds.push_back(p);
   }
   const PlanEnumerator e = MakeEnumerator();
-  const auto plans = e.Enumerate(Sharing(TS({a_, b_}), preds, 0));
+  const auto plans =
+      testing_support::EnumerateAll(e, Sharing(TS({a_, b_}), preds, 0));
   ASSERT_TRUE(plans.ok());
   size_t max_leaf_preds = 0;
   for (const SharingPlan& plan : *plans) {
@@ -224,12 +241,172 @@ TEST(EnumeratorMultiServerTest, ServerPlacementsEnumerated) {
   const JoinGraph graph = JoinGraph::FromCatalog(catalog);
   TableDrivenCostModel model;
   PlanEnumerator e(&catalog, &cluster, &graph, &model, {});
-  const auto plans = e.Enumerate(Sharing(TS({ta, tb}), {}, 2));
+  const auto plans =
+      testing_support::EnumerateAll(e, Sharing(TS({ta, tb}), {}, 2));
   ASSERT_TRUE(plans.ok());
   EXPECT_EQ(plans->size(), 3u);
   // Every plan ends at the destination server.
   for (const SharingPlan& p : *plans) {
     EXPECT_EQ(p.root().server, 2u);
+  }
+}
+
+// Enumeration order is part of every decision: MANAGEDRISK's sort breaks
+// score ties by it, and a TableDrivenCostModel draws its costs in it. The
+// plan count and an order-sensitive digest of Signature() over
+// Materialize(0..n-1) are pinned for each of the 25 Twitter base queries
+// with 0, 1 and 2 random predicates, and for three star sharings. They
+// were recorded from the node-array enumerator that PlanSpace replaced.
+struct PinnedOrder {
+  size_t plans;
+  uint64_t digest;
+};
+
+uint64_t OrderDigest(const PlanSpace& space) {
+  uint64_t digest = 0;
+  for (size_t k = 0; k < space.size(); ++k) {
+    digest = digest * 0x100000001b3ULL ^ space.Materialize(k).Signature();
+  }
+  return digest;
+}
+
+TEST(EnumerationOrderTest, TwitterBaseQueriesKeepPinnedOrder) {
+  constexpr PinnedOrder kPinned[] = {
+    {1, 0x5b95d7db3a63048fULL},  // query 0, 0 predicates
+    {2, 0x981f0d17ae9eabc9ULL},  // query 0, 1 predicate
+    {4, 0x797eaab9a3f2d8d8ULL},  // query 0, 2 predicates
+    {15, 0x6c3f7d347871d2beULL},  // query 1, 0 predicates
+    {30, 0xb824202a4265d769ULL},  // query 1, 1 predicate
+    {60, 0xf673d256f8900945ULL},  // query 1, 2 predicates
+    {19, 0xfbdc27f986cd16f7ULL},  // query 2, 0 predicates
+    {38, 0xba69c5e072440de1ULL},  // query 2, 1 predicate
+    {76, 0xd8aaf53b5b3b2544ULL},  // query 2, 2 predicates
+    {267, 0x18a809777ee0e8a9ULL},  // query 3, 0 predicates
+    {534, 0x5907865e6a48947fULL},  // query 3, 1 predicate
+    {1062, 0x333f36acad4299bcULL},  // query 3, 2 predicates
+    {2, 0x87a257a77b3b648dULL},  // query 4, 0 predicates
+    {4, 0xacb99981820113bdULL},  // query 4, 1 predicate
+    {8, 0x3da1dacdeeee9b31ULL},  // query 4, 2 predicates
+    {2, 0x76859a5527385a1cULL},  // query 5, 0 predicates
+    {4, 0xaed6bbe69134bb5cULL},  // query 5, 1 predicate
+    {8, 0x40a0d90bc86471deULL},  // query 5, 2 predicates
+    {2, 0x7c91de66585810e6ULL},  // query 6, 0 predicates
+    {4, 0xb15c964de6b2c437ULL},  // query 6, 1 predicate
+    {8, 0x91ac141fc90ddac0ULL},  // query 6, 2 predicates
+    {3, 0x50d05013cb594b8fULL},  // query 7, 0 predicates
+    {6, 0xfd5ade9990c8be64ULL},  // query 7, 1 predicate
+    {12, 0x006f82650c2cf8f3ULL},  // query 7, 2 predicates
+    {3, 0x77409f960cc07ce2ULL},  // query 8, 0 predicates
+    {6, 0xff473d83a72412b8ULL},  // query 8, 1 predicate
+    {12, 0xaa2b27f635d82284ULL},  // query 8, 2 predicates
+    {2, 0xef82fd33c6aa5e76ULL},  // query 9, 0 predicates
+    {4, 0x0bacca806dd7d26aULL},  // query 9, 1 predicate
+    {8, 0x5dac695c646e000aULL},  // query 9, 2 predicates
+    {105, 0x2d9e7258d28d8731ULL},  // query 10, 0 predicates
+    {209, 0x6b7fbf92dcc016dbULL},  // query 10, 1 predicate
+    {420, 0x024db90eceeb53cbULL},  // query 10, 2 predicates
+    {24, 0x18de6faf9ca0e07cULL},  // query 11, 0 predicates
+    {48, 0x62ebc23635357312ULL},  // query 11, 1 predicate
+    {96, 0x4f68af9e01d1363aULL},  // query 11, 2 predicates
+    {192, 0xd92c92dc95bb5bd8ULL},  // query 12, 0 predicates
+    {384, 0xba4c2d0c04f969d8ULL},  // query 12, 1 predicate
+    {768, 0x5433b02c976de019ULL},  // query 12, 2 predicates
+    {2, 0x6860e4444c717722ULL},  // query 13, 0 predicates
+    {4, 0x4f90ff08274379a8ULL},  // query 13, 1 predicate
+    {8, 0x793168d140783a79ULL},  // query 13, 2 predicates
+    {192, 0xd43c15ad30b87480ULL},  // query 14, 0 predicates
+    {384, 0x095a5ca10978355fULL},  // query 14, 1 predicate
+    {768, 0x2348b67a7d661f44ULL},  // query 14, 2 predicates
+    {267, 0x4322486932121190ULL},  // query 15, 0 predicates
+    {534, 0xc457d28da8d7a423ULL},  // query 15, 1 predicate
+    {1068, 0x7ad3c67bf6fa7a90ULL},  // query 15, 2 predicates
+    {2, 0xd886320f460ef828ULL},  // query 16, 0 predicates
+    {4, 0x9245f48901b99fadULL},  // query 16, 1 predicate
+    {8, 0x08ca770acc7784a9ULL},  // query 16, 2 predicates
+    {157, 0xfa835d353cf003f8ULL},  // query 17, 0 predicates
+    {314, 0x5bbe8b4cdf8c3561ULL},  // query 17, 1 predicate
+    {627, 0x30f2f42f1d6cea56ULL},  // query 17, 2 predicates
+    {190, 0xf29c0ae9db0c6991ULL},  // query 18, 0 predicates
+    {380, 0xbfdf2d63fe6c3aa3ULL},  // query 18, 1 predicate
+    {764, 0x8620fbd1b6aae9a7ULL},  // query 18, 2 predicates
+    {2966, 0x5d3b7f3f6ede9c2fULL},  // query 19, 0 predicates
+    {5945, 0x8ffe52181c4e6d0cULL},  // query 19, 1 predicate
+    {11915, 0xd599515acaee0186ULL},  // query 19, 2 predicates
+    {1605, 0x414a24cf8f312788ULL},  // query 20, 0 predicates
+    {3207, 0x9e2466c6406bec34ULL},  // query 20, 1 predicate
+    {6404, 0x914250594a966485ULL},  // query 20, 2 predicates
+    {2, 0x4b0b200b59532275ULL},  // query 21, 0 predicates
+    {4, 0x25d04e90a3f48e4fULL},  // query 21, 1 predicate
+    {8, 0xf3dc5d62877ed25cULL},  // query 21, 2 predicates
+    {2, 0x15c180489c1b5a04ULL},  // query 22, 0 predicates
+    {4, 0x3f004aa260aebf60ULL},  // query 22, 1 predicate
+    {8, 0x8fe4e116e45ea9bfULL},  // query 22, 2 predicates
+    {2, 0x3fdb648f358f2bbeULL},  // query 23, 0 predicates
+    {4, 0x4ef74657b6023327ULL},  // query 23, 1 predicate
+    {8, 0x4fc461e3c9a70851ULL},  // query 23, 2 predicates
+    {14, 0xf7b1ea92fbeb5a49ULL},  // query 24, 0 predicates
+    {29, 0xf1b507dc68b20658ULL},  // query 24, 1 predicate
+    {59, 0x9ed371cd21752e24ULL},  // query 24, 2 predicates
+  };
+  Catalog catalog;
+  Cluster cluster;
+  const auto tables = BuildTwitterCatalog(&catalog);
+  ASSERT_TRUE(tables.ok());
+  for (int i = 0; i < 4; ++i) cluster.AddServer("m" + std::to_string(i));
+  cluster.PlaceRoundRobin(catalog.num_tables());
+  const JoinGraph graph = JoinGraph::FromCatalog(catalog);
+  DefaultCostModel model(&catalog, &cluster);
+  const PlanEnumerator e(&catalog, &cluster, &graph, &model, {});
+  const std::vector<Sharing> base = TwitterBaseSharings(*tables, cluster);
+  ASSERT_EQ(base.size() * 3, std::size(kPinned));
+  for (size_t q = 0; q < base.size(); ++q) {
+    for (int preds = 0; preds <= 2; ++preds) {
+      Rng rng(1000 * q + static_cast<uint64_t>(preds));
+      const Sharing sharing(
+          base[q].tables(),
+          RandomPredicates(catalog, base[q].tables(), preds, &rng),
+          base[q].destination());
+      const auto space = e.Enumerate(sharing);
+      ASSERT_TRUE(space.ok());
+      const PinnedOrder& want = kPinned[3 * q + static_cast<size_t>(preds)];
+      EXPECT_EQ(space->size(), want.plans) << "query " << q << "/" << preds;
+      EXPECT_EQ(OrderDigest(*space), want.digest)
+          << "query " << q << "/" << preds;
+    }
+  }
+}
+
+TEST(EnumerationOrderTest, StarSharingsKeepPinnedOrder) {
+  constexpr PinnedOrder kPinned[] = {
+    {2796, 0xc93f591a5505bcb6ULL},  // star sharing 0
+    {5632, 0xed9c928bdecc9890ULL},  // star sharing 1
+    {10979, 0x3414bcf122497ea8ULL},  // star sharing 2
+  };
+  Catalog catalog;
+  Cluster cluster;
+  StarSchemaOptions schema_options;
+  schema_options.num_fact = 2;
+  schema_options.num_dim = 10;
+  const auto schema = BuildStarCatalog(&catalog, schema_options);
+  ASSERT_TRUE(schema.ok());
+  for (int i = 0; i < 5; ++i) cluster.AddServer("m" + std::to_string(i));
+  cluster.PlaceRoundRobin(catalog.num_tables());
+  const JoinGraph graph = JoinGraph::FromCatalog(catalog);
+  TableDrivenCostModel model;
+  const PlanEnumerator e(&catalog, &cluster, &graph, &model, {});
+  StarSequenceOptions seq;
+  seq.num_sharings = 3;
+  seq.max_tables = 6;
+  seq.exact_size = true;
+  seq.seed = 29;
+  const std::vector<Sharing> sharings =
+      GenerateStarSharings(*schema, cluster, seq);
+  ASSERT_EQ(sharings.size(), std::size(kPinned));
+  for (size_t i = 0; i < sharings.size(); ++i) {
+    const auto space = e.Enumerate(sharings[i]);
+    ASSERT_TRUE(space.ok());
+    EXPECT_EQ(space->size(), kPinned[i].plans) << "star sharing " << i;
+    EXPECT_EQ(OrderDigest(*space), kPinned[i].digest) << "star sharing " << i;
   }
 }
 

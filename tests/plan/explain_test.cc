@@ -4,6 +4,7 @@
 
 #include "cost/table_cost_model.h"
 #include "plan/enumerator.h"
+#include "testing/plans.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
 
@@ -15,7 +16,8 @@ using testing_support::MakeRig;
 TEST(ExplainTest, PlanTreeContainsEveryOperator) {
   const Scenario sc = MakeGreedyTrap(1);
   auto rig = MakeRig(sc);
-  const auto plans = rig.enumerator->Enumerate(sc.sharings[0]);
+  const auto plans =
+      testing_support::EnumerateAll(*rig.enumerator, sc.sharings[0]);
   ASSERT_TRUE(plans.ok());
   const std::string text =
       ExplainPlan(plans->front(), *sc.catalog, sc.model.get());
@@ -38,7 +40,8 @@ TEST(ExplainTest, SharingShowsReuseDecisions) {
   auto rig = MakeRig(sc);
   // Both sharings use the (ab)c_x plan; the second reuses ab.
   for (size_t i = 0; i < 2; ++i) {
-    const auto plans = rig.enumerator->Enumerate(sc.sharings[i]);
+    const auto plans =
+        testing_support::EnumerateAll(*rig.enumerator, sc.sharings[i]);
     ASSERT_TRUE(plans.ok());
     const SharingPlan* with_ab = nullptr;
     for (const SharingPlan& p : *plans) {
@@ -69,7 +72,8 @@ TEST(ExplainTest, UnknownSharing) {
 TEST(ExplainTest, GlobalPlanSummary) {
   const Scenario sc = MakeGreedyTrap(2);
   auto rig = MakeRig(sc);
-  const auto plans = rig.enumerator->Enumerate(sc.sharings[0]);
+  const auto plans =
+      testing_support::EnumerateAll(*rig.enumerator, sc.sharings[0]);
   ASSERT_TRUE(plans.ok());
   ASSERT_TRUE(
       rig.global_plan->AddSharing(1, sc.sharings[0], plans->front()).ok());
