@@ -41,9 +41,6 @@ struct EnumeratorOptions {
   // If nonzero, keep only the cheapest `per_subset_cap` sub-plans per
   // connected subset (beam search).
   size_t per_subset_cap = 0;
-  // Enumerate leaf-pushdown vs. root placement per predicate. When false,
-  // all predicates are applied at the root.
-  bool predicate_placement = true;
 };
 
 class PlanEnumerator {
@@ -53,9 +50,9 @@ class PlanEnumerator {
                  const JoinGraph* graph, CostModel* model,
                  EnumeratorOptions options = {});
 
-  // All plans for `sharing` (deduplicated), in a fixed order. Errors if
-  // the sharing's tables are not connected in the join graph or a table
-  // has no home server.
+  // All plans for `sharing`, each a distinct tree, in a fixed order.
+  // Errors if the sharing's tables are not connected in the join graph or
+  // a table has no home server.
   Result<PlanSpace> Enumerate(const Sharing& sharing) const;
 
   // The error Enumerate would return for `sharing` before producing any

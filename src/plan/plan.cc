@@ -30,22 +30,6 @@ void AppendNodeString(const SharingPlan& plan, int index,
 
 }  // namespace
 
-uint64_t SharingPlan::Signature() const {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  auto mix = [&h](uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  ViewKeyHash key_hash;
-  for (const PlanNode& n : nodes) {
-    mix(static_cast<uint64_t>(n.type));
-    mix(key_hash(n.key));
-    mix(n.server);
-    mix(static_cast<uint64_t>(static_cast<int64_t>(n.left)) * 31 +
-        static_cast<uint64_t>(static_cast<int64_t>(n.right)));
-  }
-  return h;
-}
-
 std::string SharingPlan::ToString(const Catalog& catalog) const {
   if (nodes.empty()) return "<empty plan>";
   std::string out;

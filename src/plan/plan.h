@@ -44,6 +44,8 @@ struct PlanNode {
   TableId base_table = 0;
 
   bool is_join() const { return type == PlanNodeType::kJoin; }
+
+  friend bool operator==(const PlanNode&, const PlanNode&) = default;
 };
 
 // A plan for one sharing. Nodes are stored in topological order (children
@@ -56,8 +58,8 @@ struct SharingPlan {
   int root_index() const { return static_cast<int>(nodes.size()) - 1; }
   const PlanNode& root() const { return nodes.back(); }
 
-  // Stable content hash used to dedupe plans during enumeration.
-  uint64_t Signature() const;
+  // Equal plans are the same tree: node for node, in the same order.
+  friend bool operator==(const SharingPlan&, const SharingPlan&) = default;
 
   // e.g. "((USERS ⋈ TWEETS)@s0 ⋈ CURLOC)@s1".
   std::string ToString(const Catalog& catalog) const;

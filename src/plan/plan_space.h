@@ -2,8 +2,8 @@
 // sub-plans (fragments), as PlanEnumerator::Enumerate returns it.
 //
 // The enumerator's dynamic program builds each sub-plan once and every
-// plan above it shares it, so a sharing's ~700 plans are ~1,000 distinct
-// fragments rather than ~7,000 nodes. Each fragment is priced once, at
+// plan above it shares it, so a sharing's ~700 plans are ~1,500
+// fragments rather than ~7,000 nodes. No two roots are the same tree. Each fragment is priced once, at
 // creation (op cost and load under the enumerator's cost model), and a
 // plan is just a root fragment. GlobalPlan::EvaluateSpace dry-runs the
 // whole space fragment by fragment; only the plan a caller commits needs

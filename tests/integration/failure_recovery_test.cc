@@ -64,7 +64,7 @@ void ExpectSamePlan(const GlobalPlan& a, const GlobalPlan& b) {
     const auto* rb = b.record(id);
     ASSERT_NE(ra, nullptr);
     ASSERT_NE(rb, nullptr);
-    EXPECT_EQ(ra->plan.Signature(), rb->plan.Signature());
+    EXPECT_EQ(ra->plan, rb->plan);
     EXPECT_NEAR(a.GPC(id), b.GPC(id), 1e-9);
     EXPECT_NEAR(ra->marginal_cost, rb->marginal_cost, 1e-9);
   }
@@ -196,7 +196,7 @@ TEST(FailureRecoveryTest, CrashDuringAppendLosesOnlyTheTornRecord) {
   for (const PlanChoice& choice : committed) {
     const auto* rec = restored.record(choice.id);
     ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->plan.Signature(), choice.plan.Signature());
+    EXPECT_EQ(rec->plan, choice.plan);
     EXPECT_NEAR(rec->marginal_cost, choice.marginal_cost, 1e-9);
     EXPECT_NEAR(restored.GPC(choice.id), rig->gp->GPC(choice.id), 1e-9);
   }

@@ -112,8 +112,7 @@ TEST(PlanJournalTest, RoundTripReplaysEveryRecord) {
   ASSERT_EQ(replay->entries.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(replay->entries[i].id, choices[i].id);
-    EXPECT_EQ(replay->entries[i].plan.Signature(),
-              choices[i].plan.Signature());
+    EXPECT_EQ(replay->entries[i].plan, choices[i].plan);
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -118,15 +120,16 @@ TEST_F(EnumeratorTest, PredicatePlacementDoublesPlans) {
   EXPECT_EQ(plans->size(), 2u);
 }
 
-TEST_F(EnumeratorTest, PredicatePlacementDisabled) {
+TEST_F(EnumeratorTest, PredicateOffTheTablesAddsNoPlans) {
+  // A predicate on c pushes down nowhere in a sharing over {a, b}: both
+  // pushdown choices reach the same slot over {a, b}, and the second
+  // repeats no plan of the first.
   Predicate p;
-  p.table = a_;
+  p.table = c_;
   p.column = 0;
   p.op = CompareOp::kLt;
   p.value = 50;
-  EnumeratorOptions options;
-  options.predicate_placement = false;
-  const PlanEnumerator e = MakeEnumerator(options);
+  const PlanEnumerator e = MakeEnumerator();
   const auto plans =
       testing_support::EnumerateAll(e, Sharing(TS({a_, b_}), {p}, 0));
   ASSERT_TRUE(plans.ok());
@@ -251,23 +254,103 @@ TEST(EnumeratorMultiServerTest, ServerPlacementsEnumerated) {
   }
 }
 
+// The 25 Twitter base queries over 4 round-robin servers, and an
+// enumerator at its defaults.
+struct TwitterRig {
+  TwitterRig() {
+    const auto tables = BuildTwitterCatalog(&catalog);
+    EXPECT_TRUE(tables.ok());
+    for (int i = 0; i < 4; ++i) cluster.AddServer("m" + std::to_string(i));
+    cluster.PlaceRoundRobin(catalog.num_tables());
+    graph = JoinGraph::FromCatalog(catalog);
+    base = TwitterBaseSharings(*tables, cluster);
+  }
+
+  Catalog catalog;
+  Cluster cluster;
+  JoinGraph graph{0};
+  DefaultCostModel model{&catalog, &cluster};
+  PlanEnumerator enumerator{&catalog, &cluster, &graph, &model};
+  std::vector<Sharing> base;
+};
+
+// Every pushdown choice of p distinct predicates yields its own copy of
+// the unpredicated plan space (same trees, keys carrying the pushed
+// predicates), so the plan count is exactly 2^p times the unpredicated
+// one. The predicates are built, not drawn, so no two coincide: the
+// first on each member table in turn, the second on the next member.
+TEST(EnumeratorPushdownTest, DistinctPredicatesMultiplyTwitterPlans) {
+  const TwitterRig rig;
+  const PlanEnumerator& e = rig.enumerator;
+  const std::vector<Sharing>& base = rig.base;
+  for (size_t q = 0; q < base.size(); ++q) {
+    const auto unpredicated = e.Enumerate(base[q]);
+    ASSERT_TRUE(unpredicated.ok());
+    const std::vector<TableId> members = base[q].tables().ToVector();
+    for (size_t first = 0; first < members.size(); ++first) {
+      std::vector<Predicate> preds;
+      for (size_t p = 1; p <= 2; ++p) {
+        Predicate pred;
+        pred.table = members[(first + p - 1) % members.size()];
+        pred.column = 0;
+        pred.op = CompareOp::kGt;
+        pred.value = 10.0 * static_cast<double>(p);
+        preds.push_back(pred);
+        const Sharing sharing(base[q].tables(), preds, base[q].destination());
+        ASSERT_EQ(sharing.predicates().size(), p);
+        const auto space = e.Enumerate(sharing);
+        ASSERT_TRUE(space.ok());
+        EXPECT_EQ(space->size(), (size_t{1} << p) * unpredicated->size())
+            << "query " << q << ", " << p << " predicates from member "
+            << first;
+      }
+    }
+  }
+}
+
 // Enumeration order is part of every decision: MANAGEDRISK's sort breaks
 // score ties by it, and a TableDrivenCostModel draws its costs in it. The
-// plan count and an order-sensitive digest of Signature() over
-// Materialize(0..n-1) are pinned for each of the 25 Twitter base queries
-// with 0, 1 and 2 random predicates, and for three star sharings. They
-// were recorded from the node-array enumerator that PlanSpace replaced.
+// plan count and an order-sensitive digest of Materialize(0..n-1) are
+// pinned for each of the 25 Twitter base queries with 0, 1 and 2 random
+// predicates, and for three star sharings. On a mismatch the failure
+// prints the actual pin as a literal to paste in.
 struct PinnedOrder {
   size_t plans;
   uint64_t digest;
 };
 
-uint64_t OrderDigest(const PlanSpace& space) {
+std::string Literal(const PinnedOrder& pin) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "{%zu, 0x%016" PRIx64 "ULL}", pin.plans,
+                pin.digest);
+  return buf;
+}
+
+// boost::hash_combine-style hash of one plan's node array: each node's
+// type, key hash, server and children.
+uint64_t PlanDigest(const SharingPlan& plan) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  auto mix = [&h](uint64_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  };
+  const ViewKeyHash key_hash;
+  for (const PlanNode& n : plan.nodes) {
+    mix(static_cast<uint64_t>(n.type));
+    mix(key_hash(n.key));
+    mix(n.server);
+    mix(static_cast<uint64_t>(static_cast<int64_t>(n.left)) * 31 +
+        static_cast<uint64_t>(static_cast<int64_t>(n.right)));
+  }
+  return h;
+}
+
+// The space's pin as a literal, e.g. "{1068, 0x7ad3c67bf6fa7a90ULL}".
+std::string OrderPin(const PlanSpace& space) {
   uint64_t digest = 0;
   for (size_t k = 0; k < space.size(); ++k) {
-    digest = digest * 0x100000001b3ULL ^ space.Materialize(k).Signature();
+    digest = digest * 0x100000001b3ULL ^ PlanDigest(space.Materialize(k));
   }
-  return digest;
+  return Literal(PinnedOrder{space.size(), digest});
 }
 
 TEST(EnumerationOrderTest, TwitterBaseQueriesKeepPinnedOrder) {
@@ -283,7 +366,7 @@ TEST(EnumerationOrderTest, TwitterBaseQueriesKeepPinnedOrder) {
     {76, 0xd8aaf53b5b3b2544ULL},  // query 2, 2 predicates
     {267, 0x18a809777ee0e8a9ULL},  // query 3, 0 predicates
     {534, 0x5907865e6a48947fULL},  // query 3, 1 predicate
-    {1062, 0x333f36acad4299bcULL},  // query 3, 2 predicates
+    {1068, 0xcc01497afac3286aULL},  // query 3, 2 predicates
     {2, 0x87a257a77b3b648dULL},  // query 4, 0 predicates
     {4, 0xacb99981820113bdULL},  // query 4, 1 predicate
     {8, 0x3da1dacdeeee9b31ULL},  // query 4, 2 predicates
@@ -303,7 +386,7 @@ TEST(EnumerationOrderTest, TwitterBaseQueriesKeepPinnedOrder) {
     {4, 0x0bacca806dd7d26aULL},  // query 9, 1 predicate
     {8, 0x5dac695c646e000aULL},  // query 9, 2 predicates
     {105, 0x2d9e7258d28d8731ULL},  // query 10, 0 predicates
-    {209, 0x6b7fbf92dcc016dbULL},  // query 10, 1 predicate
+    {210, 0xfe6f151835803fa1ULL},  // query 10, 1 predicate
     {420, 0x024db90eceeb53cbULL},  // query 10, 2 predicates
     {24, 0x18de6faf9ca0e07cULL},  // query 11, 0 predicates
     {48, 0x62ebc23635357312ULL},  // query 11, 1 predicate
@@ -325,16 +408,16 @@ TEST(EnumerationOrderTest, TwitterBaseQueriesKeepPinnedOrder) {
     {8, 0x08ca770acc7784a9ULL},  // query 16, 2 predicates
     {157, 0xfa835d353cf003f8ULL},  // query 17, 0 predicates
     {314, 0x5bbe8b4cdf8c3561ULL},  // query 17, 1 predicate
-    {627, 0x30f2f42f1d6cea56ULL},  // query 17, 2 predicates
-    {190, 0xf29c0ae9db0c6991ULL},  // query 18, 0 predicates
-    {380, 0xbfdf2d63fe6c3aa3ULL},  // query 18, 1 predicate
-    {764, 0x8620fbd1b6aae9a7ULL},  // query 18, 2 predicates
-    {2966, 0x5d3b7f3f6ede9c2fULL},  // query 19, 0 predicates
-    {5945, 0x8ffe52181c4e6d0cULL},  // query 19, 1 predicate
-    {11915, 0xd599515acaee0186ULL},  // query 19, 2 predicates
+    {628, 0x5e2639c4b2e19c01ULL},  // query 17, 2 predicates
+    {192, 0x55441c21e90e249eULL},  // query 18, 0 predicates
+    {384, 0x3e165c2935e9a778ULL},  // query 18, 1 predicate
+    {768, 0x33030029e8f74272ULL},  // query 18, 2 predicates
+    {2985, 0x45cbd43b26aee672ULL},  // query 19, 0 predicates
+    {5970, 0xc51de5f2c8360139ULL},  // query 19, 1 predicate
+    {11940, 0x235ceb5be37d07f2ULL},  // query 19, 2 predicates
     {1605, 0x414a24cf8f312788ULL},  // query 20, 0 predicates
-    {3207, 0x9e2466c6406bec34ULL},  // query 20, 1 predicate
-    {6404, 0x914250594a966485ULL},  // query 20, 2 predicates
+    {3210, 0x9264a0b1301ab345ULL},  // query 20, 1 predicate
+    {6420, 0x17ae075e3b2bc3fbULL},  // query 20, 2 predicates
     {2, 0x4b0b200b59532275ULL},  // query 21, 0 predicates
     {4, 0x25d04e90a3f48e4fULL},  // query 21, 1 predicate
     {8, 0xf3dc5d62877ed25cULL},  // query 21, 2 predicates
@@ -344,33 +427,25 @@ TEST(EnumerationOrderTest, TwitterBaseQueriesKeepPinnedOrder) {
     {2, 0x3fdb648f358f2bbeULL},  // query 23, 0 predicates
     {4, 0x4ef74657b6023327ULL},  // query 23, 1 predicate
     {8, 0x4fc461e3c9a70851ULL},  // query 23, 2 predicates
-    {14, 0xf7b1ea92fbeb5a49ULL},  // query 24, 0 predicates
-    {29, 0xf1b507dc68b20658ULL},  // query 24, 1 predicate
-    {59, 0x9ed371cd21752e24ULL},  // query 24, 2 predicates
+    {15, 0xcbb3d643fc481d7eULL},  // query 24, 0 predicates
+    {30, 0x864762413dcbe96cULL},  // query 24, 1 predicate
+    {60, 0x98c602bddcd5866dULL},  // query 24, 2 predicates
   };
-  Catalog catalog;
-  Cluster cluster;
-  const auto tables = BuildTwitterCatalog(&catalog);
-  ASSERT_TRUE(tables.ok());
-  for (int i = 0; i < 4; ++i) cluster.AddServer("m" + std::to_string(i));
-  cluster.PlaceRoundRobin(catalog.num_tables());
-  const JoinGraph graph = JoinGraph::FromCatalog(catalog);
-  DefaultCostModel model(&catalog, &cluster);
-  const PlanEnumerator e(&catalog, &cluster, &graph, &model, {});
-  const std::vector<Sharing> base = TwitterBaseSharings(*tables, cluster);
+  const TwitterRig rig;
+  const PlanEnumerator& e = rig.enumerator;
+  const std::vector<Sharing>& base = rig.base;
   ASSERT_EQ(base.size() * 3, std::size(kPinned));
   for (size_t q = 0; q < base.size(); ++q) {
     for (int preds = 0; preds <= 2; ++preds) {
       Rng rng(1000 * q + static_cast<uint64_t>(preds));
       const Sharing sharing(
           base[q].tables(),
-          RandomPredicates(catalog, base[q].tables(), preds, &rng),
+          RandomPredicates(rig.catalog, base[q].tables(), preds, &rng),
           base[q].destination());
       const auto space = e.Enumerate(sharing);
       ASSERT_TRUE(space.ok());
-      const PinnedOrder& want = kPinned[3 * q + static_cast<size_t>(preds)];
-      EXPECT_EQ(space->size(), want.plans) << "query " << q << "/" << preds;
-      EXPECT_EQ(OrderDigest(*space), want.digest)
+      EXPECT_EQ(OrderPin(*space),
+                Literal(kPinned[3 * q + static_cast<size_t>(preds)]))
           << "query " << q << "/" << preds;
     }
   }
@@ -379,8 +454,8 @@ TEST(EnumerationOrderTest, TwitterBaseQueriesKeepPinnedOrder) {
 TEST(EnumerationOrderTest, StarSharingsKeepPinnedOrder) {
   constexpr PinnedOrder kPinned[] = {
     {2796, 0xc93f591a5505bcb6ULL},  // star sharing 0
-    {5632, 0xed9c928bdecc9890ULL},  // star sharing 1
-    {10979, 0x3414bcf122497ea8ULL},  // star sharing 2
+    {5640, 0x8abc8a1677af795bULL},  // star sharing 1
+    {11100, 0x27cad609fa6ca048ULL},  // star sharing 2
   };
   Catalog catalog;
   Cluster cluster;
@@ -405,8 +480,7 @@ TEST(EnumerationOrderTest, StarSharingsKeepPinnedOrder) {
   for (size_t i = 0; i < sharings.size(); ++i) {
     const auto space = e.Enumerate(sharings[i]);
     ASSERT_TRUE(space.ok());
-    EXPECT_EQ(space->size(), kPinned[i].plans) << "star sharing " << i;
-    EXPECT_EQ(OrderDigest(*space), kPinned[i].digest) << "star sharing " << i;
+    EXPECT_EQ(OrderPin(*space), Literal(kPinned[i])) << "star sharing " << i;
   }
 }
 
