@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -94,19 +95,24 @@ Workload MakeWorkload(int num_views, int base_rows, int rounds,
     }
     w.prepopulate.push_back(std::move(bulk));
   }
+  // Bulk-loaded rows not yet deleted: the stream deletes each at most
+  // once, since a delete of a row the base no longer holds is refused.
+  std::vector<std::vector<Tuple>> live;
+  for (const TableUpdate& bulk : w.prepopulate) live.push_back(bulk.inserts);
   for (int r = 0; r < rounds; ++r) {
     std::vector<TableUpdate> round;
     for (int t = 0; t < kNumTables; ++t) {
       TableUpdate update;
       update.table = static_cast<TableId>(t);
+      std::vector<Tuple>& pool = live[static_cast<size_t>(t)];
       for (int i = 0; i < updates_per_table; ++i) {
-        if (i % 5 == 4 && !w.prepopulate[static_cast<size_t>(t)]
-                               .inserts.empty()) {
-          // Delete a known-live row (from the bulk load).
-          const auto& pool =
-              w.prepopulate[static_cast<size_t>(t)].inserts;
-          update.deletes.push_back(pool[static_cast<size_t>(rng.UniformInt(
-              0, static_cast<int64_t>(pool.size()) - 1))]);
+        if (i % 5 == 4 && !pool.empty()) {
+          // Delete a live row from the bulk load.
+          const size_t idx = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1));
+          std::swap(pool[idx], pool.back());
+          update.deletes.push_back(std::move(pool.back()));
+          pool.pop_back();
         } else {
           update.inserts.push_back(RandomTuple(&rng));
         }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <optional>
 
+#include "common/fault.h"
 #include "maintain/tuple_store.h"
 #include "maintain/value_dict.h"
 #include "obs/metrics.h"
@@ -36,6 +37,27 @@ Status CheckArity(const Relation& base, const std::vector<Tuple>& inserts,
             " columns");
       }
     }
+  }
+  return Status::OK();
+}
+
+// InvalidArgument when the coalesced `delta` removes more copies of a row
+// than `base` holds: base tables stay non-negative. The delta has the
+// base's schema, so each row's stored hash finds its base row directly,
+// with no dictionary decode.
+Status CheckDeletes(const Relation& base, const Relation& delta) {
+  const TupleStore& from = delta.store();
+  const TupleStore& to = base.store();
+  bool beyond = false;
+  from.ForEachLive([&](uint32_t r) {
+    const int64_t count = from.row_count(r);
+    if (count < 0 && to.Count(from.row_slots(r), from.row_hash(r)) < -count) {
+      beyond = true;
+    }
+  });
+  if (beyond) {
+    return Status::InvalidArgument(
+        "delete of a tuple the base table does not hold");
   }
   return Status::OK();
 }
@@ -144,14 +166,11 @@ Result<const DeltaEngine::TableSetJoin*> DeltaEngine::JoinOf(
       }
     }
   }
-  for (const TableId t : tables.ToVector()) {
-    join.plans[t] = BuildJoinPlan(tables, t);
-  }
   return &joins_.emplace(tables, std::move(join)).first->second;
 }
 
 std::vector<DeltaEngine::JoinStep> DeltaEngine::BuildJoinPlan(
-    const TableSet& tables, TableId delta_table) const {
+    std::vector<std::string> schema, const TableSet& others) const {
   // Orders the probes by connectivity: each step joins the lowest-id
   // remaining table that shares a column with the schema accumulated so
   // far, so a delta entering mid-chain never takes a cartesian product
@@ -159,11 +178,7 @@ std::vector<DeltaEngine::JoinStep> DeltaEngine::BuildJoinPlan(
   // deltas on a chain's tail, and the blowup dwarfed every other cost).
   // Only if no remaining table connects — a genuinely disconnected view —
   // does the plan fall back to the lowest-id table.
-  std::vector<std::string> schema = TableColumnNames(*catalog_, delta_table);
-  std::vector<TableId> remaining;
-  for (const TableId other : tables.ToVector()) {
-    if (other != delta_table) remaining.push_back(other);
-  }
+  std::vector<TableId> remaining = others.ToVector();
   std::vector<JoinStep> steps;
   while (!remaining.empty()) {
     size_t pick = 0;
@@ -258,14 +273,25 @@ Result<ViewId> DeltaEngine::RegisterView(const ViewKey& key,
   return handles_.size() - 1;
 }
 
-Relation DeltaEngine::JoinDelta(const TableSetJoin& join, TableId table,
-                                const Relation& delta) {
-  const Relation* cur = &delta;
+Relation DeltaEngine::JoinDelta(const TableSet& tables,
+                                const TableSet& source,
+                                const Relation& source_delta,
+                                uint64_t* work) {
+  TableSetJoin& join = joins_.at(tables);
+  if (source_delta.DistinctSize() == 0) return Relation(join.columns);
+  auto plan = join.plans.find(source);
+  if (plan == join.plans.end()) {
+    plan = join.plans
+               .emplace(source, BuildJoinPlan(source_delta.columns(),
+                                              tables.Minus(source)))
+               .first;
+  }
+  const Relation* cur = &source_delta;
   Relation owned;
-  for (const JoinStep& step : join.plans.at(table)) {
+  for (const JoinStep& step : plan->second) {
     Relation& base = bases_.at(step.other);
     owned = NaturalJoin(*cur, base, *base.EnsureIndex(step.key_columns),
-                        &work_);
+                        work);
     cur = &owned;
   }
   return cur->WithColumnOrder(join.columns);
@@ -315,11 +341,23 @@ Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
                    });
 
   // Two phases: every node's delta for the round is computed before any is
-  // merged, so a join that throws leaves every node of the round
-  // untouched. Each table set's join fills the delta slots of its nodes;
-  // empty deltas are dropped at once.
+  // merged, and the round's join work counts only once all are, so a join
+  // that fails leaves every node of the round and work() untouched. Each
+  // table set's join delta fills the delta slots of its nodes; empty
+  // deltas are dropped at once.
+  //
+  // Sources: the join deltas computed so far in the round, each with its
+  // table set, starting from the updated table's own delta. Every source
+  // contains `table`. A group takes the largest source its table set
+  // contains (the first visited on a tie), so Δ(⋈ T) = Δ(⋈ S) ⋈ (⋈ T∖S).
+  // Groups are sorted by mask, so a sub-join's group comes before its
+  // supersets'.
+  std::vector<std::pair<TableSet, Relation>> sources;
+  sources.emplace_back(TableSet::Of(table), delta);
   std::vector<std::optional<Relation>> deltas(affected.size());
+  uint64_t round_work = 0;
   size_t joins = 0;
+  size_t subjoin_feeds = 0;
   for (size_t begin = 0, end = 0; begin < affected.size(); begin = end) {
     const TableSet tables = nodes_[affected[begin]].key.tables;
     end = begin + 1;
@@ -327,16 +365,33 @@ Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
            nodes_[affected[end]].key.tables == tables) {
       ++end;
     }
-    ++joins;
-    const Relation joined = JoinDelta(joins_.at(tables), table, delta);
-    if (joined.DistinctSize() == 0) continue;
-    for (size_t k = begin; k < end; ++k) {
-      Relation out = DerivedDelta(affected[k], joined);
-      if (out.DistinctSize() != 0) deltas[k] = std::move(out);
+    if (DSM_INJECT_FAULT("maintain/join")) {
+      return Status::Internal("injected fault in a table-set join");
     }
+    size_t from = 0;
+    for (size_t s = 1; s < sources.size(); ++s) {
+      if (tables.ContainsAll(sources[s].first) &&
+          sources[s].first.size() > sources[from].first.size()) {
+        from = s;
+      }
+    }
+    ++joins;
+    if (from != 0) ++subjoin_feeds;
+    Relation joined =
+        JoinDelta(tables, sources[from].first, sources[from].second,
+                  &round_work);
+    if (joined.DistinctSize() != 0) {
+      for (size_t k = begin; k < end; ++k) {
+        Relation out = DerivedDelta(affected[k], joined);
+        if (out.DistinctSize() != 0) deltas[k] = std::move(out);
+      }
+    }
+    sources.emplace_back(tables, std::move(joined));
   }
+  work_ += round_work;
   DSM_METRIC_COUNTER_ADD("dsm.maintain.view_refreshes", refreshes);
   DSM_METRIC_COUNTER_ADD("dsm.maintain.pipeline_runs", joins);
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.subjoin_feeds", subjoin_feeds);
   DSM_METRIC_COUNTER_ADD("dsm.maintain.residual_feeds", derived);
   DSM_METRIC_COUNTER_ADD("dsm.maintain.duplicate_feeds",
                          refreshes - affected.size());
@@ -369,24 +424,31 @@ Status DeltaEngine::ApplyUpdates(std::span<const TableUpdate> updates) {
     DSM_RETURN_IF_ERROR(
         CheckArity(base_it->second, update.inserts, update.deletes));
   }
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.batches", 1);
 
   // Coalesce per table (ascending), so each view is refreshed once per
   // table regardless of how fragmented the batch is.
   std::map<TableId, Relation> deltas;
+  size_t delta_tuples = 0;
+  size_t coalesced = 0;
   for (const TableUpdate& update : updates) {
-    DSM_METRIC_COUNTER_ADD("dsm.maintain.delta_tuples",
-                           update.inserts.size() + update.deletes.size());
+    delta_tuples += update.inserts.size() + update.deletes.size();
     auto [it, inserted] = deltas.try_emplace(
         update.table,
         Relation(bases_.at(update.table).columns()));
-    if (!inserted) {
-      DSM_METRIC_COUNTER_ADD("dsm.maintain.batch_coalesced", 1);
-    }
+    if (!inserted) ++coalesced;
     Relation& delta = it->second;
     for (const Tuple& t : update.inserts) delta.Apply(t, +1);
     for (const Tuple& t : update.deletes) delta.Apply(t, -1);
   }
+  for (const auto& [table, delta] : deltas) {
+    DSM_RETURN_IF_ERROR(CheckDeletes(bases_.at(table), delta));
+  }
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.batches", 1);
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.delta_tuples", delta_tuples);
+  if (coalesced > 0) {
+    DSM_METRIC_COUNTER_ADD("dsm.maintain.batch_coalesced", coalesced);
+  }
+
   for (const auto& [table, delta] : deltas) {
     DSM_RETURN_IF_ERROR(PropagateDelta(table, delta));
     bases_.at(table).ApplyAll(delta);  // also patches the base's indexes

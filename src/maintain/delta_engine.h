@@ -21,12 +21,16 @@
 //
 // Shared propagation makes maintenance scale with the sharing population
 // (DESIGN.md §10, §13). Each update round groups the affected live nodes
-// by table set and runs one unpredicated, unprojected join per group,
-// probing the base relations through their persistent equi-join indexes.
-// Every node of the group derives its delta from that join: filtered by
-// its predicates (σ commutes with the natural join, so this is exact
-// under bag semantics), then projected. Each node then does one merge,
-// however many handles hold it.
+// by table set and computes one unpredicated, unprojected join delta per
+// group, probing the base relations through their persistent equi-join
+// indexes. A group's join delta is fed from the largest source already
+// computed in the round that its table set contains: the table set of an
+// affected sub-join, or else the updated table's own delta. Only the
+// tables outside the source are joined on. Every node of the group
+// derives its delta from the group's join delta: filtered by its
+// predicates (σ commutes with the natural join, so this is exact under bag
+// semantics), then projected. Each node then does one merge, however many
+// handles hold it.
 //
 // Maintenance is single-threaded and the engine starts no threads: each
 // round computes every affected node's delta, then merges them. A worker
@@ -84,8 +88,10 @@ class DeltaEngine {
   // Applies inserts/deletes to base `table`: all registered views over the
   // table are brought up to date, then the base relation is updated. Every
   // tuple must have the base schema's arity; otherwise InvalidArgument is
-  // returned and no state changes. A one-entry ApplyUpdates, so it also
-  // counts as one batch in `dsm.maintain.batches`.
+  // returned and no state changes. A delete of more copies of a tuple
+  // than the base holds is InvalidArgument too, with no state change: base
+  // tables stay non-negative. A one-entry ApplyUpdates, so it also counts
+  // as one batch in `dsm.maintain.batches`.
   Status ApplyUpdate(TableId table, const std::vector<Tuple>& inserts,
                      const std::vector<Tuple>& deletes);
 
@@ -93,9 +99,10 @@ class DeltaEngine {
   // combined delta per table in ascending table order. Equivalent to the
   // corresponding sequence of ApplyUpdate calls (deltas to one table
   // commute through filters and joins), but each view is refreshed once
-  // per table instead of once per batch entry. Validates every table and
-  // every tuple's arity before touching any state. Each call counts one
-  // batch in `dsm.maintain.batches`.
+  // per table instead of once per batch entry. Validates every table,
+  // every tuple's arity and, once coalesced, every table's deletes against
+  // its base before touching any state. Each valid call counts one batch in
+  // `dsm.maintain.batches`.
   Status ApplyUpdates(std::span<const TableUpdate> updates);
 
   // Degraded mode: an inactive view is not maintained and reads as empty
@@ -124,9 +131,12 @@ class DeltaEngine {
       const;
 
   // Tuple-pairs probed by joins so far (measured maintenance work). Each
-  // round runs one join per affected table set: duplicate views and the
-  // predicated or projected nodes of a table set add nothing. The value is
-  // determined by the update stream and the live table sets.
+  // round computes one join delta per affected table set, and probes only
+  // the tables outside its source: a set with an affected sub-join joins
+  // the sub-join's delta instead of repeating its probes. Duplicate views
+  // and the predicated or projected nodes of a table set add nothing. The
+  // value is determined by the update stream and the live table sets. A
+  // round that fails adds nothing.
   uint64_t work() const { return work_; }
 
  private:
@@ -140,14 +150,16 @@ class DeltaEngine {
     std::vector<std::string> key_columns;
   };
 
-  // The join every node over one table set derives its delta from. Fixed
-  // at the first registration over the set (schemas are static).
+  // The join every node over one table set derives its delta from. Its
+  // columns are fixed at the first registration over the set (schemas are
+  // static).
   struct TableSetJoin {
     // The unpredicated, unprojected join's columns, in Recompute's order.
     std::vector<std::string> columns;
-    // Per updated table: the other tables in join order with the index
-    // key for each probe.
-    std::map<TableId, std::vector<JoinStep>> plans;
+    // Per source table set (a sub-join's, or the updated table alone): the
+    // set's other tables in join order with the index key for each probe.
+    // Built on first use.
+    std::map<TableSet, std::vector<JoinStep>> plans;
   };
 
   // One distinct (key, projection), shared by every view registered with
@@ -186,8 +198,10 @@ class DeltaEngine {
   // The shared join of `tables`, built on first request. NotFound when a
   // table of the set has no registered base.
   Result<const TableSetJoin*> JoinOf(const TableSet& tables);
-  std::vector<JoinStep> BuildJoinPlan(const TableSet& tables,
-                                      TableId delta_table) const;
+  // Probe steps joining a relation with columns `schema` to the tables
+  // `others`, ordered by connectivity.
+  std::vector<JoinStep> BuildJoinPlan(std::vector<std::string> schema,
+                                      const TableSet& others) const;
 
   // Counts one more active handle on `node`. The first one recomputes the
   // contents from the current base tables; no state changes on error.
@@ -196,11 +210,13 @@ class DeltaEngine {
   void DropLiveHandle(NodeId node);
   void SetLiveNodes(size_t n);
 
-  // Joins `delta` to `table` against the other bases of `join`'s table
-  // set, through their indexes (built here on first use), and returns it
-  // in the set's column order. Adds the join work performed to work_.
-  Relation JoinDelta(const TableSetJoin& join, TableId table,
-                     const Relation& delta);
+  // Δ(⋈ tables) from `source_delta` = Δ(⋈ source), source ⊆ tables:
+  // joins it against the bases of the tables outside `source`, through
+  // their indexes (built here on first use), and returns it in the set's
+  // column order. An empty source delta joins nothing. Adds the join work
+  // performed to *work.
+  Relation JoinDelta(const TableSet& tables, const TableSet& source,
+                     const Relation& source_delta, uint64_t* work);
   // Node `node`'s delta derived from `joined`, its table set's delta:
   // filtered by the node's predicates, by column name, skipping those
   // Recompute would skip; then projected, in the node's column order.

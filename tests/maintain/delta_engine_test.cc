@@ -7,6 +7,7 @@
 #include <system_error>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 
 namespace dsm {
 namespace {
@@ -217,6 +218,66 @@ TEST_F(DeltaEngineTest, TuplesOfTheWrongArityAreRejected) {
   ASSERT_TRUE(engine.ApplyUpdates(batch).ok());
   EXPECT_EQ(engine.view(v)->TotalSize(), 1);  // uid 2 joins tweet 101
   EXPECT_EQ(engine.view(w)->TotalSize(), 2);
+}
+
+TEST_F(DeltaEngineTest, DeletesBeyondTheBaseAreRejected) {
+  DeltaEngine engine(&catalog_);
+  ASSERT_TRUE(engine.RegisterBase(users_).ok());
+  ASSERT_TRUE(engine.RegisterBase(tweets_).ok());
+  const ViewId v = *engine.RegisterView(ViewKey(TS({users_, tweets_})));
+  const ViewId u = *engine.RegisterView(ViewKey(TS({users_})));
+  ASSERT_TRUE(engine.ApplyUpdate(users_, {T({1, 30}), T({2, 40})}, {}).ok());
+  ASSERT_TRUE(engine.ApplyUpdate(tweets_, {T({100, 1}), T({101, 2})}, {}).ok());
+
+  obs::Counter* const batches =
+      obs::MetricsRegistry::Global().GetCounter("dsm.maintain.batches");
+  const Relation users_before = *engine.base(users_);
+  const Relation tweets_before = *engine.base(tweets_);
+  const Relation v_before = *engine.view(v);
+  const Relation u_before = *engine.view(u);
+  const uint64_t work_before = engine.work();
+  const uint64_t batches_before = batches->value();
+  auto expect_unchanged = [&] {
+    EXPECT_TRUE(engine.base(users_)->BagEquals(users_before));
+    EXPECT_TRUE(engine.base(tweets_)->BagEquals(tweets_before));
+    EXPECT_TRUE(engine.view(v)->BagEquals(v_before));
+    EXPECT_TRUE(engine.view(u)->BagEquals(u_before));
+    EXPECT_EQ(engine.work(), work_before);
+    EXPECT_EQ(batches->value(), batches_before);
+  };
+
+  // Single-table entry point: a tuple the base never held, and two copies
+  // of a tuple it holds once.
+  EXPECT_EQ(engine.ApplyUpdate(users_, {}, {T({3, 50})}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.ApplyUpdate(users_, {}, {T({1, 30}), T({1, 30})}).code(),
+            StatusCode::kInvalidArgument);
+  expect_unchanged();
+
+  // Batched entry point: each entry deletes the held copy once, so only
+  // the coalesced delta goes beyond the base; the good entry before them
+  // is not applied either.
+  std::vector<TableUpdate> batch(3);
+  batch[0].table = users_;
+  batch[0].inserts = {T({3, 50})};
+  batch[1].table = tweets_;
+  batch[1].deletes = {T({100, 1})};
+  batch[2].table = tweets_;
+  batch[2].deletes = {T({100, 1})};
+  EXPECT_EQ(engine.ApplyUpdates(batch).code(), StatusCode::kInvalidArgument);
+  expect_unchanged();
+
+  // Coalescing comes first: a delete that cancels an insert of the same
+  // batch is no delete at all, and one copy per held copy goes through.
+  batch[2].inserts = {T({102, 2})};
+  batch[2].deletes = {T({102, 2})};
+  ASSERT_TRUE(engine.ApplyUpdates(batch).ok());
+  EXPECT_EQ(engine.base(tweets_)->Count(T({100, 1})), 0);
+  EXPECT_EQ(engine.base(tweets_)->Count(T({102, 2})), 0);
+  EXPECT_EQ(engine.view(v)->TotalSize(), 1);  // uid 2 with tweet 101
+  EXPECT_TRUE(engine.view(v)->BagEquals(
+      *engine.Recompute(ViewKey(TS({users_, tweets_})))));
+  EXPECT_EQ(engine.view(u)->TotalSize(), 3);
 }
 
 TEST_F(DeltaEngineTest, WorkCounterAdvances) {

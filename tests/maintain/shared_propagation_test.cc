@@ -1,9 +1,10 @@
 // Shared delta propagation: exact duplicates share one node, so each update
 // round computes and merges one delta per distinct view, and every node
-// derives its delta from one join per table set, by residual filter and
-// projection. SetViewActive flips change which table sets are live between
-// rounds. Every active view must stay bag-equal to a from-scratch Recompute
-// after every round.
+// derives its delta from one join delta per table set, by residual filter
+// and projection. A table set's join delta is fed from the largest affected
+// table set it contains. SetViewActive flips change which table sets are
+// live between rounds. Every active view must stay bag-equal to a
+// from-scratch Recompute after every round.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/rng.h"
 #include "maintain/delta_engine.h"
 #include "obs/metrics.h"
@@ -365,6 +367,187 @@ TEST_F(SharedPropagationWorkTest, DuplicatesShareOneNodeAcrossTheirLifecycle) {
   EXPECT_TRUE(matches(a));
   EXPECT_TRUE(matches(c));
   EXPECT_EQ(engine_->view(b)->TotalSize(), 0);
+}
+
+// Sub-join feeds: a table set's join delta is taken from the largest
+// affected table set it contains, so only the tables outside that sub-join
+// are probed. Checked through work() and the feed counters, with every
+// view bag-equal to Recompute after every round.
+class SubJoinFeedTest : public ::testing::Test {
+ protected:
+  void SetUp() override { catalog_ = MakeChainCatalog(); }
+
+  // An engine over the chain whose table Ti holds (v, (5v + i) mod 6) and
+  // (v, (v + i + 1) mod 6) for v = 0..5: every c value occurs in every
+  // column, and each probe meets two rows.
+  std::unique_ptr<DeltaEngine> NewEngine() const {
+    auto engine = std::make_unique<DeltaEngine>(&catalog_);
+    for (TableId t = 0; t < catalog_.num_tables(); ++t) {
+      EXPECT_TRUE(engine->RegisterBase(t).ok());
+      std::vector<Tuple> rows;
+      for (int64_t v = 0; v < 6; ++v) {
+        rows.push_back(Tuple{Value(v), Value((5 * v + t) % 6)});
+        rows.push_back(Tuple{Value(v), Value((v + t + 1) % 6)});
+      }
+      EXPECT_TRUE(engine->ApplyUpdate(t, rows, {}).ok());
+    }
+    return engine;
+  }
+
+  static uint64_t WorkOf(DeltaEngine* engine,
+                         const std::vector<TableUpdate>& batch) {
+    const uint64_t before = engine->work();
+    EXPECT_TRUE(engine->ApplyUpdates(batch).ok());
+    return engine->work() - before;
+  }
+
+  static void ExpectMatchesRecompute(const DeltaEngine& engine) {
+    for (ViewId id = 0; id < engine.num_views(); ++id) {
+      if (!engine.view_active(id)) continue;
+      const auto expected = engine.Recompute(engine.view_key(id));
+      ASSERT_TRUE(expected.ok());
+      EXPECT_TRUE(engine.view(id)->BagEquals(*expected)) << "view " << id;
+    }
+  }
+
+  static uint64_t Counter(const char* name) {
+    return obs::MetricsRegistry::Global().GetCounter(name)->value();
+  }
+
+  Catalog catalog_;
+};
+
+TEST_F(SubJoinFeedTest, NestedChainCostsTheLargestJoinAlone) {
+  const auto chain = NewEngine();
+  for (const int hi : {1, 2, 3}) {
+    ASSERT_TRUE(chain->RegisterView(ViewKey(Chain(0, hi))).ok());
+  }
+  const auto alone = NewEngine();
+  ASSERT_TRUE(alone->RegisterView(ViewKey(Chain(0, 3))).ok());
+
+  // One insert per table: the chain's smaller table sets are the prefixes
+  // of the largest one's join, so it probes nothing more.
+  for (TableId t = 0; t < kNumTables; ++t) {
+    const std::vector<TableUpdate> batch = {
+        {t, {Tuple{Value(int64_t{t}), Value(int64_t{t + 1})}}, {}}};
+    const uint64_t feeds = Counter("dsm.maintain.subjoin_feeds");
+    const uint64_t expected = WorkOf(alone.get(), batch);
+    ASSERT_GT(expected, 0u) << "table " << t;
+    EXPECT_EQ(WorkOf(chain.get(), batch), expected) << "table " << t;
+    // T0 and T1 are in all three sets, T2 in two, T3 in one.
+    EXPECT_EQ(Counter("dsm.maintain.subjoin_feeds") - feeds,
+              t <= 1 ? 2u : t == 2 ? 1u : 0u)
+        << "table " << t;
+    ExpectMatchesRecompute(*chain);
+    ExpectMatchesRecompute(*alone);
+  }
+}
+
+TEST_F(SubJoinFeedTest, EmptySubJoinDeltaAddsNoWork) {
+  // The insert into T1 meets two T0 rows on c1 but no T2 row on c2, so
+  // {T1, T2}'s delta is empty and so is the delta of {T0, T1, T2} fed from
+  // it. Joined from T1 alone, {T0, T1, T2} probes T0 first.
+  const std::vector<TableUpdate> batch = {
+      {1, {Tuple{Value(int64_t{1}), Value(int64_t{9})}}, {}}};
+  const auto alone = NewEngine();
+  ASSERT_TRUE(alone->RegisterView(ViewKey(Chain(0, 2))).ok());
+  EXPECT_GT(WorkOf(alone.get(), batch), 0u);
+
+  const auto fed = NewEngine();
+  ASSERT_TRUE(fed->RegisterView(ViewKey(Chain(1, 2))).ok());
+  ASSERT_TRUE(fed->RegisterView(ViewKey(Chain(0, 2))).ok());
+  const uint64_t feeds = Counter("dsm.maintain.subjoin_feeds");
+  EXPECT_EQ(WorkOf(fed.get(), batch), 0u);
+  EXPECT_EQ(Counter("dsm.maintain.subjoin_feeds") - feeds, 1u);
+  ExpectMatchesRecompute(*fed);
+  ExpectMatchesRecompute(*alone);
+}
+
+TEST_F(SubJoinFeedTest, ParkedSubJoinFallsBackToTheSetsOwnJoin) {
+  const auto engine = NewEngine();
+  const ViewId sub = *engine->RegisterView(ViewKey(Chain(1, 2)));
+  ASSERT_TRUE(engine->RegisterView(ViewKey(Chain(0, 2))).ok());
+  ASSERT_TRUE(engine
+                  ->RegisterView(ViewKey(Chain(0, 2),
+                                         {Pred(0, 0, CompareOp::kGt, 1)}))
+                  .ok());
+  const auto alone = NewEngine();
+  ASSERT_TRUE(alone->RegisterView(ViewKey(Chain(0, 2))).ok());
+
+  // Each round inserts into T0, T1 and T2 and deletes a held T1 row; the
+  // updates to T1 and T2 reach {T1, T2}.
+  for (int round = 0; round < 4; ++round) {
+    const bool parked = round == 1 || round == 2;
+    ASSERT_TRUE(engine->SetViewActive(sub, !parked).ok());
+    std::vector<TableUpdate> batch;
+    for (TableId t = 0; t < 3; ++t) {
+      batch.push_back({t, {Tuple{Value(int64_t{round}),
+                                 Value(int64_t{(round + t + 3) % 6})}}, {}});
+    }
+    batch[1].deletes = {Tuple{Value(int64_t{round}),
+                              Value(int64_t{(5 * round + 1) % 6})}};
+    const uint64_t feeds = Counter("dsm.maintain.subjoin_feeds");
+    const uint64_t runs = Counter("dsm.maintain.pipeline_runs");
+    const uint64_t work = WorkOf(engine.get(), batch);
+    const uint64_t fed = Counter("dsm.maintain.subjoin_feeds") - feeds;
+    const uint64_t joins = Counter("dsm.maintain.pipeline_runs") - runs;
+    const uint64_t work_alone = WorkOf(alone.get(), batch);
+    if (parked) {
+      EXPECT_EQ(fed, 0u) << "round " << round;
+      EXPECT_EQ(joins, 3u) << "round " << round;
+      EXPECT_EQ(work, work_alone) << "round " << round;
+    } else {
+      EXPECT_EQ(fed, 2u) << "round " << round;
+      EXPECT_EQ(joins, 5u) << "round " << round;
+    }
+    ExpectMatchesRecompute(*engine);
+    ExpectMatchesRecompute(*alone);
+  }
+}
+
+TEST_F(SubJoinFeedTest, FaultAfterTheSubJoinLeavesTheRoundUntouched) {
+  const auto engine = NewEngine();
+  ASSERT_TRUE(engine->RegisterView(ViewKey(Chain(0, 1))).ok());
+  ASSERT_TRUE(engine->RegisterView(ViewKey(Chain(0, 2))).ok());
+  ASSERT_TRUE(engine
+                  ->RegisterView(ViewKey(Chain(0, 2),
+                                         {Pred(2, 1, CompareOp::kLt, 4)}))
+                  .ok());
+  const auto twin = NewEngine();
+  ASSERT_TRUE(twin->RegisterView(ViewKey(Chain(0, 2))).ok());
+  const std::vector<TableUpdate> batch = {
+      {0, {Tuple{Value(int64_t{2}), Value(int64_t{3})}}, {}}};
+
+  std::vector<Relation> bases;
+  for (TableId t = 0; t < kNumTables; ++t) bases.push_back(*engine->base(t));
+  std::vector<Relation> views;
+  for (ViewId id = 0; id < engine->num_views(); ++id) {
+    views.push_back(*engine->view(id));
+  }
+  const uint64_t work_before = engine->work();
+  {
+    // The first hit is {T0, T1}'s join, which completes; the second is
+    // {T0, T1, T2}'s, fed from it, which fails.
+    FaultSpec spec;
+    spec.fail_after = 1;
+    spec.max_fires = 1;
+    ScopedFault fault("maintain/join", spec);
+    EXPECT_EQ(engine->ApplyUpdates(batch).code(), StatusCode::kInternal);
+    EXPECT_EQ(FaultInjector::Global().hits("maintain/join"), 2);
+    EXPECT_EQ(FaultInjector::Global().fires("maintain/join"), 1);
+  }
+  for (TableId t = 0; t < kNumTables; ++t) {
+    EXPECT_TRUE(engine->base(t)->BagEquals(bases[t])) << "table " << t;
+  }
+  for (ViewId id = 0; id < engine->num_views(); ++id) {
+    EXPECT_TRUE(engine->view(id)->BagEquals(views[id])) << "view " << id;
+  }
+  EXPECT_EQ(engine->work(), work_before);
+
+  // A clean retry applies the round in full.
+  EXPECT_EQ(WorkOf(engine.get(), batch), WorkOf(twin.get(), batch));
+  EXPECT_GT(engine->view(1)->TotalSize(), views[1].TotalSize());
+  ExpectMatchesRecompute(*engine);
 }
 
 TEST(SharedPropagationHandleTest, UnknownIdsAreBoundsChecked) {

@@ -1,5 +1,6 @@
 // The maintenance engine's shared-propagation counters: per update round,
-// every affected table set runs one join, and every affected view counts
+// every affected table set runs one join (subjoin_feeds counts those fed
+// from an affected sub-join's delta), and every affected view counts
 // one refresh, which is exactly one of an unpredicated, unprojected node,
 // a residual feed (a predicated or projected node) or a duplicate feed. The
 // view_nodes gauge counts the distinct (key, projection) pairs some active
@@ -9,6 +10,7 @@
 
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -71,19 +73,60 @@ TEST(MaintainMetricsTest, GroupingCountersPartitionViewRefreshes) {
   const uint64_t pipelines = value("dsm.maintain.pipeline_runs");
   const uint64_t duplicates = value("dsm.maintain.duplicate_feeds");
   const uint64_t residuals = value("dsm.maintain.residual_feeds");
+  const uint64_t subjoins = value("dsm.maintain.subjoin_feeds");
 
   const Tuple row = {Value(int64_t{1}), Value(int64_t{1})};
   ASSERT_TRUE(engine.ApplyUpdate(0, {row}, {}).ok());
 
-  // Two table sets, {T0, T1} and {T0, T1, T2}: one join each.
+  // Two table sets, {T0, T1} and {T0, T1, T2}: one join each, the second
+  // fed from the first's delta.
   const uint64_t plain_nodes = 1;
   EXPECT_EQ(value("dsm.maintain.view_refreshes") - refreshes, 5u);
   EXPECT_EQ(value("dsm.maintain.pipeline_runs") - pipelines, 2u);
+  EXPECT_EQ(value("dsm.maintain.subjoin_feeds") - subjoins, 1u);
   EXPECT_EQ(value("dsm.maintain.duplicate_feeds") - duplicates, 1u);
   EXPECT_EQ(value("dsm.maintain.residual_feeds") - residuals, 3u);
   EXPECT_EQ(value("dsm.maintain.view_refreshes") - refreshes,
             plain_nodes + value("dsm.maintain.duplicate_feeds") - duplicates +
                 value("dsm.maintain.residual_feeds") - residuals);
+}
+
+TEST(MaintainMetricsTest, SubJoinFeedsCountJoinsFedFromASubJoin) {
+  const Catalog catalog = MakeChainCatalog();
+  DeltaEngine engine(&catalog);
+  for (TableId t = 0; t < 3; ++t) ASSERT_TRUE(engine.RegisterBase(t).ok());
+  const ViewId one = *engine.RegisterView(ViewKey(Tables({1})));
+  const ViewId pair = *engine.RegisterView(ViewKey(Tables({1, 2})));
+  const ViewId dup = *engine.RegisterView(ViewKey(Tables({1, 2})));
+  ASSERT_TRUE(engine.RegisterView(ViewKey(Tables({0, 1, 2}))).ok());
+
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const auto value = [&registry](const char* name) {
+    return registry.GetCounter(name)->value();
+  };
+  // Per update to T1: (table-set joins, of them fed from a sub-join, view
+  // refreshes).
+  const auto round = [&](int64_t v) {
+    const uint64_t pipelines = value("dsm.maintain.pipeline_runs");
+    const uint64_t subjoins = value("dsm.maintain.subjoin_feeds");
+    const uint64_t refreshes = value("dsm.maintain.view_refreshes");
+    EXPECT_TRUE(
+        engine.ApplyUpdate(1, {Tuple{Value(v), Value(int64_t{1})}}, {}).ok());
+    return std::tuple(value("dsm.maintain.pipeline_runs") - pipelines,
+                      value("dsm.maintain.subjoin_feeds") - subjoins,
+                      value("dsm.maintain.view_refreshes") - refreshes);
+  };
+  // {T1} joins nothing; T1's own delta feeds {T1, T2} (the first source
+  // wins a tie), and {T1, T2}'s delta feeds {T0, T1, T2}.
+  EXPECT_EQ(round(0), std::tuple(3u, 1u, 4u));
+  // {T1, T2} stays live, and feeding, while either of its views is active.
+  ASSERT_TRUE(engine.SetViewActive(pair, false).ok());
+  EXPECT_EQ(round(1), std::tuple(3u, 1u, 3u));
+  // Without it, {T0, T1, T2} joins T1's delta on its own.
+  ASSERT_TRUE(engine.SetViewActive(dup, false).ok());
+  EXPECT_EQ(round(2), std::tuple(2u, 0u, 2u));
+  ASSERT_TRUE(engine.SetViewActive(one, false).ok());
+  EXPECT_EQ(round(3), std::tuple(1u, 0u, 1u));
 }
 
 TEST(MaintainMetricsTest, ViewNodesGaugeCountsDistinctActiveViews) {
