@@ -113,119 +113,46 @@ int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
   return best;
 }
 
-void GlobalPlan::Decide(const SharingPlan& plan, const AddOptions& options,
-                        PlanEvaluation* eval) const {
-  const size_t n = plan.nodes.size();
-  eval->decisions.assign(n, NodeDecision{});
-
-  std::vector<double> op_cost(n);
-  eval->standalone_cost = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    op_cost[i] = PlanNodeCost(plan, i, model_);
-    eval->standalone_cost += op_cost[i];  // PlanCost's order and rounding
-  }
-
-  std::function<void(int)> mark_skipped = [&](int i) {
-    eval->decisions[static_cast<size_t>(i)].state = NodeDecision::kSkipped;
-    eval->decisions[static_cast<size_t>(i)].marginal_cost = 0.0;
-    const PlanNode& pn = plan.nodes[static_cast<size_t>(i)];
-    if (pn.left >= 0) mark_skipped(pn.left);
-    if (pn.right >= 0) mark_skipped(pn.right);
-  };
-
-  // Serving node i: either reuse an existing view (whole subtree skipped)
-  // or compute it fresh (pay the op; children decided recursively).
-  std::function<double(int)> decide = [&](int i) -> double {
-    const PlanNode& pn = plan.nodes[static_cast<size_t>(i)];
-    NodeDecision& d = eval->decisions[static_cast<size_t>(i)];
-
-    double fresh = op_cost[static_cast<size_t>(i)];
-    // Children must be decided before comparing; their decisions stand if
-    // we stay fresh and are overwritten to kSkipped if we reuse.
-    if (pn.left >= 0) fresh += decide(pn.left);
-    if (pn.right >= 0) fresh += decide(pn.right);
-
-    double residual = 0.0;
-    const int src = FindBestReuse(pn.key, pn.server, options, &residual);
-    if (src >= 0 && residual <= fresh) {
-      d.state = NodeDecision::kReused;
-      d.reuse_source = src;
-      const GPNode& s = nodes_[static_cast<size_t>(src)];
-      d.needs_residual = !(s.key == pn.key && s.server == pn.server);
-      d.marginal_cost = residual;
-      if (pn.left >= 0) mark_skipped(pn.left);
-      if (pn.right >= 0) mark_skipped(pn.right);
-      return residual;
-    }
-    d.state = NodeDecision::kFresh;
-    d.marginal_cost = op_cost[static_cast<size_t>(i)];
-    return fresh;
-  };
-
-  eval->marginal_cost = decide(plan.root_index());
-
-  // Capacity feasibility: added load per server.
-  std::unordered_map<ServerId, double> added;
-  for (size_t i = 0; i < n; ++i) {
-    const PlanNode& pn = plan.nodes[i];
-    const NodeDecision& d = eval->decisions[i];
-    double load = 0.0;
-    if (d.state == NodeDecision::kFresh) {
-      load = PlanNodeLoad(plan, i, model_);
-    } else if (d.state == NodeDecision::kReused && d.needs_residual) {
-      load = model_->DeltaRate(
-          nodes_[static_cast<size_t>(d.reuse_source)].key);
-    }
-    if (load > 0.0) added[pn.server] += load;
-  }
-  eval->feasible = true;
-  // Liveness: no node may be materialized on a down server — a fresh
-  // view can't be built there and a residual filter/copy can't run there.
-  // This also covers leaves (the base table's home machine is gone) and
-  // the root (the sharing's destination is unreachable).
-  for (size_t i = 0; i < n; ++i) {
-    const NodeDecision& d = eval->decisions[i];
-    const bool places_work =
-        d.state == NodeDecision::kFresh ||
-        (d.state == NodeDecision::kReused && d.needs_residual);
-    if (places_work && !cluster_->is_up(plan.nodes[i].server)) {
-      eval->feasible = false;
-      return;
-    }
-  }
-  for (const auto& [server, load] : added) {
-    const double current =
-        server_load_.count(server) != 0 ? server_load_.at(server) : 0.0;
-    if (current + load > cluster_->effective_capacity(server)) {
-      eval->feasible = false;
-      break;
-    }
-  }
-}
-
 GlobalPlan::PlanEvaluation GlobalPlan::EvaluatePlan(
     const SharingPlan& plan, const AddOptions& options) const {
+  return EvaluateSingle(PlanSpace::Of(plan, model_), options);
+}
+
+GlobalPlan::PlanEvaluation GlobalPlan::EvaluateSingle(
+    const PlanSpace& space, const AddOptions& options) const {
+  const SpaceEvaluation evals = EvaluateSpace(space, options);
   PlanEvaluation eval;
-  Decide(plan, options, &eval);
+  eval.marginal_cost = evals.plans[0].marginal_cost;
+  eval.feasible = evals.plans[0].feasible;
+  // Fragment i is node i, so each step's decision goes to its node index,
+  // and summing op costs in fragment order is PlanCost's order.
+  eval.decisions.resize(space.fragments().size());
+  for (const SpaceEvaluation::Step& step : evals.steps_of(0)) {
+    eval.decisions[static_cast<size_t>(step.fragment)] = evals.decision(step);
+  }
+  for (const PlanSpace::Fragment& frag : space.fragments()) {
+    eval.standalone_cost += frag.op_cost;
+  }
   return eval;
 }
 
 GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
-    const PlanSpace& space) const {
+    const PlanSpace& space, const AddOptions& options) const {
   const std::vector<PlanSpace::Fragment>& frags = space.fragments();
   SpaceEvaluation eval;
   eval.fragment_decisions.resize(frags.size());
-  // Per fragment, once decided: what serving it costs (Decide's return
-  // value) and the load its decision places on its server.
+  // Per fragment, once decided: what serving it costs and the load its
+  // decision places on its server.
   struct Served {
     bool decided = false;
     double cost = 0.0;
     double load = 0.0;
   };
   std::vector<Served> served(frags.size());
-  const AddOptions no_options;
 
-  // Decide's rule for fragment f, its children first.
+  // The reuse rule for fragment f, its children first: serve it fresh at
+  // op + value(left) + value(right), unless the best reuse source's
+  // residual is no larger (the fragment's whole subtree is then skipped).
   const auto decide = [&](const auto& self, int f) -> void {
     const auto fi = static_cast<size_t>(f);
     Served& me = served[fi];
@@ -243,7 +170,7 @@ GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
     }
     NodeDecision& d = eval.fragment_decisions[fi];
     double residual = 0.0;
-    const int src = FindBestReuse(pn.key, pn.server, no_options, &residual);
+    const int src = FindBestReuse(pn.key, pn.server, options, &residual);
     if (src >= 0 && residual <= fresh) {
       const GPNode& s = nodes_[static_cast<size_t>(src)];
       d.state = NodeDecision::kReused;
@@ -275,7 +202,7 @@ GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
   };
 
   eval.plans.reserve(space.size());
-  std::vector<std::pair<ServerId, double>> added;  // Decide's per-server sums
+  std::vector<std::pair<ServerId, double>> added;  // per-server added load
   for (size_t k = 0; k < space.size(); ++k) {
     const int root = space.root(k);
     decide(decide, root);
@@ -285,7 +212,8 @@ GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
     walk(walk, root, false);
     plan.num_steps = eval.steps.size() - plan.first_step;
 
-    // Node-index order, as Decide sums: standalone cost, liveness, load.
+    // Along the walk (node-index order of Materialize(k)): standalone
+    // cost, liveness (no work on a down server) and added load.
     added.clear();
     for (size_t i = plan.first_step; i < eval.steps.size(); ++i) {
       const SpaceEvaluation::Step& step = eval.steps[i];
@@ -362,23 +290,7 @@ bool GlobalPlan::LivenessRulesOut(const Sharing& sharing) const {
   return false;
 }
 
-double GlobalPlan::NodeLoad(const GPNode& node) const {
-  switch (node.type) {
-    case PlanNodeType::kLeaf:
-      return node.key.predicates.empty()
-                 ? 0.0
-                 : model_->DeltaRate(ViewKey(TableSet::Of(node.base_table)));
-    case PlanNodeType::kJoin:
-      return model_->DeltaRate(nodes_[static_cast<size_t>(node.left)].key) +
-             model_->DeltaRate(nodes_[static_cast<size_t>(node.right)].key);
-    case PlanNodeType::kFilterCopy:
-      return model_->DeltaRate(nodes_[static_cast<size_t>(node.left)].key);
-  }
-  return 0.0;
-}
-
 int GlobalPlan::CreateNode(GPNode node) {
-  node.load = NodeLoad(node);
   node.refcount = 0;
   node.alive = true;
   node.pred_sig = PredicateSignature(node.key.predicates);
@@ -421,12 +333,10 @@ Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
   if (records_.count(id) != 0) {
     return Status::AlreadyExists("sharing id already integrated");
   }
-  if (plan.empty()) {
-    return Status::InvalidArgument("empty plan");
-  }
+  DSM_RETURN_IF_ERROR(CheckPlanComputes(plan, sharing));
 
-  PlanEvaluation eval;
-  Decide(plan, options, &eval);
+  const PlanSpace space = PlanSpace::Of(plan, model_);
+  const PlanEvaluation eval = EvaluateSingle(space, options);
 
   const size_t n = plan.nodes.size();
   SharingRecord rec;
@@ -441,7 +351,7 @@ Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
 
   for (size_t i = 0; i < n; ++i) {
     const PlanNode& pn = plan.nodes[i];
-    rec.standalone_cost[i] = PlanNodeCost(plan, i, model_);
+    rec.standalone_cost[i] = space.fragment(static_cast<int>(i)).op_cost;
     rec.subtree_cost[i] = rec.standalone_cost[i];
     if (pn.left >= 0) {
       rec.subtree_cost[i] += rec.subtree_cost[static_cast<size_t>(pn.left)];
@@ -451,8 +361,8 @@ Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
     }
 
     const NodeDecision& d = eval.decisions[i];
-    // Reuse accounting covers committed integrations only — EvaluatePlan
-    // dry-runs during scoring would swamp the counters with candidates the
+    // Reuse accounting covers committed integrations only — dry runs
+    // during scoring would swamp the counters with candidates the
     // planner never picked.
     if (d.state == NodeDecision::kReused) {
       DSM_METRIC_COUNTER_ADD("dsm.globalplan.reuse_hits", 1);
@@ -468,21 +378,20 @@ Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
           rec.plan_to_gp[i] = d.reuse_source;
         } else {
           GPNode residual;
-          residual.type = PlanNodeType::kFilterCopy;
           residual.key = pn.key;
           residual.server = pn.server;
           residual.left = d.reuse_source;
           residual.cost = d.marginal_cost;
+          residual.load = model_->DeltaRate(
+              nodes_[static_cast<size_t>(d.reuse_source)].key);
           rec.plan_to_gp[i] = CreateNode(std::move(residual));
           rec.residual_cost += d.marginal_cost;
         }
         break;
       case NodeDecision::kFresh: {
         GPNode fresh;
-        fresh.type = pn.type;
         fresh.key = pn.key;
         fresh.server = pn.server;
-        fresh.base_table = pn.base_table;
         if (pn.left >= 0) {
           fresh.left = rec.plan_to_gp[static_cast<size_t>(pn.left)];
         }
@@ -490,6 +399,7 @@ Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
           fresh.right = rec.plan_to_gp[static_cast<size_t>(pn.right)];
         }
         fresh.cost = d.marginal_cost;
+        fresh.load = space.fragment(static_cast<int>(i)).load;
         rec.plan_to_gp[i] = CreateNode(std::move(fresh));
         break;
       }

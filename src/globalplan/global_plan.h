@@ -10,17 +10,19 @@
 // The structure also keeps the bookkeeping fair costing needs: per-sharing
 // GPC, and saving(r)/num(r) for every intermediate result (Definition 5.1).
 //
-// Planners dry-run a sharing's whole PlanSpace with EvaluateSpace, which
-// decides reuse once per shared sub-plan (DESIGN.md §11, "Planning over
-// the fragment DAG"); EvaluatePlan dry-runs one node array.
+// One rule decides reuse, in EvaluateSpace, once per shared sub-plan of a
+// sharing's PlanSpace (DESIGN.md §11, "Planning over the fragment DAG").
+// A single plan is a space of one (PlanSpace::Of): EvaluatePlan dry-runs
+// it and AddSharing commits it through that same evaluation.
 //
 // Reuse lookup (DESIGN.md §11) buckets alive views by table mask. One
 // per-(key, server) best-source cache answers repeated probes; on a miss
 // one scan of the bucket finds the answer. Cached answers are
 // epoch-invalidated (structure epoch bumped on node create/kill, cluster
 // liveness epoch on server up/down).
-// tests/globalplan/reuse_oracle_test.cc checks every decision against a
-// brute-force pass over the alive views.
+// tests/testing/reuse_oracle.h re-derives every decision by a brute-force
+// pass over the alive views; the reuse and plan-space oracle tests compare
+// the global plan's evaluations with it.
 // Admission is single-threaded, so the cache is unlocked and no method is
 // thread-safe — not even the const ones.
 
@@ -70,8 +72,7 @@ class GlobalPlan {
     std::vector<NodeDecision> decisions;  // parallel to plan.nodes
   };
 
-  // The dry run of every plan of a PlanSpace (EvaluateSpace). Each plan's
-  // values equal, bit for bit, EvaluatePlan(space.Materialize(k)).
+  // The dry run of every plan of a PlanSpace (EvaluateSpace).
   struct SpaceEvaluation {
     // One node of one plan, in the plan's node-index order: its fragment
     // and its state in that plan.
@@ -87,8 +88,8 @@ class GlobalPlan {
       size_t num_steps = 0;
     };
 
-    // Per fragment: Decide's fresh-vs-reuse answer (kFresh or kReused),
-    // for every fragment some plan reaches.
+    // Per fragment: the fresh-vs-reuse answer (kFresh or kReused), for
+    // every fragment some plan reaches.
     std::vector<NodeDecision> fragment_decisions;
     std::vector<Step> steps;
     std::vector<Plan> plans;  // parallel to the space's plans
@@ -100,8 +101,8 @@ class GlobalPlan {
       return std::span<const Step>(steps).subspan(plans[k].first_step,
                                                   plans[k].num_steps);
     }
-    // The step's decision as EvaluatePlan reports it: a skipped node keeps
-    // its fragment's decision fields with state kSkipped and cost 0.
+    // The step's decision as a PlanEvaluation reports it: a skipped node
+    // keeps its fragment's decision fields with state kSkipped and cost 0.
     NodeDecision decision(const Step& step) const;
     // The feasible plan with the lowest marginal cost strictly below
     // `bound` (the first one wins a tie), or -1 if there is none.
@@ -151,10 +152,10 @@ class GlobalPlan {
   GlobalPlan& operator=(const GlobalPlan&) = delete;
 
   // Dry run of one plan: what would integrating it cost, and is it
-  // feasible? Planners dry-run whole spaces with EvaluateSpace; this
-  // serves single plans (the identical-plan fast path, restored or
-  // hand-built plans) and is EvaluateSpace's test oracle.
-  // Not thread-safe: though const, it fills the reuse cache.
+  // feasible? EvaluateSpace over PlanSpace::Of(plan), each decision at its
+  // node index. `plan` must be a tree rooted at its last node
+  // (CheckPlanComputes). Not thread-safe: though const, it fills the
+  // reuse cache.
   PlanEvaluation EvaluatePlan(const SharingPlan& plan) const {
     return EvaluatePlan(plan, AddOptions{});
   }
@@ -162,13 +163,16 @@ class GlobalPlan {
                               const AddOptions& options) const;
 
   // Dry run of every plan in `space` at once, which must be priced by this
-  // global plan's cost model. Decide's fresh-vs-reuse rule depends only on
-  // a node's subtree and the (unchanging) global plan, so it runs once per
-  // fragment: fragments are decided children first in the order the plans
-  // reach them, which is the order EvaluatePlan would probe them plan
-  // after plan. Each plan's totals then come from one post-order walk.
-  // Not thread-safe: though const, it fills the reuse cache.
-  SpaceEvaluation EvaluateSpace(const PlanSpace& space) const;
+  // global plan's cost model. The fresh-vs-reuse rule depends only on a
+  // node's subtree and the (unchanging) global plan, so it runs once per
+  // fragment: fragments are decided children first, in the order the
+  // plans reach them. Each plan's totals then come from one post-order
+  // walk. Not thread-safe: though const, it fills the reuse cache.
+  SpaceEvaluation EvaluateSpace(const PlanSpace& space) const {
+    return EvaluateSpace(space, AddOptions{});
+  }
+  SpaceEvaluation EvaluateSpace(const PlanSpace& space,
+                                const AddOptions& options) const;
 
   // True when cluster liveness alone makes every enumerated plan of
   // `sharing` infeasible, so a planner may reject or park it without
@@ -176,7 +180,7 @@ class GlobalPlan {
   //  (a) the destination is down, or
   //  (b) some member table's home is down and no alive view on an up
   //      server has that table in its table set.
-  // Exact, because EvaluatePlan marks a plan infeasible as soon as it
+  // Exact, because EvaluateSpace marks a plan infeasible as soon as it
   // places work (a fresh node, or a reuse with a residual) on a down
   // server, and FindBestReuse only returns alive sources on up servers
   // from the bucket of the needed table set. Every plan's root sits on the
@@ -190,9 +194,11 @@ class GlobalPlan {
   // accepts, so invalid sharings keep their validation error.
   bool LivenessRulesOut(const Sharing& sharing) const;
 
-  // Integrates the plan (no feasibility enforcement here; planners check
-  // EvaluatePlan().feasible first, per Algorithm 2). `lpc` is stored in the
-  // record as the sharing's LPC; planners pass the one they priced.
+  // Integrates the plan, committing the decisions EvaluatePlan(plan) would
+  // report (no feasibility enforcement here; planners check feasibility
+  // first, per Algorithm 2). InvalidArgument unless CheckPlanComputes
+  // accepts the plan for `sharing`. `lpc` is stored in the record as the
+  // sharing's LPC; planners pass the one they priced.
   Result<PlanEvaluation> AddSharing(SharingId id, const Sharing& sharing,
                                     const SharingPlan& plan,
                                     std::optional<double> lpc = std::nullopt) {
@@ -262,12 +268,10 @@ class GlobalPlan {
   struct GPNode {
     ViewKey key;
     ServerId server = 0;
-    PlanNodeType type = PlanNodeType::kLeaf;
     int left = -1;
     int right = -1;
-    TableId base_table = 0;
     double cost = 0.0;
-    double load = 0.0;
+    double load = 0.0;  // input delta rate on `server` (NodeLoad)
     int refcount = 0;
     bool alive = true;
     uint64_t pred_sig = 0;  // PredicateSignature(key.predicates)
@@ -301,11 +305,9 @@ class GlobalPlan {
   void AccumulateReuse(std::vector<double>* saving,
                        std::vector<int>* num) const;
 
-  // Fills `eval` for `plan`; shared by EvaluatePlan and AddSharing.
-  void Decide(const SharingPlan& plan, const AddOptions& options,
-              PlanEvaluation* eval) const;
-
-  double NodeLoad(const GPNode& node) const;
+  // EvaluateSpace over a space of one plan, as that plan's PlanEvaluation.
+  PlanEvaluation EvaluateSingle(const PlanSpace& space,
+                                const AddOptions& options) const;
 
   int CreateNode(GPNode node);
   void KillNode(int id);
@@ -332,7 +334,7 @@ class GlobalPlan {
   // older epoch (or an older cluster liveness epoch) are stale.
   uint64_t epoch_ = 0;
 
-  // Filled by reuse probes (const EvaluatePlan paths included) and
+  // Filled by reuse probes (const dry runs included) and
   // CreateNode. Interned ids key the best-source cache and
   // SharingRecord::distinct_keys.
   mutable std::unordered_map<ViewKey, int, ViewKeyHash> key_intern_;

@@ -189,8 +189,7 @@ class SharingBlockParser {
     plan_seen_ = false;
     nodes_left_ = 0;
     node_preds_left_ = 0;
-    MaybeComplete();
-    return Status::OK();
+    return MaybeComplete();
   }
 
   Status AddPredicate(std::istringstream* fields) {
@@ -209,8 +208,7 @@ class SharingBlockParser {
     } else {
       return Status::InvalidArgument("unexpected pred record");
     }
-    MaybeComplete();
-    return Status::OK();
+    return MaybeComplete();
   }
 
   Status BeginPlan(std::istringstream* fields) {
@@ -249,21 +247,11 @@ class SharingBlockParser {
       return Status::InvalidArgument("bad node type");
     }
     DSM_RETURN_IF_ERROR(CheckServer(server, "node"));
-    // Children must precede their parent (plans are topological).
+    // Children must precede their parent (plans are topological); the
+    // tree is checked once the plan is complete.
     const long long index = static_cast<long long>(plan_.nodes.size());
     if (left < -1 || left >= index || right < -1 || right >= index) {
       return Status::InvalidArgument("node child index out of range");
-    }
-    const auto node_type = static_cast<PlanNodeType>(type);
-    if (node_type == PlanNodeType::kLeaf && (left != -1 || right != -1)) {
-      return Status::InvalidArgument("leaf node with children");
-    }
-    if (node_type == PlanNodeType::kJoin && (left < 0 || right < 0)) {
-      return Status::InvalidArgument("join node missing a child");
-    }
-    if (node_type == PlanNodeType::kFilterCopy &&
-        (left < 0 || right != -1)) {
-      return Status::InvalidArgument("filter/copy node malformed children");
     }
     if (base_table < 0 || base_table >= TableSet::kMaxTables) {
       return Status::InvalidArgument("node base table out of range");
@@ -272,7 +260,7 @@ class SharingBlockParser {
       return Status::InvalidArgument("node covers no tables");
     }
     PlanNode node;
-    node.type = node_type;
+    node.type = static_cast<PlanNodeType>(type);
     node.server = static_cast<ServerId>(server);
     node.left = static_cast<int>(left);
     node.right = static_cast<int>(right);
@@ -281,21 +269,24 @@ class SharingBlockParser {
     plan_.nodes.push_back(std::move(node));
     --nodes_left_;
     node_preds_left_ = static_cast<size_t>(preds);
-    MaybeComplete();
-    return Status::OK();
+    return MaybeComplete();
   }
 
-  void MaybeComplete() {
+  // Publishes the open block once it is complete, if its plan computes
+  // its sharing.
+  Status MaybeComplete() {
     if (!open_ || preds_left_ != 0 || !plan_seen_ || nodes_left_ != 0 ||
         node_preds_left_ != 0) {
-      return;
+      return Status::OK();
     }
     SharingStateEntry entry;
     entry.id = id_;
     entry.sharing = Sharing(tables_, preds_, dest_, buyer_);
     entry.plan = std::move(plan_);
-    entries_.push_back(std::move(entry));
     open_ = false;
+    DSM_RETURN_IF_ERROR(CheckPlanComputes(entry.plan, entry.sharing));
+    entries_.push_back(std::move(entry));
+    return Status::OK();
   }
 
   size_t num_servers_;

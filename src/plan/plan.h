@@ -16,7 +16,9 @@
 
 #include "catalog/catalog.h"
 #include "cluster/cluster.h"
+#include "common/status.h"
 #include "expr/view_key.h"
+#include "sharing/sharing.h"
 
 namespace dsm {
 
@@ -64,6 +66,14 @@ struct SharingPlan {
   // e.g. "((USERS ⋈ TWEETS)@s0 ⋈ CURLOC)@s1".
   std::string ToString(const Catalog& catalog) const;
 };
+
+// OK when `plan` computes `sharing`: every node has the children its type
+// needs, each stored before it; the plan is a tree rooted at its last node
+// (every other node is the child of exactly one node); and the root
+// produces sharing.ResultKey() on sharing.destination(). InvalidArgument
+// otherwise. GlobalPlan::AddSharing and the market-state parser check
+// every plan they accept.
+Status CheckPlanComputes(const SharingPlan& plan, const Sharing& sharing);
 
 }  // namespace dsm
 

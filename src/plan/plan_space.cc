@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "cost/cost_model.h"
+
 namespace dsm {
 namespace {
 
@@ -26,17 +28,24 @@ void SumInto(const PlanSpace& space, int id, double* total) {
 
 }  // namespace
 
+PlanSpace PlanSpace::Of(const SharingPlan& plan, CostModel* model) {
+  PlanSpace space;
+  space.fragments_.reserve(plan.nodes.size());
+  for (size_t i = 0; i < plan.nodes.size(); ++i) {
+    Fragment frag;
+    frag.node = plan.nodes[i];
+    frag.op_cost = PlanNodeCost(plan, i, model);
+    frag.load = PlanNodeLoad(plan, i, model);
+    space.fragments_.push_back(std::move(frag));
+  }
+  space.roots_.push_back(plan.root_index());
+  return space;
+}
+
 SharingPlan PlanSpace::Materialize(size_t k) const {
   SharingPlan plan;
   MaterializeInto(*this, roots_[k], &plan);
   return plan;
-}
-
-std::vector<SharingPlan> PlanSpace::MaterializeAll() const {
-  std::vector<SharingPlan> plans;
-  plans.reserve(roots_.size());
-  for (size_t k = 0; k < roots_.size(); ++k) plans.push_back(Materialize(k));
-  return plans;
 }
 
 double PlanSpace::StandaloneCost(size_t k) const {

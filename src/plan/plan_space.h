@@ -19,6 +19,8 @@
 
 namespace dsm {
 
+class CostModel;
+
 class PlanSpace {
  public:
   struct Fragment {
@@ -28,6 +30,11 @@ class PlanSpace {
     double op_cost = 0.0;  // NodeCost of the node
     double load = 0.0;     // NodeLoad of the node
   };
+
+  // The space of one plan: fragment i is plan.nodes[i], priced under
+  // `model` in node-index order, and the one root is the last node.
+  // `plan` must be a tree rooted at its last node (CheckPlanComputes).
+  static PlanSpace Of(const SharingPlan& plan, CostModel* model);
 
   // Number of plans.
   size_t size() const { return roots_.size(); }
@@ -44,9 +51,6 @@ class PlanSpace {
   // subtree, right subtree, node), the order every per-plan walk over the
   // space uses.
   SharingPlan Materialize(size_t k) const;
-  // Every plan, in order. For callers that keep them all (the offline
-  // EXHAUSTIVE search and tests); planners materialize only their choice.
-  std::vector<SharingPlan> MaterializeAll() const;
 
   // Σ op cost over plan k's nodes in node-index order: bit for bit
   // PlanCost(Materialize(k), model) under the pricing model.

@@ -260,6 +260,46 @@ TEST_F(GlobalPlanTest, DuplicateIdRejected) {
             StatusCode::kAlreadyExists);
 }
 
+// AddSharing commits only a plan that computes its sharing: a tree rooted
+// at its last node whose root is the sharing's result on its destination.
+TEST_F(GlobalPlanTest, PlanThatDoesNotComputeItsSharingRejected) {
+  const Sharing s(TS({a_, b_}), {}, 0);
+  const SharingPlan good = PlanFor(s, true);
+  PlanNode leaf_a;
+  leaf_a.key = ViewKey(TS({a_}));
+  leaf_a.base_table = a_;
+  PlanNode leaf_b = leaf_a;
+  leaf_b.key = ViewKey(TS({b_}));
+  leaf_b.base_table = b_;
+  PlanNode join;
+  join.type = PlanNodeType::kJoin;
+  join.key = ViewKey(TS({a_, b_}));
+
+  SharingPlan unjoined;  // two leaves, no join: the root covers {b} only
+  unjoined.nodes = {leaf_a, leaf_b};
+  SharingPlan self_join;  // both children of the join are node 0
+  join.left = 0;
+  join.right = 0;
+  self_join.nodes = {leaf_a, join};
+  SharingPlan orphan;  // node 0 feeds nothing
+  join.left = 1;
+  join.right = 2;
+  orphan.nodes = {leaf_a, leaf_a, leaf_b, join};
+  SharingPlan elsewhere = good;  // the result lands off the destination
+  elsewhere.nodes.back().server = 1;
+  const Sharing bigger(TS({a_, b_, c_}), {}, 0);  // plan of another query
+
+  for (const SharingPlan* bad : {&unjoined, &self_join, &orphan, &elsewhere}) {
+    EXPECT_EQ(gp_->AddSharing(1, s, *bad).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(gp_->AddSharing(1, bigger, good).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(gp_->num_sharings(), 0u);
+  EXPECT_EQ(gp_->num_alive_views(), 0u);
+  EXPECT_TRUE(gp_->AddSharing(1, s, good).ok());
+}
+
 TEST_F(GlobalPlanTest, RemoveUnknownIdRejected) {
   EXPECT_EQ(gp_->RemoveSharing(99).code(), StatusCode::kNotFound);
 }

@@ -1,11 +1,14 @@
-// GlobalPlan::EvaluateSpace against its oracle: for every plan k of an
-// enumerated space, the one-pass evaluation over the fragment DAG must
-// equal, bit for bit, EvaluatePlan(space.Materialize(k)) — marginal cost,
-// standalone cost, feasibility and the per-node decision walk — and the
-// space's LPC must be the minimum standalone cost. The global plans are
-// churned (random removals) with one server down and one server near its
-// capacity, so reuse, liveness and capacity all decide some plans. A dry
-// run must leave the global plan's cost, views and loads untouched.
+// GlobalPlan::EvaluateSpace, its one reuse rule, against two referees:
+// for every plan k of an enumerated space, the one-pass evaluation over the
+// fragment DAG must equal, bit for bit, EvaluatePlan(space.Materialize(k))
+// — marginal cost, standalone cost, feasibility and the per-node decision
+// walk — and EvaluatePlan must in turn equal the brute-force ReuseOracle
+// (testing/reuse_oracle.h), which shares no evaluation code with
+// GlobalPlan. The space's LPC must be the minimum standalone cost. The
+// global plans are churned (random removals) with one server down and one
+// server near its capacity, so reuse, liveness and capacity all decide
+// some plans. A dry run must leave the global plan's cost, views and loads
+// untouched.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include "globalplan/global_plan.h"
 #include "plan/enumerator.h"
 #include "plan/join_graph.h"
+#include "testing/reuse_oracle.h"
 #include "workload/predicate_gen.h"
 #include "workload/synthetic.h"
 #include "workload/twitter.h"
@@ -37,6 +41,7 @@ struct Rig {
   std::unique_ptr<CostModel> model;
   std::unique_ptr<PlanEnumerator> enumerator;
   std::unique_ptr<GlobalPlan> gp;
+  std::unique_ptr<testing_support::ReuseOracle> oracle;
   std::vector<Sharing> sequence;
 };
 
@@ -47,6 +52,8 @@ void Finish(Rig* rig, EnumeratorOptions options) {
       &rig->catalog, &rig->cluster, rig->graph.get(), rig->model.get(),
       options);
   rig->gp = std::make_unique<GlobalPlan>(&rig->cluster, rig->model.get());
+  rig->oracle = std::make_unique<testing_support::ReuseOracle>(
+      rig->gp.get(), &rig->cluster, rig->model.get());
 }
 
 // Twitter sharings with 0–3 predicates, analytical cost model.
@@ -105,7 +112,8 @@ struct Seen {
   size_t reused_nodes = 0;
 };
 
-// Checks every plan of `space` against EvaluatePlan on its node array.
+// Checks every plan of `space` against EvaluatePlan on its node array, and
+// that against the oracle.
 void ExpectSpaceMatchesPlans(const Rig& rig, const PlanSpace& space,
                              Seen* seen) {
   const GlobalPlan& gp = *rig.gp;
@@ -129,6 +137,8 @@ void ExpectSpaceMatchesPlans(const Rig& rig, const PlanSpace& space,
   for (size_t k = 0; k < space.size(); ++k) {
     const SharingPlan plan = space.Materialize(k);
     const GlobalPlan::PlanEvaluation want = gp.EvaluatePlan(plan);
+    testing_support::ExpectIdenticalEvaluations(want,
+                                                rig.oracle->Evaluate(plan));
     const GlobalPlan::SpaceEvaluation::Plan& p = got.plans[k];
     EXPECT_EQ(p.marginal_cost, want.marginal_cost) << "plan " << k;
     EXPECT_EQ(p.standalone_cost, want.standalone_cost) << "plan " << k;
@@ -177,6 +187,7 @@ void RunChurn(Rig* rig, uint64_t seed, bool expect_capped = false) {
       const auto pick = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(active.size()) - 1));
       ASSERT_TRUE(rig->gp->RemoveSharing(active[pick]).ok());
+      rig->oracle->Removed(active[pick]);
       active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
     }
     const auto space = rig->enumerator->Enumerate(sharing);
@@ -201,6 +212,7 @@ void RunChurn(Rig* rig, uint64_t seed, bool expect_capped = false) {
                                  space->Materialize(static_cast<size_t>(best)),
                                  evals.lpc)
                     .ok());
+    rig->oracle->Added(next_id);
     active.push_back(next_id++);
   }
   EXPECT_GT(seen.plans, 200u);

@@ -1,26 +1,13 @@
-// The indexed reuse lookup against a brute-force oracle: over random
-// predicated workloads with add/remove churn and server liveness flips,
-// every candidate plan's GlobalPlan evaluation must match, bit for bit, a
-// re-derivation that scans all alive views for the cheapest source.
-//
-// The oracle sees the global plan only through its public records. The
-// alive nodes are the union of the active sharings' closures, and each
-// node's (key, server) is learned from the plan_to_gp of the sharing
-// whose integration created it (node ids are never reused, so the entry
-// stays valid after that sharing leaves). For each plan node it tries
-// every alive view on an up server in ascending node-id order: Subsumes,
-// then FilterCopyCost (0 for an exact same-server match), with the same
-// tolerance tie-break. It then replays Decide's reuse-or-fresh choice and
-// the liveness and capacity feasibility checks.
+// The indexed reuse lookup against a brute-force oracle
+// (testing/reuse_oracle.h): over random predicated workloads with
+// add/remove churn and server liveness flips, every candidate plan's
+// GlobalPlan evaluation must match, bit for bit, a re-derivation that
+// scans all alive views for the cheapest source.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <functional>
-#include <map>
 #include <memory>
-#include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -29,185 +16,16 @@
 #include "plan/enumerator.h"
 #include "plan/join_graph.h"
 #include "testing/plans.h"
+#include "testing/reuse_oracle.h"
 #include "workload/twitter.h"
 
 namespace dsm {
 namespace {
 
-// GlobalPlan's reuse tie-break: costs within a relative 1e-9 tie, and an
-// exact match wins a tie.
-bool StrictlyBetter(double cost, double best_cost) {
-  const double tol =
-      1e-9 * std::max({1.0, std::abs(cost), std::abs(best_cost)});
-  return cost < best_cost - tol;
-}
-
-bool Ties(double cost, double best_cost) {
-  const double tol =
-      1e-9 * std::max({1.0, std::abs(cost), std::abs(best_cost)});
-  return cost <= best_cost + tol;
-}
-
+using testing_support::ExpectIdenticalEvaluations;
+using testing_support::ReuseOracle;
 using NodeDecision = GlobalPlan::NodeDecision;
 using PlanEvaluation = GlobalPlan::PlanEvaluation;
-
-class ReuseOracle {
- public:
-  ReuseOracle(const GlobalPlan* gp, const Cluster* cluster, CostModel* model)
-      : gp_(gp), cluster_(cluster), model_(model) {}
-
-  // Records sharing `id` (just integrated) and the nodes its plan maps to.
-  void Added(SharingId id) {
-    const GlobalPlan::SharingRecord* rec = gp_->record(id);
-    ASSERT_NE(rec, nullptr);
-    for (size_t i = 0; i < rec->plan_to_gp.size(); ++i) {
-      const int node = rec->plan_to_gp[i];
-      if (node < 0) continue;
-      const PlanNode& pn = rec->plan.nodes[i];
-      const auto [it, inserted] =
-          nodes_.try_emplace(node, Node{node, pn.key, pn.server});
-      if (!inserted) {  // an exact reuse maps to a same-key, same-server view
-        EXPECT_TRUE(it->second.key == pn.key);
-        EXPECT_EQ(it->second.server, pn.server);
-      }
-    }
-    active_.insert(id);
-    RefreshAlive();
-  }
-
-  void Removed(SharingId id) {
-    active_.erase(id);
-    RefreshAlive();
-  }
-
-  PlanEvaluation Evaluate(const SharingPlan& plan) {
-    const size_t n = plan.nodes.size();
-    PlanEvaluation eval;
-    eval.decisions.assign(n, NodeDecision{});
-    std::function<void(int)> skip = [&](int i) {
-      eval.decisions[static_cast<size_t>(i)].state = NodeDecision::kSkipped;
-      eval.decisions[static_cast<size_t>(i)].marginal_cost = 0.0;
-      const PlanNode& pn = plan.nodes[static_cast<size_t>(i)];
-      if (pn.left >= 0) skip(pn.left);
-      if (pn.right >= 0) skip(pn.right);
-    };
-    std::function<double(int)> decide = [&](int i) -> double {
-      const PlanNode& pn = plan.nodes[static_cast<size_t>(i)];
-      NodeDecision& d = eval.decisions[static_cast<size_t>(i)];
-      const double op = PlanNodeCost(plan, static_cast<size_t>(i), model_);
-      double fresh = op;
-      if (pn.left >= 0) fresh += decide(pn.left);
-      if (pn.right >= 0) fresh += decide(pn.right);
-      double residual = 0.0;
-      bool exact = false;
-      const int src = BestSource(pn.key, pn.server, &residual, &exact);
-      if (src >= 0 && residual <= fresh) {
-        d.state = NodeDecision::kReused;
-        d.reuse_source = src;
-        d.needs_residual = !exact;
-        d.marginal_cost = residual;
-        if (pn.left >= 0) skip(pn.left);
-        if (pn.right >= 0) skip(pn.right);
-        return residual;
-      }
-      d.state = NodeDecision::kFresh;
-      d.marginal_cost = op;
-      return fresh;
-    };
-    eval.marginal_cost = decide(plan.root_index());
-
-    // No work on a down server; no server pushed past its capacity.
-    std::map<ServerId, double> added;
-    for (size_t i = 0; i < n; ++i) {
-      const NodeDecision& d = eval.decisions[i];
-      const ServerId server = plan.nodes[i].server;
-      double load = 0.0;
-      if (d.state == NodeDecision::kFresh) {
-        load = PlanNodeLoad(plan, i, model_);
-      } else if (d.state == NodeDecision::kReused && d.needs_residual) {
-        load = model_->DeltaRate(nodes_.at(d.reuse_source).key);
-      } else {
-        continue;
-      }
-      if (!cluster_->is_up(server)) eval.feasible = false;
-      if (load > 0.0) added[server] += load;
-    }
-    for (const auto& [server, load] : added) {
-      if (gp_->ServerLoad(server) + load >
-          cluster_->effective_capacity(server)) {
-        eval.feasible = false;
-      }
-    }
-    return eval;
-  }
-
- private:
-  struct Node {
-    int id = -1;
-    ViewKey key;
-    ServerId server = 0;
-  };
-
-  // Alive nodes are exactly those some active sharing's closure holds.
-  // They are grouped by table set only because Subsumes demands equal
-  // table sets; within a group the scan is plain brute force.
-  void RefreshAlive() {
-    std::set<int> ids;
-    for (const SharingId id : active_) {
-      const std::vector<int>* closure = gp_->closure(id);
-      ASSERT_NE(closure, nullptr);
-      ids.insert(closure->begin(), closure->end());
-    }
-    ASSERT_EQ(ids.size(), gp_->num_alive_views());
-    alive_.clear();
-    for (const int id : ids) {
-      const Node& node = nodes_.at(id);
-      EXPECT_EQ(gp_->node_server(id), node.server);
-      alive_[node.key.tables.mask()].push_back(&node);
-    }
-  }
-
-  // The cheapest alive view on an up server that subsumes `needed`, as
-  // seen from `server`; -1 if none. Ties (within tolerance) keep the
-  // lower node id unless the later candidate is exact and the kept one
-  // is not.
-  int BestSource(const ViewKey& needed, ServerId server, double* residual,
-                 bool* exact) const {
-    int best = -1;
-    double best_cost = 0.0;
-    bool best_exact = false;
-    const auto group = alive_.find(needed.tables.mask());
-    if (group == alive_.end()) return -1;
-    for (const Node* node : group->second) {
-      if (!node->key.Subsumes(needed) || !cluster_->is_up(node->server)) {
-        continue;
-      }
-      const bool is_exact = node->server == server && node->key == needed;
-      const double cost = is_exact ? 0.0
-                                   : model_->FilterCopyCost(
-                                         node->key, node->server, needed,
-                                         server);
-      if (best < 0 || StrictlyBetter(cost, best_cost) ||
-          (Ties(cost, best_cost) && is_exact && !best_exact)) {
-        best = node->id;
-        best_cost = cost;
-        best_exact = is_exact;
-      }
-    }
-    *residual = best_cost;
-    *exact = best_exact;
-    return best;
-  }
-
-  const GlobalPlan* gp_;
-  const Cluster* cluster_;
-  CostModel* model_;
-  // Every node ever created, by id (ids are never reused).
-  std::map<int, Node> nodes_;
-  std::set<SharingId> active_;
-  // Alive nodes by table mask, each group in ascending node id.
-  std::map<uint64_t, std::vector<const Node*>> alive_;
-};
 
 struct Rig {
   Catalog catalog;
@@ -240,21 +58,6 @@ std::unique_ptr<Rig> MakeRig() {
   rig->oracle = std::make_unique<ReuseOracle>(rig->gp.get(), &rig->cluster,
                                               rig->model.get());
   return rig;
-}
-
-void ExpectIdenticalEvaluations(const PlanEvaluation& got,
-                                const PlanEvaluation& want) {
-  EXPECT_EQ(got.feasible, want.feasible);
-  EXPECT_EQ(got.marginal_cost, want.marginal_cost);  // bit-identical
-  ASSERT_EQ(got.decisions.size(), want.decisions.size());
-  for (size_t i = 0; i < got.decisions.size(); ++i) {
-    EXPECT_EQ(got.decisions[i].state, want.decisions[i].state);
-    EXPECT_EQ(got.decisions[i].reuse_source, want.decisions[i].reuse_source);
-    EXPECT_EQ(got.decisions[i].needs_residual,
-              want.decisions[i].needs_residual);
-    EXPECT_EQ(got.decisions[i].marginal_cost,
-              want.decisions[i].marginal_cost);
-  }
 }
 
 // Integrates `plan` and checks the committed decisions against the oracle.
@@ -353,6 +156,70 @@ TEST_P(ReuseOracleTest, LivenessFlipsMatchOracle) {
     ++next_id;
   }
   EXPECT_GT(plans_compared, 1000u);
+}
+
+PlanNode Leaf(TableId table, ServerId server) {
+  PlanNode node;
+  node.key = ViewKey(TableSet::Of(table));
+  node.server = server;
+  node.base_table = table;
+  return node;
+}
+
+PlanNode Join(TableSet tables, ServerId server, int left, int right) {
+  PlanNode node;
+  node.type = PlanNodeType::kJoin;
+  node.key = ViewKey(tables);
+  node.server = server;
+  node.left = left;
+  node.right = right;
+  return node;
+}
+
+// A plan whose nodes are topological but not in post-order
+// ([A, B, C, A⋈B, (A⋈B)⋈C]; Materialize would store C after A⋈B) keeps
+// every decision at its node index, prices standalone_cost as PlanCost
+// does, and is recorded exactly as given.
+TEST(ReuseOracleHandBuilt, NonPostOrderPlanKeepsNodeIndices) {
+  auto rig = MakeRig();
+  const TableId a = rig->tables.users;
+  const TableId b = rig->tables.tweets;
+  const TableId c = rig->tables.curloc;
+  const TableSet ab = TableSet::Of(a).Union(TableSet::Of(b));
+  const ServerId dest = 3;
+  const auto home = [&](TableId t) { return *rig->cluster.HomeOf(t); };
+
+  // Sharing 1 materializes A⋈B on `dest`.
+  const Sharing s1(ab, {}, dest);
+  SharingPlan p1;
+  p1.nodes = {Leaf(a, home(a)), Leaf(b, home(b)), Join(ab, dest, 0, 1)};
+  AddAndCheck(rig.get(), 1, s1, p1);
+
+  const Sharing s2(ab.Union(TableSet::Of(c)), {}, dest);
+  SharingPlan p2;
+  p2.nodes = {Leaf(a, home(a)), Leaf(b, home(b)), Leaf(c, home(c)),
+              Join(ab, dest, 0, 1), Join(s2.tables(), dest, 3, 2)};
+  ASSERT_NE(PlanSpace::Of(p2, rig->model.get()).Materialize(0), p2);
+
+  const PlanEvaluation eval = rig->gp->EvaluatePlan(p2);
+  ExpectIdenticalEvaluations(eval, rig->oracle->Evaluate(p2));
+  EXPECT_EQ(eval.standalone_cost, PlanCost(p2, rig->model.get()));
+  const NodeDecision::State want[] = {
+      NodeDecision::kSkipped, NodeDecision::kSkipped, NodeDecision::kFresh,
+      NodeDecision::kReused, NodeDecision::kFresh};
+  for (size_t i = 0; i < p2.nodes.size(); ++i) {
+    EXPECT_EQ(eval.decisions[i].state, want[i]) << "node " << i;
+  }
+
+  AddAndCheck(rig.get(), 2, s2, p2);
+  const GlobalPlan::SharingRecord* rec = rig->gp->record(2);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->plan, p2);
+  EXPECT_EQ(rec->plan_to_gp[3], rig->gp->record(1)->plan_to_gp[2]);
+  for (size_t i = 0; i < p2.nodes.size(); ++i) {
+    EXPECT_EQ(rec->standalone_cost[i],
+              PlanNodeCost(p2, i, rig->model.get()));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReuseOracleTest,

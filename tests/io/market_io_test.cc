@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "cost/default_cost_model.h"
+#include "io/plan_journal.h"
 #include "online/managed_risk.h"
 #include "testing/plans.h"
 #include "testing/rig.h"
@@ -249,6 +250,61 @@ TEST(MarketIoTest, MalformedPlanShapeRejected) {
                    WithHeader("sharing 1 0 buyer 1 0\n"
                               "plan 1\nnode 2 0 0 -1 0 1 0\n"))
                    .ok());
+}
+
+// A sharing over tables {0, 1} on server 0, with a plan that is well
+// formed node by node but does not compute it.
+TEST(MarketIoTest, PlanThatDoesNotComputeItsSharingRejected) {
+  const std::string head = "sharing 1 0 buyer 3 0\n";
+  const std::string leaves =
+      "node 0 0 -1 -1 0 1 0\n"
+      "node 0 0 -1 -1 1 2 0\n";
+  const std::string valid = head + "plan 3\n" + leaves +
+                            "node 1 0 0 1 0 3 0\n";
+  ASSERT_TRUE(ParseSharingRecord(valid, 1).ok());
+  ASSERT_TRUE(MarketStateFromString(WithHeader(valid)).ok());
+
+  const std::vector<std::string> bad = {
+      // Two unjoined leaves: the root covers {1} only.
+      head + "plan 2\n" + leaves,
+      // A join whose two children are both node 0.
+      head + "plan 2\nnode 0 0 -1 -1 0 1 0\nnode 1 0 0 0 0 3 0\n",
+      // A join feeding nothing below the root.
+      head + "plan 4\n" + leaves + "node 1 0 0 1 0 3 0\n" +
+          "node 0 0 -1 -1 0 1 0\n",
+      // The root lacks the sharing's predicate.
+      "sharing 1 0 buyer 3 1\npred 0 0 0 5\nplan 3\n" + leaves +
+          "node 1 0 0 1 0 3 0\n",
+  };
+  for (const std::string& block : bad) {
+    EXPECT_EQ(ParseSharingRecord(block, 1).status().code(),
+              StatusCode::kInvalidArgument)
+        << block;
+    EXPECT_EQ(MarketStateFromString(WithHeader(block)).status().code(),
+              StatusCode::kInvalidArgument)
+        << block;
+  }
+  // The result on another server than the destination.
+  EXPECT_FALSE(ParseSharingRecord(head + "plan 3\n" + leaves +
+                                      "node 1 1 0 1 0 3 0\n",
+                                  2)
+                   .ok());
+
+  // A journal frame with an intact checksum but such a plan is dropped,
+  // with everything after it, like any other nonsense payload.
+  const Sharing sharing(TableSet(3), {}, 0);
+  const auto parsed = ParseSharingRecord(valid, 1);
+  SharingPlan unjoined = parsed->plan;
+  unjoined.nodes.pop_back();
+  PlanJournal journal;
+  ASSERT_TRUE(journal.Open().ok());
+  ASSERT_TRUE(journal.Append(1, sharing, parsed->plan).ok());
+  ASSERT_TRUE(journal.Append(2, sharing, unjoined).ok());
+  ASSERT_TRUE(journal.Append(3, sharing, parsed->plan).ok());
+  const auto replay = ReplayJournal(journal.contents(), 1);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay->records_recovered, 1u);
+  EXPECT_TRUE(replay->tail_dropped);
 }
 
 TEST(MarketIoTest, BadServerCapacityRejected) {

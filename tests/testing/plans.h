@@ -15,7 +15,12 @@ namespace testing_support {
 inline Result<std::vector<SharingPlan>> EnumerateAll(
     const PlanEnumerator& enumerator, const Sharing& sharing) {
   DSM_ASSIGN_OR_RETURN(const PlanSpace space, enumerator.Enumerate(sharing));
-  return space.MaterializeAll();
+  std::vector<SharingPlan> plans;
+  plans.reserve(space.size());
+  for (size_t k = 0; k < space.size(); ++k) {
+    plans.push_back(space.Materialize(k));
+  }
+  return plans;
 }
 
 }  // namespace testing_support
