@@ -72,9 +72,8 @@ bool PlanAndCommit(GlobalPlan* gp, const Sharing& sharing,
   const GlobalPlan::SpaceEvaluation evals = gp->EvaluateSpace(space);
   const int best = evals.CheapestFeasible();
   if (best < 0) return false;
-  return gp
-      ->AddSharing(id, sharing, space.Materialize(static_cast<size_t>(best)),
-                   evals.lpc)
+  return gp->Commit(id, sharing, space, evals, static_cast<size_t>(best),
+                    evals.lpc)
       .ok();
 }
 

@@ -1,7 +1,9 @@
-# Runs EXE once and fails unless it exits 0 and prints exactly the bytes of
-# GOLDEN, so any drift in plans, LPCs or bills fails the suite.
-# Usage: cmake -DEXE=<binary> -DGOLDEN=<file> -DOUT=<file> -P compare_golden.cmake
-execute_process(COMMAND ${EXE} OUTPUT_FILE ${OUT} RESULT_VARIABLE rc)
+# Runs EXE once (with the optional list ARGS) and fails unless it exits 0
+# and prints exactly the bytes of GOLDEN, so any drift in plans, LPCs or
+# bills fails the suite.
+# Usage: cmake -DEXE=<binary> [-DARGS=<a;b>] -DGOLDEN=<file> -DOUT=<file>
+#              -P compare_golden.cmake
+execute_process(COMMAND ${EXE} ${ARGS} OUTPUT_FILE ${OUT} RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${EXE} exited with ${rc}")
 endif()

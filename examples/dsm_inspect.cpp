@@ -2,8 +2,9 @@
 // state file (see src/io/market_io.h).
 //
 //   dsm_inspect <state-file>     inspect a saved market
-//   dsm_inspect --demo           build a demo market, save it to a
-//                                temporary file, then inspect that file
+//   dsm_inspect --demo [dir]     build a demo market, save it as
+//                                dsm_demo_market.txt in `dir` (default
+//                                /tmp), then inspect that file
 //   dsm_inspect metrics [--json] run the demo workload, then dump the
 //                                telemetry registry (Prometheus text by
 //                                default, JSON with --json)
@@ -82,6 +83,8 @@ int TraceCommand() {
   return 0;
 }
 
+constexpr const char* kDemoFile = "dsm_demo_market.txt";
+
 int WriteDemoState(const std::string& path) {
   dsm::Catalog catalog;
   const auto tables = dsm::BuildTwitterCatalog(&catalog);
@@ -110,7 +113,8 @@ int WriteDemoState(const std::string& path) {
   if (!dsm::WriteMarketState(catalog, cluster, &global_plan, &out).ok()) {
     return 1;
   }
-  std::printf("demo market saved to %s\n\n", path.c_str());
+  // The file name only, so the output does not depend on the directory.
+  std::printf("demo market saved as %s\n\n", kDemoFile);
   return 0;
 }
 
@@ -125,8 +129,8 @@ int main(int argc, char** argv) {
   if (argc == 2 && std::string(argv[1]) == "trace") {
     return TraceCommand();
   }
-  if (argc == 2 && std::string(argv[1]) == "--demo") {
-    path = "/tmp/dsm_demo_market.txt";
+  if ((argc == 2 || argc == 3) && std::string(argv[1]) == "--demo") {
+    path = std::string(argc == 3 ? argv[2] : "/tmp") + "/" + kDemoFile;
     if (WriteDemoState(path) != 0) {
       std::fprintf(stderr, "failed to build demo state\n");
       return 1;
@@ -135,7 +139,7 @@ int main(int argc, char** argv) {
     path = argv[1];
   } else {
     std::fprintf(stderr,
-                 "usage: dsm_inspect <state-file> | --demo | "
+                 "usage: dsm_inspect <state-file> | --demo [dir] | "
                  "metrics [--json] | trace\n");
     return 2;
   }

@@ -18,6 +18,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "Infeasible";
     case StatusCode::kInternal:
       return "Internal";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }

@@ -28,6 +28,9 @@ enum class StatusCode {
   // sum of LPCs is below the global plan cost).
   kInfeasible,
   kInternal,
+  // The call's input was valid once but the state it was computed
+  // against has changed (e.g. a stale plan evaluation).
+  kFailedPrecondition,
 };
 
 // Returns a stable human-readable name for `code` (e.g. "InvalidArgument").
@@ -60,6 +63,9 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
+  }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -22,6 +22,24 @@ bool CostStrictlyBetter(double cost, double best_cost) {
   return cost < best_cost - tol;
 }
 
+// A space of one's evaluation, each decision at its node index.
+GlobalPlan::PlanEvaluation SingleEvaluation(
+    const PlanSpace& space, const GlobalPlan::SpaceEvaluation& evals) {
+  GlobalPlan::PlanEvaluation eval;
+  eval.marginal_cost = evals.plans[0].marginal_cost;
+  eval.feasible = evals.plans[0].feasible;
+  // Fragment i is node i, so each step's decision goes to its node index,
+  // and summing op costs in fragment order is PlanCost's order.
+  eval.decisions.resize(space.fragments().size());
+  for (const GlobalPlan::SpaceEvaluation::Step& step : evals.steps_of(0)) {
+    eval.decisions[static_cast<size_t>(step.fragment)] = evals.decision(step);
+  }
+  for (const PlanSpace::Fragment& frag : space.fragments()) {
+    eval.standalone_cost += frag.op_cost;
+  }
+  return eval;
+}
+
 }  // namespace
 
 int GlobalPlan::InternKey(const ViewKey& key) const {
@@ -115,25 +133,8 @@ int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
 
 GlobalPlan::PlanEvaluation GlobalPlan::EvaluatePlan(
     const SharingPlan& plan, const AddOptions& options) const {
-  return EvaluateSingle(PlanSpace::Of(plan, model_), options);
-}
-
-GlobalPlan::PlanEvaluation GlobalPlan::EvaluateSingle(
-    const PlanSpace& space, const AddOptions& options) const {
-  const SpaceEvaluation evals = EvaluateSpace(space, options);
-  PlanEvaluation eval;
-  eval.marginal_cost = evals.plans[0].marginal_cost;
-  eval.feasible = evals.plans[0].feasible;
-  // Fragment i is node i, so each step's decision goes to its node index,
-  // and summing op costs in fragment order is PlanCost's order.
-  eval.decisions.resize(space.fragments().size());
-  for (const SpaceEvaluation::Step& step : evals.steps_of(0)) {
-    eval.decisions[static_cast<size_t>(step.fragment)] = evals.decision(step);
-  }
-  for (const PlanSpace::Fragment& frag : space.fragments()) {
-    eval.standalone_cost += frag.op_cost;
-  }
-  return eval;
+  const PlanSpace space = PlanSpace::Of(plan, model_);
+  return SingleEvaluation(space, EvaluateSpace(space, options));
 }
 
 GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
@@ -141,12 +142,14 @@ GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
   const std::vector<PlanSpace::Fragment>& frags = space.fragments();
   SpaceEvaluation eval;
   eval.fragment_decisions.resize(frags.size());
-  // Per fragment, once decided: what serving it costs and the load its
-  // decision places on its server.
+  eval.fragment_loads.resize(frags.size());
+  eval.epoch = epoch_;
+  eval.liveness_epoch = cluster_->liveness_epoch();
+  // Per fragment, once decided: what serving it costs (its load goes to
+  // eval.fragment_loads).
   struct Served {
     bool decided = false;
     double cost = 0.0;
-    double load = 0.0;
   };
   std::vector<Served> served(frags.size());
 
@@ -178,12 +181,13 @@ GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
       d.needs_residual = !(s.key == pn.key && s.server == pn.server);
       d.marginal_cost = residual;
       me.cost = residual;
-      me.load = d.needs_residual ? model_->DeltaRate(s.key) : 0.0;
+      eval.fragment_loads[fi] =
+          d.needs_residual ? model_->DeltaRate(s.key) : 0.0;
     } else {
       d.state = NodeDecision::kFresh;
       d.marginal_cost = frag.op_cost;
       me.cost = fresh;
-      me.load = frag.load;
+      eval.fragment_loads[fi] = frag.load;
     }
     me.decided = true;
   };
@@ -224,7 +228,7 @@ GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
       const bool places_work = step.state == NodeDecision::kFresh ||
                                eval.fragment_decisions[fi].needs_residual;
       if (places_work && !cluster_->is_up(server)) plan.feasible = false;
-      const double load = served[fi].load;
+      const double load = eval.fragment_loads[fi];
       if (load <= 0.0) continue;
       const auto it = std::find_if(
           added.begin(), added.end(),
@@ -327,40 +331,63 @@ void GlobalPlan::KillNode(int id) {
                        static_cast<double>(alive_count_));
 }
 
-Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
-    SharingId id, const Sharing& sharing, const SharingPlan& plan,
-    const AddOptions& options, std::optional<double> lpc) {
+Result<const GlobalPlan::SharingRecord*> GlobalPlan::Commit(
+    SharingId id, const Sharing& sharing, const PlanSpace& space,
+    const SpaceEvaluation& eval, size_t k, std::optional<double> lpc) {
   if (records_.count(id) != 0) {
     return Status::AlreadyExists("sharing id already integrated");
   }
-  DSM_RETURN_IF_ERROR(CheckPlanComputes(plan, sharing));
+  if (eval.epoch != epoch_ ||
+      eval.liveness_epoch != cluster_->liveness_epoch() ||
+      eval.plans.size() != space.size() || k >= space.size()) {
+    return Status::FailedPrecondition(
+        "evaluation is stale, or not of this plan space and index");
+  }
 
-  const PlanSpace space = PlanSpace::Of(plan, model_);
-  const PlanEvaluation eval = EvaluateSingle(space, options);
-
-  const size_t n = plan.nodes.size();
+  // Plan node i is step `step_of[i]` of plan k: fragment i of a space
+  // holding just one plan's nodes (PlanSpace::Of), else step i of
+  // Materialize(k).
+  const std::span<const SpaceEvaluation::Step> steps = eval.steps_of(k);
+  const size_t n = steps.size();
+  const bool as_built = space.size() == 1 && space.fragments().size() == n;
+  std::vector<size_t> step_of(n);
+  for (size_t j = 0; j < n; ++j) {
+    step_of[as_built ? static_cast<size_t>(steps[j].fragment) : j] = j;
+  }
   SharingRecord rec;
+  if (as_built) {
+    for (const PlanSpace::Fragment& frag : space.fragments()) {
+      rec.plan.nodes.push_back(frag.node);
+    }
+  } else {
+    rec.plan = space.Materialize(k);
+  }
+  DSM_RETURN_IF_ERROR(CheckPlanComputes(rec.plan, sharing));
+
   rec.sharing = sharing;
-  rec.plan = plan;
-  rec.decisions = eval.decisions;
+  rec.decisions.resize(n);
   rec.plan_to_gp.assign(n, -1);
   rec.standalone_cost.assign(n, 0.0);
   rec.subtree_cost.assign(n, 0.0);
-  rec.marginal_cost = eval.marginal_cost;
+  rec.marginal_cost = eval.plans[k].marginal_cost;
   rec.lpc = lpc;
 
+  const auto gp_of = [&rec](int child) {
+    return child < 0 ? -1 : rec.plan_to_gp[static_cast<size_t>(child)];
+  };
+  const auto subtree = [&rec](int child) {
+    return child < 0 ? 0.0 : rec.subtree_cost[static_cast<size_t>(child)];
+  };
+  double standalone = 0.0;  // Σ op cost in node-index order, as PlanCost
   for (size_t i = 0; i < n; ++i) {
-    const PlanNode& pn = plan.nodes[i];
-    rec.standalone_cost[i] = space.fragment(static_cast<int>(i)).op_cost;
-    rec.subtree_cost[i] = rec.standalone_cost[i];
-    if (pn.left >= 0) {
-      rec.subtree_cost[i] += rec.subtree_cost[static_cast<size_t>(pn.left)];
-    }
-    if (pn.right >= 0) {
-      rec.subtree_cost[i] += rec.subtree_cost[static_cast<size_t>(pn.right)];
-    }
+    const PlanNode& pn = rec.plan.nodes[i];
+    const SpaceEvaluation::Step& step = steps[step_of[i]];
+    rec.standalone_cost[i] = space.fragment(step.fragment).op_cost;
+    standalone += rec.standalone_cost[i];
+    rec.subtree_cost[i] =
+        rec.standalone_cost[i] + subtree(pn.left) + subtree(pn.right);
 
-    const NodeDecision& d = eval.decisions[i];
+    const NodeDecision& d = rec.decisions[i] = eval.decision(step);
     // Reuse accounting covers committed integrations only — dry runs
     // during scoring would swamp the counters with candidates the
     // planner never picked.
@@ -370,60 +397,39 @@ Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
                pn.type != PlanNodeType::kLeaf) {
       DSM_METRIC_COUNTER_ADD("dsm.globalplan.reuse_misses", 1);
     }
-    switch (d.state) {
-      case NodeDecision::kSkipped:
-        break;
-      case NodeDecision::kReused:
-        if (!d.needs_residual) {
-          rec.plan_to_gp[i] = d.reuse_source;
-        } else {
-          GPNode residual;
-          residual.key = pn.key;
-          residual.server = pn.server;
-          residual.left = d.reuse_source;
-          residual.cost = d.marginal_cost;
-          residual.load = model_->DeltaRate(
-              nodes_[static_cast<size_t>(d.reuse_source)].key);
-          rec.plan_to_gp[i] = CreateNode(std::move(residual));
-          rec.residual_cost += d.marginal_cost;
-        }
-        break;
-      case NodeDecision::kFresh: {
-        GPNode fresh;
-        fresh.key = pn.key;
-        fresh.server = pn.server;
-        if (pn.left >= 0) {
-          fresh.left = rec.plan_to_gp[static_cast<size_t>(pn.left)];
-        }
-        if (pn.right >= 0) {
-          fresh.right = rec.plan_to_gp[static_cast<size_t>(pn.right)];
-        }
-        fresh.cost = d.marginal_cost;
-        fresh.load = space.fragment(static_cast<int>(i)).load;
-        rec.plan_to_gp[i] = CreateNode(std::move(fresh));
-        break;
-      }
+    if (d.state == NodeDecision::kSkipped) continue;
+    if (d.state == NodeDecision::kReused && !d.needs_residual) {
+      rec.plan_to_gp[i] = d.reuse_source;
+      continue;
     }
+    // A fresh node, or a residual filter/copy over the reuse source.
+    GPNode node;
+    node.key = pn.key;
+    node.server = pn.server;
+    node.cost = d.marginal_cost;
+    node.load = eval.fragment_loads[static_cast<size_t>(step.fragment)];
+    if (d.state == NodeDecision::kReused) {
+      node.left = d.reuse_source;
+      rec.residual_cost += d.marginal_cost;
+    } else {
+      node.left = gp_of(pn.left);
+      node.right = gp_of(pn.right);
+    }
+    rec.plan_to_gp[i] = CreateNode(std::move(node));
   }
-
-  rec.gpc = eval.standalone_cost + rec.residual_cost;
+  rec.gpc = standalone + rec.residual_cost;
 
   // Distinct non-leaf keys, interned once at admission so every later
   // costing refresh aggregates savings over dense ids. Plans are small, so
   // a linear dedup beats a hash set here.
   for (size_t i = 0; i < n; ++i) {
-    const PlanNode& pn = plan.nodes[i];
-    if (pn.type == PlanNodeType::kLeaf) continue;
-    const int kid = InternKey(pn.key);
-    bool seen = false;
-    for (const auto& [prev_kid, prev_node] : rec.distinct_keys) {
-      (void)prev_node;
-      if (prev_kid == kid) {
-        seen = true;
-        break;
-      }
+    if (rec.plan.nodes[i].type == PlanNodeType::kLeaf) continue;
+    const int kid = InternKey(rec.plan.nodes[i].key);
+    const auto& keys = rec.distinct_keys;
+    if (std::none_of(keys.begin(), keys.end(),
+                     [kid](const auto& entry) { return entry.first == kid; })) {
+      rec.distinct_keys.emplace_back(kid, static_cast<int>(i));
     }
-    if (!seen) rec.distinct_keys.emplace_back(kid, static_cast<int>(i));
   }
 
   // Closure: every GP node this sharing depends on, transitively.
@@ -443,8 +449,19 @@ Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
     sharings_by_server_[g.server].insert(id);
   }
   closures_[id] = std::move(closure_vec);
-  records_[id] = std::move(rec);
-  return eval;
+  SharingRecord& stored = records_[id] = std::move(rec);
+  return &stored;
+}
+
+Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
+    SharingId id, const Sharing& sharing, const SharingPlan& plan,
+    const AddOptions& options) {
+  DSM_RETURN_IF_ERROR(CheckPlanComputes(plan, sharing));
+  const PlanSpace space = PlanSpace::Of(plan, model_);
+  const SpaceEvaluation evals = EvaluateSpace(space, options);
+  DSM_RETURN_IF_ERROR(
+      Commit(id, sharing, space, evals, 0, std::nullopt).status());
+  return SingleEvaluation(space, evals);
 }
 
 Status GlobalPlan::RemoveSharing(SharingId id) {

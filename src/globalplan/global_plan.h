@@ -12,8 +12,9 @@
 //
 // One rule decides reuse, in EvaluateSpace, once per shared sub-plan of a
 // sharing's PlanSpace (DESIGN.md §11, "Planning over the fragment DAG").
-// A single plan is a space of one (PlanSpace::Of): EvaluatePlan dry-runs
-// it and AddSharing commits it through that same evaluation.
+// Commit applies the decisions of the evaluation a caller scored, pricing
+// and probing nothing, and refuses a stale one. A single plan is a space of
+// one (PlanSpace::Of): EvaluatePlan dry-runs it, AddSharing commits it.
 //
 // Reuse lookup (DESIGN.md §11) buckets alive views by table mask. One
 // per-(key, server) best-source cache answers repeated probes; on a miss
@@ -96,6 +97,13 @@ class GlobalPlan {
     // Min standalone_cost over all plans, feasible or not: the sharing's
     // LPC (Section 5, criterion (2)); +inf for an empty space.
     double lpc = std::numeric_limits<double>::infinity();
+    // Per fragment reached: the load its decision puts on its server (its
+    // own if fresh, the source's delta rate for a residual, else 0).
+    std::vector<double> fragment_loads;
+    // Structure and liveness epochs at evaluation; Commit refuses the
+    // evaluation once either moved.
+    uint64_t epoch = 0;
+    uint64_t liveness_epoch = 0;
 
     std::span<const Step> steps_of(size_t k) const {
       return std::span<const Step>(steps).subspan(plans[k].first_step,
@@ -111,6 +119,7 @@ class GlobalPlan {
   };
 
   struct AddOptions {
+    AddOptions() {}  // user-provided, so `= {}` defaults compile below
     // Keys whose reuse is forbidden (used to reconstruct published global
     // plans, e.g. Figure 3's, where the provider made different choices).
     const std::unordered_set<ViewKey, ViewKeyHash>* forbid_reuse_keys =
@@ -156,11 +165,8 @@ class GlobalPlan {
   // node index. `plan` must be a tree rooted at its last node
   // (CheckPlanComputes). Not thread-safe: though const, it fills the
   // reuse cache.
-  PlanEvaluation EvaluatePlan(const SharingPlan& plan) const {
-    return EvaluatePlan(plan, AddOptions{});
-  }
   PlanEvaluation EvaluatePlan(const SharingPlan& plan,
-                              const AddOptions& options) const;
+                              const AddOptions& options = {}) const;
 
   // Dry run of every plan in `space` at once, which must be priced by this
   // global plan's cost model. The fresh-vs-reuse rule depends only on a
@@ -168,11 +174,8 @@ class GlobalPlan {
   // fragment: fragments are decided children first, in the order the
   // plans reach them. Each plan's totals then come from one post-order
   // walk. Not thread-safe: though const, it fills the reuse cache.
-  SpaceEvaluation EvaluateSpace(const PlanSpace& space) const {
-    return EvaluateSpace(space, AddOptions{});
-  }
   SpaceEvaluation EvaluateSpace(const PlanSpace& space,
-                                const AddOptions& options) const;
+                                const AddOptions& options = {}) const;
 
   // True when cluster liveness alone makes every enumerated plan of
   // `sharing` infeasible, so a planner may reject or park it without
@@ -194,20 +197,28 @@ class GlobalPlan {
   // accepts, so invalid sharings keep their validation error.
   bool LivenessRulesOut(const Sharing& sharing) const;
 
-  // Integrates the plan, committing the decisions EvaluatePlan(plan) would
-  // report (no feasibility enforcement here; planners check feasibility
-  // first, per Algorithm 2). InvalidArgument unless CheckPlanComputes
-  // accepts the plan for `sharing`. `lpc` is stored in the record as the
-  // sharing's LPC; planners pass the one they priced.
+  // Integrates plan `k` of `space` under `id` by applying the decisions of
+  // `eval` = EvaluateSpace(space); op costs and loads come from the
+  // fragments and `eval`, so nothing is priced or probed again. A space of
+  // just one plan's nodes (PlanSpace::Of) records fragment i as node i, so
+  // a hand-built plan keeps its node indices; otherwise the record holds
+  // Materialize(k). Feasibility is the caller's check (Algorithm 2).
+  // AlreadyExists if `id` is integrated; FailedPrecondition if `eval` is
+  // stale (a node was created or killed, or a server went up or down,
+  // since it was taken), is not of `space`, or `k` is out of range;
+  // InvalidArgument unless CheckPlanComputes accepts the plan. `lpc` is
+  // stored as the sharing's LPC. Returns the record (valid until removed).
+  Result<const SharingRecord*> Commit(SharingId id, const Sharing& sharing,
+                                      const PlanSpace& space,
+                                      const SpaceEvaluation& eval, size_t k,
+                                      std::optional<double> lpc);
+
+  // Commit of EvaluateSpace(PlanSpace::Of(plan)) once CheckPlanComputes
+  // accepts `plan`, with no LPC, for restored and hand-built plans.
+  // Returns the evaluation it committed, as EvaluatePlan reports it.
   Result<PlanEvaluation> AddSharing(SharingId id, const Sharing& sharing,
                                     const SharingPlan& plan,
-                                    std::optional<double> lpc = std::nullopt) {
-    return AddSharing(id, sharing, plan, AddOptions{}, lpc);
-  }
-  Result<PlanEvaluation> AddSharing(SharingId id, const Sharing& sharing,
-                                    const SharingPlan& plan,
-                                    const AddOptions& options,
-                                    std::optional<double> lpc = std::nullopt);
+                                    const AddOptions& options = {});
 
   // Removes a sharing; views no longer referenced by anyone are dropped.
   Status RemoveSharing(SharingId id);
@@ -260,7 +271,7 @@ class GlobalPlan {
   // Sharings whose plan closure includes any alive view materialized on
   // `server` — the blast radius of losing that machine. Sorted by id.
   // Served from a server -> sharings inverted index maintained on
-  // AddSharing/RemoveSharing (closure nodes stay alive for the sharing's
+  // Commit/RemoveSharing (closure nodes stay alive for the sharing's
   // whole lifetime: their refcount is >= 1 until RemoveSharing).
   std::vector<SharingId> SharingsTouchingServer(ServerId server) const;
 
@@ -304,10 +315,6 @@ class GlobalPlan {
   // id (sized to the current intern table).
   void AccumulateReuse(std::vector<double>* saving,
                        std::vector<int>* num) const;
-
-  // EvaluateSpace over a space of one plan, as that plan's PlanEvaluation.
-  PlanEvaluation EvaluateSingle(const PlanSpace& space,
-                                const AddOptions& options) const;
 
   int CreateNode(GPNode node);
   void KillNode(int id);

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "costing/savings.h"
 #include "online/greedy.h"
 #include "online/managed_risk.h"
 #include "online/normalize.h"
@@ -50,14 +49,11 @@ Status DataMarket::EnsurePlanner() {
       &catalog_, &cluster_, graph_.get(), model_.get(), options_.enumerator);
   global_plan_ = std::make_unique<GlobalPlan>(&cluster_, model_.get());
   lpc_ = std::make_unique<LpcCalculator>(enumerator_.get(), model_.get());
+  costing_ = std::make_unique<CostingSession>(global_plan_.get(), lpc_.get());
 
-  PlannerContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.cluster = &cluster_;
-  ctx.graph = graph_.get();
-  ctx.model = model_.get();
-  ctx.global_plan = global_plan_.get();
-  ctx.enumerator = enumerator_.get();
+  const PlannerContext ctx{&catalog_,    &cluster_,
+                           graph_.get(), model_.get(),
+                           global_plan_.get(), enumerator_.get()};
 
   switch (options_.planner) {
     case DataMarketOptions::Planner::kGreedy:
@@ -118,31 +114,29 @@ Result<DataMarket::CostReport> DataMarket::ComputeCosts() {
   if (global_plan_ == nullptr || global_plan_->num_sharings() == 0) {
     return Status::InvalidArgument("no active sharings to cost");
   }
-  DSM_ASSIGN_OR_RETURN(
-      const FairCostProblem problem,
-      BuildFairCostProblem(*global_plan_, lpc_.get(), &dag_index_));
-  DSM_ASSIGN_OR_RETURN(
-      const FairCostResult fair,
-      FairCost::Compute(problem.entries, problem.global_cost));
+  DSM_ASSIGN_OR_RETURN(const CostingSession::Snapshot bill,
+                       costing_->Refresh());
 
   CostReport report;
-  report.alpha = fair.alpha;
-  report.total_cost = problem.global_cost;
-  report.sharings.reserve(problem.entries.size());
+  report.alpha = bill.alpha;
+  report.total_cost = bill.global_cost;
+  report.criteria_satisfied = bill.criteria_satisfied;
+  report.sharings.reserve(bill.ac.size());
   std::map<std::string, double> revenue;
-  for (size_t i = 0; i < problem.entries.size(); ++i) {
+  for (const auto& [id, ac] : bill.ac) {
+    const Sharing& sharing = global_plan_->record(id)->sharing;
     SharingCost cost;
-    cost.id = problem.ids[i];
-    cost.buyer = problem.sharings[i].buyer();
-    cost.attributed_cost = fair.ac[i];
-    cost.lpc = problem.entries[i].lpc;
-    for (const TableId t : problem.sharings[i].tables().ToVector()) {
+    cost.id = id;
+    cost.buyer = sharing.buyer();
+    cost.attributed_cost = ac;
+    cost.lpc = bill.lpc.at(id);
+    for (const TableId t : sharing.tables().ToVector()) {
       cost.data_value += table_value_[t];
       if (t < table_owner_.size() && !table_owner_[t].empty()) {
         revenue[table_owner_[t]] += table_value_[t];
       }
     }
-    cost.price = cost.data_value + options_.price_margin * fair.ac[i];
+    cost.price = cost.data_value + options_.price_margin * ac;
     report.sharings.push_back(std::move(cost));
   }
   report.owner_revenue.reserve(revenue.size());
@@ -156,14 +150,7 @@ Result<ReplanReport> DataMarket::ReplanExistingSharings() {
   if (planner_ == nullptr || global_plan_->num_sharings() == 0) {
     return Status::InvalidArgument("no active sharings to re-plan");
   }
-  PlannerContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.cluster = &cluster_;
-  ctx.graph = graph_.get();
-  ctx.model = model_.get();
-  ctx.global_plan = global_plan_.get();
-  ctx.enumerator = enumerator_.get();
-  Replanner replanner(ctx);
+  Replanner replanner(planner_->context());
   return replanner.Improve();
 }
 

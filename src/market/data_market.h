@@ -3,7 +3,9 @@
 // Data owners register tables (with the monetary value they ask for);
 // buyers submit dynamic data sharings as ad-hoc queries. The market plans
 // each sharing online (MANAGEDRISK by default), maintains the global plan,
-// and attributes operational costs fairly with FAIRCOST. Prices combine
+// and bills operational costs fairly with FAIRCOST through a
+// CostingSession, which also bills during Lemma 5.2's transient and
+// reports it (CostReport::criteria_satisfied). Prices combine
 // the owners' data values with the attributed operational cost; mapping
 // cost to final price beyond a linear margin is the economics problem the
 // paper leaves external.
@@ -20,8 +22,7 @@
 #include "cluster/cluster.h"
 #include "common/status.h"
 #include "cost/default_cost_model.h"
-#include "costing/fair_cost.h"
-#include "costing/incremental_containment.h"
+#include "costing/costing_session.h"
 #include "costing/lpc.h"
 #include "globalplan/global_plan.h"
 #include "online/planner.h"
@@ -101,10 +102,14 @@ class DataMarket {
     std::vector<OwnerRevenue> owner_revenue;
     double alpha = 0.0;
     double total_cost = 0.0;
+    // False while risk investments exceed Σ LPC (Lemma 5.2's transient);
+    // the ACs are then LPCs scaled to cover cost(GP).
+    bool criteria_satisfied = true;
   };
 
-  // Runs FAIRCOST over the current global plan. ACs of existing sharings
-  // may change as new sharings arrive (Section 5) but never exceed LPC.
+  // Refreshes the costing session (FAIRCOST over the current global plan)
+  // and prices the result. ACs of existing sharings may change as new
+  // sharings arrive (Section 5) but never exceed LPC.
   Result<CostReport> ComputeCosts();
 
   // Re-plans existing sharings against the current global plan (Section
@@ -133,9 +138,7 @@ class DataMarket {
   std::unique_ptr<GlobalPlan> global_plan_;
   std::unique_ptr<OnlinePlanner> planner_;
   std::unique_ptr<LpcCalculator> lpc_;
-  // Containment DAG persisted across ComputeCosts calls; only sharings
-  // submitted or cancelled in between are re-compared.
-  IncrementalContainmentIndex dag_index_;
+  std::unique_ptr<CostingSession> costing_;
 };
 
 }  // namespace dsm

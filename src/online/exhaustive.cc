@@ -12,7 +12,7 @@ using Clock = std::chrono::steady_clock;
 
 struct SearchState {
   const std::vector<Sharing>* sharings = nullptr;
-  const std::vector<std::vector<SharingPlan>>* plan_sets = nullptr;
+  const std::vector<std::vector<PlanSpace>>* plan_sets = nullptr;  // of one
   GlobalPlan* scratch = nullptr;
   double best_cost = 0.0;
   std::vector<size_t> current;
@@ -42,18 +42,19 @@ void Search(SearchState* st, size_t depth) {
   // Branch and bound: the global plan cost only grows as plans are added.
   if (st->have_best && st->scratch->TotalCost() >= st->best_cost) return;
 
-  const std::vector<SharingPlan>& plans = (*st->plan_sets)[depth];
+  const std::vector<PlanSpace>& plans = (*st->plan_sets)[depth];
   for (size_t p = 0; p < plans.size(); ++p) {
     ++st->explored;
-    const GlobalPlan::PlanEvaluation probe =
-        st->scratch->EvaluatePlan(plans[p]);
-    if (!probe.feasible) continue;
-    if (st->have_best &&
-        st->scratch->TotalCost() + probe.marginal_cost >= st->best_cost) {
+    const GlobalPlan::SpaceEvaluation probe =
+        st->scratch->EvaluateSpace(plans[p]);
+    if (!probe.plans[0].feasible) continue;
+    const double added = probe.plans[0].marginal_cost;
+    if (st->have_best && st->scratch->TotalCost() + added >= st->best_cost) {
       continue;
     }
     const SharingId id = static_cast<SharingId>(depth + 1);
-    if (!st->scratch->AddSharing(id, (*st->sharings)[depth], plans[p]).ok()) {
+    const Sharing& sharing = (*st->sharings)[depth];
+    if (!st->scratch->Commit(id, sharing, plans[p], probe, 0, {}).ok()) {
       continue;
     }
     st->current[depth] = p;
@@ -67,7 +68,7 @@ void Search(SearchState* st, size_t depth) {
 
 Result<ExhaustiveResult> ExhaustivePlanner::Solve(
     const std::vector<Sharing>& sharings) {
-  std::vector<std::vector<SharingPlan>> plan_sets;
+  std::vector<std::vector<PlanSpace>> plan_sets;
   plan_sets.reserve(sharings.size());
   for (const Sharing& s : sharings) {
     DSM_ASSIGN_OR_RETURN(const PlanSpace space,
@@ -83,14 +84,15 @@ Result<ExhaustiveResult> ExhaustivePlanner::Solve(
       order.emplace_back(space.StandaloneCost(i), i);
     }
     std::sort(order.begin(), order.end());
-    std::vector<SharingPlan> sorted;
+    std::vector<PlanSpace> sorted;
     const size_t limit =
         options_.max_plans_per_sharing == 0
             ? space.size()
             : std::min(space.size(), options_.max_plans_per_sharing);
     sorted.reserve(limit);
     for (size_t i = 0; i < limit; ++i) {
-      sorted.push_back(space.Materialize(order[i].second));
+      sorted.push_back(
+          PlanSpace::Of(space.Materialize(order[i].second), ctx_.model));
     }
     plan_sets.push_back(std::move(sorted));
   }
@@ -115,7 +117,7 @@ Result<ExhaustiveResult> ExhaustivePlanner::Solve(
   result.nodes_explored = st.explored;
   result.plans.reserve(sharings.size());
   for (size_t i = 0; i < sharings.size(); ++i) {
-    result.plans.push_back(plan_sets[i][st.best[i]]);
+    result.plans.push_back(plan_sets[i][st.best[i]].Materialize(0));
   }
   return result;
 }

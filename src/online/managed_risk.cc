@@ -35,16 +35,16 @@ double ManagedRiskPlanner::Score(const Sharing& sharing,
   return incentive - eval.plans[k].marginal_cost;
 }
 
-void ManagedRiskPlanner::OnPlanChosen(
-    const Sharing& sharing, const SharingPlan& plan,
-    const GlobalPlan::PlanEvaluation& eval) {
+void ManagedRiskPlanner::OnPlanChosen(const GlobalPlan::SharingRecord& rec) {
+  const Sharing& sharing = rec.sharing;
+  const SharingPlan& plan = rec.plan;
   double consumed = 0.0;
   std::vector<TableSet> produced_full;
   std::vector<std::pair<TableSet, double>> produced_partial;
   for (size_t i = 0; i < plan.nodes.size(); ++i) {
     const PlanNode& node = plan.nodes[i];
     if (!node.is_join()) continue;
-    if (eval.decisions[i].state != GlobalPlan::NodeDecision::kFresh) {
+    if (rec.decisions[i].state != GlobalPlan::NodeDecision::kFresh) {
       continue;  // reused/skipped nodes produce nothing new
     }
     if (options_.subtract_consumed_regret) {
@@ -57,7 +57,7 @@ void ManagedRiskPlanner::OnPlanChosen(
                                     ctx_.model->Perc(node.key));
     }
   }
-  tracker_.OnPlanChosen(sharing, eval.marginal_cost, consumed, produced_full,
+  tracker_.OnPlanChosen(sharing, rec.marginal_cost, consumed, produced_full,
                         produced_partial);
 }
 

@@ -45,8 +45,7 @@ class ManagedRiskPlanner : public OnlinePlanner {
  protected:
   double Score(const Sharing& sharing, const PlanSpace& space,
                const GlobalPlan::SpaceEvaluation& eval, size_t k) override;
-  void OnPlanChosen(const Sharing& sharing, const SharingPlan& plan,
-                    const GlobalPlan::PlanEvaluation& eval) override;
+  void OnPlanChosen(const GlobalPlan::SharingRecord& rec) override;
 
  private:
   // rg_i(s)·perc_s of a join node computed fresh (0 without regret); a

@@ -1,7 +1,6 @@
 #include "online/planner.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -37,21 +36,21 @@ Result<PlanChoice> OnlinePlanner::ProcessSharing(const Sharing& sharing) {
   if (it != identical_plans_.end() &&
       sharing.IdenticalTo(it->second.sharing) &&
       sharing.destination() == it->second.sharing.destination()) {
-    const GlobalPlan::PlanEvaluation probe =
-        ctx_.global_plan->EvaluatePlan(it->second.plan);
-    if (probe.feasible) {
-      DSM_ASSIGN_OR_RETURN(
-          const GlobalPlan::PlanEvaluation eval,
-          ctx_.global_plan->AddSharing(id, sharing, it->second.plan,
-                                       it->second.lpc));
-      OnPlanChosen(sharing, it->second.plan, eval);
+    const PlanSpace single = PlanSpace::Of(it->second.plan, ctx_.model);
+    const GlobalPlan::SpaceEvaluation eval =
+        ctx_.global_plan->EvaluateSpace(single);
+    if (eval.plans[0].feasible) {
+      DSM_ASSIGN_OR_RETURN(const GlobalPlan::SharingRecord* rec,
+                           ctx_.global_plan->Commit(id, sharing, single, eval,
+                                                    0, it->second.lpc));
+      OnPlanChosen(*rec);
       DSM_METRIC_COUNTER_ADD("dsm.online.sharings_planned", 1);
       DSM_METRIC_COUNTER_ADD("dsm.online.reuse_identical_hits", 1);
       DSM_TRACE_ANNOTATE("reused_identical", "true");
       PlanChoice choice;
       choice.id = id;
-      choice.plan = it->second.plan;
-      choice.marginal_cost = eval.marginal_cost;
+      choice.plan = rec->plan;
+      choice.marginal_cost = rec->marginal_cost;
       choice.reused_identical = true;
       return choice;
     }
@@ -99,17 +98,16 @@ Result<PlanChoice> OnlinePlanner::ProcessSharing(const Sharing& sharing) {
   // that does not violate any server capacity, else reject the sharing.
   for (const Scored& cand : scored) {
     if (!evals.plans[cand.index].feasible) continue;
-    SharingPlan plan = space.Materialize(cand.index);
-    DSM_ASSIGN_OR_RETURN(
-        const GlobalPlan::PlanEvaluation eval,
-        ctx_.global_plan->AddSharing(id, sharing, plan, evals.lpc));
-    OnPlanChosen(sharing, plan, eval);
-    identical_plans_[ident] = IdenticalEntry{sharing, plan, evals.lpc};
+    DSM_ASSIGN_OR_RETURN(const GlobalPlan::SharingRecord* rec,
+                         ctx_.global_plan->Commit(id, sharing, space, evals,
+                                                  cand.index, evals.lpc));
+    OnPlanChosen(*rec);
+    identical_plans_[ident] = IdenticalEntry{sharing, rec->plan, evals.lpc};
     DSM_METRIC_COUNTER_ADD("dsm.online.sharings_planned", 1);
     PlanChoice choice;
     choice.id = id;
-    choice.plan = std::move(plan);
-    choice.marginal_cost = eval.marginal_cost;
+    choice.plan = rec->plan;
+    choice.marginal_cost = rec->marginal_cost;
     choice.score = cand.score;
     choice.plans_considered = space.size();
     return choice;

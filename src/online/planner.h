@@ -10,7 +10,8 @@
 // The plans arrive as a PlanSpace and are dry-run together
 // (GlobalPlan::EvaluateSpace: each shared sub-plan priced and probed for
 // reuse once); scorers fold over each plan's (node, decision) walk, and
-// only the committed plan is materialized.
+// GlobalPlan::Commit applies the chosen plan's evaluation, as it does an
+// identical-sharing hit's evaluation of its stored plan.
 //
 // One rejection needs no dry run: when a down server makes every plan
 // infeasible (dead destination, or a dead base-table home no live view
@@ -95,10 +96,9 @@ class OnlinePlanner {
   // occurrence counts, which include the current sharing).
   virtual void OnSharingArrived(const Sharing& /*sharing*/) {}
 
-  // Called after the chosen plan has been integrated.
-  virtual void OnPlanChosen(const Sharing& /*sharing*/,
-                            const SharingPlan& /*plan*/,
-                            const GlobalPlan::PlanEvaluation& /*eval*/) {}
+  // Called after the chosen plan has been integrated, with its record
+  // (sharing, plan, per-node decisions and marginal cost).
+  virtual void OnPlanChosen(const GlobalPlan::SharingRecord& /*rec*/) {}
 
   // Hash key of the identical-sharing fast path (query + destination).
   // Virtual so a test can force collisions; the cache verifies the stored

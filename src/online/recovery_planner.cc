@@ -28,11 +28,10 @@ Result<double> RecoveryPlanner::PlanOnLiveServers(SharingId id,
         "no plan fits on the live servers; sharing parked");
   }
   DSM_ASSIGN_OR_RETURN(
-      const GlobalPlan::PlanEvaluation eval,
-      ctx_.global_plan->AddSharing(
-          id, sharing, space.Materialize(static_cast<size_t>(best)),
-          evals.lpc));
-  return eval.marginal_cost;
+      const GlobalPlan::SharingRecord* rec,
+      ctx_.global_plan->Commit(id, sharing, space, evals,
+                               static_cast<size_t>(best), evals.lpc));
+  return rec->marginal_cost;
 }
 
 void RecoveryPlanner::Park(SharingId id, Sharing sharing, double cost_before,

@@ -7,8 +7,9 @@
 // removes the victims, then re-runs Algorithm 2 for each one restricted to
 // live servers: it dry-runs the sharing's whole plan space at once
 // (GlobalPlan::EvaluateSpace; plans placing any work on a down server are
-// infeasible) and materializes and commits only the cheapest feasible
-// plan (SpaceEvaluation::CheapestFeasible).
+// infeasible) and commits the cheapest feasible plan
+// (SpaceEvaluation::CheapestFeasible) from that same evaluation
+// (GlobalPlan::Commit), so the chosen plan is not priced or probed again.
 //
 // Sharings that no longer fit anywhere — destination dead, a member
 // table's home machine dead, or live capacity exhausted — are *parked*

@@ -24,21 +24,23 @@ Result<ReplanReport> Replanner::Improve() {
 
       DSM_ASSIGN_OR_RETURN(const PlanSpace space,
                            ctx_.enumerator->Enumerate(sharing));
-      // The original plan stays unless a plan is strictly cheaper.
-      const GlobalPlan::PlanEvaluation orig_eval = gp->EvaluatePlan(original);
+      // The original plan stays unless a plan is strictly cheaper; either
+      // way the commit applies the evaluation the choice was made on.
+      const PlanSpace orig_space = PlanSpace::Of(original, ctx_.model);
+      const GlobalPlan::SpaceEvaluation orig_eval =
+          gp->EvaluateSpace(orig_space);
       const GlobalPlan::SpaceEvaluation evals = gp->EvaluateSpace(space);
       const int best = evals.CheapestFeasible(
-          orig_eval.feasible ? orig_eval.marginal_cost
-                             : std::numeric_limits<double>::infinity());
+          orig_eval.plans[0].feasible
+              ? orig_eval.plans[0].marginal_cost
+              : std::numeric_limits<double>::infinity());
       // No plans leaves no LPC to record; costing then prices it afresh.
       const std::optional<double> priced =
           space.empty() ? std::nullopt : std::optional<double>(evals.lpc);
       DSM_RETURN_IF_ERROR(
-          gp->AddSharing(id, sharing,
-                         best < 0 ? original
-                                  : space.Materialize(
-                                        static_cast<size_t>(best)),
-                         priced)
+          (best < 0 ? gp->Commit(id, sharing, orig_space, orig_eval, 0, priced)
+                    : gp->Commit(id, sharing, space, evals,
+                                 static_cast<size_t>(best), priced))
               .status());
       if (best >= 0) {
         ++report.plans_changed;

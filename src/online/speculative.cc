@@ -30,12 +30,10 @@ Result<SpeculationReport> SpeculativeViewAdvisor::MaybeSpeculate() {
     if (pending < options_.regret_multiple * cheapest) continue;
 
     const SharingId id = kSpeculativeIdBase + views_created_;
-    DSM_RETURN_IF_ERROR(
-        ctx.global_plan
-            ->AddSharing(id, view,
-                         space.Materialize(static_cast<size_t>(best)),
-                         evals.lpc)
-            .status());
+    DSM_RETURN_IF_ERROR(ctx.global_plan
+                            ->Commit(id, view, space, evals,
+                                     static_cast<size_t>(best), evals.lpc)
+                            .status());
     planner_->mutable_tracker()->MarkProduced(tables);
     ++views_created_;
     ++report.views_created;

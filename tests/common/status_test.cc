@@ -27,6 +27,8 @@ TEST(StatusTest, AllFactoriesProduceMatchingCodes) {
             StatusCode::kCapacityExceeded);
   EXPECT_EQ(Status::Infeasible("x").code(), StatusCode::kInfeasible);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
+  EXPECT_EQ(Status::FailedPrecondition("x").code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(ResultTest, HoldsValue) {

@@ -8,7 +8,9 @@
 // global plans are churned (random removals) with one server down and one
 // server near its capacity, so reuse, liveness and capacity all decide
 // some plans. A dry run must leave the global plan's cost, views and loads
-// untouched.
+// untouched. The cheapest feasible plan is then committed from that same
+// evaluation (GlobalPlan::Commit), and the record must hold exactly the
+// oracle's decisions for Materialize(k).
 
 #include <gtest/gtest.h>
 
@@ -167,10 +169,34 @@ void ExpectSpaceMatchesPlans(const Rig& rig, const PlanSpace& space,
   EXPECT_EQ(got.lpc, lpc);
 }
 
-// Drives `rig`'s sequence: every space is checked before its cheapest
-// feasible plan is committed; a quarter of the arrivals also remove a
-// random earlier sharing. A third of the way in, server 1 goes down; half
-// way, server 2 gets just half a fragment's load of headroom left.
+// The record Commit wrote for plan `chosen` against the oracle's
+// evaluation of it: same nodes, same decisions, same marginal cost, and a
+// GPC of its standalone cost plus the residual ops it created.
+void ExpectRecordMatches(const GlobalPlan::SharingRecord& rec,
+                         const SharingPlan& chosen,
+                         const GlobalPlan::PlanEvaluation& want) {
+  ASSERT_EQ(rec.plan.nodes.size(), chosen.nodes.size());
+  for (size_t i = 0; i < chosen.nodes.size(); ++i) {
+    EXPECT_EQ(rec.plan.nodes[i].type, chosen.nodes[i].type);
+    EXPECT_TRUE(rec.plan.nodes[i].key == chosen.nodes[i].key);
+    EXPECT_EQ(rec.plan.nodes[i].server, chosen.nodes[i].server);
+    EXPECT_EQ(rec.plan.nodes[i].left, chosen.nodes[i].left);
+    EXPECT_EQ(rec.plan.nodes[i].right, chosen.nodes[i].right);
+  }
+  GlobalPlan::PlanEvaluation got;
+  got.marginal_cost = rec.marginal_cost;
+  got.feasible = want.feasible;
+  got.decisions = rec.decisions;
+  for (const double cost : rec.standalone_cost) got.standalone_cost += cost;
+  testing_support::ExpectIdenticalEvaluations(got, want);
+  EXPECT_EQ(rec.gpc, want.standalone_cost + rec.residual_cost);
+}
+
+// Drives `rig`'s sequence: every space is checked, then its cheapest
+// feasible plan is committed and the record checked; a quarter of the
+// arrivals also remove a random earlier sharing. A third of the way in,
+// server 1 goes down; half way, server 2 gets just half a fragment's load
+// of headroom left.
 void RunChurn(Rig* rig, uint64_t seed, bool expect_capped = false) {
   Rng rng(seed);
   std::vector<SharingId> active;
@@ -207,11 +233,17 @@ void RunChurn(Rig* rig, uint64_t seed, bool expect_capped = false) {
     const GlobalPlan::SpaceEvaluation evals = rig->gp->EvaluateSpace(*space);
     const int best = evals.CheapestFeasible();
     if (best < 0) continue;
-    ASSERT_TRUE(rig->gp
-                    ->AddSharing(next_id, sharing,
-                                 space->Materialize(static_cast<size_t>(best)),
-                                 evals.lpc)
-                    .ok());
+    const auto k = static_cast<size_t>(best);
+    const SharingPlan chosen = space->Materialize(k);
+    const GlobalPlan::PlanEvaluation want = rig->oracle->Evaluate(chosen);
+    const double total_before = rig->gp->TotalCost();
+    const auto rec =
+        rig->gp->Commit(next_id, sharing, *space, evals, k, evals.lpc);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ExpectRecordMatches(**rec, chosen, want);
+    EXPECT_EQ((*rec)->lpc, evals.lpc);
+    EXPECT_NEAR(rig->gp->TotalCost() - total_before, want.marginal_cost,
+                1e-9 * std::max(1.0, rig->gp->TotalCost()));
     rig->oracle->Added(next_id);
     active.push_back(next_id++);
   }
