@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "maintain/delta_engine.h"
+#include "market/simulation.h"
 #include "workload/twitter.h"
 
 int main() {
@@ -49,15 +50,15 @@ int main() {
     std::vector<dsm::Tuple> users, tweets, foursq;
     for (int i = 0; i < 200; ++i) {
       users.push_back(
-          dsm::RandomTwitterTuple(catalog, tables->users, &rng));
+          dsm::RandomTupleForTable(catalog, tables->users, &rng));
     }
     for (int i = 0; i < 400; ++i) {
       tweets.push_back(
-          dsm::RandomTwitterTuple(catalog, tables->tweets, &rng));
+          dsm::RandomTupleForTable(catalog, tables->tweets, &rng));
     }
     for (int i = 0; i < 100; ++i) {
       foursq.push_back(
-          dsm::RandomTwitterTuple(catalog, tables->foursq, &rng));
+          dsm::RandomTupleForTable(catalog, tables->foursq, &rng));
     }
     std::vector<dsm::Tuple> deleted(tweets.begin(), tweets.begin() + 5);
 

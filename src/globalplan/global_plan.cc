@@ -22,24 +22,6 @@ bool CostStrictlyBetter(double cost, double best_cost) {
   return cost < best_cost - tol;
 }
 
-// A space of one's evaluation, each decision at its node index.
-GlobalPlan::PlanEvaluation SingleEvaluation(
-    const PlanSpace& space, const GlobalPlan::SpaceEvaluation& evals) {
-  GlobalPlan::PlanEvaluation eval;
-  eval.marginal_cost = evals.plans[0].marginal_cost;
-  eval.feasible = evals.plans[0].feasible;
-  // Fragment i is node i, so each step's decision goes to its node index,
-  // and summing op costs in fragment order is PlanCost's order.
-  eval.decisions.resize(space.fragments().size());
-  for (const GlobalPlan::SpaceEvaluation::Step& step : evals.steps_of(0)) {
-    eval.decisions[static_cast<size_t>(step.fragment)] = evals.decision(step);
-  }
-  for (const PlanSpace::Fragment& frag : space.fragments()) {
-    eval.standalone_cost += frag.op_cost;
-  }
-  return eval;
-}
-
 }  // namespace
 
 int GlobalPlan::InternKey(const ViewKey& key) const {
@@ -129,12 +111,6 @@ int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
                                              residual};
   if (best >= 0) *residual_cost = residual;
   return best;
-}
-
-GlobalPlan::PlanEvaluation GlobalPlan::EvaluatePlan(
-    const SharingPlan& plan, const AddOptions& options) const {
-  const PlanSpace space = PlanSpace::Of(plan, model_);
-  return SingleEvaluation(space, EvaluateSpace(space, options));
 }
 
 GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
@@ -295,13 +271,15 @@ bool GlobalPlan::LivenessRulesOut(const Sharing& sharing) const {
 }
 
 int GlobalPlan::CreateNode(GPNode node) {
+  const int id = static_cast<int>(nodes_.size());
+  // Children before parents: SharingsTouchingServer's one pass relies on it.
+  assert(node.left < id && node.right < id);
   node.refcount = 0;
   node.alive = true;
   node.pred_sig = PredicateSignature(node.key.predicates);
   // Interned on creation too, so key ids (and ComputeReuseStats's order)
   // follow first appearance even for keys no reuse probe reached.
   InternKey(node.key);
-  const int id = static_cast<int>(nodes_.size());
   total_cost_ += node.cost;
   server_load_[node.server] += node.load;
   by_tables_[node.key.tables.mask()].push_back(id);
@@ -432,7 +410,23 @@ Result<const GlobalPlan::SharingRecord*> GlobalPlan::Commit(
     }
   }
 
-  // Closure: every GP node this sharing depends on, transitively.
+  SharingRecord& stored = records_[id] = std::move(rec);
+  for (const int gp : ClosureOf(stored)) {
+    ++nodes_[static_cast<size_t>(gp)].refcount;
+  }
+  return &stored;
+}
+
+Result<const GlobalPlan::SharingRecord*> GlobalPlan::AddSharing(
+    SharingId id, const Sharing& sharing, const SharingPlan& plan,
+    const AddOptions& options) {
+  DSM_RETURN_IF_ERROR(CheckPlanComputes(plan, sharing));
+  const PlanSpace space = PlanSpace::Of(plan, model_);
+  return Commit(id, sharing, space, EvaluateSpace(space, options), 0,
+                std::nullopt);
+}
+
+std::vector<int> GlobalPlan::ClosureOf(const SharingRecord& rec) const {
   std::unordered_set<int> closure;
   std::function<void(int)> reach = [&](int gp) {
     if (gp < 0 || !closure.insert(gp).second) return;
@@ -441,47 +435,21 @@ Result<const GlobalPlan::SharingRecord*> GlobalPlan::Commit(
     reach(g.right);
   };
   for (const int gp : rec.plan_to_gp) reach(gp);
-
-  std::vector<int> closure_vec(closure.begin(), closure.end());
-  for (const int gp : closure_vec) {
-    GPNode& g = nodes_[static_cast<size_t>(gp)];
-    ++g.refcount;
-    sharings_by_server_[g.server].insert(id);
-  }
-  closures_[id] = std::move(closure_vec);
-  SharingRecord& stored = records_[id] = std::move(rec);
-  return &stored;
-}
-
-Result<GlobalPlan::PlanEvaluation> GlobalPlan::AddSharing(
-    SharingId id, const Sharing& sharing, const SharingPlan& plan,
-    const AddOptions& options) {
-  DSM_RETURN_IF_ERROR(CheckPlanComputes(plan, sharing));
-  const PlanSpace space = PlanSpace::Of(plan, model_);
-  const SpaceEvaluation evals = EvaluateSpace(space, options);
-  DSM_RETURN_IF_ERROR(
-      Commit(id, sharing, space, evals, 0, std::nullopt).status());
-  return SingleEvaluation(space, evals);
+  return std::vector<int>(closure.begin(), closure.end());
 }
 
 Status GlobalPlan::RemoveSharing(SharingId id) {
-  const auto it = closures_.find(id);
-  if (it == closures_.end()) {
+  const auto it = records_.find(id);
+  if (it == records_.end()) {
     return Status::NotFound("unknown sharing id");
   }
-  for (const int gp : it->second) {
+  for (const int gp : ClosureOf(it->second)) {
     GPNode& node = nodes_[static_cast<size_t>(gp)];
-    const auto sit = sharings_by_server_.find(node.server);
-    if (sit != sharings_by_server_.end()) {
-      sit->second.erase(id);
-      if (sit->second.empty()) sharings_by_server_.erase(sit);
-    }
     if (--node.refcount == 0 && node.alive) {
       KillNode(gp);
     }
   }
-  closures_.erase(it);
-  records_.erase(id);
+  records_.erase(it);
   return Status::OK();
 }
 
@@ -501,9 +469,20 @@ bool GlobalPlan::HasUnpredicatedView(TableSet tables) const {
 
 std::vector<SharingId> GlobalPlan::SharingsTouchingServer(
     ServerId server) const {
-  const auto it = sharings_by_server_.find(server);
-  if (it == sharings_by_server_.end()) return {};
-  return std::vector<SharingId>(it->second.begin(), it->second.end());
+  std::vector<char> touches(nodes_.size(), 0);
+  const auto marked = [&touches](int child) {
+    return child >= 0 && touches[static_cast<size_t>(child)] != 0;
+  };
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const GPNode& node = nodes_[i];
+    touches[i] = node.alive && (node.server == server || marked(node.left) ||
+                                marked(node.right));
+  }
+  std::vector<SharingId> out;
+  for (const auto& [id, rec] : records_) {
+    if (marked(rec.plan_to_gp.back())) out.push_back(id);
+  }
+  return out;
 }
 
 std::vector<SharingId> GlobalPlan::sharing_ids() const {
@@ -523,9 +502,10 @@ double GlobalPlan::GPC(SharingId id) const {
   return rec == nullptr ? 0.0 : rec->gpc;
 }
 
-const std::vector<int>* GlobalPlan::closure(SharingId id) const {
-  const auto it = closures_.find(id);
-  return it == closures_.end() ? nullptr : &it->second;
+std::optional<std::vector<int>> GlobalPlan::closure(SharingId id) const {
+  const SharingRecord* rec = record(id);
+  if (rec == nullptr) return std::nullopt;
+  return ClosureOf(*rec);
 }
 
 void GlobalPlan::AccumulateReuse(std::vector<double>* saving,

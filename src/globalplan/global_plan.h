@@ -7,14 +7,19 @@
 // charged. This realizes both the red/green reuse arrows of Figure 3 and
 // Example 1.1's "reuse the previous plan, and add a filter on top".
 //
-// The structure also keeps the bookkeeping fair costing needs: per-sharing
-// GPC, and saving(r)/num(r) for every intermediate result (Definition 5.1).
+// The structure stores only the DAG's nodes and one record per sharing;
+// everything else is derived from them. A sharing's closure (the nodes its
+// delivery depends on) is a walk of the DAG edges from its plan's nodes,
+// and the sharings a failed server takes down are found by one pass over
+// the nodes (DESIGN.md §8). The records also keep the bookkeeping fair
+// costing needs: per-sharing GPC, and saving(r)/num(r) for every
+// intermediate result (Definition 5.1).
 //
 // One rule decides reuse, in EvaluateSpace, once per shared sub-plan of a
 // sharing's PlanSpace (DESIGN.md §11, "Planning over the fragment DAG").
 // Commit applies the decisions of the evaluation a caller scored, pricing
 // and probing nothing, and refuses a stale one. A single plan is a space of
-// one (PlanSpace::Of): EvaluatePlan dry-runs it, AddSharing commits it.
+// one (PlanSpace::Of): EvaluateSpace dry-runs it, AddSharing commits it.
 //
 // Reuse lookup (DESIGN.md §11) buckets alive views by table mask. One
 // per-(key, server) best-source cache answers repeated probes; on a miss
@@ -33,7 +38,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -63,16 +67,6 @@ class GlobalPlan {
     double marginal_cost = 0.0;    // $ this node adds to the global plan
   };
 
-  struct PlanEvaluation {
-    double marginal_cost = 0.0;  // total additional $ (GREEDY's criterion)
-    // Σ per-node op cost with no reuse, summed in node-index order: equal
-    // bit for bit to PlanCost(plan, model). Its minimum over a sharing's
-    // enumerated plans is the sharing's LPC (Section 5, criterion (2)).
-    double standalone_cost = 0.0;
-    bool feasible = true;        // all server capacities respected
-    std::vector<NodeDecision> decisions;  // parallel to plan.nodes
-  };
-
   // The dry run of every plan of a PlanSpace (EvaluateSpace).
   struct SpaceEvaluation {
     // One node of one plan, in the plan's node-index order: its fragment
@@ -82,9 +76,11 @@ class GlobalPlan {
       NodeDecision::State state = NodeDecision::kFresh;
     };
     struct Plan {
-      double marginal_cost = 0.0;
+      double marginal_cost = 0.0;  // total additional $ (GREEDY's criterion)
+      // Σ per-node op cost with no reuse, summed in the node-index order of
+      // Materialize(k): equal bit for bit to PlanCost(Materialize(k)).
       double standalone_cost = 0.0;
-      bool feasible = true;
+      bool feasible = true;  // no work on a down server, capacities kept
       size_t first_step = 0;  // this plan's nodes: steps[first_step, +num)
       size_t num_steps = 0;
     };
@@ -109,8 +105,8 @@ class GlobalPlan {
       return std::span<const Step>(steps).subspan(plans[k].first_step,
                                                   plans[k].num_steps);
     }
-    // The step's decision as a PlanEvaluation reports it: a skipped node
-    // keeps its fragment's decision fields with state kSkipped and cost 0.
+    // The step's decision as Commit records it: a skipped node keeps its
+    // fragment's decision fields with state kSkipped and cost 0.
     NodeDecision decision(const Step& step) const;
     // The feasible plan with the lowest marginal cost strictly below
     // `bound` (the first one wins a tie), or -1 if there is none.
@@ -160,14 +156,6 @@ class GlobalPlan {
   GlobalPlan(const GlobalPlan&) = delete;
   GlobalPlan& operator=(const GlobalPlan&) = delete;
 
-  // Dry run of one plan: what would integrating it cost, and is it
-  // feasible? EvaluateSpace over PlanSpace::Of(plan), each decision at its
-  // node index. `plan` must be a tree rooted at its last node
-  // (CheckPlanComputes). Not thread-safe: though const, it fills the
-  // reuse cache.
-  PlanEvaluation EvaluatePlan(const SharingPlan& plan,
-                              const AddOptions& options = {}) const;
-
   // Dry run of every plan in `space` at once, which must be priced by this
   // global plan's cost model. The fresh-vs-reuse rule depends only on a
   // node's subtree and the (unchanging) global plan, so it runs once per
@@ -215,10 +203,10 @@ class GlobalPlan {
 
   // Commit of EvaluateSpace(PlanSpace::Of(plan)) once CheckPlanComputes
   // accepts `plan`, with no LPC, for restored and hand-built plans.
-  // Returns the evaluation it committed, as EvaluatePlan reports it.
-  Result<PlanEvaluation> AddSharing(SharingId id, const Sharing& sharing,
-                                    const SharingPlan& plan,
-                                    const AddOptions& options = {});
+  Result<const SharingRecord*> AddSharing(SharingId id,
+                                          const Sharing& sharing,
+                                          const SharingPlan& plan,
+                                          const AddOptions& options = {});
 
   // Removes a sharing; views no longer referenced by anyone are dropped.
   Status RemoveSharing(SharingId id);
@@ -258,8 +246,10 @@ class GlobalPlan {
 
   // The GP nodes a sharing's delivery transitively depends on (the
   // even-split baseline distributes each node's cost over the sharings
-  // whose closure includes it). nullptr if the sharing is unknown.
-  const std::vector<int>* closure(SharingId id) const;
+  // whose closure includes it), walked afresh from its record; nullopt if
+  // the sharing is unknown. Returned by value: bind it to a local before
+  // iterating, since `for (int n : *closure(id))` dangles.
+  std::optional<std::vector<int>> closure(SharingId id) const;
 
   double node_cost(int id) const {
     return nodes_[static_cast<size_t>(id)].cost;
@@ -270,9 +260,11 @@ class GlobalPlan {
 
   // Sharings whose plan closure includes any alive view materialized on
   // `server` — the blast radius of losing that machine. Sorted by id.
-  // Served from a server -> sharings inverted index maintained on
-  // Commit/RemoveSharing (closure nodes stay alive for the sharing's
-  // whole lifetime: their refcount is >= 1 until RemoveSharing).
+  // One pass over the nodes in id order (children are created before
+  // their parents) marks every alive node whose subtree holds a view on
+  // `server`; a sharing is hit when its root's node is marked, because its
+  // closure is exactly the subtree under its root (the root is never
+  // skipped, and every other node it maps to hangs below it).
   std::vector<SharingId> SharingsTouchingServer(ServerId server) const;
 
  private:
@@ -319,6 +311,13 @@ class GlobalPlan {
   int CreateNode(GPNode node);
   void KillNode(int id);
 
+  // The closure of `rec`: every node reached from its plan_to_gp over the
+  // DAG's edges, in the iteration order of the set the walk fills. That
+  // order fixes the refcount and kill order of RemoveSharing (so
+  // TotalCost's bits) and the summation order of the even split, and the
+  // walk repeats it exactly because node edges never change.
+  std::vector<int> ClosureOf(const SharingRecord& rec) const;
+
   const Cluster* cluster_;
   CostModel* model_;
 
@@ -327,11 +326,6 @@ class GlobalPlan {
   // order (the scan order, which tie-breaking depends on).
   std::unordered_map<uint64_t, std::vector<int>> by_tables_;
   std::map<SharingId, SharingRecord> records_;
-  std::map<SharingId, std::vector<int>> closures_;  // refcounted node sets
-
-  // Inverted index behind SharingsTouchingServer: which sharings' closures
-  // place an alive view on each server.
-  std::map<ServerId, std::set<SharingId>> sharings_by_server_;
 
   double total_cost_ = 0.0;
   std::unordered_map<ServerId, double> server_load_;

@@ -126,7 +126,9 @@ Result<JournalReplay> ReplayJournal(const std::string& journal_text,
         bad = true;  // garbled frame header
       } else {
         payload_len = static_cast<size_t>(len);
-        if (eol + 1 + payload_len > journal_text.size()) {
+        // Compared against the bytes left, so a declared length near
+        // 2^64 cannot wrap the sum past the end of the text.
+        if (payload_len > journal_text.size() - (eol + 1)) {
           bad = true;  // truncated payload
         }
       }

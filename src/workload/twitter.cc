@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
 #include "workload/predicate_gen.h"
 
 namespace dsm {
@@ -154,19 +155,6 @@ std::vector<Sharing> GenerateTwitterSequence(
                           "buyer" + std::to_string(i));
   }
   return sequence;
-}
-
-Tuple RandomTwitterTuple(const Catalog& catalog, TableId table, Rng* rng) {
-  const TableDef& def = catalog.table(table);
-  Tuple tuple;
-  tuple.reserve(def.columns.size());
-  for (const ColumnDef& col : def.columns) {
-    const auto lo = static_cast<int64_t>(col.min_value);
-    const auto hi =
-        std::max(lo, static_cast<int64_t>(col.distinct_values) + lo - 1);
-    tuple.emplace_back(rng->UniformInt(lo, hi));
-  }
-  return tuple;
 }
 
 }  // namespace dsm

@@ -15,9 +15,7 @@
 
 #include "catalog/catalog.h"
 #include "cluster/cluster.h"
-#include "common/rng.h"
 #include "common/status.h"
-#include "maintain/value.h"
 #include "sharing/sharing.h"
 
 namespace dsm {
@@ -59,9 +57,6 @@ struct TwitterSequenceOptions {
 std::vector<Sharing> GenerateTwitterSequence(
     const Catalog& catalog, const TwitterTables& tables,
     const Cluster& cluster, const TwitterSequenceOptions& options);
-
-// A random tuple for `table` matching its schema (for DeltaEngine runs).
-Tuple RandomTwitterTuple(const Catalog& catalog, TableId table, Rng* rng);
 
 }  // namespace dsm
 

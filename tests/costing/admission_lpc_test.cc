@@ -3,7 +3,7 @@
 // standalone plan) from the dry runs it already made; costing reads it
 // instead of enumerating again. Checked exactly (EXPECT_EQ) against
 // LpcCalculator, the from-scratch enumeration:
-//   - EvaluatePlan's standalone_cost equals PlanCost bit for bit, on
+//   - a dry run's standalone_cost equals PlanCost bit for bit, on
 //     Twitter and star sharings under both cost models;
 //   - the LPC recorded by each admission path (OnlinePlanner's full and
 //     identical paths, RecoveryPlanner migration and re-admission,
@@ -31,6 +31,7 @@
 #include "online/recovery_planner.h"
 #include "online/replanner.h"
 #include "online/speculative.h"
+#include "testing/dry_run.h"
 #include "testing/plans.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
@@ -138,7 +139,8 @@ TEST(AdmissionLpcTest, StandaloneCostIsPlanCost) {
             testing_support::EnumerateAll(*st->enumerator, st->sharings[i]);
         ASSERT_TRUE(plans.ok()) << plans.status().ToString();
         for (const SharingPlan& plan : *plans) {
-          EXPECT_EQ(st->gp->EvaluatePlan(plan).standalone_cost,
+          EXPECT_EQ(testing_support::DryRun(*st->gp, plan, st->model.get())
+                        .standalone_cost,
                     PlanCost(plan, st->model.get()));
           ++plans_checked;
         }

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "globalplan/global_plan.h"
+#include "testing/dry_run.h"
 #include "testing/plans.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
@@ -42,13 +43,14 @@ TEST_P(GlobalPlanPropertyTest, ChurnKeepsAccountingExact) {
       ASSERT_TRUE(plans.ok());
       const SharingPlan& plan = (*plans)[static_cast<size_t>(rng.UniformInt(
           0, static_cast<int64_t>(plans->size()) - 1))];
-      const GlobalPlan::PlanEvaluation probe = gp.EvaluatePlan(plan);
+      const testing_support::PlanEvaluation probe =
+          testing_support::DryRun(gp, plan, sc.model.get());
       const double before = gp.TotalCost();
-      const auto eval = gp.AddSharing(next_id, sharing, plan);
-      ASSERT_TRUE(eval.ok());
+      const auto added = gp.AddSharing(next_id, sharing, plan);
+      ASSERT_TRUE(added.ok());
       // The dry run predicted the mutation exactly.
-      EXPECT_NEAR(probe.marginal_cost, eval->marginal_cost, 1e-9);
-      EXPECT_NEAR(gp.TotalCost(), before + eval->marginal_cost, 1e-6);
+      EXPECT_NEAR(probe.marginal_cost, (*added)->marginal_cost, 1e-9);
+      EXPECT_NEAR(gp.TotalCost(), before + (*added)->marginal_cost, 1e-6);
       active[next_id] = true;
       ++next_id;
     }

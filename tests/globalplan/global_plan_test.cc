@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "cost/table_cost_model.h"
 #include "plan/enumerator.h"
 #include "testing/plans.h"
+#include "testing/dry_run.h"
 
 namespace dsm {
 namespace {
+
+using testing_support::DryRun;
 
 TableSet TS(std::initializer_list<TableId> ids) {
   TableSet s;
@@ -94,9 +98,9 @@ class GlobalPlanTest : public ::testing::Test {
 TEST_F(GlobalPlanTest, FreshPlanCostsItsStandaloneCost) {
   const Sharing s(TS({a_, b_, c_}), {}, 0);
   const SharingPlan plan = PlanFor(s, /*want_ab_first=*/true);
-  const auto eval = gp_->AddSharing(1, s, plan);
-  ASSERT_TRUE(eval.ok());
-  EXPECT_NEAR(eval->marginal_cost, 14.0, 1e-9);  // 4 + 10
+  const auto added = gp_->AddSharing(1, s, plan);
+  ASSERT_TRUE(added.ok());
+  EXPECT_NEAR((*added)->marginal_cost, 14.0, 1e-9);  // 4 + 10
   EXPECT_NEAR(gp_->TotalCost(), 14.0, 1e-9);
   EXPECT_NEAR(gp_->GPC(1), 14.0, 1e-9);
 }
@@ -104,7 +108,7 @@ TEST_F(GlobalPlanTest, FreshPlanCostsItsStandaloneCost) {
 TEST_F(GlobalPlanTest, EvaluateDoesNotMutate) {
   const Sharing s(TS({a_, b_}), {}, 0);
   const SharingPlan plan = PlanFor(s, true);
-  const auto eval = gp_->EvaluatePlan(plan);
+  const auto eval = DryRun(*gp_, plan, &model_);
   EXPECT_NEAR(eval.marginal_cost, 4.0, 1e-9);
   EXPECT_DOUBLE_EQ(gp_->TotalCost(), 0.0);
   EXPECT_EQ(gp_->num_alive_views(), 0u);
@@ -114,9 +118,9 @@ TEST_F(GlobalPlanTest, IdenticalPlanFullyReused) {
   const Sharing s(TS({a_, b_, c_}), {}, 0);
   const SharingPlan plan = PlanFor(s, true);
   ASSERT_TRUE(gp_->AddSharing(1, s, plan).ok());
-  const auto eval2 = gp_->AddSharing(2, s, plan);
-  ASSERT_TRUE(eval2.ok());
-  EXPECT_NEAR(eval2->marginal_cost, 0.0, 1e-9);
+  const auto added2 = gp_->AddSharing(2, s, plan);
+  ASSERT_TRUE(added2.ok());
+  EXPECT_NEAR((*added2)->marginal_cost, 0.0, 1e-9);
   EXPECT_NEAR(gp_->TotalCost(), 14.0, 1e-9);
   // GPC still reflects the sharing's own plan edges.
   EXPECT_NEAR(gp_->GPC(2), 14.0, 1e-9);
@@ -129,9 +133,9 @@ TEST_F(GlobalPlanTest, SubexpressionReusedAcrossSharings) {
   EXPECT_NEAR(gp_->TotalCost(), 4.0, 1e-9);
 
   const Sharing s2(TS({a_, b_, c_}), {}, 0);
-  const auto eval = gp_->AddSharing(2, s2, PlanFor(s2, true));
-  ASSERT_TRUE(eval.ok());
-  EXPECT_NEAR(eval->marginal_cost, 10.0, 1e-9);  // only (ab)c
+  const auto added = gp_->AddSharing(2, s2, PlanFor(s2, true));
+  ASSERT_TRUE(added.ok());
+  EXPECT_NEAR((*added)->marginal_cost, 10.0, 1e-9);  // only (ab)c
   EXPECT_NEAR(gp_->TotalCost(), 14.0, 1e-9);
 }
 
@@ -140,7 +144,7 @@ TEST_F(GlobalPlanTest, ReuseDetectedAcrossJoinOrders) {
   const Sharing s1(TS({a_, b_, c_}), {}, 0);
   ASSERT_TRUE(gp_->AddSharing(1, s1, PlanFor(s1, true)).ok());
   const Sharing s2(TS({a_, b_, c_}), {}, 0);
-  const auto eval = gp_->EvaluatePlan(PlanFor(s2, false));
+  const auto eval = DryRun(*gp_, PlanFor(s2, false), &model_);
   EXPECT_NEAR(eval.marginal_cost, 0.0, 1e-9);
 }
 
@@ -162,10 +166,10 @@ TEST_F(GlobalPlanTest, SubsumptionAddsResidualFilter) {
     }
   }
   ASSERT_NE(root_filter, nullptr);
-  const auto eval = gp_->AddSharing(2, filtered, *root_filter);
-  ASSERT_TRUE(eval.ok());
+  const auto added = gp_->AddSharing(2, filtered, *root_filter);
+  ASSERT_TRUE(added.ok());
   // TableDrivenCostModel: same-server filter costs 0, and ab is reused.
-  EXPECT_NEAR(eval->marginal_cost, 0.0, 1e-9);
+  EXPECT_NEAR((*added)->marginal_cost, 0.0, 1e-9);
   EXPECT_NEAR(gp_->TotalCost(), 4.0, 1e-9);
 }
 
@@ -232,9 +236,9 @@ TEST_F(GlobalPlanTest, ForbidReuseForcesFreshComputation) {
   GlobalPlan::AddOptions options;
   std::unordered_set<ViewKey, ViewKeyHash> forbid = {ViewKey(TS({a_, b_}))};
   options.forbid_reuse_keys = &forbid;
-  const auto eval = gp_->AddSharing(2, s1, PlanFor(s1, true), options);
-  ASSERT_TRUE(eval.ok());
-  EXPECT_NEAR(eval->marginal_cost, 4.0, 1e-9);
+  const auto added = gp_->AddSharing(2, s1, PlanFor(s1, true), options);
+  ASSERT_TRUE(added.ok());
+  EXPECT_NEAR((*added)->marginal_cost, 4.0, 1e-9);
   EXPECT_NEAR(gp_->TotalCost(), 8.0, 1e-9);
 }
 
@@ -246,7 +250,7 @@ TEST_F(GlobalPlanTest, ForbiddingEveryPlanKeyDisablesAllReuse) {
   for (const PlanNode& node : plan.nodes) forbid.insert(node.key);
   GlobalPlan::AddOptions options;
   options.forbid_reuse_keys = &forbid;
-  const auto eval = gp_->EvaluatePlan(plan, options);
+  const auto eval = DryRun(*gp_, plan, &model_, options);
   EXPECT_NEAR(eval.marginal_cost, 14.0, 1e-9);
   for (const GlobalPlan::NodeDecision& d : eval.decisions) {
     EXPECT_EQ(d.state, GlobalPlan::NodeDecision::kFresh);
@@ -325,12 +329,12 @@ TEST_F(GlobalPlanTest, ReuseStatsNumCountsAllContainingPlans) {
 TEST_F(GlobalPlanTest, ClosureAndNodeCostExposed) {
   const Sharing s(TS({a_, b_}), {}, 0);
   ASSERT_TRUE(gp_->AddSharing(1, s, PlanFor(s, true)).ok());
-  const std::vector<int>* closure = gp_->closure(1);
-  ASSERT_NE(closure, nullptr);
+  const std::optional<std::vector<int>> closure = gp_->closure(1);
+  ASSERT_TRUE(closure.has_value());
   double total = 0.0;
   for (const int node : *closure) total += gp_->node_cost(node);
   EXPECT_NEAR(total, 4.0, 1e-9);
-  EXPECT_EQ(gp_->closure(42), nullptr);
+  EXPECT_FALSE(gp_->closure(42).has_value());
 }
 
 TEST_F(GlobalPlanTest, CapacityFeasibility) {
@@ -338,11 +342,11 @@ TEST_F(GlobalPlanTest, CapacityFeasibility) {
   // only allows 1 -> infeasible.
   cluster_.mutable_server(0).capacity_tuples_per_unit = 1.0;
   const Sharing s(TS({a_, b_}), {}, 0);
-  const auto eval = gp_->EvaluatePlan(PlanFor(s, true));
+  const auto eval = DryRun(*gp_, PlanFor(s, true), &model_);
   EXPECT_FALSE(eval.feasible);
 
   cluster_.mutable_server(0).capacity_tuples_per_unit = 100.0;
-  EXPECT_TRUE(gp_->EvaluatePlan(PlanFor(s, true)).feasible);
+  EXPECT_TRUE(DryRun(*gp_, PlanFor(s, true), &model_).feasible);
 }
 
 TEST_F(GlobalPlanTest, LoadAccumulatesAndFrees) {

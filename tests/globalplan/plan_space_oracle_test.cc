@@ -1,8 +1,9 @@
 // GlobalPlan::EvaluateSpace, its one reuse rule, against two referees:
 // for every plan k of an enumerated space, the one-pass evaluation over the
-// fragment DAG must equal, bit for bit, EvaluatePlan(space.Materialize(k))
-// — marginal cost, standalone cost, feasibility and the per-node decision
-// walk — and EvaluatePlan must in turn equal the brute-force ReuseOracle
+// fragment DAG must equal, bit for bit, the dry run of Materialize(k) as a
+// space of one (testing/dry_run.h) — marginal cost, standalone cost,
+// feasibility and the per-node decision walk — and that must in turn
+// equal the brute-force ReuseOracle
 // (testing/reuse_oracle.h), which shares no evaluation code with
 // GlobalPlan. The space's LPC must be the minimum standalone cost. The
 // global plans are churned (random removals) with one server down and one
@@ -114,7 +115,7 @@ struct Seen {
   size_t reused_nodes = 0;
 };
 
-// Checks every plan of `space` against EvaluatePlan on its node array, and
+// Checks every plan of `space` against the dry run of its node array, and
 // that against the oracle.
 void ExpectSpaceMatchesPlans(const Rig& rig, const PlanSpace& space,
                              Seen* seen) {
@@ -138,7 +139,8 @@ void ExpectSpaceMatchesPlans(const Rig& rig, const PlanSpace& space,
   double lpc = std::numeric_limits<double>::infinity();
   for (size_t k = 0; k < space.size(); ++k) {
     const SharingPlan plan = space.Materialize(k);
-    const GlobalPlan::PlanEvaluation want = gp.EvaluatePlan(plan);
+    const testing_support::PlanEvaluation want =
+        testing_support::DryRun(gp, plan, rig.model.get());
     testing_support::ExpectIdenticalEvaluations(want,
                                                 rig.oracle->Evaluate(plan));
     const GlobalPlan::SpaceEvaluation::Plan& p = got.plans[k];
@@ -174,7 +176,7 @@ void ExpectSpaceMatchesPlans(const Rig& rig, const PlanSpace& space,
 // GPC of its standalone cost plus the residual ops it created.
 void ExpectRecordMatches(const GlobalPlan::SharingRecord& rec,
                          const SharingPlan& chosen,
-                         const GlobalPlan::PlanEvaluation& want) {
+                         const testing_support::PlanEvaluation& want) {
   ASSERT_EQ(rec.plan.nodes.size(), chosen.nodes.size());
   for (size_t i = 0; i < chosen.nodes.size(); ++i) {
     EXPECT_EQ(rec.plan.nodes[i].type, chosen.nodes[i].type);
@@ -183,12 +185,8 @@ void ExpectRecordMatches(const GlobalPlan::SharingRecord& rec,
     EXPECT_EQ(rec.plan.nodes[i].left, chosen.nodes[i].left);
     EXPECT_EQ(rec.plan.nodes[i].right, chosen.nodes[i].right);
   }
-  GlobalPlan::PlanEvaluation got;
-  got.marginal_cost = rec.marginal_cost;
-  got.feasible = want.feasible;
-  got.decisions = rec.decisions;
-  for (const double cost : rec.standalone_cost) got.standalone_cost += cost;
-  testing_support::ExpectIdenticalEvaluations(got, want);
+  testing_support::ExpectIdenticalEvaluations(
+      testing_support::RecordEvaluation(rec, want.feasible), want);
   EXPECT_EQ(rec.gpc, want.standalone_cost + rec.residual_cost);
 }
 
@@ -235,7 +233,8 @@ void RunChurn(Rig* rig, uint64_t seed, bool expect_capped = false) {
     if (best < 0) continue;
     const auto k = static_cast<size_t>(best);
     const SharingPlan chosen = space->Materialize(k);
-    const GlobalPlan::PlanEvaluation want = rig->oracle->Evaluate(chosen);
+    const testing_support::PlanEvaluation want =
+        rig->oracle->Evaluate(chosen);
     const double total_before = rig->gp->TotalCost();
     const auto rec =
         rig->gp->Commit(next_id, sharing, *space, evals, k, evals.lpc);

@@ -7,6 +7,7 @@
 #include "globalplan/global_plan.h"
 #include "plan/enumerator.h"
 #include "testing/plans.h"
+#include "testing/dry_run.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
 
@@ -71,16 +72,16 @@ TEST_F(ReuseChainTest, ResidualViewBecomesReuseSource) {
       static_cast<double>(rig_.global_plan->num_alive_views());
 
   const Sharing filtered(TS({0, 1}), {P(0, 100)}, 0, "filtered");
-  const auto eval2 =
+  const auto added2 =
       rig_.global_plan->AddSharing(2, filtered, RootFilterPlan(filtered));
-  ASSERT_TRUE(eval2.ok());
+  ASSERT_TRUE(added2.ok());
   const size_t views_after_2 = rig_.global_plan->num_alive_views();
   EXPECT_EQ(views_after_2, static_cast<size_t>(base_views) + 1);
 
-  const auto eval3 =
+  const auto added3 =
       rig_.global_plan->AddSharing(3, filtered, RootFilterPlan(filtered));
-  ASSERT_TRUE(eval3.ok());
-  EXPECT_NEAR(eval3->marginal_cost, 0.0, 1e-9);
+  ASSERT_TRUE(added3.ok());
+  EXPECT_NEAR((*added3)->marginal_cost, 0.0, 1e-9);
   // No new view: the residual filter itself was reused.
   EXPECT_EQ(rig_.global_plan->num_alive_views(), views_after_2);
 }
@@ -124,12 +125,13 @@ TEST_F(ReuseChainTest, SubsumptionPrefersTighterSource) {
 
   const Sharing narrower(TS({0, 1}), {P(0, 100), P(0, 50)}, 0, "narrow");
   const SharingPlan plan = RootFilterPlan(narrower);
-  const auto probe = rig_.global_plan->EvaluatePlan(plan);
-  const auto eval = rig_.global_plan->AddSharing(3, narrower, plan);
-  ASSERT_TRUE(eval.ok());
-  EXPECT_NEAR(probe.marginal_cost, eval->marginal_cost, 1e-12);
+  const auto probe =
+      testing_support::DryRun(*rig_.global_plan, plan, sc_.model.get());
+  const auto added = rig_.global_plan->AddSharing(3, narrower, plan);
+  ASSERT_TRUE(added.ok());
+  EXPECT_NEAR(probe.marginal_cost, (*added)->marginal_cost, 1e-12);
   // Zero-cost filter in the table-driven model either way.
-  EXPECT_NEAR(eval->marginal_cost, 0.0, 1e-9);
+  EXPECT_NEAR((*added)->marginal_cost, 0.0, 1e-9);
 }
 
 TEST_F(ReuseChainTest, ForbiddenKeyStillAllowsDescendantReuse) {
@@ -150,11 +152,11 @@ TEST_F(ReuseChainTest, ForbiddenKeyStillAllowsDescendantReuse) {
   std::unordered_set<ViewKey, ViewKeyHash> forbid = {
       ViewKey(TS({0, 1, 2}))};
   options.forbid_reuse_keys = &forbid;
-  const auto eval =
+  const auto added =
       rig_.global_plan->AddSharing(2, full, *via_ab, options);
-  ASSERT_TRUE(eval.ok());
+  ASSERT_TRUE(added.ok());
   // Paid: the (ab)c join afresh (10); reused: ab (4 saved).
-  EXPECT_NEAR(eval->marginal_cost, 10.0, 1e-9);
+  EXPECT_NEAR((*added)->marginal_cost, 10.0, 1e-9);
 }
 
 }  // namespace

@@ -25,7 +25,8 @@ namespace {
 using testing_support::ExpectIdenticalEvaluations;
 using testing_support::ReuseOracle;
 using NodeDecision = GlobalPlan::NodeDecision;
-using PlanEvaluation = GlobalPlan::PlanEvaluation;
+using testing_support::DryRun;
+using testing_support::PlanEvaluation;
 
 struct Rig {
   Catalog catalog;
@@ -66,7 +67,8 @@ void AddAndCheck(Rig* rig, SharingId id, const Sharing& sharing,
   const PlanEvaluation want = rig->oracle->Evaluate(plan);
   const auto got = rig->gp->AddSharing(id, sharing, plan);
   ASSERT_TRUE(got.ok());
-  ExpectIdenticalEvaluations(*got, want);
+  ExpectIdenticalEvaluations(
+      testing_support::RecordEvaluation(**got, want.feasible), want);
   rig->oracle->Added(id);
 }
 
@@ -104,7 +106,8 @@ TEST_P(ReuseOracleTest, RandomPlansMatchOracle) {
     size_t best = 0;
     double best_cost = 0.0;
     for (size_t i = 0; i < plans->size(); ++i) {
-      const PlanEvaluation got = rig->gp->EvaluatePlan((*plans)[i]);
+      const PlanEvaluation got =
+          DryRun(*rig->gp, (*plans)[i], rig->model.get());
       ExpectIdenticalEvaluations(got, rig->oracle->Evaluate((*plans)[i]));
       ++plans_compared;
       if (i == 0 || got.marginal_cost < best_cost) {
@@ -148,7 +151,7 @@ TEST_P(ReuseOracleTest, LivenessFlipsMatchOracle) {
     const auto plans = testing_support::EnumerateAll(*rig->enumerator, sharing);
     ASSERT_TRUE(plans.ok());
     for (const SharingPlan& plan : *plans) {
-      ExpectIdenticalEvaluations(rig->gp->EvaluatePlan(plan),
+      ExpectIdenticalEvaluations(DryRun(*rig->gp, plan, rig->model.get()),
                                  rig->oracle->Evaluate(plan));
       ++plans_compared;
     }
@@ -201,7 +204,7 @@ TEST(ReuseOracleHandBuilt, NonPostOrderPlanKeepsNodeIndices) {
               Join(ab, dest, 0, 1), Join(s2.tables(), dest, 3, 2)};
   ASSERT_NE(PlanSpace::Of(p2, rig->model.get()).Materialize(0), p2);
 
-  const PlanEvaluation eval = rig->gp->EvaluatePlan(p2);
+  const PlanEvaluation eval = DryRun(*rig->gp, p2, rig->model.get());
   ExpectIdenticalEvaluations(eval, rig->oracle->Evaluate(p2));
   EXPECT_EQ(eval.standalone_cost, PlanCost(p2, rig->model.get()));
   const NodeDecision::State want[] = {
@@ -220,6 +223,54 @@ TEST(ReuseOracleHandBuilt, NonPostOrderPlanKeepsNodeIndices) {
     EXPECT_EQ(rec->standalone_cost[i],
               PlanNodeCost(p2, i, rig->model.get()));
   }
+}
+
+// A failed server's blast radius reaches a sharing none of whose plan
+// nodes sits on it. Sharing 1 materializes A⋈B on server 3, which holds no
+// other view. Sharing 2 computes (A⋈B)⋈C on server 0 and takes A⋈B from
+// sharing 1's view through a residual copy, so that view lies two levels
+// below sharing 2's root and is reached only through global-plan edges.
+TEST(ReuseOracleHandBuilt, BlastRadiusFollowsGlobalPlanEdges) {
+  auto rig = MakeRig();
+  const TableId a = rig->tables.tweets;
+  const TableId b = rig->tables.urls;
+  const TableId c = rig->tables.users;
+  const TableSet ab = TableSet::Of(a).Union(TableSet::Of(b));
+  const ServerId failed = 3;
+  const ServerId dest = 0;
+  const auto home = [&](TableId t) { return *rig->cluster.HomeOf(t); };
+  for (const TableId t : {a, b, c}) ASSERT_NE(home(t), failed);
+
+  const Sharing s1(ab, {}, failed);
+  SharingPlan p1;
+  p1.nodes = {Leaf(a, home(a)), Leaf(b, home(b)), Join(ab, failed, 0, 1)};
+  AddAndCheck(rig.get(), 1, s1, p1);
+  const int source = rig->gp->record(1)->plan_to_gp[2];
+
+  const Sharing s2(ab.Union(TableSet::Of(c)), {}, dest);
+  SharingPlan p2;
+  p2.nodes = {Leaf(a, home(a)), Leaf(b, home(b)), Join(ab, dest, 0, 1),
+              Leaf(c, home(c)), Join(s2.tables(), dest, 2, 3)};
+  AddAndCheck(rig.get(), 2, s2, p2);
+  const GlobalPlan::SharingRecord* rec = rig->gp->record(2);
+  ASSERT_NE(rec, nullptr);
+  ASSERT_EQ(rec->decisions[2].state, NodeDecision::kReused);
+  ASSERT_EQ(rec->decisions[2].reuse_source, source);
+  ASSERT_TRUE(rec->decisions[2].needs_residual);
+  for (size_t i = 0; i < rec->plan_to_gp.size(); ++i) {
+    EXPECT_NE(rec->plan_to_gp[i], source) << "node " << i;
+    if (rec->plan_to_gp[i] >= 0) {
+      EXPECT_NE(rig->gp->node_server(rec->plan_to_gp[i]), failed);
+    }
+  }
+
+  EXPECT_EQ(rig->gp->SharingsTouchingServer(failed),
+            (std::vector<SharingId>{1, 2}));
+  // With sharing 1 gone, its view lives on for sharing 2 alone.
+  ASSERT_TRUE(rig->gp->RemoveSharing(1).ok());
+  rig->oracle->Removed(1);
+  EXPECT_EQ(rig->gp->SharingsTouchingServer(failed),
+            (std::vector<SharingId>{2}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReuseOracleTest,

@@ -12,6 +12,7 @@
 #include "costing/lpc.h"
 #include "costing/savings.h"
 #include "maintain/delta_engine.h"
+#include "market/simulation.h"
 #include "online/greedy.h"
 #include "online/managed_risk.h"
 #include "online/normalize.h"
@@ -183,15 +184,15 @@ TEST(EndToEndTest, PlannedViewMaintainedByDeltaEngine) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(engine
                     .ApplyUpdate(rig->tables.users,
-                                 {RandomTwitterTuple(
+                                 {RandomTupleForTable(
                                      rig->catalog, rig->tables.users, &rng)},
                                  {})
                     .ok());
     ASSERT_TRUE(
         engine
             .ApplyUpdate(rig->tables.tweets,
-                         {RandomTwitterTuple(rig->catalog,
-                                             rig->tables.tweets, &rng)},
+                         {RandomTupleForTable(rig->catalog,
+                                              rig->tables.tweets, &rng)},
                          {})
             .ok());
   }

@@ -159,6 +159,32 @@ TEST(PlanJournalTest, CorruptPayloadByteDropsSuffix) {
   EXPECT_TRUE(replay->tail_dropped);
 }
 
+// A frame declaring a length near 2^64 is a truncated payload, not a
+// length that wraps around to the end of the text. The bogus frame holds
+// a valid record's payload and a checksum of every byte after its head,
+// so only the length check can reject it; the whole suffix from the
+// bogus frame on is dropped, once.
+TEST(PlanJournalTest, HugeDeclaredLengthDropsSuffix) {
+  auto rig = MakeJournalRig();
+  PlanJournal journal;
+  ASSERT_TRUE(journal.Open().ok());
+  PlanAndJournal(rig.get(), &journal, 1);
+
+  const std::string& valid = journal.contents();
+  const size_t body = valid.find('\n') + 1;  // past the journal header
+  const std::string payload = valid.substr(valid.find('\n', body) + 1);
+  char head[64];
+  std::snprintf(head, sizeof(head), "rec 18446744073709551615 %016llx\n",
+                static_cast<unsigned long long>(JournalChecksum(payload)));
+  const std::string text = valid.substr(0, body) + head + payload;
+
+  const auto replay = ReplayJournal(text);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay->records_recovered, 0u);
+  EXPECT_TRUE(replay->tail_dropped);
+  EXPECT_EQ(replay->bytes_dropped, text.size() - body);
+}
+
 TEST(PlanJournalTest, TornWriteFaultLeavesRecoverablePrefix) {
   auto rig = MakeJournalRig();
   PlanJournal journal;

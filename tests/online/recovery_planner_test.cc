@@ -13,6 +13,7 @@
 
 #include "common/fault.h"
 #include "cost/default_cost_model.h"
+#include "testing/dry_run.h"
 #include "testing/plans.h"
 #include "workload/twitter.h"
 
@@ -77,7 +78,8 @@ double AddCheapest(RecoveryRig* rig, SharingId id, const Sharing& sharing) {
   const SharingPlan* best = nullptr;
   double best_cost = 0.0;
   for (const SharingPlan& plan : *plans) {
-    const auto eval = rig->gp->EvaluatePlan(plan);
+    const auto eval =
+        testing_support::DryRun(*rig->gp, plan, rig->model.get());
     if (!eval.feasible) continue;
     if (best == nullptr || eval.marginal_cost < best_cost) {
       best = &plan;
@@ -200,8 +202,8 @@ TEST(RecoveryPlannerTest, MigratesReuseVictimAndParksDeadDestination) {
   // The global plan no longer touches the dead machine anywhere.
   EXPECT_TRUE(rig->gp->SharingsTouchingServer(2).empty());
   EXPECT_EQ(rig->gp->record(1), nullptr);
-  const auto* closure = rig->gp->closure(2);
-  ASSERT_NE(closure, nullptr);
+  const auto closure = rig->gp->closure(2);
+  ASSERT_TRUE(closure.has_value());
   for (const int node : *closure) {
     EXPECT_NE(rig->gp->node_server(node), 2u);
   }

@@ -13,6 +13,9 @@
 // code with GlobalPlan's evaluation beyond the cost model and the
 // PlanNodeCost/PlanNodeLoad/PlanCost pricing helpers.
 //
+// Each time the active set changes it also re-derives every server's
+// blast radius (SharingsTouchingServer) from the closures and node servers.
+//
 // The oracle prices nodes in decision order, not node-index order, so with
 // a stateful cost model (TableDrivenCostModel) it must only evaluate plans
 // whose costs have already been drawn, e.g. enumerated ones.
@@ -26,11 +29,13 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "cost/cost_model.h"
 #include "globalplan/global_plan.h"
+#include "testing/dry_run.h"
 
 namespace dsm {
 namespace testing_support {
@@ -38,7 +43,6 @@ namespace testing_support {
 class ReuseOracle {
  public:
   using NodeDecision = GlobalPlan::NodeDecision;
-  using PlanEvaluation = GlobalPlan::PlanEvaluation;
 
   ReuseOracle(const GlobalPlan* gp, const Cluster* cluster, CostModel* model)
       : gp_(gp), cluster_(cluster), model_(model) {}
@@ -152,13 +156,22 @@ class ReuseOracle {
 
   // Alive nodes are exactly those some active sharing's closure holds.
   // They are grouped by table set only because Subsumes demands equal
-  // table sets; within a group the scan is plain brute force.
+  // table sets; within a group the scan is plain brute force. A server's
+  // blast radius is every active sharing with a closure node on it.
   void RefreshAlive() {
     std::set<int> ids;
+    std::map<ServerId, std::vector<SharingId>> touching;
     for (const SharingId id : active_) {
-      const std::vector<int>* closure = gp_->closure(id);
-      ASSERT_NE(closure, nullptr);
+      const std::optional<std::vector<int>> closure = gp_->closure(id);
+      ASSERT_TRUE(closure.has_value());
       ids.insert(closure->begin(), closure->end());
+      std::set<ServerId> servers;
+      for (const int node : *closure) servers.insert(gp_->node_server(node));
+      for (const ServerId s : servers) touching[s].push_back(id);
+    }
+    for (ServerId s = 0; s < cluster_->num_servers(); ++s) {
+      EXPECT_EQ(gp_->SharingsTouchingServer(s), touching[s])
+          << "server " << s;
     }
     ASSERT_EQ(ids.size(), gp_->num_alive_views());
     alive_.clear();
@@ -212,9 +225,8 @@ class ReuseOracle {
 };
 
 // Bit-for-bit equality of two evaluations of one plan.
-inline void ExpectIdenticalEvaluations(
-    const GlobalPlan::PlanEvaluation& got,
-    const GlobalPlan::PlanEvaluation& want) {
+inline void ExpectIdenticalEvaluations(const PlanEvaluation& got,
+                                       const PlanEvaluation& want) {
   EXPECT_EQ(got.feasible, want.feasible);
   EXPECT_EQ(got.marginal_cost, want.marginal_cost);  // bit-identical
   EXPECT_EQ(got.standalone_cost, want.standalone_cost);

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "market/simulation.h"
 #include "plan/join_graph.h"
 #include "workload/adversarial.h"
 #include "workload/predicate_gen.h"
@@ -100,7 +101,7 @@ TEST(TwitterWorkloadTest, RandomTupleMatchesSchema) {
   const auto tables = BuildTwitterCatalog(&catalog);
   ASSERT_TRUE(tables.ok());
   Rng rng(3);
-  const Tuple t = RandomTwitterTuple(catalog, tables->tweets, &rng);
+  const Tuple t = RandomTupleForTable(catalog, tables->tweets, &rng);
   EXPECT_EQ(t.size(), catalog.table(tables->tweets).columns.size());
 }
 
