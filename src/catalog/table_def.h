@@ -4,15 +4,12 @@
 #define DSM_CATALOG_TABLE_DEF_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "catalog/table_set.h"
 
 namespace dsm {
-
-class Histogram;
 
 enum class DataType {
   kInt64,
@@ -34,10 +31,6 @@ struct ColumnDef {
   // Value range for numeric columns (used by range-predicate selectivity).
   double min_value = 0.0;
   double max_value = 1.0;
-  // Optional value-distribution histogram; when present the estimator
-  // prefers it over the uniform-range model (captures skew). Shared so
-  // TableDef stays cheaply copyable.
-  std::shared_ptr<const Histogram> histogram;
 };
 
 // Statistics that drive the analytical cost model. The paper (like its

@@ -58,33 +58,6 @@ double PlanCost(const SharingPlan& plan, CostModel* model) {
   return total;
 }
 
-CostBreakdown PlanCostBreakdown(const SharingPlan& plan, CostModel* model) {
-  CostBreakdown total;
-  for (size_t i = 0; i < plan.nodes.size(); ++i) {
-    const PlanNode& n = plan.nodes[i];
-    switch (n.type) {
-      case PlanNodeType::kLeaf:
-        // Leaf filtering is a cpu-side cost.
-        total.cpu += model->LeafCost(n.base_table, n.key, n.server);
-        break;
-      case PlanNodeType::kJoin: {
-        const PlanNode& l = plan.nodes[static_cast<size_t>(n.left)];
-        const PlanNode& r = plan.nodes[static_cast<size_t>(n.right)];
-        total += model->JoinCostDetail(n.key, n.server, l.key, l.server,
-                                       r.key, r.server);
-        break;
-      }
-      case PlanNodeType::kFilterCopy: {
-        const PlanNode& src = plan.nodes[static_cast<size_t>(n.left)];
-        total += model->FilterCopyCostDetail(src.key, src.server, n.key,
-                                             n.server);
-        break;
-      }
-    }
-  }
-  return total;
-}
-
 double PlanNodeLoad(const SharingPlan& plan, size_t index, CostModel* model) {
   const PlanNode& n = plan.nodes[index];
   return NodeLoad(n, Child(plan, n.left), Child(plan, n.right), model);

@@ -26,22 +26,6 @@
 
 namespace dsm {
 
-// Per-resource dollar decomposition of an operator's cost, mirroring how
-// an IaaS bill itemizes compute, traffic and storage.
-struct CostBreakdown {
-  double cpu = 0.0;
-  double network = 0.0;
-  double storage = 0.0;
-
-  double total() const { return cpu + network + storage; }
-  CostBreakdown& operator+=(const CostBreakdown& other) {
-    cpu += other.cpu;
-    network += other.network;
-    storage += other.storage;
-    return *this;
-  }
-};
-
 class CostModel {
  public:
   virtual ~CostModel() = default;
@@ -79,26 +63,6 @@ class CostModel {
   // perc_s(P) from Eq. (3): the fraction of the *unpredicated* result of
   // key.tables that this (possibly predicated) view materializes.
   virtual double Perc(const ViewKey& key) = 0;
-
-  // Itemized versions of the cost queries. The default attributes the
-  // whole cost to cpu; models that distinguish resources override these
-  // (DefaultCostModel does).
-  virtual CostBreakdown JoinCostDetail(const ViewKey& out, ServerId server,
-                                       const ViewKey& left,
-                                       ServerId left_server,
-                                       const ViewKey& right,
-                                       ServerId right_server) {
-    return CostBreakdown{
-        JoinCost(out, server, left, left_server, right, right_server), 0.0,
-        0.0};
-  }
-  virtual CostBreakdown FilterCopyCostDetail(const ViewKey& src,
-                                             ServerId src_server,
-                                             const ViewKey& out,
-                                             ServerId out_server) {
-    return CostBreakdown{FilterCopyCost(src, src_server, out, out_server),
-                         0.0, 0.0};
-  }
 };
 
 // Standalone $ cost of one plan node (no reuse considered). `left` and
@@ -121,9 +85,6 @@ double PlanCost(const SharingPlan& plan, CostModel* model);
 
 // NodeLoad of plan.nodes[index].
 double PlanNodeLoad(const SharingPlan& plan, size_t index, CostModel* model);
-
-// Itemized standalone cost of a whole plan (cpu / network / storage).
-CostBreakdown PlanCostBreakdown(const SharingPlan& plan, CostModel* model);
 
 }  // namespace dsm
 

@@ -8,16 +8,6 @@ double DefaultCostModel::JoinCost(const ViewKey& out, ServerId server,
                                   const ViewKey& left, ServerId left_server,
                                   const ViewKey& right,
                                   ServerId right_server) {
-  return JoinCostDetail(out, server, left, left_server, right, right_server)
-      .total();
-}
-
-CostBreakdown DefaultCostModel::JoinCostDetail(const ViewKey& out,
-                                               ServerId server,
-                                               const ViewKey& left,
-                                               ServerId left_server,
-                                               const ViewKey& right,
-                                               ServerId right_server) {
   const CostRates& rates = cluster_->rates();
   const double out_card = estimator_.Cardinality(out);
   const double left_card = estimator_.Cardinality(left);
@@ -43,25 +33,17 @@ CostBreakdown DefaultCostModel::JoinCostDetail(const ViewKey& out,
   // Storage: the materialized join view.
   const double storage_bytes = out_card * estimator_.TupleBytes(out.tables);
 
-  CostBreakdown detail;
-  detail.network = net_bytes * rates.network_per_byte;
-  detail.cpu = cpu_tuples * rates.cpu_per_tuple;
-  detail.storage = storage_bytes * rates.storage_per_byte;
-  return detail;
+  const double network = net_bytes * rates.network_per_byte;
+  const double cpu = cpu_tuples * rates.cpu_per_tuple;
+  const double storage = storage_bytes * rates.storage_per_byte;
+  return cpu + network + storage;
 }
 
 double DefaultCostModel::FilterCopyCost(const ViewKey& src,
                                         ServerId src_server,
                                         const ViewKey& out,
                                         ServerId out_server) {
-  return FilterCopyCostDetail(src, src_server, out, out_server).total();
-}
-
-CostBreakdown DefaultCostModel::FilterCopyCostDetail(const ViewKey& src,
-                                                     ServerId src_server,
-                                                     const ViewKey& out,
-                                                     ServerId out_server) {
-  if (src == out && src_server == out_server) return CostBreakdown{};
+  if (src == out && src_server == out_server) return 0.0;
   const CostRates& rates = cluster_->rates();
   const double src_rate = estimator_.DeltaRate(src);
 
@@ -74,11 +56,10 @@ CostBreakdown DefaultCostModel::FilterCopyCostDetail(const ViewKey& src,
   const double storage_bytes =
       estimator_.Cardinality(out) * estimator_.TupleBytes(out.tables);
 
-  CostBreakdown detail;
-  detail.network = net_bytes * rates.network_per_byte;
-  detail.cpu = cpu_tuples * rates.cpu_per_tuple;
-  detail.storage = storage_bytes * rates.storage_per_byte;
-  return detail;
+  const double network = net_bytes * rates.network_per_byte;
+  const double cpu = cpu_tuples * rates.cpu_per_tuple;
+  const double storage = storage_bytes * rates.storage_per_byte;
+  return cpu + network + storage;
 }
 
 double DefaultCostModel::LeafCost(TableId table, const ViewKey& key,

@@ -37,15 +37,6 @@ class DefaultCostModel : public CostModel {
   double DeltaRate(const ViewKey& key) override;
   double Perc(const ViewKey& key) override;
 
-  CostBreakdown JoinCostDetail(const ViewKey& out, ServerId server,
-                               const ViewKey& left, ServerId left_server,
-                               const ViewKey& right,
-                               ServerId right_server) override;
-  CostBreakdown FilterCopyCostDetail(const ViewKey& src,
-                                     ServerId src_server,
-                                     const ViewKey& out,
-                                     ServerId out_server) override;
-
   StatsEstimator& estimator() { return estimator_; }
 
  private:

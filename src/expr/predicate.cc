@@ -34,6 +34,11 @@ bool operator<(const Predicate& a, const Predicate& b) {
 }
 
 void NormalizePredicates(std::vector<Predicate>* preds) {
+  // -0.0 == +0.0, but the hashes read the constant's bits: one zero keeps
+  // equal predicates hashing equal.
+  for (Predicate& p : *preds) {
+    if (p.value == 0.0) p.value = 0.0;
+  }
   std::sort(preds->begin(), preds->end());
   preds->erase(std::unique(preds->begin(), preds->end()), preds->end());
 }

@@ -39,7 +39,8 @@ struct Predicate {
 };
 
 // Sorts and dedupes, producing the canonical representation used in view
-// keys (so that e.g. {p1, p2} and {p2, p1} identify the same view).
+// keys (so that e.g. {p1, p2} and {p2, p1} identify the same view). A
+// -0.0 constant becomes +0.0, so equal predicates have equal bits.
 void NormalizePredicates(std::vector<Predicate>* preds);
 
 // The subset of `preds` whose table is a member of `tables`.

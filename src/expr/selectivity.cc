@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-
-#include "expr/histogram.h"
 
 namespace dsm {
 
@@ -12,10 +9,6 @@ double StatsEstimator::PredicateSelectivity(const Predicate& pred) const {
   const TableDef& t = catalog_->table(pred.table);
   if (pred.column >= t.columns.size()) return 1.0;
   const ColumnDef& col = t.columns[pred.column];
-  if (col.histogram != nullptr && !col.histogram->empty()) {
-    return std::clamp(col.histogram->Selectivity(pred.op, pred.value), 1e-6,
-                      1.0);
-  }
   double sel = 1.0;
   switch (pred.op) {
     case CompareOp::kEq:

@@ -8,8 +8,7 @@
 // replaying the stored plans in the original arrival order (integration
 // is deterministic, so the restored DAG matches the saved one).
 //
-// Histograms are not serialized (they are advisory statistics); the
-// format is versioned for forward evolution.
+// The format is versioned for forward evolution.
 
 #ifndef DSM_IO_MARKET_IO_H_
 #define DSM_IO_MARKET_IO_H_

@@ -1,6 +1,7 @@
 #include "io/plan_journal.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
@@ -61,6 +62,21 @@ Status PlanJournal::Open() {
     contents_ = std::string(kJournalHeader) + "\n";
     if (!path_.empty()) {
       DSM_RETURN_IF_ERROR(AppendToFile(path_, contents_));
+    }
+  } else {
+    // A torn tail left by a crash must go before the first append:
+    // replay stops at the first bad frame, so a frame written behind it
+    // would be lost.
+    DSM_ASSIGN_OR_RETURN(const JournalReplay replay,
+                         ReplayJournal(contents_));
+    if (replay.tail_dropped) {
+      contents_.resize(contents_.size() - replay.bytes_dropped);
+      std::error_code error;
+      std::filesystem::resize_file(path_, contents_.size(), error);
+      if (error) {
+        return Status::Internal("cannot cut the journal's torn tail: " +
+                                path_ + ": " + error.message());
+      }
     }
   }
   open_ = true;

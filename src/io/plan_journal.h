@@ -44,8 +44,11 @@ class PlanJournal {
 
   // Prepares the journal: loads an existing backing file (its contents
   // become the in-memory image) or starts a fresh journal with the header
-  // line. In-memory journals just write the header. Must be called once
-  // before Append.
+  // line. In-memory journals just write the header. A loaded image is
+  // replayed first: one without the header is InvalidArgument, and a
+  // damaged tail is cut from the image and from the file, so later
+  // appends follow the last intact record. Must be called once before
+  // Append.
   Status Open();
 
   // Appends one committed plan choice. On a torn write (simulated via the

@@ -141,13 +141,6 @@ Result<Relation> DeltaEngine::Recompute(const ViewKey& key) const {
   return acc;
 }
 
-Result<Relation> DeltaEngine::Recompute(
-    const ViewKey& key, const std::vector<std::string>& projection) const {
-  DSM_ASSIGN_OR_RETURN(Relation full, Recompute(key));
-  if (projection.empty()) return full;
-  return full.Project(projection);
-}
-
 Result<const DeltaEngine::TableSetJoin*> DeltaEngine::JoinOf(
     const TableSet& tables) {
   const auto it = joins_.find(tables);
@@ -203,15 +196,6 @@ std::vector<DeltaEngine::JoinStep> DeltaEngine::BuildJoinPlan(
   return steps;
 }
 
-size_t DeltaEngine::NodeKeyHash::operator()(const NodeKey& k) const {
-  size_t h = ViewKeyHash()(k.key);
-  for (const std::string& column : k.projection) {
-    h ^= std::hash<std::string>()(column) + 0x9e3779b97f4a7c15ULL +
-         (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
 void DeltaEngine::SetLiveNodes(size_t n) {
   live_nodes_ = n;
   DSM_METRIC_GAUGE_SET("dsm.maintain.view_nodes", static_cast<double>(n));
@@ -220,8 +204,7 @@ void DeltaEngine::SetLiveNodes(size_t n) {
 Status DeltaEngine::AddLiveHandle(NodeId id) {
   Node& node = nodes_[id];
   if (node.live_handles == 0) {
-    DSM_ASSIGN_OR_RETURN(node.contents,
-                         Recompute(node.key, node.projection));
+    DSM_ASSIGN_OR_RETURN(node.contents, Recompute(node.key));
     SetLiveNodes(live_nodes_ + 1);
   }
   ++node.live_handles;
@@ -236,38 +219,24 @@ void DeltaEngine::DropLiveHandle(NodeId id) {
   SetLiveNodes(live_nodes_ - 1);
 }
 
-Result<ViewId> DeltaEngine::RegisterView(const ViewKey& key,
-                                         std::vector<std::string> projection) {
-  NodeKey node_key{key, std::move(projection)};
-  const auto it = node_of_.find(node_key);
+Result<ViewId> DeltaEngine::RegisterView(const ViewKey& key) {
+  const auto it = node_of_.find(key);
   if (it != node_of_.end()) {
     DSM_RETURN_IF_ERROR(AddLiveHandle(it->second));
     handles_.push_back({it->second, true});
     return handles_.size() - 1;
   }
-  DSM_ASSIGN_OR_RETURN(const TableSetJoin* join, JoinOf(key.tables));
-  const std::vector<std::string>& proj = node_key.projection;
-  for (auto col = proj.begin(); col != proj.end(); ++col) {
-    if (std::find(join->columns.begin(), join->columns.end(), *col) ==
-        join->columns.end()) {
-      return Status::InvalidArgument("projection column '" + *col +
-                                     "' is not in the view's join");
-    }
-    if (std::find(proj.begin(), col, *col) != col) {
-      return Status::InvalidArgument("projection names column '" + *col +
-                                     "' twice");
-    }
-  }
-  DSM_ASSIGN_OR_RETURN(Relation initial, Recompute(key, proj));
+  // PropagateDelta reads the table set's join through joins_.at.
+  DSM_RETURN_IF_ERROR(JoinOf(key.tables).status());
+  DSM_ASSIGN_OR_RETURN(Relation initial, Recompute(key));
   Node node;
   node.key = key;
-  node.projection = proj;
   node.empty = Relation(initial.columns());
   node.contents = std::move(initial);
   node.live_handles = 1;
   const NodeId id = nodes_.size();
   nodes_.push_back(std::move(node));
-  node_of_.emplace(std::move(node_key), id);
+  node_of_.emplace(key, id);
   SetLiveNodes(live_nodes_ + 1);
   handles_.push_back({id, true});
   return handles_.size() - 1;
@@ -312,8 +281,7 @@ Relation DeltaEngine::DerivedDelta(NodeId id, const Relation& joined) const {
     result = result.Filter(def.columns[pred.column].name, pred.op,
                            pred.value);
   }
-  if (!node.projection.empty()) result = result.Project(node.projection);
-  return result.WithColumnOrder(node.empty.columns());
+  return result;
 }
 
 Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
@@ -323,13 +291,13 @@ Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
 
   std::vector<NodeId> affected;
   size_t refreshes = 0;  // active views brought up to date
-  size_t derived = 0;    // predicated or projected nodes
+  size_t derived = 0;    // predicated nodes
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     const Node& node = nodes_[id];
     if (node.live_handles > 0 && node.key.tables.Contains(table)) {
       affected.push_back(id);
       refreshes += node.live_handles;
-      if (!node.key.unpredicated() || !node.projection.empty()) ++derived;
+      if (!node.key.unpredicated()) ++derived;
     }
   }
   if (affected.empty()) return Status::OK();

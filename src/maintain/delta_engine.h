@@ -14,23 +14,22 @@
 // is tested against.
 //
 // Views are held as nodes and handles (DESIGN.md §13). A *node* is one
-// distinct (ViewKey, projection): it owns the materialized contents. A
-// *handle* is what RegisterView returns as a ViewId: a node index and an
-// active flag. Any number of handles (one per buyer sharing) can hold one
-// node; the node is live while at least one of them is active.
+// distinct ViewKey: it owns the materialized contents. A *handle* is what
+// RegisterView returns as a ViewId: a node index and an active flag. Any
+// number of handles (one per buyer sharing) can hold one node; the node
+// is live while at least one of them is active.
 //
 // Shared propagation makes maintenance scale with the sharing population
 // (DESIGN.md §10, §13). Each update round groups the affected live nodes
-// by table set and computes one unpredicated, unprojected join delta per
-// group, probing the base relations through their persistent equi-join
-// indexes. A group's join delta is fed from the largest source already
-// computed in the round that its table set contains: the table set of an
-// affected sub-join, or else the updated table's own delta. Only the
-// tables outside the source are joined on. Every node of the group
-// derives its delta from the group's join delta: filtered by its
-// predicates (σ commutes with the natural join, so this is exact under bag
-// semantics), then projected. Each node then does one merge, however many
-// handles hold it.
+// by table set and computes one unpredicated join delta per group,
+// probing the base relations through their persistent equi-join indexes.
+// A group's join delta is fed from the largest source already computed
+// in the round that its table set contains: the table set of an affected
+// sub-join, or else the updated table's own delta. Only the tables
+// outside the source are joined on. Every node of the group derives its
+// delta from the group's join delta, filtered by its predicates (σ
+// commutes with the natural join, so this is exact under bag semantics).
+// Each node then does one merge, however many handles hold it.
 //
 // Maintenance is single-threaded and the engine starts no threads: each
 // round computes every affected node's delta, then merges them. A worker
@@ -74,16 +73,10 @@ class DeltaEngine {
   Status RegisterBase(TableId table);
 
   // Registers a view to maintain; its content is computed from the current
-  // base tables and kept incrementally fresh afterwards. The optional
-  // `projection` (column names) restricts the view to those columns, in
-  // that order, with bag semantics — the counting algorithm keeps
-  // projected views correct under deletions. An empty projection keeps
-  // every column. A projection naming a column outside the view's join, or
-  // one column twice, is InvalidArgument and changes no state. A view
-  // equal in key and projection to one already live attaches to its node:
-  // no recompute, no second copy of the contents.
-  Result<ViewId> RegisterView(const ViewKey& key,
-                              std::vector<std::string> projection = {});
+  // base tables and kept incrementally fresh afterwards. A view whose key
+  // equals one already registered attaches to its node: no second copy of
+  // the contents, and no recompute while the node is live.
+  Result<ViewId> RegisterView(const ViewKey& key);
 
   // Applies inserts/deletes to base `table`: all registered views over the
   // table are brought up to date, then the base relation is updated. Every
@@ -126,15 +119,12 @@ class DeltaEngine {
   // From-scratch evaluation of `key` over the current base tables (the
   // oracle the incremental path is tested against).
   Result<Relation> Recompute(const ViewKey& key) const;
-  Result<Relation> Recompute(const ViewKey& key,
-                             const std::vector<std::string>& projection)
-      const;
 
   // Tuple-pairs probed by joins so far (measured maintenance work). Each
   // round computes one join delta per affected table set, and probes only
   // the tables outside its source: a set with an affected sub-join joins
   // the sub-join's delta instead of repeating its probes. Duplicate views
-  // and the predicated or projected nodes of a table set add nothing. The
+  // and the predicated nodes of a table set add nothing. The
   // value is determined by the update stream and the live table sets. A
   // round that fails adds nothing.
   uint64_t work() const { return work_; }
@@ -154,7 +144,7 @@ class DeltaEngine {
   // columns are fixed at the first registration over the set (schemas are
   // static).
   struct TableSetJoin {
-    // The unpredicated, unprojected join's columns, in Recompute's order.
+    // The unpredicated join's columns, in Recompute's order.
     std::vector<std::string> columns;
     // Per source table set (a sub-join's, or the updated table alone): the
     // set's other tables in join order with the index key for each probe.
@@ -162,11 +152,9 @@ class DeltaEngine {
     std::map<TableSet, std::vector<JoinStep>> plans;
   };
 
-  // One distinct (key, projection), shared by every view registered with
-  // it.
+  // One distinct key, shared by every view registered with it.
   struct Node {
     ViewKey key;
-    std::vector<std::string> projection;  // empty = all columns
     // Maintained while live_handles > 0; empty (columns only) otherwise.
     Relation contents;
     // Columns only: what view() returns for an inactive handle.
@@ -177,15 +165,6 @@ class DeltaEngine {
   struct Handle {
     NodeId node = 0;
     bool active = true;
-  };
-
-  struct NodeKey {
-    ViewKey key;
-    std::vector<std::string> projection;
-    friend bool operator==(const NodeKey&, const NodeKey&) = default;
-  };
-  struct NodeKeyHash {
-    size_t operator()(const NodeKey& k) const;
   };
 
   // Recompute's per-table filter: returns `rel` filtered by the key's
@@ -219,7 +198,8 @@ class DeltaEngine {
                      const Relation& source_delta, uint64_t* work);
   // Node `node`'s delta derived from `joined`, its table set's delta:
   // filtered by the node's predicates, by column name, skipping those
-  // Recompute would skip; then projected, in the node's column order.
+  // Recompute would skip. Filters keep the set's column order, which is
+  // every node's over the set.
   Relation DerivedDelta(NodeId node, const Relation& joined) const;
 
   // Refreshes every live node over `table`, without merging the delta
@@ -230,7 +210,7 @@ class DeltaEngine {
   std::map<TableId, Relation> bases_;
   std::vector<Node> nodes_;
   std::vector<Handle> handles_;  // indexed by ViewId
-  std::unordered_map<NodeKey, NodeId, NodeKeyHash> node_of_;
+  std::unordered_map<ViewKey, NodeId, ViewKeyHash> node_of_;
   size_t live_nodes_ = 0;  // the dsm.maintain.view_nodes gauge
   std::map<TableSet, TableSetJoin> joins_;
   uint64_t work_ = 0;

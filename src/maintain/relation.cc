@@ -238,30 +238,6 @@ Relation Relation::WithColumnOrder(
   return out;
 }
 
-Relation Relation::Project(const std::vector<std::string>& columns) const {
-  std::vector<int> source;
-  std::vector<std::string> kept;
-  for (const std::string& name : columns) {
-    const int idx = FindColumn(name);
-    if (idx < 0) continue;
-    source.push_back(idx);
-    kept.push_back(name);
-  }
-  Relation out(std::move(kept));
-  const TupleStore& st = *store_;
-  TupleStore* dst = out.store_.get();
-  dst->Reserve(st.live_rows());
-  std::vector<Slot> scratch(source.size());
-  st.ForEachLive([&](uint32_t r) {
-    GatherSlots(st.row_slots(r), source, scratch.data());
-    // Collapsing projections merge multiplicities inside Apply.
-    dst->Apply(scratch.data(),
-               HashTupleSlots(scratch.data(), scratch.size()),
-               st.row_count(r));
-  });
-  return out;
-}
-
 std::vector<std::string> SharedJoinColumns(
     const std::vector<std::string>& a_columns, const Relation& b) {
   std::vector<std::string> shared;

@@ -8,7 +8,7 @@
 // fixed-width uint64_t array, and the bag table is open addressing over
 // precomputed row hashes. Copies share the store (copy-on-write), so
 // returning a relation "unfiltered" or handing one join delta to many
-// consumers costs one shared_ptr. Filter/Project/WithColumnOrder are
+// consumers costs one shared_ptr. Filter and WithColumnOrder are
 // position-remap loops over the flat slots; Filter and same-schema merges
 // reuse the stored hashes outright.
 //
@@ -130,11 +130,6 @@ class Relation {
   // different tables produce permuted schemas; reordering makes their
   // results comparable and mergeable.
   Relation WithColumnOrder(const std::vector<std::string>& columns) const;
-
-  // Bag projection onto `columns` (a subset of the schema, in any order):
-  // multiplicities of collapsing tuples add up. Unknown column names are
-  // dropped from the output schema.
-  Relation Project(const std::vector<std::string>& columns) const;
 
   // --- hot-path entry points on encoded slots -------------------------------
 

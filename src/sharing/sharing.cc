@@ -1,7 +1,5 @@
 #include "sharing/sharing.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace dsm {
@@ -15,16 +13,8 @@ Sharing::Sharing(TableSet tables, std::vector<Predicate> predicates,
   NormalizePredicates(&predicates_);
 }
 
-void Sharing::set_projection(std::vector<ProjectionColumn> projection) {
-  std::sort(projection.begin(), projection.end());
-  projection.erase(std::unique(projection.begin(), projection.end()),
-                   projection.end());
-  projection_ = std::move(projection);
-}
-
 bool Sharing::IdenticalTo(const Sharing& other) const {
-  return tables_ == other.tables_ && predicates_ == other.predicates_ &&
-         projection_ == other.projection_;
+  return tables_ == other.tables_ && predicates_ == other.predicates_;
 }
 
 bool Sharing::ContainedIn(const Sharing& other) const {
@@ -45,9 +35,6 @@ uint64_t Sharing::QueryHash() const {
     mix((static_cast<uint64_t>(p.table) << 40) ^
         (static_cast<uint64_t>(p.column) << 24) ^
         (static_cast<uint64_t>(p.op) << 16) ^ bits);
-  }
-  for (const ProjectionColumn& c : projection_) {
-    mix((static_cast<uint64_t>(c.table) << 16) ^ c.column);
   }
   return h;
 }

@@ -18,39 +18,19 @@ namespace dsm {
 
 using SharingId = uint64_t;
 
-// A projected output column.
-struct ProjectionColumn {
-  TableId table = 0;
-  uint16_t column = 0;
-
-  friend bool operator==(const ProjectionColumn& a,
-                         const ProjectionColumn& b) {
-    return a.table == b.table && a.column == b.column;
-  }
-  friend bool operator<(const ProjectionColumn& a,
-                        const ProjectionColumn& b) {
-    return a.table != b.table ? a.table < b.table : a.column < b.column;
-  }
-};
-
 class Sharing {
  public:
   Sharing() = default;
 
   // A sharing joining `tables` (natural join), filtered by `predicates`,
-  // delivered to `destination`. An empty `projection` means "all columns".
+  // delivered to `destination`.
   Sharing(TableSet tables, std::vector<Predicate> predicates,
           ServerId destination, std::string buyer = "");
 
   TableSet tables() const { return tables_; }
   const std::vector<Predicate>& predicates() const { return predicates_; }
-  const std::vector<ProjectionColumn>& projection() const {
-    return projection_;
-  }
   ServerId destination() const { return destination_; }
   const std::string& buyer() const { return buyer_; }
-
-  void set_projection(std::vector<ProjectionColumn> projection);
 
   // Number of joins in any plan for this sharing: #join(S) = |tables| - 1.
   int NumJoins() const { return tables_.size() - 1; }
@@ -67,16 +47,15 @@ class Sharing {
   // set and a superset of `other`'s predicates (criterion (3)).
   bool ContainedIn(const Sharing& other) const;
 
-  // Stable hash of the query (tables + predicates + projection), used to
-  // group identical sharings.
+  // Stable hash of the query (tables + predicates), used to group
+  // identical sharings.
   uint64_t QueryHash() const;
 
   std::string ToString(const Catalog& catalog) const;
 
  private:
   TableSet tables_;
-  std::vector<Predicate> predicates_;        // normalized
-  std::vector<ProjectionColumn> projection_;  // normalized
+  std::vector<Predicate> predicates_;  // normalized
   ServerId destination_ = 0;
   std::string buyer_;
 };

@@ -128,6 +128,23 @@ TEST_P(IncrementalDagTest, ResetStartsClean) {
                 index.Update(ids, sharings, lpcs), 0);
 }
 
+// Two sharings that differ only in a 0.0 vs -0.0 constant are identical
+// (criterion (1) bills them alike), so the index must put them in one
+// identity group, as the scratch build does.
+TEST(IncrementalDagSignedZeroTest, SignedZeroTwinsShareAGroup) {
+  const Predicate plus{0, 0, CompareOp::kGt, 0.0};
+  const Predicate minus{0, 0, CompareOp::kGt, -0.0};
+  const std::vector<SharingId> ids = {1, 2};
+  const std::vector<Sharing> sharings = {
+      Sharing(TableSet(0b0011), {plus}, 0),
+      Sharing(TableSet(0b0011), {minus}, 1)};
+  const std::vector<double> lpcs = {10.0, 10.0};
+  IncrementalContainmentIndex index;
+  const ContainmentDag scratch = BuildContainmentDag(sharings, lpcs);
+  EXPECT_EQ(scratch.identity_group[0], scratch.identity_group[1]);
+  ExpectSameDag(scratch, index.Update(ids, sharings, lpcs), 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDagTest,
                          ::testing::Values(1, 13, 77, 501, 9001));
 

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 
 #include "common/fault.h"
 #include "cost/default_cost_model.h"
@@ -243,6 +246,68 @@ TEST(PlanJournalTest, FileBackedJournalSurvivesReopen) {
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(replay->records_recovered, 3u);
   EXPECT_EQ(replay->entries.back().id, 100u);
+  std::remove(path.c_str());
+}
+
+// A crash tears the second append; the next process reopens the file and
+// appends again. The reopen must cut the torn frame, or replay would stop
+// there and lose every later record.
+TEST(PlanJournalTest, ReopenAfterTornAppendCutsTheTornTail) {
+  const std::string path =
+      ::testing::TempDir() + "/dsm_plan_journal_torn_test.log";
+  std::remove(path.c_str());
+
+  auto rig = MakeJournalRig();
+  const auto base = TwitterBaseSharings(rig->tables, rig->cluster);
+  const auto plan = [&](size_t i) {
+    const auto plans =
+        testing_support::EnumerateAll(*rig->enumerator, base[i]);
+    EXPECT_TRUE(plans.ok());
+    return plans->front();
+  };
+  size_t intact = 0;
+  {
+    PlanJournal journal(path);
+    ASSERT_TRUE(journal.Open().ok());
+    ASSERT_TRUE(journal.Append(1, base[0], plan(0)).ok());
+    intact = journal.contents().size();
+    ScopedFault crash("io/journal-append");
+    EXPECT_EQ(journal.Append(2, base[1], plan(1)).code(),
+              StatusCode::kInternal);
+    ASSERT_GT(journal.contents().size(), intact);
+  }
+
+  PlanJournal reopened(path);
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.contents().size(), intact);
+  EXPECT_EQ(std::filesystem::file_size(path), intact);
+  ASSERT_TRUE(reopened.Append(3, base[2], plan(2)).ok());
+
+  // The file alone, as the next recovery reads it.
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream file;
+  file << in.rdbuf();
+  EXPECT_EQ(file.str(), reopened.contents());
+  const auto replay = ReplayJournal(file.str());
+  ASSERT_TRUE(replay.ok());
+  EXPECT_FALSE(replay->tail_dropped);
+  ASSERT_EQ(replay->records_recovered, 2u);
+  EXPECT_EQ(replay->entries[0].id, 1u);
+  EXPECT_EQ(replay->entries[1].id, 3u);
+  std::remove(path.c_str());
+}
+
+TEST(PlanJournalTest, ReopeningAFileWithoutTheHeaderIsRefused) {
+  const std::string path =
+      ::testing::TempDir() + "/dsm_plan_journal_headerless_test.log";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "not a journal\n";
+  }
+  PlanJournal journal(path);
+  EXPECT_EQ(journal.Open().code(), StatusCode::kInvalidArgument);
+  // Refused before any write: the file is as it was.
+  EXPECT_EQ(std::filesystem::file_size(path), 14u);
   std::remove(path.c_str());
 }
 

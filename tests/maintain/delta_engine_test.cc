@@ -309,8 +309,13 @@ TEST_F(DeltaEngineTest, StartsNoThreads) {
   ASSERT_TRUE(engine.RegisterBase(users_).ok());
   ASSERT_TRUE(engine.RegisterBase(tweets_).ok());
   ASSERT_TRUE(engine.RegisterView(ViewKey(TS({users_, tweets_}))).ok());
+  Predicate older;
+  older.table = users_;
+  older.column = 1;  // age
+  older.op = CompareOp::kGt;
+  older.value = 35;
   ASSERT_TRUE(
-      engine.RegisterView(ViewKey(TS({users_, tweets_})), {"uid"}).ok());
+      engine.RegisterView(ViewKey(TS({users_, tweets_}), {older})).ok());
   std::vector<TableUpdate> round(2);
   round[0].table = users_;
   round[0].inserts = {T({1, 30}), T({2, 40})};

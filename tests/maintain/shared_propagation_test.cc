@@ -1,7 +1,7 @@
 // Shared delta propagation: exact duplicates share one node, so each update
 // round computes and merges one delta per distinct view, and every node
-// derives its delta from one join delta per table set, by residual filter
-// and projection. A table set's join delta is fed from the largest affected
+// derives its delta from one join delta per table set, by residual filter.
+// A table set's join delta is fed from the largest affected
 // table set it contains. SetViewActive flips change which table sets are
 // live between rounds. Every active view must stay bag-equal to a
 // from-scratch Recompute after every round.
@@ -58,13 +58,8 @@ Predicate Pred(int table, int column, CompareOp op, double value) {
   return p;
 }
 
-struct ViewSpec {
-  ViewKey key;
-  std::vector<std::string> projection;
-};
-
 struct Scenario {
-  std::vector<ViewSpec> views;
+  std::vector<ViewKey> views;
   std::vector<std::vector<TableUpdate>> rounds;
   // Views whose active flag flips before each round (empty for round 0).
   std::vector<std::vector<size_t>> flips;
@@ -72,41 +67,38 @@ struct Scenario {
 
 // The key pool the population draws from: every chain window carries its
 // unpredicated view and predicated ones, so a window's join feeds an
-// unpredicated view exactly while that view is active. One window
-// ({T2, T3}) only ever carries predicated views and one ({T0..T3}) only
-// projected views: their joins feed residual filters and projections only.
-std::vector<ViewSpec> KeyPool() {
-  std::vector<ViewSpec> pool;
+// unpredicated view exactly while that view is active. Two windows
+// ({T2, T3} and {T0..T3}) only ever carry predicated views: their joins
+// feed residual filters only.
+std::vector<ViewKey> KeyPool() {
+  std::vector<ViewKey> pool;
   for (const auto& [lo, hi] :
        std::vector<std::pair<int, int>>{{0, 1}, {1, 2}, {0, 2}, {1, 3}}) {
-    pool.push_back({ViewKey(Chain(lo, hi)), {}});
-    pool.push_back(
-        {ViewKey(Chain(lo, hi), {Pred(lo, 1, CompareOp::kLt, 4)}), {}});
-    pool.push_back({ViewKey(Chain(lo, hi), {Pred(hi, 0, CompareOp::kGt, 1),
-                                            Pred(hi, 1, CompareOp::kLt, 5)}),
-                    {}});
+    pool.push_back(ViewKey(Chain(lo, hi)));
+    pool.push_back(ViewKey(Chain(lo, hi), {Pred(lo, 1, CompareOp::kLt, 4)}));
+    pool.push_back(ViewKey(Chain(lo, hi), {Pred(hi, 0, CompareOp::kGt, 1),
+                                           Pred(hi, 1, CompareOp::kLt, 5)}));
   }
-  pool.push_back({ViewKey(Chain(2, 3), {Pred(3, 1, CompareOp::kEq, 2)}), {}});
-  pool.push_back({ViewKey(Chain(2, 3), {Pred(2, 0, CompareOp::kGt, 2)}), {}});
-  // Projected views, beside unprojected ones on the same tables and alone.
-  pool.push_back({ViewKey(Chain(0, 1)), {"c1"}});
-  pool.push_back({ViewKey(Chain(1, 3)), {"c4", "c2"}});
-  pool.push_back({ViewKey(Chain(0, 2), {Pred(0, 0, CompareOp::kLt, 3)}),
-                  {"c0", "c3"}});
-  pool.push_back({ViewKey(Chain(0, 3)), {"c4", "c0"}});
-  pool.push_back(
-      {ViewKey(Chain(0, 3), {Pred(3, 1, CompareOp::kLt, 4)}), {"c2"}});
+  pool.push_back(ViewKey(Chain(2, 3), {Pred(3, 1, CompareOp::kEq, 2)}));
+  pool.push_back(ViewKey(Chain(2, 3), {Pred(2, 0, CompareOp::kGt, 2)}));
+  // More predicated views, beside the unpredicated ones on the same tables
+  // and alone.
+  pool.push_back(ViewKey(Chain(0, 1), {Pred(1, 1, CompareOp::kGt, 2)}));
+  pool.push_back(ViewKey(Chain(1, 3), {Pred(2, 0, CompareOp::kLt, 3)}));
+  pool.push_back(ViewKey(Chain(0, 2), {Pred(0, 0, CompareOp::kLt, 3)}));
+  pool.push_back(ViewKey(Chain(0, 3), {Pred(0, 0, CompareOp::kGt, 1)}));
+  pool.push_back(ViewKey(Chain(0, 3), {Pred(3, 1, CompareOp::kLt, 4)}));
   // A single-table view and a predicate on an out-of-range column, which
   // Recompute (and so the residual filter) skips.
-  pool.push_back({ViewKey(Chain(1, 1)), {}});
-  pool.push_back({ViewKey(Chain(0, 1), {Pred(0, 7, CompareOp::kLt, 2)}), {}});
+  pool.push_back(ViewKey(Chain(1, 1)));
+  pool.push_back(ViewKey(Chain(0, 1), {Pred(0, 7, CompareOp::kLt, 2)}));
   return pool;
 }
 
 Scenario MakeScenario(uint64_t seed) {
   Rng rng(seed);
   Scenario scenario;
-  const std::vector<ViewSpec> pool = KeyPool();
+  const std::vector<ViewKey> pool = KeyPool();
   // Every key once (in a seeded order), then seeded duplicates.
   std::vector<size_t> order;
   for (size_t k = 0; k < pool.size(); ++k) order.push_back(k);
@@ -181,8 +173,8 @@ void Replay(const Catalog& catalog, const Scenario& scenario) {
     ASSERT_TRUE(engine.RegisterBase(t).ok());
   }
   std::vector<ViewId> ids;
-  for (const ViewSpec& spec : scenario.views) {
-    const auto id = engine.RegisterView(spec.key, spec.projection);
+  for (const ViewKey& key : scenario.views) {
+    const auto id = engine.RegisterView(key);
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
@@ -194,8 +186,7 @@ void Replay(const Catalog& catalog, const Scenario& scenario) {
     EXPECT_TRUE(engine.ApplyUpdates(scenario.rounds[r]).ok());
     for (size_t v = 0; v < ids.size(); ++v) {
       if (!engine.view_active(ids[v])) continue;
-      const auto expected = engine.Recompute(scenario.views[v].key,
-                                             scenario.views[v].projection);
+      const auto expected = engine.Recompute(scenario.views[v]);
       EXPECT_TRUE(expected.ok());
       EXPECT_TRUE(engine.view(ids[v])->BagEquals(*expected))
           << "view " << v << " diverged after round " << r;
@@ -213,8 +204,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SharedPropagationTest,
                          ::testing::Values(3, 17, 256, 4099, 65537));
 
 // Deterministic checks of the grouping, through work(): only the one join
-// per table set probes, so a duplicate, a predicated or a projected view
-// adds no join work.
+// per table set probes, so a duplicate or a predicated view adds no join
+// work.
 class SharedPropagationWorkTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -276,18 +267,6 @@ TEST_F(SharedPropagationWorkTest, DuplicatesAndResidualFeedsProbeNothing) {
         *engine_->Recompute(engine_->view_key(id))))
         << "view " << id;
   }
-}
-
-TEST_F(SharedPropagationWorkTest, ProjectedViewsAddNoJoinWork) {
-  const ViewKey plain(Chain(0, 1));
-  ASSERT_TRUE(engine_->RegisterView(plain).ok());
-  const uint64_t alone = WorkOfOneUpdate(0);
-  ASSERT_GT(alone, 0u);
-  // Same key, different projection: a node of its own, on the same join.
-  const ViewId projected = *engine_->RegisterView(plain, {"c2"});
-  EXPECT_EQ(WorkOfOneUpdate(1), alone);
-  EXPECT_TRUE(engine_->view(projected)->BagEquals(
-      *engine_->Recompute(plain, {"c2"})));
 }
 
 TEST_F(SharedPropagationWorkTest, PredicatedViewsWithoutTwinShareOneJoin) {

@@ -1,10 +1,9 @@
 // The maintenance engine's shared-propagation counters: per update round,
 // every affected table set runs one join (subjoin_feeds counts those fed
 // from an affected sub-join's delta), and every affected view counts
-// one refresh, which is exactly one of an unpredicated, unprojected node,
-// a residual feed (a predicated or projected node) or a duplicate feed. The
-// view_nodes gauge counts the distinct (key, projection) pairs some active
-// view holds.
+// one refresh, which is exactly one of an unpredicated node, a residual
+// feed (a predicated node) or a duplicate feed. The view_nodes gauge counts
+// the distinct keys some active view holds.
 
 #include <gtest/gtest.h>
 
@@ -60,7 +59,6 @@ TEST(MaintainMetricsTest, GroupingCountersPartitionViewRefreshes) {
   ASSERT_TRUE(engine.RegisterView(plain).ok());                // plain
   ASSERT_TRUE(engine.RegisterView(plain).ok());                // duplicate
   ASSERT_TRUE(engine.RegisterView(predicated).ok());           // residual
-  ASSERT_TRUE(engine.RegisterView(plain, {"c1"}).ok());        // residual
   ASSERT_TRUE(
       engine.RegisterView(ViewKey(Tables({0, 1, 2}), {p})).ok());  // residual
   ASSERT_TRUE(engine.RegisterView(ViewKey(Tables({1, 2}))).ok());  // unaffected
@@ -81,11 +79,11 @@ TEST(MaintainMetricsTest, GroupingCountersPartitionViewRefreshes) {
   // Two table sets, {T0, T1} and {T0, T1, T2}: one join each, the second
   // fed from the first's delta.
   const uint64_t plain_nodes = 1;
-  EXPECT_EQ(value("dsm.maintain.view_refreshes") - refreshes, 5u);
+  EXPECT_EQ(value("dsm.maintain.view_refreshes") - refreshes, 4u);
   EXPECT_EQ(value("dsm.maintain.pipeline_runs") - pipelines, 2u);
   EXPECT_EQ(value("dsm.maintain.subjoin_feeds") - subjoins, 1u);
   EXPECT_EQ(value("dsm.maintain.duplicate_feeds") - duplicates, 1u);
-  EXPECT_EQ(value("dsm.maintain.residual_feeds") - residuals, 3u);
+  EXPECT_EQ(value("dsm.maintain.residual_feeds") - residuals, 2u);
   EXPECT_EQ(value("dsm.maintain.view_refreshes") - refreshes,
             plain_nodes + value("dsm.maintain.duplicate_feeds") - duplicates +
                 value("dsm.maintain.residual_feeds") - residuals);
@@ -139,25 +137,24 @@ TEST(MaintainMetricsTest, ViewNodesGaugeCountsDistinctActiveViews) {
   p.column = 1;
   p.op = CompareOp::kLt;
   p.value = 2;
-  using Spec = std::pair<ViewKey, std::vector<std::string>>;
-  const std::vector<Spec> specs = {
-      {ViewKey(Tables({0, 1})), {}},     {ViewKey(Tables({0, 1})), {}},
-      {ViewKey(Tables({0, 1}), {p}), {}}, {ViewKey(Tables({0, 1})), {"c1"}},
-      {ViewKey(Tables({0, 1})), {"c1"}}, {ViewKey(Tables({1, 2})), {}},
+  Predicate q;
+  q.table = 0;
+  q.column = 0;
+  q.op = CompareOp::kGt;
+  q.value = 1;
+  const std::vector<ViewKey> specs = {
+      ViewKey(Tables({0, 1})),      ViewKey(Tables({0, 1})),
+      ViewKey(Tables({0, 1}), {p}), ViewKey(Tables({0, 1}), {q}),
+      ViewKey(Tables({0, 1}), {q}), ViewKey(Tables({1, 2})),
   };
   std::vector<ViewId> ids;
-  for (const Spec& spec : specs) {
-    ids.push_back(*engine.RegisterView(spec.first, spec.second));
-  }
-  // The distinct (tables, predicates, projection) of the active views.
+  for (const ViewKey& key : specs) ids.push_back(*engine.RegisterView(key));
+  // The distinct (tables, predicates) of the active views.
   const auto distinct_active = [&] {
-    std::set<std::pair<std::pair<uint64_t, std::vector<Predicate>>,
-                       std::vector<std::string>>>
-        distinct;
+    std::set<std::pair<uint64_t, std::vector<Predicate>>> distinct;
     for (size_t v = 0; v < specs.size(); ++v) {
       if (!engine.view_active(ids[v])) continue;
-      const ViewKey& key = specs[v].first;
-      distinct.insert({{key.tables.mask(), key.predicates}, specs[v].second});
+      distinct.insert({specs[v].tables.mask(), specs[v].predicates});
     }
     return static_cast<double>(distinct.size());
   };

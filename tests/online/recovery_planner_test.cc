@@ -306,8 +306,8 @@ TEST(RecoveryPlannerTest, ParkedSharingBacksOffExponentially) {
   ASSERT_NE(rig->gp->record(9), nullptr);
 }
 
-// Admits `n` random Twitter sharings under ids 1..n, each with a buyer, a
-// projection and predicates: everything a moved-from Sharing would lose.
+// Admits `n` random Twitter sharings under ids 1..n, each with a buyer and
+// predicates: everything a moved-from Sharing would lose.
 std::map<SharingId, Sharing> AdmitTwitterMix(RecoveryRig* rig, size_t n,
                                              uint64_t seed) {
   TwitterSequenceOptions options;
@@ -321,7 +321,6 @@ std::map<SharingId, Sharing> AdmitTwitterMix(RecoveryRig* rig, size_t n,
            rig->catalog, rig->tables, rig->cluster, options)) {
     Sharing sharing(s.tables(), s.predicates(), s.destination(),
                     "buyer" + std::to_string(id));
-    sharing.set_projection({ProjectionColumn{s.tables().ToVector()[0], 0}});
     AddCheapest(rig, id, sharing);
     originals.emplace(id, std::move(sharing));
     ++id;

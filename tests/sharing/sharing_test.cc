@@ -66,21 +66,17 @@ TEST(SharingTest, SelfContainment) {
   EXPECT_TRUE(a.ContainedIn(a));
 }
 
-TEST(SharingTest, ProjectionAffectsIdentity) {
-  Sharing a(TS({0, 1}), {}, 0);
-  Sharing b(TS({0, 1}), {}, 0);
-  b.set_projection({ProjectionColumn{0, 1}});
-  EXPECT_FALSE(a.IdenticalTo(b));
-  EXPECT_NE(a.QueryHash(), b.QueryHash());
-}
-
-TEST(SharingTest, ProjectionNormalized) {
-  Sharing a(TS({0, 1}), {}, 0);
-  a.set_projection({ProjectionColumn{1, 0}, ProjectionColumn{0, 1},
-                    ProjectionColumn{1, 0}});
-  ASSERT_EQ(a.projection().size(), 2u);
-  EXPECT_EQ(a.projection()[0].table, 0u);
-  EXPECT_EQ(a.projection()[1].table, 1u);
+// -0.0 == +0.0, so the two constants make identical sharings; every hash
+// over the predicates must then agree too, or hashed lookups split what
+// IdenticalTo joins.
+TEST(SharingTest, SignedZeroConstantsHashEqual) {
+  const Sharing plus(TS({0, 1}), {P(0, 0.0)}, 0);
+  const Sharing minus(TS({0, 1}), {P(0, -0.0)}, 0);
+  ASSERT_TRUE(plus.IdenticalTo(minus));
+  EXPECT_EQ(plus.QueryHash(), minus.QueryHash());
+  EXPECT_EQ(ViewKeyHash()(plus.ResultKey()), ViewKeyHash()(minus.ResultKey()));
+  EXPECT_EQ(PredicateSignature(plus.predicates()),
+            PredicateSignature(minus.predicates()));
 }
 
 TEST(SharingTest, ResultKeyCarriesPredicates) {
