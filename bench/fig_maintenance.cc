@@ -16,7 +16,9 @@
 // invocations. So each run replays the stream on a fresh engine until
 // its timed rounds have taken kMinRunSeconds, and reports the process CPU
 // time per pass. CPU time, as in perfbench, leaves out the slices a
-// shared host gives other tenants.
+// shared host gives other tenants. A run holds at least a second of
+// passes, since the slowest cell's passes take up to 90 ms. Invocations
+// can still differ by more than 10% on a noisy host (EXPERIMENTS.md).
 
 #include <time.h>
 
@@ -40,7 +42,7 @@ namespace {
 constexpr int kNumTables = 6;
 
 // Timed CPU seconds each run of a full-mode cell spends at least.
-constexpr double kMinRunSeconds = 0.3;
+constexpr double kMinRunSeconds = 1.0;
 
 double CpuSeconds() {
   timespec ts{};

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
+#include <cassert>
 
 #include "common/fault.h"
 #include "maintain/tuple_store.h"
@@ -141,7 +141,7 @@ Result<Relation> DeltaEngine::Recompute(const ViewKey& key) const {
   return acc;
 }
 
-Result<const DeltaEngine::TableSetJoin*> DeltaEngine::JoinOf(
+Result<DeltaEngine::TableSetJoin*> DeltaEngine::JoinOf(
     const TableSet& tables) {
   const auto it = joins_.find(tables);
   if (it != joins_.end()) return &it->second;
@@ -226,154 +226,149 @@ Result<ViewId> DeltaEngine::RegisterView(const ViewKey& key) {
     handles_.push_back({it->second, true});
     return handles_.size() - 1;
   }
-  // PropagateDelta reads the table set's join through joins_.at.
-  DSM_RETURN_IF_ERROR(JoinOf(key.tables).status());
+  DSM_ASSIGN_OR_RETURN(TableSetJoin* join, JoinOf(key.tables));
   DSM_ASSIGN_OR_RETURN(Relation initial, Recompute(key));
   Node node;
   node.key = key;
+  // Recompute's skip rule: predicates on tables outside the view or on
+  // out-of-range columns never filter. A predicate names its column by
+  // name, and a natural join keeps every input column name, so its
+  // position in the set's columns is the one it filters.
+  for (const Predicate& pred : key.predicates) {
+    if (!key.tables.Contains(pred.table)) continue;
+    const TableDef& def = catalog_->table(pred.table);
+    if (pred.column >= def.columns.size()) continue;
+    const auto at = std::find(join->columns.begin(), join->columns.end(),
+                              def.columns[pred.column].name);
+    node.filters.push_back(
+        {static_cast<size_t>(at - join->columns.begin()), pred.op,
+         pred.value});
+  }
   node.empty = Relation(initial.columns());
   node.contents = std::move(initial);
   node.live_handles = 1;
   const NodeId id = nodes_.size();
   nodes_.push_back(std::move(node));
   node_of_.emplace(key, id);
+  join->nodes.push_back(id);
   SetLiveNodes(live_nodes_ + 1);
   handles_.push_back({id, true});
   return handles_.size() - 1;
 }
 
-Relation DeltaEngine::JoinDelta(const TableSet& tables,
+Relation DeltaEngine::JoinDelta(const TableSet& tables, TableSetJoin* join,
                                 const TableSet& source,
                                 const Relation& source_delta,
                                 uint64_t* work) {
-  TableSetJoin& join = joins_.at(tables);
-  if (source_delta.DistinctSize() == 0) return Relation(join.columns);
-  auto plan = join.plans.find(source);
-  if (plan == join.plans.end()) {
-    plan = join.plans
+  if (source_delta.DistinctSize() == 0) return Relation(join->columns);
+  auto plan = join->plans.find(source);
+  if (plan == join->plans.end()) {
+    plan = join->plans
                .emplace(source, BuildJoinPlan(source_delta.columns(),
                                               tables.Minus(source)))
                .first;
   }
+  // No steps only for a single-table set, whose columns are its base's.
+  const std::vector<JoinStep>& steps = plan->second;
+  if (steps.empty()) return source_delta;
   const Relation* cur = &source_delta;
   Relation owned;
-  for (const JoinStep& step : plan->second) {
-    Relation& base = bases_.at(step.other);
-    owned = NaturalJoin(*cur, base, *base.EnsureIndex(step.key_columns),
-                        work);
+  for (size_t i = 0; i < steps.size(); ++i) {
+    Relation& base = bases_.at(steps[i].other);
+    owned = NaturalJoin(*cur, base, *base.EnsureIndex(steps[i].key_columns),
+                        work,
+                        i + 1 == steps.size() ? &join->columns : nullptr);
     cur = &owned;
   }
-  return cur->WithColumnOrder(join.columns);
+  return owned;
 }
 
-Relation DeltaEngine::DerivedDelta(NodeId id, const Relation& joined) const {
-  // σ_p(A ⋈ B) = σ_p(A) ⋈ B when p names a column of A, and a natural
-  // join keeps every column name of its inputs, so filtering the table
-  // set's join by column name equals joining the filtered operands. The
-  // skip rule matches Recompute's: predicates on tables outside the view
-  // or on out-of-range columns never filter.
-  const Node& node = nodes_[id];
-  Relation result = joined;  // shares the row store until filtered
-  for (const Predicate& pred : node.key.predicates) {
-    if (!node.key.tables.Contains(pred.table)) continue;
-    const TableDef& def = catalog_->table(pred.table);
-    if (pred.column >= def.columns.size()) continue;
-    result = result.Filter(def.columns[pred.column].name, pred.op,
-                           pred.value);
-  }
-  return result;
-}
-
-Status DeltaEngine::PropagateDelta(TableId table, const Relation& delta) {
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.updates", 1);
-  DSM_METRIC_SCOPED_LATENCY_MS("dsm.maintain.apply_ms");
+Status DeltaEngine::JoinRound(TableId table, const Relation& delta,
+                              Round* round) {
   DSM_TRACE_SPAN("maintain/apply_update");
-
-  std::vector<NodeId> affected;
-  size_t refreshes = 0;  // active views brought up to date
-  size_t derived = 0;    // predicated nodes
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    const Node& node = nodes_[id];
-    if (node.live_handles > 0 && node.key.tables.Contains(table)) {
-      affected.push_back(id);
-      refreshes += node.live_handles;
-      if (!node.key.unpredicated()) ++derived;
+  // Groups: the table sets containing `table` that hold a live node, in
+  // mask order (joins_ is ordered by set), so a sub-join's group comes
+  // before its supersets'. Sources: the join deltas computed so far in
+  // the round, each with its table set, starting from the updated table's
+  // own delta. Every source contains `table`. A group takes the largest
+  // source its table set contains (the first visited on a tie), so
+  // Δ(⋈ T) = Δ(⋈ S) ⋈ (⋈ T∖S).
+  std::vector<TableSet> source_sets = {TableSet::Of(table)};
+  for (auto& [tables, join] : joins_) {
+    if (!tables.Contains(table)) continue;
+    const size_t begin = round->nodes.size();
+    for (const NodeId id : join.nodes) {
+      const Node& node = nodes_[id];
+      if (node.live_handles == 0) continue;
+      round->nodes.push_back(id);
+      round->refreshes += node.live_handles;
+      if (!node.key.unpredicated()) ++round->predicated;
     }
-  }
-  if (affected.empty()) return Status::OK();
-
-  // Group the affected nodes by table set.
-  std::stable_sort(affected.begin(), affected.end(),
-                   [this](NodeId a, NodeId b) {
-                     return nodes_[a].key.tables < nodes_[b].key.tables;
-                   });
-
-  // Two phases: every node's delta for the round is computed before any is
-  // merged, and the round's join work counts only once all are, so a join
-  // that fails leaves every node of the round and work() untouched. Each
-  // table set's join delta fills the delta slots of its nodes; empty
-  // deltas are dropped at once.
-  //
-  // Sources: the join deltas computed so far in the round, each with its
-  // table set, starting from the updated table's own delta. Every source
-  // contains `table`. A group takes the largest source its table set
-  // contains (the first visited on a tie), so Δ(⋈ T) = Δ(⋈ S) ⋈ (⋈ T∖S).
-  // Groups are sorted by mask, so a sub-join's group comes before its
-  // supersets'.
-  std::vector<std::pair<TableSet, Relation>> sources;
-  sources.emplace_back(TableSet::Of(table), delta);
-  std::vector<std::optional<Relation>> deltas(affected.size());
-  uint64_t round_work = 0;
-  size_t joins = 0;
-  size_t subjoin_feeds = 0;
-  for (size_t begin = 0, end = 0; begin < affected.size(); begin = end) {
-    const TableSet tables = nodes_[affected[begin]].key.tables;
-    end = begin + 1;
-    while (end < affected.size() &&
-           nodes_[affected[end]].key.tables == tables) {
-      ++end;
-    }
+    if (round->nodes.size() == begin) continue;
     if (DSM_INJECT_FAULT("maintain/join")) {
       return Status::Internal("injected fault in a table-set join");
     }
     size_t from = 0;
-    for (size_t s = 1; s < sources.size(); ++s) {
-      if (tables.ContainsAll(sources[s].first) &&
-          sources[s].first.size() > sources[from].first.size()) {
+    for (size_t s = 1; s < source_sets.size(); ++s) {
+      if (tables.ContainsAll(source_sets[s]) &&
+          source_sets[s].size() > source_sets[from].size()) {
         from = s;
       }
     }
-    ++joins;
-    if (from != 0) ++subjoin_feeds;
+    if (from != 0) ++round->subjoin_feeds;
     Relation joined =
-        JoinDelta(tables, sources[from].first, sources[from].second,
-                  &round_work);
-    if (joined.DistinctSize() != 0) {
-      for (size_t k = begin; k < end; ++k) {
-        Relation out = DerivedDelta(affected[k], joined);
-        if (out.DistinctSize() != 0) deltas[k] = std::move(out);
-      }
-    }
-    sources.emplace_back(tables, std::move(joined));
+        JoinDelta(tables, &join, source_sets[from],
+                  from == 0 ? delta : round->groups[from - 1].second,
+                  &round->work);
+    round->groups.emplace_back(round->nodes.size(), std::move(joined));
+    source_sets.push_back(tables);
   }
-  work_ += round_work;
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.view_refreshes", refreshes);
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.pipeline_runs", joins);
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.subjoin_feeds", subjoin_feeds);
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.residual_feeds", derived);
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.duplicate_feeds",
-                         refreshes - affected.size());
-
-  // Merge each non-empty delta into its node's contents (same schema and
-  // order, so the stored row hashes transfer).
-  for (size_t k = 0; k < affected.size(); ++k) {
-    if (deltas[k].has_value()) {
-      nodes_[affected[k]].contents.ApplyAll(*deltas[k]);
-    }
-  }
-  DSM_METRIC_GAUGE_SET("dsm.maintain.join_work",
-                       static_cast<double>(work_));
   return Status::OK();
+}
+
+void DeltaEngine::MergeRound(const Round& round) {
+  DSM_TRACE_SPAN("maintain/apply_update");
+  // Route each group's join delta into its nodes. The delta is in the
+  // set's column order, every node's over the set, so a row merges with
+  // its stored hash: an unpredicated node takes the delta whole, and a
+  // predicated one tests each row against its resolved predicates.
+  uint64_t routed = 0;  // rows tested against a node's predicates
+  uint64_t merged = 0;  // rows merged into node contents
+  size_t begin = 0;
+  for (const auto& [end, joined] : round.groups) {
+    const TupleStore& rows = joined.store();
+    for (size_t k = begin; k < end && rows.live_rows() != 0; ++k) {
+      Node& node = nodes_[round.nodes[k]];
+      if (node.filters.empty()) {
+        node.contents.ApplyAll(joined);
+        merged += rows.live_rows();
+        continue;
+      }
+      assert(node.contents.columns() == joined.columns() &&
+             "a node's schema is its table set's join order");
+      routed += rows.live_rows();
+      rows.ForEachLive([&](uint32_t r) {
+        const Slot* slots = rows.row_slots(r);
+        for (const RowFilter& f : node.filters) {
+          if (!SlotSatisfies(slots[f.position], f.op, f.value)) return;
+        }
+        node.contents.ApplyEncoded(slots, rows.row_hash(r),
+                                   rows.row_count(r));
+        ++merged;
+      });
+    }
+    begin = end;
+  }
+  work_ += round.work;
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.updates", 1);
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.view_refreshes", round.refreshes);
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.pipeline_runs", round.groups.size());
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.subjoin_feeds", round.subjoin_feeds);
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.residual_feeds", round.predicated);
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.duplicate_feeds",
+                         round.refreshes - round.nodes.size());
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.routed_rows", routed);
+  DSM_METRIC_COUNTER_ADD("dsm.maintain.merged_rows", merged);
 }
 
 Status DeltaEngine::ApplyUpdate(TableId table,
@@ -417,9 +412,32 @@ Status DeltaEngine::ApplyUpdates(std::span<const TableUpdate> updates) {
     DSM_METRIC_COUNTER_ADD("dsm.maintain.batch_coalesced", coalesced);
   }
 
-  for (const auto& [table, delta] : deltas) {
-    DSM_RETURN_IF_ERROR(PropagateDelta(table, delta));
-    bases_.at(table).ApplyAll(delta);  // also patches the base's indexes
+  {
+    DSM_METRIC_SCOPED_LATENCY_MS("dsm.maintain.apply_ms");
+    // Phase 1, table by table: the table's join deltas read the bases with
+    // every earlier table's delta merged, as a sequence of single-table
+    // updates would; then the table's base merge (which also patches the
+    // base's indexes). A failed join takes back the base merges made so
+    // far, newest first.
+    std::vector<Round> rounds;
+    rounds.reserve(deltas.size());
+    for (auto it = deltas.begin(); it != deltas.end(); ++it) {
+      const Status joined = JoinRound(it->first, it->second,
+                                      &rounds.emplace_back());
+      if (!joined.ok()) {
+        while (it != deltas.begin()) {
+          --it;
+          bases_.at(it->first).ApplyAll(it->second, -1);
+        }
+        return joined;
+      }
+      bases_.at(it->first).ApplyAll(it->second);
+    }
+    // Phase 2: no join reads a view, so every view merge waits for the
+    // whole batch to have joined.
+    for (const Round& round : rounds) MergeRound(round);
+    DSM_METRIC_GAUGE_SET("dsm.maintain.join_work",
+                         static_cast<double>(work_));
   }
   ExportTupleStoreMetrics();
   return Status::OK();

@@ -26,15 +26,19 @@
 // A group's join delta is fed from the largest source already computed
 // in the round that its table set contains: the table set of an affected
 // sub-join, or else the updated table's own delta. Only the tables
-// outside the source are joined on. Every node of the group derives its
-// delta from the group's join delta, filtered by its predicates (σ
-// commutes with the natural join, so this is exact under bag semantics).
-// Each node then does one merge, however many handles hold it.
+// outside the source are joined on, and the last probe writes its rows
+// in the set's column order, which is every node's over the set. The
+// group's join delta is then routed into its nodes: an unpredicated node
+// merges it whole, a predicated one merges the rows its predicates keep
+// (σ commutes with the natural join, so this is exact under bag
+// semantics), with no per-node copy of the delta. Each node merges once
+// per round, however many handles hold it.
 //
-// Maintenance is single-threaded and the engine starts no threads: each
-// round computes every affected node's delta, then merges them. A worker
-// pool over the nodes measured slower than this serial path once shared
-// propagation left too little work per round (DESIGN.md §10).
+// Maintenance is single-threaded and the engine starts no threads. A
+// batch computes every table's join deltas before it merges any into a
+// view (views are read by no join), so a failed batch changes nothing. A
+// worker pool over the nodes measured slower than this serial path once
+// shared propagation left too little work per round (DESIGN.md §10).
 
 #ifndef DSM_MAINTAIN_DELTA_ENGINE_H_
 #define DSM_MAINTAIN_DELTA_ENGINE_H_
@@ -78,8 +82,8 @@ class DeltaEngine {
   // the contents, and no recompute while the node is live.
   Result<ViewId> RegisterView(const ViewKey& key);
 
-  // Applies inserts/deletes to base `table`: all registered views over the
-  // table are brought up to date, then the base relation is updated. Every
+  // Applies inserts/deletes to base `table`: the base relation and all
+  // registered views over the table are brought up to date. Every
   // tuple must have the base schema's arity; otherwise InvalidArgument is
   // returned and no state changes. A delete of more copies of a tuple
   // than the base holds is InvalidArgument too, with no state change: base
@@ -95,7 +99,9 @@ class DeltaEngine {
   // per table instead of once per batch entry. Validates every table,
   // every tuple's arity and, once coalesced, every table's deletes against
   // its base before touching any state. Each valid call counts one batch in
-  // `dsm.maintain.batches`.
+  // `dsm.maintain.batches`. All or nothing: when a table's join fails, the
+  // bases merged so far are taken back, and the error returns with every
+  // base, view and work() as before the call.
   Status ApplyUpdates(std::span<const TableUpdate> updates);
 
   // Degraded mode: an inactive view is not maintained and reads as empty
@@ -126,7 +132,7 @@ class DeltaEngine {
   // the sub-join's delta instead of repeating its probes. Duplicate views
   // and the predicated nodes of a table set add nothing. The
   // value is determined by the update stream and the live table sets. A
-  // round that fails adds nothing.
+  // batch that fails adds nothing.
   uint64_t work() const { return work_; }
 
  private:
@@ -140,21 +146,35 @@ class DeltaEngine {
     std::vector<std::string> key_columns;
   };
 
-  // The join every node over one table set derives its delta from. Its
+  // The join every node over one table set takes its delta from. Its
   // columns are fixed at the first registration over the set (schemas are
   // static).
   struct TableSetJoin {
     // The unpredicated join's columns, in Recompute's order.
     std::vector<std::string> columns;
+    // The nodes over the set, in registration order.
+    std::vector<NodeId> nodes;
     // Per source table set (a sub-join's, or the updated table alone): the
     // set's other tables in join order with the index key for each probe.
     // Built on first use.
     std::map<TableSet, std::vector<JoinStep>> plans;
   };
 
+  // A predicate of a node resolved to a slot position in its table set's
+  // columns.
+  struct RowFilter {
+    size_t position = 0;
+    CompareOp op = CompareOp::kEq;
+    double value = 0.0;
+  };
+
   // One distinct key, shared by every view registered with it.
   struct Node {
     ViewKey key;
+    // The key's predicates that Recompute applies, resolved once at
+    // registration. Empty: the node takes its table set's join delta
+    // whole.
+    std::vector<RowFilter> filters;
     // Maintained while live_handles > 0; empty (columns only) otherwise.
     Relation contents;
     // Columns only: what view() returns for an inactive handle.
@@ -176,7 +196,7 @@ class DeltaEngine {
 
   // The shared join of `tables`, built on first request. NotFound when a
   // table of the set has no registered base.
-  Result<const TableSetJoin*> JoinOf(const TableSet& tables);
+  Result<TableSetJoin*> JoinOf(const TableSet& tables);
   // Probe steps joining a relation with columns `schema` to the tables
   // `others`, ordered by connectivity.
   std::vector<JoinStep> BuildJoinPlan(std::vector<std::string> schema,
@@ -191,20 +211,36 @@ class DeltaEngine {
 
   // Δ(⋈ tables) from `source_delta` = Δ(⋈ source), source ⊆ tables:
   // joins it against the bases of the tables outside `source`, through
-  // their indexes (built here on first use), and returns it in the set's
-  // column order. An empty source delta joins nothing. Adds the join work
-  // performed to *work.
-  Relation JoinDelta(const TableSet& tables, const TableSet& source,
-                     const Relation& source_delta, uint64_t* work);
-  // Node `node`'s delta derived from `joined`, its table set's delta:
-  // filtered by the node's predicates, by column name, skipping those
-  // Recompute would skip. Filters keep the set's column order, which is
-  // every node's over the set.
-  Relation DerivedDelta(NodeId node, const Relation& joined) const;
+  // their indexes (built here on first use); the last probe writes the
+  // rows in the set's column order. `join` is the set's; its plan for
+  // `source` is built on first use. An empty source delta joins nothing.
+  // Adds the join work performed to *work.
+  Relation JoinDelta(const TableSet& tables, TableSetJoin* join,
+                     const TableSet& source, const Relation& source_delta,
+                     uint64_t* work);
 
-  // Refreshes every live node over `table`, without merging the delta
-  // into the base.
-  Status PropagateDelta(TableId table, const Relation& delta);
+  // One table's round of a batch: the live nodes over the table, grouped
+  // by table set (groups in mask order, each in registration order), and
+  // each group's join delta.
+  // Nothing of it reaches a view, work() or a round counter until every
+  // round of the batch has joined.
+  struct Round {
+    std::vector<NodeId> nodes;
+    // Per group: one past its last index in `nodes`, and its join delta.
+    std::vector<std::pair<size_t, Relation>> groups;
+    uint64_t work = 0;
+    size_t refreshes = 0;      // active views brought up to date
+    size_t predicated = 0;     // predicated nodes
+    size_t subjoin_feeds = 0;  // groups joined from a sub-join's delta
+  };
+
+  // Phase 1: computes `table`'s round from its coalesced `delta`, reading
+  // the bases as they stand. Changes no base row, node, work() or
+  // counter (it may build a base index or a join plan).
+  Status JoinRound(TableId table, const Relation& delta, Round* round);
+  // Phase 2: routes every group's join delta into the group's nodes and
+  // commits the round's counts.
+  void MergeRound(const Round& round);
 
   const Catalog* catalog_;
   std::map<TableId, Relation> bases_;

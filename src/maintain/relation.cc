@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 namespace dsm {
 namespace {
@@ -12,10 +11,16 @@ struct JoinShape {
   std::vector<int> shared_a;  // positions in a of the join columns
   std::vector<int> shared_b;  // positions in b of the join columns
   std::vector<int> b_extra;   // positions in b of the non-shared columns
+  // Output position of each column of a, and of each b_extra column.
+  std::vector<int> a_out;
+  std::vector<int> b_extra_out;
   std::vector<std::string> out_columns;
 };
 
-JoinShape ComputeJoinShape(const Relation& a, const Relation& b) {
+// `out_columns`, when given, must be a permutation of the natural output
+// schema (a's columns, then b's columns absent from a).
+JoinShape ComputeJoinShape(const Relation& a, const Relation& b,
+                           const std::vector<std::string>* out_columns) {
   JoinShape shape;
   for (size_t i = 0; i < b.columns().size(); ++i) {
     const int in_a = a.FindColumn(b.columns()[i]);
@@ -30,6 +35,24 @@ JoinShape ComputeJoinShape(const Relation& a, const Relation& b) {
   for (const int i : shape.b_extra) {
     shape.out_columns.push_back(b.columns()[static_cast<size_t>(i)]);
   }
+  // Where each column of that natural order lands in the output.
+  std::vector<int> out(shape.out_columns.size());
+  for (size_t i = 0; i < out.size(); ++i) out[i] = static_cast<int>(i);
+  if (out_columns != nullptr) {
+    assert(out_columns->size() == out.size() &&
+           "join output order is not a permutation");
+    for (size_t i = 0; i < out.size(); ++i) {
+      const auto at = std::find(out_columns->begin(), out_columns->end(),
+                                shape.out_columns[i]);
+      assert(at != out_columns->end() &&
+             "join output order is not a permutation");
+      out[i] = static_cast<int>(at - out_columns->begin());
+    }
+    shape.out_columns = *out_columns;
+  }
+  const auto a_end = out.begin() + static_cast<long>(a.columns().size());
+  shape.a_out.assign(out.begin(), a_end);
+  shape.b_extra_out.assign(a_end, out.end());
   return shape;
 }
 
@@ -86,12 +109,13 @@ void Relation::ApplyEncoded(const Slot* slots, uint64_t hash,
   if (!indexes_.empty()) PatchIndexesEncoded(slots, row, delta);
 }
 
-void Relation::ApplyAll(const Relation& src) {
+void Relation::ApplyAll(const Relation& src, int64_t sign) {
   assert(src.columns_ == columns_ && "ApplyAll requires matching schemas");
   const TupleStore& from = *src.store_;
   from.ForEachLive([&](uint32_t r) {
     // Same schema, same global hash function: the stored hash transfers.
-    ApplyEncoded(from.row_slots(r), from.row_hash(r), from.row_count(r));
+    ApplyEncoded(from.row_slots(r), from.row_hash(r),
+                 sign * from.row_count(r));
   });
 }
 
@@ -214,30 +238,6 @@ Relation Relation::Filter(const std::string& column, CompareOp op,
   return out;
 }
 
-Relation Relation::WithColumnOrder(
-    const std::vector<std::string>& columns) const {
-  if (columns == columns_) return *this;
-  std::vector<int> source(columns.size(), -1);
-  for (size_t i = 0; i < columns.size(); ++i) {
-    source[i] = FindColumn(columns[i]);
-    assert(source[i] >= 0 && "target schema is not a permutation");
-  }
-  // Position-remap loop over flat slots; no decoding, no per-row
-  // allocation. Permuted slots hash differently, so hashes are recomputed.
-  Relation out(columns);
-  const TupleStore& st = *store_;
-  TupleStore* dst = out.store_.get();
-  dst->Reserve(st.live_rows());
-  std::vector<Slot> scratch(columns.size());
-  st.ForEachLive([&](uint32_t r) {
-    GatherSlots(st.row_slots(r), source, scratch.data());
-    dst->Apply(scratch.data(),
-               HashTupleSlots(scratch.data(), scratch.size()),
-               st.row_count(r));
-  });
-  return out;
-}
-
 std::vector<std::string> SharedJoinColumns(
     const std::vector<std::string>& a_columns, const Relation& b) {
   std::vector<std::string> shared;
@@ -253,7 +253,8 @@ std::vector<std::string> SharedJoinColumns(
 namespace {
 
 // Probe loop: keys are pre-hashed slot projections, output rows are flat
-// slot copies. `b_index` is either a transient index built here or a
+// slot copies, each slot written straight to its position in the shape's
+// output order. `b_index` is either a transient index built here or a
 // persistent one patched by b's Apply. Work counts probed pairs — which
 // tuple pairs meet is a property of the bags.
 Relation ProbeJoin(const Relation& a, const Relation& b,
@@ -262,7 +263,6 @@ Relation ProbeJoin(const Relation& a, const Relation& b,
   const TupleStore& sa = a.store();
   const TupleStore& sb = b.store();
   const size_t key_arity = shape.shared_a.size();
-  const size_t a_arity = a.columns().size();
   const size_t out_arity = shape.out_columns.size();
 
   Relation out(shape.out_columns);
@@ -279,14 +279,14 @@ Relation ProbeJoin(const Relation& a, const Relation& b,
         b_index.Find(key.data(), HashTupleSlots(key.data(), key_arity));
     if (bucket == nullptr) return;
     const int64_t ca = sa.row_count(ra);
-    if (a_arity > 0) {
-      std::memcpy(joined.data(), arow, a_arity * sizeof(Slot));
+    for (size_t i = 0; i < shape.a_out.size(); ++i) {
+      joined[static_cast<size_t>(shape.a_out[i])] = arow[i];
     }
     for (const SlotKeyIndex::Entry& e : *bucket) {
       if (work != nullptr) ++*work;
       const Slot* brow = sb.row_slots(e.row);
       for (size_t j = 0; j < shape.b_extra.size(); ++j) {
-        joined[a_arity + j] =
+        joined[static_cast<size_t>(shape.b_extra_out[j])] =
             brow[static_cast<size_t>(shape.b_extra[j])];
       }
       out.ApplyEncoded(joined.data(),
@@ -301,8 +301,9 @@ Relation ProbeJoin(const Relation& a, const Relation& b,
 
 }  // namespace
 
-Relation NaturalJoin(const Relation& a, const Relation& b, uint64_t* work) {
-  const JoinShape shape = ComputeJoinShape(a, b);
+Relation NaturalJoin(const Relation& a, const Relation& b, uint64_t* work,
+                     const std::vector<std::string>* out_columns) {
+  const JoinShape shape = ComputeJoinShape(a, b, out_columns);
   // Transient pre-hashed index on b's shared-column projection.
   const TupleStore& sb = b.store();
   const size_t key_arity = shape.shared_b.size();
@@ -317,14 +318,15 @@ Relation NaturalJoin(const Relation& a, const Relation& b, uint64_t* work) {
 }
 
 Relation NaturalJoin(const Relation& a, const Relation& b,
-                     const Relation::JoinIndex& b_index, uint64_t* work) {
-  const JoinShape shape = ComputeJoinShape(a, b);
+                     const Relation::JoinIndex& b_index, uint64_t* work,
+                     const std::vector<std::string>* out_columns) {
+  const JoinShape shape = ComputeJoinShape(a, b, out_columns);
   // The prebuilt index must be keyed on exactly the shared columns; a
   // mismatched index cannot answer this join, so fall back to the
   // transient-index path rather than probe garbage.
   if (shape.shared_b != b_index.key_positions) {
     assert(false && "join index key does not match the shared columns");
-    return NaturalJoin(a, b, work);
+    return NaturalJoin(a, b, work, out_columns);
   }
   return ProbeJoin(a, b, shape, b_index.slots, work);
 }

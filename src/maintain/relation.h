@@ -8,9 +8,10 @@
 // fixed-width uint64_t array, and the bag table is open addressing over
 // precomputed row hashes. Copies share the store (copy-on-write), so
 // returning a relation "unfiltered" or handing one join delta to many
-// consumers costs one shared_ptr. Filter and WithColumnOrder are
-// position-remap loops over the flat slots; Filter and same-schema merges
-// reuse the stored hashes outright.
+// consumers costs one shared_ptr. Filter is a loop over one column's flat
+// slots; Filter and same-schema merges reuse the stored hashes outright.
+// A join writes its rows straight into the column order its caller asks
+// for, so no relation needs a second pass to reorder its columns.
 //
 // A relation can carry persistent equi-join indexes (EnsureIndex): each
 // maps the projection of a row onto a fixed column subset to the rows
@@ -125,12 +126,6 @@ class Relation {
   Relation Filter(const std::string& column, CompareOp op,
                   double constant) const;
 
-  // The same bag with columns permuted into `columns` order (which must be
-  // a permutation of this relation's schema). Joins starting from
-  // different tables produce permuted schemas; reordering makes their
-  // results comparable and mergeable.
-  Relation WithColumnOrder(const std::vector<std::string>& columns) const;
-
   // --- hot-path entry points on encoded slots -------------------------------
 
   // The row store.
@@ -141,9 +136,10 @@ class Relation {
   void ApplyEncoded(const Slot* slots, uint64_t hash, int64_t delta);
 
   // Merges every row of `src` (same schema, in this relation's column
-  // order) into this relation. The stored row hashes transfer directly —
+  // order) into this relation, its count times `sign` (-1 takes back an
+  // earlier merge of `src`). The stored row hashes transfer directly —
   // the merge never rehashes a tuple.
-  void ApplyAll(const Relation& src);
+  void ApplyAll(const Relation& src, int64_t sign = 1);
 
  private:
   TupleStore* MutableStore();
@@ -160,15 +156,20 @@ class Relation {
 // (counting algorithm). `work` is incremented per probed pair, giving the
 // measured-cost counter the cost model's CPU term mirrors. The kernel
 // probes pre-hashed slot buckets and assembles output rows as flat slot
-// copies.
-Relation NaturalJoin(const Relation& a, const Relation& b, uint64_t* work);
+// copies. The result's columns are a's, then b's columns absent from a,
+// unless `out_columns` names a permutation of those: then every row is
+// written in that order (and hashed in it), so a caller that needs
+// another schema order gets it with no second pass.
+Relation NaturalJoin(const Relation& a, const Relation& b, uint64_t* work,
+                     const std::vector<std::string>* out_columns = nullptr);
 
 // Same join, probing `b_index` — a persistent index on `b` whose key must
 // equal the shared columns of (a, b) in b-schema order (see
 // SharedJoinColumns). Skips the per-call hash build; output and `work`
 // accounting are identical to the index-free overload.
 Relation NaturalJoin(const Relation& a, const Relation& b,
-                     const Relation::JoinIndex& b_index, uint64_t* work);
+                     const Relation::JoinIndex& b_index, uint64_t* work,
+                     const std::vector<std::string>* out_columns = nullptr);
 
 // The columns NaturalJoin(a-with-schema `a_columns`, b) would join on:
 // b's column names also present in `a_columns`, in b-schema order. This is

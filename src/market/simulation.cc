@@ -172,6 +172,13 @@ Status MarketSimulation::Run(int ticks, double scale,
     // generated first, then applied through the engine's batched path so
     // every view is refreshed once per table per tick.
     std::vector<TableUpdate> tick_updates;
+    // Per update, its edits to live_tuples_ in order: the position a
+    // delete erased, or kAppended for an insert. They are taken back,
+    // newest first, if the engine refuses the tick, so the live lists keep
+    // matching the bases.
+    constexpr size_t kAppended = static_cast<size_t>(-1);
+    std::vector<std::vector<size_t>> edits;
+    uint64_t tick_tuples = 0;
     for (TableId t = 0; t < catalog_->num_tables(); ++t) {
       if (engine_.base(t) == nullptr) continue;
       const double rate = catalog_->table(t).stats.update_rate;
@@ -181,25 +188,45 @@ Status MarketSimulation::Run(int ticks, double scale,
       TableUpdate update;
       update.table = t;
       std::vector<Tuple>& live = live_tuples_[t];
+      std::vector<size_t>& log = edits.emplace_back();
       for (int i = 0; i < batch; ++i) {
         if (!live.empty() && rng_.Bernoulli(delete_fraction)) {
           const size_t idx = static_cast<size_t>(rng_.UniformInt(
               0, static_cast<int64_t>(live.size()) - 1));
-          update.deletes.push_back(live[idx]);
+          update.deletes.push_back(std::move(live[idx]));
           live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+          log.push_back(idx);
         } else {
           Tuple tuple = RandomTupleCompressed(*catalog_, t, &rng_,
                                               domain_compression_);
           live.push_back(tuple);
           update.inserts.push_back(std::move(tuple));
+          log.push_back(kAppended);
         }
       }
-      updates_applied_ += update.inserts.size() + update.deletes.size();
+      tick_tuples += update.inserts.size() + update.deletes.size();
       tick_updates.push_back(std::move(update));
     }
     if (!tick_updates.empty()) {
-      DSM_RETURN_IF_ERROR(engine_.ApplyUpdates(tick_updates));
+      const Status applied = engine_.ApplyUpdates(tick_updates);
+      if (!applied.ok()) {
+        for (size_t u = 0; u < tick_updates.size(); ++u) {
+          const TableUpdate& update = tick_updates[u];
+          std::vector<Tuple>& live = live_tuples_[update.table];
+          size_t deletes = update.deletes.size();
+          for (auto e = edits[u].rbegin(); e != edits[u].rend(); ++e) {
+            if (*e == kAppended) {
+              live.pop_back();
+            } else {
+              live.insert(live.begin() + static_cast<std::ptrdiff_t>(*e),
+                          update.deletes[--deletes]);
+            }
+          }
+        }
+        return applied;
+      }
     }
+    updates_applied_ += tick_tuples;
     ++ticks_elapsed_;
     DSM_METRIC_COUNTER_ADD("dsm.market.ticks", 1);
   }

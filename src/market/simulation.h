@@ -85,7 +85,9 @@ class MarketSimulation {
 
   // Advances `ticks` time units. Per tick each registered base table
   // receives round(update_rate * scale) random inserts; `delete_fraction`
-  // of previously inserted tuples are deleted instead.
+  // of previously inserted tuples are deleted instead. A tick the engine
+  // refuses returns its error with none of its updates applied or counted;
+  // the next Run() generates that tick afresh.
   Status Run(int ticks, double scale, double delete_fraction = 0.1);
 
   // Checks every *active* buyer view against a from-scratch recomputation

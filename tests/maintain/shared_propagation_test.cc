@@ -1,8 +1,8 @@
 // Shared delta propagation: exact duplicates share one node, so each update
-// round computes and merges one delta per distinct view, and every node
-// derives its delta from one join delta per table set, by residual filter.
-// A table set's join delta is fed from the largest affected
-// table set it contains. SetViewActive flips change which table sets are
+// round merges once per distinct view, and every node takes its delta from
+// one join delta per table set, routed by its predicates. A table set's
+// join delta is fed from the largest affected table set it contains, and
+// written in the set's column order. SetViewActive flips change which table sets are
 // live between rounds. Every active view must stay bag-equal to a
 // from-scratch Recompute after every round.
 
@@ -526,6 +526,104 @@ TEST_F(SubJoinFeedTest, FaultAfterTheSubJoinLeavesTheRoundUntouched) {
   // A clean retry applies the round in full.
   EXPECT_EQ(WorkOf(engine.get(), batch), WorkOf(twin.get(), batch));
   EXPECT_GT(engine->view(1)->TotalSize(), views[1].TotalSize());
+  ExpectMatchesRecompute(*engine);
+}
+
+TEST_F(SubJoinFeedTest, MidChainDeltaIsWrittenInTheSetsColumnOrder) {
+  // A delta to T1 or T2 probes outward from the middle of the chain: for
+  // T2 the probes meet T1, T0 and then T3, so the join's natural order is
+  // (c2, c3, c1, c0, c4) and the last probe has to write the rows in the
+  // set's order (c0 .. c4). The predicated views test columns at both
+  // ends, whose positions move the most.
+  const auto engine = NewEngine();
+  ASSERT_TRUE(engine->RegisterView(ViewKey(Chain(0, 3))).ok());
+  ASSERT_TRUE(engine
+                  ->RegisterView(ViewKey(Chain(0, 3),
+                                         {Pred(0, 0, CompareOp::kGt, 1),
+                                          Pred(3, 1, CompareOp::kLt, 4)}))
+                  .ok());
+  ASSERT_TRUE(engine
+                  ->RegisterView(ViewKey(Chain(0, 2),
+                                         {Pred(2, 1, CompareOp::kEq, 3)}))
+                  .ok());
+  for (int round = 0; round < 4; ++round) {
+    const TableId t = round % 2 == 0 ? 2 : 1;
+    std::vector<TableUpdate> batch = {
+        {t, {Tuple{Value(int64_t{round}), Value(int64_t{(round + 2) % 6})},
+             Tuple{Value(int64_t{(round + 3) % 6}), Value(int64_t{round})}},
+         {}}};
+    // Every base row of the fixture is held once and deleted at most once.
+    batch[0].deletes = {Tuple{Value(int64_t{round}),
+                              Value(int64_t{(5 * round + t) % 6})}};
+    EXPECT_GT(WorkOf(engine.get(), batch), 0u) << "round " << round;
+    ExpectMatchesRecompute(*engine);
+  }
+  for (ViewId id = 0; id < engine->num_views(); ++id) {
+    EXPECT_EQ(engine->view(id)->columns(),
+              engine->Recompute(engine->view_key(id))->columns())
+        << "view " << id;
+  }
+}
+
+TEST_F(SubJoinFeedTest, FaultOnTheSecondTableLeavesTheBatchUntouched) {
+  const auto engine = NewEngine();
+  ASSERT_TRUE(engine->RegisterView(ViewKey(Chain(0, 1))).ok());
+  ASSERT_TRUE(engine
+                  ->RegisterView(ViewKey(Chain(0, 2),
+                                         {Pred(2, 1, CompareOp::kLt, 4)}))
+                  .ok());
+  const auto twin = NewEngine();
+  for (ViewId id = 0; id < engine->num_views(); ++id) {
+    ASSERT_TRUE(twin->RegisterView(engine->view_key(id)).ok());
+  }
+  // T0's round joins {T0, T1} and {T0, T1, T2}; T1's round would join the
+  // same two sets, and its first join fails.
+  const std::vector<TableUpdate> batch = {
+      {0, {Tuple{Value(int64_t{2}), Value(int64_t{3})}},
+       {Tuple{Value(int64_t{1}), Value(int64_t{5})}}},
+      {1, {Tuple{Value(int64_t{3}), Value(int64_t{4})}},
+       {Tuple{Value(int64_t{2}), Value(int64_t{4})}}}};
+
+  std::vector<Relation> bases;
+  for (TableId t = 0; t < kNumTables; ++t) bases.push_back(*engine->base(t));
+  std::vector<Relation> views;
+  for (ViewId id = 0; id < engine->num_views(); ++id) {
+    views.push_back(*engine->view(id));
+  }
+  const uint64_t work_before = engine->work();
+  const std::vector<const char*> counters = {
+      "dsm.maintain.updates",        "dsm.maintain.view_refreshes",
+      "dsm.maintain.pipeline_runs",  "dsm.maintain.subjoin_feeds",
+      "dsm.maintain.residual_feeds", "dsm.maintain.routed_rows",
+      "dsm.maintain.merged_rows"};
+  std::vector<uint64_t> counts;
+  for (const char* name : counters) counts.push_back(Counter(name));
+  {
+    FaultSpec spec;
+    spec.fail_after = 2;
+    spec.max_fires = 1;
+    ScopedFault fault("maintain/join", spec);
+    EXPECT_EQ(engine->ApplyUpdates(batch).code(), StatusCode::kInternal);
+    EXPECT_EQ(FaultInjector::Global().hits("maintain/join"), 3);
+    EXPECT_EQ(FaultInjector::Global().fires("maintain/join"), 1);
+  }
+  for (TableId t = 0; t < kNumTables; ++t) {
+    EXPECT_TRUE(engine->base(t)->BagEquals(bases[t])) << "table " << t;
+  }
+  for (ViewId id = 0; id < engine->num_views(); ++id) {
+    EXPECT_TRUE(engine->view(id)->BagEquals(views[id])) << "view " << id;
+  }
+  EXPECT_EQ(engine->work(), work_before);
+  for (size_t c = 0; c < counters.size(); ++c) {
+    EXPECT_EQ(Counter(counters[c]), counts[c]) << counters[c];
+  }
+
+  // The deletes are still valid, and a clean retry applies the batch in
+  // full.
+  EXPECT_EQ(WorkOf(engine.get(), batch), WorkOf(twin.get(), batch));
+  for (TableId t = 0; t < kNumTables; ++t) {
+    EXPECT_TRUE(engine->base(t)->BagEquals(*twin->base(t))) << "table " << t;
+  }
   ExpectMatchesRecompute(*engine);
 }
 

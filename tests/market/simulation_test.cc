@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "cost/default_cost_model.h"
 #include "online/recovery_planner.h"
 #include "workload/twitter.h"
@@ -65,6 +66,45 @@ TEST_F(SimulationTest, DeletesHandled) {
     sim.engine().base(t)->ForEachRow(
         [](const Tuple&, int64_t count) { EXPECT_GT(count, 0); });
   }
+}
+
+TEST_F(SimulationTest, RefusedTickAppliesNothingAndRetriesCleanly) {
+  MarketSimulation sim(&catalog_, 83);
+  ASSERT_TRUE(
+      sim.AddBuyerView(1, ViewKey(TS({tables_.users, tables_.tweets})))
+          .ok());
+  ASSERT_TRUE(sim.Run(/*ticks=*/4, /*scale=*/0.1,
+                      /*delete_fraction=*/0.5)
+                  .ok());
+  const uint64_t applied = sim.updates_applied();
+  const int ticks = sim.ticks_elapsed();
+  const int64_t view_size = sim.ViewSize(1);
+  const Relation users = *sim.engine().base(tables_.users);
+  const Relation tweets = *sim.engine().base(tables_.tweets);
+  {
+    // Each table's round joins the one view's table set: USERS' join
+    // completes, TWEETS' fails.
+    FaultSpec spec;
+    spec.fail_after = 1;
+    spec.max_fires = 1;
+    ScopedFault fault("maintain/join", spec);
+    EXPECT_EQ(sim.Run(1, 0.1, 0.5).code(), StatusCode::kInternal);
+    EXPECT_EQ(FaultInjector::Global().fires("maintain/join"), 1);
+  }
+  EXPECT_EQ(sim.updates_applied(), applied);
+  EXPECT_EQ(sim.ticks_elapsed(), ticks);
+  EXPECT_EQ(sim.ViewSize(1), view_size);
+  EXPECT_TRUE(sim.engine().base(tables_.users)->BagEquals(users));
+  EXPECT_TRUE(sim.engine().base(tables_.tweets)->BagEquals(tweets));
+
+  // The simulation's live tuples still match the bases, so the deletes of
+  // the ticks that follow are all accepted.
+  ASSERT_TRUE(sim.Run(/*ticks=*/6, /*scale=*/0.1,
+                      /*delete_fraction=*/0.5)
+                  .ok());
+  const auto verified = sim.VerifyViews();
+  ASSERT_TRUE(verified.ok());
+  EXPECT_TRUE(*verified);
 }
 
 TEST_F(SimulationTest, DuplicateBuyerViewRejected) {

@@ -3,7 +3,9 @@
 // from an affected sub-join's delta), and every affected view counts
 // one refresh, which is exactly one of an unpredicated node, a residual
 // feed (a predicated node) or a duplicate feed. The view_nodes gauge counts
-// the distinct keys some active view holds.
+// the distinct keys some active view holds. routed_rows and merged_rows
+// count the join-delta rows tested against predicated nodes and the rows
+// merged into node contents.
 
 #include <gtest/gtest.h>
 
@@ -125,6 +127,60 @@ TEST(MaintainMetricsTest, SubJoinFeedsCountJoinsFedFromASubJoin) {
   EXPECT_EQ(round(2), std::tuple(2u, 0u, 2u));
   ASSERT_TRUE(engine.SetViewActive(one, false).ok());
   EXPECT_EQ(round(3), std::tuple(1u, 0u, 1u));
+}
+
+TEST(MaintainMetricsTest, RoutingCountersCountRowsTestedAndMerged) {
+  const Catalog catalog = MakeChainCatalog();
+  DeltaEngine engine(&catalog);
+  for (TableId t = 0; t < 3; ++t) ASSERT_TRUE(engine.RegisterBase(t).ok());
+  // T1 holds (1, c2) for c2 = 0..3: every T0 row with c1 = 1 meets four.
+  std::vector<Tuple> t1;
+  for (int64_t c2 = 0; c2 < 4; ++c2) {
+    t1.push_back(Tuple{Value(int64_t{1}), Value(c2)});
+  }
+  ASSERT_TRUE(engine.ApplyUpdate(1, t1, {}).ok());
+
+  Predicate low_c2;  // T1.c2 < 2: keeps half of each T0 row's matches
+  low_c2.table = 1;
+  low_c2.column = 1;
+  low_c2.op = CompareOp::kLt;
+  low_c2.value = 2;
+  Predicate high_c0;  // T0.c0 > 5
+  high_c0.table = 0;
+  high_c0.column = 0;
+  high_c0.op = CompareOp::kGt;
+  high_c0.value = 5;
+  const ViewKey plain(Tables({0, 1}));
+  ASSERT_TRUE(engine.RegisterView(plain).ok());
+  ASSERT_TRUE(engine.RegisterView(plain).ok());  // duplicate: no rows
+  ASSERT_TRUE(engine.RegisterView(ViewKey(plain.tables, {low_c2})).ok());
+  ASSERT_TRUE(engine.RegisterView(ViewKey(plain.tables, {high_c0})).ok());
+
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const auto value = [&registry](const char* name) {
+    return registry.GetCounter(name)->value();
+  };
+  // Per update to T0: (rows routed, rows merged).
+  const auto round = [&](const std::vector<Tuple>& inserts,
+                         const std::vector<Tuple>& deletes) {
+    const uint64_t routed = value("dsm.maintain.routed_rows");
+    const uint64_t merged = value("dsm.maintain.merged_rows");
+    EXPECT_TRUE(engine.ApplyUpdate(0, inserts, deletes).ok());
+    return std::tuple(value("dsm.maintain.routed_rows") - routed,
+                      value("dsm.maintain.merged_rows") - merged);
+  };
+  const Tuple low = {Value(int64_t{1}), Value(int64_t{1})};
+  const Tuple high = {Value(int64_t{7}), Value(int64_t{1})};
+  // Two T0 rows meet four T1 rows each: an 8-row join delta. The plain
+  // node merges all 8 untested; each predicated node tests all 8, and
+  // low_c2 keeps 2 + 2, high_c0 the 4 of the high row.
+  EXPECT_EQ(round({low, high}, {}), std::tuple(16u, 16u));
+  // Deleting the high row: a 4-row delta, of which low_c2 keeps 2 and
+  // high_c0 all 4.
+  EXPECT_EQ(round({}, {high}), std::tuple(8u, 10u));
+  // A row that meets nothing: an empty join delta routes nothing.
+  EXPECT_EQ(round({Tuple{Value(int64_t{9}), Value(int64_t{3})}}, {}),
+            std::tuple(0u, 0u));
 }
 
 TEST(MaintainMetricsTest, ViewNodesGaugeCountsDistinctActiveViews) {
