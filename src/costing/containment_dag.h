@@ -1,17 +1,23 @@
 // The partial order over sharings induced by fairness criteria (1) and
 // (3): identical sharings must share one attributed cost, and a sharing
 // whose tuples are contained in another's (with no larger LPC) must not be
-// charged more than the container.
+// charged more than the container. Both are questions about the sharings'
+// queries (Sharing::ResultKey): identity is ViewKey equality and
+// containment is ViewKey::Subsumes.
 
 #ifndef DSM_COSTING_CONTAINMENT_DAG_H_
 #define DSM_COSTING_CONTAINMENT_DAG_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
-#include "sharing/sharing.h"
+#include "expr/view_key.h"
 
 namespace dsm {
+
+// The queries of a sharing population, referenced rather than copied.
+using QueryRefs = std::vector<std::reference_wrapper<const ViewKey>>;
 
 struct ContainmentDag {
   // identity_group[i] == identity_group[j] iff sharings i and j are the
@@ -23,7 +29,7 @@ struct ContainmentDag {
   std::vector<std::vector<int>> containers;
 };
 
-ContainmentDag BuildContainmentDag(const std::vector<Sharing>& sharings,
+ContainmentDag BuildContainmentDag(const QueryRefs& queries,
                                    const std::vector<double>& lpc);
 
 }  // namespace dsm

@@ -16,34 +16,21 @@ constexpr double kLpcTol = 1e-12;
 }  // namespace
 
 void IncrementalContainmentIndex::AddMember(SharingId id,
-                                            const Sharing& sharing,
+                                            const ViewKey& query,
                                             double lpc) {
   Member m;
-  m.sharing = sharing;
   m.lpc = lpc;
-  m.qhash = sharing.QueryHash();
-  m.table_mask = sharing.tables().mask();
-  m.pred_sig = PredicateSignature(sharing.predicates());
-  m.pred_count = sharing.predicates().size();
+  m.table_mask = query.tables.mask();
+  m.pred_sig = PredicateSignature(query.predicates);
+  m.pred_count = query.predicates.size();
 
-  // Identity group: adopt the group of an identical member, found through
-  // the QueryHash bucket (collisions are disambiguated by IdenticalTo;
-  // identity is transitive, so any match determines the group).
-  m.group = next_group_;
-  const auto bucket = by_qhash_.find(m.qhash);
-  if (bucket != by_qhash_.end()) {
-    for (const SharingId other : bucket->second) {
-      const Member& om = members_.at(other);
-      if (om.sharing.IdenticalTo(sharing)) {
-        m.group = om.group;
-        break;
-      }
-    }
-  }
-  if (m.group == next_group_) ++next_group_;
+  // Identity group: that of the members with an equal query, else a new one.
+  const auto group = groups_.try_emplace(query, 0).first;
+  ++group->second;
+  m.group = &*group;
 
   // Containment edges against every existing member, in both directions.
-  // ContainedIn(a, b) needs b's predicates to be a subset of a's, so a
+  // b.Subsumes(a) needs b's predicates to be a subset of a's, so a
   // directed pair is refuted without the exact check when the table masks
   // differ, the would-be container has more predicates, or its signature
   // bits are not a subset of the containee's.
@@ -51,6 +38,7 @@ void IncrementalContainmentIndex::AddMember(SharingId id,
   uint64_t skipped = 0;
   for (auto& [oid, om] : members_) {
     if (om.group == m.group) continue;
+    const ViewKey& other = om.group->first;
     if (om.table_mask != m.table_mask) {
       skipped += 2;
       continue;
@@ -58,7 +46,7 @@ void IncrementalContainmentIndex::AddMember(SharingId id,
     if (om.pred_count <= m.pred_count &&
         (om.pred_sig & ~m.pred_sig) == 0) {
       ++compared;
-      if (sharing.ContainedIn(om.sharing) && m.lpc <= om.lpc + kLpcTol) {
+      if (other.Subsumes(query) && m.lpc <= om.lpc + kLpcTol) {
         m.containers.push_back(oid);
       }
     } else {
@@ -67,7 +55,7 @@ void IncrementalContainmentIndex::AddMember(SharingId id,
     if (m.pred_count <= om.pred_count &&
         (m.pred_sig & ~om.pred_sig) == 0) {
       ++compared;
-      if (om.sharing.ContainedIn(sharing) && om.lpc <= m.lpc + kLpcTol) {
+      if (query.Subsumes(other) && om.lpc <= m.lpc + kLpcTol) {
         om.containers.push_back(id);
       }
     } else {
@@ -77,7 +65,6 @@ void IncrementalContainmentIndex::AddMember(SharingId id,
   DSM_METRIC_COUNTER_ADD("dsm.costing.dag_pairs_compared", compared);
   DSM_METRIC_COUNTER_ADD("dsm.costing.dag_pairs_skipped", skipped);
 
-  by_qhash_[m.qhash].push_back(id);
   members_.emplace(id, std::move(m));
 }
 
@@ -88,10 +75,8 @@ void IncrementalContainmentIndex::RemoveMembers(
   for (const SharingId id : removed) {
     const auto it = members_.find(id);
     if (it == members_.end()) continue;
-    auto& bucket = by_qhash_[it->second.qhash];
-    bucket.erase(std::remove(bucket.begin(), bucket.end(), id),
-                 bucket.end());
-    if (bucket.empty()) by_qhash_.erase(it->second.qhash);
+    const auto group = groups_.find(it->second.group->first);
+    if (--group->second == 0) groups_.erase(group);
     members_.erase(it);
   }
   for (auto& [oid, om] : members_) {
@@ -103,9 +88,9 @@ void IncrementalContainmentIndex::RemoveMembers(
 }
 
 ContainmentDag IncrementalContainmentIndex::Update(
-    const std::vector<SharingId>& ids, const std::vector<Sharing>& sharings,
+    const std::vector<SharingId>& ids, const QueryRefs& queries,
     const std::vector<double>& lpc) {
-  assert(ids.size() == sharings.size() && ids.size() == lpc.size());
+  assert(ids.size() == queries.size() && ids.size() == lpc.size());
   const size_t n = ids.size();
 
   std::unordered_map<SharingId, size_t> pos;
@@ -126,18 +111,18 @@ ContainmentDag IncrementalContainmentIndex::Update(
   // build's deterministic order.
   for (size_t i = 0; i < n; ++i) {
     if (members_.find(ids[i]) == members_.end()) {
-      AddMember(ids[i], sharings[i], lpc[i]);
+      AddMember(ids[i], queries[i], lpc[i]);
     }
   }
 
-  // Emit in input order. Persistent group labels are densely renumbered by
-  // first appearance, matching the scratch build's group numbering; edge
+  // Emit in input order. Identity groups are numbered densely by first
+  // appearance, matching the scratch build's group numbering; edge
   // lists are translated to indices and sorted ascending, matching the
   // scratch build's j-ascending scan.
   ContainmentDag dag;
   dag.identity_group.assign(n, 0);
   dag.containers.assign(n, {});
-  std::unordered_map<uint32_t, uint32_t> dense;
+  std::unordered_map<const Groups::value_type*, uint32_t> dense;
   dense.reserve(n);
   uint32_t next_dense = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -158,8 +143,7 @@ ContainmentDag IncrementalContainmentIndex::Update(
 
 void IncrementalContainmentIndex::Reset() {
   members_.clear();
-  by_qhash_.clear();
-  next_group_ = 0;
+  groups_.clear();
 }
 
 }  // namespace dsm

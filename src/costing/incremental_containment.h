@@ -2,18 +2,18 @@
 // maintained across costing refreshes.
 //
 // A CostingSession re-runs FAIRCOST after every arrival, and the scratch
-// DAG build is O(n²) pairwise IdenticalTo/ContainedIn — the dominant
-// FAIRCOST cost once LPCs are memoized. Sharings rarely change between
-// refreshes, so this index keeps the identity groups and containment
-// edges of the surviving population and only compares newly arrived
-// sharings (against everyone) and drops removed ones. New-vs-existing
-// comparisons are pruned before the exact ContainedIn check by
-//   * QueryHash identity buckets (identical twins found in O(1)),
+// DAG build is O(n²) pairwise query comparisons — the dominant FAIRCOST
+// cost once LPCs are memoized. Sharings rarely change between refreshes,
+// so this index keeps the identity groups and containment edges of the
+// surviving population and only compares newly arrived sharings (against
+// everyone) and drops removed ones. Identity groups are keyed by the query
+// itself, so an identical twin is found in one hash lookup. New-vs-existing
+// comparisons are pruned before the exact ViewKey::Subsumes check by
 //   * the table mask (containment requires the same table set),
 //   * predicate count (a container has a subset of the predicates), and
 //   * a bloom-style predicate signature (subset refutation in one AND).
 // The emitted Output is field-for-field identical to BuildContainmentDag
-// over the same (sharings, lpc) input — the randomized equivalence test
+// over the same (queries, lpc) input — the randomized equivalence test
 // asserts this after arbitrary add/remove interleavings.
 
 #ifndef DSM_COSTING_INCREMENTAL_CONTAINMENT_H_
@@ -31,10 +31,10 @@ namespace dsm {
 class IncrementalContainmentIndex {
  public:
   // Brings the index up to date with the current population (`ids`,
-  // `sharings` and `lpc` are parallel; ids are unique) and returns the
+  // `queries` and `lpc` are parallel; ids are unique) and returns the
   // DAG in input order, exactly as BuildContainmentDag would.
   ContainmentDag Update(const std::vector<SharingId>& ids,
-                        const std::vector<Sharing>& sharings,
+                        const QueryRefs& queries,
                         const std::vector<double>& lpc);
 
   void Reset();
@@ -42,24 +42,25 @@ class IncrementalContainmentIndex {
   size_t num_members() const { return members_.size(); }
 
  private:
+  // The identity groups: each distinct query present -> its member count.
+  using Groups = std::unordered_map<ViewKey, size_t, ViewKeyHash>;
+
   struct Member {
-    Sharing sharing;
+    // The member's group; `group->first` is its query. Map elements keep
+    // their address across rehashes.
+    Groups::value_type* group = nullptr;
     double lpc = 0.0;
-    uint64_t qhash = 0;
     uint64_t table_mask = 0;
     uint64_t pred_sig = 0;
     size_t pred_count = 0;
-    uint32_t group = 0;                 // persistent identity group label
     std::vector<SharingId> containers;  // ids of containing sharings
   };
 
-  void AddMember(SharingId id, const Sharing& sharing, double lpc);
+  void AddMember(SharingId id, const ViewKey& query, double lpc);
   void RemoveMembers(const std::vector<SharingId>& removed);
 
   std::unordered_map<SharingId, Member> members_;
-  // QueryHash -> member ids (identity-candidate buckets).
-  std::unordered_map<uint64_t, std::vector<SharingId>> by_qhash_;
-  uint32_t next_group_ = 0;
+  Groups groups_;
 };
 
 }  // namespace dsm

@@ -5,9 +5,10 @@
 // Planners record each admitted sharing's LPC from the plans they already
 // priced (GlobalPlan::SharingRecord::lpc). This calculator is the
 // from-scratch path for records that carry none: plans built by hand and
-// restored global plans. Each memo miss enumerates the sharing's plan
-// space, takes the cheapest plan's standalone cost from the fragment
-// costs the enumerator priced, and bumps dsm.costing.lpc_enumerations.
+// restored global plans. The memo is keyed by DeliveredQuery (query and
+// destination). Each miss enumerates the sharing's plan space, takes the
+// cheapest plan's standalone cost from the fragment costs the enumerator
+// priced, and bumps dsm.costing.lpc_enumerations.
 
 #ifndef DSM_COSTING_LPC_H_
 #define DSM_COSTING_LPC_H_
@@ -27,20 +28,13 @@ class LpcCalculator {
   LpcCalculator(const PlanEnumerator* enumerator, CostModel* /*model*/)
       : enumerator_(enumerator) {}
 
-  // Minimum standalone plan cost for `sharing`. Memoized per query (and
-  // destination, since delivery is part of the plan).
+  // Minimum standalone plan cost for `sharing`. Memoized per query and
+  // destination, since delivery is part of the plan.
   Result<double> Lpc(const Sharing& sharing);
 
  private:
-  // A memo entry keeps its sharing: the 64-bit key alone would let a hash
-  // collision bill one sharing at another's LPC.
-  struct Entry {
-    Sharing sharing;
-    double lpc = 0.0;
-  };
-
   const PlanEnumerator* enumerator_;
-  std::unordered_multimap<uint64_t, Entry> cache_;
+  std::unordered_map<DeliveredQuery, double, DeliveredQueryHash> cache_;
 };
 
 }  // namespace dsm

@@ -11,7 +11,8 @@ Result<FairCostProblem> BuildFairCostProblem(
   problem.global_cost = global_plan.TotalCost();
   const size_t n = global_plan.num_sharings();
   problem.ids.reserve(n);
-  problem.sharings.reserve(n);
+  QueryRefs queries;
+  queries.reserve(n);
   problem.entries.reserve(n);
 
   // saving(r)/num(r) per intermediate result, dense over interned key
@@ -23,7 +24,7 @@ Result<FairCostProblem> BuildFairCostProblem(
   lpcs.reserve(n);
   for (const auto& [id, rec] : global_plan.records()) {
     problem.ids.push_back(id);
-    problem.sharings.push_back(rec.sharing);
+    queries.emplace_back(rec.sharing.ResultKey());
 
     FairCostEntry entry;
     entry.id = id;
@@ -49,8 +50,8 @@ Result<FairCostProblem> BuildFairCostProblem(
 
   const ContainmentDag dag =
       dag_index != nullptr
-          ? dag_index->Update(problem.ids, problem.sharings, lpcs)
-          : BuildContainmentDag(problem.sharings, lpcs);
+          ? dag_index->Update(problem.ids, queries, lpcs)
+          : BuildContainmentDag(queries, lpcs);
   for (size_t i = 0; i < problem.entries.size(); ++i) {
     problem.entries[i].identity_group = dag.identity_group[i];
     problem.entries[i].containers = dag.containers[i];

@@ -1,8 +1,9 @@
 // Builds a FairCost problem (entries + global cost) from a live GlobalPlan:
 // LPCs, GPCs and saving(r)/num(r) from the global plan's per-sharing
-// records, and the identity/containment partial order. A record admitted
-// by a planner carries its LPC; `lpc` prices the rest (hand-built and
-// restored records) by enumeration.
+// records, and the identity/containment partial order over the records'
+// queries, read in place (no record's Sharing is copied). A record
+// admitted by a planner carries its LPC; `lpc` prices the rest
+// (hand-built and restored records) by enumeration.
 
 #ifndef DSM_COSTING_SAVINGS_H_
 #define DSM_COSTING_SAVINGS_H_
@@ -18,8 +19,7 @@
 namespace dsm {
 
 struct FairCostProblem {
-  std::vector<SharingId> ids;     // parallel to entries
-  std::vector<Sharing> sharings;  // parallel to entries
+  std::vector<SharingId> ids;  // parallel to entries
   std::vector<FairCostEntry> entries;
   double global_cost = 0.0;
 };

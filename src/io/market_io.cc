@@ -33,17 +33,23 @@ std::string Escape(const std::string& s) {
   return out.empty() ? "%" : out;  // lone '%' encodes the empty string
 }
 
-std::string Unescape(const std::string& s) {
-  if (s == "%") return "";
+// Inverse of Escape. Every '%' but the lone empty-name token must start a
+// two-hex-digit escape.
+Result<std::string> Unescape(const std::string& s) {
+  if (s == "%") return std::string();
   std::string out;
   for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      const std::string hex = s.substr(i + 1, 2);
-      out += static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
-      i += 2;
-    } else {
+    if (s[i] != '%') {
       out += s[i];
+      continue;
     }
+    if (i + 2 >= s.size() ||
+        !std::isxdigit(static_cast<unsigned char>(s[i + 1])) ||
+        !std::isxdigit(static_cast<unsigned char>(s[i + 2]))) {
+      return Status::InvalidArgument("malformed %-escape in name");
+    }
+    out += static_cast<char>(std::stoi(s.substr(i + 1, 2), nullptr, 16));
+    i += 2;
   }
   return out;
 }
@@ -178,10 +184,10 @@ class SharingBlockParser {
     }
     DSM_ASSIGN_OR_RETURN(const long long preds,
                          ReadCount(fields, "sharing predicate count"));
+    DSM_ASSIGN_OR_RETURN(buyer_, Unescape(buyer));
     open_ = true;
     id_ = id;
     dest_ = static_cast<ServerId>(dest);
-    buyer_ = Unescape(buyer);
     tables_ = TableSet(mask);
     preds_.clear();
     preds_left_ = static_cast<size_t>(preds);
@@ -451,7 +457,8 @@ Result<MarketState> ReadMarketState(std::istream* in) {
       if (any_sharing_seen) {
         return Status::InvalidArgument("server record after sharings");
       }
-      state.cluster.AddServer(Unescape(name), capacity);
+      DSM_ASSIGN_OR_RETURN(std::string server_name, Unescape(name));
+      state.cluster.AddServer(std::move(server_name), capacity);
     } else if (kind == "table") {
       DSM_RETURN_IF_ERROR(flush_table());
       std::string name;
@@ -468,7 +475,7 @@ Result<MarketState> ReadMarketState(std::istream* in) {
           const long long columns,
           ReadCount(&fields, "column count", kMaxColumnsPerTable));
       pending_columns = static_cast<size_t>(columns);
-      pending_table.name = Unescape(name);
+      DSM_ASSIGN_OR_RETURN(pending_table.name, Unescape(name));
       table_open = true;
     } else if (kind == "col") {
       if (!table_open) {
@@ -489,7 +496,7 @@ Result<MarketState> ReadMarketState(std::istream* in) {
           !std::isfinite(col.min_value) || !std::isfinite(col.max_value)) {
         return Status::InvalidArgument("malformed col record");
       }
-      col.name = Unescape(name);
+      DSM_ASSIGN_OR_RETURN(col.name, Unescape(name));
       DSM_ASSIGN_OR_RETURN(col.type, ParseType(type_tag));
       pending_table.columns.push_back(std::move(col));
     } else if (kind == "place") {

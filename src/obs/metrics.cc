@@ -1,17 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <functional>
-#include <thread>
 
 namespace dsm {
 namespace obs {
-
-size_t Counter::ShardIndex() {
-  static thread_local const size_t index =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards;
-  return index;
-}
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_([](std::vector<double> b) {

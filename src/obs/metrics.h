@@ -8,9 +8,8 @@
 // consistent MetricsSnapshot and export it as JSON or Prometheus text.
 //
 // Design points:
-//  * Counters are sharded across cache-line-padded atomics so concurrent
-//    increments from many threads never contend on one line; value() sums
-//    the shards (exact — increments are never lost, only summed lazily).
+//  * A counter is one relaxed atomic: exact and safe from any thread. The
+//    library starts no threads (DESIGN.md §10), so nothing contends on it.
 //  * Histograms have fixed, immutable bucket upper bounds; observation is
 //    two relaxed atomic adds plus CAS loops for sum/min/max. Percentiles
 //    are estimated from the cumulative bucket counts.
@@ -44,34 +43,16 @@ class Counter {
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void Add(uint64_t delta) {
-    shards_[ShardIndex()].v.fetch_add(delta, std::memory_order_relaxed);
-  }
+  void Add(uint64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
   void Increment() { Add(1); }
 
-  // Exact sum of all shards. Concurrent Adds that complete before the call
-  // are always included.
-  uint64_t value() const {
-    uint64_t total = 0;
-    for (const Shard& s : shards_) {
-      total += s.v.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  // Concurrent Adds that complete before the call are always included.
+  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
-  void Reset() {
-    for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
-  }
+  void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  static constexpr size_t kShards = 16;
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> v{0};
-  };
-  // Hash of the thread id, so threads spread across shards.
-  static size_t ShardIndex();
-
-  Shard shards_[kShards];
+  std::atomic<uint64_t> v_{0};
 };
 
 class Gauge {

@@ -14,28 +14,19 @@ bool LivenessRulesOut(const PlannerContext& ctx, const Sharing& sharing) {
          ctx.enumerator->Validate(sharing).ok();
 }
 
-uint64_t OnlinePlanner::IdenticalKey(const Sharing& sharing) const {
-  return sharing.QueryHash() ^
-         (0x9e3779b97f4a7c15ULL * (sharing.destination() + 1));
-}
-
 Result<PlanChoice> OnlinePlanner::ProcessSharing(const Sharing& sharing) {
   DSM_METRIC_SCOPED_LATENCY_MS("dsm.online.plan_ms");
   DSM_TRACE_SPAN("online/process_sharing");
   OnSharingArrived(sharing);
 
   const SharingId id = next_id_++;
-  const uint64_t ident = IdenticalKey(sharing);
+  DeliveredQuery ident(sharing);
 
   // Fast path: an identical sharing (same query, same destination) was
   // planned before; reuse its plan wholesale. Integration makes the
-  // marginal cost (near) zero since every view already exists. The stored
-  // sharing is compared for real equality — the 64-bit key alone would let
-  // a hash collision silently reuse the wrong plan.
+  // marginal cost (near) zero since every view already exists.
   const auto it = identical_plans_.find(ident);
-  if (it != identical_plans_.end() &&
-      sharing.IdenticalTo(it->second.sharing) &&
-      sharing.destination() == it->second.sharing.destination()) {
+  if (it != identical_plans_.end()) {
     const PlanSpace single = PlanSpace::Of(it->second.plan, ctx_.model);
     const GlobalPlan::SpaceEvaluation eval =
         ctx_.global_plan->EvaluateSpace(single);
@@ -102,7 +93,8 @@ Result<PlanChoice> OnlinePlanner::ProcessSharing(const Sharing& sharing) {
                          ctx_.global_plan->Commit(id, sharing, space, evals,
                                                   cand.index, evals.lpc));
     OnPlanChosen(*rec);
-    identical_plans_[ident] = IdenticalEntry{sharing, rec->plan, evals.lpc};
+    identical_plans_.insert_or_assign(std::move(ident),
+                                      IdenticalEntry{rec->plan, evals.lpc});
     DSM_METRIC_COUNTER_ADD("dsm.online.sharings_planned", 1);
     PlanChoice choice;
     choice.id = id;

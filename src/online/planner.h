@@ -13,6 +13,10 @@
 // GlobalPlan::Commit applies the chosen plan's evaluation, as it does an
 // identical-sharing hit's evaluation of its stored plan.
 //
+// A sharing identical to one planned before — equal DeliveredQuery: the
+// same query (ViewKey) to the same destination — skips enumeration and
+// commits the stored plan with the stored LPC.
+//
 // One rejection needs no dry run: when a down server makes every plan
 // infeasible (dead destination, or a dead base-table home no live view
 // covers — GlobalPlan::LivenessRulesOut), the sharing is rejected with
@@ -100,27 +104,19 @@ class OnlinePlanner {
   // (sharing, plan, per-node decisions and marginal cost).
   virtual void OnPlanChosen(const GlobalPlan::SharingRecord& /*rec*/) {}
 
-  // Hash key of the identical-sharing fast path (query + destination).
-  // Virtual so a test can force collisions; the cache verifies the stored
-  // sharing is really identical before reusing its plan, so a collision
-  // degrades to a miss, never to the wrong plan.
-  virtual uint64_t IdenticalKey(const Sharing& sharing) const;
-
   PlannerContext ctx_;
 
  private:
-  // A previously planned sharing, the plan chosen for it and its LPC; the
-  // sharing itself is kept so a 64-bit hash collision cannot smuggle in
-  // another query's plan.
+  // The plan chosen for a previously planned query and destination, and
+  // the sharing's LPC.
   struct IdenticalEntry {
-    Sharing sharing;
     SharingPlan plan;
     double lpc = 0.0;
   };
 
   SharingId next_id_ = 1;
-  // IdenticalKey(query incl. destination) -> entry previously chosen.
-  std::unordered_map<uint64_t, IdenticalEntry> identical_plans_;
+  std::unordered_map<DeliveredQuery, IdenticalEntry, DeliveredQueryHash>
+      identical_plans_;
 };
 
 }  // namespace dsm

@@ -210,7 +210,7 @@ Result<PlanSpace> PlanEnumerator::Enumerate(const Sharing& sharing) const {
   // choice whose full slot was already emitted adds nothing.
   SpaceBuilder builder;
   builder.model = model_;
-  const ViewKey result_key = sharing.ResultKey();
+  const ViewKey& result_key = sharing.ResultKey();
   std::vector<int> roots;
   std::vector<const std::vector<int>*> emitted;
   for (const uint64_t pushdown : pushdown_choices) {

@@ -40,7 +40,8 @@ TEST(ContainmentDagTest, IdenticalGrouping) {
   const Sharing b(TS({0, 1}), {}, 2);  // same query, other destination
   const Sharing c(TS({0, 2}), {}, 0);
   const ContainmentDag dag =
-      BuildContainmentDag({a, b, c}, {4.0, 4.0, 7.0});
+      BuildContainmentDag({a.ResultKey(), b.ResultKey(), c.ResultKey()},
+                          {4.0, 4.0, 7.0});
   EXPECT_EQ(dag.identity_group[0], dag.identity_group[1]);
   EXPECT_NE(dag.identity_group[0], dag.identity_group[2]);
 }
@@ -51,7 +52,8 @@ TEST(ContainmentDagTest, ContainmentArcsRespectLpc) {
   {
     // LPC(filtered) <= LPC(full): arc exists.
     const ContainmentDag dag =
-        BuildContainmentDag({filtered, full}, {3.0, 10.0});
+        BuildContainmentDag({filtered.ResultKey(), full.ResultKey()},
+                            {3.0, 10.0});
     ASSERT_EQ(dag.containers[0].size(), 1u);
     EXPECT_EQ(dag.containers[0][0], 1);
     EXPECT_TRUE(dag.containers[1].empty());
@@ -59,7 +61,8 @@ TEST(ContainmentDagTest, ContainmentArcsRespectLpc) {
   {
     // LPC(filtered) > LPC(full): criterion (3) does not apply.
     const ContainmentDag dag =
-        BuildContainmentDag({filtered, full}, {12.0, 10.0});
+        BuildContainmentDag({filtered.ResultKey(), full.ResultKey()},
+                            {12.0, 10.0});
     EXPECT_TRUE(dag.containers[0].empty());
   }
 }
@@ -67,7 +70,8 @@ TEST(ContainmentDagTest, ContainmentArcsRespectLpc) {
 TEST(ContainmentDagTest, IdenticalPairsGetNoArc) {
   const Sharing a(TS({0, 1}), {P(0, 5)}, 0);
   const Sharing b(TS({0, 1}), {P(0, 5)}, 1);
-  const ContainmentDag dag = BuildContainmentDag({a, b}, {3.0, 3.0});
+  const ContainmentDag dag =
+      BuildContainmentDag({a.ResultKey(), b.ResultKey()}, {3.0, 3.0});
   EXPECT_TRUE(dag.containers[0].empty());
   EXPECT_TRUE(dag.containers[1].empty());
 }

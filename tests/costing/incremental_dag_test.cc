@@ -6,22 +6,23 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_map>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
 #include "costing/containment_dag.h"
 #include "costing/incremental_containment.h"
+#include "expr/view_key.h"
 #include "sharing/sharing.h"
 
 namespace dsm {
 namespace {
 
 // The pool: 3 table sets × nested predicate lists (plus a no-predicate
-// variant each), so ContainedIn holds along each chain and IdenticalTo
-// across repeated draws.
-std::vector<Sharing> MakeSharingPool() {
-  std::vector<Sharing> pool;
+// variant each), so Subsumes holds along each chain and equality across
+// repeated draws.
+std::vector<ViewKey> MakeQueryPool() {
+  std::vector<ViewKey> pool;
   const std::vector<TableSet> tables = {
       TableSet(0b0011), TableSet(0b0111), TableSet(0b1101)};
   for (const TableSet ts : tables) {
@@ -29,13 +30,17 @@ std::vector<Sharing> MakeSharingPool() {
     const Predicate p1{t, 0, CompareOp::kGt, 10.0};
     const Predicate p2{t, 1, CompareOp::kLt, 99.0};
     const Predicate p3{t, 2, CompareOp::kEq, 7.0};
-    pool.emplace_back(ts, std::vector<Predicate>{}, 0);
-    pool.emplace_back(ts, std::vector<Predicate>{p1}, 0);
-    pool.emplace_back(ts, std::vector<Predicate>{p1, p2}, 1);
-    pool.emplace_back(ts, std::vector<Predicate>{p1, p2, p3}, 1);
-    pool.emplace_back(ts, std::vector<Predicate>{p3}, 2);
+    pool.emplace_back(ts, std::vector<Predicate>{});
+    pool.emplace_back(ts, std::vector<Predicate>{p1});
+    pool.emplace_back(ts, std::vector<Predicate>{p1, p2});
+    pool.emplace_back(ts, std::vector<Predicate>{p1, p2, p3});
+    pool.emplace_back(ts, std::vector<Predicate>{p3});
   }
   return pool;
+}
+
+QueryRefs Refs(const std::vector<ViewKey>& queries) {
+  return QueryRefs(queries.begin(), queries.end());
 }
 
 void ExpectSameDag(const ContainmentDag& scratch, const ContainmentDag& inc,
@@ -54,12 +59,12 @@ void ExpectSameDag(const ContainmentDag& scratch, const ContainmentDag& inc,
 class IncrementalDagTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IncrementalDagTest, MatchesScratchUnderChurn) {
-  const std::vector<Sharing> pool = MakeSharingPool();
+  const std::vector<ViewKey> pool = MakeQueryPool();
   Rng rng(GetParam());
 
   struct Live {
     SharingId id;
-    Sharing sharing;
+    ViewKey query;
     double lpc;
   };
   std::vector<Live> population;
@@ -73,25 +78,25 @@ TEST_P(IncrementalDagTest, MatchesScratchUnderChurn) {
           0, static_cast<int64_t>(population.size()) - 1));
       population.erase(population.begin() + static_cast<int64_t>(pick));
     } else {
-      const Sharing& s = pool[static_cast<size_t>(
+      const ViewKey& q = pool[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
       // A few distinct LPC magnitudes so the lpc[i] <= lpc[j] edge
       // condition cuts both ways, including exact ties.
       const double lpc =
           static_cast<double>(rng.UniformInt(1, 4)) * 10.0;
-      population.push_back(Live{next_id++, s, lpc});
+      population.push_back(Live{next_id++, q, lpc});
     }
 
     std::vector<SharingId> ids;
-    std::vector<Sharing> sharings;
+    QueryRefs queries;
     std::vector<double> lpcs;
     for (const Live& l : population) {
       ids.push_back(l.id);
-      sharings.push_back(l.sharing);
+      queries.emplace_back(l.query);
       lpcs.push_back(l.lpc);
     }
-    const ContainmentDag scratch = BuildContainmentDag(sharings, lpcs);
-    const ContainmentDag inc = index.Update(ids, sharings, lpcs);
+    const ContainmentDag scratch = BuildContainmentDag(queries, lpcs);
+    const ContainmentDag inc = index.Update(ids, queries, lpcs);
     ExpectSameDag(scratch, inc, step);
     EXPECT_EQ(index.num_members(), population.size());
   }
@@ -100,32 +105,32 @@ TEST_P(IncrementalDagTest, MatchesScratchUnderChurn) {
 // A changed LPC for a surviving sharing (re-billing after replanning) must
 // not leave stale edges behind: the member is re-indexed.
 TEST_P(IncrementalDagTest, LpcChangeReindexesMember) {
-  const std::vector<Sharing> pool = MakeSharingPool();
+  const std::vector<ViewKey> pool = MakeQueryPool();
   std::vector<SharingId> ids = {1, 2, 3};
-  std::vector<Sharing> sharings = {pool[1], pool[2], pool[3]};
+  const QueryRefs queries = {pool[1], pool[2], pool[3]};
   std::vector<double> lpcs = {10.0, 20.0, 30.0};
 
   IncrementalContainmentIndex index;
-  ExpectSameDag(BuildContainmentDag(sharings, lpcs),
-                index.Update(ids, sharings, lpcs), 0);
+  ExpectSameDag(BuildContainmentDag(queries, lpcs),
+                index.Update(ids, queries, lpcs), 0);
 
   // Invert the LPC order: every containment edge direction flips.
   lpcs = {30.0, 20.0, 10.0};
-  ExpectSameDag(BuildContainmentDag(sharings, lpcs),
-                index.Update(ids, sharings, lpcs), 1);
+  ExpectSameDag(BuildContainmentDag(queries, lpcs),
+                index.Update(ids, queries, lpcs), 1);
 }
 
 TEST_P(IncrementalDagTest, ResetStartsClean) {
-  const std::vector<Sharing> pool = MakeSharingPool();
+  const std::vector<ViewKey> pool = MakeQueryPool();
   std::vector<SharingId> ids = {1, 2};
-  std::vector<Sharing> sharings = {pool[0], pool[1]};
+  const QueryRefs queries = {pool[0], pool[1]};
   std::vector<double> lpcs = {5.0, 5.0};
   IncrementalContainmentIndex index;
-  index.Update(ids, sharings, lpcs);
+  index.Update(ids, queries, lpcs);
   index.Reset();
   EXPECT_EQ(index.num_members(), 0u);
-  ExpectSameDag(BuildContainmentDag(sharings, lpcs),
-                index.Update(ids, sharings, lpcs), 0);
+  ExpectSameDag(BuildContainmentDag(queries, lpcs),
+                index.Update(ids, queries, lpcs), 0);
 }
 
 // Two sharings that differ only in a 0.0 vs -0.0 constant are identical
@@ -135,14 +140,42 @@ TEST(IncrementalDagSignedZeroTest, SignedZeroTwinsShareAGroup) {
   const Predicate plus{0, 0, CompareOp::kGt, 0.0};
   const Predicate minus{0, 0, CompareOp::kGt, -0.0};
   const std::vector<SharingId> ids = {1, 2};
-  const std::vector<Sharing> sharings = {
-      Sharing(TableSet(0b0011), {plus}, 0),
-      Sharing(TableSet(0b0011), {minus}, 1)};
+  const std::vector<ViewKey> queries = {ViewKey(TableSet(0b0011), {plus}),
+                                        ViewKey(TableSet(0b0011), {minus})};
   const std::vector<double> lpcs = {10.0, 10.0};
   IncrementalContainmentIndex index;
-  const ContainmentDag scratch = BuildContainmentDag(sharings, lpcs);
+  const ContainmentDag scratch = BuildContainmentDag(Refs(queries), lpcs);
   EXPECT_EQ(scratch.identity_group[0], scratch.identity_group[1]);
-  ExpectSameDag(scratch, index.Update(ids, sharings, lpcs), 0);
+  ExpectSameDag(scratch, index.Update(ids, Refs(queries), lpcs), 0);
+}
+
+// ViewKeyHash mixes (column << 24) ^ bits(value), so a predicate on column
+// 0 with value v and one on column 1 with v's bit 24 flipped hash alike.
+// Two such queries are different sharings: they must land in different
+// identity groups, and a third query equal to the second must join its
+// group, exactly as in the scratch build.
+TEST(IncrementalDagCollisionTest, CollidingQueriesStayApart) {
+  const double v = 500.0;
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  bits ^= uint64_t{1} << 24;
+  double flipped;
+  std::memcpy(&flipped, &bits, sizeof(flipped));
+  const Predicate on_col0{0, 0, CompareOp::kLt, v};
+  const Predicate on_col1{0, 1, CompareOp::kLt, flipped};
+  const std::vector<ViewKey> queries = {ViewKey(TableSet(0b0011), {on_col0}),
+                                        ViewKey(TableSet(0b0011), {on_col1}),
+                                        ViewKey(TableSet(0b0011), {on_col1})};
+  ASSERT_EQ(ViewKeyHash()(queries[0]), ViewKeyHash()(queries[1]));
+  ASSERT_FALSE(queries[0] == queries[1]);
+
+  const std::vector<SharingId> ids = {1, 2, 3};
+  const std::vector<double> lpcs = {10.0, 10.0, 10.0};
+  const ContainmentDag scratch = BuildContainmentDag(Refs(queries), lpcs);
+  EXPECT_NE(scratch.identity_group[0], scratch.identity_group[1]);
+  EXPECT_EQ(scratch.identity_group[1], scratch.identity_group[2]);
+  IncrementalContainmentIndex index;
+  ExpectSameDag(scratch, index.Update(ids, Refs(queries), lpcs), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDagTest,

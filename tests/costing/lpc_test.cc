@@ -98,7 +98,7 @@ TEST(LpcTest, DistinctDestinationsCachedSeparately) {
 }
 
 TEST(LpcTest, HashCollisionsAreNotConfused) {
-  // QueryHash mixes (column << 24) ^ bits(value), so a predicate on column
+  // ViewKeyHash mixes (column << 24) ^ bits(value), so a predicate on column
   // 0 with value v and one on column 1 with v's bit 24 flipped hash alike.
   // The two columns have different statistics, so the sharings' LPCs
   // differ, and each must be billed its own.
@@ -150,7 +150,8 @@ TEST(LpcTest, HashCollisionsAreNotConfused) {
   on_score.value = flipped;
   const Sharing by_uid(TS({r_id, s_id}), {on_uid}, 0);
   const Sharing by_score(TS({r_id, s_id}), {on_score}, 0);
-  ASSERT_EQ(by_uid.QueryHash(), by_score.QueryHash());
+  ASSERT_EQ(ViewKeyHash()(by_uid.ResultKey()),
+            ViewKeyHash()(by_score.ResultKey()));
 
   LpcCalculator shared(&enumerator, &model);
   for (const Sharing* sharing : {&by_uid, &by_score}) {

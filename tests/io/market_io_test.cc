@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "cost/default_cost_model.h"
 #include "io/plan_journal.h"
@@ -138,8 +142,8 @@ TEST(MarketIoTest, PredicatedSharingsRoundTrip) {
   // Predicates survived (queries stay identical).
   for (size_t i = 0; i < state->sharings.size(); ++i) {
     const SharingId id = state->sharings[i].id;
-    EXPECT_TRUE(state->sharings[i].sharing.IdenticalTo(
-        gp.record(id)->sharing));
+    EXPECT_TRUE(state->sharings[i].sharing.ResultKey() ==
+                gp.record(id)->sharing.ResultKey());
     EXPECT_EQ(state->sharings[i].sharing.destination(),
               gp.record(id)->sharing.destination());
   }
@@ -305,6 +309,92 @@ TEST(MarketIoTest, PlanThatDoesNotComputeItsSharingRejected) {
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(replay->records_recovered, 1u);
   EXPECT_TRUE(replay->tail_dropped);
+}
+
+// A '%' in a name must start a two-hex-digit escape; the lone "%" is the
+// empty name. "%zz" must not decode to a NUL byte, "%4g" to "\x04", or a
+// truncated "%4" pass through as is.
+TEST(MarketIoTest, MalformedEscapeRejected) {
+  const auto code = [](const std::string& text) {
+    return MarketStateFromString(text).status().code();
+  };
+  const auto server = [](const std::string& name) {
+    return "dsm-market v1\nserver " + name + " 1e30\n";
+  };
+  const auto table = [](const std::string& name) {
+    return WithHeader("table " + name + " 10 1 8 0\n");
+  };
+  const auto column = [](const std::string& name) {
+    return WithHeader("table t 10 1 8 1\ncol " + name + " i64 5 0 9\n");
+  };
+  const auto sharing = [](const std::string& buyer) {
+    return "sharing 1 0 " + buyer + " 1 0\nplan 1\nnode 0 0 -1 -1 0 1 0\n";
+  };
+  const auto journal = [&](const std::string& buyer) {
+    std::string text = "dsm-journal v1\n";
+    for (const std::string& payload : {std::string(kValidTail),
+                                       sharing(buyer)}) {
+      char head[64];
+      std::snprintf(head, sizeof(head), "rec %zu %016llx\n", payload.size(),
+                    static_cast<unsigned long long>(JournalChecksum(payload)));
+      text += head + payload;
+    }
+    return ReplayJournal(text, 1);
+  };
+
+  // Well-formed escapes parse, in either case, and so does the empty name
+  // where the catalog allows one.
+  for (const std::string good : {"a%20b", "%2F%2f", "%"}) {
+    SCOPED_TRACE(good);
+    EXPECT_EQ(code(server(good)), StatusCode::kOk);
+    if (good != "%") {
+      EXPECT_EQ(code(table(good)), StatusCode::kOk);
+      EXPECT_EQ(code(column(good)), StatusCode::kOk);
+    }
+    EXPECT_EQ(code(WithHeader(sharing(good))), StatusCode::kOk);
+    const auto replay = journal(good);
+    ASSERT_TRUE(replay.ok());
+    EXPECT_EQ(replay->records_recovered, 2u);
+  }
+  for (const std::string bad : {"%zz", "a%4g", "a%4", "a%", "%%", "%g0"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(code(server(bad)), StatusCode::kInvalidArgument);
+    EXPECT_EQ(code(table(bad)), StatusCode::kInvalidArgument);
+    EXPECT_EQ(code(column(bad)), StatusCode::kInvalidArgument);
+    EXPECT_EQ(code(WithHeader(sharing(bad))), StatusCode::kInvalidArgument);
+    EXPECT_EQ(ParseSharingRecord(sharing(bad), 1).status().code(),
+              StatusCode::kInvalidArgument);
+    // A journal frame with an intact checksum but such a buyer is dropped
+    // like any other nonsense payload.
+    const auto replay = journal(bad);
+    ASSERT_TRUE(replay.ok());
+    EXPECT_EQ(replay->records_recovered, 1u);
+    EXPECT_TRUE(replay->tail_dropped);
+  }
+
+  // Every name Escape writes still reads back exactly.
+  Catalog catalog;
+  TableDef def;
+  def.name = "%41 50% \t";
+  ColumnDef col;
+  col.name = "%";
+  def.columns = {col};
+  ASSERT_TRUE(catalog.AddTable(def).ok());
+  Cluster cluster;
+  const std::vector<std::string> names = {"", "%", "%%", "%zz", "a%4",
+                                          " \t\n\v\f\r%"};
+  for (const std::string& name : names) cluster.AddServer(name);
+  cluster.PlaceRoundRobin(1);
+  const auto text = MarketStateToString(catalog, cluster, nullptr);
+  ASSERT_TRUE(text.ok());
+  const auto state = MarketStateFromString(*text);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_EQ(state->catalog.table(0).name, def.name);
+  EXPECT_EQ(state->catalog.table(0).columns[0].name, col.name);
+  ASSERT_EQ(state->cluster.num_servers(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(state->cluster.server(static_cast<ServerId>(i)).name, names[i]);
+  }
 }
 
 TEST(MarketIoTest, BadServerCapacityRejected) {

@@ -23,7 +23,7 @@ TEST(CounterTest, ConcurrentIncrementsSumExactly) {
     });
   }
   for (auto& th : threads) th.join();
-  // Sharded atomics must still produce an exact (not approximate) sum.
+  // Concurrent increments must produce an exact (not approximate) sum.
   EXPECT_EQ(counter->value(),
             static_cast<uint64_t>(kThreads) * kPerThread);
 }

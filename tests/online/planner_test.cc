@@ -1,11 +1,12 @@
 // Behaviour shared by all online planners: the identical-sharing fast
-// path (including its collision regression: a forced 64-bit key collision
-// must degrade to a cache miss, never reuse another query's plan),
+// path (including its collision regression: two different queries whose
+// cache keys hash alike must never reuse each other's plan),
 // capacity-aware plan selection and rejection (Algorithm 2), and
 // NORMALIZE's occurrence counting.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -178,47 +179,51 @@ std::unique_ptr<Stack> MakeStack() {
   return stack;
 }
 
-// Forces every sharing onto one identical-plan cache key. The planner must
-// detect that the colliding entries are *not* identical queries and fall
-// back to full planning — reusing the first sharing's plan for a different
-// query would deliver wrong data.
-class CollidingKeyPlanner : public GreedyPlanner {
- public:
-  explicit CollidingKeyPlanner(PlannerContext context)
-      : GreedyPlanner(context) {}
-
- protected:
-  uint64_t IdenticalKey(const Sharing&) const override { return 42; }
-};
-
+// Two different queries whose identical-plan cache keys hash alike:
+// ViewKeyHash mixes (column << 24) ^ bits(value), so a predicate on column
+// 0 with value v and one on column 1 with v's bit 24 flipped collide. The
+// planner must not reuse the first sharing's plan for the second — that
+// would deliver wrong data — and each query's resubmission reuses its own.
 TEST(IdenticalPlanCollisionTest, CollisionDoesNotReuseWrongPlan) {
   auto stack = MakeStack();
-  CollidingKeyPlanner planner(stack->ctx);
+  GreedyPlanner planner(stack->ctx);
 
-  const std::vector<Sharing> base =
-      TwitterBaseSharings(stack->tables, stack->cluster);
-  ASSERT_GE(base.size(), 3u);
+  const double v = 500.0;
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  bits ^= uint64_t{1} << 24;
+  double flipped;
+  std::memcpy(&flipped, &bits, sizeof(flipped));
+  const TableId users = stack->tables.users;
+  const TableSet tables = TS({users, stack->tables.tweets});
+  const Sharing by_uid(tables, {Predicate{users, 0, CompareOp::kLt, v}}, 0);
+  const Sharing by_name(tables,
+                        {Predicate{users, 1, CompareOp::kLt, flipped}}, 0);
+  ASSERT_EQ(DeliveredQueryHash()(DeliveredQuery(by_uid)),
+            DeliveredQueryHash()(DeliveredQuery(by_name)));
+  ASSERT_FALSE(by_uid.ResultKey() == by_name.ResultKey());
 
-  // Three pairwise-different queries, all hashed onto key 42.
-  const auto c1 = planner.ProcessSharing(base[0]);
+  const auto c1 = planner.ProcessSharing(by_uid);
   ASSERT_TRUE(c1.ok());
   EXPECT_FALSE(c1->reused_identical);
 
-  const auto c2 = planner.ProcessSharing(base[1]);
+  // Same cache hash as by_uid's entry, but a different query, so the fast
+  // path must not fire.
+  const auto c2 = planner.ProcessSharing(by_name);
   ASSERT_TRUE(c2.ok());
-  // Key collides with base[0]'s entry, but the stored sharing differs, so
-  // the fast path must not fire.
   EXPECT_FALSE(c2->reused_identical);
-  EXPECT_NE(c2->plan.ToString(stack->catalog),
-            c1->plan.ToString(stack->catalog));
+  EXPECT_TRUE(c1->plan.root().key == by_uid.ResultKey());
+  EXPECT_TRUE(c2->plan.root().key == by_name.ResultKey());
 
-  // A genuinely identical resubmission still reuses (the collision check
-  // compares real queries, not hashes) — base[1] now owns key 42.
-  const auto c3 = planner.ProcessSharing(base[1]);
+  // Genuinely identical resubmissions still reuse, each its own plan.
+  const auto c3 = planner.ProcessSharing(by_name);
   ASSERT_TRUE(c3.ok());
   EXPECT_TRUE(c3->reused_identical);
-  EXPECT_EQ(c3->plan.ToString(stack->catalog),
-            c2->plan.ToString(stack->catalog));
+  EXPECT_TRUE(c3->plan.root().key == by_name.ResultKey());
+  const auto c4 = planner.ProcessSharing(by_uid);
+  ASSERT_TRUE(c4.ok());
+  EXPECT_TRUE(c4->reused_identical);
+  EXPECT_TRUE(c4->plan.root().key == by_uid.ResultKey());
 }
 
 }  // namespace

@@ -29,21 +29,21 @@ TEST(SharingTest, NumJoins) {
 TEST(SharingTest, IdenticalIgnoresDestinationAndBuyer) {
   const Sharing a(TS({0, 1}), {P(0, 5)}, 0, "alice");
   const Sharing b(TS({0, 1}), {P(0, 5)}, 3, "bob");
-  EXPECT_TRUE(a.IdenticalTo(b));
-  EXPECT_EQ(a.QueryHash(), b.QueryHash());
+  EXPECT_TRUE(a.ResultKey() == b.ResultKey());
+  EXPECT_EQ(ViewKeyHash()(a.ResultKey()), ViewKeyHash()(b.ResultKey()));
 }
 
 TEST(SharingTest, DifferentPredicatesNotIdentical) {
   const Sharing a(TS({0, 1}), {P(0, 5)}, 0);
   const Sharing b(TS({0, 1}), {P(0, 6)}, 0);
-  EXPECT_FALSE(a.IdenticalTo(b));
-  EXPECT_NE(a.QueryHash(), b.QueryHash());
+  EXPECT_FALSE(a.ResultKey() == b.ResultKey());
+  EXPECT_NE(ViewKeyHash()(a.ResultKey()), ViewKeyHash()(b.ResultKey()));
 }
 
 TEST(SharingTest, PredicateOrderIrrelevantToIdentity) {
   const Sharing a(TS({0, 1}), {P(0, 5), P(1, 7)}, 0);
   const Sharing b(TS({0, 1}), {P(1, 7), P(0, 5)}, 0);
-  EXPECT_TRUE(a.IdenticalTo(b));
+  EXPECT_TRUE(a.ResultKey() == b.ResultKey());
 }
 
 TEST(SharingTest, ContainmentViaPredicateSuperset) {
@@ -51,29 +51,28 @@ TEST(SharingTest, ContainmentViaPredicateSuperset) {
   // filter is contained in the unfiltered sharing).
   const Sharing filtered(TS({0, 1}), {P(0, 5)}, 0);
   const Sharing full(TS({0, 1}), {}, 0);
-  EXPECT_TRUE(filtered.ContainedIn(full));
-  EXPECT_FALSE(full.ContainedIn(filtered));
+  EXPECT_TRUE(full.ResultKey().Subsumes(filtered.ResultKey()));
+  EXPECT_FALSE(filtered.ResultKey().Subsumes(full.ResultKey()));
 }
 
 TEST(SharingTest, ContainmentRequiresSameTables) {
   const Sharing a(TS({0, 1}), {P(0, 5)}, 0);
   const Sharing b(TS({0, 2}), {}, 0);
-  EXPECT_FALSE(a.ContainedIn(b));
+  EXPECT_FALSE(b.ResultKey().Subsumes(a.ResultKey()));
 }
 
 TEST(SharingTest, SelfContainment) {
   const Sharing a(TS({0, 1}), {P(0, 5)}, 0);
-  EXPECT_TRUE(a.ContainedIn(a));
+  EXPECT_TRUE(a.ResultKey().Subsumes(a.ResultKey()));
 }
 
 // -0.0 == +0.0, so the two constants make identical sharings; every hash
 // over the predicates must then agree too, or hashed lookups split what
-// IdenticalTo joins.
+// ViewKey equality joins.
 TEST(SharingTest, SignedZeroConstantsHashEqual) {
   const Sharing plus(TS({0, 1}), {P(0, 0.0)}, 0);
   const Sharing minus(TS({0, 1}), {P(0, -0.0)}, 0);
-  ASSERT_TRUE(plus.IdenticalTo(minus));
-  EXPECT_EQ(plus.QueryHash(), minus.QueryHash());
+  ASSERT_TRUE(plus.ResultKey() == minus.ResultKey());
   EXPECT_EQ(ViewKeyHash()(plus.ResultKey()), ViewKeyHash()(minus.ResultKey()));
   EXPECT_EQ(PredicateSignature(plus.predicates()),
             PredicateSignature(minus.predicates()));
