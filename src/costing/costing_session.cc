@@ -4,13 +4,18 @@
 
 #include "costing/savings.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace dsm {
 
 Result<CostingSession::Snapshot> CostingSession::Refresh() {
   DSM_METRIC_COUNTER_ADD("dsm.costing.refreshes", 1);
-  DSM_ASSIGN_OR_RETURN(const FairCostProblem problem,
-                       BuildFairCostProblem(*global_plan_, lpc_, &dag_index_));
+  FairCostProblem problem;
+  {
+    DSM_TRACE_SPAN("costing/build_problem");
+    DSM_ASSIGN_OR_RETURN(problem, BuildFairCostProblem(*global_plan_, lpc_,
+                                                       &dag_index_));
+  }
   FairCost::Options options;
   options.lpc_overrun_fallback = true;  // bill even mid-amortization
   DSM_ASSIGN_OR_RETURN(

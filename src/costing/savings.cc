@@ -1,6 +1,7 @@
 #include "costing/savings.h"
 
 #include "costing/containment_dag.h"
+#include "obs/trace.h"
 
 namespace dsm {
 
@@ -48,10 +49,12 @@ Result<FairCostProblem> BuildFairCostProblem(
     problem.entries.push_back(std::move(entry));
   }
 
-  const ContainmentDag dag =
-      dag_index != nullptr
-          ? dag_index->Update(problem.ids, queries, lpcs)
-          : BuildContainmentDag(queries, lpcs);
+  ContainmentDag dag;
+  {
+    DSM_TRACE_SPAN("costing/dag_update");
+    dag = dag_index != nullptr ? dag_index->Update(problem.ids, queries, lpcs)
+                               : BuildContainmentDag(queries, lpcs);
+  }
   for (size_t i = 0; i < problem.entries.size(); ++i) {
     problem.entries[i].identity_group = dag.identity_group[i];
     problem.entries[i].containers = dag.containers[i];

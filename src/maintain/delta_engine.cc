@@ -120,7 +120,6 @@ const Relation& DeltaEngine::ApplyTablePredicates(const ViewKey& key,
 }
 
 Result<Relation> DeltaEngine::Recompute(const ViewKey& key) const {
-  DSM_METRIC_COUNTER_ADD("dsm.maintain.recomputes", 1);
   Relation acc;
   bool first = true;
   for (const TableId t : key.tables.ToVector()) {
@@ -201,13 +200,81 @@ void DeltaEngine::SetLiveNodes(size_t n) {
   DSM_METRIC_GAUGE_SET("dsm.maintain.view_nodes", static_cast<double>(n));
 }
 
-Status DeltaEngine::AddLiveHandle(NodeId id) {
-  Node& node = nodes_[id];
-  if (node.live_handles == 0) {
-    DSM_ASSIGN_OR_RETURN(node.contents, Recompute(node.key));
-    SetLiveNodes(live_nodes_ + 1);
+Result<DeltaEngine::Fill> DeltaEngine::FillNodes(
+    const TableSet& tables, TableSetJoin* join,
+    std::span<const NodeId> targets) {
+  DSM_TRACE_SPAN("maintain/fill");
+  if (DSM_INJECT_FAULT("maintain/fill")) {
+    return Status::Internal("injected fault in a view fill");
   }
-  ++node.live_handles;
+  // The source: a live node over the set with no filters holds ⋈ set.
+  Fill fill;
+  const Relation* whole = nullptr;
+  for (const NodeId id : join->nodes) {
+    const Node& node = nodes_[id];
+    if (node.live_handles > 0 && node.filters.empty()) {
+      whole = &node.contents;
+      break;
+    }
+  }
+  Relation joined;
+  if (whole == nullptr) {
+    // Else the lowest table's base, joined with the set's other bases as
+    // a delta of that table would be.
+    const TableId lowest = tables.ToVector().front();
+    uint64_t work = 0;  // a fill's probes are not maintenance work
+    joined = JoinDelta(tables, join, TableSet::Of(lowest), bases_.at(lowest),
+                       &work);
+    whole = &joined;
+    fill.joined = true;
+  }
+  const TupleStore& rows = whole->store();
+  fill.contents.reserve(targets.size());
+  for (const NodeId id : targets) {
+    const std::vector<RowFilter>& filters = nodes_[id].filters;
+    if (filters.empty()) {
+      fill.contents.push_back(*whole);
+      fill.rows += rows.live_rows();
+    } else {
+      fill.rows += RouteRows(rows, filters,
+                             &fill.contents.emplace_back(join->columns));
+    }
+  }
+  return fill;
+}
+
+Status DeltaEngine::AddLiveHandles(std::span<const NodeId> ids) {
+  // The nodes coming to life, each once, grouped by table set in mask
+  // order and by id within a set.
+  std::vector<NodeId> dead;
+  for (const NodeId id : ids) {
+    if (nodes_[id].live_handles == 0) dead.push_back(id);
+  }
+  std::sort(dead.begin(), dead.end());
+  dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
+  std::map<TableSet, std::vector<NodeId>> by_set;
+  for (const NodeId id : dead) by_set[nodes_[id].key.tables].push_back(id);
+
+  std::vector<Fill> fills;
+  fills.reserve(by_set.size());
+  for (const auto& [tables, group] : by_set) {
+    DSM_ASSIGN_OR_RETURN(Fill fill,
+                         FillNodes(tables, &joins_.at(tables), group));
+    fills.push_back(std::move(fill));
+  }
+  // Every fill succeeded; nothing has changed until here.
+  auto fill = fills.begin();
+  for (const auto& [tables, group] : by_set) {
+    for (size_t k = 0; k < group.size(); ++k) {
+      nodes_[group[k]].contents = std::move(fill->contents[k]);
+    }
+    DSM_METRIC_COUNTER_ADD("dsm.maintain.recomputes", group.size());
+    DSM_METRIC_COUNTER_ADD("dsm.maintain.fill_joins", fill->joined ? 1 : 0);
+    DSM_METRIC_COUNTER_ADD("dsm.maintain.fill_rows", fill->rows);
+    ++fill;
+  }
+  for (const NodeId id : ids) ++nodes_[id].live_handles;
+  if (!dead.empty()) SetLiveNodes(live_nodes_ + dead.size());
   return Status::OK();
 }
 
@@ -220,39 +287,34 @@ void DeltaEngine::DropLiveHandle(NodeId id) {
 }
 
 Result<ViewId> DeltaEngine::RegisterView(const ViewKey& key) {
-  const auto it = node_of_.find(key);
-  if (it != node_of_.end()) {
-    DSM_RETURN_IF_ERROR(AddLiveHandle(it->second));
-    handles_.push_back({it->second, true});
-    return handles_.size() - 1;
+  auto it = node_of_.find(key);
+  if (it == node_of_.end()) {
+    // A new key's node starts dead and comes to life as a parked one does.
+    DSM_ASSIGN_OR_RETURN(TableSetJoin* join, JoinOf(key.tables));
+    Node node;
+    node.key = key;
+    // Recompute's skip rule: predicates on tables outside the view or on
+    // out-of-range columns never filter. A predicate names its column by
+    // name, and a natural join keeps every input column name, so its
+    // position in the set's columns is the one it filters.
+    for (const Predicate& pred : key.predicates) {
+      if (!key.tables.Contains(pred.table)) continue;
+      const TableDef& def = catalog_->table(pred.table);
+      if (pred.column >= def.columns.size()) continue;
+      const auto at = std::find(join->columns.begin(), join->columns.end(),
+                                def.columns[pred.column].name);
+      node.filters.push_back(
+          {static_cast<size_t>(at - join->columns.begin()), pred.op,
+           pred.value});
+    }
+    node.empty = Relation(join->columns);
+    node.contents = node.empty;
+    it = node_of_.emplace(key, nodes_.size()).first;
+    join->nodes.push_back(nodes_.size());
+    nodes_.push_back(std::move(node));
   }
-  DSM_ASSIGN_OR_RETURN(TableSetJoin* join, JoinOf(key.tables));
-  DSM_ASSIGN_OR_RETURN(Relation initial, Recompute(key));
-  Node node;
-  node.key = key;
-  // Recompute's skip rule: predicates on tables outside the view or on
-  // out-of-range columns never filter. A predicate names its column by
-  // name, and a natural join keeps every input column name, so its
-  // position in the set's columns is the one it filters.
-  for (const Predicate& pred : key.predicates) {
-    if (!key.tables.Contains(pred.table)) continue;
-    const TableDef& def = catalog_->table(pred.table);
-    if (pred.column >= def.columns.size()) continue;
-    const auto at = std::find(join->columns.begin(), join->columns.end(),
-                              def.columns[pred.column].name);
-    node.filters.push_back(
-        {static_cast<size_t>(at - join->columns.begin()), pred.op,
-         pred.value});
-  }
-  node.empty = Relation(initial.columns());
-  node.contents = std::move(initial);
-  node.live_handles = 1;
-  const NodeId id = nodes_.size();
-  nodes_.push_back(std::move(node));
-  node_of_.emplace(key, id);
-  join->nodes.push_back(id);
-  SetLiveNodes(live_nodes_ + 1);
-  handles_.push_back({id, true});
+  DSM_RETURN_IF_ERROR(AddLiveHandles(std::span(&it->second, 1)));
+  handles_.push_back({it->second, true});
   return handles_.size() - 1;
 }
 
@@ -347,15 +409,7 @@ void DeltaEngine::MergeRound(const Round& round) {
       assert(node.contents.columns() == joined.columns() &&
              "a node's schema is its table set's join order");
       routed += rows.live_rows();
-      rows.ForEachLive([&](uint32_t r) {
-        const Slot* slots = rows.row_slots(r);
-        for (const RowFilter& f : node.filters) {
-          if (!SlotSatisfies(slots[f.position], f.op, f.value)) return;
-        }
-        node.contents.ApplyEncoded(slots, rows.row_hash(r),
-                                   rows.row_count(r));
-        ++merged;
-      });
+      merged += RouteRows(rows, node.filters, &node.contents);
     }
     begin = end;
   }
@@ -369,6 +423,21 @@ void DeltaEngine::MergeRound(const Round& round) {
                          round.refreshes - round.nodes.size());
   DSM_METRIC_COUNTER_ADD("dsm.maintain.routed_rows", routed);
   DSM_METRIC_COUNTER_ADD("dsm.maintain.merged_rows", merged);
+}
+
+uint64_t DeltaEngine::RouteRows(const TupleStore& rows,
+                               const std::vector<RowFilter>& filters,
+                               Relation* into) {
+  uint64_t merged = 0;
+  rows.ForEachLive([&](uint32_t r) {
+    const Slot* slots = rows.row_slots(r);
+    for (const RowFilter& f : filters) {
+      if (!SlotSatisfies(slots[f.position], f.op, f.value)) return;
+    }
+    into->ApplyEncoded(slots, rows.row_hash(r), rows.row_count(r));
+    ++merged;
+  });
+  return merged;
 }
 
 Status DeltaEngine::ApplyUpdate(TableId table,
@@ -443,18 +512,27 @@ Status DeltaEngine::ApplyUpdates(std::span<const TableUpdate> updates) {
   return Status::OK();
 }
 
-Status DeltaEngine::SetViewActive(ViewId id, bool active) {
-  if (id >= handles_.size()) {
-    return Status::NotFound("unknown view id");
+Status DeltaEngine::SetViewActive(std::span<const ViewId> ids,
+                                  bool active) {
+  for (const ViewId id : ids) {
+    if (id >= handles_.size()) return Status::NotFound("unknown view id");
   }
-  Handle& handle = handles_[id];
-  if (handle.active == active) return Status::OK();
+  // The handles that flip, each once.
+  std::vector<ViewId> flips;
+  for (const ViewId id : ids) {
+    if (handles_[id].active != active) flips.push_back(id);
+  }
+  std::sort(flips.begin(), flips.end());
+  flips.erase(std::unique(flips.begin(), flips.end()), flips.end());
   if (active) {
-    DSM_RETURN_IF_ERROR(AddLiveHandle(handle.node));
+    std::vector<NodeId> nodes;
+    nodes.reserve(flips.size());
+    for (const ViewId id : flips) nodes.push_back(handles_[id].node);
+    DSM_RETURN_IF_ERROR(AddLiveHandles(nodes));
   } else {
-    DropLiveHandle(handle.node);
+    for (const ViewId id : flips) DropLiveHandle(handles_[id].node);
   }
-  handle.active = active;
+  for (const ViewId id : flips) handles_[id].active = active;
   return Status::OK();
 }
 

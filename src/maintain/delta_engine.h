@@ -34,6 +34,15 @@
 // semantics), with no per-node copy of the delta. Each node merges once
 // per round, however many handles hold it.
 //
+// A node starts, or comes back to, life through its table set's join too
+// (DESIGN.md §13): the nodes over one set that RegisterView or
+// SetViewActive brings to life in one call take their rows from one fill.
+// Its source is a live node over the set that no predicate filters (its
+// contents are the join), or else the set's lowest table's base, joined
+// with the set's other bases through the same indexes and probe plans as
+// a delta; each row is then routed into each node as in a round.
+// Recompute, the from-scratch oracle, is not on any data path.
+//
 // Maintenance is single-threaded and the engine starts no threads. A
 // batch computes every table's join deltas before it merges any into a
 // view (views are read by no join), so a failed batch changes nothing. A
@@ -76,10 +85,12 @@ class DeltaEngine {
   // Creates an empty base relation with the table's catalog schema.
   Status RegisterBase(TableId table);
 
-  // Registers a view to maintain; its content is computed from the current
-  // base tables and kept incrementally fresh afterwards. A view whose key
-  // equals one already registered attaches to its node: no second copy of
-  // the contents, and no recompute while the node is live.
+  // Registers a view to maintain; a new key's node is filled from its
+  // table set's join, as SetViewActive fills a revived one, and kept
+  // incrementally fresh afterwards. A view whose key equals one already
+  // registered attaches to its node: no second copy of the contents, and
+  // no fill while the node is live. On error no view is added (a new key
+  // keeps its node, holding nothing, for its next registration).
   Result<ViewId> RegisterView(const ViewKey& key);
 
   // Applies inserts/deletes to base `table`: the base relation and all
@@ -107,10 +118,16 @@ class DeltaEngine {
   // Degraded mode: an inactive view is not maintained and reads as empty
   // (the hosting machine is gone). Its node drops its contents once no
   // active view holds it. Reactivating a view whose node is still live is
-  // O(1); otherwise the node is recomputed from the current base tables,
-  // the provider's recovery story for a sharing re-admitted after being
-  // parked.
-  Status SetViewActive(ViewId id, bool active);
+  // O(1); the nodes the call brings back to life are filled, one fill per
+  // table set for the whole call, the provider's recovery story for
+  // sharings re-admitted after being parked. An id may repeat. All or
+  // nothing: every id is checked and every fill is done before any handle,
+  // node or counter changes, so on error (NotFound for an unknown id, or a
+  // failed fill) none has.
+  Status SetViewActive(std::span<const ViewId> ids, bool active);
+  Status SetViewActive(ViewId id, bool active) {
+    return SetViewActive(std::span<const ViewId>(&id, 1), active);
+  }
   bool view_active(ViewId id) const {
     return id < handles_.size() && handles_[id].active;
   }
@@ -122,17 +139,18 @@ class DeltaEngine {
   const ViewKey& view_key(ViewId id) const;
   size_t num_views() const { return handles_.size(); }
 
-  // From-scratch evaluation of `key` over the current base tables (the
-  // oracle the incremental path is tested against).
+  // From-scratch evaluation of `key` over the current base tables: the
+  // oracle the maintained and filled views are checked against. No engine
+  // path calls it.
   Result<Relation> Recompute(const ViewKey& key) const;
 
-  // Tuple-pairs probed by joins so far (measured maintenance work). Each
-  // round computes one join delta per affected table set, and probes only
-  // the tables outside its source: a set with an affected sub-join joins
-  // the sub-join's delta instead of repeating its probes. Duplicate views
-  // and the predicated nodes of a table set add nothing. The
-  // value is determined by the update stream and the live table sets. A
-  // batch that fails adds nothing.
+  // Tuple-pairs probed by update joins so far (measured maintenance work;
+  // fills add nothing). Each round computes one join delta per affected
+  // table set, and probes only the tables outside its source: a set with
+  // an affected sub-join joins the sub-join's delta instead of repeating
+  // its probes. Duplicate views and the predicated nodes of a table set
+  // add nothing. The value is determined by the update stream and the
+  // live table sets. A batch that fails adds nothing.
   uint64_t work() const { return work_; }
 
  private:
@@ -194,6 +212,21 @@ class DeltaEngine {
                                        const Relation& rel,
                                        Relation* scratch) const;
 
+  // Fresh contents for `targets`, nodes over `tables` that are not live,
+  // from one source: a live node over the set with no filters (no join),
+  // else the set's lowest table's base, joined with the set's other bases
+  // by JoinDelta.
+  // Each source row is routed into each target through its filters.
+  // Changes no node, work() or counter (it may build a base index or a
+  // join plan).
+  struct Fill {
+    std::vector<Relation> contents;  // one per target
+    bool joined = false;             // the source was joined
+    uint64_t rows = 0;               // rows merged into the targets
+  };
+  Result<Fill> FillNodes(const TableSet& tables, TableSetJoin* join,
+                         std::span<const NodeId> targets);
+
   // The shared join of `tables`, built on first request. NotFound when a
   // table of the set has no registered base.
   Result<TableSetJoin*> JoinOf(const TableSet& tables);
@@ -202,9 +235,10 @@ class DeltaEngine {
   std::vector<JoinStep> BuildJoinPlan(std::vector<std::string> schema,
                                       const TableSet& others) const;
 
-  // Counts one more active handle on `node`. The first one recomputes the
-  // contents from the current base tables; no state changes on error.
-  Status AddLiveHandle(NodeId node);
+  // Counts one more active handle on each of `nodes` (a node may repeat).
+  // The nodes that were not live are filled first, one FillNodes per table
+  // set; no state changes on error.
+  Status AddLiveHandles(std::span<const NodeId> nodes);
   // Counts one fewer; the last one out drops the contents.
   void DropLiveHandle(NodeId node);
   void SetLiveNodes(size_t n);
@@ -241,6 +275,11 @@ class DeltaEngine {
   // Phase 2: routes every group's join delta into the group's nodes and
   // commits the round's counts.
   void MergeRound(const Round& round);
+  // Merges into `into` each row of `rows` (in the set's column order) that
+  // passes every filter, with its stored hash; returns the rows merged.
+  static uint64_t RouteRows(const TupleStore& rows,
+                            const std::vector<RowFilter>& filters,
+                            Relation* into);
 
   const Catalog* catalog_;
   std::map<TableId, Relation> bases_;

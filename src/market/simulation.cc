@@ -83,18 +83,25 @@ Status MarketSimulation::ScheduleServerRecovery(int tick, ServerId server) {
   return Status::OK();
 }
 
-Status MarketSimulation::SetSharingViewActive(SharingId id, bool active) {
-  const auto it = buyer_views_.find(id);
+std::vector<ViewId> MarketSimulation::BuyerViews(
+    const std::vector<SharingId>& ids) const {
   // Sharings without a registered buyer view (planned but not simulated)
-  // have nothing to deactivate.
-  if (it == buyer_views_.end()) return Status::OK();
-  return engine_.SetViewActive(it->second, active);
+  // have no view.
+  std::vector<ViewId> views;
+  for (const SharingId id : ids) {
+    const auto it = buyer_views_.find(id);
+    if (it != buyer_views_.end()) views.push_back(it->second);
+  }
+  return views;
 }
 
 Status MarketSimulation::HandleServerDown(ServerId server) {
   DSM_RETURN_IF_ERROR(cluster_->MarkDown(server));
-  DSM_ASSIGN_OR_RETURN(const RecoveryReport report,
-                       recovery_->OnServerDown(server, ticks_elapsed_));
+  // A failover that fails partway still reports what it did: the victims
+  // migrated before the error, and every victim it parked.
+  RecoveryReport report;
+  const Status replanned =
+      recovery_->OnServerDown(server, ticks_elapsed_, &report);
   ++stats_.failures;
   DSM_METRIC_COUNTER_ADD("dsm.market.failure_events", 1);
   stats_.last_event_tick = ticks_elapsed_;
@@ -102,19 +109,31 @@ Status MarketSimulation::HandleServerDown(ServerId server) {
     ++stats_.migrated;
     stats_.migration_cost_delta += m.cost_after - m.cost_before;
   }
-  for (const SharingId id : report.parked) {
-    ++stats_.parked;
-    DSM_RETURN_IF_ERROR(SetSharingViewActive(id, false));
-  }
-  return Status::OK();
+  stats_.parked += static_cast<int>(report.parked.size());
+  DSM_RETURN_IF_ERROR(engine_.SetViewActive(BuyerViews(report.parked), false));
+  return replanned;
+}
+
+Status MarketSimulation::RetryParked(bool force) {
+  // The views are revived inside the retry, so a failed revival leaves
+  // the batch parked, its views inactive.
+  return recovery_
+      ->RetryParked(ticks_elapsed_, force,
+                    [this](const std::vector<MigratedSharing>& readmitted) {
+                      return ApplyReadmissions(readmitted);
+                    })
+      .status();
 }
 
 Status MarketSimulation::ApplyReadmissions(
     const std::vector<MigratedSharing>& readmitted) {
+  std::vector<SharingId> ids;
+  for (const MigratedSharing& m : readmitted) ids.push_back(m.id);
+  // One call, so each table set's revived views take one fill.
+  DSM_RETURN_IF_ERROR(engine_.SetViewActive(BuyerViews(ids), true));
   for (const MigratedSharing& m : readmitted) {
     ++stats_.readmitted;
     stats_.migration_cost_delta += m.cost_after - m.cost_before;
-    DSM_RETURN_IF_ERROR(SetSharingViewActive(m.id, true));
   }
   return Status::OK();
 }
@@ -125,10 +144,7 @@ Status MarketSimulation::HandleServerUp(ServerId server) {
   DSM_METRIC_COUNTER_ADD("dsm.market.recovery_events", 1);
   stats_.last_event_tick = ticks_elapsed_;
   // Capacity just returned: retry every parked sharing immediately.
-  DSM_ASSIGN_OR_RETURN(
-      const std::vector<MigratedSharing> readmitted,
-      recovery_->RetryParked(ticks_elapsed_, /*force=*/true));
-  return ApplyReadmissions(readmitted);
+  return RetryParked(/*force=*/true);
 }
 
 Status MarketSimulation::ProcessServerEvents() {
@@ -156,9 +172,7 @@ Status MarketSimulation::ProcessServerEvents() {
 
   // Parked sharings whose backoff elapsed get another chance.
   if (recovery_->num_parked() > 0) {
-    DSM_ASSIGN_OR_RETURN(const std::vector<MigratedSharing> readmitted,
-                         recovery_->RetryParked(ticks_elapsed_));
-    DSM_RETURN_IF_ERROR(ApplyReadmissions(readmitted));
+    DSM_RETURN_IF_ERROR(RetryParked(/*force=*/false));
   }
   return Status::OK();
 }

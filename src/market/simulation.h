@@ -13,9 +13,11 @@
 // be scheduled at specific ticks (or injected probabilistically through
 // the "sim/random-server-failure" fault point). A failure migrates every
 // recoverable sharing to live servers and parks the rest — parked buyer
-// views are deactivated, re-admitted views are recomputed — and the
-// degradation is reported through parked_sharings()/recovery_stats()
-// instead of failing opaquely.
+// views are deactivated (also when the failover itself fails partway),
+// and the views re-admitted together are revived in one engine call, one
+// fill per table set (a revival that fails leaves the whole batch parked
+// and its views inactive) — and the degradation is reported through
+// parked_sharings()/recovery_stats() instead of failing opaquely.
 
 #ifndef DSM_MARKET_SIMULATION_H_
 #define DSM_MARKET_SIMULATION_H_
@@ -129,8 +131,12 @@ class MarketSimulation {
   Status ProcessServerEvents();
   Status HandleServerDown(ServerId server);
   Status HandleServerUp(ServerId server);
+  // Retries the parked sharings and revives the re-admitted ones' views,
+  // all or nothing.
+  Status RetryParked(bool force);
   Status ApplyReadmissions(const std::vector<MigratedSharing>& readmitted);
-  Status SetSharingViewActive(SharingId id, bool active);
+  // The buyer views of `ids`, skipping sharings that have none.
+  std::vector<ViewId> BuyerViews(const std::vector<SharingId>& ids) const;
 
   const Catalog* catalog_;
   DeltaEngine engine_;

@@ -34,6 +34,13 @@ Result<double> RecoveryPlanner::PlanOnLiveServers(SharingId id,
   return rec->marginal_cost;
 }
 
+Status RecoveryPlanner::Unadmit(const std::vector<MigratedSharing>& batch) {
+  for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
+    DSM_RETURN_IF_ERROR(ctx_.global_plan->RemoveSharing(it->id));
+  }
+  return Status::OK();
+}
+
 void RecoveryPlanner::Park(SharingId id, Sharing sharing, double cost_before,
                            int64_t now_tick) {
   ParkedSharing parked;
@@ -47,14 +54,14 @@ void RecoveryPlanner::Park(SharingId id, Sharing sharing, double cost_before,
   DSM_METRIC_COUNTER_ADD("dsm.recovery.parkings", 1);
 }
 
-Result<RecoveryReport> RecoveryPlanner::OnServerDown(ServerId server,
-                                                     int64_t now_tick) {
+Status RecoveryPlanner::OnServerDown(ServerId server, int64_t now_tick,
+                                     RecoveryReport* report) {
   DSM_METRIC_SCOPED_LATENCY_MS("dsm.recovery.server_down_ms");
   DSM_TRACE_SPAN("recovery/server_down");
   GlobalPlan* gp = ctx_.global_plan;
-  RecoveryReport report;
-  report.server = server;
-  report.cost_before = gp->TotalCost();
+  *report = RecoveryReport{};
+  report->server = server;
+  report->cost_before = gp->TotalCost();
 
   // Collect and detach every victim first: migration must re-plan against
   // a global plan that no longer offers the dead server's views for reuse.
@@ -77,7 +84,7 @@ Result<RecoveryReport> RecoveryPlanner::OnServerDown(ServerId server,
     const Result<double> migrated = PlanOnLiveServers(v.id, v.sharing);
     if (migrated.ok()) {
       DSM_METRIC_COUNTER_ADD("dsm.recovery.migrations", 1);
-      report.migrated.push_back(
+      report->migrated.push_back(
           MigratedSharing{v.id, v.old_marginal, *migrated, true});
       continue;
     }
@@ -87,19 +94,21 @@ Result<RecoveryReport> RecoveryPlanner::OnServerDown(ServerId server,
       for (size_t j = i; j < victims.size(); ++j) {
         Park(victims[j].id, std::move(victims[j].sharing),
              victims[j].old_marginal, now_tick);
+        report->parked.push_back(victims[j].id);
       }
+      report->cost_after = gp->TotalCost();
       return migrated.status();
     }
     Park(v.id, std::move(v.sharing), v.old_marginal, now_tick);
-    report.parked.push_back(v.id);
+    report->parked.push_back(v.id);
   }
 
-  report.cost_after = gp->TotalCost();
-  return report;
+  report->cost_after = gp->TotalCost();
+  return Status::OK();
 }
 
 Result<std::vector<MigratedSharing>> RecoveryPlanner::RetryParked(
-    int64_t now_tick, bool force) {
+    int64_t now_tick, bool force, const ReadmitFn& readmit) {
   DSM_METRIC_SCOPED_LATENCY_MS("dsm.recovery.retry_ms");
   DSM_TRACE_SPAN("recovery/retry_parked");
   // Outcomes are decided first and applied to parked_ only once the whole
@@ -120,13 +129,16 @@ Result<std::vector<MigratedSharing>> RecoveryPlanner::RetryParked(
       continue;
     }
     if (placed.status().code() != StatusCode::kCapacityExceeded) {
-      // Undo this call's re-admissions: every id stays parked.
-      for (auto it = readmitted.rbegin(); it != readmitted.rend(); ++it) {
-        DSM_RETURN_IF_ERROR(ctx_.global_plan->RemoveSharing(it->id));
-      }
+      DSM_RETURN_IF_ERROR(Unadmit(readmitted));
       return placed.status();
     }
     outcome[i] = Outcome::kBackedOff;
+  }
+  if (readmit) {
+    if (const Status served = readmit(readmitted); !served.ok()) {
+      DSM_RETURN_IF_ERROR(Unadmit(readmitted));
+      return served;
+    }
   }
 
   DSM_METRIC_COUNTER_ADD("dsm.recovery.retry_attempts", attempts);

@@ -28,12 +28,15 @@
 // A planning error other than kCapacityExceeded (e.g. the injected
 // "recovery/replan" fault) never loses a sharing: OnServerDown parks every
 // victim it has not migrated yet, and RetryParked undoes the batch, so
-// every sharing stays in exactly one of the global plan or the queue.
+// every sharing stays in exactly one of the global plan or the queue. A
+// caller that serves re-admitted sharings (revives their views) does so
+// inside RetryParked, so a failure to serve undoes the batch as well.
 
 #ifndef DSM_ONLINE_RECOVERY_PLANNER_H_
 #define DSM_ONLINE_RECOVERY_PLANNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -89,18 +92,30 @@ class RecoveryPlanner {
   // on the cluster): removes every affected sharing from the global plan,
   // migrates the recoverable ones to live servers, parks the rest.
   // `now_tick` anchors the parked sharings' retry backoff. On a planning
-  // error the victims not yet migrated are parked and the error returned.
-  Result<RecoveryReport> OnServerDown(ServerId server, int64_t now_tick);
+  // error the victims not yet migrated are parked and the error returned;
+  // `report` then lists the migrations made before it and every victim
+  // parked, those the error parked included.
+  Status OnServerDown(ServerId server, int64_t now_tick,
+                      RecoveryReport* report);
+  Result<RecoveryReport> OnServerDown(ServerId server, int64_t now_tick) {
+    RecoveryReport report;
+    DSM_RETURN_IF_ERROR(OnServerDown(server, now_tick, &report));
+    return report;
+  }
 
   // Attempts to re-admit parked sharings. Without `force`, only sharings
   // whose backoff has elapsed at `now_tick` are tried; with `force` (e.g.
   // right after a server returned) every parked sharing is tried. Returns
   // the sharings that were re-admitted; the rest back off further.
-  // All-or-nothing: on a planning error the sharings re-admitted by this
-  // call are removed again, the queue is left exactly as it was, and the
-  // error is returned.
-  Result<std::vector<MigratedSharing>> RetryParked(int64_t now_tick,
-                                                   bool force = false);
+  // `readmit`, when given, is called with the batch once every sharing of
+  // it is planned and before the queue changes, to serve them.
+  // All-or-nothing: on a planning error, or an error from `readmit`, the
+  // sharings re-admitted by this call are removed again, the queue is left
+  // exactly as it was, and the error is returned.
+  using ReadmitFn =
+      std::function<Status(const std::vector<MigratedSharing>&)>;
+  Result<std::vector<MigratedSharing>> RetryParked(
+      int64_t now_tick, bool force = false, const ReadmitFn& readmit = {});
 
   const std::vector<ParkedSharing>& parked() const { return parked_; }
   size_t num_parked() const { return parked_.size(); }
@@ -111,6 +126,9 @@ class RecoveryPlanner {
   // Algorithm 2 restricted to live servers: cheapest feasible plan for
   // `sharing`, committed under `id`. kCapacityExceeded when nothing fits.
   Result<double> PlanOnLiveServers(SharingId id, const Sharing& sharing);
+
+  // Removes a batch of re-admitted sharings from the global plan again.
+  Status Unadmit(const std::vector<MigratedSharing>& batch);
 
   // Queues a sharing that lost its plan, with the initial backoff.
   void Park(SharingId id, Sharing sharing, double cost_before,

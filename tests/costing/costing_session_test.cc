@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "obs/trace.h"
 #include "online/managed_risk.h"
 #include "testing/rig.h"
 #include "workload/adversarial.h"
@@ -49,6 +50,41 @@ TEST(CostingSessionTest, RefreshPerArrivalTracksHistory) {
   EXPECT_EQ(session.num_refreshes(), sc.sharings.size());
   // The paper's stability bound: no AC ever grew by more than ~its LPC.
   EXPECT_LE(session.MaxAcIncreaseFractionOfLpc(), 1.1);
+}
+
+// A refresh's time splits into building the FAIRCOST problem (the
+// containment DAG's update nested in it) and FAIRCOST itself.
+TEST(CostingSessionTest, RefreshSpansSplitBuildDagAndFairCost) {
+  const Scenario sc = MakeGreedyTrap(4, 10.0, 10.0, 1e-3);
+  auto rig = MakeRig(sc);
+  ManagedRiskPlanner planner(rig.ctx);
+  LpcCalculator lpc(rig.enumerator.get(), rig.ctx.model);
+  CostingSession session(rig.global_plan.get(), &lpc);
+  for (const Sharing& sharing : sc.sharings) {
+    ASSERT_TRUE(planner.ProcessSharing(sharing).ok());
+  }
+  obs::Tracer::Global().Clear();
+  ASSERT_TRUE(session.Refresh().ok());
+  const std::vector<obs::TraceSpan> spans = obs::Tracer::Global().spans();
+  const auto find = [&](const char* name) {
+    const obs::TraceSpan* found = nullptr;
+    int count = 0;
+    for (const obs::TraceSpan& span : spans) {
+      if (span.name != name) continue;
+      found = &span;
+      ++count;
+    }
+    EXPECT_EQ(count, 1) << name;
+    return found;
+  };
+  const obs::TraceSpan* build = find("costing/build_problem");
+  const obs::TraceSpan* dag = find("costing/dag_update");
+  const obs::TraceSpan* faircost = find("costing/faircost");
+  ASSERT_NE(build, nullptr);
+  ASSERT_NE(dag, nullptr);
+  ASSERT_NE(faircost, nullptr);
+  EXPECT_EQ(dag->parent_id, build->id);
+  EXPECT_NE(faircost->parent_id, build->id);
 }
 
 TEST(CostingSessionTest, AcsChangeWhenReuseAppears) {

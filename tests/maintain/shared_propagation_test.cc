@@ -2,9 +2,11 @@
 // round merges once per distinct view, and every node takes its delta from
 // one join delta per table set, routed by its predicates. A table set's
 // join delta is fed from the largest affected table set it contains, and
-// written in the set's column order. SetViewActive flips change which table sets are
-// live between rounds. Every active view must stay bag-equal to a
-// from-scratch Recompute after every round.
+// written in the set's column order. SetViewActive flips change which table
+// sets are live between rounds; the views a flip batch or a registration
+// brings to life are filled from their table set's join, one fill per set.
+// Every active view must stay bag-equal to a from-scratch Recompute after
+// every round and after every fill.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +19,9 @@
 #include "common/fault.h"
 #include "common/rng.h"
 #include "maintain/delta_engine.h"
+#include "maintain/tuple_store.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace dsm {
 namespace {
@@ -61,8 +65,12 @@ Predicate Pred(int table, int column, CompareOp op, double value) {
 struct Scenario {
   std::vector<ViewKey> views;
   std::vector<std::vector<TableUpdate>> rounds;
-  // Views whose active flag flips before each round (empty for round 0).
+  // Views whose active flag flips before each round (empty for round 0),
+  // in order: a view listed twice flips back.
   std::vector<std::vector<size_t>> flips;
+  // Keys registered before each round, after its flips (empty for round
+  // 0, whose registrations are `views`).
+  std::vector<std::vector<ViewKey>> registrations;
 };
 
 // The key pool the population draws from: every chain window carries its
@@ -97,6 +105,9 @@ std::vector<ViewKey> KeyPool() {
 
 Scenario MakeScenario(uint64_t seed) {
   Rng rng(seed);
+  // Registrations draw from a stream of their own, so the views, flips and
+  // updates are the ones each seed always drew.
+  Rng registration_rng(seed ^ 0x5eed5eed5eed5eedULL);
   Scenario scenario;
   const std::vector<ViewKey> pool = KeyPool();
   // Every key once (in a seeded order), then seeded duplicates.
@@ -138,6 +149,15 @@ Scenario MakeScenario(uint64_t seed) {
       }
     }
     scenario.flips.push_back(std::move(flips));
+    std::vector<ViewKey> registered;
+    const int registrations =
+        round > 0 ? static_cast<int>(registration_rng.UniformInt(0, 2)) : 0;
+    for (int i = 0; i < registrations; ++i) {
+      const int64_t k = registration_rng.UniformInt(
+          0, static_cast<int64_t>(pool.size()) - 1);
+      registered.push_back(pool[static_cast<size_t>(k)]);
+    }
+    scenario.registrations.push_back(std::move(registered));
     std::vector<TableUpdate> updates;
     for (int t = 0; t < kNumTables; ++t) {
       if (!rng.Bernoulli(0.75)) continue;
@@ -165,32 +185,80 @@ Scenario MakeScenario(uint64_t seed) {
   return scenario;
 }
 
+// Every row's stored hash is the hash of its slots, so a filled node's rows
+// are found by the hashes later merges look them up by.
+void ExpectStoredHashes(const Relation& rel) {
+  const TupleStore& rows = rel.store();
+  rows.ForEachLive([&](uint32_t r) {
+    EXPECT_EQ(rows.row_hash(r),
+              HashTupleSlots(rows.row_slots(r), rows.arity()));
+  });
+}
+
+// Every active view of `ids` (keys `keys`) bag-equals Recompute and
+// carries its rows' hashes.
+void ExpectActiveViewsMatch(const DeltaEngine& engine,
+                            const std::vector<ViewId>& ids,
+                            const std::vector<ViewKey>& keys,
+                            const std::string& when) {
+  for (size_t v = 0; v < ids.size(); ++v) {
+    if (!engine.view_active(ids[v])) continue;
+    const auto expected = engine.Recompute(keys[v]);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_TRUE(engine.view(ids[v])->BagEquals(*expected))
+        << "view " << v << " diverged " << when;
+    ExpectStoredHashes(*engine.view(ids[v]));
+  }
+}
+
 // Replays `scenario`, checking every active view against Recompute after
-// every round.
+// every fill and every round. Each round's flips are applied as two
+// batches, the deactivations and then the activations; an active view
+// listed an even number of times is in both (dropped, then filled from
+// the unchanged bases). The fills add nothing to work().
 void Replay(const Catalog& catalog, const Scenario& scenario) {
   DeltaEngine engine(&catalog);
   for (TableId t = 0; t < catalog.num_tables(); ++t) {
     ASSERT_TRUE(engine.RegisterBase(t).ok());
   }
+  std::vector<ViewKey> keys = scenario.views;
   std::vector<ViewId> ids;
-  for (const ViewKey& key : scenario.views) {
+  for (const ViewKey& key : keys) {
     const auto id = engine.RegisterView(key);
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
   for (size_t r = 0; r < scenario.rounds.size(); ++r) {
-    for (const size_t v : scenario.flips[r]) {
-      EXPECT_TRUE(
-          engine.SetViewActive(ids[v], !engine.view_active(ids[v])).ok());
-    }
-    EXPECT_TRUE(engine.ApplyUpdates(scenario.rounds[r]).ok());
+    std::vector<bool> active(ids.size());
     for (size_t v = 0; v < ids.size(); ++v) {
-      if (!engine.view_active(ids[v])) continue;
-      const auto expected = engine.Recompute(scenario.views[v]);
-      EXPECT_TRUE(expected.ok());
-      EXPECT_TRUE(engine.view(ids[v])->BagEquals(*expected))
-          << "view " << v << " diverged after round " << r;
+      active[v] = engine.view_active(ids[v]);
     }
+    std::vector<int> listed(ids.size(), 0);
+    for (const size_t v : scenario.flips[r]) ++listed[v];
+    std::vector<ViewId> off;
+    std::vector<ViewId> on;
+    for (size_t v = 0; v < ids.size(); ++v) {
+      if (listed[v] == 0) continue;
+      const bool target = active[v] != (listed[v] % 2 == 1);
+      if (active[v]) off.push_back(ids[v]);
+      if (target) on.push_back(ids[v]);
+    }
+    const uint64_t work = engine.work();
+    EXPECT_TRUE(engine.SetViewActive(off, false).ok());
+    EXPECT_TRUE(engine.SetViewActive(on, true).ok());
+    for (const ViewKey& key : scenario.registrations[r]) {
+      const auto id = engine.RegisterView(key);
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+      keys.push_back(key);
+    }
+    EXPECT_EQ(engine.work(), work) << "fills before round " << r;
+    ExpectActiveViewsMatch(engine, ids, keys,
+                           "after the fills before round " +
+                               std::to_string(r));
+    EXPECT_TRUE(engine.ApplyUpdates(scenario.rounds[r]).ok());
+    ExpectActiveViewsMatch(engine, ids, keys,
+                           "after round " + std::to_string(r));
   }
 }
 
@@ -320,7 +388,7 @@ TEST_F(SharedPropagationWorkTest, DuplicatesShareOneNodeAcrossTheirLifecycle) {
   EXPECT_EQ(engine_->view(a)->TotalSize(), 0);
   EXPECT_EQ(engine_->view(a)->columns(), engine_->view(b)->columns());
 
-  // Its node is still live, so it comes back without a recompute.
+  // Its node is still live, so it comes back without a fill.
   uint64_t before = recomputes();
   ASSERT_TRUE(engine_->SetViewActive(a, true).ok());
   EXPECT_EQ(recomputes(), before);
@@ -335,8 +403,8 @@ TEST_F(SharedPropagationWorkTest, DuplicatesShareOneNodeAcrossTheirLifecycle) {
   EXPECT_LT(resident_bytes(), live_bytes);
   WorkOfOneUpdate(1002);
 
-  // Reviving the node recomputes it once; a third duplicate attaches to
-  // it without another.
+  // Reviving the node fills it once (dsm.maintain.recomputes counts
+  // nodes filled); a third duplicate attaches to it without another.
   before = recomputes();
   ASSERT_TRUE(engine_->SetViewActive(a, true).ok());
   EXPECT_EQ(recomputes(), before + 1);
@@ -624,6 +692,232 @@ TEST_F(SubJoinFeedTest, FaultOnTheSecondTableLeavesTheBatchUntouched) {
   for (TableId t = 0; t < kNumTables; ++t) {
     EXPECT_TRUE(engine->base(t)->BagEquals(*twin->base(t))) << "table " << t;
   }
+  ExpectMatchesRecompute(*engine);
+}
+
+// Fills: the nodes one call brings to life take their rows from one fill
+// per table set. Its source is a live unpredicated node over the set, else
+// the set's lowest table's base. Checked through dsm.maintain.fill_joins,
+// the indexes a fill builds on the bases, and Recompute; no fill adds to
+// work().
+class FillTest : public SubJoinFeedTest {
+ protected:
+  // Registers `key`, checks the new view against Recompute and the fill's
+  // counters, and returns the fill joins it ran.
+  static uint64_t JoinsToRegister(DeltaEngine* engine, const ViewKey& key) {
+    const uint64_t joins = Counter("dsm.maintain.fill_joins");
+    const uint64_t rows = Counter("dsm.maintain.fill_rows");
+    const uint64_t filled = Counter("dsm.maintain.recomputes");
+    const uint64_t work = engine->work();
+    const auto id = engine->RegisterView(key);
+    EXPECT_TRUE(id.ok());
+    if (!id.ok()) return 0;
+    const Relation& view = *engine->view(*id);
+    EXPECT_TRUE(view.BagEquals(*engine->Recompute(key)));
+    EXPECT_EQ(view.columns(), engine->Recompute(key)->columns());
+    ExpectStoredHashes(view);
+    EXPECT_EQ(Counter("dsm.maintain.fill_rows") - rows, view.DistinctSize());
+    EXPECT_EQ(Counter("dsm.maintain.recomputes") - filled, 1u);
+    EXPECT_EQ(engine->work(), work);
+    return Counter("dsm.maintain.fill_joins") - joins;
+  }
+
+  static size_t Indexes(const DeltaEngine& engine, TableId t) {
+    return engine.base(t)->num_indexes();
+  }
+};
+
+TEST_F(FillTest, EachSourceFillsWhatRecomputeComputes) {
+  const auto engine = NewEngine();
+  for (TableId t = 0; t < kNumTables; ++t) ASSERT_EQ(Indexes(*engine, t), 0u);
+
+  // Bases only: T0 is joined with T1 (index on c1), then T2 (on c2).
+  const TableSet t012 = Chain(0, 2);
+  EXPECT_EQ(JoinsToRegister(engine.get(),
+                            ViewKey(t012, {Pred(0, 0, CompareOp::kGt, 1)})),
+            1u);
+  EXPECT_EQ(Indexes(*engine, 1), 1u);
+  EXPECT_EQ(Indexes(*engine, 2), 1u);
+  // A live predicated node is no source; once the unpredicated one is
+  // live, the set's next nodes are copied or routed from it.
+  EXPECT_EQ(JoinsToRegister(engine.get(), ViewKey(t012)), 1u);
+  EXPECT_EQ(JoinsToRegister(engine.get(),
+                            ViewKey(t012, {Pred(2, 1, CompareOp::kLt, 4)})),
+            0u);
+  EXPECT_EQ(JoinsToRegister(engine.get(),
+                            ViewKey(t012, {Pred(0, 7, CompareOp::kLt, 2)})),
+            0u);
+
+  // A single-table set is its base; a predicated view over it is routed
+  // from the live unpredicated one.
+  EXPECT_EQ(JoinsToRegister(engine.get(), ViewKey(Chain(3, 3))), 1u);
+  EXPECT_EQ(JoinsToRegister(engine.get(),
+                            ViewKey(Chain(3, 3),
+                                    {Pred(3, 0, CompareOp::kEq, 2)})),
+            0u);
+  EXPECT_EQ(JoinsToRegister(engine.get(),
+                            ViewKey(Chain(0, 0),
+                                    {Pred(0, 1, CompareOp::kGt, 2)})),
+            1u);
+
+  // An empty base empties every set it is in.
+  DeltaEngine sparse(&catalog_);
+  for (TableId t = 0; t < kNumTables; ++t) {
+    ASSERT_TRUE(sparse.RegisterBase(t).ok());
+  }
+  ASSERT_TRUE(sparse
+                  .ApplyUpdate(2, {Tuple{Value(int64_t{1}), Value(int64_t{2})}},
+                               {})
+                  .ok());
+  EXPECT_EQ(JoinsToRegister(&sparse, ViewKey(Chain(2, 3))), 1u);
+  EXPECT_EQ(JoinsToRegister(&sparse, ViewKey(Chain(3, 3))), 1u);
+  EXPECT_EQ(JoinsToRegister(&sparse,
+                            ViewKey(Chain(1, 2),
+                                    {Pred(2, 0, CompareOp::kEq, 1)})),
+            1u);
+  for (ViewId id = 0; id < sparse.num_views(); ++id) {
+    EXPECT_EQ(sparse.view(id)->TotalSize(), 0) << "view " << id;
+  }
+}
+
+TEST_F(FillTest, OneBatchCostsOneFillJoinPerTableSet) {
+  const auto engine = NewEngine();
+  const TableSet t012 = Chain(0, 2);
+  std::vector<ViewId> predicated;
+  for (const Predicate& p : {Pred(0, 0, CompareOp::kGt, 1),
+                             Pred(1, 1, CompareOp::kLt, 4),
+                             Pred(2, 1, CompareOp::kEq, 3)}) {
+    predicated.push_back(*engine->RegisterView(ViewKey(t012, {p})));
+  }
+  const ViewId plain = *engine->RegisterView(ViewKey(t012));
+  ASSERT_TRUE(engine->SetViewActive(predicated, false).ok());
+  ASSERT_TRUE(engine->SetViewActive(plain, false).ok());
+
+  // Three predicated nodes and no live node over the set: one join feeds
+  // all three. Repeated ids flip once.
+  std::vector<ViewId> batch = predicated;
+  batch.push_back(predicated.front());
+  uint64_t joins = Counter("dsm.maintain.fill_joins");
+  uint64_t filled = Counter("dsm.maintain.recomputes");
+  const uint64_t work = engine->work();
+  ASSERT_TRUE(engine->SetViewActive(batch, true).ok());
+  EXPECT_EQ(Counter("dsm.maintain.fill_joins") - joins, 1u);
+  EXPECT_EQ(Counter("dsm.maintain.recomputes") - filled, 3u);
+  EXPECT_EQ(engine->work(), work);
+  ExpectMatchesRecompute(*engine);
+
+  // With the unpredicated node live, the set's fills join nothing.
+  ASSERT_TRUE(engine->SetViewActive(predicated, false).ok());
+  ASSERT_TRUE(engine->SetViewActive(plain, true).ok());
+  joins = Counter("dsm.maintain.fill_joins");
+  filled = Counter("dsm.maintain.recomputes");
+  ASSERT_TRUE(engine->SetViewActive(predicated, true).ok());
+  EXPECT_EQ(Counter("dsm.maintain.fill_joins") - joins, 0u);
+  EXPECT_EQ(Counter("dsm.maintain.recomputes") - filled, 3u);
+  EXPECT_EQ(engine->work(), work);
+  ExpectMatchesRecompute(*engine);
+  for (ViewId id = 0; id < engine->num_views(); ++id) {
+    ExpectStoredHashes(*engine->view(id));
+  }
+
+  // One batch over two table sets: one fill each, and both stay exact
+  // through the rounds that follow.
+  const ViewId sub = *engine->RegisterView(ViewKey(Chain(0, 1)));
+  std::vector<ViewId> all = predicated;
+  all.push_back(plain);
+  all.push_back(sub);
+  ASSERT_TRUE(engine->SetViewActive(all, false).ok());
+  joins = Counter("dsm.maintain.fill_joins");
+  obs::Tracer::Global().Clear();
+  ASSERT_TRUE(engine->SetViewActive(all, true).ok());
+  EXPECT_EQ(Counter("dsm.maintain.fill_joins") - joins, 2u);
+  int fill_spans = 0;
+  for (const obs::TraceSpan& span : obs::Tracer::Global().spans()) {
+    if (span.name == "maintain/fill") ++fill_spans;
+  }
+  EXPECT_EQ(fill_spans, 2);
+  for (int round = 0; round < 3; ++round) {
+    const std::vector<TableUpdate> update = {
+        {static_cast<TableId>(round),
+         {Tuple{Value(int64_t{round}), Value(int64_t{(round + 4) % 6})}},
+         {}}};
+    EXPECT_GT(WorkOf(engine.get(), update), 0u) << "round " << round;
+    ExpectMatchesRecompute(*engine);
+  }
+}
+
+TEST_F(FillTest, FailedActivationChangesNothingAndRetries) {
+  const auto engine = NewEngine();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  std::vector<ViewId> views = {
+      *engine->RegisterView(ViewKey(Chain(0, 1))),
+      *engine->RegisterView(
+          ViewKey(Chain(0, 1), {Pred(1, 1, CompareOp::kGt, 2)})),
+      *engine->RegisterView(ViewKey(Chain(0, 2))),
+      *engine->RegisterView(
+          ViewKey(Chain(0, 2), {Pred(2, 1, CompareOp::kLt, 4)}))};
+  const ViewId live = *engine->RegisterView(ViewKey(Chain(2, 3)));
+  ASSERT_TRUE(engine->SetViewActive(views, false).ok());
+  // A batch that also holds an already active view.
+  views.push_back(live);
+
+  const std::vector<const char*> counters = {
+      "dsm.maintain.recomputes", "dsm.maintain.fill_joins",
+      "dsm.maintain.fill_rows"};
+  std::vector<uint64_t> counts;
+  for (const char* name : counters) counts.push_back(Counter(name));
+  const double nodes = registry.GetGauge("dsm.maintain.view_nodes")->value();
+  const uint64_t work = engine->work();
+  const size_t num_views = engine->num_views();
+  const auto unchanged = [&](const std::string& when) {
+    for (ViewId id = 0; id < engine->num_views(); ++id) {
+      EXPECT_EQ(engine->view_active(id), id == live) << "view " << id << when;
+      if (id != live) {
+        EXPECT_EQ(engine->view(id)->TotalSize(), 0) << "view " << id << when;
+      }
+    }
+    EXPECT_EQ(engine->num_views(), num_views) << when;
+    for (size_t c = 0; c < counters.size(); ++c) {
+      EXPECT_EQ(Counter(counters[c]), counts[c]) << counters[c] << when;
+    }
+    EXPECT_EQ(registry.GetGauge("dsm.maintain.view_nodes")->value(), nodes)
+        << when;
+    EXPECT_EQ(engine->work(), work) << when;
+    ExpectMatchesRecompute(*engine);
+  };
+
+  {
+    // {T0, T1}'s fill completes; {T0, T1, T2}'s fails.
+    ScopedFault fault("maintain/fill", FaultSpec{1.0, 1, 1});
+    EXPECT_EQ(engine->SetViewActive(views, true).code(),
+              StatusCode::kInternal);
+    EXPECT_EQ(FaultInjector::Global().hits("maintain/fill"), 2);
+    EXPECT_EQ(FaultInjector::Global().fires("maintain/fill"), 1);
+  }
+  unchanged(" after a failed fill");
+  {
+    // A registration whose fill fails adds no view.
+    ScopedFault fault("maintain/fill", FaultSpec{1.0, 0, 1});
+    EXPECT_EQ(engine->RegisterView(ViewKey(Chain(1, 3))).status().code(),
+              StatusCode::kInternal);
+  }
+  unchanged(" after a failed registration");
+  std::vector<ViewId> unknown = views;
+  unknown.push_back(engine->num_views());
+  EXPECT_EQ(engine->SetViewActive(unknown, true).code(),
+            StatusCode::kNotFound);
+  unchanged(" after an unknown id");
+
+  // The retry fills all four nodes, two fills.
+  ASSERT_TRUE(engine->SetViewActive(views, true).ok());
+  EXPECT_EQ(Counter("dsm.maintain.recomputes") - counts[0], 4u);
+  EXPECT_EQ(Counter("dsm.maintain.fill_joins") - counts[1], 2u);
+  EXPECT_EQ(registry.GetGauge("dsm.maintain.view_nodes")->value(), nodes + 4);
+  for (const ViewId id : views) {
+    EXPECT_TRUE(engine->view_active(id)) << "view " << id;
+  }
+  ExpectMatchesRecompute(*engine);
+  ASSERT_TRUE(engine->RegisterView(ViewKey(Chain(1, 3))).ok());
   ExpectMatchesRecompute(*engine);
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/fault.h"
 #include "cost/default_cost_model.h"
+#include "online/managed_risk.h"
 #include "online/recovery_planner.h"
 #include "workload/twitter.h"
 
@@ -158,6 +162,158 @@ TEST_F(SimulationTest, RejectsEventsInThePast) {
   ASSERT_TRUE(sim.Run(1, 0.0).ok());
   EXPECT_EQ(sim.recovery_stats().failures, 1);
   EXPECT_FALSE(cluster.is_up(1));
+}
+
+
+// A three-server Twitter market whose simulation has a fault domain.
+struct RecoveringMarket {
+  explicit RecoveringMarket(const Catalog* catalog)
+      : cluster(ThreeServers(*catalog)),
+        graph(JoinGraph::FromCatalog(*catalog)),
+        model(catalog, &cluster),
+        enumerator(catalog, &cluster, &graph, &model),
+        gp(&cluster, &model),
+        ctx{catalog, &cluster, &graph, &model, &gp, &enumerator},
+        planner(ctx),
+        recovery(ctx),
+        sim(catalog, 84, /*domain_compression=*/1e-4) {
+    sim.AttachFaultDomain(&cluster, &recovery);
+  }
+
+  static Cluster ThreeServers(const Catalog& catalog) {
+    Cluster cluster;
+    for (int i = 0; i < 3; ++i) cluster.AddServer("m" + std::to_string(i));
+    cluster.PlaceRoundRobin(catalog.num_tables());
+    return cluster;
+  }
+
+  // Admits up to 24 sharings, each with a buyer view, and streams 4 ticks
+  // of updates. Views are registered in admission order, so the k-th
+  // admitted sharing's view is ViewId k.
+  void Admit(const Catalog& catalog, const TwitterTables& tables) {
+    TwitterSequenceOptions options;
+    options.num_sharings = 24;
+    options.max_predicates = 1;
+    options.seed = 3;
+    for (const Sharing& s :
+         GenerateTwitterSequence(catalog, tables, cluster, options)) {
+      const auto choice = planner.ProcessSharing(s);
+      if (!choice.ok()) continue;
+      ASSERT_TRUE(sim.AddBuyerView(choice->id, s.ResultKey()).ok());
+      admitted.push_back(choice->id);
+    }
+    ASSERT_TRUE(sim.Run(/*ticks=*/4, /*scale=*/0.05).ok());
+  }
+
+  // Every admitted sharing is in exactly one of the global plan and the
+  // parked queue, and its view is active exactly when it is in the plan.
+  void ExpectServedIffPlanned() const {
+    std::vector<SharingId> parked;
+    for (const ParkedSharing& p : recovery.parked()) parked.push_back(p.id);
+    for (size_t k = 0; k < admitted.size(); ++k) {
+      const bool planned = gp.record(admitted[k]) != nullptr;
+      EXPECT_NE(planned, std::count(parked.begin(), parked.end(),
+                                    admitted[k]) == 1)
+          << "sharing " << admitted[k];
+      EXPECT_EQ(sim.engine().view_active(k), planned)
+          << "sharing " << admitted[k];
+    }
+    const auto verified = sim.VerifyViews();
+    ASSERT_TRUE(verified.ok());
+    EXPECT_TRUE(*verified);
+  }
+
+  Cluster cluster;
+  JoinGraph graph;
+  DefaultCostModel model;
+  PlanEnumerator enumerator;
+  GlobalPlan gp;
+  PlannerContext ctx;
+  ManagedRiskPlanner planner;
+  RecoveryPlanner recovery;
+  MarketSimulation sim;
+  std::vector<SharingId> admitted;
+};
+
+// A failover that fails partway has still parked every victim it did not
+// migrate, and none of them may stay served: their views are deactivated,
+// and the victims it migrated before the error are counted.
+TEST_F(SimulationTest, FailedFailoverDeactivatesEveryParkedView) {
+  RecoveringMarket market(&catalog_);
+  ASSERT_NO_FATAL_FAILURE(market.Admit(catalog_, tables_));
+  MarketSimulation& sim = market.sim;
+  const RecoveryPlanner& recovery = market.recovery;
+  const size_t victims = market.gp.SharingsTouchingServer(1).size();
+  ASSERT_GE(victims, 4u);
+
+  std::vector<int64_t> sizes;
+  for (const SharingId id : market.admitted) sizes.push_back(sim.ViewSize(id));
+  ASSERT_TRUE(sim.ScheduleServerFailure(sim.ticks_elapsed(), 1).ok());
+  {
+    // The third victim's replan fails after two were handled.
+    ScopedFault fault("recovery/replan", FaultSpec{1.0, 2, 1});
+    EXPECT_EQ(sim.Run(1, 0.05).code(), StatusCode::kInternal);
+    EXPECT_EQ(FaultInjector::Global().fires("recovery/replan"), 1);
+  }
+  ASSERT_GE(recovery.num_parked(), 2u);
+  bool parked_had_rows = false;
+  for (const ParkedSharing& p : recovery.parked()) {
+    const size_t k = static_cast<size_t>(
+        std::find(market.admitted.begin(), market.admitted.end(), p.id) -
+        market.admitted.begin());
+    ASSERT_LT(k, market.admitted.size());
+    parked_had_rows |= sizes[k] > 0;
+    EXPECT_EQ(sim.ViewSize(p.id), 0) << "sharing " << p.id;
+  }
+  // Otherwise a view left active would read 0 as well.
+  EXPECT_TRUE(parked_had_rows);
+  EXPECT_EQ(sim.recovery_stats().parked,
+            static_cast<int>(recovery.num_parked()));
+  EXPECT_EQ(sim.recovery_stats().migrated + sim.recovery_stats().parked,
+            static_cast<int>(victims));
+  market.ExpectServedIffPlanned();
+
+  // The server returns: every sharing is re-admitted, its view revived
+  // and equal to its recomputation.
+  ASSERT_TRUE(sim.ScheduleServerRecovery(sim.ticks_elapsed(), 1).ok());
+  ASSERT_TRUE(sim.Run(/*ticks=*/2, /*scale=*/0.05).ok());
+  EXPECT_EQ(sim.parked_sharings(), 0u);
+  EXPECT_EQ(market.gp.num_sharings(), market.admitted.size());
+  market.ExpectServedIffPlanned();
+}
+
+// Re-admitted sharings are served inside the retry: when reviving the
+// batch's views fails, the batch goes back to the parked queue with its
+// views inactive, and a later retry serves every sharing.
+TEST_F(SimulationTest, FailedRevivalLeavesTheBatchParked) {
+  RecoveringMarket market(&catalog_);
+  ASSERT_NO_FATAL_FAILURE(market.Admit(catalog_, tables_));
+  MarketSimulation& sim = market.sim;
+  ASSERT_TRUE(sim.ScheduleServerFailure(sim.ticks_elapsed(), 1).ok());
+  ASSERT_TRUE(sim.Run(1, 0.05).ok());
+  const size_t parked = market.recovery.num_parked();
+  ASSERT_GE(parked, 2u);
+  market.ExpectServedIffPlanned();
+
+  const int tick = sim.ticks_elapsed();
+  ASSERT_TRUE(sim.ScheduleServerRecovery(tick, 1).ok());
+  {
+    ScopedFault fault("maintain/fill", FaultSpec{1.0, 0, 1});
+    EXPECT_EQ(sim.Run(1, 0.05).code(), StatusCode::kInternal);
+    EXPECT_EQ(FaultInjector::Global().fires("maintain/fill"), 1);
+  }
+  EXPECT_EQ(sim.ticks_elapsed(), tick);
+  EXPECT_EQ(market.recovery.num_parked(), parked);
+  EXPECT_EQ(sim.recovery_stats().readmitted, 0);
+  market.ExpectServedIffPlanned();
+
+  // The server is up and the queue's backoff has elapsed: the next tick
+  // re-admits and serves the whole batch.
+  ASSERT_TRUE(sim.Run(1, 0.05).ok());
+  EXPECT_EQ(sim.parked_sharings(), 0u);
+  EXPECT_EQ(sim.recovery_stats().readmitted, static_cast<int>(parked));
+  EXPECT_EQ(market.gp.num_sharings(), market.admitted.size());
+  market.ExpectServedIffPlanned();
 }
 
 }  // namespace

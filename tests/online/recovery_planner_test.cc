@@ -373,6 +373,50 @@ TEST(RecoveryPlannerTest, ErrorMidFailoverParksTheRemainingVictims) {
   EXPECT_EQ(rig->gp->num_sharings(), originals.size());
 }
 
+TEST(RecoveryPlannerTest, FailedFailoverReportsWhatItDid) {
+  auto rig = MakeStarRig();
+  // Sharing 1 is FACT ⋈ DIM joined on m2; sharings 2 and 3 filter it for
+  // m0 and m1 by reusing m2's view, so all three are victims of m2.
+  const Sharing a(TS({0, 1}), {}, /*destination=*/2, "alice");
+  const auto a_plans = testing_support::EnumerateAll(*rig->enumerator, a);
+  ASSERT_TRUE(a_plans.ok());
+  const SharingPlan* a_plan = JoinAtDestinationPlan(*a_plans, 2);
+  ASSERT_NE(a_plan, nullptr);
+  ASSERT_TRUE(rig->gp->AddSharing(1, a, *a_plan).ok());
+  Predicate pred;
+  pred.table = 0;
+  pred.column = 1;
+  pred.op = CompareOp::kLt;
+  pred.value = 5000.0;
+  const double b_cost_before =
+      AddCheapest(rig.get(), 2, Sharing(TS({0, 1}), {pred}, 0, "bob"));
+  pred.value = 4000.0;
+  AddCheapest(rig.get(), 3, Sharing(TS({0, 1}), {pred}, 1, "carol"));
+  ASSERT_EQ(rig->gp->SharingsTouchingServer(2),
+            (std::vector<SharingId>{1, 2, 3}));
+
+  ASSERT_TRUE(rig->cluster.MarkDown(2).ok());
+  RecoveryPlanner recovery(rig->ctx);
+  RecoveryReport report;
+  {
+    // Sharing 1 parks, sharing 2 migrates, sharing 3's replan fails.
+    ScopedFault fault("recovery/replan", FaultSpec{1.0, 2, 1});
+    EXPECT_EQ(recovery.OnServerDown(2, /*now_tick=*/0, &report).code(),
+              StatusCode::kInternal);
+  }
+  // The report keeps what the failover did before the error.
+  EXPECT_EQ(report.server, 2u);
+  ASSERT_EQ(report.migrated.size(), 1u);
+  EXPECT_EQ(report.migrated[0].id, 2u);
+  EXPECT_DOUBLE_EQ(report.migrated[0].cost_before, b_cost_before);
+  EXPECT_EQ(report.parked, (std::vector<SharingId>{1, 3}));
+  EXPECT_DOUBLE_EQ(report.cost_after, rig->gp->TotalCost());
+  ASSERT_EQ(recovery.num_parked(), 2u);
+  EXPECT_EQ(recovery.parked()[0].id, 1u);
+  EXPECT_EQ(recovery.parked()[1].id, 3u);
+  EXPECT_EQ(rig->gp->sharing_ids(), std::vector<SharingId>{2});
+}
+
 TEST(RecoveryPlannerTest, ErrorMidRetryLeavesTheQueueAsItWas) {
   auto rig = MakeRecoveryRig(/*spare_server=*/false);
   const auto originals = AdmitTwitterMix(rig.get(), 24, 5);
@@ -406,6 +450,29 @@ TEST(RecoveryPlannerTest, ErrorMidRetryLeavesTheQueueAsItWas) {
     EXPECT_EQ(rig->gp->sharing_ids(), served_before);
     ExpectEachSharingOnce(*rig, recovery, originals);
   }
+
+  // A batch that plans but cannot be served (its `readmit` fails) is
+  // undone the same way.
+  std::vector<SharingId> offered;
+  const auto refused = recovery.RetryParked(
+      2, /*force=*/true, [&](const std::vector<MigratedSharing>& batch) {
+        for (const MigratedSharing& m : batch) offered.push_back(m.id);
+        EXPECT_EQ(rig->gp->num_sharings(),
+                  served_before.size() + batch.size());
+        return Status::Internal("views not revived");
+      });
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(offered.size(), before.size());
+  ASSERT_EQ(recovery.parked().size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(recovery.parked()[i].id, before[i].id);
+    EXPECT_EQ(recovery.parked()[i].attempts, before[i].attempts);
+    EXPECT_EQ(recovery.parked()[i].next_retry_tick,
+              before[i].next_retry_tick);
+  }
+  EXPECT_EQ(rig->gp->sharing_ids(), served_before);
+  ExpectEachSharingOnce(*rig, recovery, originals);
 
   // The batch is retried cleanly: no AlreadyExists from a half-applied
   // earlier attempt, and every parked sharing comes back.
