@@ -20,18 +20,9 @@ namespace {
 
 double RunManagedRisk(const Scenario& scenario,
                       const ManagedRiskOptions& options) {
-  PlanEnumerator enumerator(scenario.catalog.get(), scenario.cluster.get(),
-                            scenario.graph.get(), scenario.model.get(),
-                            EnumeratorOptions{});
-  GlobalPlan global_plan(scenario.cluster.get(), scenario.model.get());
-  PlannerContext ctx{scenario.catalog.get(), scenario.cluster.get(),
-                     scenario.graph.get(),   scenario.model.get(),
-                     &global_plan,           &enumerator};
-  ManagedRiskPlanner planner(ctx, options);
-  for (const Sharing& sharing : scenario.sharings) {
-    (void)planner.ProcessSharing(sharing);
-  }
-  return global_plan.TotalCost();
+  const Rig rig = MakeRig(scenario);
+  ManagedRiskPlanner planner(rig.ctx, options);
+  return RunSequence(&planner, scenario);
 }
 
 void RegretAblations(BenchReport* report) {
@@ -78,24 +69,25 @@ void PercAblation(BenchReport* report) {
   std::printf("%-22s %14s\n", "variant", "global cost $");
   report->BeginSection("perc_ablation");
   for (const bool use_perc : {true, false}) {
-    auto stack = MakeTwitterStack(6);
+    const TwitterScenario world = MakeTwitterScenario(6);
+    const Rig rig = MakeRig(world);
     TwitterSequenceOptions options;
     options.num_sharings = 40;
     options.max_predicates = 2;
     options.seed = 424242;
     const auto sequence = GenerateTwitterSequence(
-        stack->catalog, stack->tables, stack->cluster, options);
+        *world.catalog, world.tables, *world.cluster, options);
     ManagedRiskOptions mr_options;
     mr_options.use_perc = use_perc;
-    ManagedRiskPlanner planner(stack->ctx, mr_options);
+    ManagedRiskPlanner planner(rig.ctx, mr_options);
     for (const Sharing& sharing : sequence) {
       (void)planner.ProcessSharing(sharing);
     }
     std::printf("%-22s %14.4f\n", use_perc ? "with perc" : "without perc",
-                stack->global_plan->TotalCost());
+                rig.global_plan->TotalCost());
     obs::JsonValue row = obs::JsonValue::Object();
     row.Set("variant", use_perc ? "with perc" : "without perc");
-    row.Set("global_cost", stack->global_plan->TotalCost());
+    row.Set("global_cost", rig.global_plan->TotalCost());
     report->Row(std::move(row));
   }
   std::printf("\n");
@@ -108,18 +100,10 @@ void ReplannerAblation(BenchReport* report) {
   report->BeginSection("replanner_ablation");
   for (const uint64_t seed : {11ull, 22ull, 33ull}) {
     const Scenario scenario = MakeRandomThreeWay(seed, 30, 16);
-    PlanEnumerator enumerator(scenario.catalog.get(),
-                              scenario.cluster.get(), scenario.graph.get(),
-                              scenario.model.get(), EnumeratorOptions{});
-    GlobalPlan global_plan(scenario.cluster.get(), scenario.model.get());
-    PlannerContext ctx{scenario.catalog.get(), scenario.cluster.get(),
-                       scenario.graph.get(),   scenario.model.get(),
-                       &global_plan,           &enumerator};
-    GreedyPlanner planner(ctx);
-    for (const Sharing& sharing : scenario.sharings) {
-      (void)planner.ProcessSharing(sharing);
-    }
-    Replanner replanner(ctx);
+    const Rig rig = MakeRig(scenario);
+    GreedyPlanner planner(rig.ctx);
+    (void)RunSequence(&planner, scenario);
+    Replanner replanner(rig.ctx);
     const auto replan_report = replanner.Improve();
     if (!replan_report.ok()) continue;
     std::printf("random seed %-10llu %14.1f %14.1f %8d\n",
@@ -143,14 +127,8 @@ void SpeculativeAblation(BenchReport* report) {
   report->BeginSection("speculative_ablation");
   for (const bool speculate : {false, true}) {
     const Scenario scenario = MakeGreedyTrap(40, 100.0, 10.0, 1e-3);
-    PlanEnumerator enumerator(scenario.catalog.get(),
-                              scenario.cluster.get(), scenario.graph.get(),
-                              scenario.model.get(), EnumeratorOptions{});
-    GlobalPlan global_plan(scenario.cluster.get(), scenario.model.get());
-    PlannerContext ctx{scenario.catalog.get(), scenario.cluster.get(),
-                       scenario.graph.get(),   scenario.model.get(),
-                       &global_plan,           &enumerator};
-    ManagedRiskPlanner planner(ctx);
+    const Rig rig = MakeRig(scenario);
+    ManagedRiskPlanner planner(rig.ctx);
     SpeculativeOptions spec_options;
     spec_options.regret_multiple = 0.5;
     SpeculativeViewAdvisor advisor(&planner, spec_options);
@@ -164,11 +142,11 @@ void SpeculativeAblation(BenchReport* report) {
     }
     std::printf("%-22s %14.3f %10d\n",
                 speculate ? "with speculation" : "plain ManagedRisk",
-                global_plan.TotalCost(), views);
+                rig.global_plan->TotalCost(), views);
     obs::JsonValue row = obs::JsonValue::Object();
     row.Set("variant",
             speculate ? "with speculation" : "plain ManagedRisk");
-    row.Set("global_cost", global_plan.TotalCost());
+    row.Set("global_cost", rig.global_plan->TotalCost());
     row.Set("views_created", views);
     report->Row(std::move(row));
   }

@@ -15,16 +15,12 @@
 #include <string>
 #include <vector>
 
-#include "cost/default_cost_model.h"
+#include "market/rig.h"
 #include "obs/json.h"
-#include "cost/table_cost_model.h"
-#include "globalplan/global_plan.h"
 #include "online/greedy.h"
 #include "online/managed_risk.h"
 #include "online/normalize.h"
-#include "plan/enumerator.h"
-#include "workload/synthetic.h"
-#include "workload/twitter.h"
+#include "workload/scenario.h"
 
 namespace dsm {
 namespace bench {
@@ -47,87 +43,6 @@ class Timer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
-
-// A self-contained Twitter planning stack.
-struct TwitterStack {
-  Catalog catalog;
-  Cluster cluster;
-  TwitterTables tables;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<DefaultCostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> global_plan;
-  PlannerContext ctx;
-};
-
-inline std::unique_ptr<TwitterStack> MakeTwitterStack(
-    size_t machines = 6, EnumeratorOptions enum_options = {}) {
-  auto stack = std::make_unique<TwitterStack>();
-  const auto tables = BuildTwitterCatalog(&stack->catalog);
-  if (!tables.ok()) return nullptr;
-  stack->tables = *tables;
-  for (size_t i = 0; i < machines; ++i) {
-    stack->cluster.AddServer("m" + std::to_string(i));
-  }
-  stack->cluster.PlaceRoundRobin(stack->catalog.num_tables());
-  stack->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(stack->catalog));
-  stack->model = std::make_unique<DefaultCostModel>(&stack->catalog,
-                                                    &stack->cluster);
-  stack->enumerator = std::make_unique<PlanEnumerator>(
-      &stack->catalog, &stack->cluster, stack->graph.get(),
-      stack->model.get(), enum_options);
-  stack->global_plan =
-      std::make_unique<GlobalPlan>(&stack->cluster, stack->model.get());
-  stack->ctx = {&stack->catalog,          &stack->cluster,
-                stack->graph.get(),       stack->model.get(),
-                stack->global_plan.get(), stack->enumerator.get()};
-  return stack;
-}
-
-// A self-contained star-schema planning stack (synthetic experiments).
-struct StarStack {
-  Catalog catalog;
-  Cluster cluster;
-  StarSchema schema;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<TableDrivenCostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> global_plan;
-  PlannerContext ctx;
-};
-
-inline std::unique_ptr<StarStack> MakeStarStack(
-    int facts, int dims, size_t machines,
-    EnumeratorOptions enum_options = {}, uint64_t cost_seed = 42) {
-  auto stack = std::make_unique<StarStack>();
-  StarSchemaOptions schema_options;
-  schema_options.num_fact = facts;
-  schema_options.num_dim = dims;
-  const auto schema = BuildStarCatalog(&stack->catalog, schema_options);
-  if (!schema.ok()) return nullptr;
-  stack->schema = *schema;
-  for (size_t i = 0; i < machines; ++i) {
-    stack->cluster.AddServer("m" + std::to_string(i));
-  }
-  stack->cluster.PlaceRoundRobin(stack->catalog.num_tables());
-  stack->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(stack->catalog));
-  TableDrivenCostModel::Options model_options;
-  model_options.random_min = 1.0;
-  model_options.random_max = 1e5;  // Section 6.1.2
-  model_options.seed = cost_seed;
-  stack->model = std::make_unique<TableDrivenCostModel>(model_options);
-  stack->enumerator = std::make_unique<PlanEnumerator>(
-      &stack->catalog, &stack->cluster, stack->graph.get(),
-      stack->model.get(), enum_options);
-  stack->global_plan =
-      std::make_unique<GlobalPlan>(&stack->cluster, stack->model.get());
-  stack->ctx = {&stack->catalog,          &stack->cluster,
-                stack->graph.get(),       stack->model.get(),
-                stack->global_plan.get(), stack->enumerator.get()};
-  return stack;
-}
 
 enum class Algo { kGreedy, kNormalize, kManagedRisk };
 

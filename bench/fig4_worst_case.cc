@@ -34,18 +34,9 @@ struct Ratios {
 void RunScenario(const Scenario& scenario, Ratios* ratios) {
   double costs[3];
   for (int which = 0; which < 3; ++which) {
-    PlanEnumerator enumerator(scenario.catalog.get(), scenario.cluster.get(),
-                              scenario.graph.get(), scenario.model.get(),
-                              EnumeratorOptions{});
-    GlobalPlan global_plan(scenario.cluster.get(), scenario.model.get());
-    PlannerContext ctx{scenario.catalog.get(), scenario.cluster.get(),
-                       scenario.graph.get(),   scenario.model.get(),
-                       &global_plan,           &enumerator};
-    const auto planner = MakePlanner(static_cast<Algo>(which), ctx);
-    for (const Sharing& sharing : scenario.sharings) {
-      (void)planner->ProcessSharing(sharing);
-    }
-    costs[which] = global_plan.TotalCost();
+    const Rig rig = MakeRig(scenario);
+    const auto planner = MakePlanner(static_cast<Algo>(which), rig.ctx);
+    costs[which] = RunSequence(planner.get(), scenario);
   }
   ratios->Update(costs[0], costs[1], costs[2]);
 }

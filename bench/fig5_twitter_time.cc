@@ -21,15 +21,15 @@ double SecondsPerSharing(Algo algo, size_t num_sharings, int max_preds,
   // Average three seeds per point to damp workload-sampling noise.
   double total = 0.0;
   for (uint64_t rep = 0; rep < 3; ++rep) {
-    auto stack = MakeTwitterStack(machines);
+    const TwitterScenario world = MakeTwitterScenario(machines);
+    const Rig rig = MakeRig(world);
     TwitterSequenceOptions options;
     options.num_sharings = num_sharings;
     options.max_predicates = max_preds;
     options.seed = seed + rep * 1000;
-    const auto sequence = GenerateTwitterSequence(stack->catalog,
-                                                  stack->tables,
-                                                  stack->cluster, options);
-    const auto planner = MakePlanner(algo, stack->ctx);
+    const auto sequence = GenerateTwitterSequence(
+        *world.catalog, world.tables, *world.cluster, options);
+    const auto planner = MakePlanner(algo, rig.ctx);
     const RunStats stats = RunPlanner(planner.get(), sequence);
     total += stats.seconds / static_cast<double>(sequence.size());
   }

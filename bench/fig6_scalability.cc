@@ -45,22 +45,26 @@ Point Measure(int facts, int dims, size_t machines, size_t num_sharings,
   Point point;
   // Pure enumeration time (shared across planners).
   {
-    auto stack = MakeStarStack(facts, dims, machines, enum_options);
+    const StarScenario world = MakeStarScenario(
+        facts, dims, machines, TableDrivenCostModel::Options{});
+    const Rig rig = MakeRig(world, enum_options);
     const auto sequence =
-        GenerateStarSharings(stack->schema, stack->cluster, seq_options);
+        GenerateStarSharings(world.schema, *world.cluster, seq_options);
     const Timer timer;
     for (const Sharing& sharing : sequence) {
-      (void)stack->enumerator->Enumerate(sharing);
+      (void)rig.enumerator->Enumerate(sharing);
     }
     point.enumerate_ms =
         timer.Millis() / static_cast<double>(sequence.size());
   }
   for (const Algo algo :
        {Algo::kGreedy, Algo::kNormalize, Algo::kManagedRisk}) {
-    auto stack = MakeStarStack(facts, dims, machines, enum_options);
+    const StarScenario world = MakeStarScenario(
+        facts, dims, machines, TableDrivenCostModel::Options{});
+    const Rig rig = MakeRig(world, enum_options);
     const auto sequence =
-        GenerateStarSharings(stack->schema, stack->cluster, seq_options);
-    const auto planner = MakePlanner(algo, stack->ctx);
+        GenerateStarSharings(world.schema, *world.cluster, seq_options);
+    const auto planner = MakePlanner(algo, rig.ctx);
     const RunStats stats = RunPlanner(planner.get(), sequence);
     AlgoPoint ap;
     ap.mean_ms = stats.seconds * 1e3 / static_cast<double>(sequence.size());

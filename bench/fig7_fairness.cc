@@ -29,27 +29,27 @@ struct Row {
 };
 
 Row Measure(size_t num_sharings, int max_preds, uint64_t seed) {
-  auto stack = MakeTwitterStack(6);
+  const TwitterScenario world = MakeTwitterScenario(6);
+  const Rig rig = MakeRig(world);
   TwitterSequenceOptions options;
   options.num_sharings = num_sharings;
   options.max_predicates = max_preds;
   options.seed = seed;
-  const auto sequence = GenerateTwitterSequence(stack->catalog,
-                                                stack->tables,
-                                                stack->cluster, options);
+  const auto sequence = GenerateTwitterSequence(
+      *world.catalog, world.tables, *world.cluster, options);
   // "The algorithm for costing sharings are invoked on the output of
   // Algorithm MANAGEDRISK on the Twitter data." (Section 6.1.2)
-  const auto planner = MakePlanner(Algo::kManagedRisk, stack->ctx);
+  const auto planner = MakePlanner(Algo::kManagedRisk, rig.ctx);
   (void)RunPlanner(planner.get(), sequence);
 
   Row row;
-  LpcCalculator lpc(stack->enumerator.get(), stack->model.get());
-  const auto problem = BuildFairCostProblem(*stack->global_plan, &lpc);
+  LpcCalculator lpc(rig.enumerator.get(), world.model.get());
+  const auto problem = BuildFairCostProblem(*rig.global_plan, &lpc);
   if (!problem.ok()) return row;
   const auto fair =
       FairCost::Compute(problem->entries, problem->global_cost);
   if (!fair.ok()) return row;
-  const auto even = EvenSplitCosts(*stack->global_plan, problem->ids);
+  const auto even = EvenSplitCosts(*rig.global_plan, problem->ids);
   if (!even.ok()) return row;
 
   const FairnessReport fair_report =

@@ -30,28 +30,28 @@ struct FairCostPoint {
 // maintenance.
 FairCostPoint FairCostMillisPerSharing(size_t num_sharings, int max_preds,
                                        uint64_t seed) {
-  auto stack = MakeTwitterStack(6);
+  const TwitterScenario world = MakeTwitterScenario(6);
+  const Rig rig = MakeRig(world);
   TwitterSequenceOptions options;
   options.num_sharings = num_sharings;
   options.max_predicates = max_preds;
   options.seed = seed;
-  const auto sequence = GenerateTwitterSequence(stack->catalog,
-                                                stack->tables,
-                                                stack->cluster, options);
-  const auto planner = MakePlanner(Algo::kManagedRisk, stack->ctx);
+  const auto sequence = GenerateTwitterSequence(
+      *world.catalog, world.tables, *world.cluster, options);
+  const auto planner = MakePlanner(Algo::kManagedRisk, rig.ctx);
   (void)RunPlanner(planner.get(), sequence);
 
   FairCostPoint point;
-  LpcCalculator lpc(stack->enumerator.get(), stack->model.get());
+  LpcCalculator lpc(rig.enumerator.get(), world.model.get());
   double n = 0.0;
   {
     const Timer timer;
     // Records carry the LPC admission priced; the paper's clock computes
     // each one, so enumerate them here.
-    for (const auto& [id, rec] : stack->global_plan->records()) {
+    for (const auto& [id, rec] : rig.global_plan->records()) {
       if (!lpc.Lpc(rec.sharing).ok()) return point;
     }
-    const auto problem = BuildFairCostProblem(*stack->global_plan, &lpc);
+    const auto problem = BuildFairCostProblem(*rig.global_plan, &lpc);
     if (!problem.ok()) return point;
     const auto fair =
         FairCost::Compute(problem->entries, problem->global_cost);
@@ -61,10 +61,10 @@ FairCostPoint FairCostMillisPerSharing(size_t num_sharings, int max_preds,
   }
   IncrementalContainmentIndex index;
   // Untimed warm-up fill of the persistent index.
-  (void)BuildFairCostProblem(*stack->global_plan, &lpc, &index);
+  (void)BuildFairCostProblem(*rig.global_plan, &lpc, &index);
   {
     const Timer timer;
-    const auto problem = BuildFairCostProblem(*stack->global_plan, &lpc);
+    const auto problem = BuildFairCostProblem(*rig.global_plan, &lpc);
     if (!problem.ok()) return point;
     const auto fair =
         FairCost::Compute(problem->entries, problem->global_cost);
@@ -74,7 +74,7 @@ FairCostPoint FairCostMillisPerSharing(size_t num_sharings, int max_preds,
   {
     const Timer timer;
     const auto problem =
-        BuildFairCostProblem(*stack->global_plan, &lpc, &index);
+        BuildFairCostProblem(*rig.global_plan, &lpc, &index);
     if (!problem.ok()) return point;
     const auto fair =
         FairCost::Compute(problem->entries, problem->global_cost);

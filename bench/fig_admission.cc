@@ -34,19 +34,19 @@ namespace {
 // subset-related, so each table-mask bucket accumulates hundreds of alive
 // views, many of which genuinely subsume an incoming probe — the workload
 // the reuse index exists for (fig6 covers the sparse-key regime).
-std::vector<Sharing> AdmissionSequence(const TwitterStack& stack, size_t n,
+std::vector<Sharing> AdmissionSequence(const TwitterScenario& world, size_t n,
                                        uint64_t seed) {
   const std::vector<Sharing> base =
-      TwitterBaseSharings(stack.tables, stack.cluster);
+      TwitterBaseSharings(world.tables, *world.cluster);
   Rng rng(seed);
   std::vector<std::vector<Predicate>> pools;
   pools.reserve(base.size());
   for (const Sharing& b : base) {
     pools.push_back(
-        RandomPredicates(stack.catalog, b.tables(), /*count=*/5, &rng));
+        RandomPredicates(*world.catalog, b.tables(), /*count=*/5, &rng));
   }
   const auto num_servers =
-      static_cast<int64_t>(stack.cluster.num_servers());
+      static_cast<int64_t>(world.cluster->num_servers());
   std::vector<Sharing> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -88,32 +88,33 @@ AdmissionResult RunAdmission(size_t target_views, size_t probes,
                              uint64_t seed) {
   EnumeratorOptions enum_options;
   enum_options.per_subset_cap = 16;  // bound the 8/9-table plan explosion
-  auto stack = MakeTwitterStack(6, enum_options);
+  const TwitterScenario world = MakeTwitterScenario(6);
+  const Rig rig = MakeRig(world, enum_options);
   // Dense reuse means most arrivals add at most a residual view, so the
   // sequence is oversized relative to the target view count.
   const auto sequence =
-      AdmissionSequence(*stack, 2 * target_views + 4 * probes, seed);
+      AdmissionSequence(world, 2 * target_views + 4 * probes, seed);
 
   SharingId next_id = 1;
   size_t pos = 0;
   while (pos < sequence.size() &&
-         stack->global_plan->num_alive_views() < target_views) {
-    const auto plans = stack->enumerator->Enumerate(sequence[pos]);
+         rig.global_plan->num_alive_views() < target_views) {
+    const auto plans = rig.enumerator->Enumerate(sequence[pos]);
     if (plans.ok()) {
-      PlanAndCommit(stack->global_plan.get(), sequence[pos], *plans,
+      PlanAndCommit(rig.global_plan.get(), sequence[pos], *plans,
                     next_id++);
     }
     ++pos;
   }
 
   AdmissionResult result;
-  result.alive_views = stack->global_plan->num_alive_views();
+  result.alive_views = rig.global_plan->num_alive_views();
   std::vector<double> samples;
   for (size_t i = 0; i < probes && pos < sequence.size(); ++i, ++pos) {
-    const auto plans = stack->enumerator->Enumerate(sequence[pos]);
+    const auto plans = rig.enumerator->Enumerate(sequence[pos]);
     if (!plans.ok()) continue;
     const Timer timer;
-    PlanAndCommit(stack->global_plan.get(), sequence[pos], *plans,
+    PlanAndCommit(rig.global_plan.get(), sequence[pos], *plans,
                   next_id++);
     samples.push_back(timer.Millis());
   }
@@ -137,31 +138,32 @@ RefreshResult RunRefreshMode(size_t population, size_t refreshes,
                              uint64_t seed) {
   EnumeratorOptions enum_options;
   enum_options.per_subset_cap = 8;
-  auto stack = MakeTwitterStack(6, enum_options);
+  const TwitterScenario world = MakeTwitterScenario(6);
+  const Rig rig = MakeRig(world, enum_options);
   TwitterSequenceOptions options;
   options.num_sharings = population + refreshes;
   options.max_predicates = 2;
   options.seed = seed;
   const auto sequence = GenerateTwitterSequence(
-      stack->catalog, stack->tables, stack->cluster, options);
+      *world.catalog, world.tables, *world.cluster, options);
 
   SharingId next_id = 1;
   size_t pos = 0;
   for (; pos < population && pos < sequence.size(); ++pos) {
-    const auto plans = stack->enumerator->Enumerate(sequence[pos]);
+    const auto plans = rig.enumerator->Enumerate(sequence[pos]);
     if (plans.ok()) {
-      PlanAndCommit(stack->global_plan.get(), sequence[pos], *plans,
+      PlanAndCommit(rig.global_plan.get(), sequence[pos], *plans,
                     next_id++);
     }
   }
 
-  LpcCalculator lpc(stack->enumerator.get(), stack->model.get());
+  LpcCalculator lpc(rig.enumerator.get(), world.model.get());
   IncrementalContainmentIndex index;
   FairCost::Options faircost_options;
   faircost_options.lpc_overrun_fallback = true;  // as CostingSession bills
   const auto refresh = [&](IncrementalContainmentIndex* dag_index) {
     const auto problem =
-        BuildFairCostProblem(*stack->global_plan, &lpc, dag_index);
+        BuildFairCostProblem(*rig.global_plan, &lpc, dag_index);
     if (problem.ok()) {
       (void)FairCost::Compute(problem->entries, problem->global_cost,
                               faircost_options);
@@ -175,9 +177,9 @@ RefreshResult RunRefreshMode(size_t population, size_t refreshes,
   std::vector<double> scratch_ms;
   std::vector<double> inc_ms;
   for (size_t i = 0; i < refreshes && pos < sequence.size(); ++i, ++pos) {
-    const auto plans = stack->enumerator->Enumerate(sequence[pos]);
+    const auto plans = rig.enumerator->Enumerate(sequence[pos]);
     if (!plans.ok()) continue;
-    if (!PlanAndCommit(stack->global_plan.get(), sequence[pos], *plans,
+    if (!PlanAndCommit(rig.global_plan.get(), sequence[pos], *plans,
                        next_id++)) {
       continue;
     }
@@ -192,7 +194,7 @@ RefreshResult RunRefreshMode(size_t population, size_t refreshes,
       inc_ms.push_back(timer.Millis());
     }
   }
-  result.sharings = stack->global_plan->num_sharings();
+  result.sharings = rig.global_plan->num_sharings();
   result.scratch = LatencySummary::FromSamples(std::move(scratch_ms));
   result.incremental = LatencySummary::FromSamples(std::move(inc_ms));
   return result;
@@ -213,25 +215,26 @@ struct FailoverResult {
 // loses server 1 (OnServerDown timed), brings it back and forces a retry
 // of every parked sharing (RetryParked timed).
 FailoverResult RunFailover(size_t population, uint64_t seed) {
-  auto stack = MakeTwitterStack(6);
+  const TwitterScenario world = MakeTwitterScenario(6);
+  const Rig rig = MakeRig(world);
   TwitterSequenceOptions options;
   options.num_sharings = population;
   options.max_predicates = 2;
   options.seed = seed;
-  ManagedRiskPlanner planner(stack->ctx);
+  ManagedRiskPlanner planner(rig.ctx);
   for (const Sharing& s : GenerateTwitterSequence(
-           stack->catalog, stack->tables, stack->cluster, options)) {
+           *world.catalog, world.tables, *world.cluster, options)) {
     (void)planner.ProcessSharing(s);
   }
 
   FailoverResult result;
-  result.sharings = stack->global_plan->num_sharings();
-  RecoveryPlanner recovery(stack->ctx);
+  result.sharings = rig.global_plan->num_sharings();
+  RecoveryPlanner recovery(rig.ctx);
   constexpr ServerId kLost = 1;
   obs::Counter* ruled_out =
       obs::MetricsRegistry::Global().GetCounter("dsm.recovery.ruled_out");
   const uint64_t ruled_before = ruled_out->value();
-  (void)stack->cluster.MarkDown(kLost);
+  (void)world.cluster->MarkDown(kLost);
   {
     const Timer timer;
     const auto report = recovery.OnServerDown(kLost, /*now_tick=*/0);
@@ -243,7 +246,7 @@ FailoverResult RunFailover(size_t population, uint64_t seed) {
     }
   }
   result.ruled_out = static_cast<size_t>(ruled_out->value() - ruled_before);
-  (void)stack->cluster.MarkUp(kLost);
+  (void)world.cluster->MarkUp(kLost);
   {
     const Timer timer;
     const auto readmitted = recovery.RetryParked(1, /*force=*/true);

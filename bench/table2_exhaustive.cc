@@ -28,23 +28,25 @@ int Main(int argc, char** argv) {
   int incomplete = 0;
 
   for (int run = 0; run < runs; ++run) {
-    auto stack = MakeTwitterStack(6);
+    const TwitterScenario world = MakeTwitterScenario(6);
+    const Rig rig = MakeRig(world);
     TwitterSequenceOptions options;
     options.num_sharings =
         3 + static_cast<size_t>(rng.UniformInt(0, 2));  // 3-5 sharings
     options.max_predicates = 1;
     options.seed = 3000 + static_cast<uint64_t>(run);
     const auto sequence = GenerateTwitterSequence(
-        stack->catalog, stack->tables, stack->cluster, options);
+        *world.catalog, world.tables, *world.cluster, options);
 
-    const auto mr = MakePlanner(Algo::kManagedRisk, stack->ctx);
+    const auto mr = MakePlanner(Algo::kManagedRisk, rig.ctx);
     const RunStats mr_stats = RunPlanner(mr.get(), sequence);
 
-    auto ex_stack = MakeTwitterStack(6);
+    const TwitterScenario ex_world = MakeTwitterScenario(6);
+    const Rig ex_rig = MakeRig(ex_world);
     ExhaustiveOptions ex_options;
     ex_options.max_plans_per_sharing = FullScale() ? 0 : 48;
     ex_options.time_limit_seconds = FullScale() ? 300.0 : 20.0;
-    ExhaustivePlanner exhaustive(ex_stack->ctx, ex_options);
+    ExhaustivePlanner exhaustive(ex_rig.ctx, ex_options);
     const Timer timer;
     const auto ex_result = exhaustive.Solve(sequence);
     const double ex_seconds = timer.Seconds();

@@ -18,44 +18,41 @@
 #include <fstream>
 #include <sstream>
 
-#include "cost/default_cost_model.h"
 #include "costing/costing_session.h"
 #include "io/market_io.h"
+#include "market/rig.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "online/managed_risk.h"
 #include "plan/explain.h"
-#include "workload/twitter.h"
+#include "workload/scenario.h"
 
 namespace {
+
+// Plans `num_sharings` Twitter sharings (at most one predicate each) with
+// MANAGEDRISK on `rig`, a plan state over `world`.
+bool PlanDemoSharings(const dsm::TwitterScenario& world, const dsm::Rig& rig,
+                      size_t num_sharings) {
+  dsm::ManagedRiskPlanner planner(rig.ctx);
+  dsm::TwitterSequenceOptions options;
+  options.num_sharings = num_sharings;
+  options.max_predicates = 1;
+  options.seed = 7;
+  for (const dsm::Sharing& sharing : dsm::GenerateTwitterSequence(
+           *world.catalog, world.tables, *world.cluster, options)) {
+    if (!planner.ProcessSharing(sharing).ok()) return false;
+  }
+  return true;
+}
 
 // Plans and costs a small Twitter workload so the telemetry registry and
 // tracer have something to show.
 int RunDemoWorkload() {
-  dsm::Catalog catalog;
-  const auto tables = dsm::BuildTwitterCatalog(&catalog);
-  if (!tables.ok()) return 1;
-  dsm::Cluster cluster;
-  for (int i = 0; i < 4; ++i) cluster.AddServer("m" + std::to_string(i));
-  cluster.PlaceRoundRobin(catalog.num_tables());
-  const dsm::JoinGraph graph = dsm::JoinGraph::FromCatalog(catalog);
-  dsm::DefaultCostModel model(&catalog, &cluster);
-  dsm::PlanEnumerator enumerator(&catalog, &cluster, &graph, &model, {});
-  dsm::GlobalPlan global_plan(&cluster, &model);
-  dsm::PlannerContext ctx{&catalog, &cluster,     &graph,
-                          &model,   &global_plan, &enumerator};
-  dsm::ManagedRiskPlanner planner(ctx);
-
-  dsm::TwitterSequenceOptions options;
-  options.num_sharings = 12;
-  options.max_predicates = 1;
-  options.seed = 7;
-  for (const dsm::Sharing& sharing : dsm::GenerateTwitterSequence(
-           catalog, *tables, cluster, options)) {
-    if (!planner.ProcessSharing(sharing).ok()) return 1;
-  }
-  dsm::LpcCalculator lpc(&enumerator, &model);
-  dsm::CostingSession costing(&global_plan, &lpc);
+  const dsm::TwitterScenario world = dsm::MakeTwitterScenario(4);
+  const dsm::Rig rig = dsm::MakeRig(world);
+  if (!PlanDemoSharings(world, rig, 12)) return 1;
+  dsm::LpcCalculator lpc(rig.enumerator.get(), world.model.get());
+  dsm::CostingSession costing(rig.global_plan.get(), &lpc);
   return costing.Refresh().ok() ? 0 : 1;
 }
 
@@ -86,31 +83,14 @@ int TraceCommand() {
 constexpr const char* kDemoFile = "dsm_demo_market.txt";
 
 int WriteDemoState(const std::string& path) {
-  dsm::Catalog catalog;
-  const auto tables = dsm::BuildTwitterCatalog(&catalog);
-  if (!tables.ok()) return 1;
-  dsm::Cluster cluster;
-  for (int i = 0; i < 4; ++i) cluster.AddServer("m" + std::to_string(i));
-  cluster.PlaceRoundRobin(catalog.num_tables());
-  const dsm::JoinGraph graph = dsm::JoinGraph::FromCatalog(catalog);
-  dsm::DefaultCostModel model(&catalog, &cluster);
-  dsm::PlanEnumerator enumerator(&catalog, &cluster, &graph, &model, {});
-  dsm::GlobalPlan global_plan(&cluster, &model);
-  dsm::PlannerContext ctx{&catalog, &cluster,     &graph,
-                          &model,   &global_plan, &enumerator};
-  dsm::ManagedRiskPlanner planner(ctx);
-
-  dsm::TwitterSequenceOptions options;
-  options.num_sharings = 8;
-  options.max_predicates = 1;
-  options.seed = 7;
-  for (const dsm::Sharing& sharing : dsm::GenerateTwitterSequence(
-           catalog, *tables, cluster, options)) {
-    if (!planner.ProcessSharing(sharing).ok()) return 1;
-  }
+  const dsm::TwitterScenario world = dsm::MakeTwitterScenario(4);
+  const dsm::Rig rig = dsm::MakeRig(world);
+  if (!PlanDemoSharings(world, rig, 8)) return 1;
 
   std::ofstream out(path);
-  if (!dsm::WriteMarketState(catalog, cluster, &global_plan, &out).ok()) {
+  if (!dsm::WriteMarketState(*world.catalog, *world.cluster,
+                             rig.global_plan.get(), &out)
+           .ok()) {
     return 1;
   }
   // The file name only, so the output does not depend on the directory.
@@ -149,7 +129,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  const auto state = dsm::ReadMarketState(&in);
+  auto state = dsm::ReadMarketState(&in);
   if (!state.ok()) {
     std::fprintf(stderr, "parse error: %s\n",
                  state.status().ToString().c_str());
@@ -170,26 +150,27 @@ int main(int argc, char** argv) {
   std::printf("cluster: %zu servers\n\n", state->cluster.num_servers());
 
   // Restore the global plan and audit it.
-  dsm::DefaultCostModel model(&state->catalog, &state->cluster);
-  dsm::GlobalPlan global_plan(&state->cluster, &model);
+  dsm::Scenario world;
+  world.catalog = std::make_unique<dsm::Catalog>(std::move(state->catalog));
+  world.cluster = std::make_unique<dsm::Cluster>(std::move(state->cluster));
+  world.FillDefaults();
+  const dsm::Rig rig = dsm::MakeRig(world);
+  dsm::GlobalPlan& global_plan = *rig.global_plan;
   if (!dsm::RestoreGlobalPlan(*state, &global_plan).ok()) {
     std::fprintf(stderr, "restore failed\n");
     return 1;
   }
-  std::printf("%s\n", dsm::ExplainGlobalPlan(global_plan, state->cluster,
-                                             state->catalog)
+  std::printf("%s\n", dsm::ExplainGlobalPlan(global_plan, *world.cluster,
+                                             *world.catalog)
                           .c_str());
   for (const dsm::SharingStateEntry& entry : state->sharings) {
     std::printf("%s\n", dsm::ExplainSharing(global_plan, entry.id,
-                                            state->catalog)
+                                            *world.catalog)
                             .c_str());
   }
 
   // Re-cost the restored market.
-  const dsm::JoinGraph graph = dsm::JoinGraph::FromCatalog(state->catalog);
-  dsm::PlanEnumerator enumerator(&state->catalog, &state->cluster, &graph,
-                                 &model, {});
-  dsm::LpcCalculator lpc(&enumerator, &model);
+  dsm::LpcCalculator lpc(rig.enumerator.get(), world.model.get());
   dsm::CostingSession costing(&global_plan, &lpc);
   const auto snapshot = costing.Refresh();
   if (!snapshot.ok()) {

@@ -13,34 +13,27 @@
 #include <memory>
 #include <vector>
 
-#include "cost/default_cost_model.h"
 #include "costing/costing_session.h"
+#include "market/rig.h"
 #include "market/simulation.h"
 #include "online/managed_risk.h"
 #include "online/recovery_planner.h"
 #include "plan/explain.h"
-#include "workload/twitter.h"
+#include "workload/scenario.h"
 
 int main() {
   // --- Setup: catalog, six machines, planner stack --------------------
-  dsm::Catalog catalog;
-  const auto tables = dsm::BuildTwitterCatalog(&catalog);
-  if (!tables.ok()) return 1;
-  dsm::Cluster cluster;
-  for (int i = 0; i < 6; ++i) cluster.AddServer("m" + std::to_string(i));
-  cluster.PlaceRoundRobin(catalog.num_tables());
-  const dsm::JoinGraph graph = dsm::JoinGraph::FromCatalog(catalog);
-  dsm::DefaultCostModel model(&catalog, &cluster);
-  dsm::PlanEnumerator enumerator(&catalog, &cluster, &graph, &model, {});
-  dsm::GlobalPlan global_plan(&cluster, &model);
-  dsm::PlannerContext ctx{&catalog, &cluster,     &graph,
-                          &model,   &global_plan, &enumerator};
-  dsm::ManagedRiskPlanner planner(ctx);
-  dsm::LpcCalculator lpc(&enumerator, &model);
+  const dsm::TwitterScenario world = dsm::MakeTwitterScenario(6);
+  const dsm::Rig rig = dsm::MakeRig(world);
+  const dsm::Catalog& catalog = *world.catalog;
+  dsm::Cluster& cluster = *world.cluster;
+  dsm::GlobalPlan& global_plan = *rig.global_plan;
+  dsm::ManagedRiskPlanner planner(rig.ctx);
+  dsm::LpcCalculator lpc(rig.enumerator.get(), world.model.get());
   dsm::CostingSession costing(&global_plan, &lpc);
 
   // --- Buyers arrive online -------------------------------------------
-  const auto base = dsm::TwitterBaseSharings(*tables, cluster);
+  const auto base = dsm::TwitterBaseSharings(world.tables, cluster);
   const size_t picks[] = {4, 1, 5, 9, 4};  // S5, S2, S6, S10, S5 again
   std::printf("five buyers purchase sharings (S5, S2, S6, S10, S5):\n\n");
   std::vector<dsm::SharingId> ids;
@@ -111,7 +104,7 @@ int main() {
   // While it is down the market degrades instead of failing: sharings with
   // a surviving alternative migrate, the rest park (their views go stale
   // and stop being billed for maintenance) until the machine returns.
-  dsm::RecoveryPlanner recovery(ctx);
+  dsm::RecoveryPlanner recovery(rig.ctx);
   sim.AttachFaultDomain(&cluster, &recovery);
   if (!sim.ScheduleServerFailure(/*tick=*/6, /*server=*/4).ok()) return 1;
   if (!sim.Run(/*ticks=*/2, /*scale=*/0.1).ok()) return 1;

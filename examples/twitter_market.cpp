@@ -6,54 +6,15 @@
 #include <cstdio>
 #include <memory>
 
-#include "cost/default_cost_model.h"
 #include "costing/even_split.h"
 #include "costing/fairness_metrics.h"
 #include "costing/lpc.h"
 #include "costing/savings.h"
+#include "market/rig.h"
 #include "online/greedy.h"
 #include "online/managed_risk.h"
 #include "online/normalize.h"
-#include "workload/twitter.h"
-
-namespace {
-
-struct Stack {
-  dsm::Catalog catalog;
-  dsm::Cluster cluster;
-  dsm::TwitterTables tables;
-  std::unique_ptr<dsm::JoinGraph> graph;
-  std::unique_ptr<dsm::DefaultCostModel> model;
-  std::unique_ptr<dsm::PlanEnumerator> enumerator;
-  std::unique_ptr<dsm::GlobalPlan> global_plan;
-  dsm::PlannerContext ctx;
-};
-
-std::unique_ptr<Stack> MakeStack() {
-  auto stack = std::make_unique<Stack>();
-  const auto tables = dsm::BuildTwitterCatalog(&stack->catalog);
-  if (!tables.ok()) return nullptr;
-  stack->tables = *tables;
-  for (int i = 0; i < 6; ++i) {
-    stack->cluster.AddServer("m" + std::to_string(i));
-  }
-  stack->cluster.PlaceRoundRobin(stack->catalog.num_tables());
-  stack->graph = std::make_unique<dsm::JoinGraph>(
-      dsm::JoinGraph::FromCatalog(stack->catalog));
-  stack->model = std::make_unique<dsm::DefaultCostModel>(&stack->catalog,
-                                                         &stack->cluster);
-  stack->enumerator = std::make_unique<dsm::PlanEnumerator>(
-      &stack->catalog, &stack->cluster, stack->graph.get(),
-      stack->model.get(), dsm::EnumeratorOptions{});
-  stack->global_plan = std::make_unique<dsm::GlobalPlan>(
-      &stack->cluster, stack->model.get());
-  stack->ctx = {&stack->catalog,       &stack->cluster,
-                stack->graph.get(),    stack->model.get(),
-                stack->global_plan.get(), stack->enumerator.get()};
-  return stack;
-}
-
-}  // namespace
+#include "workload/scenario.h"
 
 int main() {
   // One sharing sequence, three planners.
@@ -62,24 +23,25 @@ int main() {
   std::printf("%-12s %16s %14s\n", "planner", "global cost $", "views kept");
 
   double mr_cost = 0.0;
-  std::unique_ptr<Stack> mr_stack;
+  dsm::TwitterScenario mr_world;
+  dsm::Rig mr_rig;
   for (const char* which : {"Greedy", "Normalize", "ManagedRisk"}) {
-    auto stack = MakeStack();
-    if (stack == nullptr) return 1;
+    dsm::TwitterScenario world = dsm::MakeTwitterScenario(6);
+    dsm::Rig rig = dsm::MakeRig(world);
     dsm::TwitterSequenceOptions options;
     options.num_sharings = 40;
     options.max_predicates = 2;
     options.seed = 2014;
     const auto sequence = dsm::GenerateTwitterSequence(
-        stack->catalog, stack->tables, stack->cluster, options);
+        *world.catalog, world.tables, *world.cluster, options);
 
     std::unique_ptr<dsm::OnlinePlanner> planner;
     if (std::string(which) == "Greedy") {
-      planner = std::make_unique<dsm::GreedyPlanner>(stack->ctx);
+      planner = std::make_unique<dsm::GreedyPlanner>(rig.ctx);
     } else if (std::string(which) == "Normalize") {
-      planner = std::make_unique<dsm::NormalizePlanner>(stack->ctx);
+      planner = std::make_unique<dsm::NormalizePlanner>(rig.ctx);
     } else {
-      planner = std::make_unique<dsm::ManagedRiskPlanner>(stack->ctx);
+      planner = std::make_unique<dsm::ManagedRiskPlanner>(rig.ctx);
     }
     for (const dsm::Sharing& sharing : sequence) {
       const auto choice = planner->ProcessSharing(sharing);
@@ -89,24 +51,24 @@ int main() {
       }
     }
     std::printf("%-12s %16.4f %14zu\n", which,
-                stack->global_plan->TotalCost(),
-                stack->global_plan->num_alive_views());
+                rig.global_plan->TotalCost(),
+                rig.global_plan->num_alive_views());
     if (std::string(which) == "ManagedRisk") {
-      mr_cost = stack->global_plan->TotalCost();
-      mr_stack = std::move(stack);
+      mr_cost = rig.global_plan->TotalCost();
+      mr_world = std::move(world);
+      mr_rig = std::move(rig);
     }
   }
 
   // Fair costing on MANAGEDRISK's global plan (as in Section 6.1.2).
-  dsm::LpcCalculator lpc(mr_stack->enumerator.get(), mr_stack->model.get());
-  const auto problem =
-      dsm::BuildFairCostProblem(*mr_stack->global_plan, &lpc);
+  dsm::LpcCalculator lpc(mr_rig.enumerator.get(), mr_world.model.get());
+  const auto problem = dsm::BuildFairCostProblem(*mr_rig.global_plan, &lpc);
   if (!problem.ok()) return 1;
   const auto fair =
       dsm::FairCost::Compute(problem->entries, problem->global_cost);
   if (!fair.ok()) return 1;
   const auto even =
-      dsm::EvenSplitCosts(*mr_stack->global_plan, problem->ids);
+      dsm::EvenSplitCosts(*mr_rig.global_plan, problem->ids);
   if (!even.ok()) return 1;
 
   const dsm::FairnessReport fair_report = dsm::EvaluateFairness(

@@ -14,11 +14,13 @@ FairnessReport EvaluateFairness(const std::vector<FairCostEntry>& entries,
   const size_t n = entries.size();
   if (n == 0 || ac.size() != n) return report;
 
-  // alpha: per-sharing achievable α, clamped to [0, 1]; sharings with no
-  // shared intermediate results impose no constraint.
+  // alpha: the largest α in [0, 1] with AC <= max(0, GPC − α·saving_term)
+  // for every sharing — criterion (4) as FAIRCOST enforces it, its bound
+  // floored at 0. A sharing billed 0 meets that at every α, and sharings
+  // with no shared intermediate results impose no constraint.
   double alpha = 1.0;
   for (size_t i = 0; i < n; ++i) {
-    if (entries[i].saving_term <= 0.0) continue;
+    if (entries[i].saving_term <= 0.0 || ac[i] <= 0.0) continue;
     const double a = (entries[i].gpc - ac[i]) / entries[i].saving_term;
     alpha = std::min(alpha, std::clamp(a, 0.0, 1.0));
   }

@@ -1,6 +1,8 @@
 // Fairness metrics for a cost assignment (Section 6.3 / Figure 7):
 //   alpha     — the largest α such that every sharing's AC still respects
-//               criterion (4)'s saving-award bound,
+//               criterion (4)'s saving-award bound as FAIRCOST enforces
+//               it, AC <= max(0, GPC − α·saving_term) (a sharing billed 0
+//               meets it at every α),
 //   LPC       — fraction of sharings with AC <= LPC (criterion (2)),
 //   Identical — fraction of identical pairs charged equally (criterion (1)),
 //   Contained — fraction of containment pairs with the contained sharing

@@ -9,14 +9,12 @@
 namespace dsm {
 
 DataMarket::DataMarket(DataMarketOptions options)
-    : options_(std::move(options)) {
-  model_ = std::make_unique<DefaultCostModel>(&catalog_, &cluster_);
-}
+    : options_(std::move(options)) {}
 
 DataMarket::~DataMarket() = default;
 
 ServerId DataMarket::AddServer(std::string name, double capacity) {
-  return cluster_.AddServer(std::move(name), capacity);
+  return world_.cluster->AddServer(std::move(name), capacity);
 }
 
 Result<TableId> DataMarket::RegisterTable(TableDef def, ServerId home,
@@ -26,44 +24,40 @@ Result<TableId> DataMarket::RegisterTable(TableDef def, ServerId home,
     return Status::InvalidArgument(
         "tables cannot be registered after the first sharing");
   }
-  DSM_ASSIGN_OR_RETURN(const TableId id, catalog_.AddTable(std::move(def)));
-  DSM_RETURN_IF_ERROR(cluster_.PlaceTable(id, home));
+  DSM_ASSIGN_OR_RETURN(const TableId id,
+                       world_.catalog->AddTable(std::move(def)));
+  DSM_RETURN_IF_ERROR(world_.cluster->PlaceTable(id, home));
   table_value_.resize(id + 1, 0.0);
   table_value_[id] = data_value;
   table_owner_.resize(id + 1);
   table_owner_[id] = std::move(owner);
-  model_->estimator().InvalidateCache();
   return id;
 }
 
 Status DataMarket::EnsurePlanner() {
   if (planner_ != nullptr) return Status::OK();
-  if (cluster_.num_servers() == 0) {
+  if (world_.cluster->num_servers() == 0) {
     return Status::InvalidArgument("no servers registered");
   }
-  if (catalog_.num_tables() == 0) {
+  if (world_.catalog->num_tables() == 0) {
     return Status::InvalidArgument("no tables registered");
   }
-  graph_ = std::make_unique<JoinGraph>(JoinGraph::FromCatalog(catalog_));
-  enumerator_ = std::make_unique<PlanEnumerator>(
-      &catalog_, &cluster_, graph_.get(), model_.get(), options_.enumerator);
-  global_plan_ = std::make_unique<GlobalPlan>(&cluster_, model_.get());
-  lpc_ = std::make_unique<LpcCalculator>(enumerator_.get(), model_.get());
-  costing_ = std::make_unique<CostingSession>(global_plan_.get(), lpc_.get());
-
-  const PlannerContext ctx{&catalog_,    &cluster_,
-                           graph_.get(), model_.get(),
-                           global_plan_.get(), enumerator_.get()};
+  world_.FillDefaults();
+  rig_ = MakeRig(world_, options_.enumerator);
+  lpc_ = std::make_unique<LpcCalculator>(rig_.enumerator.get(),
+                                         world_.model.get());
+  costing_ =
+      std::make_unique<CostingSession>(rig_.global_plan.get(), lpc_.get());
 
   switch (options_.planner) {
     case DataMarketOptions::Planner::kGreedy:
-      planner_ = std::make_unique<GreedyPlanner>(ctx);
+      planner_ = std::make_unique<GreedyPlanner>(rig_.ctx);
       break;
     case DataMarketOptions::Planner::kNormalize:
-      planner_ = std::make_unique<NormalizePlanner>(ctx);
+      planner_ = std::make_unique<NormalizePlanner>(rig_.ctx);
       break;
     case DataMarketOptions::Planner::kManagedRisk:
-      planner_ = std::make_unique<ManagedRiskPlanner>(ctx);
+      planner_ = std::make_unique<ManagedRiskPlanner>(rig_.ctx);
       break;
   }
   return Status::OK();
@@ -74,12 +68,12 @@ Result<DataMarket::SharingReceipt> DataMarket::SubmitSharing(
     std::vector<Predicate> predicates, ServerId destination,
     std::string buyer) {
   DSM_RETURN_IF_ERROR(EnsurePlanner());
-  if (destination >= cluster_.num_servers()) {
+  if (destination >= world_.cluster->num_servers()) {
     return Status::InvalidArgument("unknown destination server");
   }
   TableSet tables;
   for (const std::string& name : table_names) {
-    DSM_ASSIGN_OR_RETURN(const TableId id, catalog_.FindTable(name));
+    DSM_ASSIGN_OR_RETURN(const TableId id, world_.catalog->FindTable(name));
     tables.Add(id);
   }
   if (tables.empty()) {
@@ -97,21 +91,21 @@ Result<DataMarket::SharingReceipt> DataMarket::SubmitSharing(
                        planner_->ProcessSharing(sharing));
   SharingReceipt receipt;
   receipt.id = choice.id;
-  receipt.plan = choice.plan.ToString(catalog_);
+  receipt.plan = choice.plan.ToString(*world_.catalog);
   receipt.marginal_cost = choice.marginal_cost;
   receipt.reused_identical = choice.reused_identical;
   return receipt;
 }
 
 Status DataMarket::CancelSharing(SharingId id) {
-  if (global_plan_ == nullptr) {
+  if (rig_.global_plan == nullptr) {
     return Status::NotFound("no sharings submitted yet");
   }
-  return global_plan_->RemoveSharing(id);
+  return rig_.global_plan->RemoveSharing(id);
 }
 
 Result<DataMarket::CostReport> DataMarket::ComputeCosts() {
-  if (global_plan_ == nullptr || global_plan_->num_sharings() == 0) {
+  if (rig_.global_plan == nullptr || rig_.global_plan->num_sharings() == 0) {
     return Status::InvalidArgument("no active sharings to cost");
   }
   DSM_ASSIGN_OR_RETURN(const CostingSession::Snapshot bill,
@@ -124,7 +118,7 @@ Result<DataMarket::CostReport> DataMarket::ComputeCosts() {
   report.sharings.reserve(bill.ac.size());
   std::map<std::string, double> revenue;
   for (const auto& [id, ac] : bill.ac) {
-    const Sharing& sharing = global_plan_->record(id)->sharing;
+    const Sharing& sharing = rig_.global_plan->record(id)->sharing;
     SharingCost cost;
     cost.id = id;
     cost.buyer = sharing.buyer();
@@ -147,7 +141,7 @@ Result<DataMarket::CostReport> DataMarket::ComputeCosts() {
 }
 
 Result<ReplanReport> DataMarket::ReplanExistingSharings() {
-  if (planner_ == nullptr || global_plan_->num_sharings() == 0) {
+  if (planner_ == nullptr || rig_.global_plan->num_sharings() == 0) {
     return Status::InvalidArgument("no active sharings to re-plan");
   }
   Replanner replanner(planner_->context());
@@ -155,11 +149,11 @@ Result<ReplanReport> DataMarket::ReplanExistingSharings() {
 }
 
 double DataMarket::TotalOperationalCost() const {
-  return global_plan_ == nullptr ? 0.0 : global_plan_->TotalCost();
+  return rig_.global_plan == nullptr ? 0.0 : rig_.global_plan->TotalCost();
 }
 
 size_t DataMarket::num_sharings() const {
-  return global_plan_ == nullptr ? 0 : global_plan_->num_sharings();
+  return rig_.global_plan == nullptr ? 0 : rig_.global_plan->num_sharings();
 }
 
 }  // namespace dsm

@@ -21,15 +21,15 @@
 #include "catalog/catalog.h"
 #include "cluster/cluster.h"
 #include "common/status.h"
-#include "cost/default_cost_model.h"
 #include "costing/costing_session.h"
 #include "costing/lpc.h"
 #include "globalplan/global_plan.h"
+#include "market/rig.h"
 #include "online/planner.h"
 #include "online/replanner.h"
 #include "plan/enumerator.h"
-#include "plan/join_graph.h"
 #include "sharing/sharing.h"
+#include "workload/scenario.h"
 
 namespace dsm {
 
@@ -119,23 +119,21 @@ class DataMarket {
 
   double TotalOperationalCost() const;
   size_t num_sharings() const;
-  const Catalog& catalog() const { return catalog_; }
-  const Cluster& cluster() const { return cluster_; }
-  const GlobalPlan& global_plan() const { return *global_plan_; }
+  const Catalog& catalog() const { return *world_.catalog; }
+  const Cluster& cluster() const { return *world_.cluster; }
+  const GlobalPlan& global_plan() const { return *rig_.global_plan; }
 
  private:
   Status EnsurePlanner();
 
   DataMarketOptions options_;
-  Catalog catalog_;
-  Cluster cluster_;
+  // Registered tables and servers; the join graph and the analytical cost
+  // model are added with the plan state, at the first sharing.
+  Scenario world_;
   std::vector<double> table_value_;
   std::vector<std::string> table_owner_;
 
-  std::unique_ptr<DefaultCostModel> model_;
-  std::unique_ptr<JoinGraph> graph_;
-  std::unique_ptr<PlanEnumerator> enumerator_;
-  std::unique_ptr<GlobalPlan> global_plan_;
+  Rig rig_;
   std::unique_ptr<OnlinePlanner> planner_;
   std::unique_ptr<LpcCalculator> lpc_;
   std::unique_ptr<CostingSession> costing_;

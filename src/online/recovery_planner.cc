@@ -48,7 +48,7 @@ void RecoveryPlanner::Park(SharingId id, Sharing sharing, double cost_before,
   parked.sharing = std::move(sharing);
   parked.cost_before = cost_before;
   parked.attempts = 0;
-  parked.backoff_ticks = options_.initial_backoff_ticks;
+  parked.backoff_ticks = kInitialBackoffTicks;
   parked.next_retry_tick = now_tick + parked.backoff_ticks;
   parked_.push_back(std::move(parked));
   DSM_METRIC_COUNTER_ADD("dsm.recovery.parkings", 1);
@@ -150,7 +150,7 @@ Result<std::vector<MigratedSharing>> RecoveryPlanner::RetryParked(
     if (outcome[i] == Outcome::kBackedOff) {
       ++p.attempts;
       p.backoff_ticks =
-          std::min(p.backoff_ticks * 2, options_.max_backoff_ticks);
+          std::min(p.backoff_ticks * 2, kMaxBackoffTicks);
       p.next_retry_tick = now_tick + p.backoff_ticks;
     }
     if (kept != i) parked_[kept] = std::move(p);

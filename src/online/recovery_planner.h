@@ -44,13 +44,6 @@
 
 namespace dsm {
 
-struct RecoveryOptions {
-  // Backoff before the first retry of a parked sharing, in ticks.
-  int64_t initial_backoff_ticks = 1;
-  // Backoff doubles per failed retry up to this bound.
-  int64_t max_backoff_ticks = 64;
-};
-
 // One sharing moved to a new plan on live servers.
 struct MigratedSharing {
   SharingId id = 0;
@@ -81,9 +74,12 @@ struct RecoveryReport {
 
 class RecoveryPlanner {
  public:
-  explicit RecoveryPlanner(PlannerContext context,
-                           RecoveryOptions options = {})
-      : ctx_(context), options_(options) {}
+  // Backoff before the first retry of a parked sharing, in ticks; it
+  // doubles per failed retry up to kMaxBackoffTicks.
+  static constexpr int64_t kInitialBackoffTicks = 1;
+  static constexpr int64_t kMaxBackoffTicks = 64;
+
+  explicit RecoveryPlanner(PlannerContext context) : ctx_(context) {}
 
   RecoveryPlanner(const RecoveryPlanner&) = delete;
   RecoveryPlanner& operator=(const RecoveryPlanner&) = delete;
@@ -135,7 +131,6 @@ class RecoveryPlanner {
             int64_t now_tick);
 
   PlannerContext ctx_;
-  RecoveryOptions options_;
   std::vector<ParkedSharing> parked_;
 };
 

@@ -1,6 +1,7 @@
 #include "workload/adversarial.h"
 
 #include <cassert>
+#include <memory>
 #include <string>
 
 #include "common/rng.h"
@@ -23,12 +24,10 @@ TableDef SimpleTable(const std::string& name) {
 
 // A scenario over `n + 2` tables a, b, c_1..c_n on one server with the
 // path join graph a - b - c_x (so each sharing (a,b,c_x) has exactly the
-// two plans of Examples 4.1/4.2).
+// two plans of Examples 4.1/4.2). The caller sets the cost model.
 Scenario MakeTrapBase(int n) {
   assert(n >= 1 && n <= 62);
   Scenario sc;
-  sc.catalog = std::make_unique<Catalog>();
-  sc.cluster = std::make_unique<Cluster>();
   sc.cluster->AddServer("s0");
 
   const TableId a = *sc.catalog->AddTable(SimpleTable("a"));
@@ -46,11 +45,6 @@ Scenario MakeTrapBase(int n) {
     sc.graph->AddEdge(b, c[static_cast<size_t>(x)]);
   }
 
-  TableDrivenCostModel::Options opts;
-  opts.random_min = 1.0;
-  opts.random_max = 1.0;  // unused pairs: deterministic small cost
-  sc.model = std::make_unique<TableDrivenCostModel>(opts);
-
   for (int x = 0; x < n; ++x) {
     TableSet tables;
     tables.Add(a);
@@ -63,51 +57,61 @@ Scenario MakeTrapBase(int n) {
   return sc;
 }
 
+// The traps' cost model: unused pairs cost a deterministic 1.
+std::unique_ptr<TableDrivenCostModel> TrapCosts() {
+  TableDrivenCostModel::Options opts;
+  opts.random_min = 1.0;
+  opts.random_max = 1.0;
+  return std::make_unique<TableDrivenCostModel>(opts);
+}
+
 }  // namespace
 
 Scenario MakeGreedyTrap(int n, double risky_cost, double alt_cost,
                         double epsilon) {
   Scenario sc = MakeTrapBase(n);
+  auto model = TrapCosts();
   const TableSet a = TableSet::Of(0);
   const TableSet b = TableSet::Of(1);
   const TableSet ab = a.Union(b);
-  sc.model->SetJoinCost(a, b, risky_cost);
+  model->SetJoinCost(a, b, risky_cost);
   for (int x = 0; x < n; ++x) {
     const TableSet cx = TableSet::Of(static_cast<TableId>(2 + x));
-    sc.model->SetJoinCost(ab, cx, epsilon);          // c[(ab)c_x]
-    sc.model->SetJoinCost(b, cx, alt_cost / 2);      // c[bc_x]
-    sc.model->SetJoinCost(a, b.Union(cx), alt_cost / 2);  // c[a(bc_x)]
+    model->SetJoinCost(ab, cx, epsilon);          // c[(ab)c_x]
+    model->SetJoinCost(b, cx, alt_cost / 2);      // c[bc_x]
+    model->SetJoinCost(a, b.Union(cx), alt_cost / 2);  // c[a(bc_x)]
   }
+  sc.model = std::move(model);
   return sc;
 }
 
 Scenario MakeNormalizeTrap(int n, double epsilon) {
   Scenario sc = MakeTrapBase(n);
+  auto model = TrapCosts();
   const TableSet a = TableSet::Of(0);
   const TableSet b = TableSet::Of(1);
   const TableSet ab = a.Union(b);
-  sc.model->SetJoinCost(a, b, static_cast<double>(n));  // c[ab] = n
+  model->SetJoinCost(a, b, static_cast<double>(n));  // c[ab] = n
   for (int x = 0; x < n; ++x) {
     const TableSet cx = TableSet::Of(static_cast<TableId>(2 + x));
-    sc.model->SetJoinCost(ab, cx, epsilon);  // c[(ab)c_x] = eps
+    model->SetJoinCost(ab, cx, epsilon);  // c[(ab)c_x] = eps
     if (x + 1 < n) {
       // C[a(bc_x)] = eps for the first n-1 sharings.
-      sc.model->SetJoinCost(b, cx, epsilon / 2);
-      sc.model->SetJoinCost(a, b.Union(cx), epsilon / 2);
+      model->SetJoinCost(b, cx, epsilon / 2);
+      model->SetJoinCost(a, b.Union(cx), epsilon / 2);
     } else {
       // C[a(bc_n)] = 1 + 2*eps for the final sharing.
-      sc.model->SetJoinCost(b, cx, 0.5 + epsilon);
-      sc.model->SetJoinCost(a, b.Union(cx), 0.5 + epsilon);
+      model->SetJoinCost(b, cx, 0.5 + epsilon);
+      model->SetJoinCost(a, b.Union(cx), 0.5 + epsilon);
     }
   }
+  sc.model = std::move(model);
   return sc;
 }
 
 Scenario MakeEquationOneTrap(int n, bool include_tail) {
   assert(n >= 1 && n <= 60);
   Scenario sc;
-  sc.catalog = std::make_unique<Catalog>();
-  sc.cluster = std::make_unique<Cluster>();
   sc.cluster->AddServer("s0");
 
   const TableId a = *sc.catalog->AddTable(SimpleTable("a"));
@@ -134,25 +138,26 @@ Scenario MakeEquationOneTrap(int n, bool include_tail) {
   TableDrivenCostModel::Options opts;
   opts.random_min = 50.0;
   opts.random_max = 50.0;
-  sc.model = std::make_unique<TableDrivenCostModel>(opts);
+  auto model = std::make_unique<TableDrivenCostModel>(opts);
 
   const TableSet ta = TableSet::Of(a);
   const TableSet tb = TableSet::Of(b);
   const TableSet tc = TableSet::Of(c);
   const TableSet tg = TableSet::Of(g);
-  sc.model->SetJoinCost(tb, tc, 20.0);                   // c[bc]
-  sc.model->SetJoinCost(ta, tb.Union(tc), 5.0);          // c[a(bc)]
-  sc.model->SetJoinCost(ta, tb, 35.0);                   // c[ab]
-  sc.model->SetJoinCost(ta.Union(tb), tg, 0.1);          // c[(ab)g]
-  sc.model->SetJoinCost(tb, tg, 1.5);                    // c[bg]
-  sc.model->SetJoinCost(ta, tb.Union(tg), 1.5);          // c[a(bg)]
+  model->SetJoinCost(tb, tc, 20.0);                   // c[bc]
+  model->SetJoinCost(ta, tb.Union(tc), 5.0);          // c[a(bc)]
+  model->SetJoinCost(ta, tb, 35.0);                   // c[ab]
+  model->SetJoinCost(ta.Union(tb), tg, 0.1);          // c[(ab)g]
+  model->SetJoinCost(tb, tg, 1.5);                    // c[bg]
+  model->SetJoinCost(ta, tb.Union(tg), 1.5);          // c[a(bg)]
   for (int x = 0; x < n; ++x) {
     const TableSet td = TableSet::Of(d[static_cast<size_t>(x)]);
-    sc.model->SetJoinCost(tc, td, 1.0);                         // c[cd_x]
-    sc.model->SetJoinCost(tb, tc.Union(td), 1.0);               // c[b(cd)]
-    sc.model->SetJoinCost(ta, tb.Union(tc).Union(td), 1.0);     // c[a(bcd)]
-    sc.model->SetJoinCost(ta.Union(tb).Union(tc), td, 1.0);     // c[(abc)d]
+    model->SetJoinCost(tc, td, 1.0);                         // c[cd_x]
+    model->SetJoinCost(tb, tc.Union(td), 1.0);               // c[b(cd)]
+    model->SetJoinCost(ta, tb.Union(tc).Union(td), 1.0);     // c[a(bcd)]
+    model->SetJoinCost(ta.Union(tb).Union(tc), td, 1.0);     // c[(abc)d]
   }
+  sc.model = std::move(model);
 
   for (int x = 0; x < n; ++x) {
     TableSet tables = ta.Union(tb).Union(tc);
@@ -173,8 +178,6 @@ Scenario MakeRandomThreeWay(uint64_t seed, int num_sharings,
                             int table_pool) {
   assert(table_pool >= 3 && table_pool <= 64);
   Scenario sc;
-  sc.catalog = std::make_unique<Catalog>();
-  sc.cluster = std::make_unique<Cluster>();
   sc.cluster->AddServer("s0");
 
   Rng rng(seed);

@@ -6,26 +6,14 @@
 #ifndef DSM_WORKLOAD_ADVERSARIAL_H_
 #define DSM_WORKLOAD_ADVERSARIAL_H_
 
-#include <memory>
-#include <vector>
+#include <cstdint>
 
-#include "catalog/catalog.h"
-#include "cluster/cluster.h"
-#include "cost/table_cost_model.h"
-#include "plan/join_graph.h"
-#include "sharing/sharing.h"
+#include "workload/scenario.h"
 
 namespace dsm {
 
-// A self-contained planning scenario (tables, servers, join graph,
-// explicit costs, sharing sequence).
-struct Scenario {
-  std::unique_ptr<Catalog> catalog;
-  std::unique_ptr<Cluster> cluster;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<TableDrivenCostModel> model;
-  std::vector<Sharing> sharings;
-};
+// Each scenario below is one server, an explicit join graph and a
+// TableDrivenCostModel, with its sharing sequence.
 
 // Example 4.1 generalized: n sharings (a, b, c_x) with exactly two plans
 // each — (ab)c_x and a(bc_x) — where c[ab] = risky_cost,

@@ -16,15 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "cost/default_cost_model.h"
 #include "cost/table_cost_model.h"
 #include "costing/costing_session.h"
 #include "costing/fair_cost.h"
 #include "costing/lpc.h"
 #include "costing/savings.h"
 #include "io/market_io.h"
+#include "market/rig.h"
 #include "obs/metrics.h"
 #include "online/greedy.h"
 #include "online/managed_risk.h"
@@ -33,15 +34,10 @@
 #include "online/speculative.h"
 #include "testing/dry_run.h"
 #include "testing/plans.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
-#include "workload/synthetic.h"
-#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
 
 uint64_t LpcEnumerations() {
   return obs::MetricsRegistry::Global()
@@ -49,66 +45,35 @@ uint64_t LpcEnumerations() {
       ->value();
 }
 
-struct Stack {
-  Catalog catalog;
-  Cluster cluster;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<CostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> gp;
-  PlannerContext ctx;
-  std::vector<Sharing> sharings;
-};
-
 // `n` random sharings over the Twitter schema (up to two predicates) or
 // the star schema (a fact and up to three dimensions), placed round-robin
-// on four machines. A beam keeps the plan count small.
-std::unique_ptr<Stack> MakeStack(bool star, bool table_driven, size_t n,
-                                 uint64_t seed) {
-  auto st = std::make_unique<Stack>();
-  constexpr size_t kServers = 4;
-  for (size_t i = 0; i < kServers; ++i) {
-    st->cluster.AddServer("m" + std::to_string(i));
-  }
+// on four machines.
+Scenario MakeWorld(bool star, bool table_driven, size_t n, uint64_t seed) {
+  std::optional<TableDrivenCostModel::Options> costs;
+  if (table_driven) costs = TableDrivenCostModel::Options{.seed = seed};
   if (star) {
-    const auto schema = BuildStarCatalog(&st->catalog, StarSchemaOptions{});
-    EXPECT_TRUE(schema.ok());
-    st->cluster.PlaceRoundRobin(st->catalog.num_tables());
+    StarScenario world = MakeStarScenario(1, 20, 4, costs);
     StarSequenceOptions options;
     options.num_sharings = n;
     options.max_tables = 4;
     options.seed = seed;
-    st->sharings = GenerateStarSharings(*schema, st->cluster, options);
-  } else {
-    const auto tables = BuildTwitterCatalog(&st->catalog);
-    EXPECT_TRUE(tables.ok());
-    st->cluster.PlaceRoundRobin(st->catalog.num_tables());
-    TwitterSequenceOptions options;
-    options.num_sharings = n;
-    options.max_predicates = 2;
-    options.seed = seed;
-    st->sharings =
-        GenerateTwitterSequence(st->catalog, *tables, st->cluster, options);
+    world.sharings =
+        GenerateStarSharings(world.schema, *world.cluster, options);
+    return world;
   }
-  st->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(st->catalog));
-  if (table_driven) {
-    TableDrivenCostModel::Options options;
-    options.seed = seed;
-    st->model = std::make_unique<TableDrivenCostModel>(options);
-  } else {
-    st->model =
-        std::make_unique<DefaultCostModel>(&st->catalog, &st->cluster);
-  }
-  EnumeratorOptions options;
-  options.per_subset_cap = 6;
-  st->enumerator = std::make_unique<PlanEnumerator>(
-      &st->catalog, &st->cluster, st->graph.get(), st->model.get(), options);
-  st->gp = std::make_unique<GlobalPlan>(&st->cluster, st->model.get());
-  st->ctx = PlannerContext{&st->catalog,    &st->cluster,
-                           st->graph.get(), st->model.get(),
-                           st->gp.get(),    st->enumerator.get()};
-  return st;
+  TwitterScenario world = MakeTwitterScenario(4, costs);
+  TwitterSequenceOptions options;
+  options.num_sharings = n;
+  options.max_predicates = 2;
+  options.seed = seed;
+  world.sharings = GenerateTwitterSequence(*world.catalog, world.tables,
+                                           *world.cluster, options);
+  return world;
+}
+
+// A beam keeps the plan count small.
+Rig MakeBeamRig(const Scenario& world) {
+  return MakeRig(world, EnumeratorOptions{.per_subset_cap = 6});
 }
 
 // The recorded LPC of sharing `id` equals a from-scratch enumeration's.
@@ -126,22 +91,24 @@ TEST(AdmissionLpcTest, StandaloneCostIsPlanCost) {
   size_t plans_checked = 0;
   for (const bool star : {false, true}) {
     for (const bool table_driven : {false, true}) {
-      auto st = MakeStack(star, table_driven, 30, 11);
-      GreedyPlanner planner(st->ctx);
+      const Scenario world = MakeWorld(star, table_driven, 30, 11);
+      const Rig rig = MakeBeamRig(world);
+      GreedyPlanner planner(rig.ctx);
       // Half the sharings are admitted first, so the dry runs below reuse
       // views; standalone cost ignores reuse either way.
       for (size_t i = 0; i < 15; ++i) {
-        (void)planner.ProcessSharing(st->sharings[i]);
+        (void)planner.ProcessSharing(world.sharings[i]);
       }
-      ASSERT_GT(st->gp->num_alive_views(), 0u);
-      for (size_t i = 15; i < st->sharings.size(); ++i) {
+      ASSERT_GT(rig.global_plan->num_alive_views(), 0u);
+      for (size_t i = 15; i < world.sharings.size(); ++i) {
         const auto plans =
-            testing_support::EnumerateAll(*st->enumerator, st->sharings[i]);
+            testing_support::EnumerateAll(*rig.enumerator, world.sharings[i]);
         ASSERT_TRUE(plans.ok()) << plans.status().ToString();
         for (const SharingPlan& plan : *plans) {
-          EXPECT_EQ(testing_support::DryRun(*st->gp, plan, st->model.get())
+          EXPECT_EQ(testing_support::DryRun(*rig.global_plan, plan,
+                                            world.model.get())
                         .standalone_cost,
-                    PlanCost(plan, st->model.get()));
+                    PlanCost(plan, world.model.get()));
           ++plans_checked;
         }
       }
@@ -151,46 +118,48 @@ TEST(AdmissionLpcTest, StandaloneCostIsPlanCost) {
 }
 
 TEST(AdmissionLpcTest, PlannerPathsRecordTheEnumeratedLpc) {
-  auto st = MakeStack(/*star=*/false, /*table_driven=*/false, 24, 5);
-  ManagedRiskPlanner planner(st->ctx);
+  const Scenario world =
+      MakeWorld(/*star=*/false, /*table_driven=*/false, 24, 5);
+  const Rig rig = MakeBeamRig(world);
+  ManagedRiskPlanner planner(rig.ctx);
 
   // OnlinePlanner: the full path, then identical twins via the fast path.
   size_t identical = 0;
-  for (size_t i = 0; i < st->sharings.size() + 6; ++i) {
-    const Sharing& sharing = st->sharings[i % st->sharings.size()];
+  for (size_t i = 0; i < world.sharings.size() + 6; ++i) {
+    const Sharing& sharing = world.sharings[i % world.sharings.size()];
     const auto choice = planner.ProcessSharing(sharing);
     if (!choice.ok()) continue;
     if (choice->reused_identical) ++identical;
-    ExpectRecordedLpcExact(st->ctx, choice->id);
+    ExpectRecordedLpcExact(rig.ctx, choice->id);
   }
   EXPECT_GT(identical, 0u);
 
   // RecoveryPlanner: migration off a dead server, then re-admission.
-  RecoveryPlanner recovery(st->ctx);
+  RecoveryPlanner recovery(rig.ctx);
   size_t replanned = 0;
   for (const ServerId lost : {ServerId{1}, ServerId{2}}) {
-    ASSERT_TRUE(st->cluster.MarkDown(lost).ok());
+    ASSERT_TRUE(world.cluster->MarkDown(lost).ok());
     const auto down = recovery.OnServerDown(lost, /*now_tick=*/0);
     ASSERT_TRUE(down.ok()) << down.status().ToString();
     for (const MigratedSharing& m : down->migrated) {
-      ExpectRecordedLpcExact(st->ctx, m.id);
+      ExpectRecordedLpcExact(rig.ctx, m.id);
       ++replanned;
     }
-    ASSERT_TRUE(st->cluster.MarkUp(lost).ok());
+    ASSERT_TRUE(world.cluster->MarkUp(lost).ok());
     const auto readmitted = recovery.RetryParked(1, /*force=*/true);
     ASSERT_TRUE(readmitted.ok()) << readmitted.status().ToString();
     for (const MigratedSharing& m : *readmitted) {
-      ExpectRecordedLpcExact(st->ctx, m.id);
+      ExpectRecordedLpcExact(rig.ctx, m.id);
       ++replanned;
     }
   }
   EXPECT_GT(replanned, 0u);
 
   // Replanner: every sharing is removed and re-integrated.
-  Replanner replanner(st->ctx);
+  Replanner replanner(rig.ctx);
   ASSERT_TRUE(replanner.Improve().ok());
-  for (const SharingId id : st->gp->sharing_ids()) {
-    ExpectRecordedLpcExact(st->ctx, id);
+  for (const SharingId id : rig.global_plan->sharing_ids()) {
+    ExpectRecordedLpcExact(rig.ctx, id);
   }
 }
 
@@ -216,27 +185,29 @@ TEST(AdmissionLpcTest, SpeculativeViewsRecordTheEnumeratedLpc) {
 }
 
 TEST(AdmissionLpcTest, RestoredPlanBillsIdenticallyThroughTheFallback) {
-  auto st = MakeStack(/*star=*/false, /*table_driven=*/false, 16, 23);
-  ManagedRiskPlanner planner(st->ctx);
-  for (const Sharing& sharing : st->sharings) {
+  const Scenario world =
+      MakeWorld(/*star=*/false, /*table_driven=*/false, 16, 23);
+  const Rig rig = MakeBeamRig(world);
+  ManagedRiskPlanner planner(rig.ctx);
+  for (const Sharing& sharing : world.sharings) {
     (void)planner.ProcessSharing(sharing);
   }
-  ASSERT_GT(st->gp->num_sharings(), 0u);
+  ASSERT_GT(rig.global_plan->num_sharings(), 0u);
 
-  const auto text = MarketStateToString(st->catalog, st->cluster,
-                                        st->gp.get());
+  const auto text = MarketStateToString(*world.catalog, *world.cluster,
+                                        rig.global_plan.get());
   ASSERT_TRUE(text.ok());
   const auto state = MarketStateFromString(*text);
   ASSERT_TRUE(state.ok()) << state.status().ToString();
-  GlobalPlan restored(&st->cluster, st->model.get());
+  GlobalPlan restored(world.cluster.get(), world.model.get());
   ASSERT_TRUE(RestoreGlobalPlan(*state, &restored).ok());
   for (const auto& [id, rec] : restored.records()) {
     EXPECT_FALSE(rec.lpc.has_value()) << id;
   }
 
-  LpcCalculator lpc(st->enumerator.get(), st->model.get());
+  LpcCalculator lpc(rig.enumerator.get(), world.model.get());
   const uint64_t before = LpcEnumerations();
-  const auto live = BuildFairCostProblem(*st->gp, &lpc);
+  const auto live = BuildFairCostProblem(*rig.global_plan, &lpc);
   ASSERT_TRUE(live.ok());
   EXPECT_EQ(LpcEnumerations(), before);  // every live record has its LPC
   const auto replayed = BuildFairCostProblem(restored, &lpc);
@@ -262,19 +233,21 @@ TEST(AdmissionLpcTest, RestoredPlanBillsIdenticallyThroughTheFallback) {
 }
 
 TEST(AdmissionLpcTest, PlannerDrivenSessionNeverEnumeratesForLpc) {
-  auto st = MakeStack(/*star=*/false, /*table_driven=*/false, 30, 3);
-  ManagedRiskPlanner planner(st->ctx);
-  RecoveryPlanner recovery(st->ctx);
-  LpcCalculator lpc(st->enumerator.get(), st->model.get());
-  CostingSession session(st->gp.get(), &lpc);
+  const Scenario world =
+      MakeWorld(/*star=*/false, /*table_driven=*/false, 30, 3);
+  const Rig rig = MakeBeamRig(world);
+  ManagedRiskPlanner planner(rig.ctx);
+  RecoveryPlanner recovery(rig.ctx);
+  LpcCalculator lpc(rig.enumerator.get(), world.model.get());
+  CostingSession session(rig.global_plan.get(), &lpc);
   const uint64_t before = LpcEnumerations();
 
   // Arrivals, with every fifth sharing arriving twice (identical twins).
   std::vector<SharingId> admitted;
   size_t identical = 0;
-  for (size_t i = 0; i < st->sharings.size(); ++i) {
+  for (size_t i = 0; i < world.sharings.size(); ++i) {
     for (int copy = 0; copy < (i % 5 == 0 ? 2 : 1); ++copy) {
-      const auto choice = planner.ProcessSharing(st->sharings[i]);
+      const auto choice = planner.ProcessSharing(world.sharings[i]);
       if (!choice.ok()) continue;
       admitted.push_back(choice->id);
       if (choice->reused_identical) ++identical;
@@ -285,17 +258,17 @@ TEST(AdmissionLpcTest, PlannerDrivenSessionNeverEnumeratesForLpc) {
 
   // Removals.
   for (size_t i = 0; i < admitted.size(); i += 4) {
-    ASSERT_TRUE(st->gp->RemoveSharing(admitted[i]).ok());
+    ASSERT_TRUE(rig.global_plan->RemoveSharing(admitted[i]).ok());
     ASSERT_TRUE(session.Refresh().ok());
   }
 
   // A server failure, then re-admission of the parked sharings.
   constexpr ServerId kLost = 1;
-  ASSERT_TRUE(st->cluster.MarkDown(kLost).ok());
+  ASSERT_TRUE(world.cluster->MarkDown(kLost).ok());
   const auto down = recovery.OnServerDown(kLost, /*now_tick=*/0);
   ASSERT_TRUE(down.ok()) << down.status().ToString();
   ASSERT_TRUE(session.Refresh().ok());
-  ASSERT_TRUE(st->cluster.MarkUp(kLost).ok());
+  ASSERT_TRUE(world.cluster->MarkUp(kLost).ok());
   const auto readmitted = recovery.RetryParked(1, /*force=*/true);
   ASSERT_TRUE(readmitted.ok()) << readmitted.status().ToString();
   EXPECT_GT(down->migrated.size() + readmitted->size(), 0u);

@@ -9,15 +9,13 @@
 #include <algorithm>
 #include <vector>
 
+#include "market/rig.h"
 #include "obs/trace.h"
 #include "online/managed_risk.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
 
 TEST(CostingSessionTest, RefreshPerArrivalTracksHistory) {
   const Scenario sc = MakeGreedyTrap(8, 10.0, 10.0, 1e-3);

@@ -6,15 +6,13 @@
 #include <gtest/gtest.h>
 
 #include "cost/table_cost_model.h"
+#include "market/rig.h"
 #include "plan/enumerator.h"
 #include "testing/plans.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
 
 TableSet TS(std::initializer_list<TableId> ids) {
   TableSet s;
@@ -42,7 +40,7 @@ class EvenSplitTest : public ::testing::Test {
   }
 
   Scenario scenario_;
-  testing_support::Rig rig_;
+  Rig rig_;
 };
 
 TEST_F(EvenSplitTest, SplitsSharedNodeEvenly) {

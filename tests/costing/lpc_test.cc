@@ -6,14 +6,12 @@
 #include <cstring>
 
 #include "cost/default_cost_model.h"
+#include "market/rig.h"
 #include "testing/plans.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
 
 TableSet TS(std::initializer_list<TableId> ids) {
   TableSet s;

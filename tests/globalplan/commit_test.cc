@@ -15,63 +15,13 @@
 #include <string>
 #include <vector>
 
-#include "cost/default_cost_model.h"
 #include "globalplan/global_plan.h"
+#include "market/rig.h"
 #include "obs/metrics.h"
 #include "online/greedy.h"
-#include "plan/enumerator.h"
-#include "plan/join_graph.h"
-#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
-
-struct Rig {
-  Catalog catalog;
-  Cluster cluster;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<DefaultCostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> gp;
-  std::vector<Sharing> base;  // Table 1's S1..S25
-
-  PlanSpace Enumerate(const Sharing& sharing) const {
-    auto space = enumerator->Enumerate(sharing);
-    EXPECT_TRUE(space.ok()) << space.status().ToString();
-    return *std::move(space);
-  }
-
-  PlannerContext Context() {
-    PlannerContext ctx;
-    ctx.catalog = &catalog;
-    ctx.cluster = &cluster;
-    ctx.graph = graph.get();
-    ctx.model = model.get();
-    ctx.global_plan = gp.get();
-    ctx.enumerator = enumerator.get();
-    return ctx;
-  }
-};
-
-std::unique_ptr<Rig> MakeRig() {
-  auto rig = std::make_unique<Rig>();
-  const auto tables = BuildTwitterCatalog(&rig->catalog);
-  EXPECT_TRUE(tables.ok());
-  for (int i = 0; i < 4; ++i) {
-    rig->cluster.AddServer("m" + std::to_string(i));
-  }
-  rig->cluster.PlaceRoundRobin(rig->catalog.num_tables());
-  rig->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(rig->catalog));
-  rig->model =
-      std::make_unique<DefaultCostModel>(&rig->catalog, &rig->cluster);
-  rig->enumerator = std::make_unique<PlanEnumerator>(
-      &rig->catalog, &rig->cluster, rig->graph.get(), rig->model.get(),
-      EnumeratorOptions{});
-  rig->gp = std::make_unique<GlobalPlan>(&rig->cluster, rig->model.get());
-  rig->base = TwitterBaseSharings(*tables, rig->cluster);
-  return rig;
-}
 
 size_t Cheapest(const GlobalPlan::SpaceEvaluation& eval) {
   const int best = eval.CheapestFeasible();
@@ -85,108 +35,120 @@ uint64_t ReuseProbes() {
          registry.GetCounter("dsm.globalplan.reuse_index_misses")->value();
 }
 
-// Commits `eval` under `id` and expects the stale refusal, with the global
-// plan left as it was.
-void ExpectRefused(Rig* rig, SharingId id, const Sharing& sharing,
-                   const PlanSpace& space,
-                   const GlobalPlan::SpaceEvaluation& eval, size_t k) {
-  const double total = rig->gp->TotalCost();
-  const size_t sharings = rig->gp->num_sharings();
-  const size_t views = rig->gp->num_alive_views();
-  const auto got = rig->gp->Commit(id, sharing, space, eval, k, eval.lpc);
-  EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition)
-      << got.status().ToString();
-  EXPECT_EQ(rig->gp->record(id), nullptr);
-  EXPECT_EQ(rig->gp->TotalCost(), total);
-  EXPECT_EQ(rig->gp->num_sharings(), sharings);
-  EXPECT_EQ(rig->gp->num_alive_views(), views);
-}
+// The Twitter schema on four machines, one plan state over it, and
+// Table 1's S1..S25.
+class CommitTest : public ::testing::Test {
+ protected:
+  PlanSpace Enumerate(const Sharing& sharing) const {
+    auto space = rig_.enumerator->Enumerate(sharing);
+    EXPECT_TRUE(space.ok()) << space.status().ToString();
+    return *std::move(space);
+  }
 
-TEST(CommitTest, StaleAfterAnotherCommitCreatesNode) {
-  auto rig = MakeRig();
-  const Sharing& a = rig->base[0];
-  const Sharing& b = rig->base[1];
-  const PlanSpace sa = rig->Enumerate(a);
-  const PlanSpace sb = rig->Enumerate(b);
-  const auto ea = rig->gp->EvaluateSpace(sa);
-  const auto eb = rig->gp->EvaluateSpace(sb);
-  ASSERT_TRUE(rig->gp->Commit(1, a, sa, ea, Cheapest(ea), ea.lpc).ok());
-  ASSERT_GT(rig->gp->num_alive_views(), 0u);
+  // Commits `eval` under `id` and expects the stale refusal, with the
+  // global plan left as it was.
+  void ExpectRefused(SharingId id, const Sharing& sharing,
+                     const PlanSpace& space,
+                     const GlobalPlan::SpaceEvaluation& eval, size_t k) {
+    const double total = gp_.TotalCost();
+    const size_t sharings = gp_.num_sharings();
+    const size_t views = gp_.num_alive_views();
+    const auto got = gp_.Commit(id, sharing, space, eval, k, eval.lpc);
+    EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition)
+        << got.status().ToString();
+    EXPECT_EQ(gp_.record(id), nullptr);
+    EXPECT_EQ(gp_.TotalCost(), total);
+    EXPECT_EQ(gp_.num_sharings(), sharings);
+    EXPECT_EQ(gp_.num_alive_views(), views);
+  }
 
-  ExpectRefused(rig.get(), 2, b, sb, eb, Cheapest(eb));
+  const TwitterScenario world_ = MakeTwitterScenario(4);
+  const Rig rig_ = MakeRig(world_);
+  const std::vector<Sharing> base_ =
+      TwitterBaseSharings(world_.tables, *world_.cluster);
+  GlobalPlan& gp_ = *rig_.global_plan;
+};
+
+TEST_F(CommitTest, StaleAfterAnotherCommitCreatesNode) {
+  const Sharing& a = base_[0];
+  const Sharing& b = base_[1];
+  const PlanSpace sa = Enumerate(a);
+  const PlanSpace sb = Enumerate(b);
+  const auto ea = gp_.EvaluateSpace(sa);
+  const auto eb = gp_.EvaluateSpace(sb);
+  ASSERT_TRUE(gp_.Commit(1, a, sa, ea, Cheapest(ea), ea.lpc).ok());
+  ASSERT_GT(gp_.num_alive_views(), 0u);
+
+  ExpectRefused(2, b, sb, eb, Cheapest(eb));
   // Evaluated again against the grown global plan, it commits.
-  const auto again = rig->gp->EvaluateSpace(sb);
-  EXPECT_TRUE(rig->gp->Commit(2, b, sb, again, Cheapest(again), again.lpc)
+  const auto again = gp_.EvaluateSpace(sb);
+  EXPECT_TRUE(gp_.Commit(2, b, sb, again, Cheapest(again), again.lpc)
                   .ok());
 }
 
-TEST(CommitTest, StaleAfterRemovalKillsNode) {
-  auto rig = MakeRig();
-  const Sharing& a = rig->base[0];
-  const Sharing& b = rig->base[1];
-  const PlanSpace sa = rig->Enumerate(a);
-  const PlanSpace sb = rig->Enumerate(b);
-  const auto ea = rig->gp->EvaluateSpace(sa);
-  ASSERT_TRUE(rig->gp->Commit(1, a, sa, ea, Cheapest(ea), ea.lpc).ok());
-  const auto eb = rig->gp->EvaluateSpace(sb);
-  ASSERT_TRUE(rig->gp->RemoveSharing(1).ok());
-  ASSERT_EQ(rig->gp->num_alive_views(), 0u);
+TEST_F(CommitTest, StaleAfterRemovalKillsNode) {
+  const Sharing& a = base_[0];
+  const Sharing& b = base_[1];
+  const PlanSpace sa = Enumerate(a);
+  const PlanSpace sb = Enumerate(b);
+  const auto ea = gp_.EvaluateSpace(sa);
+  ASSERT_TRUE(gp_.Commit(1, a, sa, ea, Cheapest(ea), ea.lpc).ok());
+  const auto eb = gp_.EvaluateSpace(sb);
+  ASSERT_TRUE(gp_.RemoveSharing(1).ok());
+  ASSERT_EQ(gp_.num_alive_views(), 0u);
 
-  ExpectRefused(rig.get(), 2, b, sb, eb, Cheapest(eb));
+  ExpectRefused(2, b, sb, eb, Cheapest(eb));
 }
 
-TEST(CommitTest, StaleAfterServerDownAndUp) {
-  auto rig = MakeRig();
-  const Sharing& a = rig->base[0];
-  const PlanSpace sa = rig->Enumerate(a);
-  const auto ea = rig->gp->EvaluateSpace(sa);
+TEST_F(CommitTest, StaleAfterServerDownAndUp) {
+  const Sharing& a = base_[0];
+  const PlanSpace sa = Enumerate(a);
+  const auto ea = gp_.EvaluateSpace(sa);
   const ServerId other = a.destination() == 3 ? 2 : 3;
 
-  ASSERT_TRUE(rig->cluster.MarkDown(other).ok());
-  ExpectRefused(rig.get(), 1, a, sa, ea, Cheapest(ea));
+  ASSERT_TRUE(world_.cluster->MarkDown(other).ok());
+  ExpectRefused(1, a, sa, ea, Cheapest(ea));
   // Liveness is back as it was, but the evaluation predates both flips.
-  ASSERT_TRUE(rig->cluster.MarkUp(other).ok());
-  ExpectRefused(rig.get(), 1, a, sa, ea, Cheapest(ea));
+  ASSERT_TRUE(world_.cluster->MarkUp(other).ok());
+  ExpectRefused(1, a, sa, ea, Cheapest(ea));
 
-  const auto again = rig->gp->EvaluateSpace(sa);
-  EXPECT_TRUE(rig->gp->Commit(1, a, sa, again, Cheapest(again), again.lpc)
+  const auto again = gp_.EvaluateSpace(sa);
+  EXPECT_TRUE(gp_.Commit(1, a, sa, again, Cheapest(again), again.lpc)
                   .ok());
 }
 
-TEST(CommitTest, RefusesIndexOutOfRangeAndMismatchedSpace) {
-  auto rig = MakeRig();
+TEST_F(CommitTest, RefusesIndexOutOfRangeAndMismatchedSpace) {
   // The first base sharing with a choice of plans.
   size_t pick = 0;
-  while (pick + 1 < rig->base.size() &&
-         rig->Enumerate(rig->base[pick]).size() < 2) {
+  while (pick + 1 < base_.size() &&
+         Enumerate(base_[pick]).size() < 2) {
     ++pick;
   }
-  const Sharing& a = rig->base[pick];
-  const PlanSpace sa = rig->Enumerate(a);
+  const Sharing& a = base_[pick];
+  const PlanSpace sa = Enumerate(a);
   ASSERT_GT(sa.size(), 1u);
-  const auto ea = rig->gp->EvaluateSpace(sa);
+  const auto ea = gp_.EvaluateSpace(sa);
 
-  ExpectRefused(rig.get(), 1, a, sa, ea, sa.size());
+  ExpectRefused(1, a, sa, ea, sa.size());
   const PlanSpace single =
-      PlanSpace::Of(sa.Materialize(Cheapest(ea)), rig->model.get());
-  ExpectRefused(rig.get(), 1, a, single, ea, 0);
+      PlanSpace::Of(sa.Materialize(Cheapest(ea)), world_.model.get());
+  ExpectRefused(1, a, single, ea, 0);
 
-  ASSERT_TRUE(rig->gp->Commit(1, a, sa, ea, Cheapest(ea), ea.lpc).ok());
-  const auto again = rig->gp->EvaluateSpace(sa);
-  EXPECT_EQ(rig->gp->Commit(1, a, sa, again, 0, again.lpc).status().code(),
+  ASSERT_TRUE(gp_.Commit(1, a, sa, ea, Cheapest(ea), ea.lpc).ok());
+  const auto again = gp_.EvaluateSpace(sa);
+  EXPECT_EQ(gp_.Commit(1, a, sa, again, 0, again.lpc).status().code(),
             StatusCode::kAlreadyExists);
 }
 
-TEST(CommitTest, MakesNoReuseProbe) {
-  auto rig = MakeRig();
+TEST_F(CommitTest, MakesNoReuseProbe) {
   // Overlapping sharings, so later evaluations probe live views.
   SharingId id = 1;
-  for (const Sharing& sharing : {rig->base[0], rig->base[1], rig->base[0]}) {
-    const PlanSpace space = rig->Enumerate(sharing);
-    const auto eval = rig->gp->EvaluateSpace(space);
+  for (const Sharing& sharing : {base_[0], base_[1], base_[0]}) {
+    const PlanSpace space = Enumerate(sharing);
+    const auto eval = gp_.EvaluateSpace(space);
     const uint64_t probes = ReuseProbes();
     const auto rec =
-        rig->gp->Commit(id, sharing, space, eval, Cheapest(eval), eval.lpc);
+        gp_.Commit(id, sharing, space, eval, Cheapest(eval), eval.lpc);
     ASSERT_TRUE(rec.ok()) << rec.status().ToString();
     EXPECT_EQ(ReuseProbes(), probes) << "sharing " << id;
     EXPECT_EQ((*rec)->marginal_cost,
@@ -196,10 +158,9 @@ TEST(CommitTest, MakesNoReuseProbe) {
   EXPECT_GT(ReuseProbes(), 0u);
 }
 
-TEST(CommitTest, IdenticalHitProbesEachPlanNodeOnce) {
-  auto rig = MakeRig();
-  GreedyPlanner planner(rig->Context());
-  const Sharing& a = rig->base[2];
+TEST_F(CommitTest, IdenticalHitProbesEachPlanNodeOnce) {
+  GreedyPlanner planner(rig_.ctx);
+  const Sharing& a = base_[2];
   const auto first = planner.ProcessSharing(a);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   // Every node of the first plan is now a live view, so each node of the

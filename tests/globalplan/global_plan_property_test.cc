@@ -10,7 +10,6 @@
 #include "globalplan/global_plan.h"
 #include "testing/dry_run.h"
 #include "testing/plans.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 
 namespace dsm {

@@ -22,91 +22,48 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "cost/default_cost_model.h"
-#include "cost/table_cost_model.h"
 #include "globalplan/global_plan.h"
-#include "plan/enumerator.h"
-#include "plan/join_graph.h"
+#include "market/rig.h"
 #include "testing/reuse_oracle.h"
 #include "workload/predicate_gen.h"
-#include "workload/synthetic.h"
-#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
 
 using NodeDecision = GlobalPlan::NodeDecision;
 
-struct Rig {
-  Catalog catalog;
-  Cluster cluster;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<CostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> gp;
-  std::unique_ptr<testing_support::ReuseOracle> oracle;
-  std::vector<Sharing> sequence;
-};
-
-void Finish(Rig* rig, EnumeratorOptions options) {
-  rig->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(rig->catalog));
-  rig->enumerator = std::make_unique<PlanEnumerator>(
-      &rig->catalog, &rig->cluster, rig->graph.get(), rig->model.get(),
-      options);
-  rig->gp = std::make_unique<GlobalPlan>(&rig->cluster, rig->model.get());
-  rig->oracle = std::make_unique<testing_support::ReuseOracle>(
-      rig->gp.get(), &rig->cluster, rig->model.get());
-}
-
 // Twitter sharings with 0–3 predicates, analytical cost model.
-std::unique_ptr<Rig> TwitterRig(uint64_t seed, EnumeratorOptions options) {
-  auto rig = std::make_unique<Rig>();
-  const auto tables = BuildTwitterCatalog(&rig->catalog);
-  EXPECT_TRUE(tables.ok());
-  for (int i = 0; i < 5; ++i) rig->cluster.AddServer("m" + std::to_string(i));
-  rig->cluster.PlaceRoundRobin(rig->catalog.num_tables());
-  rig->model =
-      std::make_unique<DefaultCostModel>(&rig->catalog, &rig->cluster);
-  Finish(rig.get(), options);
+Scenario TwitterWorld(uint64_t seed) {
+  TwitterScenario world = MakeTwitterScenario(5);
   TwitterSequenceOptions seq;
   seq.num_sharings = 36;
   seq.max_predicates = 3;
   seq.frac_with_predicates = 0.7;
   seq.seed = seed;
-  rig->sequence =
-      GenerateTwitterSequence(rig->catalog, *tables, rig->cluster, seq);
-  return rig;
+  world.sharings = GenerateTwitterSequence(*world.catalog, world.tables,
+                                           *world.cluster, seq);
+  return world;
 }
 
 // Star sharings (up to 5 tables) with 0–3 random predicates attached,
 // table-driven cost model (stateful: costs drawn in first-query order).
-std::unique_ptr<Rig> StarRig(uint64_t seed, EnumeratorOptions options) {
-  auto rig = std::make_unique<Rig>();
-  StarSchemaOptions schema_options;
-  schema_options.num_fact = 2;
-  schema_options.num_dim = 8;
-  const auto schema = BuildStarCatalog(&rig->catalog, schema_options);
-  EXPECT_TRUE(schema.ok());
-  for (int i = 0; i < 5; ++i) rig->cluster.AddServer("m" + std::to_string(i));
-  rig->cluster.PlaceRoundRobin(rig->catalog.num_tables());
-  TableDrivenCostModel::Options model_options;
-  model_options.seed = seed;
-  model_options.transfer_cost = 7.0;
-  rig->model = std::make_unique<TableDrivenCostModel>(model_options);
-  Finish(rig.get(), options);
+Scenario StarWorld(uint64_t seed) {
+  StarScenario world = MakeStarScenario(
+      2, 8, 5, TableDrivenCostModel::Options{.seed = seed,
+                                             .transfer_cost = 7.0});
   StarSequenceOptions seq;
   seq.num_sharings = 36;
   seq.max_tables = 5;
   seq.seed = seed;
   Rng rng(seed ^ 0x5eed);
-  for (const Sharing& s : GenerateStarSharings(*schema, rig->cluster, seq)) {
+  for (const Sharing& s :
+       GenerateStarSharings(world.schema, *world.cluster, seq)) {
     const int count = static_cast<int>(rng.UniformInt(0, 3));
-    rig->sequence.emplace_back(
-        s.tables(), RandomPredicates(rig->catalog, s.tables(), count, &rng),
+    world.sharings.emplace_back(
+        s.tables(), RandomPredicates(*world.catalog, s.tables(), count, &rng),
         s.destination());
   }
-  return rig;
+  return world;
 }
 
 struct Seen {
@@ -117,13 +74,14 @@ struct Seen {
 
 // Checks every plan of `space` against the dry run of its node array, and
 // that against the oracle.
-void ExpectSpaceMatchesPlans(const Rig& rig, const PlanSpace& space,
-                             Seen* seen) {
-  const GlobalPlan& gp = *rig.gp;
+void ExpectSpaceMatchesPlans(const Rig& rig,
+                             testing_support::ReuseOracle* oracle,
+                             const PlanSpace& space, Seen* seen) {
+  const GlobalPlan& gp = *rig.global_plan;
   const double total_before = gp.TotalCost();
   const size_t alive_before = gp.num_alive_views();
   std::vector<double> loads_before;
-  for (ServerId s = 0; s < rig.cluster.num_servers(); ++s) {
+  for (ServerId s = 0; s < rig.ctx.cluster->num_servers(); ++s) {
     loads_before.push_back(gp.ServerLoad(s));
   }
 
@@ -131,7 +89,7 @@ void ExpectSpaceMatchesPlans(const Rig& rig, const PlanSpace& space,
 
   EXPECT_EQ(gp.TotalCost(), total_before);
   EXPECT_EQ(gp.num_alive_views(), alive_before);
-  for (ServerId s = 0; s < rig.cluster.num_servers(); ++s) {
+  for (ServerId s = 0; s < rig.ctx.cluster->num_servers(); ++s) {
     EXPECT_EQ(gp.ServerLoad(s), loads_before[s]);
   }
 
@@ -140,9 +98,8 @@ void ExpectSpaceMatchesPlans(const Rig& rig, const PlanSpace& space,
   for (size_t k = 0; k < space.size(); ++k) {
     const SharingPlan plan = space.Materialize(k);
     const testing_support::PlanEvaluation want =
-        testing_support::DryRun(gp, plan, rig.model.get());
-    testing_support::ExpectIdenticalEvaluations(want,
-                                                rig.oracle->Evaluate(plan));
+        testing_support::DryRun(gp, plan, rig.ctx.model);
+    testing_support::ExpectIdenticalEvaluations(want, oracle->Evaluate(plan));
     const GlobalPlan::SpaceEvaluation::Plan& p = got.plans[k];
     EXPECT_EQ(p.marginal_cost, want.marginal_cost) << "plan " << k;
     EXPECT_EQ(p.standalone_cost, want.standalone_cost) << "plan " << k;
@@ -190,33 +147,38 @@ void ExpectRecordMatches(const GlobalPlan::SharingRecord& rec,
   EXPECT_EQ(rec.gpc, want.standalone_cost + rec.residual_cost);
 }
 
-// Drives `rig`'s sequence: every space is checked, then its cheapest
+// Drives `world`'s sequence through a fresh plan state enumerating with
+// `options`: every space is checked, then its cheapest
 // feasible plan is committed and the record checked; a quarter of the
 // arrivals also remove a random earlier sharing. A third of the way in,
 // server 1 goes down; half way, server 2 gets just half a fragment's load
 // of headroom left.
-void RunChurn(Rig* rig, uint64_t seed, bool expect_capped = false) {
+void RunChurn(const Scenario& world, EnumeratorOptions options,
+              uint64_t seed, bool expect_capped = false) {
+  const Rig rig = MakeRig(world, options);
+  testing_support::ReuseOracle oracle(rig.global_plan.get(),
+                                      world.cluster.get(), world.model.get());
   Rng rng(seed);
   std::vector<SharingId> active;
   SharingId next_id = 1;
   Seen seen;
   size_t capped = 0;
-  const size_t n = rig->sequence.size();
+  const size_t n = world.sharings.size();
   for (size_t i = 0; i < n; ++i) {
-    const Sharing& sharing = rig->sequence[i];
+    const Sharing& sharing = world.sharings[i];
     if (i == n / 3) {
-      ASSERT_TRUE(rig->cluster.MarkDown(1).ok());
+      ASSERT_TRUE(world.cluster->MarkDown(1).ok());
     }
     if (!active.empty() && rng.Bernoulli(0.25)) {
       const auto pick = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(active.size()) - 1));
-      ASSERT_TRUE(rig->gp->RemoveSharing(active[pick]).ok());
-      rig->oracle->Removed(active[pick]);
+      ASSERT_TRUE(rig.global_plan->RemoveSharing(active[pick]).ok());
+      oracle.Removed(active[pick]);
       active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
     }
-    const auto space = rig->enumerator->Enumerate(sharing);
+    const auto space = rig.enumerator->Enumerate(sharing);
     ASSERT_TRUE(space.ok()) << space.status().ToString();
-    const size_t cap = rig->enumerator->options().max_plans;
+    const size_t cap = rig.enumerator->options().max_plans;
     EXPECT_LE(space->size(), cap);
     if (space->size() == cap) ++capped;
     if (i == n / 2) {
@@ -224,26 +186,27 @@ void RunChurn(Rig* rig, uint64_t seed, bool expect_capped = false) {
       for (const PlanSpace::Fragment& f : space->fragments()) {
         if (f.node.server == 2) max_load = std::max(max_load, f.load);
       }
-      rig->cluster.mutable_server(2).capacity_tuples_per_unit =
-          rig->gp->ServerLoad(2) + 0.5 * max_load;
+      world.cluster->mutable_server(2).capacity_tuples_per_unit =
+          rig.global_plan->ServerLoad(2) + 0.5 * max_load;
     }
-    ExpectSpaceMatchesPlans(*rig, *space, &seen);
-    const GlobalPlan::SpaceEvaluation evals = rig->gp->EvaluateSpace(*space);
+    ExpectSpaceMatchesPlans(rig, &oracle, *space, &seen);
+    const GlobalPlan::SpaceEvaluation evals =
+        rig.global_plan->EvaluateSpace(*space);
     const int best = evals.CheapestFeasible();
     if (best < 0) continue;
     const auto k = static_cast<size_t>(best);
     const SharingPlan chosen = space->Materialize(k);
     const testing_support::PlanEvaluation want =
-        rig->oracle->Evaluate(chosen);
-    const double total_before = rig->gp->TotalCost();
+        oracle.Evaluate(chosen);
+    const double total_before = rig.global_plan->TotalCost();
     const auto rec =
-        rig->gp->Commit(next_id, sharing, *space, evals, k, evals.lpc);
+        rig.global_plan->Commit(next_id, sharing, *space, evals, k, evals.lpc);
     ASSERT_TRUE(rec.ok()) << rec.status().ToString();
     ExpectRecordMatches(**rec, chosen, want);
     EXPECT_EQ((*rec)->lpc, evals.lpc);
-    EXPECT_NEAR(rig->gp->TotalCost() - total_before, want.marginal_cost,
-                1e-9 * std::max(1.0, rig->gp->TotalCost()));
-    rig->oracle->Added(next_id);
+    EXPECT_NEAR(rig.global_plan->TotalCost() - total_before, want.marginal_cost,
+                1e-9 * std::max(1.0, rig.global_plan->TotalCost()));
+    oracle.Added(next_id);
     active.push_back(next_id++);
   }
   EXPECT_GT(seen.plans, 200u);
@@ -257,34 +220,30 @@ void RunChurn(Rig* rig, uint64_t seed, bool expect_capped = false) {
 class PlanSpaceOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PlanSpaceOracleTest, TwitterExhaustive) {
-  auto rig = TwitterRig(GetParam(), EnumeratorOptions{});
-  RunChurn(rig.get(), GetParam());
+  RunChurn(TwitterWorld(GetParam()), EnumeratorOptions{}, GetParam());
 }
 
 TEST_P(PlanSpaceOracleTest, TwitterBeam) {
   EnumeratorOptions options;
   options.per_subset_cap = 4;
-  auto rig = TwitterRig(GetParam() ^ 0xbea, options);
-  RunChurn(rig.get(), GetParam());
+  RunChurn(TwitterWorld(GetParam() ^ 0xbea), options, GetParam());
 }
 
 TEST_P(PlanSpaceOracleTest, TwitterMaxPlansCap) {
   EnumeratorOptions options;
   options.max_plans = 37;
-  auto rig = TwitterRig(GetParam() ^ 0xcab, options);
-  RunChurn(rig.get(), GetParam(), /*expect_capped=*/true);
+  RunChurn(TwitterWorld(GetParam() ^ 0xcab), options, GetParam(),
+           /*expect_capped=*/true);
 }
 
 TEST_P(PlanSpaceOracleTest, StarExhaustive) {
-  auto rig = StarRig(GetParam(), EnumeratorOptions{});
-  RunChurn(rig.get(), GetParam());
+  RunChurn(StarWorld(GetParam()), EnumeratorOptions{}, GetParam());
 }
 
 TEST_P(PlanSpaceOracleTest, StarBeam) {
   EnumeratorOptions options;
   options.per_subset_cap = 3;
-  auto rig = StarRig(GetParam() ^ 0xbea, options);
-  RunChurn(rig.get(), GetParam());
+  RunChurn(StarWorld(GetParam() ^ 0xbea), options, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlanSpaceOracleTest,

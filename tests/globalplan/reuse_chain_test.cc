@@ -5,16 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "globalplan/global_plan.h"
+#include "market/rig.h"
 #include "plan/enumerator.h"
 #include "testing/plans.h"
 #include "testing/dry_run.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
 
 TableSet TS(std::initializer_list<TableId> ids) {
   TableSet s;
@@ -59,7 +57,7 @@ class ReuseChainTest : public ::testing::Test {
   }
 
   Scenario sc_;
-  testing_support::Rig rig_;
+  Rig rig_;
 };
 
 TEST_F(ReuseChainTest, ResidualViewBecomesReuseSource) {

@@ -11,13 +11,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "cost/default_cost_model.h"
 #include "globalplan/global_plan.h"
-#include "plan/enumerator.h"
-#include "plan/join_graph.h"
+#include "market/rig.h"
 #include "testing/plans.h"
 #include "testing/reuse_oracle.h"
-#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
@@ -28,48 +25,15 @@ using NodeDecision = GlobalPlan::NodeDecision;
 using testing_support::DryRun;
 using testing_support::PlanEvaluation;
 
-struct Rig {
-  Catalog catalog;
-  Cluster cluster;
-  TwitterTables tables;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<DefaultCostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> gp;
-  std::unique_ptr<ReuseOracle> oracle;
-};
-
-std::unique_ptr<Rig> MakeRig() {
-  auto rig = std::make_unique<Rig>();
-  const auto tables = BuildTwitterCatalog(&rig->catalog);
-  EXPECT_TRUE(tables.ok());
-  rig->tables = *tables;
-  for (int i = 0; i < 4; ++i) {
-    rig->cluster.AddServer("m" + std::to_string(i));
-  }
-  rig->cluster.PlaceRoundRobin(rig->catalog.num_tables());
-  rig->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(rig->catalog));
-  rig->model =
-      std::make_unique<DefaultCostModel>(&rig->catalog, &rig->cluster);
-  rig->enumerator = std::make_unique<PlanEnumerator>(
-      &rig->catalog, &rig->cluster, rig->graph.get(), rig->model.get(),
-      EnumeratorOptions{});
-  rig->gp = std::make_unique<GlobalPlan>(&rig->cluster, rig->model.get());
-  rig->oracle = std::make_unique<ReuseOracle>(rig->gp.get(), &rig->cluster,
-                                              rig->model.get());
-  return rig;
-}
-
 // Integrates `plan` and checks the committed decisions against the oracle.
-void AddAndCheck(Rig* rig, SharingId id, const Sharing& sharing,
-                 const SharingPlan& plan) {
-  const PlanEvaluation want = rig->oracle->Evaluate(plan);
-  const auto got = rig->gp->AddSharing(id, sharing, plan);
+void AddAndCheck(const Rig& rig, ReuseOracle* oracle, SharingId id,
+                 const Sharing& sharing, const SharingPlan& plan) {
+  const PlanEvaluation want = oracle->Evaluate(plan);
+  const auto got = rig.global_plan->AddSharing(id, sharing, plan);
   ASSERT_TRUE(got.ok());
   ExpectIdenticalEvaluations(
       testing_support::RecordEvaluation(**got, want.feasible), want);
-  rig->oracle->Added(id);
+  oracle->Added(id);
 }
 
 class ReuseOracleTest : public ::testing::TestWithParam<uint64_t> {};
@@ -78,14 +42,17 @@ class ReuseOracleTest : public ::testing::TestWithParam<uint64_t> {};
 // plans per seed — evaluates as the oracle says, through add/remove churn
 // and repeated reuse of hot subexpressions.
 TEST_P(ReuseOracleTest, RandomPlansMatchOracle) {
-  auto rig = MakeRig();
+  const TwitterScenario world = MakeTwitterScenario(4);
+  const Rig rig = MakeRig(world);
+  ReuseOracle oracle(rig.global_plan.get(), world.cluster.get(),
+                     world.model.get());
   TwitterSequenceOptions options;
   options.num_sharings = 120;
   options.max_predicates = 2;
   options.frac_with_predicates = 0.5;
   options.seed = GetParam();
   const std::vector<Sharing> sequence = GenerateTwitterSequence(
-      rig->catalog, rig->tables, rig->cluster, options);
+      *world.catalog, world.tables, *world.cluster, options);
 
   Rng rng(GetParam() ^ 0xfeed);
   std::vector<SharingId> active;
@@ -96,26 +63,26 @@ TEST_P(ReuseOracleTest, RandomPlansMatchOracle) {
     if (!active.empty() && rng.Bernoulli(0.25)) {
       const size_t pick = static_cast<size_t>(rng.UniformInt(
           0, static_cast<int64_t>(active.size()) - 1));
-      ASSERT_TRUE(rig->gp->RemoveSharing(active[pick]).ok());
-      rig->oracle->Removed(active[pick]);
+      ASSERT_TRUE(rig.global_plan->RemoveSharing(active[pick]).ok());
+      oracle.Removed(active[pick]);
       active.erase(active.begin() + static_cast<int64_t>(pick));
     }
 
-    const auto plans = testing_support::EnumerateAll(*rig->enumerator, sharing);
+    const auto plans = testing_support::EnumerateAll(*rig.enumerator, sharing);
     ASSERT_TRUE(plans.ok());
     size_t best = 0;
     double best_cost = 0.0;
     for (size_t i = 0; i < plans->size(); ++i) {
       const PlanEvaluation got =
-          DryRun(*rig->gp, (*plans)[i], rig->model.get());
-      ExpectIdenticalEvaluations(got, rig->oracle->Evaluate((*plans)[i]));
+          DryRun(*rig.global_plan, (*plans)[i], world.model.get());
+      ExpectIdenticalEvaluations(got, oracle.Evaluate((*plans)[i]));
       ++plans_compared;
       if (i == 0 || got.marginal_cost < best_cost) {
         best = i;
         best_cost = got.marginal_cost;
       }
     }
-    AddAndCheck(rig.get(), next_id, sharing, (*plans)[best]);
+    AddAndCheck(rig, &oracle, next_id, sharing, (*plans)[best]);
     active.push_back(next_id);
     ++next_id;
   }
@@ -126,13 +93,16 @@ TEST_P(ReuseOracleTest, RandomPlansMatchOracle) {
 // global plan must stop proposing reuse from the dead server, and after
 // MarkUp it must propose it again, both as the oracle says.
 TEST_P(ReuseOracleTest, LivenessFlipsMatchOracle) {
-  auto rig = MakeRig();
+  const TwitterScenario world = MakeTwitterScenario(4);
+  const Rig rig = MakeRig(world);
+  ReuseOracle oracle(rig.global_plan.get(), world.cluster.get(),
+                     world.model.get());
   TwitterSequenceOptions options;
   options.num_sharings = 40;
   options.max_predicates = 1;
   options.seed = GetParam() ^ 0xdead;
   const std::vector<Sharing> sequence = GenerateTwitterSequence(
-      rig->catalog, rig->tables, rig->cluster, options);
+      *world.catalog, world.tables, *world.cluster, options);
 
   SharingId next_id = 1;
   size_t plans_compared = 0;
@@ -141,21 +111,22 @@ TEST_P(ReuseOracleTest, LivenessFlipsMatchOracle) {
     if (rng.Bernoulli(0.2)) {
       const ServerId victim =
           static_cast<ServerId>(rng.UniformInt(0, 3));
-      if (rig->cluster.is_up(victim) &&
-          rig->cluster.num_live_servers() > 2) {
-        ASSERT_TRUE(rig->cluster.MarkDown(victim).ok());
-      } else if (!rig->cluster.is_up(victim)) {
-        ASSERT_TRUE(rig->cluster.MarkUp(victim).ok());
+      if (world.cluster->is_up(victim) &&
+          world.cluster->num_live_servers() > 2) {
+        ASSERT_TRUE(world.cluster->MarkDown(victim).ok());
+      } else if (!world.cluster->is_up(victim)) {
+        ASSERT_TRUE(world.cluster->MarkUp(victim).ok());
       }
     }
-    const auto plans = testing_support::EnumerateAll(*rig->enumerator, sharing);
+    const auto plans = testing_support::EnumerateAll(*rig.enumerator, sharing);
     ASSERT_TRUE(plans.ok());
     for (const SharingPlan& plan : *plans) {
-      ExpectIdenticalEvaluations(DryRun(*rig->gp, plan, rig->model.get()),
-                                 rig->oracle->Evaluate(plan));
+      ExpectIdenticalEvaluations(
+          DryRun(*rig.global_plan, plan, world.model.get()),
+          oracle.Evaluate(plan));
       ++plans_compared;
     }
-    AddAndCheck(rig.get(), next_id, sharing, plans->front());
+    AddAndCheck(rig, &oracle, next_id, sharing, plans->front());
     ++next_id;
   }
   EXPECT_GT(plans_compared, 1000u);
@@ -184,29 +155,32 @@ PlanNode Join(TableSet tables, ServerId server, int left, int right) {
 // every decision at its node index, prices standalone_cost as PlanCost
 // does, and is recorded exactly as given.
 TEST(ReuseOracleHandBuilt, NonPostOrderPlanKeepsNodeIndices) {
-  auto rig = MakeRig();
-  const TableId a = rig->tables.users;
-  const TableId b = rig->tables.tweets;
-  const TableId c = rig->tables.curloc;
+  const TwitterScenario world = MakeTwitterScenario(4);
+  const Rig rig = MakeRig(world);
+  ReuseOracle oracle(rig.global_plan.get(), world.cluster.get(),
+                     world.model.get());
+  const TableId a = world.tables.users;
+  const TableId b = world.tables.tweets;
+  const TableId c = world.tables.curloc;
   const TableSet ab = TableSet::Of(a).Union(TableSet::Of(b));
   const ServerId dest = 3;
-  const auto home = [&](TableId t) { return *rig->cluster.HomeOf(t); };
+  const auto home = [&](TableId t) { return *world.cluster->HomeOf(t); };
 
   // Sharing 1 materializes A⋈B on `dest`.
   const Sharing s1(ab, {}, dest);
   SharingPlan p1;
   p1.nodes = {Leaf(a, home(a)), Leaf(b, home(b)), Join(ab, dest, 0, 1)};
-  AddAndCheck(rig.get(), 1, s1, p1);
+  AddAndCheck(rig, &oracle, 1, s1, p1);
 
   const Sharing s2(ab.Union(TableSet::Of(c)), {}, dest);
   SharingPlan p2;
   p2.nodes = {Leaf(a, home(a)), Leaf(b, home(b)), Leaf(c, home(c)),
               Join(ab, dest, 0, 1), Join(s2.tables(), dest, 3, 2)};
-  ASSERT_NE(PlanSpace::Of(p2, rig->model.get()).Materialize(0), p2);
+  ASSERT_NE(PlanSpace::Of(p2, world.model.get()).Materialize(0), p2);
 
-  const PlanEvaluation eval = DryRun(*rig->gp, p2, rig->model.get());
-  ExpectIdenticalEvaluations(eval, rig->oracle->Evaluate(p2));
-  EXPECT_EQ(eval.standalone_cost, PlanCost(p2, rig->model.get()));
+  const PlanEvaluation eval = DryRun(*rig.global_plan, p2, world.model.get());
+  ExpectIdenticalEvaluations(eval, oracle.Evaluate(p2));
+  EXPECT_EQ(eval.standalone_cost, PlanCost(p2, world.model.get()));
   const NodeDecision::State want[] = {
       NodeDecision::kSkipped, NodeDecision::kSkipped, NodeDecision::kFresh,
       NodeDecision::kReused, NodeDecision::kFresh};
@@ -214,14 +188,14 @@ TEST(ReuseOracleHandBuilt, NonPostOrderPlanKeepsNodeIndices) {
     EXPECT_EQ(eval.decisions[i].state, want[i]) << "node " << i;
   }
 
-  AddAndCheck(rig.get(), 2, s2, p2);
-  const GlobalPlan::SharingRecord* rec = rig->gp->record(2);
+  AddAndCheck(rig, &oracle, 2, s2, p2);
+  const GlobalPlan::SharingRecord* rec = rig.global_plan->record(2);
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->plan, p2);
-  EXPECT_EQ(rec->plan_to_gp[3], rig->gp->record(1)->plan_to_gp[2]);
+  EXPECT_EQ(rec->plan_to_gp[3], rig.global_plan->record(1)->plan_to_gp[2]);
   for (size_t i = 0; i < p2.nodes.size(); ++i) {
     EXPECT_EQ(rec->standalone_cost[i],
-              PlanNodeCost(p2, i, rig->model.get()));
+              PlanNodeCost(p2, i, world.model.get()));
   }
 }
 
@@ -231,28 +205,31 @@ TEST(ReuseOracleHandBuilt, NonPostOrderPlanKeepsNodeIndices) {
 // sharing 1's view through a residual copy, so that view lies two levels
 // below sharing 2's root and is reached only through global-plan edges.
 TEST(ReuseOracleHandBuilt, BlastRadiusFollowsGlobalPlanEdges) {
-  auto rig = MakeRig();
-  const TableId a = rig->tables.tweets;
-  const TableId b = rig->tables.urls;
-  const TableId c = rig->tables.users;
+  const TwitterScenario world = MakeTwitterScenario(4);
+  const Rig rig = MakeRig(world);
+  ReuseOracle oracle(rig.global_plan.get(), world.cluster.get(),
+                     world.model.get());
+  const TableId a = world.tables.tweets;
+  const TableId b = world.tables.urls;
+  const TableId c = world.tables.users;
   const TableSet ab = TableSet::Of(a).Union(TableSet::Of(b));
   const ServerId failed = 3;
   const ServerId dest = 0;
-  const auto home = [&](TableId t) { return *rig->cluster.HomeOf(t); };
+  const auto home = [&](TableId t) { return *world.cluster->HomeOf(t); };
   for (const TableId t : {a, b, c}) ASSERT_NE(home(t), failed);
 
   const Sharing s1(ab, {}, failed);
   SharingPlan p1;
   p1.nodes = {Leaf(a, home(a)), Leaf(b, home(b)), Join(ab, failed, 0, 1)};
-  AddAndCheck(rig.get(), 1, s1, p1);
-  const int source = rig->gp->record(1)->plan_to_gp[2];
+  AddAndCheck(rig, &oracle, 1, s1, p1);
+  const int source = rig.global_plan->record(1)->plan_to_gp[2];
 
   const Sharing s2(ab.Union(TableSet::Of(c)), {}, dest);
   SharingPlan p2;
   p2.nodes = {Leaf(a, home(a)), Leaf(b, home(b)), Join(ab, dest, 0, 1),
               Leaf(c, home(c)), Join(s2.tables(), dest, 2, 3)};
-  AddAndCheck(rig.get(), 2, s2, p2);
-  const GlobalPlan::SharingRecord* rec = rig->gp->record(2);
+  AddAndCheck(rig, &oracle, 2, s2, p2);
+  const GlobalPlan::SharingRecord* rec = rig.global_plan->record(2);
   ASSERT_NE(rec, nullptr);
   ASSERT_EQ(rec->decisions[2].state, NodeDecision::kReused);
   ASSERT_EQ(rec->decisions[2].reuse_source, source);
@@ -260,16 +237,16 @@ TEST(ReuseOracleHandBuilt, BlastRadiusFollowsGlobalPlanEdges) {
   for (size_t i = 0; i < rec->plan_to_gp.size(); ++i) {
     EXPECT_NE(rec->plan_to_gp[i], source) << "node " << i;
     if (rec->plan_to_gp[i] >= 0) {
-      EXPECT_NE(rig->gp->node_server(rec->plan_to_gp[i]), failed);
+      EXPECT_NE(rig.global_plan->node_server(rec->plan_to_gp[i]), failed);
     }
   }
 
-  EXPECT_EQ(rig->gp->SharingsTouchingServer(failed),
+  EXPECT_EQ(rig.global_plan->SharingsTouchingServer(failed),
             (std::vector<SharingId>{1, 2}));
   // With sharing 1 gone, its view lives on for sharing 2 alone.
-  ASSERT_TRUE(rig->gp->RemoveSharing(1).ok());
-  rig->oracle->Removed(1);
-  EXPECT_EQ(rig->gp->SharingsTouchingServer(failed),
+  ASSERT_TRUE(rig.global_plan->RemoveSharing(1).ok());
+  oracle.Removed(1);
+  EXPECT_EQ(rig.global_plan->SharingsTouchingServer(failed),
             (std::vector<SharingId>{2}));
 }
 

@@ -11,47 +11,13 @@
 #include "common/fault.h"
 #include "cost/default_cost_model.h"
 #include "io/plan_journal.h"
+#include "market/rig.h"
 #include "market/simulation.h"
 #include "online/managed_risk.h"
 #include "online/recovery_planner.h"
-#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
-
-struct MarketRig {
-  Catalog catalog;
-  Cluster cluster;
-  TwitterTables tables;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<DefaultCostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> gp;
-  PlannerContext ctx;
-};
-
-std::unique_ptr<MarketRig> MakeMarketRig() {
-  auto rig = std::make_unique<MarketRig>();
-  const auto tables = BuildTwitterCatalog(&rig->catalog);
-  EXPECT_TRUE(tables.ok());
-  rig->tables = *tables;
-  for (int i = 0; i < 3; ++i) {
-    rig->cluster.AddServer("m" + std::to_string(i));
-  }
-  rig->cluster.PlaceRoundRobin(rig->catalog.num_tables());
-  rig->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(rig->catalog));
-  rig->model =
-      std::make_unique<DefaultCostModel>(&rig->catalog, &rig->cluster);
-  rig->enumerator = std::make_unique<PlanEnumerator>(
-      &rig->catalog, &rig->cluster, rig->graph.get(), rig->model.get(),
-      EnumeratorOptions{});
-  rig->gp = std::make_unique<GlobalPlan>(&rig->cluster, rig->model.get());
-  rig->ctx = PlannerContext{&rig->catalog,    &rig->cluster,
-                            rig->graph.get(), rig->model.get(),
-                            rig->gp.get(),    rig->enumerator.get()};
-  return rig;
-}
 
 // Two global plans are the same DAG for our purposes when they serve the
 // same sharings, with identical individual plans, at identical cost.
@@ -71,16 +37,17 @@ void ExpectSamePlan(const GlobalPlan& a, const GlobalPlan& b) {
 }
 
 TEST(FailureRecoveryTest, ServerDeathMidRunMigratesAndRestartRestores) {
-  auto rig = MakeMarketRig();
-  ManagedRiskPlanner planner(rig->ctx);
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
+  ManagedRiskPlanner planner(rig.ctx);
   PlanJournal journal;
   ASSERT_TRUE(journal.Open().ok());
 
   // Buyers purchase four sharings; every committed choice is journaled and
   // its view registered for live maintenance.
-  MarketSimulation sim(&rig->catalog, /*seed=*/20140622,
+  MarketSimulation sim(world.catalog.get(), /*seed=*/20140622,
                        /*domain_compression=*/1e-4);
-  const auto base = TwitterBaseSharings(rig->tables, rig->cluster);
+  const auto base = TwitterBaseSharings(world.tables, *world.cluster);
   for (size_t i = 0; i < 4; ++i) {
     const auto choice = planner.ProcessSharing(base[i]);
     ASSERT_TRUE(choice.ok()) << choice.status().ToString();
@@ -89,15 +56,16 @@ TEST(FailureRecoveryTest, ServerDeathMidRunMigratesAndRestartRestores) {
   }
   // The provider's committed state, before any machine trouble.
   const auto pre_failure =
-      MarketStateToString(rig->catalog, rig->cluster, rig->gp.get());
+      MarketStateToString(*world.catalog, *world.cluster,
+                          rig.global_plan.get());
   ASSERT_TRUE(pre_failure.ok());
   const auto snapshot =
-      MarketStateToString(rig->catalog, rig->cluster, nullptr);
+      MarketStateToString(*world.catalog, *world.cluster, nullptr);
   ASSERT_TRUE(snapshot.ok());
 
   // m1 dies at tick 1, mid-stream.
-  RecoveryPlanner recovery(rig->ctx);
-  sim.AttachFaultDomain(&rig->cluster, &recovery);
+  RecoveryPlanner recovery(rig.ctx);
+  sim.AttachFaultDomain(world.cluster.get(), &recovery);
   ASSERT_TRUE(sim.ScheduleServerFailure(1, 1).ok());
   ASSERT_TRUE(sim.Run(/*ticks=*/2, /*scale=*/0.03).ok());
 
@@ -108,7 +76,7 @@ TEST(FailureRecoveryTest, ServerDeathMidRunMigratesAndRestartRestores) {
   EXPECT_GT(stats.migrated + stats.parked, 0);
   EXPECT_GE(stats.parked, 1);
   EXPECT_EQ(sim.parked_sharings(), static_cast<size_t>(stats.parked));
-  EXPECT_TRUE(rig->gp->SharingsTouchingServer(1).empty());
+  EXPECT_TRUE(rig.global_plan->SharingsTouchingServer(1).empty());
   // Every surviving view still matches a from-scratch recomputation.
   auto verified = sim.VerifyViews();
   ASSERT_TRUE(verified.ok());
@@ -145,20 +113,21 @@ TEST(FailureRecoveryTest, ServerDeathMidRunMigratesAndRestartRestores) {
 }
 
 TEST(FailureRecoveryTest, CrashDuringAppendLosesOnlyTheTornRecord) {
-  auto rig = MakeMarketRig();
-  ManagedRiskPlanner planner(rig->ctx);
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
+  ManagedRiskPlanner planner(rig.ctx);
   PlanJournal journal;
   ASSERT_TRUE(journal.Open().ok());
   const auto snapshot =
-      MarketStateToString(rig->catalog, rig->cluster, nullptr);
+      MarketStateToString(*world.catalog, *world.cluster, nullptr);
   ASSERT_TRUE(snapshot.ok());
 
   TwitterSequenceOptions options;
   options.num_sharings = 6;
   options.max_predicates = 1;
   options.seed = 41;
-  const auto sequence = GenerateTwitterSequence(rig->catalog, rig->tables,
-                                                rig->cluster, options);
+  const auto sequence = GenerateTwitterSequence(*world.catalog, world.tables,
+                                                *world.cluster, options);
   std::vector<PlanChoice> committed;
   for (size_t i = 0; i < 5; ++i) {
     const auto choice = planner.ProcessSharing(sequence[i]);
@@ -198,7 +167,8 @@ TEST(FailureRecoveryTest, CrashDuringAppendLosesOnlyTheTornRecord) {
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->plan, choice.plan);
     EXPECT_NEAR(rec->marginal_cost, choice.marginal_cost, 1e-9);
-    EXPECT_NEAR(restored.GPC(choice.id), rig->gp->GPC(choice.id), 1e-9);
+    EXPECT_NEAR(restored.GPC(choice.id), rig.global_plan->GPC(choice.id),
+                1e-9);
   }
   // The torn sixth record is gone — lost, not corrupted.
   EXPECT_EQ(restored.record(last->id), nullptr);

@@ -3,18 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include "market/rig.h"
 #include "online/exhaustive.h"
 #include "online/greedy.h"
 #include "online/managed_risk.h"
 #include "online/normalize.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
-using testing_support::RunSequence;
 
 struct Case {
   uint64_t seed;

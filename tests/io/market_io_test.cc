@@ -11,18 +11,15 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "cost/default_cost_model.h"
 #include "io/plan_journal.h"
+#include "market/rig.h"
 #include "online/managed_risk.h"
 #include "testing/plans.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 #include "workload/twitter.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
 
 TEST(MarketIoTest, CatalogAndClusterRoundTrip) {
   Catalog catalog;
@@ -108,25 +105,19 @@ TEST(MarketIoTest, GlobalPlanRoundTripPreservesCost) {
 }
 
 TEST(MarketIoTest, PredicatedSharingsRoundTrip) {
-  Catalog catalog;
-  const auto tables = BuildTwitterCatalog(&catalog);
-  ASSERT_TRUE(tables.ok());
-  Cluster cluster;
-  for (int i = 0; i < 3; ++i) cluster.AddServer("m" + std::to_string(i));
-  cluster.PlaceRoundRobin(catalog.num_tables());
-  const JoinGraph graph = JoinGraph::FromCatalog(catalog);
-  DefaultCostModel model(&catalog, &cluster);
-  PlanEnumerator enumerator(&catalog, &cluster, &graph, &model, {});
-  GlobalPlan gp(&cluster, &model);
-  PlannerContext ctx{&catalog, &cluster, &graph, &model, &gp, &enumerator};
-  ManagedRiskPlanner planner(ctx);
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
+  const Catalog& catalog = *world.catalog;
+  const Cluster& cluster = *world.cluster;
+  GlobalPlan& gp = *rig.global_plan;
+  ManagedRiskPlanner planner(rig.ctx);
 
   TwitterSequenceOptions options;
   options.num_sharings = 8;
   options.max_predicates = 2;
   options.seed = 99;
   for (const Sharing& sharing :
-       GenerateTwitterSequence(catalog, *tables, cluster, options)) {
+       GenerateTwitterSequence(catalog, world.tables, cluster, options)) {
     ASSERT_TRUE(planner.ProcessSharing(sharing).ok());
   }
 
@@ -135,7 +126,7 @@ TEST(MarketIoTest, PredicatedSharingsRoundTrip) {
   const auto state = MarketStateFromString(*text);
   ASSERT_TRUE(state.ok()) << state.status().ToString();
 
-  GlobalPlan restored(&cluster, &model);
+  GlobalPlan restored(&cluster, world.model.get());
   ASSERT_TRUE(RestoreGlobalPlan(*state, &restored).ok());
   EXPECT_NEAR(restored.TotalCost(), gp.TotalCost(), 1e-9);
 
@@ -430,24 +421,18 @@ TEST(MarketIoTest, FuzzedInputNeverCrashes) {
   // A valid serialized market, then hundreds of random truncations and
   // byte flips: every mutation must either parse or fail cleanly with a
   // status — no crash, hang, or runaway allocation.
-  Catalog catalog;
-  const auto tables = BuildTwitterCatalog(&catalog);
-  ASSERT_TRUE(tables.ok());
-  Cluster cluster;
-  for (int i = 0; i < 3; ++i) cluster.AddServer("m" + std::to_string(i));
-  cluster.PlaceRoundRobin(catalog.num_tables());
-  const JoinGraph graph = JoinGraph::FromCatalog(catalog);
-  DefaultCostModel model(&catalog, &cluster);
-  PlanEnumerator enumerator(&catalog, &cluster, &graph, &model, {});
-  GlobalPlan gp(&cluster, &model);
-  PlannerContext ctx{&catalog, &cluster, &graph, &model, &gp, &enumerator};
-  ManagedRiskPlanner planner(ctx);
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
+  const Catalog& catalog = *world.catalog;
+  const Cluster& cluster = *world.cluster;
+  GlobalPlan& gp = *rig.global_plan;
+  ManagedRiskPlanner planner(rig.ctx);
   TwitterSequenceOptions options;
   options.num_sharings = 5;
   options.max_predicates = 2;
   options.seed = 13;
   for (const Sharing& sharing :
-       GenerateTwitterSequence(catalog, *tables, cluster, options)) {
+       GenerateTwitterSequence(catalog, world.tables, cluster, options)) {
     ASSERT_TRUE(planner.ProcessSharing(sharing).ok());
   }
   const auto text = MarketStateToString(catalog, cluster, &gp);

@@ -13,55 +13,21 @@
 #include <sstream>
 
 #include "common/fault.h"
-#include "cost/default_cost_model.h"
+#include "market/rig.h"
 #include "online/greedy.h"
 #include "testing/plans.h"
-#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
 
-struct JournalRig {
-  Catalog catalog;
-  Cluster cluster;
-  TwitterTables tables;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<DefaultCostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> gp;
-  PlannerContext ctx;
-};
-
-std::unique_ptr<JournalRig> MakeJournalRig() {
-  auto rig = std::make_unique<JournalRig>();
-  const auto tables = BuildTwitterCatalog(&rig->catalog);
-  EXPECT_TRUE(tables.ok());
-  rig->tables = *tables;
-  for (int i = 0; i < 3; ++i) {
-    rig->cluster.AddServer("m" + std::to_string(i));
-  }
-  rig->cluster.PlaceRoundRobin(rig->catalog.num_tables());
-  rig->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(rig->catalog));
-  rig->model =
-      std::make_unique<DefaultCostModel>(&rig->catalog, &rig->cluster);
-  rig->enumerator = std::make_unique<PlanEnumerator>(
-      &rig->catalog, &rig->cluster, rig->graph.get(), rig->model.get(),
-      EnumeratorOptions{});
-  rig->gp = std::make_unique<GlobalPlan>(&rig->cluster, rig->model.get());
-  rig->ctx = PlannerContext{&rig->catalog,    &rig->cluster,
-                            rig->graph.get(), rig->model.get(),
-                            rig->gp.get(),    rig->enumerator.get()};
-  return rig;
-}
-
 // Plans `n` Twitter base sharings and journals every committed choice.
 // Choices are returned for later comparison.
-std::vector<PlanChoice> PlanAndJournal(JournalRig* rig, PlanJournal* journal,
+std::vector<PlanChoice> PlanAndJournal(const TwitterScenario& world,
+                                       const Rig& rig, PlanJournal* journal,
                                        size_t n) {
-  GreedyPlanner planner(rig->ctx);
+  GreedyPlanner planner(rig.ctx);
   std::vector<PlanChoice> choices;
-  const auto base = TwitterBaseSharings(rig->tables, rig->cluster);
+  const auto base = TwitterBaseSharings(world.tables, *world.cluster);
   for (size_t i = 0; i < n && i < base.size(); ++i) {
     const auto choice = planner.ProcessSharing(base[i]);
     EXPECT_TRUE(choice.ok());
@@ -100,14 +66,15 @@ TEST(PlanJournalTest, MissingHeaderIsAnError) {
 }
 
 TEST(PlanJournalTest, RoundTripReplaysEveryRecord) {
-  auto rig = MakeJournalRig();
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
   PlanJournal journal;
   ASSERT_TRUE(journal.Open().ok());
-  const auto choices = PlanAndJournal(rig.get(), &journal, 3);
+  const auto choices = PlanAndJournal(world, rig, &journal, 3);
   ASSERT_EQ(journal.records_appended(), 3u);
 
   const auto replay =
-      ReplayJournal(journal.contents(), rig->cluster.num_servers());
+      ReplayJournal(journal.contents(), world.cluster->num_servers());
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(replay->records_recovered, 3u);
   EXPECT_EQ(replay->bytes_dropped, 0u);
@@ -120,10 +87,11 @@ TEST(PlanJournalTest, RoundTripReplaysEveryRecord) {
 }
 
 TEST(PlanJournalTest, TruncatedTailIsDroppedNotFatal) {
-  auto rig = MakeJournalRig();
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
   PlanJournal journal;
   ASSERT_TRUE(journal.Open().ok());
-  PlanAndJournal(rig.get(), &journal, 3);
+  PlanAndJournal(world, rig, &journal, 3);
 
   // Chop bytes off the end: whatever prefix of whole frames survives must
   // replay cleanly; the ragged tail is dropped and accounted for.
@@ -139,10 +107,11 @@ TEST(PlanJournalTest, TruncatedTailIsDroppedNotFatal) {
 }
 
 TEST(PlanJournalTest, CorruptPayloadByteDropsSuffix) {
-  auto rig = MakeJournalRig();
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
   PlanJournal journal;
   ASSERT_TRUE(journal.Open().ok());
-  PlanAndJournal(rig.get(), &journal, 3);
+  PlanAndJournal(world, rig, &journal, 3);
 
   // Flip one byte in the last record: its checksum no longer matches.
   std::string damaged = journal.contents();
@@ -168,10 +137,11 @@ TEST(PlanJournalTest, CorruptPayloadByteDropsSuffix) {
 // so only the length check can reject it; the whole suffix from the
 // bogus frame on is dropped, once.
 TEST(PlanJournalTest, HugeDeclaredLengthDropsSuffix) {
-  auto rig = MakeJournalRig();
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
   PlanJournal journal;
   ASSERT_TRUE(journal.Open().ok());
-  PlanAndJournal(rig.get(), &journal, 1);
+  PlanAndJournal(world, rig, &journal, 1);
 
   const std::string& valid = journal.contents();
   const size_t body = valid.find('\n') + 1;  // past the journal header
@@ -189,11 +159,12 @@ TEST(PlanJournalTest, HugeDeclaredLengthDropsSuffix) {
 }
 
 TEST(PlanJournalTest, TornWriteFaultLeavesRecoverablePrefix) {
-  auto rig = MakeJournalRig();
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
   PlanJournal journal;
   ASSERT_TRUE(journal.Open().ok());
-  const auto base = TwitterBaseSharings(rig->tables, rig->cluster);
-  GreedyPlanner planner(rig->ctx);
+  const auto base = TwitterBaseSharings(world.tables, *world.cluster);
+  GreedyPlanner planner(rig.ctx);
   std::vector<PlanChoice> committed;
   for (int i = 0; i < 2; ++i) {
     const auto choice = planner.ProcessSharing(base[i]);
@@ -227,18 +198,19 @@ TEST(PlanJournalTest, FileBackedJournalSurvivesReopen) {
       ::testing::TempDir() + "/dsm_plan_journal_test.log";
   std::remove(path.c_str());
 
-  auto rig = MakeJournalRig();
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
   {
     PlanJournal journal(path);
     ASSERT_TRUE(journal.Open().ok());
-    PlanAndJournal(rig.get(), &journal, 2);
+    PlanAndJournal(world, rig, &journal, 2);
   }
   // A new process opens the same file and keeps appending.
   PlanJournal reopened(path);
   ASSERT_TRUE(reopened.Open().ok());
   {
-    const auto base = TwitterBaseSharings(rig->tables, rig->cluster);
-    const auto plans = testing_support::EnumerateAll(*rig->enumerator, base[5]);
+    const auto base = TwitterBaseSharings(world.tables, *world.cluster);
+    const auto plans = testing_support::EnumerateAll(*rig.enumerator, base[5]);
     ASSERT_TRUE(plans.ok());
     ASSERT_TRUE(reopened.Append(100, base[5], plans->front()).ok());
   }
@@ -257,11 +229,12 @@ TEST(PlanJournalTest, ReopenAfterTornAppendCutsTheTornTail) {
       ::testing::TempDir() + "/dsm_plan_journal_torn_test.log";
   std::remove(path.c_str());
 
-  auto rig = MakeJournalRig();
-  const auto base = TwitterBaseSharings(rig->tables, rig->cluster);
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
+  const auto base = TwitterBaseSharings(world.tables, *world.cluster);
   const auto plan = [&](size_t i) {
     const auto plans =
-        testing_support::EnumerateAll(*rig->enumerator, base[i]);
+        testing_support::EnumerateAll(*rig.enumerator, base[i]);
     EXPECT_TRUE(plans.ok());
     return plans->front();
   };
@@ -312,14 +285,15 @@ TEST(PlanJournalTest, ReopeningAFileWithoutTheHeaderIsRefused) {
 }
 
 TEST(PlanJournalTest, RecoverMarketStatePrefersSnapshotOnDuplicates) {
-  auto rig = MakeJournalRig();
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const Rig rig = MakeRig(world);
   PlanJournal journal;
   ASSERT_TRUE(journal.Open().ok());
-  PlanAndJournal(rig.get(), &journal, 4);
+  PlanAndJournal(world, rig, &journal, 4);
 
   // Snapshot taken after the first two commits; the journal covers all
   // four, so recovery must add exactly the two the snapshot missed.
-  GlobalPlan snapshot_gp(&rig->cluster, rig->model.get());
+  GlobalPlan snapshot_gp(world.cluster.get(), world.model.get());
   {
     const auto replay = ReplayJournal(journal.contents());
     ASSERT_TRUE(replay.ok());
@@ -329,7 +303,7 @@ TEST(PlanJournalTest, RecoverMarketStatePrefersSnapshotOnDuplicates) {
     }
   }
   const auto snapshot =
-      MarketStateToString(rig->catalog, rig->cluster, &snapshot_gp);
+      MarketStateToString(*world.catalog, *world.cluster, &snapshot_gp);
   ASSERT_TRUE(snapshot.ok());
 
   JournalReplay stats;
@@ -341,10 +315,10 @@ TEST(PlanJournalTest, RecoverMarketStatePrefersSnapshotOnDuplicates) {
 
   // The recovered state restores into the same global plan the live
   // process had after all four commits.
-  GlobalPlan restored(&rig->cluster, rig->model.get());
+  GlobalPlan restored(world.cluster.get(), world.model.get());
   ASSERT_TRUE(RestoreGlobalPlan(*state, &restored).ok());
-  EXPECT_NEAR(restored.TotalCost(), rig->gp->TotalCost(), 1e-9);
-  EXPECT_EQ(restored.num_alive_views(), rig->gp->num_alive_views());
+  EXPECT_NEAR(restored.TotalCost(), rig.global_plan->TotalCost(), 1e-9);
+  EXPECT_EQ(restored.num_alive_views(), rig.global_plan->num_alive_views());
 }
 
 }  // namespace

@@ -6,10 +6,9 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "cost/default_cost_model.h"
+#include "market/rig.h"
 #include "online/managed_risk.h"
 #include "online/recovery_planner.h"
-#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
@@ -20,16 +19,12 @@ TableSet TS(std::initializer_list<TableId> ids) {
   return s;
 }
 
+// The Twitter schema on three machines, placed round-robin.
 class SimulationTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto tables = BuildTwitterCatalog(&catalog_);
-    ASSERT_TRUE(tables.ok());
-    tables_ = *tables;
-  }
-
-  Catalog catalog_;
-  TwitterTables tables_;
+  const TwitterScenario world_ = MakeTwitterScenario(3);
+  const Catalog& catalog_ = *world_.catalog;
+  const TwitterTables& tables_ = world_.tables;
 };
 
 TEST_F(SimulationTest, RandomTupleMatchesSchema) {
@@ -137,17 +132,10 @@ TEST_F(SimulationTest, ZeroScaleAppliesNothing) {
 }
 
 TEST_F(SimulationTest, RejectsEventsInThePast) {
-  Cluster cluster;
-  for (int i = 0; i < 3; ++i) cluster.AddServer("m" + std::to_string(i));
-  cluster.PlaceRoundRobin(catalog_.num_tables());
-  const JoinGraph graph = JoinGraph::FromCatalog(catalog_);
-  DefaultCostModel model(&catalog_, &cluster);
-  PlanEnumerator enumerator(&catalog_, &cluster, &graph, &model);
-  GlobalPlan gp(&cluster, &model);
-  RecoveryPlanner recovery(PlannerContext{&catalog_, &cluster, &graph,
-                                          &model, &gp, &enumerator});
+  const Rig rig = MakeRig(world_);
+  RecoveryPlanner recovery(rig.ctx);
   MarketSimulation sim(&catalog_, 82);
-  sim.AttachFaultDomain(&cluster, &recovery);
+  sim.AttachFaultDomain(world_.cluster.get(), &recovery);
   ASSERT_TRUE(sim.Run(2, 0.0).ok());
 
   // Ticks 0 and -1 have passed; such an event could never fire.
@@ -161,42 +149,32 @@ TEST_F(SimulationTest, RejectsEventsInThePast) {
   ASSERT_TRUE(sim.ScheduleServerFailure(2, 1).ok());
   ASSERT_TRUE(sim.Run(1, 0.0).ok());
   EXPECT_EQ(sim.recovery_stats().failures, 1);
-  EXPECT_FALSE(cluster.is_up(1));
+  EXPECT_FALSE(world_.cluster->is_up(1));
 }
 
 
 // A three-server Twitter market whose simulation has a fault domain.
 struct RecoveringMarket {
-  explicit RecoveringMarket(const Catalog* catalog)
-      : cluster(ThreeServers(*catalog)),
-        graph(JoinGraph::FromCatalog(*catalog)),
-        model(catalog, &cluster),
-        enumerator(catalog, &cluster, &graph, &model),
-        gp(&cluster, &model),
-        ctx{catalog, &cluster, &graph, &model, &gp, &enumerator},
-        planner(ctx),
-        recovery(ctx),
-        sim(catalog, 84, /*domain_compression=*/1e-4) {
-    sim.AttachFaultDomain(&cluster, &recovery);
-  }
-
-  static Cluster ThreeServers(const Catalog& catalog) {
-    Cluster cluster;
-    for (int i = 0; i < 3; ++i) cluster.AddServer("m" + std::to_string(i));
-    cluster.PlaceRoundRobin(catalog.num_tables());
-    return cluster;
+  explicit RecoveringMarket(const TwitterScenario& world)
+      : world(world),
+        rig(MakeRig(world)),
+        planner(rig.ctx),
+        recovery(rig.ctx),
+        sim(world.catalog.get(), 84, /*domain_compression=*/1e-4) {
+    sim.AttachFaultDomain(world.cluster.get(), &recovery);
   }
 
   // Admits up to 24 sharings, each with a buyer view, and streams 4 ticks
   // of updates. Views are registered in admission order, so the k-th
   // admitted sharing's view is ViewId k.
-  void Admit(const Catalog& catalog, const TwitterTables& tables) {
+  void Admit() {
     TwitterSequenceOptions options;
     options.num_sharings = 24;
     options.max_predicates = 1;
     options.seed = 3;
     for (const Sharing& s :
-         GenerateTwitterSequence(catalog, tables, cluster, options)) {
+         GenerateTwitterSequence(*world.catalog, world.tables,
+                                 *world.cluster, options)) {
       const auto choice = planner.ProcessSharing(s);
       if (!choice.ok()) continue;
       ASSERT_TRUE(sim.AddBuyerView(choice->id, s.ResultKey()).ok());
@@ -211,7 +189,7 @@ struct RecoveringMarket {
     std::vector<SharingId> parked;
     for (const ParkedSharing& p : recovery.parked()) parked.push_back(p.id);
     for (size_t k = 0; k < admitted.size(); ++k) {
-      const bool planned = gp.record(admitted[k]) != nullptr;
+      const bool planned = rig.global_plan->record(admitted[k]) != nullptr;
       EXPECT_NE(planned, std::count(parked.begin(), parked.end(),
                                     admitted[k]) == 1)
           << "sharing " << admitted[k];
@@ -223,12 +201,8 @@ struct RecoveringMarket {
     EXPECT_TRUE(*verified);
   }
 
-  Cluster cluster;
-  JoinGraph graph;
-  DefaultCostModel model;
-  PlanEnumerator enumerator;
-  GlobalPlan gp;
-  PlannerContext ctx;
+  const TwitterScenario& world;
+  Rig rig;
   ManagedRiskPlanner planner;
   RecoveryPlanner recovery;
   MarketSimulation sim;
@@ -239,11 +213,12 @@ struct RecoveringMarket {
 // migrate, and none of them may stay served: their views are deactivated,
 // and the victims it migrated before the error are counted.
 TEST_F(SimulationTest, FailedFailoverDeactivatesEveryParkedView) {
-  RecoveringMarket market(&catalog_);
-  ASSERT_NO_FATAL_FAILURE(market.Admit(catalog_, tables_));
+  RecoveringMarket market(world_);
+  ASSERT_NO_FATAL_FAILURE(market.Admit());
   MarketSimulation& sim = market.sim;
   const RecoveryPlanner& recovery = market.recovery;
-  const size_t victims = market.gp.SharingsTouchingServer(1).size();
+  const size_t victims =
+      market.rig.global_plan->SharingsTouchingServer(1).size();
   ASSERT_GE(victims, 4u);
 
   std::vector<int64_t> sizes;
@@ -278,7 +253,7 @@ TEST_F(SimulationTest, FailedFailoverDeactivatesEveryParkedView) {
   ASSERT_TRUE(sim.ScheduleServerRecovery(sim.ticks_elapsed(), 1).ok());
   ASSERT_TRUE(sim.Run(/*ticks=*/2, /*scale=*/0.05).ok());
   EXPECT_EQ(sim.parked_sharings(), 0u);
-  EXPECT_EQ(market.gp.num_sharings(), market.admitted.size());
+  EXPECT_EQ(market.rig.global_plan->num_sharings(), market.admitted.size());
   market.ExpectServedIffPlanned();
 }
 
@@ -286,8 +261,8 @@ TEST_F(SimulationTest, FailedFailoverDeactivatesEveryParkedView) {
 // batch's views fails, the batch goes back to the parked queue with its
 // views inactive, and a later retry serves every sharing.
 TEST_F(SimulationTest, FailedRevivalLeavesTheBatchParked) {
-  RecoveringMarket market(&catalog_);
-  ASSERT_NO_FATAL_FAILURE(market.Admit(catalog_, tables_));
+  RecoveringMarket market(world_);
+  ASSERT_NO_FATAL_FAILURE(market.Admit());
   MarketSimulation& sim = market.sim;
   ASSERT_TRUE(sim.ScheduleServerFailure(sim.ticks_elapsed(), 1).ok());
   ASSERT_TRUE(sim.Run(1, 0.05).ok());
@@ -312,7 +287,7 @@ TEST_F(SimulationTest, FailedRevivalLeavesTheBatchParked) {
   ASSERT_TRUE(sim.Run(1, 0.05).ok());
   EXPECT_EQ(sim.parked_sharings(), 0u);
   EXPECT_EQ(sim.recovery_stats().readmitted, static_cast<int>(parked));
-  EXPECT_EQ(market.gp.num_sharings(), market.admitted.size());
+  EXPECT_EQ(market.rig.global_plan->num_sharings(), market.admitted.size());
   market.ExpectServedIffPlanned();
 }
 

@@ -9,26 +9,16 @@
 #include <memory>
 #include <string>
 
-#include "cost/default_cost_model.h"
+#include "market/rig.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "online/greedy.h"
 #include "online/recovery_planner.h"
+#include "testing/fact_dim.h"
 
 namespace dsm {
 namespace obs {
 namespace {
-
-ColumnDef Col(const std::string& name, DataType type, double distinct,
-              double max_value) {
-  ColumnDef col;
-  col.name = name;
-  col.type = type;
-  col.distinct_values = distinct;
-  col.min_value = 0.0;
-  col.max_value = max_value;
-  return col;
-}
 
 TableSet FactDim() {
   TableSet s;
@@ -37,55 +27,18 @@ TableSet FactDim() {
   return s;
 }
 
-// A hot fact table (m0) keyed against a small dimension (m1); m2 holds no
-// base table. m0 and m1 can only take a tenth of the fact table's update
-// stream, so a FACT ⋈ DIM join fits on m2 alone, while residual copies of
-// its tiny output fit anywhere.
-struct StarRig {
-  Catalog catalog;
-  Cluster cluster;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<DefaultCostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> gp;
-  PlannerContext ctx;
-
-  StarRig() {
-    TableDef fact;
-    fact.name = "fact";
-    fact.columns = {Col("k", DataType::kInt64, 1e6, 1e6),
-                    Col("v", DataType::kDouble, 1e4, 1e4)};
-    fact.stats = {/*cardinality=*/1e6, /*update_rate=*/1e5,
-                  /*tuple_bytes=*/64.0};
-    TableDef dim;
-    dim.name = "dim";
-    dim.columns = {Col("k", DataType::kInt64, 1e3, 1e6),
-                   Col("label", DataType::kString, 1e3, 1.0)};
-    dim.stats = {/*cardinality=*/1e3, /*update_rate=*/1.0,
-                 /*tuple_bytes=*/64.0};
-    EXPECT_TRUE(catalog.AddTable(fact).ok());
-    EXPECT_TRUE(catalog.AddTable(dim).ok());
-    cluster.AddServer("m0", 1e4);
-    cluster.AddServer("m1", 1e4);
-    cluster.AddServer("m2");
-    EXPECT_TRUE(cluster.PlaceTable(0, 0).ok());
-    EXPECT_TRUE(cluster.PlaceTable(1, 1).ok());
-    graph = std::make_unique<JoinGraph>(JoinGraph::FromCatalog(catalog));
-    model = std::make_unique<DefaultCostModel>(&catalog, &cluster);
-    enumerator = std::make_unique<PlanEnumerator>(
-        &catalog, &cluster, graph.get(), model.get(), EnumeratorOptions{});
-    gp = std::make_unique<GlobalPlan>(&cluster, model.get());
-    ctx = PlannerContext{&catalog, &cluster,  graph.get(),
-                         model.get(), gp.get(), enumerator.get()};
-  }
-};
+// The fact/dim world with m0 and m1 able to take only a tenth of the fact
+// table's update stream, so a FACT ⋈ DIM join fits on m2 alone, while
+// residual copies of its tiny output fit anywhere.
+Scenario CappedFactDim() { return testing_support::FactDimWorld(1e4); }
 
 uint64_t CounterValue(const char* name) {
   return MetricsRegistry::Global().GetCounter(name)->value();
 }
 
 TEST(RecoveryMetricsTest, RuledOutAndFullPathParkingsAddUp) {
-  StarRig rig;
+  const Scenario world = CappedFactDim();
+  const Rig rig = MakeRig(world);
   GreedyPlanner planner(rig.ctx);
   // A: the join delivered to m2, where it must be computed.
   const auto a = planner.ProcessSharing(Sharing(FactDim(), {}, 2, "a"));
@@ -98,12 +51,12 @@ TEST(RecoveryMetricsTest, RuledOutAndFullPathParkingsAddUp) {
   pred.value = 5000.0;
   const auto b = planner.ProcessSharing(Sharing(FactDim(), {pred}, 0, "b"));
   ASSERT_TRUE(b.ok()) << b.status().ToString();
-  ASSERT_EQ(rig.gp->SharingsTouchingServer(2).size(), 2u);
+  ASSERT_EQ(rig.global_plan->SharingsTouchingServer(2).size(), 2u);
 
   const uint64_t ruled_out = CounterValue("dsm.recovery.ruled_out");
   const uint64_t parkings = CounterValue("dsm.recovery.parkings");
   const uint64_t migrations = CounterValue("dsm.recovery.migrations");
-  ASSERT_TRUE(rig.cluster.MarkDown(2).ok());
+  ASSERT_TRUE(world.cluster->MarkDown(2).ok());
   RecoveryPlanner recovery(rig.ctx);
   const auto report = recovery.OnServerDown(2, /*now_tick=*/0);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -123,7 +76,7 @@ TEST(RecoveryMetricsTest, RuledOutAndFullPathParkingsAddUp) {
       "dsm.recovery.retry_ms");
   const uint64_t retries = retry_ms->count();
   Tracer::Global().Clear();
-  ASSERT_TRUE(rig.cluster.MarkUp(2).ok());
+  ASSERT_TRUE(world.cluster->MarkUp(2).ok());
   const auto readmitted = recovery.RetryParked(1, /*force=*/true);
   ASSERT_TRUE(readmitted.ok());
   EXPECT_EQ(readmitted->size(), 2u);
@@ -136,9 +89,10 @@ TEST(RecoveryMetricsTest, RuledOutAndFullPathParkingsAddUp) {
 }
 
 TEST(RecoveryMetricsTest, LivenessRejectionsCountAsRejections) {
-  StarRig rig;
+  const Scenario world = CappedFactDim();
+  const Rig rig = MakeRig(world);
   GreedyPlanner planner(rig.ctx);
-  ASSERT_TRUE(rig.cluster.MarkDown(2).ok());
+  ASSERT_TRUE(world.cluster->MarkDown(2).ok());
   const uint64_t rejected = CounterValue("dsm.online.sharings_rejected");
   const uint64_t liveness = CounterValue("dsm.online.liveness_rejections");
   const auto dead = planner.ProcessSharing(Sharing(FactDim(), {}, 2, "x"));
@@ -155,7 +109,7 @@ TEST(RecoveryMetricsTest, LivenessRejectionsCountAsRejections) {
   EXPECT_EQ(CounterValue("dsm.online.liveness_rejections") - liveness, 1u);
 
   // The rejected arrivals still consumed their sharing ids.
-  ASSERT_TRUE(rig.cluster.MarkUp(2).ok());
+  ASSERT_TRUE(world.cluster->MarkUp(2).ok());
   const auto served = planner.ProcessSharing(Sharing(FactDim(), {}, 2, "z"));
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_EQ(served->id, 3u);

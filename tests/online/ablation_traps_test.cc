@@ -4,15 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "market/rig.h"
 #include "online/managed_risk.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
-using testing_support::RunSequence;
 
 double RunWith(const Scenario& scenario, const ManagedRiskOptions& options) {
   auto rig = MakeRig(scenario);

@@ -1,17 +1,14 @@
+#include "market/rig.h"
 #include "online/exhaustive.h"
 
 #include <gtest/gtest.h>
 
 #include "online/greedy.h"
 #include "online/managed_risk.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
-using testing_support::RunSequence;
 
 TEST(ExhaustiveTest, FindsTheSharedSubexpressionOptimum) {
   // Example 4.1 with 5 sharings: the optimum computes ab once (cost 100)

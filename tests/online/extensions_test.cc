@@ -4,19 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include "market/rig.h"
 #include "online/greedy.h"
 #include "online/managed_risk.h"
 #include "online/replanner.h"
 #include "online/speculative.h"
 #include "testing/plans.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
-using testing_support::RunSequence;
 
 TableSet TS(std::initializer_list<TableId> ids) {
   TableSet s;

@@ -8,16 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
-#include "cost/default_cost_model.h"
-#include "cost/table_cost_model.h"
+#include "market/rig.h"
 #include "online/greedy.h"
 #include "online/recovery_planner.h"
 #include "testing/dry_run.h"
 #include "testing/plans.h"
-#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
@@ -28,63 +27,37 @@ TableSet TS(std::initializer_list<TableId> ids) {
   return s;
 }
 
-struct Stack {
-  Catalog catalog;
-  Cluster cluster;
-  TwitterTables tables;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<CostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> gp;
-  PlannerContext ctx;
-};
-
-// The Twitter schema placed round-robin on `servers` machines. A beam keeps
-// the plan count small; the rule holds for any enumeration, since every
-// plan keeps one leaf per member table on its home and its root on the
-// destination.
-std::unique_ptr<Stack> MakeStack(size_t servers, bool table_driven = false) {
-  auto st = std::make_unique<Stack>();
-  const auto tables = BuildTwitterCatalog(&st->catalog);
-  EXPECT_TRUE(tables.ok());
-  st->tables = *tables;
-  for (size_t i = 0; i < servers; ++i) {
-    st->cluster.AddServer("m" + std::to_string(i));
-  }
-  st->cluster.PlaceRoundRobin(st->catalog.num_tables());
-  st->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(st->catalog));
-  if (table_driven) {
-    st->model = std::make_unique<TableDrivenCostModel>();
-  } else {
-    st->model =
-        std::make_unique<DefaultCostModel>(&st->catalog, &st->cluster);
-  }
-  EnumeratorOptions options;
-  options.per_subset_cap = 6;
-  st->enumerator = std::make_unique<PlanEnumerator>(
-      &st->catalog, &st->cluster, st->graph.get(), st->model.get(), options);
-  st->gp = std::make_unique<GlobalPlan>(&st->cluster, st->model.get());
-  st->ctx = PlannerContext{&st->catalog,    &st->cluster,
-                           st->graph.get(), st->model.get(),
-                           st->gp.get(),    st->enumerator.get()};
-  return st;
+// The Twitter schema placed round-robin on `servers` machines.
+TwitterScenario MakeWorld(size_t servers, bool table_driven = false) {
+  std::optional<TableDrivenCostModel::Options> costs;
+  if (table_driven) costs.emplace();
+  return MakeTwitterScenario(servers, costs);
 }
 
-std::vector<Sharing> TwitterMix(const Stack& st, size_t n, uint64_t seed) {
+// A beam keeps the plan count small; the rule holds for any enumeration,
+// since every plan keeps one leaf per member table on its home and its
+// root on the destination.
+Rig MakeBeamRig(const Scenario& world) {
+  return MakeRig(world, EnumeratorOptions{.per_subset_cap = 6});
+}
+
+std::vector<Sharing> TwitterMix(const TwitterScenario& world, size_t n,
+                                uint64_t seed) {
   TwitterSequenceOptions options;
   options.num_sharings = n;
   options.max_predicates = 2;
   options.seed = seed;
-  return GenerateTwitterSequence(st.catalog, st.tables, st.cluster, options);
+  return GenerateTwitterSequence(*world.catalog, world.tables, *world.cluster,
+                                 options);
 }
 
-bool AnyPlanFeasible(const Stack& st, const Sharing& sharing) {
-  const auto plans = testing_support::EnumerateAll(*st.enumerator, sharing);
+bool AnyPlanFeasible(const Rig& rig, const Sharing& sharing) {
+  const auto plans = testing_support::EnumerateAll(*rig.enumerator, sharing);
   EXPECT_TRUE(plans.ok()) << plans.status().ToString();
   if (!plans.ok()) return false;
   for (const SharingPlan& plan : *plans) {
-    if (testing_support::DryRun(*st.gp, plan, st.model.get()).feasible) {
+    if (testing_support::DryRun(*rig.global_plan, plan, rig.ctx.model)
+            .feasible) {
       return true;
     }
   }
@@ -96,10 +69,11 @@ TEST(LivenessRuleOutTest, RuledOutSharingsHaveNoFeasiblePlan) {
   size_t ruled_out = 0;
   size_t covered = 0;  // a member home is down, yet not ruled out
   for (const uint64_t seed : {1, 2, 3}) {
-    auto st = MakeStack(4);
-    GreedyPlanner planner(st->ctx);
-    RecoveryPlanner recovery(st->ctx);
-    const std::vector<Sharing> mix = TwitterMix(*st, 40, seed);
+    const TwitterScenario world = MakeWorld(4);
+    const Rig rig = MakeBeamRig(world);
+    GreedyPlanner planner(rig.ctx);
+    RecoveryPlanner recovery(rig.ctx);
+    const std::vector<Sharing> mix = TwitterMix(world, 40, seed);
     for (size_t i = 0; i < 28; ++i) (void)planner.ProcessSharing(mix[i]);
 
     Rng rng(seed);
@@ -108,8 +82,8 @@ TEST(LivenessRuleOutTest, RuledOutSharingsHaveNoFeasiblePlan) {
       const int failures = static_cast<int>(rng.UniformInt(1, 2));
       for (int f = 0; f < failures; ++f) {
         const auto server = static_cast<ServerId>(rng.UniformInt(0, 3));
-        if (!st->cluster.is_up(server)) continue;
-        ASSERT_TRUE(st->cluster.MarkDown(server).ok());
+        if (!world.cluster->is_up(server)) continue;
+        ASSERT_TRUE(world.cluster->MarkDown(server).ok());
         down.push_back(server);
         if (rng.Bernoulli(0.5)) {
           ASSERT_TRUE(recovery.OnServerDown(server, round).ok());
@@ -121,10 +95,10 @@ TEST(LivenessRuleOutTest, RuledOutSharingsHaveNoFeasiblePlan) {
         for (ServerId dest = 0; dest < 4; ++dest) {
           const Sharing probe(base.tables(), base.predicates(), dest);
           ++probed;
-          if (!LivenessRulesOut(st->ctx, probe)) {
-            if (st->cluster.is_up(dest)) {
+          if (!LivenessRulesOut(rig.ctx, probe)) {
+            if (world.cluster->is_up(dest)) {
               for (const TableId t : probe.tables().ToVector()) {
-                if (!st->cluster.is_up(*st->cluster.HomeOf(t))) {
+                if (!world.cluster->is_up(*world.cluster->HomeOf(t))) {
                   ++covered;
                   break;
                 }
@@ -133,14 +107,14 @@ TEST(LivenessRuleOutTest, RuledOutSharingsHaveNoFeasiblePlan) {
             continue;
           }
           ++ruled_out;
-          EXPECT_FALSE(AnyPlanFeasible(*st, probe))
+          EXPECT_FALSE(AnyPlanFeasible(rig, probe))
               << "seed " << seed << " round " << round << ": "
-              << probe.ToString(st->catalog);
+              << probe.ToString(*world.catalog);
         }
       }
 
       for (const ServerId server : down) {
-        ASSERT_TRUE(st->cluster.MarkUp(server).ok());
+        ASSERT_TRUE(world.cluster->MarkUp(server).ok());
       }
       ASSERT_TRUE(recovery.RetryParked(round, /*force=*/true).ok());
       for (size_t i = 28 + 3 * static_cast<size_t>(round);
@@ -159,11 +133,12 @@ TEST(LivenessRuleOutTest, RuledOutSharingsHaveNoFeasiblePlan) {
 // A dead member home whose table is covered by an exact root view on the
 // destination: the check stays silent and the full path reuses the view.
 TEST(LivenessRuleOutTest, CoveredDeadHomeIsNotRuledOut) {
-  auto st = MakeStack(3);
+  const TwitterScenario world = MakeWorld(3);
+  const Rig rig = MakeBeamRig(world);
   // USERS lives on m0, TWEETS on m1 (round-robin).
-  const Sharing s(TS({st->tables.users, st->tables.tweets}), {},
+  const Sharing s(TS({world.tables.users, world.tables.tweets}), {},
                   /*destination=*/0, "ann");
-  const auto plans = testing_support::EnumerateAll(*st->enumerator, s);
+  const auto plans = testing_support::EnumerateAll(*rig.enumerator, s);
   ASSERT_TRUE(plans.ok());
   const SharingPlan* at_dest = nullptr;
   for (const SharingPlan& plan : *plans) {
@@ -174,56 +149,56 @@ TEST(LivenessRuleOutTest, CoveredDeadHomeIsNotRuledOut) {
   }
   ASSERT_NE(at_dest, nullptr);
   constexpr SharingId kCover = 100;
-  ASSERT_TRUE(st->gp->AddSharing(kCover, s, *at_dest).ok());
+  ASSERT_TRUE(rig.global_plan->AddSharing(kCover, s, *at_dest).ok());
 
-  ASSERT_TRUE(st->cluster.MarkDown(1).ok());  // TWEETS' home; no failover
+  ASSERT_TRUE(world.cluster->MarkDown(1).ok());  // TWEETS' home; no failover
   const Sharing again(s.tables(), {}, /*destination=*/0, "bob");
-  EXPECT_FALSE(st->gp->LivenessRulesOut(again));
-  EXPECT_TRUE(AnyPlanFeasible(*st, again));
-  GreedyPlanner planner(st->ctx);
+  EXPECT_FALSE(rig.global_plan->LivenessRulesOut(again));
+  EXPECT_TRUE(AnyPlanFeasible(rig, again));
+  GreedyPlanner planner(rig.ctx);
   const auto choice = planner.ProcessSharing(again);
   ASSERT_TRUE(choice.ok()) << choice.status().ToString();
   EXPECT_DOUBLE_EQ(choice->marginal_cost, 0.0);
 
   // Without the covering view nothing can read TWEETS' delta stream.
-  ASSERT_TRUE(st->gp->RemoveSharing(kCover).ok());
-  ASSERT_TRUE(st->gp->RemoveSharing(choice->id).ok());
-  EXPECT_TRUE(st->gp->LivenessRulesOut(again));
-  EXPECT_FALSE(AnyPlanFeasible(*st, again));
+  ASSERT_TRUE(rig.global_plan->RemoveSharing(kCover).ok());
+  ASSERT_TRUE(rig.global_plan->RemoveSharing(choice->id).ok());
+  EXPECT_TRUE(rig.global_plan->LivenessRulesOut(again));
+  EXPECT_FALSE(AnyPlanFeasible(rig, again));
 }
 
 // Validation errors keep precedence over the rule-out.
 TEST(LivenessRuleOutTest, UnconnectedSharingToDeadDestinationIsInvalid) {
-  auto st = MakeStack(3);
+  const TwitterScenario world = MakeWorld(3);
+  const Rig rig = MakeBeamRig(world);
   // Keep a single join edge, so USERS and TWEETS are no longer connected.
-  *st->graph = JoinGraph(st->catalog.num_tables());
-  st->graph->AddEdge(st->tables.users, st->tables.curloc);
-  const Sharing s(TS({st->tables.users, st->tables.tweets}), {},
+  *world.graph = JoinGraph(world.catalog->num_tables());
+  world.graph->AddEdge(world.tables.users, world.tables.curloc);
+  const Sharing s(TS({world.tables.users, world.tables.tweets}), {},
                   /*destination=*/2, "cy");
-  ASSERT_TRUE(st->cluster.MarkDown(2).ok());
-  EXPECT_TRUE(st->gp->LivenessRulesOut(s));    // the bare rule fires...
-  EXPECT_FALSE(LivenessRulesOut(st->ctx, s));  // ...but s is invalid
-  GreedyPlanner planner(st->ctx);
+  ASSERT_TRUE(world.cluster->MarkDown(2).ok());
+  EXPECT_TRUE(rig.global_plan->LivenessRulesOut(s));  // the bare rule fires...
+  EXPECT_FALSE(LivenessRulesOut(rig.ctx, s));  // ...but s is invalid
+  GreedyPlanner planner(rig.ctx);
   const auto choice = planner.ProcessSharing(s);
   ASSERT_FALSE(choice.ok());
   EXPECT_EQ(choice.status().code(), StatusCode::kInvalidArgument);
 
   // Likewise a connected sharing over an unplaced table keeps NotFound.
-  Cluster unplaced;
-  for (int i = 0; i < 3; ++i) unplaced.AddServer("u" + std::to_string(i));
-  ASSERT_TRUE(unplaced.PlaceTable(st->tables.users, 0).ok());
-  ASSERT_TRUE(unplaced.MarkDown(2).ok());
-  PlanEnumerator enumerator(&st->catalog, &unplaced, st->graph.get(),
-                            st->model.get());
-  GlobalPlan gp(&unplaced, st->model.get());
-  PlannerContext ctx = st->ctx;
-  ctx.cluster = &unplaced;
-  ctx.enumerator = &enumerator;
-  ctx.global_plan = &gp;
-  const Sharing t(TS({st->tables.users, st->tables.curloc}), {},
+  Scenario unplaced;
+  ASSERT_TRUE(BuildTwitterCatalog(unplaced.catalog.get()).ok());
+  for (int i = 0; i < 3; ++i) {
+    unplaced.cluster->AddServer("u" + std::to_string(i));
+  }
+  ASSERT_TRUE(unplaced.cluster->PlaceTable(world.tables.users, 0).ok());
+  ASSERT_TRUE(unplaced.cluster->MarkDown(2).ok());
+  unplaced.graph = std::make_unique<JoinGraph>(*world.graph);
+  unplaced.FillDefaults();
+  const Rig unplaced_rig = MakeRig(unplaced);
+  const Sharing t(TS({world.tables.users, world.tables.curloc}), {},
                   /*destination=*/2, "cy");
-  EXPECT_FALSE(LivenessRulesOut(ctx, t));
-  GreedyPlanner unplaced_planner(ctx);
+  EXPECT_FALSE(LivenessRulesOut(unplaced_rig.ctx, t));
+  GreedyPlanner unplaced_planner(unplaced_rig.ctx);
   const auto missing = unplaced_planner.ProcessSharing(t);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
@@ -232,19 +207,20 @@ TEST(LivenessRuleOutTest, UnconnectedSharingToDeadDestinationIsInvalid) {
 // A stateful cost model draws costs lazily in query order; the check must
 // never skip its calls.
 TEST(LivenessRuleOutTest, NeverFiresForStatefulCostModels) {
-  auto st = MakeStack(3, /*table_driven=*/true);
-  ASSERT_FALSE(st->model->HasPureQueries());
-  ASSERT_TRUE(st->cluster.MarkDown(1).ok());
-  GreedyPlanner planner(st->ctx);
-  for (const Sharing& base : TwitterMix(*st, 10, 4)) {
+  const TwitterScenario world = MakeWorld(3, /*table_driven=*/true);
+  const Rig rig = MakeBeamRig(world);
+  ASSERT_FALSE(world.model->HasPureQueries());
+  ASSERT_TRUE(world.cluster->MarkDown(1).ok());
+  GreedyPlanner planner(rig.ctx);
+  for (const Sharing& base : TwitterMix(world, 10, 4)) {
     for (ServerId dest = 0; dest < 3; ++dest) {
       const Sharing probe(base.tables(), base.predicates(), dest);
-      EXPECT_FALSE(st->gp->LivenessRulesOut(probe));
-      EXPECT_FALSE(LivenessRulesOut(st->ctx, probe));
+      EXPECT_FALSE(rig.global_plan->LivenessRulesOut(probe));
+      EXPECT_FALSE(LivenessRulesOut(rig.ctx, probe));
     }
   }
   // The full path still rejects a sharing delivered to the dead machine.
-  const Sharing dead_dest(TS({st->tables.users, st->tables.tweets}), {},
+  const Sharing dead_dest(TS({world.tables.users, world.tables.tweets}), {},
                           /*destination=*/1, "dee");
   const auto choice = planner.ProcessSharing(dead_dest);
   ASSERT_FALSE(choice.ok());

@@ -4,17 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include "market/rig.h"
 #include "online/greedy.h"
 #include "online/managed_risk.h"
 #include "online/normalize.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
-using testing_support::RunSequence;
 
 constexpr double kEps = 1e-3;
 

@@ -11,21 +11,15 @@
 #include <string>
 #include <vector>
 
-#include "cost/default_cost_model.h"
 #include "globalplan/global_plan.h"
+#include "market/rig.h"
 #include "online/greedy.h"
 #include "online/managed_risk.h"
 #include "online/normalize.h"
-#include "plan/enumerator.h"
-#include "plan/join_graph.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
-#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
 
 TableSet TS(std::initializer_list<TableId> ids) {
   TableSet s;
@@ -143,50 +137,16 @@ TEST(OnlinePlannerTest, PlannerNamesAreDistinct) {
   EXPECT_STREQ(m.name(), "ManagedRisk");
 }
 
-// A four-server Twitter market with the default cost model.
-struct Stack {
-  Catalog catalog;
-  Cluster cluster;
-  TwitterTables tables;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<DefaultCostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> global_plan;
-  PlannerContext ctx;
-};
-
-std::unique_ptr<Stack> MakeStack() {
-  auto stack = std::make_unique<Stack>();
-  const auto tables = BuildTwitterCatalog(&stack->catalog);
-  EXPECT_TRUE(tables.ok());
-  stack->tables = *tables;
-  for (int i = 0; i < 4; ++i) {
-    stack->cluster.AddServer("m" + std::to_string(i));
-  }
-  stack->cluster.PlaceRoundRobin(stack->catalog.num_tables());
-  stack->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(stack->catalog));
-  stack->model =
-      std::make_unique<DefaultCostModel>(&stack->catalog, &stack->cluster);
-  stack->enumerator = std::make_unique<PlanEnumerator>(
-      &stack->catalog, &stack->cluster, stack->graph.get(),
-      stack->model.get(), EnumeratorOptions{});
-  stack->global_plan =
-      std::make_unique<GlobalPlan>(&stack->cluster, stack->model.get());
-  stack->ctx = {&stack->catalog,          &stack->cluster,
-                stack->graph.get(),       stack->model.get(),
-                stack->global_plan.get(), stack->enumerator.get()};
-  return stack;
-}
-
 // Two different queries whose identical-plan cache keys hash alike:
 // ViewKeyHash mixes (column << 24) ^ bits(value), so a predicate on column
 // 0 with value v and one on column 1 with v's bit 24 flipped collide. The
 // planner must not reuse the first sharing's plan for the second — that
 // would deliver wrong data — and each query's resubmission reuses its own.
 TEST(IdenticalPlanCollisionTest, CollisionDoesNotReuseWrongPlan) {
-  auto stack = MakeStack();
-  GreedyPlanner planner(stack->ctx);
+  // A four-server Twitter market with the default cost model.
+  const TwitterScenario world = MakeTwitterScenario(4);
+  const Rig rig = MakeRig(world);
+  GreedyPlanner planner(rig.ctx);
 
   const double v = 500.0;
   uint64_t bits;
@@ -194,8 +154,8 @@ TEST(IdenticalPlanCollisionTest, CollisionDoesNotReuseWrongPlan) {
   bits ^= uint64_t{1} << 24;
   double flipped;
   std::memcpy(&flipped, &bits, sizeof(flipped));
-  const TableId users = stack->tables.users;
-  const TableSet tables = TS({users, stack->tables.tweets});
+  const TableId users = world.tables.users;
+  const TableSet tables = TS({users, world.tables.tweets});
   const Sharing by_uid(tables, {Predicate{users, 0, CompareOp::kLt, v}}, 0);
   const Sharing by_name(tables,
                         {Predicate{users, 1, CompareOp::kLt, flipped}}, 0);

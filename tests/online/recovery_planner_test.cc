@@ -12,10 +12,10 @@
 #include <string>
 
 #include "common/fault.h"
-#include "cost/default_cost_model.h"
+#include "market/rig.h"
 #include "testing/dry_run.h"
+#include "testing/fact_dim.h"
 #include "testing/plans.h"
-#include "workload/twitter.h"
 
 namespace dsm {
 namespace {
@@ -26,60 +26,30 @@ TableSet TS(std::initializer_list<TableId> ids) {
   return s;
 }
 
-struct RecoveryRig {
-  Catalog catalog;
-  Cluster cluster;
-  TwitterTables tables;
-  std::unique_ptr<JoinGraph> graph;
-  std::unique_ptr<DefaultCostModel> model;
-  std::unique_ptr<PlanEnumerator> enumerator;
-  std::unique_ptr<GlobalPlan> gp;
-  PlannerContext ctx;
-};
-
 // Three machines over the Twitter schema. With `spare_server` the nine
 // base tables all live on m0/m1, so m2 holds only materialized views
 // (destination roots, reuse sources): losing it exercises migration rather
 // than a dead base table. Without it, placement is the usual round-robin.
-std::unique_ptr<RecoveryRig> MakeRecoveryRig(bool spare_server) {
-  auto rig = std::make_unique<RecoveryRig>();
-  const auto tables = BuildTwitterCatalog(&rig->catalog);
-  EXPECT_TRUE(tables.ok());
-  rig->tables = *tables;
-  for (int i = 0; i < 3; ++i) {
-    rig->cluster.AddServer("m" + std::to_string(i));
-  }
+TwitterScenario ThreeMachineTwitter(bool spare_server) {
+  TwitterScenario world = MakeTwitterScenario(3);
   if (spare_server) {
-    for (TableId t = 0; t < rig->catalog.num_tables(); ++t) {
-      EXPECT_TRUE(rig->cluster.PlaceTable(t, t % 2).ok());
+    for (TableId t = 0; t < world.catalog->num_tables(); ++t) {
+      EXPECT_TRUE(world.cluster->PlaceTable(t, t % 2).ok());
     }
-  } else {
-    rig->cluster.PlaceRoundRobin(rig->catalog.num_tables());
   }
-  rig->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(rig->catalog));
-  rig->model =
-      std::make_unique<DefaultCostModel>(&rig->catalog, &rig->cluster);
-  rig->enumerator = std::make_unique<PlanEnumerator>(
-      &rig->catalog, &rig->cluster, rig->graph.get(), rig->model.get(),
-      EnumeratorOptions{});
-  rig->gp = std::make_unique<GlobalPlan>(&rig->cluster, rig->model.get());
-  rig->ctx = PlannerContext{&rig->catalog,    &rig->cluster,
-                            rig->graph.get(), rig->model.get(),
-                            rig->gp.get(),    rig->enumerator.get()};
-  return rig;
+  return world;
 }
 
 // Integrates `sharing` under the cheapest feasible plan (Algorithm 2 with
 // the GREEDY criterion) and returns its marginal cost.
-double AddCheapest(RecoveryRig* rig, SharingId id, const Sharing& sharing) {
-  const auto plans = testing_support::EnumerateAll(*rig->enumerator, sharing);
+double AddCheapest(const Rig& rig, SharingId id, const Sharing& sharing) {
+  const auto plans = testing_support::EnumerateAll(*rig.enumerator, sharing);
   EXPECT_TRUE(plans.ok());
   const SharingPlan* best = nullptr;
   double best_cost = 0.0;
   for (const SharingPlan& plan : *plans) {
     const auto eval =
-        testing_support::DryRun(*rig->gp, plan, rig->model.get());
+        testing_support::DryRun(*rig.global_plan, plan, rig.ctx.model);
     if (!eval.feasible) continue;
     if (best == nullptr || eval.marginal_cost < best_cost) {
       best = &plan;
@@ -87,7 +57,7 @@ double AddCheapest(RecoveryRig* rig, SharingId id, const Sharing& sharing) {
     }
   }
   EXPECT_NE(best, nullptr);
-  EXPECT_TRUE(rig->gp->AddSharing(id, sharing, *best).ok());
+  EXPECT_TRUE(rig.global_plan->AddSharing(id, sharing, *best).ok());
   return best_cost;
 }
 
@@ -104,69 +74,18 @@ const SharingPlan* JoinAtDestinationPlan(const std::vector<SharingPlan>& plans,
   return nullptr;
 }
 
-// A two-table star schema built so that view reuse dominates recomputation:
-// a heavily-updated fact table (m0) keyed against a small, nearly-static
-// dimension (m1). The key-key join output is tiny (~|dim| tuples), so the
-// materialized join's delta stream is ~1000x cheaper to copy across the
-// network than the fact table's raw update stream is to re-probe. m2 holds
-// no base table — it can only ever carry materialized views.
-ColumnDef Col(const std::string& name, DataType type, double distinct,
-              double min_value, double max_value) {
-  ColumnDef col;
-  col.name = name;
-  col.type = type;
-  col.distinct_values = distinct;
-  col.min_value = min_value;
-  col.max_value = max_value;
-  return col;
-}
-
-std::unique_ptr<RecoveryRig> MakeStarRig() {
-  auto rig = std::make_unique<RecoveryRig>();
-  TableDef fact;
-  fact.name = "fact";
-  fact.columns = {Col("k", DataType::kInt64, 1e6, 0.0, 1e6),
-                  Col("v", DataType::kDouble, 1e4, 0.0, 1e4)};
-  fact.stats = {/*cardinality=*/1e6, /*update_rate=*/1e5,
-                /*tuple_bytes=*/64.0};
-  TableDef dim;
-  dim.name = "dim";
-  dim.columns = {Col("k", DataType::kInt64, 1e3, 0.0, 1e6),
-                 Col("label", DataType::kString, 1e3, 0.0, 1.0)};
-  dim.stats = {/*cardinality=*/1e3, /*update_rate=*/1.0,
-               /*tuple_bytes=*/64.0};
-  EXPECT_TRUE(rig->catalog.AddTable(fact).ok());
-  EXPECT_TRUE(rig->catalog.AddTable(dim).ok());
-  for (int i = 0; i < 3; ++i) {
-    rig->cluster.AddServer("m" + std::to_string(i));
-  }
-  EXPECT_TRUE(rig->cluster.PlaceTable(0, 0).ok());
-  EXPECT_TRUE(rig->cluster.PlaceTable(1, 1).ok());
-  rig->graph =
-      std::make_unique<JoinGraph>(JoinGraph::FromCatalog(rig->catalog));
-  rig->model =
-      std::make_unique<DefaultCostModel>(&rig->catalog, &rig->cluster);
-  rig->enumerator = std::make_unique<PlanEnumerator>(
-      &rig->catalog, &rig->cluster, rig->graph.get(), rig->model.get(),
-      EnumeratorOptions{});
-  rig->gp = std::make_unique<GlobalPlan>(&rig->cluster, rig->model.get());
-  rig->ctx = PlannerContext{&rig->catalog,    &rig->cluster,
-                            rig->graph.get(), rig->model.get(),
-                            rig->gp.get(),    rig->enumerator.get()};
-  return rig;
-}
-
 TEST(RecoveryPlannerTest, MigratesReuseVictimAndParksDeadDestination) {
-  auto rig = MakeStarRig();
+  const Scenario world = testing_support::FactDimWorld();
+  const Rig rig = MakeRig(world);
 
   // Sharing 1: FACT ⋈ DIM delivered to m2, joined directly there — the
   // only view of that join in the market lives on m2.
   const Sharing a(TS({0, 1}), {}, /*destination=*/2, "alice");
-  const auto a_plans = testing_support::EnumerateAll(*rig->enumerator, a);
+  const auto a_plans = testing_support::EnumerateAll(*rig.enumerator, a);
   ASSERT_TRUE(a_plans.ok());
   const SharingPlan* a_plan = JoinAtDestinationPlan(*a_plans, 2);
   ASSERT_NE(a_plan, nullptr);
-  ASSERT_TRUE(rig->gp->AddSharing(1, a, *a_plan).ok());
+  ASSERT_TRUE(rig.global_plan->AddSharing(1, a, *a_plan).ok());
 
   // Sharing 2: the same join, filtered, delivered to m0. The cheapest plan
   // reuses m2's view (a residual filter/copy of the tiny join delta beats
@@ -178,12 +97,12 @@ TEST(RecoveryPlannerTest, MigratesReuseVictimAndParksDeadDestination) {
   pred.op = CompareOp::kLt;
   pred.value = 5000.0;
   const Sharing b(TS({0, 1}), {pred}, /*destination=*/0, "bob");
-  const double b_cost_before = AddCheapest(rig.get(), 2, b);
-  ASSERT_EQ(rig->gp->SharingsTouchingServer(2),
+  const double b_cost_before = AddCheapest(rig, 2, b);
+  ASSERT_EQ(rig.global_plan->SharingsTouchingServer(2),
             (std::vector<SharingId>{1, 2}));
 
-  ASSERT_TRUE(rig->cluster.MarkDown(2).ok());
-  RecoveryPlanner recovery(rig->ctx);
+  ASSERT_TRUE(world.cluster->MarkDown(2).ok());
+  RecoveryPlanner recovery(rig.ctx);
   const auto report = recovery.OnServerDown(2, /*now_tick=*/0);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
@@ -200,79 +119,80 @@ TEST(RecoveryPlannerTest, MigratesReuseVictimAndParksDeadDestination) {
             report->migrated[0].cost_before);
 
   // The global plan no longer touches the dead machine anywhere.
-  EXPECT_TRUE(rig->gp->SharingsTouchingServer(2).empty());
-  EXPECT_EQ(rig->gp->record(1), nullptr);
-  const auto closure = rig->gp->closure(2);
+  EXPECT_TRUE(rig.global_plan->SharingsTouchingServer(2).empty());
+  EXPECT_EQ(rig.global_plan->record(1), nullptr);
+  const auto closure = rig.global_plan->closure(2);
   ASSERT_TRUE(closure.has_value());
   for (const int node : *closure) {
-    EXPECT_NE(rig->gp->node_server(node), 2u);
+    EXPECT_NE(rig.global_plan->node_server(node), 2u);
   }
   EXPECT_EQ(recovery.num_parked(), 1u);
   EXPECT_EQ(recovery.parked()[0].id, 1u);
 }
 
 TEST(RecoveryPlannerTest, DeadBaseTableHomeParksSharing) {
-  auto rig = MakeRecoveryRig(/*spare_server=*/false);
+  const TwitterScenario world = ThreeMachineTwitter(/*spare_server=*/false);
+  const Rig rig = MakeRig(world);
   // TWEETS is homed on m1 (round-robin): losing m1 leaves nowhere to read
   // its delta stream from, so the sharing cannot be migrated.
-  const Sharing s(TS({rig->tables.users, rig->tables.tweets}), {},
+  const Sharing s(TS({world.tables.users, world.tables.tweets}), {},
                   /*destination=*/0, "carol");
-  AddCheapest(rig.get(), 7, s);
+  AddCheapest(rig, 7, s);
 
-  ASSERT_TRUE(rig->cluster.MarkDown(1).ok());
-  RecoveryPlanner recovery(rig->ctx);
+  ASSERT_TRUE(world.cluster->MarkDown(1).ok());
+  RecoveryPlanner recovery(rig.ctx);
   const auto report = recovery.OnServerDown(1, 0);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->parked, std::vector<SharingId>{7});
   EXPECT_TRUE(report->migrated.empty());
-  EXPECT_EQ(rig->gp->num_sharings(), 0u);
+  EXPECT_EQ(rig.global_plan->num_sharings(), 0u);
 
   // The machine returns; a forced retry re-admits the sharing.
-  ASSERT_TRUE(rig->cluster.MarkUp(1).ok());
+  ASSERT_TRUE(world.cluster->MarkUp(1).ok());
   const auto readmitted = recovery.RetryParked(5, /*force=*/true);
   ASSERT_TRUE(readmitted.ok());
   ASSERT_EQ(readmitted->size(), 1u);
   EXPECT_EQ((*readmitted)[0].id, 7u);
   EXPECT_FALSE((*readmitted)[0].was_active);
   EXPECT_EQ(recovery.num_parked(), 0u);
-  ASSERT_NE(rig->gp->record(7), nullptr);
+  ASSERT_NE(rig.global_plan->record(7), nullptr);
 }
 
 TEST(RecoveryPlannerTest, UnaffectedSharingsKeepTheirPlans) {
-  auto rig = MakeRecoveryRig(/*spare_server=*/true);
-  const Sharing safe(TS({rig->tables.curloc, rig->tables.loc}), {},
+  const TwitterScenario world = ThreeMachineTwitter(/*spare_server=*/true);
+  const Rig rig = MakeRig(world);
+  const Sharing safe(TS({world.tables.curloc, world.tables.loc}), {},
                      /*destination=*/1, "dora");
-  AddCheapest(rig.get(), 3, safe);
-  const Sharing doomed(TS({rig->tables.users, rig->tables.tweets}), {},
+  AddCheapest(rig, 3, safe);
+  const Sharing doomed(TS({world.tables.users, world.tables.tweets}), {},
                        /*destination=*/2, "eve");
-  AddCheapest(rig.get(), 4, doomed);
+  AddCheapest(rig, 4, doomed);
 
-  const double safe_gpc = rig->gp->GPC(3);
-  ASSERT_TRUE(rig->cluster.MarkDown(2).ok());
-  RecoveryPlanner recovery(rig->ctx);
+  const double safe_gpc = rig.global_plan->GPC(3);
+  ASSERT_TRUE(world.cluster->MarkDown(2).ok());
+  RecoveryPlanner recovery(rig.ctx);
   const auto report = recovery.OnServerDown(2, 0);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->parked, std::vector<SharingId>{4});
 
   // Sharing 3 never touched m2: untouched record, unchanged GPC.
-  ASSERT_NE(rig->gp->record(3), nullptr);
-  EXPECT_DOUBLE_EQ(rig->gp->GPC(3), safe_gpc);
+  ASSERT_NE(rig.global_plan->record(3), nullptr);
+  EXPECT_DOUBLE_EQ(rig.global_plan->GPC(3), safe_gpc);
 }
 
 TEST(RecoveryPlannerTest, ParkedSharingBacksOffExponentially) {
-  auto rig = MakeRecoveryRig(/*spare_server=*/true);
-  const Sharing s(TS({rig->tables.users, rig->tables.tweets}), {},
+  const TwitterScenario world = ThreeMachineTwitter(/*spare_server=*/true);
+  const Rig rig = MakeRig(world);
+  const Sharing s(TS({world.tables.users, world.tables.tweets}), {},
                   /*destination=*/2, "frank");
-  AddCheapest(rig.get(), 9, s);
-  ASSERT_TRUE(rig->cluster.MarkDown(2).ok());
+  AddCheapest(rig, 9, s);
+  ASSERT_TRUE(world.cluster->MarkDown(2).ok());
 
-  RecoveryOptions options;
-  options.initial_backoff_ticks = 1;
-  options.max_backoff_ticks = 4;
-  RecoveryPlanner recovery(rig->ctx, options);
+  RecoveryPlanner recovery(rig.ctx);
   ASSERT_TRUE(recovery.OnServerDown(2, /*now_tick=*/10).ok());
   ASSERT_EQ(recovery.num_parked(), 1u);
-  EXPECT_EQ(recovery.parked()[0].next_retry_tick, 11);
+  EXPECT_EQ(recovery.parked()[0].next_retry_tick,
+            10 + RecoveryPlanner::kInitialBackoffTicks);
 
   // Not yet due: no attempt is burned.
   auto r = recovery.RetryParked(10);
@@ -280,35 +200,44 @@ TEST(RecoveryPlannerTest, ParkedSharingBacksOffExponentially) {
   EXPECT_TRUE(r->empty());
   EXPECT_EQ(recovery.parked()[0].attempts, 0);
 
-  // Due retries fail while the server is down; backoff doubles, capped.
-  ASSERT_TRUE(recovery.RetryParked(11).ok());
-  EXPECT_EQ(recovery.parked()[0].attempts, 1);
-  EXPECT_EQ(recovery.parked()[0].backoff_ticks, 2);
-  EXPECT_EQ(recovery.parked()[0].next_retry_tick, 13);
-  ASSERT_TRUE(recovery.RetryParked(13).ok());
-  EXPECT_EQ(recovery.parked()[0].backoff_ticks, 4);
-  EXPECT_EQ(recovery.parked()[0].next_retry_tick, 17);
-  ASSERT_TRUE(recovery.RetryParked(17).ok());
-  EXPECT_EQ(recovery.parked()[0].backoff_ticks, 4);  // capped
-  EXPECT_EQ(recovery.parked()[0].next_retry_tick, 21);
+  // Due retries fail while the server is down; backoff doubles up to the
+  // cap, then stays there.
+  int64_t backoff = RecoveryPlanner::kInitialBackoffTicks;
+  int attempts = 0;
+  while (backoff < RecoveryPlanner::kMaxBackoffTicks) {
+    const int64_t due = recovery.parked()[0].next_retry_tick;
+    ASSERT_TRUE(recovery.RetryParked(due).ok());
+    backoff *= 2;
+    EXPECT_EQ(recovery.parked()[0].attempts, ++attempts);
+    EXPECT_EQ(recovery.parked()[0].backoff_ticks, backoff);
+    EXPECT_EQ(recovery.parked()[0].next_retry_tick, due + backoff);
+  }
+  EXPECT_EQ(backoff, RecoveryPlanner::kMaxBackoffTicks);
+  const int64_t due = recovery.parked()[0].next_retry_tick;
+  ASSERT_TRUE(recovery.RetryParked(due).ok());
+  EXPECT_EQ(recovery.parked()[0].backoff_ticks,
+            RecoveryPlanner::kMaxBackoffTicks);  // capped
+  EXPECT_EQ(recovery.parked()[0].next_retry_tick,
+            due + RecoveryPlanner::kMaxBackoffTicks);
 
   // Capacity returns mid-backoff: an unforced retry still waits...
-  ASSERT_TRUE(rig->cluster.MarkUp(2).ok());
-  r = recovery.RetryParked(18);
+  ASSERT_TRUE(world.cluster->MarkUp(2).ok());
+  r = recovery.RetryParked(due + 1);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
   // ...but a forced one (the recovery event) re-admits immediately.
-  r = recovery.RetryParked(18, /*force=*/true);
+  r = recovery.RetryParked(due + 1, /*force=*/true);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 1u);
   EXPECT_EQ((*r)[0].id, 9u);
   EXPECT_EQ(recovery.num_parked(), 0u);
-  ASSERT_NE(rig->gp->record(9), nullptr);
+  ASSERT_NE(rig.global_plan->record(9), nullptr);
 }
 
 // Admits `n` random Twitter sharings under ids 1..n, each with a buyer and
 // predicates: everything a moved-from Sharing would lose.
-std::map<SharingId, Sharing> AdmitTwitterMix(RecoveryRig* rig, size_t n,
+std::map<SharingId, Sharing> AdmitTwitterMix(const TwitterScenario& world,
+                                             const Rig& rig, size_t n,
                                              uint64_t seed) {
   TwitterSequenceOptions options;
   options.num_sharings = n;
@@ -318,7 +247,7 @@ std::map<SharingId, Sharing> AdmitTwitterMix(RecoveryRig* rig, size_t n,
   std::map<SharingId, Sharing> originals;
   SharingId id = 1;
   for (const Sharing& s : GenerateTwitterSequence(
-           rig->catalog, rig->tables, rig->cluster, options)) {
+           *world.catalog, world.tables, *world.cluster, options)) {
     Sharing sharing(s.tables(), s.predicates(), s.destination(),
                     "buyer" + std::to_string(id));
     AddCheapest(rig, id, sharing);
@@ -330,7 +259,7 @@ std::map<SharingId, Sharing> AdmitTwitterMix(RecoveryRig* rig, size_t n,
 
 // Every admitted id is in exactly one of the global plan and the parked
 // queue, and each parked Sharing is the one that was admitted.
-void ExpectEachSharingOnce(const RecoveryRig& rig,
+void ExpectEachSharingOnce(const Rig& rig,
                            const RecoveryPlanner& recovery,
                            const std::map<SharingId, Sharing>& originals) {
   std::map<SharingId, int> parked_times;
@@ -343,19 +272,20 @@ void ExpectEachSharingOnce(const RecoveryRig& rig,
     EXPECT_EQ(p.sharing.buyer(), want.buyer());
   }
   for (const auto& [id, sharing] : originals) {
-    const int in_plan = rig.gp->record(id) != nullptr ? 1 : 0;
+    const int in_plan = rig.global_plan->record(id) != nullptr ? 1 : 0;
     EXPECT_EQ(in_plan + parked_times[id], 1) << "sharing " << id;
   }
 }
 
 TEST(RecoveryPlannerTest, ErrorMidFailoverParksTheRemainingVictims) {
-  auto rig = MakeRecoveryRig(/*spare_server=*/false);
-  const auto originals = AdmitTwitterMix(rig.get(), 24, 3);
-  const size_t victims = rig->gp->SharingsTouchingServer(1).size();
+  const TwitterScenario world = ThreeMachineTwitter(/*spare_server=*/false);
+  const Rig rig = MakeRig(world);
+  const auto originals = AdmitTwitterMix(world, rig, 24, 3);
+  const size_t victims = rig.global_plan->SharingsTouchingServer(1).size();
   ASSERT_GE(victims, 4u);
 
-  ASSERT_TRUE(rig->cluster.MarkDown(1).ok());
-  RecoveryPlanner recovery(rig->ctx);
+  ASSERT_TRUE(world.cluster->MarkDown(1).ok());
+  RecoveryPlanner recovery(rig.ctx);
   {
     // The third victim's replan fails after two were handled.
     ScopedFault fault("recovery/replan", FaultSpec{1.0, 2, 1});
@@ -364,39 +294,40 @@ TEST(RecoveryPlannerTest, ErrorMidFailoverParksTheRemainingVictims) {
     EXPECT_EQ(report.status().code(), StatusCode::kInternal);
   }
   EXPECT_GE(recovery.num_parked(), victims - 2);
-  ExpectEachSharingOnce(*rig, recovery, originals);
+  ExpectEachSharingOnce(rig, recovery, originals);
 
   // Nothing was lost: once the machine returns every sharing is served.
-  ASSERT_TRUE(rig->cluster.MarkUp(1).ok());
+  ASSERT_TRUE(world.cluster->MarkUp(1).ok());
   ASSERT_TRUE(recovery.RetryParked(1, /*force=*/true).ok());
   EXPECT_EQ(recovery.num_parked(), 0u);
-  EXPECT_EQ(rig->gp->num_sharings(), originals.size());
+  EXPECT_EQ(rig.global_plan->num_sharings(), originals.size());
 }
 
 TEST(RecoveryPlannerTest, FailedFailoverReportsWhatItDid) {
-  auto rig = MakeStarRig();
+  const Scenario world = testing_support::FactDimWorld();
+  const Rig rig = MakeRig(world);
   // Sharing 1 is FACT ⋈ DIM joined on m2; sharings 2 and 3 filter it for
   // m0 and m1 by reusing m2's view, so all three are victims of m2.
   const Sharing a(TS({0, 1}), {}, /*destination=*/2, "alice");
-  const auto a_plans = testing_support::EnumerateAll(*rig->enumerator, a);
+  const auto a_plans = testing_support::EnumerateAll(*rig.enumerator, a);
   ASSERT_TRUE(a_plans.ok());
   const SharingPlan* a_plan = JoinAtDestinationPlan(*a_plans, 2);
   ASSERT_NE(a_plan, nullptr);
-  ASSERT_TRUE(rig->gp->AddSharing(1, a, *a_plan).ok());
+  ASSERT_TRUE(rig.global_plan->AddSharing(1, a, *a_plan).ok());
   Predicate pred;
   pred.table = 0;
   pred.column = 1;
   pred.op = CompareOp::kLt;
   pred.value = 5000.0;
   const double b_cost_before =
-      AddCheapest(rig.get(), 2, Sharing(TS({0, 1}), {pred}, 0, "bob"));
+      AddCheapest(rig, 2, Sharing(TS({0, 1}), {pred}, 0, "bob"));
   pred.value = 4000.0;
-  AddCheapest(rig.get(), 3, Sharing(TS({0, 1}), {pred}, 1, "carol"));
-  ASSERT_EQ(rig->gp->SharingsTouchingServer(2),
+  AddCheapest(rig, 3, Sharing(TS({0, 1}), {pred}, 1, "carol"));
+  ASSERT_EQ(rig.global_plan->SharingsTouchingServer(2),
             (std::vector<SharingId>{1, 2, 3}));
 
-  ASSERT_TRUE(rig->cluster.MarkDown(2).ok());
-  RecoveryPlanner recovery(rig->ctx);
+  ASSERT_TRUE(world.cluster->MarkDown(2).ok());
+  RecoveryPlanner recovery(rig.ctx);
   RecoveryReport report;
   {
     // Sharing 1 parks, sharing 2 migrates, sharing 3's replan fails.
@@ -410,18 +341,19 @@ TEST(RecoveryPlannerTest, FailedFailoverReportsWhatItDid) {
   EXPECT_EQ(report.migrated[0].id, 2u);
   EXPECT_DOUBLE_EQ(report.migrated[0].cost_before, b_cost_before);
   EXPECT_EQ(report.parked, (std::vector<SharingId>{1, 3}));
-  EXPECT_DOUBLE_EQ(report.cost_after, rig->gp->TotalCost());
+  EXPECT_DOUBLE_EQ(report.cost_after, rig.global_plan->TotalCost());
   ASSERT_EQ(recovery.num_parked(), 2u);
   EXPECT_EQ(recovery.parked()[0].id, 1u);
   EXPECT_EQ(recovery.parked()[1].id, 3u);
-  EXPECT_EQ(rig->gp->sharing_ids(), std::vector<SharingId>{2});
+  EXPECT_EQ(rig.global_plan->sharing_ids(), std::vector<SharingId>{2});
 }
 
 TEST(RecoveryPlannerTest, ErrorMidRetryLeavesTheQueueAsItWas) {
-  auto rig = MakeRecoveryRig(/*spare_server=*/false);
-  const auto originals = AdmitTwitterMix(rig.get(), 24, 5);
-  ASSERT_TRUE(rig->cluster.MarkDown(1).ok());
-  RecoveryPlanner recovery(rig->ctx);
+  const TwitterScenario world = ThreeMachineTwitter(/*spare_server=*/false);
+  const Rig rig = MakeRig(world);
+  const auto originals = AdmitTwitterMix(world, rig, 24, 5);
+  ASSERT_TRUE(world.cluster->MarkDown(1).ok());
+  RecoveryPlanner recovery(rig.ctx);
   ASSERT_TRUE(recovery.OnServerDown(1, /*now_tick=*/0).ok());
   ASSERT_GE(recovery.num_parked(), 4u);
   // One unforced retry while the machine is still down, so the queue
@@ -429,8 +361,8 @@ TEST(RecoveryPlannerTest, ErrorMidRetryLeavesTheQueueAsItWas) {
   ASSERT_TRUE(recovery.RetryParked(1).ok());
 
   const std::vector<ParkedSharing> before = recovery.parked();
-  const std::vector<SharingId> served_before = rig->gp->sharing_ids();
-  ASSERT_TRUE(rig->cluster.MarkUp(1).ok());
+  const std::vector<SharingId> served_before = rig.global_plan->sharing_ids();
+  ASSERT_TRUE(world.cluster->MarkUp(1).ok());
   for (const int fail_after : {0, 2, static_cast<int>(before.size()) - 1}) {
     ScopedFault fault("recovery/replan",
                       FaultSpec{1.0, fail_after, 1});
@@ -447,8 +379,8 @@ TEST(RecoveryPlannerTest, ErrorMidRetryLeavesTheQueueAsItWas) {
       EXPECT_EQ(p.next_retry_tick, before[i].next_retry_tick);
       EXPECT_DOUBLE_EQ(p.cost_before, before[i].cost_before);
     }
-    EXPECT_EQ(rig->gp->sharing_ids(), served_before);
-    ExpectEachSharingOnce(*rig, recovery, originals);
+    EXPECT_EQ(rig.global_plan->sharing_ids(), served_before);
+    ExpectEachSharingOnce(rig, recovery, originals);
   }
 
   // A batch that plans but cannot be served (its `readmit` fails) is
@@ -457,7 +389,7 @@ TEST(RecoveryPlannerTest, ErrorMidRetryLeavesTheQueueAsItWas) {
   const auto refused = recovery.RetryParked(
       2, /*force=*/true, [&](const std::vector<MigratedSharing>& batch) {
         for (const MigratedSharing& m : batch) offered.push_back(m.id);
-        EXPECT_EQ(rig->gp->num_sharings(),
+        EXPECT_EQ(rig.global_plan->num_sharings(),
                   served_before.size() + batch.size());
         return Status::Internal("views not revived");
       });
@@ -471,8 +403,8 @@ TEST(RecoveryPlannerTest, ErrorMidRetryLeavesTheQueueAsItWas) {
     EXPECT_EQ(recovery.parked()[i].next_retry_tick,
               before[i].next_retry_tick);
   }
-  EXPECT_EQ(rig->gp->sharing_ids(), served_before);
-  ExpectEachSharingOnce(*rig, recovery, originals);
+  EXPECT_EQ(rig.global_plan->sharing_ids(), served_before);
+  ExpectEachSharingOnce(rig, recovery, originals);
 
   // The batch is retried cleanly: no AlreadyExists from a half-applied
   // earlier attempt, and every parked sharing comes back.
@@ -480,7 +412,7 @@ TEST(RecoveryPlannerTest, ErrorMidRetryLeavesTheQueueAsItWas) {
   ASSERT_TRUE(readmitted.ok()) << readmitted.status().ToString();
   EXPECT_EQ(readmitted->size(), before.size());
   EXPECT_EQ(recovery.num_parked(), 0u);
-  ExpectEachSharingOnce(*rig, recovery, originals);
+  ExpectEachSharingOnce(rig, recovery, originals);
 }
 
 }  // namespace

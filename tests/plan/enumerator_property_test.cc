@@ -6,7 +6,6 @@
 
 #include "plan/enumerator.h"
 #include "testing/plans.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 #include "workload/predicate_gen.h"
 

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "cost/default_cost_model.h"
 #include "cost/table_cost_model.h"
+#include "market/rig.h"
 #include "testing/plans.h"
 #include "workload/predicate_gen.h"
 #include "workload/synthetic.h"
@@ -254,35 +254,19 @@ TEST(EnumeratorMultiServerTest, ServerPlacementsEnumerated) {
   }
 }
 
-// The 25 Twitter base queries over 4 round-robin servers, and an
-// enumerator at its defaults.
-struct TwitterRig {
-  TwitterRig() {
-    const auto tables = BuildTwitterCatalog(&catalog);
-    EXPECT_TRUE(tables.ok());
-    for (int i = 0; i < 4; ++i) cluster.AddServer("m" + std::to_string(i));
-    cluster.PlaceRoundRobin(catalog.num_tables());
-    graph = JoinGraph::FromCatalog(catalog);
-    base = TwitterBaseSharings(*tables, cluster);
-  }
-
-  Catalog catalog;
-  Cluster cluster;
-  JoinGraph graph{0};
-  DefaultCostModel model{&catalog, &cluster};
-  PlanEnumerator enumerator{&catalog, &cluster, &graph, &model};
-  std::vector<Sharing> base;
-};
-
 // Every pushdown choice of p distinct predicates yields its own copy of
 // the unpredicated plan space (same trees, keys carrying the pushed
 // predicates), so the plan count is exactly 2^p times the unpredicated
 // one. The predicates are built, not drawn, so no two coincide: the
 // first on each member table in turn, the second on the next member.
 TEST(EnumeratorPushdownTest, DistinctPredicatesMultiplyTwitterPlans) {
-  const TwitterRig rig;
-  const PlanEnumerator& e = rig.enumerator;
-  const std::vector<Sharing>& base = rig.base;
+  // The 25 Twitter base queries over 4 round-robin servers, and an
+  // enumerator at its defaults.
+  const TwitterScenario world = MakeTwitterScenario(4);
+  const Rig rig = MakeRig(world);
+  const PlanEnumerator& e = *rig.enumerator;
+  const std::vector<Sharing> base =
+      TwitterBaseSharings(world.tables, *world.cluster);
   for (size_t q = 0; q < base.size(); ++q) {
     const auto unpredicated = e.Enumerate(base[q]);
     ASSERT_TRUE(unpredicated.ok());
@@ -431,16 +415,20 @@ TEST(EnumerationOrderTest, TwitterBaseQueriesKeepPinnedOrder) {
     {30, 0x864762413dcbe96cULL},  // query 24, 1 predicate
     {60, 0x98c602bddcd5866dULL},  // query 24, 2 predicates
   };
-  const TwitterRig rig;
-  const PlanEnumerator& e = rig.enumerator;
-  const std::vector<Sharing>& base = rig.base;
+  // The 25 Twitter base queries over 4 round-robin servers, and an
+  // enumerator at its defaults.
+  const TwitterScenario world = MakeTwitterScenario(4);
+  const Rig rig = MakeRig(world);
+  const PlanEnumerator& e = *rig.enumerator;
+  const std::vector<Sharing> base =
+      TwitterBaseSharings(world.tables, *world.cluster);
   ASSERT_EQ(base.size() * 3, std::size(kPinned));
   for (size_t q = 0; q < base.size(); ++q) {
     for (int preds = 0; preds <= 2; ++preds) {
       Rng rng(1000 * q + static_cast<uint64_t>(preds));
       const Sharing sharing(
           base[q].tables(),
-          RandomPredicates(rig.catalog, base[q].tables(), preds, &rng),
+          RandomPredicates(*world.catalog, base[q].tables(), preds, &rng),
           base[q].destination());
       const auto space = e.Enumerate(sharing);
       ASSERT_TRUE(space.ok());

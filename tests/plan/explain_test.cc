@@ -1,3 +1,4 @@
+#include "market/rig.h"
 #include "plan/explain.h"
 
 #include <gtest/gtest.h>
@@ -5,13 +6,10 @@
 #include "cost/table_cost_model.h"
 #include "plan/enumerator.h"
 #include "testing/plans.h"
-#include "testing/rig.h"
 #include "workload/adversarial.h"
 
 namespace dsm {
 namespace {
-
-using testing_support::MakeRig;
 
 TEST(ExplainTest, PlanTreeContainsEveryOperator) {
   const Scenario sc = MakeGreedyTrap(1);
