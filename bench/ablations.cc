@@ -10,6 +10,8 @@
 
 #include "bench_common.h"
 #include "bench_report.h"
+#include "online/greedy.h"
+#include "online/managed_risk.h"
 #include "online/replanner.h"
 #include "online/speculative.h"
 #include "workload/adversarial.h"

@@ -17,9 +17,6 @@
 
 #include "market/rig.h"
 #include "obs/json.h"
-#include "online/greedy.h"
-#include "online/managed_risk.h"
-#include "online/normalize.h"
 #include "workload/scenario.h"
 
 namespace dsm {
@@ -43,33 +40,6 @@ class Timer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
-
-enum class Algo { kGreedy, kNormalize, kManagedRisk };
-
-inline const char* AlgoName(Algo algo) {
-  switch (algo) {
-    case Algo::kGreedy:
-      return "Greedy";
-    case Algo::kNormalize:
-      return "Normalize";
-    case Algo::kManagedRisk:
-      return "ManagedRisk";
-  }
-  return "?";
-}
-
-inline std::unique_ptr<OnlinePlanner> MakePlanner(Algo algo,
-                                                  const PlannerContext& ctx) {
-  switch (algo) {
-    case Algo::kGreedy:
-      return std::make_unique<GreedyPlanner>(ctx);
-    case Algo::kNormalize:
-      return std::make_unique<NormalizePlanner>(ctx);
-    case Algo::kManagedRisk:
-      return std::make_unique<ManagedRiskPlanner>(ctx);
-  }
-  return nullptr;
-}
 
 // Order statistics over a set of per-call latencies. A single mean hides
 // the tail that scalability plots are about; min/median/p95 (plus the mean

@@ -35,7 +35,7 @@ void RunScenario(const Scenario& scenario, Ratios* ratios) {
   double costs[3];
   for (int which = 0; which < 3; ++which) {
     const Rig rig = MakeRig(scenario);
-    const auto planner = MakePlanner(static_cast<Algo>(which), rig.ctx);
+    const auto planner = MakePlanner(kPlannerKinds[which], rig.ctx);
     costs[which] = RunSequence(planner.get(), scenario);
   }
   ratios->Update(costs[0], costs[1], costs[2]);

@@ -16,7 +16,7 @@ namespace dsm {
 namespace bench {
 namespace {
 
-double SecondsPerSharing(Algo algo, size_t num_sharings, int max_preds,
+double SecondsPerSharing(PlannerKind algo, size_t num_sharings, int max_preds,
                          size_t machines, uint64_t seed) {
   // Average three seeds per point to damp workload-sampling noise.
   double total = 0.0;
@@ -37,7 +37,7 @@ double SecondsPerSharing(Algo algo, size_t num_sharings, int max_preds,
 }
 
 void Sweep(BenchReport* report, const char* section, const char* title,
-           const std::vector<int>& xs, double (*run)(Algo, int)) {
+           const std::vector<int>& xs, double (*run)(PlannerKind, int)) {
   std::printf("%s\n", title);
   std::printf("%-10s %14s %14s %14s\n", "x", "Greedy(ms)", "Normalize(ms)",
               "ManagedRisk(ms)");
@@ -46,11 +46,10 @@ void Sweep(BenchReport* report, const char* section, const char* title,
     std::printf("%-10d", x);
     obs::JsonValue row = obs::JsonValue::Object();
     row.Set("x", x);
-    for (const Algo algo :
-         {Algo::kGreedy, Algo::kNormalize, Algo::kManagedRisk}) {
+    for (const PlannerKind algo : kPlannerKinds) {
       const double ms = run(algo, x) * 1e3;
       std::printf(" %14.3f", ms);
-      row.Set(std::string(AlgoName(algo)) + "_ms", ms);
+      row.Set(std::string(PlannerName(algo)) + "_ms", ms);
     }
     report->Row(std::move(row));
     std::printf("\n");
@@ -68,13 +67,13 @@ int Main(int argc, char** argv) {
 
   Sweep(&report, "a_sharings_no_predicates",
         "(a) number of sharings (no predicates, 6 machines)", counts,
-        [](Algo algo, int n) {
+        [](PlannerKind algo, int n) {
           return SecondsPerSharing(algo, static_cast<size_t>(n), 0, 6, 101);
         });
 
   Sweep(&report, "b_sharings_with_predicates",
         "(b) number of sharings (0-2 predicates, 6 machines)", counts,
-        [](Algo algo, int n) {
+        [](PlannerKind algo, int n) {
           return SecondsPerSharing(algo, static_cast<size_t>(n), 2, 6, 102);
         });
 
@@ -82,7 +81,7 @@ int Main(int argc, char** argv) {
         "(c) number of machines (no predicates, 40 sharings)",
         report.smoke() ? std::vector<int>{5, 6}
                        : std::vector<int>{5, 6, 7, 8, 9},
-        [](Algo algo, int machines) {
+        [](PlannerKind algo, int machines) {
           return SecondsPerSharing(algo, 40, 0,
                                    static_cast<size_t>(machines), 103);
         });
@@ -91,7 +90,7 @@ int Main(int argc, char** argv) {
         "(d) max predicates per sharing (40 sharings, 6 machines)",
         report.smoke() ? std::vector<int>{0, 1}
                        : std::vector<int>{0, 1, 2, 3},
-        [](Algo algo, int preds) {
+        [](PlannerKind algo, int preds) {
           return SecondsPerSharing(algo, 40, preds, 6, 104);
         });
   return report.Finish();

@@ -57,8 +57,7 @@ Point Measure(int facts, int dims, size_t machines, size_t num_sharings,
     point.enumerate_ms =
         timer.Millis() / static_cast<double>(sequence.size());
   }
-  for (const Algo algo :
-       {Algo::kGreedy, Algo::kNormalize, Algo::kManagedRisk}) {
+  for (const PlannerKind algo : kPlannerKinds) {
     const StarScenario world = MakeStarScenario(
         facts, dims, machines, TableDrivenCostModel::Options{});
     const Rig rig = MakeRig(world, enum_options);
@@ -70,9 +69,9 @@ Point Measure(int facts, int dims, size_t machines, size_t num_sharings,
     ap.mean_ms = stats.seconds * 1e3 / static_cast<double>(sequence.size());
     ap.total_cost = stats.total_cost;
     ap.latency = stats.latency();
-    if (algo == Algo::kGreedy) point.greedy = ap;
-    if (algo == Algo::kNormalize) point.norm = ap;
-    if (algo == Algo::kManagedRisk) point.mr = ap;
+    if (algo == PlannerKind::kGreedy) point.greedy = ap;
+    if (algo == PlannerKind::kNormalize) point.norm = ap;
+    if (algo == PlannerKind::kManagedRisk) point.mr = ap;
   }
   return point;
 }

@@ -39,7 +39,7 @@ Row Measure(size_t num_sharings, int max_preds, uint64_t seed) {
       *world.catalog, world.tables, *world.cluster, options);
   // "The algorithm for costing sharings are invoked on the output of
   // Algorithm MANAGEDRISK on the Twitter data." (Section 6.1.2)
-  const auto planner = MakePlanner(Algo::kManagedRisk, rig.ctx);
+  const auto planner = MakePlanner(PlannerKind::kManagedRisk, rig.ctx);
   (void)RunPlanner(planner.get(), sequence);
 
   Row row;

@@ -20,6 +20,7 @@
 #include "costing/lpc.h"
 #include "costing/savings.h"
 #include "obs/metrics.h"
+#include "online/managed_risk.h"
 #include "online/recovery_planner.h"
 #include "workload/predicate_gen.h"
 #include "workload/twitter.h"

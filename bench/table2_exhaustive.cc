@@ -38,7 +38,7 @@ int Main(int argc, char** argv) {
     const auto sequence = GenerateTwitterSequence(
         *world.catalog, world.tables, *world.cluster, options);
 
-    const auto mr = MakePlanner(Algo::kManagedRisk, rig.ctx);
+    const auto mr = MakePlanner(PlannerKind::kManagedRisk, rig.ctx);
     const RunStats mr_stats = RunPlanner(mr.get(), sequence);
 
     const TwitterScenario ex_world = MakeTwitterScenario(6);

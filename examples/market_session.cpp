@@ -9,7 +9,6 @@
 //      ends with an auditable bill and verified view contents.
 
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -39,7 +38,7 @@ int main() {
   std::vector<dsm::SharingId> ids;
   // The session keeps only its latest snapshot; the per-refresh AC table
   // printed below is collected from Refresh()'s return values.
-  std::vector<std::map<dsm::SharingId, double>> ac_history;
+  std::vector<dsm::SharingValues> ac_history;
   for (const size_t pick : picks) {
     const auto choice = planner.ProcessSharing(base[pick]);
     if (!choice.ok()) return 1;

@@ -11,9 +11,6 @@
 #include "costing/lpc.h"
 #include "costing/savings.h"
 #include "market/rig.h"
-#include "online/greedy.h"
-#include "online/managed_risk.h"
-#include "online/normalize.h"
 #include "workload/scenario.h"
 
 int main() {
@@ -25,7 +22,7 @@ int main() {
   double mr_cost = 0.0;
   dsm::TwitterScenario mr_world;
   dsm::Rig mr_rig;
-  for (const char* which : {"Greedy", "Normalize", "ManagedRisk"}) {
+  for (const dsm::PlannerKind kind : dsm::kPlannerKinds) {
     dsm::TwitterScenario world = dsm::MakeTwitterScenario(6);
     dsm::Rig rig = dsm::MakeRig(world);
     dsm::TwitterSequenceOptions options;
@@ -35,14 +32,8 @@ int main() {
     const auto sequence = dsm::GenerateTwitterSequence(
         *world.catalog, world.tables, *world.cluster, options);
 
-    std::unique_ptr<dsm::OnlinePlanner> planner;
-    if (std::string(which) == "Greedy") {
-      planner = std::make_unique<dsm::GreedyPlanner>(rig.ctx);
-    } else if (std::string(which) == "Normalize") {
-      planner = std::make_unique<dsm::NormalizePlanner>(rig.ctx);
-    } else {
-      planner = std::make_unique<dsm::ManagedRiskPlanner>(rig.ctx);
-    }
+    const std::unique_ptr<dsm::OnlinePlanner> planner =
+        dsm::MakePlanner(kind, rig.ctx);
     for (const dsm::Sharing& sharing : sequence) {
       const auto choice = planner->ProcessSharing(sharing);
       if (!choice.ok()) {
@@ -50,10 +41,10 @@ int main() {
                      choice.status().ToString().c_str());
       }
     }
-    std::printf("%-12s %16.4f %14zu\n", which,
+    std::printf("%-12s %16.4f %14zu\n", dsm::PlannerName(kind),
                 rig.global_plan->TotalCost(),
                 rig.global_plan->num_alive_views());
-    if (std::string(which) == "ManagedRisk") {
+    if (kind == dsm::PlannerKind::kManagedRisk) {
       mr_cost = rig.global_plan->TotalCost();
       mr_world = std::move(world);
       mr_rig = std::move(rig);

@@ -9,20 +9,59 @@
 // count and the running drift maximum, so its memory does not grow with
 // the number of refreshes; a caller wanting the per-refresh history keeps
 // Refresh()'s return values.
+//
+// A refresh is FAIRCOST plus flat passes over the population (DESIGN.md
+// §11, "Billing in time proportional to the change"):
+//  * saving(r)/num(r) are kept current by the GlobalPlan itself and read
+//    by reference (GlobalPlan::SavingShares);
+//  * the containment DAG lives in an IncrementalContainmentIndex whose
+//    rows follow the population's id order and change only where a
+//    sharing arrived or left;
+//  * the snapshot's per-sharing values are id-ordered (id, value) arrays
+//    (SharingValues), so the drift against the previous snapshot is one
+//    merge pass and the snapshot is copied once, into latest().
 
 #ifndef DSM_COSTING_COSTING_SESSION_H_
 #define DSM_COSTING_COSTING_SESSION_H_
 
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "costing/fair_cost.h"
 #include "costing/incremental_containment.h"
 #include "costing/lpc.h"
+#include "costing/savings.h"
 #include "globalplan/global_plan.h"
 
 namespace dsm {
+
+// One value per sharing, stored as (id, value) pairs in ascending id
+// order, with the read interface of std::map<SharingId, double>: iterate
+// in id order with `for (const auto& [id, v] : values)`, look up with
+// find (end() if absent) or at (std::out_of_range if absent), compare
+// with ==.
+class SharingValues {
+ public:
+  using value_type = std::pair<SharingId, double>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+  using iterator = const_iterator;
+
+  const_iterator begin() const { return rows_.begin(); }
+  const_iterator end() const { return rows_.end(); }
+  size_t size() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
+  const_iterator find(SharingId id) const;
+  const double& at(SharingId id) const;
+  bool operator==(const SharingValues& other) const = default;
+
+  void reserve(size_t n) { rows_.reserve(n); }
+  // Appends a value; `id` must exceed every id already present.
+  void push_back(SharingId id, double value);
+
+ private:
+  std::vector<value_type> rows_;
+};
 
 class CostingSession {
  public:
@@ -35,8 +74,8 @@ class CostingSession {
     // False while the planner's risk investments exceed Σ LPC (Lemma
     // 5.2's transient): ACs are then LPCs scaled by the overrun factor.
     bool criteria_satisfied = true;
-    std::map<SharingId, double> ac;
-    std::map<SharingId, double> lpc;
+    SharingValues ac;
+    SharingValues lpc;
   };
 
   // Runs FAIRCOST over the current global plan; the result replaces the
@@ -69,6 +108,8 @@ class CostingSession {
   // Containment DAG carried across refreshes; only sharings added or
   // removed since the previous Refresh are compared.
   IncrementalContainmentIndex dag_index_;
+  // The last refresh's FAIRCOST input, rebuilt in place by the next.
+  FairCostProblem problem_;
 };
 
 }  // namespace dsm

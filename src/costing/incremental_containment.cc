@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 #include "expr/predicate.h"
 #include "obs/metrics.h"
@@ -15,29 +14,44 @@ namespace {
 constexpr double kLpcTol = 1e-12;
 }  // namespace
 
-void IncrementalContainmentIndex::AddMember(SharingId id,
-                                            const ViewKey& query,
-                                            double lpc) {
-  Member m;
-  m.lpc = lpc;
+void IncrementalContainmentIndex::LeaveGroup(const Row& row) {
+  if (--row.group->second.members == 0) groups_.erase(row.group->first);
+}
+
+void IncrementalContainmentIndex::Number(size_t pos) {
+  Group& group = rows_[pos].group->second;
+  if (group.stamp != stamp_) {
+    group.stamp = stamp_;
+    group.number = numbered_++;
+  }
+  dag_.identity_group[pos] = group.number;
+}
+
+void IncrementalContainmentIndex::IndexArrival(size_t pos,
+                                               const ViewKey& query) {
+  Row& m = rows_[pos];
   m.table_mask = query.tables.mask();
   m.pred_sig = PredicateSignature(query.predicates);
   m.pred_count = query.predicates.size();
 
-  // Identity group: that of the members with an equal query, else a new one.
-  const auto group = groups_.try_emplace(query, 0).first;
-  ++group->second;
+  // Identity group: that of the rows with an equal query, else a new one.
+  const auto group = groups_.try_emplace(query).first;
+  ++group->second.members;
   m.group = &*group;
 
-  // Containment edges against every existing member, in both directions.
+  // Containment edges against every linked row, in both directions.
   // b.Subsumes(a) needs b's predicates to be a subset of a's, so a
   // directed pair is refuted without the exact check when the table masks
   // differ, the would-be container has more predicates, or its signature
-  // bits are not a subset of the containee's.
+  // bits are not a subset of the containee's. Rows are visited in
+  // position order, so the arrival's own container list comes out sorted.
+  const int me = static_cast<int>(pos);
+  std::vector<int>& mine = dag_.containers[pos];
   uint64_t compared = 0;
   uint64_t skipped = 0;
-  for (auto& [oid, om] : members_) {
-    if (om.group == m.group) continue;
+  for (size_t q = 0; q < rows_.size(); ++q) {
+    const Row& om = rows_[q];
+    if (om.pending || om.group == m.group) continue;
     const ViewKey& other = om.group->first;
     if (om.table_mask != m.table_mask) {
       skipped += 2;
@@ -47,7 +61,7 @@ void IncrementalContainmentIndex::AddMember(SharingId id,
         (om.pred_sig & ~m.pred_sig) == 0) {
       ++compared;
       if (other.Subsumes(query) && m.lpc <= om.lpc + kLpcTol) {
-        m.containers.push_back(oid);
+        mine.push_back(static_cast<int>(q));
       }
     } else {
       ++skipped;
@@ -56,94 +70,89 @@ void IncrementalContainmentIndex::AddMember(SharingId id,
         (m.pred_sig & ~om.pred_sig) == 0) {
       ++compared;
       if (query.Subsumes(other) && om.lpc <= m.lpc + kLpcTol) {
-        om.containers.push_back(id);
+        std::vector<int>& theirs = dag_.containers[q];
+        theirs.insert(std::upper_bound(theirs.begin(), theirs.end(), me),
+                      me);
       }
     } else {
       ++skipped;
     }
   }
+  m.pending = false;
   DSM_METRIC_COUNTER_ADD("dsm.costing.dag_pairs_compared", compared);
   DSM_METRIC_COUNTER_ADD("dsm.costing.dag_pairs_skipped", skipped);
-
-  members_.emplace(id, std::move(m));
 }
 
-void IncrementalContainmentIndex::RemoveMembers(
-    const std::vector<SharingId>& removed) {
-  if (removed.empty()) return;
-  const std::unordered_set<SharingId> gone(removed.begin(), removed.end());
-  for (const SharingId id : removed) {
-    const auto it = members_.find(id);
-    if (it == members_.end()) continue;
-    const auto group = groups_.find(it->second.group->first);
-    if (--group->second == 0) groups_.erase(group);
-    members_.erase(it);
+void IncrementalContainmentIndex::Merge(const std::vector<SharingId>& ids,
+                                        const std::vector<double>& lpc) {
+  const size_t n = ids.size();
+  std::vector<Row> rows;
+  rows.reserve(n);
+  std::vector<std::vector<int>> containers(n);
+  std::vector<int> moved_to(rows_.size(), -1);  // old position -> new
+  size_t r = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (; r < rows_.size() && rows_[r].id <= ids[i]; ++r) {
+      if (rows_[r].id == ids[i] && rows_[r].lpc == lpc[i]) break;
+      LeaveGroup(rows_[r]);
+    }
+    if (r < rows_.size() && rows_[r].id == ids[i]) {
+      moved_to[r] = static_cast<int>(i);
+      rows.push_back(rows_[r]);
+      containers[i] = std::move(dag_.containers[r]);
+      ++r;
+      continue;
+    }
+    Row arrival;
+    arrival.id = ids[i];
+    arrival.lpc = lpc[i];
+    arrival.pending = true;
+    rows.push_back(arrival);
   }
-  for (auto& [oid, om] : members_) {
-    auto& c = om.containers;
-    c.erase(std::remove_if(c.begin(), c.end(),
-                           [&](SharingId x) { return gone.count(x) > 0; }),
-            c.end());
+  for (; r < rows_.size(); ++r) LeaveGroup(rows_[r]);
+  rows_ = std::move(rows);
+  dag_.containers = std::move(containers);
+
+  for (std::vector<int>& c : dag_.containers) {
+    size_t kept = 0;
+    for (const int old : c) {
+      const int now = moved_to[static_cast<size_t>(old)];
+      if (now >= 0) c[kept++] = now;
+    }
+    c.resize(kept);
   }
+
+  dag_.identity_group.resize(n);
+  ++stamp_;
+  numbered_ = 0;
 }
 
-ContainmentDag IncrementalContainmentIndex::Update(
+const ContainmentDag& IncrementalContainmentIndex::Update(
     const std::vector<SharingId>& ids, const QueryRefs& queries,
     const std::vector<double>& lpc) {
   assert(ids.size() == queries.size() && ids.size() == lpc.size());
+  assert(std::is_sorted(ids.begin(), ids.end()));
   const size_t n = ids.size();
 
-  std::unordered_map<SharingId, size_t> pos;
-  pos.reserve(n);
-  for (size_t i = 0; i < n; ++i) pos.emplace(ids[i], i);
+  Merge(ids, lpc);
 
-  // Drop members that left the population — and, defensively, members
-  // whose LPC changed since they were indexed (LPCs are memoized upstream,
-  // so this is a re-add guard, not a steady-state path).
-  std::vector<SharingId> removed;
-  for (const auto& [id, m] : members_) {
-    const auto it = pos.find(id);
-    if (it == pos.end() || m.lpc != lpc[it->second]) removed.push_back(id);
-  }
-  RemoveMembers(removed);
-
-  // Index arrivals in input order so emitted edge sets match the scratch
-  // build's deterministic order.
+  // Link arrivals in id order, each against every row linked before it,
+  // so each new pair is compared once.
   for (size_t i = 0; i < n; ++i) {
-    if (members_.find(ids[i]) == members_.end()) {
-      AddMember(ids[i], queries[i], lpc[i]);
-    }
+    if (rows_[i].pending) IndexArrival(i, queries[i]);
   }
-
-  // Emit in input order. Identity groups are numbered densely by first
-  // appearance, matching the scratch build's group numbering; edge
-  // lists are translated to indices and sorted ascending, matching the
-  // scratch build's j-ascending scan.
-  ContainmentDag dag;
-  dag.identity_group.assign(n, 0);
-  dag.containers.assign(n, {});
-  std::unordered_map<const Groups::value_type*, uint32_t> dense;
-  dense.reserve(n);
-  uint32_t next_dense = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const Member& m = members_.at(ids[i]);
-    const auto [it, inserted] = dense.emplace(m.group, next_dense);
-    if (inserted) ++next_dense;
-    dag.identity_group[i] = it->second;
-    auto& out = dag.containers[i];
-    out.reserve(m.containers.size());
-    for (const SharingId c : m.containers) {
-      const auto p = pos.find(c);
-      if (p != pos.end()) out.push_back(static_cast<int>(p->second));
-    }
-    std::sort(out.begin(), out.end());
-  }
-  return dag;
+  // Identity groups are numbered densely by first appearance, matching the
+  // scratch build's group numbering; container lists are ascending
+  // positions, matching its j-ascending scan.
+  for (size_t i = 0; i < n; ++i) Number(i);
+  return dag_;
 }
 
 void IncrementalContainmentIndex::Reset() {
-  members_.clear();
+  rows_.clear();
+  dag_ = ContainmentDag();
   groups_.clear();
+  numbered_ = 0;
 }
 
 }  // namespace dsm

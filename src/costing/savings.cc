@@ -9,25 +9,36 @@ Result<FairCostProblem> BuildFairCostProblem(
     const GlobalPlan& global_plan, LpcCalculator* lpc,
     IncrementalContainmentIndex* dag_index) {
   FairCostProblem problem;
-  problem.global_cost = global_plan.TotalCost();
+  DSM_RETURN_IF_ERROR(
+      BuildFairCostProblem(global_plan, lpc, dag_index, &problem));
+  return problem;
+}
+
+Status BuildFairCostProblem(const GlobalPlan& global_plan,
+                            LpcCalculator* lpc,
+                            IncrementalContainmentIndex* dag_index,
+                            FairCostProblem* problem) {
+  problem->global_cost = global_plan.TotalCost();
   const size_t n = global_plan.num_sharings();
-  problem.ids.reserve(n);
+  problem->ids.clear();
+  problem->ids.reserve(n);
+  problem->entries.resize(n);
   QueryRefs queries;
   queries.reserve(n);
-  problem.entries.reserve(n);
-
-  // saving(r)/num(r) per intermediate result, dense over interned key
-  // ids; each record carries its distinct key ids since admission, so
-  // this whole aggregation never hashes a ViewKey.
-  const std::vector<double> shares = global_plan.ComputeSavingShares();
-
   std::vector<double> lpcs;
   lpcs.reserve(n);
+
+  // saving(r)/num(r) per intermediate result, dense over interned key
+  // ids and kept current by the global plan; each record carries its
+  // distinct key ids since admission, so no ViewKey is hashed here.
+  const std::vector<double>& shares = global_plan.SavingShares();
+
+  size_t i = 0;
   for (const auto& [id, rec] : global_plan.records()) {
-    problem.ids.push_back(id);
+    problem->ids.push_back(id);
     queries.emplace_back(rec.sharing.ResultKey());
 
-    FairCostEntry entry;
+    FairCostEntry& entry = problem->entries[i++];
     entry.id = id;
     entry.gpc = rec.gpc;
     // The admitting planner priced every plan already; only hand-built
@@ -40,26 +51,27 @@ Result<FairCostProblem> BuildFairCostProblem(
 
     // Σ_{r ∈ S's plan} saving(r)/num(r), over distinct intermediate
     // results of the sharing's individual plan.
+    entry.saving_term = 0.0;
     for (const auto& [kid, node] : rec.distinct_keys) {
       (void)node;
       entry.saving_term += shares[static_cast<size_t>(kid)];
     }
-
     lpcs.push_back(entry.lpc);
-    problem.entries.push_back(std::move(entry));
   }
 
-  ContainmentDag dag;
-  {
-    DSM_TRACE_SPAN("costing/dag_update");
-    dag = dag_index != nullptr ? dag_index->Update(problem.ids, queries, lpcs)
-                               : BuildContainmentDag(queries, lpcs);
+  // The index keeps its DAG in place, so container lists are copied, into
+  // the capacity the entries kept from the previous refresh.
+  DSM_TRACE_SPAN("costing/dag_update");
+  ContainmentDag scratch;
+  const ContainmentDag& dag =
+      dag_index != nullptr
+          ? dag_index->Update(problem->ids, queries, lpcs)
+          : (scratch = BuildContainmentDag(queries, lpcs));
+  for (size_t k = 0; k < n; ++k) {
+    problem->entries[k].identity_group = dag.identity_group[k];
+    problem->entries[k].containers = dag.containers[k];
   }
-  for (size_t i = 0; i < problem.entries.size(); ++i) {
-    problem.entries[i].identity_group = dag.identity_group[i];
-    problem.entries[i].containers = dag.containers[i];
-  }
-  return problem;
+  return Status::OK();
 }
 
 }  // namespace dsm

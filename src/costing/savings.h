@@ -1,7 +1,8 @@
 // Builds a FairCost problem (entries + global cost) from a live GlobalPlan:
-// LPCs, GPCs and saving(r)/num(r) from the global plan's per-sharing
-// records, and the identity/containment partial order over the records'
-// queries, read in place (no record's Sharing is copied). A record
+// LPCs and GPCs from the global plan's per-sharing records, saving(r)/num(r)
+// as the global plan keeps them current (GlobalPlan::SavingShares), and the
+// identity/containment partial order over the records' queries, read in
+// place (no record's Sharing is copied). A record
 // admitted by a planner carries its LPC; `lpc` prices the rest
 // (hand-built and restored records) by enumeration.
 
@@ -35,6 +36,14 @@ struct FairCostProblem {
 Result<FairCostProblem> BuildFairCostProblem(
     const GlobalPlan& global_plan, LpcCalculator* lpc,
     IncrementalContainmentIndex* dag_index = nullptr);
+
+// The same problem, rebuilt over `problem` in place: its arrays keep their
+// capacity, so a caller that keeps one problem across refreshes (a
+// CostingSession) allocates only where the population grew.
+Status BuildFairCostProblem(const GlobalPlan& global_plan,
+                            LpcCalculator* lpc,
+                            IncrementalContainmentIndex* dag_index,
+                            FairCostProblem* problem);
 
 }  // namespace dsm
 

@@ -16,6 +16,15 @@ namespace {
 // earliest candidate regardless of FP noise in the cost model.
 constexpr double kReuseTieTol = 1e-9;
 
+// The entry of sharing `id` in a key's id-ordered contributor list, or
+// where it would go.
+template <typename Contributors>
+auto ContributorAt(Contributors& contributors, SharingId id) {
+  return std::lower_bound(
+      contributors.begin(), contributors.end(), id,
+      [](const auto& entry, SharingId key) { return entry.first < key; });
+}
+
 bool CostStrictlyBetter(double cost, double best_cost) {
   const double tol =
       kReuseTieTol * std::max({1.0, std::abs(cost), std::abs(best_cost)});
@@ -414,6 +423,10 @@ Result<const GlobalPlan::SharingRecord*> GlobalPlan::Commit(
   for (const int gp : ClosureOf(stored)) {
     ++nodes_[static_cast<size_t>(gp)].refcount;
   }
+  for (const auto& [kid, node] : stored.distinct_keys) {
+    auto& c = TouchKeySaving(kid).contributors;
+    c.emplace(ContributorAt(c, id), id, ReuseSaving(stored, node));
+  }
   return &stored;
 }
 
@@ -448,6 +461,10 @@ Status GlobalPlan::RemoveSharing(SharingId id) {
     if (--node.refcount == 0 && node.alive) {
       KillNode(gp);
     }
+  }
+  for (const auto& [kid, node] : it->second.distinct_keys) {
+    auto& c = TouchKeySaving(kid).contributors;
+    c.erase(ContributorAt(c, id));
   }
   records_.erase(it);
   return Status::OK();
@@ -508,22 +525,56 @@ std::optional<std::vector<int>> GlobalPlan::closure(SharingId id) const {
   return ClosureOf(*rec);
 }
 
+double GlobalPlan::ReuseSaving(const SharingRecord& rec, int node) {
+  const auto n = static_cast<size_t>(node);
+  const NodeDecision& d = rec.decisions[n];
+  return d.state == NodeDecision::kReused
+             ? std::max(0.0, rec.subtree_cost[n] - d.marginal_cost)
+             : 0.0;
+}
+
 void GlobalPlan::AccumulateReuse(std::vector<double>* saving,
-                                       std::vector<int>* num) const {
+                                 std::vector<int>* num) const {
   saving->assign(interned_keys_.size(), 0.0);
   num->assign(interned_keys_.size(), 0);
   for (const auto& [id, rec] : records_) {
     for (const auto& [kid, node] : rec.distinct_keys) {
       const auto k = static_cast<size_t>(kid);
-      const auto n = static_cast<size_t>(node);
       ++(*num)[k];
-      const NodeDecision& d = rec.decisions[n];
-      if (d.state == NodeDecision::kReused) {
-        (*saving)[k] +=
-            std::max(0.0, rec.subtree_cost[n] - d.marginal_cost);
-      }
+      (*saving)[k] += ReuseSaving(rec, node);
     }
   }
+}
+
+GlobalPlan::KeySaving& GlobalPlan::TouchKeySaving(int kid) {
+  const auto k = static_cast<size_t>(kid);
+  if (k >= key_savings_.size()) {
+    key_savings_.resize(k + 1);
+    saving_shares_.resize(k + 1, 0.0);
+  }
+  KeySaving& ks = key_savings_[k];
+  if (!ks.dirty) {
+    ks.dirty = true;
+    dirty_keys_.push_back(kid);
+  }
+  return ks;
+}
+
+const std::vector<double>& GlobalPlan::SavingShares() const {
+  // Contributions are >= +0.0, and x + 0.0 == x for x >= +0.0, so summing
+  // a non-reused contributor's 0.0 leaves the same bits as skipping it.
+  for (const int kid : dirty_keys_) {
+    const KeySaving& ks = key_savings_[static_cast<size_t>(kid)];
+    double saving = 0.0;
+    for (const auto& [id, contribution] : ks.contributors) {
+      saving += contribution;
+    }
+    const int num = static_cast<int>(ks.contributors.size());
+    saving_shares_[static_cast<size_t>(kid)] = num > 0 ? saving / num : 0.0;
+    ks.dirty = false;
+  }
+  dirty_keys_.clear();
+  return saving_shares_;
 }
 
 std::vector<GlobalPlan::ReuseStat> GlobalPlan::ComputeReuseStats() const {
@@ -540,16 +591,6 @@ std::vector<GlobalPlan::ReuseStat> GlobalPlan::ComputeReuseStats() const {
     out.push_back(std::move(st));
   }
   return out;
-}
-
-std::vector<double> GlobalPlan::ComputeSavingShares() const {
-  std::vector<double> saving;
-  std::vector<int> num;
-  AccumulateReuse(&saving, &num);
-  for (size_t kid = 0; kid < num.size(); ++kid) {
-    saving[kid] = num[kid] > 0 ? saving[kid] / num[kid] : 0.0;
-  }
-  return saving;
 }
 
 }  // namespace dsm

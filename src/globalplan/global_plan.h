@@ -234,13 +234,19 @@ class GlobalPlan {
   double GPC(SharingId id) const;
 
   // saving(r) and num(r) for every intermediate result appearing in any
-  // sharing's plan.
+  // sharing's plan, summed from scratch over the records (the referee of
+  // SavingShares).
   std::vector<ReuseStat> ComputeReuseStats() const;
 
-  // saving(r)/num(r) indexed by interned key id (0.0 where num(r) = 0 or
-  // the id names no plan key). The refresh hot path sums these over each
-  // record's `distinct_keys` without touching a ViewKey.
-  std::vector<double> ComputeSavingShares() const;
+  // saving(r)/num(r) indexed by interned key id, for every key id some
+  // record's `distinct_keys` holds (0.0 where num(r) = 0). Commit and
+  // RemoveSharing keep each key's contributions current and mark the key
+  // dirty; this call re-sums only the dirty keys, over their contributors
+  // in ascending sharing id — AccumulateReuse's order, so each share is
+  // bit-identical to ComputeReuseStats's saving / num. The refresh hot
+  // path sums these over each record's `distinct_keys` without touching a
+  // ViewKey. Valid until the next Commit or RemoveSharing.
+  const std::vector<double>& SavingShares() const;
 
   size_t num_alive_views() const { return alive_count_; }
 
@@ -304,9 +310,13 @@ class GlobalPlan {
   int InternKey(const ViewKey& key) const;
 
   // Accumulates saving(r)/num(r) numerators and counts per interned key
-  // id (sized to the current intern table).
+  // id (sized to the current intern table), from scratch over the records.
   void AccumulateReuse(std::vector<double>* saving,
                        std::vector<int>* num) const;
+
+  // What plan node `node` of `rec` adds to saving(r) of its key: the cost
+  // its reuse saved if it was reused, else 0 (Definition 5.1).
+  static double ReuseSaving(const SharingRecord& rec, int node);
 
   int CreateNode(GPNode node);
   void KillNode(int id);
@@ -340,6 +350,19 @@ class GlobalPlan {
   // SharingRecord::distinct_keys.
   mutable std::unordered_map<ViewKey, int, ViewKeyHash> key_intern_;
   mutable std::vector<ViewKey> interned_keys_;  // id -> key (reverse table)
+  // Per interned key id: the records whose plans include the key, as
+  // (sharing id, ReuseSaving) in ascending sharing id, and whether the
+  // key's share in `saving_shares_` is stale.
+  struct KeySaving {
+    std::vector<std::pair<SharingId, double>> contributors;
+    mutable bool dirty = false;
+  };
+  std::vector<KeySaving> key_savings_;
+  mutable std::vector<int> dirty_keys_;
+  mutable std::vector<double> saving_shares_;  // parallel to key_savings_
+  // Marks a key's share stale, growing the tables to reach `kid`.
+  KeySaving& TouchKeySaving(int kid);
+
   // (needed key id << 32 | server) -> best source. Values are pure
   // functions of (structure epoch, liveness epoch, key, server), so a fill
   // never changes a decision.

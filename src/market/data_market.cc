@@ -2,10 +2,6 @@
 
 #include <map>
 
-#include "online/greedy.h"
-#include "online/managed_risk.h"
-#include "online/normalize.h"
-
 namespace dsm {
 
 DataMarket::DataMarket(DataMarketOptions options)
@@ -49,17 +45,7 @@ Status DataMarket::EnsurePlanner() {
   costing_ =
       std::make_unique<CostingSession>(rig_.global_plan.get(), lpc_.get());
 
-  switch (options_.planner) {
-    case DataMarketOptions::Planner::kGreedy:
-      planner_ = std::make_unique<GreedyPlanner>(rig_.ctx);
-      break;
-    case DataMarketOptions::Planner::kNormalize:
-      planner_ = std::make_unique<NormalizePlanner>(rig_.ctx);
-      break;
-    case DataMarketOptions::Planner::kManagedRisk:
-      planner_ = std::make_unique<ManagedRiskPlanner>(rig_.ctx);
-      break;
-  }
+  planner_ = MakePlanner(options_.planner, rig_.ctx);
   return Status::OK();
 }
 

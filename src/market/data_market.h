@@ -34,8 +34,7 @@
 namespace dsm {
 
 struct DataMarketOptions {
-  enum class Planner { kGreedy, kNormalize, kManagedRisk };
-  Planner planner = Planner::kManagedRisk;
+  PlannerKind planner = PlannerKind::kManagedRisk;
   EnumeratorOptions enumerator;
   // price = Σ member tables' data value + price_margin × attributed cost.
   double price_margin = 1.2;

@@ -2,6 +2,10 @@
 
 #include <cassert>
 
+#include "online/greedy.h"
+#include "online/managed_risk.h"
+#include "online/normalize.h"
+
 namespace dsm {
 
 Rig MakeRig(const Scenario& world, EnumeratorOptions options) {
@@ -16,6 +20,31 @@ Rig MakeRig(const Scenario& world, EnumeratorOptions options) {
                            world.graph.get(),      world.model.get(),
                            rig.global_plan.get(), rig.enumerator.get()};
   return rig;
+}
+
+const char* PlannerName(PlannerKind kind) {
+  switch (kind) {
+    case PlannerKind::kGreedy:
+      return "Greedy";
+    case PlannerKind::kNormalize:
+      return "Normalize";
+    case PlannerKind::kManagedRisk:
+      return "ManagedRisk";
+  }
+  return "?";
+}
+
+std::unique_ptr<OnlinePlanner> MakePlanner(PlannerKind kind,
+                                           const PlannerContext& ctx) {
+  switch (kind) {
+    case PlannerKind::kGreedy:
+      return std::make_unique<GreedyPlanner>(ctx);
+    case PlannerKind::kNormalize:
+      return std::make_unique<NormalizePlanner>(ctx);
+    case PlannerKind::kManagedRisk:
+      return std::make_unique<ManagedRiskPlanner>(ctx);
+  }
+  return nullptr;
 }
 
 double RunSequence(OnlinePlanner* planner, const Scenario& world) {

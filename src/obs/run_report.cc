@@ -1,5 +1,7 @@
 #include "obs/run_report.h"
 
+#include <string>
+
 namespace dsm {
 namespace obs {
 
@@ -113,6 +115,57 @@ Status ValidateBenchReportJson(const std::string& text) {
     }
   }
   return RequireTelemetry(doc);
+}
+
+Status CheckBenchClaims(const std::string& text) {
+  DSM_RETURN_IF_ERROR(ValidateBenchReportJson(text));
+  DSM_ASSIGN_OR_RETURN(const JsonValue doc, ParseJson(text));
+  const JsonValue* bench = doc.Find("bench");
+  const std::string name = bench->is_string() ? bench->string_value() : "";
+  // The claim one row must hold; an empty string means it holds.
+  std::string (*check)(const JsonValue& row) = nullptr;
+  if (name == "fig7_fairness") {
+    check = [](const JsonValue& row) -> std::string {
+      const JsonValue* all = row.Find("faircost_all_criteria");
+      if (all == nullptr || !all->is_bool() || !all->bool_value()) {
+        return "FAIRCOST misses a fairness criterion";
+      }
+      const JsonValue* fair = row.Find("alpha_faircost");
+      const JsonValue* base = row.Find("alpha_baseline");
+      if (fair == nullptr || base == nullptr || !fair->is_number() ||
+          !base->is_number() || !(fair->number() >= base->number())) {
+        return "alpha_faircost below alpha_baseline";
+      }
+      return "";
+    };
+  } else if (name == "fig8_faircost_time") {
+    check = [](const JsonValue& row) -> std::string {
+      const JsonValue* n = row.Find("warm_lpc_enumerations");
+      if (n == nullptr || !n->is_number() || n->number() != 0.0) {
+        return "a warm billing pass enumerated plans";
+      }
+      return "";
+    };
+  } else {
+    return Status::InvalidArgument("no claim checks for bench '" + name +
+                                   "'");
+  }
+  size_t rows = 0;
+  for (const JsonValue& section : doc.Find("sections")->items()) {
+    for (const JsonValue& row : section.Find("rows")->items()) {
+      ++rows;
+      const std::string failed = check(row);
+      if (!failed.empty()) {
+        return Status::FailedPrecondition(
+            name + " section '" + section.Find("name")->string_value() +
+            "' row " + std::to_string(rows) + ": " + failed);
+      }
+    }
+  }
+  if (rows == 0) {
+    return Status::InvalidArgument(name + " report has no rows to check");
+  }
+  return Status::OK();
 }
 
 }  // namespace obs

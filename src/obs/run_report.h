@@ -92,6 +92,16 @@ Status ValidateRunReportJson(const std::string& text);
 // "sections" (array of {"name","rows"}), "telemetry"}.
 Status ValidateBenchReportJson(const std::string& text);
 
+// Checks a valid bench document's deterministic numbers against the paper
+// claim its figure reproduces (bounds and the paper's numbers are in
+// EXPERIMENTS.md). Every row of every section must hold:
+//  * fig7_fairness: `faircost_all_criteria` is true and `alpha_faircost`
+//    >= `alpha_baseline`;
+//  * fig8_faircost_time: `warm_lpc_enumerations` is 0 (a warm billing pass
+//    enumerates no plan).
+// A document with no rows, or of a bench with no claim check, fails.
+Status CheckBenchClaims(const std::string& text);
+
 }  // namespace obs
 }  // namespace dsm
 

@@ -1,11 +1,12 @@
 // IncrementalContainmentIndex must reproduce BuildContainmentDag exactly —
 // identity groups and container lists — after arbitrary interleavings of
-// sharing arrivals and removals. Populations are drawn from small pools of
-// table sets and predicates so identity twins and containment chains
-// actually occur.
+// sharing arrivals, removals and re-admissions under old ids. Populations
+// are drawn from small pools of table sets and predicates so identity
+// twins and containment chains actually occur.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -67,7 +68,8 @@ TEST_P(IncrementalDagTest, MatchesScratchUnderChurn) {
     ViewKey query;
     double lpc;
   };
-  std::vector<Live> population;
+  std::vector<Live> population;  // ascending id
+  std::vector<Live> removed;
   SharingId next_id = 1;
   IncrementalContainmentIndex index;
 
@@ -76,7 +78,20 @@ TEST_P(IncrementalDagTest, MatchesScratchUnderChurn) {
     if (remove) {
       const size_t pick = static_cast<size_t>(rng.UniformInt(
           0, static_cast<int64_t>(population.size()) - 1));
+      removed.push_back(population[pick]);
       population.erase(population.begin() + static_cast<int64_t>(pick));
+    } else if (!removed.empty() && rng.Bernoulli(0.4)) {
+      // A removed sharing comes back under its old id, as RetryParked
+      // re-admits it: the arrival lands mid-order and later rows move.
+      const size_t pick = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(removed.size()) - 1));
+      const Live back = removed[pick];
+      removed.erase(removed.begin() + static_cast<int64_t>(pick));
+      population.insert(
+          std::lower_bound(
+              population.begin(), population.end(), back.id,
+              [](const Live& l, SharingId id) { return l.id < id; }),
+          back);
     } else {
       const ViewKey& q = pool[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];

@@ -15,7 +15,6 @@
 #include "market/simulation.h"
 #include "online/greedy.h"
 #include "online/managed_risk.h"
-#include "online/normalize.h"
 
 namespace dsm {
 namespace {
@@ -145,15 +144,10 @@ TEST(EndToEndTest, ThreePlannersProduceComparableCosts) {
   // Section 6.2.1: "On average, the global plans generated by the three
   // algorithms have similar costs" — within a small factor here.
   std::vector<double> costs;
-  for (int which = 0; which < 3; ++which) {
+  for (const PlannerKind kind : kPlannerKinds) {
     const TwitterScenario world = MakeTwitterScenario(6);
     const Rig rig = MakeRig(world);
-    std::unique_ptr<OnlinePlanner> planner;
-    if (which == 0) planner = std::make_unique<GreedyPlanner>(rig.ctx);
-    if (which == 1) planner = std::make_unique<NormalizePlanner>(rig.ctx);
-    if (which == 2) {
-      planner = std::make_unique<ManagedRiskPlanner>(rig.ctx);
-    }
+    const std::unique_ptr<OnlinePlanner> planner = MakePlanner(kind, rig.ctx);
     for (const Sharing& s : Sequence(world, 30, 0, 47)) {
       ASSERT_TRUE(planner->ProcessSharing(s).ok());
     }

@@ -198,7 +198,7 @@ TEST(DataMarketOwnerTest, OwnerRevenueAggregated) {
 
 TEST(DataMarketConfigTest, GreedyPlannerSelectable) {
   DataMarketOptions options;
-  options.planner = DataMarketOptions::Planner::kGreedy;
+  options.planner = PlannerKind::kGreedy;
   DataMarket market(options);
   const ServerId s0 = market.AddServer("s0");
   ASSERT_TRUE(market.RegisterTable(MakeTable("A", {"k"}), s0).ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "market/simulation.h"
 #include "obs/trace.h"
@@ -183,6 +184,76 @@ TEST(RunReportSchemaTest, BenchValidatorChecksSections) {
   bad_section.Set("name", "s2");
   doc.members()["sections"].Append(std::move(bad_section));
   EXPECT_FALSE(ValidateBenchReportJson(doc.Dump()).ok());
+}
+
+// A bench document with one section holding `rows`.
+std::string BenchDoc(const std::string& bench, std::vector<JsonValue> rows) {
+  JsonValue doc = JsonValue::Object();
+  doc.Set("schema_version", 1);
+  doc.Set("bench", bench);
+  doc.Set("full_scale", false);
+  doc.Set("smoke", true);
+  JsonValue telemetry = JsonValue::Object();
+  telemetry.Set("counters", JsonValue::Object());
+  telemetry.Set("gauges", JsonValue::Object());
+  doc.Set("telemetry", std::move(telemetry));
+  JsonValue section = JsonValue::Object();
+  section.Set("name", "s1");
+  JsonValue array = JsonValue::Array();
+  for (JsonValue& row : rows) array.Append(std::move(row));
+  section.Set("rows", std::move(array));
+  JsonValue sections = JsonValue::Array();
+  sections.Append(std::move(section));
+  doc.Set("sections", std::move(sections));
+  return doc.Dump();
+}
+
+JsonValue Fig7Row(double fair, double base, bool all_criteria) {
+  JsonValue row = JsonValue::Object();
+  row.Set("alpha_faircost", fair);
+  row.Set("alpha_baseline", base);
+  row.Set("faircost_all_criteria", all_criteria);
+  return row;
+}
+
+JsonValue Fig8Row(int warm_enumerations) {
+  JsonValue row = JsonValue::Object();
+  row.Set("warm_lpc_enumerations", warm_enumerations);
+  return row;
+}
+
+TEST(BenchClaimsTest, Fig7NeedsAllCriteriaAndAlphaAtLeastBaseline) {
+  EXPECT_TRUE(CheckBenchClaims(BenchDoc(
+                  "fig7_fairness",
+                  {Fig7Row(0.9, 0.1, true), Fig7Row(1.0, 1.0, true)}))
+                  .ok());
+  EXPECT_FALSE(CheckBenchClaims(BenchDoc(
+                   "fig7_fairness",
+                   {Fig7Row(0.9, 0.1, true), Fig7Row(0.2, 0.3, true)}))
+                   .ok());
+  EXPECT_FALSE(
+      CheckBenchClaims(BenchDoc("fig7_fairness", {Fig7Row(0.9, 0.1, false)}))
+          .ok());
+}
+
+TEST(BenchClaimsTest, Fig8NeedsNoWarmEnumeration) {
+  EXPECT_TRUE(CheckBenchClaims(BenchDoc("fig8_faircost_time",
+                                        {Fig8Row(0), Fig8Row(0)}))
+                  .ok());
+  EXPECT_FALSE(CheckBenchClaims(BenchDoc("fig8_faircost_time",
+                                         {Fig8Row(0), Fig8Row(3)}))
+                   .ok());
+  // A row that does not report the count fails too.
+  EXPECT_FALSE(CheckBenchClaims(BenchDoc("fig8_faircost_time",
+                                         {JsonValue::Object()}))
+                   .ok());
+}
+
+TEST(BenchClaimsTest, NoRowsOrNoCheckFails) {
+  EXPECT_FALSE(CheckBenchClaims(BenchDoc("fig7_fairness", {})).ok());
+  EXPECT_FALSE(
+      CheckBenchClaims(BenchDoc("demo", {Fig7Row(0.9, 0.1, true)})).ok());
+  EXPECT_FALSE(CheckBenchClaims("{not json").ok());
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 //
 //   report_lint --bench <file.json>   validate a bench report
 //   report_lint --run <file.json>     validate a run report
+//   report_lint --claims <file.json>  validate a bench report and check
+//                                     its figure's paper claim
+//                                     (obs::CheckBenchClaims)
 
 #include <cstdio>
 #include <fstream>
@@ -17,12 +20,12 @@ int main(int argc, char** argv) {
   if (argc != 3) {
     std::fprintf(stderr,
                  "usage: report_lint --bench <file.json> | "
-                 "--run <file.json>\n");
+                 "--run <file.json> | --claims <file.json>\n");
     return 2;
   }
   const std::string mode = argv[1];
   const std::string path = argv[2];
-  if (mode != "--bench" && mode != "--run") {
+  if (mode != "--bench" && mode != "--run" && mode != "--claims") {
     std::fprintf(stderr, "unknown mode %s\n", mode.c_str());
     return 2;
   }
@@ -36,9 +39,10 @@ int main(int argc, char** argv) {
   buf << in.rdbuf();
   const std::string text = buf.str();
 
-  const dsm::Status status = mode == "--bench"
-                                 ? dsm::obs::ValidateBenchReportJson(text)
-                                 : dsm::obs::ValidateRunReportJson(text);
+  const dsm::Status status =
+      mode == "--bench"    ? dsm::obs::ValidateBenchReportJson(text)
+      : mode == "--claims" ? dsm::obs::CheckBenchClaims(text)
+                           : dsm::obs::ValidateRunReportJson(text);
   if (!status.ok()) {
     std::fprintf(stderr, "%s: INVALID: %s\n", path.c_str(),
                  status.ToString().c_str());
