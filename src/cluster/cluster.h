@@ -69,9 +69,9 @@ class Cluster {
     return id < servers_.size() && servers_[id].up;
   }
   // Monotone counter bumped on every liveness transition (MarkDown /
-  // MarkUp that actually flips a server). Caches whose validity depends on
-  // which servers are up — e.g. the global plan's best-reuse-source cache —
-  // compare this against the epoch they were filled at.
+  // MarkUp that actually flips a server). State whose validity depends on
+  // which servers are up — e.g. a global-plan evaluation awaiting Commit —
+  // compares this against the epoch it was taken at.
   uint64_t liveness_epoch() const { return liveness_epoch_; }
   // Rated capacity while up, 0 while down.
   double effective_capacity(ServerId id) const {

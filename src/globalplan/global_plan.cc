@@ -33,10 +33,7 @@ bool CostStrictlyBetter(double cost, double best_cost) {
 
 }  // namespace
 
-int GlobalPlan::InternKey(const ViewKey& key) const {
-  // find-before-insert: every reuse probe passes through here, and an
-  // unconditional emplace would allocate a node (and copy the key's
-  // predicate vector) per probe just to discard it on the common repeat.
+int GlobalPlan::InternKey(const ViewKey& key) {
   const auto it = key_intern_.find(key);
   if (it != key_intern_.end()) return it->second;
   const int id = static_cast<int>(key_intern_.size());
@@ -45,9 +42,16 @@ int GlobalPlan::InternKey(const ViewKey& key) const {
   return id;
 }
 
-int GlobalPlan::ScanForBestReuse(const std::vector<int>& bucket,
-                                 const ViewKey& needed, ServerId server,
-                                 double* residual_cost) const {
+int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
+                              const AddOptions& options,
+                              double* residual_cost) const {
+  if (options.forbid_reuse_keys != nullptr &&
+      options.forbid_reuse_keys->count(needed) != 0) {
+    return -1;
+  }
+  const auto it = by_tables_.find(needed.tables.mask());
+  if (it == by_tables_.end()) return -1;
+  const std::vector<int>& bucket = it->second;
   // Pass 1: a same-key view already on `server` needs no residual
   // filter/copy, costs zero and is preferred to every other candidate
   // (costs are non-negative, and an exact match wins a tie), so the
@@ -88,40 +92,6 @@ int GlobalPlan::ScanForBestReuse(const std::vector<int>& bucket,
   return best;
 }
 
-int GlobalPlan::FindBestReuse(const ViewKey& needed, ServerId server,
-                              const AddOptions& options,
-                              double* residual_cost) const {
-  if (options.forbid_reuse_keys != nullptr &&
-      options.forbid_reuse_keys->count(needed) != 0) {
-    return -1;
-  }
-  const auto it = by_tables_.find(needed.tables.mask());
-  if (it == by_tables_.end()) return -1;
-
-  // The forbid check above only gates `needed` itself, never which
-  // candidates may serve it, so the cached answer for (needed, server) is
-  // valid under any AddOptions that reach this point.
-  const uint64_t cache_key =
-      (static_cast<uint64_t>(InternKey(needed)) << 32) | server;
-  const uint64_t liveness = cluster_->liveness_epoch();
-  const auto cached = best_source_cache_.find(cache_key);
-  if (cached != best_source_cache_.end() &&
-      cached->second.epoch == epoch_ &&
-      cached->second.liveness_epoch == liveness) {
-    DSM_METRIC_COUNTER_ADD("dsm.globalplan.reuse_index_hits", 1);
-    if (cached->second.best >= 0) *residual_cost = cached->second.residual;
-    return cached->second.best;
-  }
-  DSM_METRIC_COUNTER_ADD("dsm.globalplan.reuse_index_misses", 1);
-
-  double residual = 0.0;
-  const int best = ScanForBestReuse(it->second, needed, server, &residual);
-  best_source_cache_[cache_key] = BestSource{epoch_, liveness, best,
-                                             residual};
-  if (best >= 0) *residual_cost = residual;
-  return best;
-}
-
 GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
     const PlanSpace& space, const AddOptions& options) const {
   const std::vector<PlanSpace::Fragment>& frags = space.fragments();
@@ -138,6 +108,44 @@ GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
   };
   std::vector<Served> served(frags.size());
 
+  // The reuse answer for each (slot, server), probed at the first fragment
+  // that needs it. The answer depends only on the key, the server and the
+  // global plan, which no dry run changes, so it serves every fragment of
+  // the slot on that server. A server outside the cluster (only a
+  // hand-built plan has one) is probed afresh each time.
+  struct Probe {
+    bool probed = false;
+    bool load_priced = false;
+    bool needs_residual = false;
+    int source = -1;
+    double residual = 0.0;
+    double residual_load = 0.0;  // the source's delta rate, once asked
+  };
+  const size_t width = cluster_->num_servers();
+  std::vector<Probe> probes(space.slot_keys().size() * width);
+  Probe unmemoized;
+  uint64_t scans = 0;
+  uint64_t answered = 0;
+  const auto probe = [&](const PlanSpace::Fragment& frag) -> Probe& {
+    Probe& p = frag.server < width
+                   ? probes[static_cast<size_t>(frag.slot) * width +
+                            frag.server]
+                   : (unmemoized = Probe{});
+    if (p.probed) {
+      ++answered;
+      return p;
+    }
+    ++scans;
+    const ViewKey& key = space.key(frag);
+    p.source = FindBestReuse(key, frag.server, options, &p.residual);
+    if (p.source >= 0) {
+      const GPNode& s = nodes_[static_cast<size_t>(p.source)];
+      p.needs_residual = !(s.key == key && s.server == frag.server);
+    }
+    p.probed = true;
+    return p;
+  };
+
   // The reuse rule for fragment f, its children first: serve it fresh at
   // op + value(left) + value(right), unless the best reuse source's
   // residual is no larger (the fragment's whole subtree is then skipped).
@@ -146,28 +154,29 @@ GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
     Served& me = served[fi];
     if (me.decided) return;
     const PlanSpace::Fragment& frag = frags[fi];
-    const PlanNode& pn = frag.node;
     double fresh = frag.op_cost;
-    if (pn.left >= 0) {
-      self(self, pn.left);
-      fresh += served[static_cast<size_t>(pn.left)].cost;
+    if (frag.left >= 0) {
+      self(self, frag.left);
+      fresh += served[static_cast<size_t>(frag.left)].cost;
     }
-    if (pn.right >= 0) {
-      self(self, pn.right);
-      fresh += served[static_cast<size_t>(pn.right)].cost;
+    if (frag.right >= 0) {
+      self(self, frag.right);
+      fresh += served[static_cast<size_t>(frag.right)].cost;
     }
     NodeDecision& d = eval.fragment_decisions[fi];
-    double residual = 0.0;
-    const int src = FindBestReuse(pn.key, pn.server, options, &residual);
-    if (src >= 0 && residual <= fresh) {
-      const GPNode& s = nodes_[static_cast<size_t>(src)];
+    Probe& p = probe(frag);
+    if (p.source >= 0 && p.residual <= fresh) {
       d.state = NodeDecision::kReused;
-      d.reuse_source = src;
-      d.needs_residual = !(s.key == pn.key && s.server == pn.server);
-      d.marginal_cost = residual;
-      me.cost = residual;
-      eval.fragment_loads[fi] =
-          d.needs_residual ? model_->DeltaRate(s.key) : 0.0;
+      d.reuse_source = p.source;
+      d.needs_residual = p.needs_residual;
+      d.marginal_cost = p.residual;
+      me.cost = p.residual;
+      if (p.needs_residual && !p.load_priced) {
+        p.residual_load =
+            model_->DeltaRate(nodes_[static_cast<size_t>(p.source)].key);
+        p.load_priced = true;
+      }
+      eval.fragment_loads[fi] = p.needs_residual ? p.residual_load : 0.0;
     } else {
       d.state = NodeDecision::kFresh;
       d.marginal_cost = frag.op_cost;
@@ -180,13 +189,13 @@ GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
   // Appends fragment f's subtree to eval.steps in post-order; everything
   // under a reused or skipped node is skipped.
   const auto walk = [&](const auto& self, int f, bool skipped) -> void {
-    const PlanNode& pn = frags[static_cast<size_t>(f)].node;
+    const PlanSpace::Fragment& frag = frags[static_cast<size_t>(f)];
     const NodeDecision::State state =
         skipped ? NodeDecision::kSkipped
                 : eval.fragment_decisions[static_cast<size_t>(f)].state;
     const bool skip_children = state != NodeDecision::kFresh;
-    if (pn.left >= 0) self(self, pn.left, skip_children);
-    if (pn.right >= 0) self(self, pn.right, skip_children);
+    if (frag.left >= 0) self(self, frag.left, skip_children);
+    if (frag.right >= 0) self(self, frag.right, skip_children);
     eval.steps.push_back(SpaceEvaluation::Step{f, state});
   };
 
@@ -209,7 +218,7 @@ GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
       const auto fi = static_cast<size_t>(step.fragment);
       plan.standalone_cost += frags[fi].op_cost;
       if (step.state == NodeDecision::kSkipped) continue;
-      const ServerId server = frags[fi].node.server;
+      const ServerId server = frags[fi].server;
       const bool places_work = step.state == NodeDecision::kFresh ||
                                eval.fragment_decisions[fi].needs_residual;
       if (places_work && !cluster_->is_up(server)) plan.feasible = false;
@@ -233,6 +242,8 @@ GlobalPlan::SpaceEvaluation GlobalPlan::EvaluateSpace(
     eval.lpc = std::min(eval.lpc, plan.standalone_cost);
     eval.plans.push_back(plan);
   }
+  DSM_METRIC_COUNTER_ADD("dsm.globalplan.reuse_index_misses", scans);
+  DSM_METRIC_COUNTER_ADD("dsm.globalplan.reuse_index_hits", answered);
   return eval;
 }
 
@@ -286,8 +297,8 @@ int GlobalPlan::CreateNode(GPNode node) {
   node.refcount = 0;
   node.alive = true;
   node.pred_sig = PredicateSignature(node.key.predicates);
-  // Interned on creation too, so key ids (and ComputeReuseStats's order)
-  // follow first appearance even for keys no reuse probe reached.
+  // Interned on creation, so key ids (and ComputeReuseStats's order)
+  // follow the keys' first appearance in the global plan.
   InternKey(node.key);
   total_cost_ += node.cost;
   server_load_[node.server] += node.load;
@@ -343,8 +354,8 @@ Result<const GlobalPlan::SharingRecord*> GlobalPlan::Commit(
   }
   SharingRecord rec;
   if (as_built) {
-    for (const PlanSpace::Fragment& frag : space.fragments()) {
-      rec.plan.nodes.push_back(frag.node);
+    for (size_t i = 0; i < n; ++i) {
+      rec.plan.nodes.push_back(space.node(static_cast<int>(i)));
     }
   } else {
     rec.plan = space.Materialize(k);

@@ -21,16 +21,14 @@
 // and probing nothing, and refuses a stale one. A single plan is a space of
 // one (PlanSpace::Of): EvaluateSpace dry-runs it, AddSharing commits it.
 //
-// Reuse lookup (DESIGN.md §11) buckets alive views by table mask. One
-// per-(key, server) best-source cache answers repeated probes; on a miss
-// one scan of the bucket finds the answer. Cached answers are
-// epoch-invalidated (structure epoch bumped on node create/kill, cluster
-// liveness epoch on server up/down).
+// Reuse lookup (DESIGN.md §11) buckets alive views by table mask. An
+// evaluation scans the bucket once per (slot, server) of the space and
+// answers every other fragment of that slot on that server from its
+// table; nothing outlives the evaluation.
 // tests/testing/reuse_oracle.h re-derives every decision by a brute-force
 // pass over the alive views; the reuse and plan-space oracle tests compare
 // the global plan's evaluations with it.
-// Admission is single-threaded, so the cache is unlocked and no method is
-// thread-safe — not even the const ones.
+// Admission is single-threaded; no method is thread-safe.
 
 #ifndef DSM_GLOBALPLAN_GLOBAL_PLAN_H_
 #define DSM_GLOBALPLAN_GLOBAL_PLAN_H_
@@ -160,8 +158,12 @@ class GlobalPlan {
   // global plan's cost model. The fresh-vs-reuse rule depends only on a
   // node's subtree and the (unchanging) global plan, so it runs once per
   // fragment: fragments are decided children first, in the order the
-  // plans reach them. Each plan's totals then come from one post-order
-  // walk. Not thread-safe: though const, it fills the reuse cache.
+  // plans reach them. The reuse source of a fragment depends only on its
+  // slot's key and its server, so the reuse index is scanned once per
+  // (slot, server) reached (counted in dsm.globalplan.reuse_index_misses)
+  // and every further fragment is answered from that scan
+  // (dsm.globalplan.reuse_index_hits). Each plan's totals then come from
+  // one post-order walk.
   SpaceEvaluation EvaluateSpace(const PlanSpace& space,
                                 const AddOptions& options = {}) const;
 
@@ -286,28 +288,17 @@ class GlobalPlan {
     uint64_t pred_sig = 0;  // PredicateSignature(key.predicates)
   };
 
-  // Cached result of one (needed key, server) reuse probe.
-  struct BestSource {
-    uint64_t epoch = 0;           // structure epoch at fill time
-    uint64_t liveness_epoch = 0;  // cluster liveness epoch at fill time
-    int best = -1;
-    double residual = 0.0;
-  };
-
-  // Cheapest way to serve `needed` at `server` from an existing view.
+  // Cheapest way to serve `needed` at `server` from an existing view: one
+  // scan of the bucket of needed's table set (alive ids, insertion order)
+  // for the cheapest alive subsuming view on an up server. The first exact
+  // same-key view on `server` wins outright at residual 0; otherwise the
+  // cheapest residual wins, and near-ties keep the earliest candidate.
   // Returns the source GP node id or -1; fills `residual_cost`.
   int FindBestReuse(const ViewKey& needed, ServerId server,
                     const AddOptions& options, double* residual_cost) const;
 
-  // Scans `bucket` (alive ids of needed's table set, insertion order) for
-  // the cheapest alive subsuming view on an up server. The first exact
-  // same-key view on `server` wins outright at residual 0; otherwise the
-  // cheapest residual wins, and near-ties keep the earliest candidate.
-  int ScanForBestReuse(const std::vector<int>& bucket, const ViewKey& needed,
-                       ServerId server, double* residual_cost) const;
-
   // Interns `key`, returning its dense id.
-  int InternKey(const ViewKey& key) const;
+  int InternKey(const ViewKey& key);
 
   // Accumulates saving(r)/num(r) numerators and counts per interned key
   // id (sized to the current intern table), from scratch over the records.
@@ -341,15 +332,15 @@ class GlobalPlan {
   std::unordered_map<ServerId, double> server_load_;
   size_t alive_count_ = 0;
 
-  // Bumped by CreateNode/KillNode; best-source cache entries filled at an
-  // older epoch (or an older cluster liveness epoch) are stale.
+  // Bumped by CreateNode/KillNode; an evaluation taken at an older epoch
+  // (or an older cluster liveness epoch) is stale.
   uint64_t epoch_ = 0;
 
-  // Filled by reuse probes (const dry runs included) and
-  // CreateNode. Interned ids key the best-source cache and
+  // Filled by CreateNode and Commit, so it grows with GP-node and
+  // committed plan keys only. Interned ids key
   // SharingRecord::distinct_keys.
-  mutable std::unordered_map<ViewKey, int, ViewKeyHash> key_intern_;
-  mutable std::vector<ViewKey> interned_keys_;  // id -> key (reverse table)
+  std::unordered_map<ViewKey, int, ViewKeyHash> key_intern_;
+  std::vector<ViewKey> interned_keys_;  // id -> key (reverse table)
   // Per interned key id: the records whose plans include the key, as
   // (sharing id, ReuseSaving) in ascending sharing id, and whether the
   // key's share in `saving_shares_` is stale.
@@ -362,11 +353,6 @@ class GlobalPlan {
   mutable std::vector<double> saving_shares_;  // parallel to key_savings_
   // Marks a key's share stale, growing the tables to reach `kid`.
   KeySaving& TouchKeySaving(int kid);
-
-  // (needed key id << 32 | server) -> best source. Values are pure
-  // functions of (structure epoch, liveness epoch, key, server), so a fill
-  // never changes a decision.
-  mutable std::unordered_map<uint64_t, BestSource> best_source_cache_;
 };
 
 }  // namespace dsm

@@ -10,10 +10,10 @@ int ManagedRiskPlanner::EffectiveJoins(const Sharing& sharing) const {
 }
 
 double ManagedRiskPlanner::JoinIncentive(const Sharing& sharing,
-                                         const PlanNode& join) const {
-  const double rg = tracker_.Regret(join.key.tables, EffectiveJoins(sharing));
+                                         const ViewKey& key) const {
+  const double rg = tracker_.Regret(key.tables, EffectiveJoins(sharing));
   if (rg <= 0.0) return 0.0;
-  const double perc = options_.use_perc ? ctx_.model->Perc(join.key) : 1.0;
+  const double perc = options_.use_perc ? ctx_.model->Perc(key) : 1.0;
   return rg * perc;
 }
 
@@ -24,9 +24,9 @@ double ManagedRiskPlanner::Score(const Sharing& sharing,
   DSM_METRIC_COUNTER_ADD("dsm.online.risk_scores", 1);
   double incentive = 0.0;
   for (const GlobalPlan::SpaceEvaluation::Step& step : eval.steps_of(k)) {
-    const PlanNode& node = space.fragment(step.fragment).node;
-    if (node.is_join() && step.state == GlobalPlan::NodeDecision::kFresh) {
-      incentive += JoinIncentive(sharing, node);
+    const PlanSpace::Fragment& frag = space.fragment(step.fragment);
+    if (frag.is_join() && step.state == GlobalPlan::NodeDecision::kFresh) {
+      incentive += JoinIncentive(sharing, space.key(frag));
     }
   }
   if (incentive > 0.0) {
@@ -48,7 +48,7 @@ void ManagedRiskPlanner::OnPlanChosen(const GlobalPlan::SharingRecord& rec) {
       continue;  // reused/skipped nodes produce nothing new
     }
     if (options_.subtract_consumed_regret) {
-      consumed += JoinIncentive(sharing, node);
+      consumed += JoinIncentive(sharing, node.key);
     }
     if (node.key.predicates.empty()) {
       produced_full.push_back(node.key.tables);

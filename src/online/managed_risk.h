@@ -48,9 +48,9 @@ class ManagedRiskPlanner : public OnlinePlanner {
   void OnPlanChosen(const GlobalPlan::SharingRecord& rec) override;
 
  private:
-  // rg_i(s)·perc_s of a join node computed fresh (0 without regret); a
+  // rg_i(s)·perc_s of a join computing `key` fresh (0 without regret); a
   // plan's incentive sums it over its fresh joins in node-index order.
-  double JoinIncentive(const Sharing& sharing, const PlanNode& join) const;
+  double JoinIncentive(const Sharing& sharing, const ViewKey& key) const;
 
   int EffectiveJoins(const Sharing& sharing) const;
 

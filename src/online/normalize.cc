@@ -27,10 +27,10 @@ double NormalizePlanner::Score(const Sharing& /*sharing*/,
   for (const GlobalPlan::SpaceEvaluation::Step& step : eval.steps_of(k)) {
     const GlobalPlan::NodeDecision d = eval.decision(step);
     if (d.state == GlobalPlan::NodeDecision::kSkipped) continue;
-    const PlanNode& node = space.fragment(step.fragment).node;
+    const PlanSpace::Fragment& frag = space.fragment(step.fragment);
     double cost = d.marginal_cost;
-    if (d.state == GlobalPlan::NodeDecision::kFresh && node.is_join()) {
-      cost /= std::max(1, OccurrenceCount(node.key.tables));
+    if (d.state == GlobalPlan::NodeDecision::kFresh && frag.is_join()) {
+      cost /= std::max(1, OccurrenceCount(space.key(frag).tables));
     }
     normalized += cost;
   }

@@ -1,6 +1,7 @@
 #include "plan/enumerator.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -20,6 +21,12 @@ namespace dsm {
 // server) tuples, since each unordered split is visited once, the
 // fragments of each child slot are distinct trees (by induction), and
 // the candidate servers of one pair are distinct.
+//
+// A join's price depends only on its three keys and three servers, and a
+// split fixes the keys, so each split prices one (left server, right
+// server) pair of its child slots once and every other fragment pair on
+// the same servers reuses the answer. Only exact repeat calls are
+// skipped, so the model sees its first calls in the per-fragment order.
 struct PlanEnumerator::SpaceBuilder {
   CostModel* model = nullptr;
   std::vector<PlanSpace::Fragment> fragments;
@@ -27,25 +34,49 @@ struct PlanEnumerator::SpaceBuilder {
   // summed as the DP always has (children, then the op); used only for
   // beam pruning.
   std::vector<double> beam_cost;
-  std::unordered_map<ViewKey, std::vector<int>, ViewKeyHash> slots;
+  // Parallel to fragments: the index of the fragment's server in its
+  // slot's `slot_servers` list.
+  std::vector<int> server_rank;
+  std::vector<ViewKey> slot_keys;
+  std::vector<std::vector<int>> slot_frags;          // per slot: fragments
+  std::vector<std::vector<ServerId>> slot_servers;   // per slot: distinct
+  // DP slots by key. The final filter/copies' slot is not among them: its
+  // key may equal a DP slot's, which a later choice must still build.
+  std::unordered_map<ViewKey, int, ViewKeyHash> slot_ids;
 
-  // Appends `node` (children as fragment ids), priced; returns its id.
-  int Add(PlanNode node) {
-    const auto child = [this](int id) {
-      return id < 0 ? nullptr : &fragments[static_cast<size_t>(id)].node;
-    };
-    PlanSpace::Fragment frag;
-    frag.op_cost = NodeCost(node, child(node.left), child(node.right), model);
-    frag.load = NodeLoad(node, child(node.left), child(node.right), model);
-    double cost = frag.op_cost;
-    if (node.is_join()) {
-      cost = beam_cost[static_cast<size_t>(node.left)] +
-             beam_cost[static_cast<size_t>(node.right)] + frag.op_cost;
-    }
-    frag.node = std::move(node);
-    fragments.push_back(std::move(frag));
-    beam_cost.push_back(cost);
+  // The DP slot of `key`, and whether it is new (empty).
+  std::pair<int, bool> DpSlot(const ViewKey& key) {
+    const auto [it, inserted] =
+        slot_ids.try_emplace(key, static_cast<int>(slot_keys.size()));
+    if (inserted) NewSlot(key);
+    return {it->second, inserted};
+  }
+
+  int NewSlot(ViewKey key) {
+    slot_keys.push_back(std::move(key));
+    slot_frags.emplace_back();
+    slot_servers.emplace_back();
+    return static_cast<int>(slot_keys.size()) - 1;
+  }
+
+  // Appends `frag`, priced; `beam` is its subtree's standalone cost.
+  int Add(const PlanSpace::Fragment& frag, double beam) {
+    fragments.push_back(frag);
+    beam_cost.push_back(beam);
+    server_rank.push_back(0);
     return static_cast<int>(fragments.size()) - 1;
+  }
+
+  // Ranks the servers of a finished slot's fragments.
+  void RankServers(int slot) {
+    std::vector<ServerId>& servers = slot_servers[static_cast<size_t>(slot)];
+    for (const int f : slot_frags[static_cast<size_t>(slot)]) {
+      const ServerId s = fragments[static_cast<size_t>(f)].server;
+      const auto it = std::find(servers.begin(), servers.end(), s);
+      server_rank[static_cast<size_t>(f)] =
+          static_cast<int>(it - servers.begin());
+      if (it == servers.end()) servers.push_back(s);
+    }
   }
 };
 
@@ -62,39 +93,57 @@ Status PlanEnumerator::EnumerateChoice(const Sharing& sharing,
                                        const std::vector<TableSet>& subsets,
                                        uint64_t pushdown,
                                        SpaceBuilder* builder,
-                                       const std::vector<int>** full) const {
+                                       int* full) const {
   const std::vector<Predicate>& all_preds = sharing.predicates();
   std::vector<Predicate> pushed;
   for (size_t i = 0; i < all_preds.size(); ++i) {
     if ((pushdown >> i) & 1ull) pushed.push_back(all_preds[i]);
   }
+  CostModel* model = builder->model;
 
   const TableSet tables = sharing.tables();
-  // DP table: connected subset -> its slot in builder->slots.
-  std::unordered_map<uint64_t, const std::vector<int>*> dp;
+  // DP table: connected subset -> its slot in builder->slot_frags.
+  std::unordered_map<uint64_t, int> dp;
 
   // Singletons.
   for (TableId t : tables.ToVector()) {
     DSM_ASSIGN_OR_RETURN(const ServerId home, cluster_->HomeOf(t));
-    ViewKey key(TableSet::Of(t), PredicatesOnTables(pushed, TableSet::Of(t)));
-    const auto [slot, inserted] = builder->slots.try_emplace(key);
-    dp[TableSet::Of(t).mask()] = &slot->second;
+    const ViewKey key(TableSet::Of(t),
+                      PredicatesOnTables(pushed, TableSet::Of(t)));
+    const auto [slot, inserted] = builder->DpSlot(key);
+    dp[TableSet::Of(t).mask()] = slot;
     if (!inserted) continue;
-    PlanNode leaf;
+    // NodeCost and NodeLoad of a leaf.
+    PlanSpace::Fragment leaf;
     leaf.type = PlanNodeType::kLeaf;
     leaf.base_table = t;
     leaf.server = home;
-    leaf.key = std::move(key);
-    slot->second.push_back(builder->Add(std::move(leaf)));
+    leaf.slot = slot;
+    leaf.op_cost = model->LeafCost(t, key, home);
+    leaf.load = key.predicates.empty()
+                    ? 0.0
+                    : model->DeltaRate(ViewKey(TableSet::Of(t)));
+    builder->slot_frags[static_cast<size_t>(slot)].push_back(
+        builder->Add(leaf, leaf.op_cost));
+    builder->RankServers(slot);
   }
+
+  // Per (left server, right server) of one split: the join's candidate
+  // servers and their op costs, once priced.
+  struct PairPrice {
+    bool priced = false;
+    size_t num_candidates = 0;
+    ServerId candidates[3];
+    double op_cost[3];
+  };
+  std::vector<PairPrice> prices;
 
   for (const TableSet subset : subsets) {
     const uint64_t mask = subset.mask();
-    const ViewKey node_key(subset, PredicatesOnTables(pushed, subset));
-    const auto [slot_it, inserted] = builder->slots.try_emplace(node_key);
-    dp[mask] = &slot_it->second;
+    const auto [slot, inserted] =
+        builder->DpSlot(ViewKey(subset, PredicatesOnTables(pushed, subset)));
+    dp[mask] = slot;
     if (!inserted) continue;
-    std::vector<int>& slot = slot_it->second;
     const uint64_t lowest = mask & (~mask + 1);
     // Enumerate proper submasks that contain the lowest table, so each
     // unordered split {C1, C2} is visited exactly once.
@@ -106,49 +155,85 @@ Status PlanEnumerator::EnumerateChoice(const Sharing& sharing,
       const auto it2 = dp.find(other);
       if (it1 == dp.end() || it2 == dp.end()) continue;  // not connected
       if (!graph_->Joinable(TableSet(sub), TableSet(other))) continue;
-      for (const int f1 : *it1->second) {
-        for (const int f2 : *it2->second) {
-          ServerId candidates[3];
-          size_t num_candidates = 0;
-          auto add_candidate = [&](ServerId s) {
-            for (size_t i = 0; i < num_candidates; ++i) {
-              if (candidates[i] == s) return;
+      const auto ls = static_cast<size_t>(it1->second);
+      const auto rs = static_cast<size_t>(it2->second);
+      const ViewKey& out_key = builder->slot_keys[static_cast<size_t>(slot)];
+      const ViewKey& left_key = builder->slot_keys[ls];
+      const ViewKey& right_key = builder->slot_keys[rs];
+      const std::vector<ServerId>& left_servers = builder->slot_servers[ls];
+      const std::vector<ServerId>& right_servers = builder->slot_servers[rs];
+      const size_t num_right_servers = right_servers.size();
+      prices.assign(left_servers.size() * num_right_servers, PairPrice{});
+      // NodeLoad of every join of the split: its children's delta rates.
+      double load = 0.0;
+      bool load_priced = false;
+      for (const int f1 : builder->slot_frags[ls]) {
+        const auto r1 =
+            static_cast<size_t>(builder->server_rank[static_cast<size_t>(f1)]);
+        for (const int f2 : builder->slot_frags[rs]) {
+          const auto r2 = static_cast<size_t>(
+              builder->server_rank[static_cast<size_t>(f2)]);
+          PairPrice& price = prices[r1 * num_right_servers + r2];
+          if (!price.priced) {
+            const ServerId left_server = left_servers[r1];
+            const ServerId right_server = right_servers[r2];
+            auto add_candidate = [&price](ServerId s) {
+              for (size_t i = 0; i < price.num_candidates; ++i) {
+                if (price.candidates[i] == s) return;
+              }
+              price.candidates[price.num_candidates++] = s;
+            };
+            // Each join may sit on either child's server or at the
+            // sharing's destination.
+            add_candidate(left_server);
+            add_candidate(right_server);
+            add_candidate(sharing.destination());
+            for (size_t ci = 0; ci < price.num_candidates; ++ci) {
+              price.op_cost[ci] =
+                  model->JoinCost(out_key, price.candidates[ci], left_key,
+                                  left_server, right_key, right_server);
+              if (!load_priced) {
+                load = model->DeltaRate(left_key) + model->DeltaRate(right_key);
+                load_priced = true;
+              }
             }
-            candidates[num_candidates++] = s;
-          };
-          // Each join may sit on either child's server or at the
-          // sharing's destination.
-          add_candidate(builder->fragments[static_cast<size_t>(f1)]
-                            .node.server);
-          add_candidate(builder->fragments[static_cast<size_t>(f2)]
-                            .node.server);
-          add_candidate(sharing.destination());
-          for (size_t ci = 0; ci < num_candidates; ++ci) {
-            PlanNode join;
+            price.priced = true;
+          }
+          const double children =
+              builder->beam_cost[static_cast<size_t>(f1)] +
+              builder->beam_cost[static_cast<size_t>(f2)];
+          for (size_t ci = 0; ci < price.num_candidates; ++ci) {
+            PlanSpace::Fragment join;
             join.type = PlanNodeType::kJoin;
-            join.key = node_key;
-            join.server = candidates[ci];
+            join.server = price.candidates[ci];
             join.left = f1;
             join.right = f2;
-            slot.push_back(builder->Add(std::move(join)));
+            join.slot = slot;
+            join.op_cost = price.op_cost[ci];
+            join.load = load;
+            builder->slot_frags[static_cast<size_t>(slot)].push_back(
+                builder->Add(join, children + join.op_cost));
           }
         }
       }
     }
     // Beam pruning: keep the cheapest fragments only.
-    if (options_.per_subset_cap > 0 && slot.size() > options_.per_subset_cap) {
+    std::vector<int>& frags = builder->slot_frags[static_cast<size_t>(slot)];
+    if (options_.per_subset_cap > 0 &&
+        frags.size() > options_.per_subset_cap) {
       DSM_METRIC_COUNTER_ADD("dsm.plan.fragments_pruned",
-                             slot.size() - options_.per_subset_cap);
+                             frags.size() - options_.per_subset_cap);
       const std::vector<double>& cost = builder->beam_cost;
-      std::nth_element(slot.begin(),
-                       slot.begin() + static_cast<std::ptrdiff_t>(
-                                          options_.per_subset_cap),
-                       slot.end(), [&cost](int a, int b) {
+      std::nth_element(frags.begin(),
+                       frags.begin() + static_cast<std::ptrdiff_t>(
+                                           options_.per_subset_cap),
+                       frags.end(), [&cost](int a, int b) {
                          return cost[static_cast<size_t>(a)] <
                                 cost[static_cast<size_t>(b)];
                        });
-      slot.resize(options_.per_subset_cap);
+      frags.resize(options_.per_subset_cap);
     }
+    builder->RankServers(slot);
   }
   *full = dp[tables.mask()];
   return Status::OK();
@@ -211,26 +296,47 @@ Result<PlanSpace> PlanEnumerator::Enumerate(const Sharing& sharing) const {
   SpaceBuilder builder;
   builder.model = model_;
   const ViewKey& result_key = sharing.ResultKey();
+  const ServerId destination = sharing.destination();
+  int copy_slot = -1;  // the final filter/copies' slot, once needed
   std::vector<int> roots;
-  std::vector<const std::vector<int>*> emitted;
+  std::vector<int> emitted;
+  // Per server of the full slot: a final filter/copy's op cost and load.
+  std::vector<std::optional<std::pair<double, double>>> copy_prices;
   for (const uint64_t pushdown : pushdown_choices) {
-    const std::vector<int>* full = nullptr;
+    int full = -1;
     DSM_RETURN_IF_ERROR(
         EnumerateChoice(sharing, subsets, pushdown, &builder, &full));
     if (std::find(emitted.begin(), emitted.end(), full) != emitted.end()) {
       continue;
     }
     emitted.push_back(full);
-    for (const int top : *full) {
-      const PlanNode& node = builder.fragments[static_cast<size_t>(top)].node;
+    const auto fs = static_cast<size_t>(full);
+    const bool is_result = builder.slot_keys[fs] == result_key;
+    copy_prices.assign(builder.slot_servers[fs].size(), std::nullopt);
+    for (const int top : builder.slot_frags[fs]) {
+      const ServerId top_server =
+          builder.fragments[static_cast<size_t>(top)].server;
       int root = top;
-      if (!(node.key == result_key) || node.server != sharing.destination()) {
-        PlanNode fin;
+      if (!is_result || top_server != destination) {
+        auto& price = copy_prices[static_cast<size_t>(
+            builder.server_rank[static_cast<size_t>(top)])];
+        if (!price.has_value()) {
+          // NodeCost then NodeLoad of the filter/copy. The key is read by
+          // index: NewSlot below may move slot_keys.
+          const ViewKey& top_key = builder.slot_keys[fs];
+          const double op = model_->FilterCopyCost(top_key, top_server,
+                                                   result_key, destination);
+          price.emplace(op, model_->DeltaRate(top_key));
+        }
+        if (copy_slot < 0) copy_slot = builder.NewSlot(result_key);
+        PlanSpace::Fragment fin;
         fin.type = PlanNodeType::kFilterCopy;
-        fin.key = result_key;
-        fin.server = sharing.destination();
+        fin.server = destination;
         fin.left = top;
-        root = builder.Add(std::move(fin));
+        fin.slot = copy_slot;
+        fin.op_cost = price->first;
+        fin.load = price->second;
+        root = builder.Add(fin, fin.op_cost);
       }
       roots.push_back(root);
       if (roots.size() >= options_.max_plans) break;
@@ -241,6 +347,7 @@ Result<PlanSpace> PlanEnumerator::Enumerate(const Sharing& sharing) const {
   DSM_METRIC_COUNTER_ADD("dsm.plan.plans_emitted", roots.size());
   PlanSpace space;
   space.fragments_ = std::move(builder.fragments);
+  space.slot_keys_ = std::move(builder.slot_keys);
   space.roots_ = std::move(roots);
   return space;
 }

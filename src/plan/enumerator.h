@@ -10,8 +10,9 @@
 //
 // The result is a PlanSpace (plan/plan_space.h): the dynamic program's
 // sub-plans as one flat fragment array shared by every plan built on top
-// of them, each fragment priced once when the DP creates it, and one root
-// per plan. No node array is built unless a caller asks PlanSpace to
+// of them, each fragment priced when the DP creates it (one model call per
+// distinct server triple of a split, not per fragment), and one root per
+// plan. No node array is built unless a caller asks PlanSpace to
 // Materialize a plan. Enumeration is single-threaded: predicate-pushdown
 // choices run one after another, and cost-model queries keep the DP's
 // order, which a stateful model (lazy memoization from an Rng) needs for
@@ -71,7 +72,7 @@ class PlanEnumerator {
   Status EnumerateChoice(const Sharing& sharing,
                          const std::vector<TableSet>& subsets,
                          uint64_t pushdown, SpaceBuilder* builder,
-                         const std::vector<int>** full) const;
+                         int* full) const;
 
   const Catalog* catalog_;
   const Cluster* cluster_;

@@ -11,19 +11,25 @@
 // some plans. A dry run must leave the global plan's cost, views and loads
 // untouched. The cheapest feasible plan is then committed from that same
 // evaluation (GlobalPlan::Commit), and the record must hold exactly the
-// oracle's decisions for Materialize(k).
+// oracle's decisions for Materialize(k). The evaluation scans the reuse
+// index once per (slot, server) its plans reach — the reuse_index_misses
+// counter — and answers every other fragment it decides from that scan —
+// reuse_index_hits.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "globalplan/global_plan.h"
 #include "market/rig.h"
+#include "obs/metrics.h"
 #include "testing/reuse_oracle.h"
 #include "workload/predicate_gen.h"
 
@@ -66,10 +72,36 @@ Scenario StarWorld(uint64_t seed) {
   return world;
 }
 
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+// Fragments some plan of `space` reaches (every one of them is decided),
+// and the distinct (slot, server) pairs among them.
+std::pair<uint64_t, uint64_t> ReachedFragmentsAndPairs(
+    const PlanSpace& space) {
+  std::vector<char> reached(space.fragments().size(), 0);
+  std::set<std::pair<int, ServerId>> pairs;
+  const auto reach = [&](const auto& self, int f) -> void {
+    if (reached[static_cast<size_t>(f)] != 0) return;
+    reached[static_cast<size_t>(f)] = 1;
+    const PlanSpace::Fragment& frag = space.fragment(f);
+    pairs.emplace(frag.slot, frag.server);
+    if (frag.left >= 0) self(self, frag.left);
+    if (frag.right >= 0) self(self, frag.right);
+  };
+  for (size_t k = 0; k < space.size(); ++k) reach(reach, space.root(k));
+  return {static_cast<uint64_t>(
+              std::count(reached.begin(), reached.end(), char{1})),
+          pairs.size()};
+}
+
 struct Seen {
   size_t plans = 0;
   size_t infeasible = 0;
   size_t reused_nodes = 0;
+  uint64_t scans = 0;    // reuse index scans
+  uint64_t decided = 0;  // fragments decided
 };
 
 // Checks every plan of `space` against the dry run of its node array, and
@@ -85,7 +117,19 @@ void ExpectSpaceMatchesPlans(const Rig& rig,
     loads_before.push_back(gp.ServerLoad(s));
   }
 
+  const uint64_t hits_before = CounterValue("dsm.globalplan.reuse_index_hits");
+  const uint64_t misses_before =
+      CounterValue("dsm.globalplan.reuse_index_misses");
   const GlobalPlan::SpaceEvaluation got = gp.EvaluateSpace(space);
+  const uint64_t hits =
+      CounterValue("dsm.globalplan.reuse_index_hits") - hits_before;
+  const uint64_t misses =
+      CounterValue("dsm.globalplan.reuse_index_misses") - misses_before;
+  const auto [decided, pairs] = ReachedFragmentsAndPairs(space);
+  EXPECT_EQ(misses, pairs);
+  EXPECT_EQ(hits + misses, decided);
+  seen->scans += misses;
+  seen->decided += decided;
 
   EXPECT_EQ(gp.TotalCost(), total_before);
   EXPECT_EQ(gp.num_alive_views(), alive_before);
@@ -110,7 +154,7 @@ void ExpectSpaceMatchesPlans(const Rig& rig,
     const auto steps = got.steps_of(k);
     ASSERT_EQ(steps.size(), plan.nodes.size()) << "plan " << k;
     for (size_t i = 0; i < steps.size(); ++i) {
-      const PlanNode& node = space.fragment(steps[i].fragment).node;
+      const PlanNode node = space.node(steps[i].fragment);
       EXPECT_EQ(node.type, plan.nodes[i].type);
       EXPECT_TRUE(node.key == plan.nodes[i].key);
       EXPECT_EQ(node.server, plan.nodes[i].server);
@@ -184,7 +228,7 @@ void RunChurn(const Scenario& world, EnumeratorOptions options,
     if (i == n / 2) {
       double max_load = 0.0;
       for (const PlanSpace::Fragment& f : space->fragments()) {
-        if (f.node.server == 2) max_load = std::max(max_load, f.load);
+        if (f.server == 2) max_load = std::max(max_load, f.load);
       }
       world.cluster->mutable_server(2).capacity_tuples_per_unit =
           rig.global_plan->ServerLoad(2) + 0.5 * max_load;
@@ -215,6 +259,8 @@ void RunChurn(const Scenario& world, EnumeratorOptions options,
   }
   EXPECT_GT(seen.infeasible, 0u);
   EXPECT_GT(seen.reused_nodes, 0u);
+  // Slots hold several fragments per server, so scans answer many.
+  EXPECT_LT(seen.scans, seen.decided);
 }
 
 class PlanSpaceOracleTest : public ::testing::TestWithParam<uint64_t> {};

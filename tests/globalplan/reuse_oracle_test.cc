@@ -89,7 +89,7 @@ TEST_P(ReuseOracleTest, RandomPlansMatchOracle) {
   EXPECT_GT(plans_compared, 1000u);
 }
 
-// Liveness flips invalidate the best-source cache: after MarkDown the
+// Liveness flips change the reuse answers: after MarkDown the
 // global plan must stop proposing reuse from the dead server, and after
 // MarkUp it must propose it again, both as the oracle says.
 TEST_P(ReuseOracleTest, LivenessFlipsMatchOracle) {
