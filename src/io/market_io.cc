@@ -1,15 +1,21 @@
 #include "io/market_io.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <string_view>
+
+#include "io/market_ids.h"
 
 namespace dsm {
 namespace {
 
-constexpr const char* kHeader = "dsm-market v1";
+constexpr std::string_view kHeader = "dsm-market v1";
 
 // Caps on counts read from untrusted input: generous for any real market,
 // small enough that a garbled count cannot drive allocation or looping.
@@ -35,7 +41,7 @@ std::string Escape(const std::string& s) {
 
 // Inverse of Escape. Every '%' but the lone empty-name token must start a
 // two-hex-digit escape.
-Result<std::string> Unescape(const std::string& s) {
+Result<std::string> Unescape(std::string_view s) {
   if (s == "%") return std::string();
   std::string out;
   for (size_t i = 0; i < s.size(); ++i) {
@@ -43,12 +49,14 @@ Result<std::string> Unescape(const std::string& s) {
       out += s[i];
       continue;
     }
+    unsigned int byte = 0;
     if (i + 2 >= s.size() ||
         !std::isxdigit(static_cast<unsigned char>(s[i + 1])) ||
         !std::isxdigit(static_cast<unsigned char>(s[i + 2]))) {
       return Status::InvalidArgument("malformed %-escape in name");
     }
-    out += static_cast<char>(std::stoi(s.substr(i + 1, 2), nullptr, 16));
+    std::from_chars(s.data() + i + 1, s.data() + i + 3, byte, 16);
+    out += static_cast<char>(byte);
     i += 2;
   }
   return out;
@@ -66,250 +74,284 @@ const char* TypeTag(DataType type) {
   return "i64";
 }
 
-Result<DataType> ParseType(const std::string& tag) {
+Result<DataType> ParseType(std::string_view tag) {
   if (tag == "i64") return DataType::kInt64;
   if (tag == "f64") return DataType::kDouble;
   if (tag == "str") return DataType::kString;
-  return Status::InvalidArgument("unknown column type: " + tag);
+  return Status::InvalidArgument("unknown column type: " + std::string(tag));
 }
+
+// The whitespace-separated fields of one record line, read front to back
+// in place.
+class Fields {
+ public:
+  explicit Fields(std::string_view line) : rest_(line) {}
+
+  // The next field; empty once the line is used up.
+  std::string_view Next() {
+    constexpr std::string_view kSpace = " \t\n\v\f\r";  // std::isspace
+    rest_.remove_prefix(
+        std::min(rest_.find_first_not_of(kSpace), rest_.size()));
+    const std::string_view field =
+        rest_.substr(0, rest_.find_first_of(kSpace));
+    rest_.remove_prefix(field.size());
+    return field;
+  }
+
+  // Reads the next field as a word; false when the line is used up.
+  bool Read(std::string_view* word) {
+    *word = Next();
+    return !word->empty();
+  }
+
+  // Reads the next field, whole, as a number of type T; false when it is
+  // missing, malformed or outside T's range (so "-1" is no unsigned id).
+  template <typename T>
+  bool Read(T* value) {
+    const std::string_view field = Next();
+    const char* end = field.data() + field.size();
+    const auto [ptr, error] = std::from_chars(field.data(), end, *value);
+    return !field.empty() && error == std::errc() && ptr == end;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+// Walks a text's record lines in place, looking one line ahead. Empty
+// lines are skipped.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view text) : rest_(text) { Advance(); }
+
+  bool done() const { return done_; }
+  // The next line's record kind (its first field); empty at the end.
+  std::string_view kind() const { return kind_; }
+
+  // Consumes the next line, which must be a `kind` record, and returns
+  // its fields after the kind.
+  Result<Fields> Take(std::string_view kind) {
+    if (done_ || kind_ != kind) {
+      return Status::InvalidArgument("expected " + std::string(kind) +
+                                     " record, found '" + std::string(kind_) +
+                                     (done_ ? "' (end of input)" : "'"));
+    }
+    const Fields fields = fields_;
+    Advance();
+    return fields;
+  }
+
+ private:
+  void Advance() {
+    while (!rest_.empty()) {
+      const size_t eol = std::min(rest_.find('\n'), rest_.size());
+      const std::string_view line = rest_.substr(0, eol);
+      rest_.remove_prefix(std::min(eol + 1, rest_.size()));
+      if (line.empty()) continue;
+      fields_ = Fields(line);
+      kind_ = fields_.Next();
+      return;
+    }
+    done_ = true;
+    kind_ = {};
+  }
+
+  std::string_view rest_;
+  Fields fields_{{}};
+  std::string_view kind_;
+  bool done_ = false;
+};
 
 // Reads a count field as signed first so "-1" is rejected instead of
 // wrapping to a huge unsigned value, then bounds it.
-Result<long long> ReadCount(std::istringstream* fields, const char* what,
-                            long long max = kMaxRecordCount) {
+Result<size_t> ReadCount(Fields* fields, const char* what,
+                         long long max = kMaxRecordCount) {
   long long v = 0;
-  if (!(*fields >> v)) {
+  if (!fields->Read(&v)) {
     return Status::InvalidArgument(std::string("malformed ") + what);
   }
   if (v < 0 || v > max) {
     return Status::InvalidArgument(std::string("out-of-range ") + what);
   }
-  return v;
+  return static_cast<size_t>(v);
 }
 
-Result<double> ReadFiniteNonNegative(std::istringstream* fields,
-                                     const char* what) {
+Result<double> ReadFiniteNonNegative(Fields* fields, const char* what) {
   double v = 0.0;
-  if (!(*fields >> v) || !std::isfinite(v) || v < 0.0) {
+  if (!fields->Read(&v) || !std::isfinite(v) || v < 0.0) {
     return Status::InvalidArgument(std::string("bad ") + what);
   }
   return v;
 }
 
-Result<Predicate> ParsePredicate(std::istringstream* line) {
-  long long table = 0;
-  long long column = 0;
-  int op = 0;
-  double value = 0.0;
-  if (!(*line >> table >> column >> op >> value)) {
-    return Status::InvalidArgument("malformed pred record");
+// A `table` record, then its n `col` records.
+Result<TableDef> ReadTable(LineCursor* in) {
+  DSM_ASSIGN_OR_RETURN(Fields fields, in->Take("table"));
+  TableDef def;
+  std::string_view name;
+  if (!fields.Read(&name)) {
+    return Status::InvalidArgument("malformed table record");
   }
-  if (table < 0 || table >= TableSet::kMaxTables) {
-    return Status::InvalidArgument("predicate table out of range");
+  DSM_ASSIGN_OR_RETURN(def.stats.cardinality,
+                       ReadFiniteNonNegative(&fields, "cardinality"));
+  DSM_ASSIGN_OR_RETURN(def.stats.update_rate,
+                       ReadFiniteNonNegative(&fields, "update rate"));
+  DSM_ASSIGN_OR_RETURN(def.stats.tuple_bytes,
+                       ReadFiniteNonNegative(&fields, "tuple bytes"));
+  DSM_ASSIGN_OR_RETURN(
+      const size_t columns,
+      ReadCount(&fields, "column count", kMaxColumnsPerTable));
+  DSM_ASSIGN_OR_RETURN(def.name, Unescape(name));
+  for (size_t i = 0; i < columns; ++i) {
+    DSM_ASSIGN_OR_RETURN(Fields col_fields, in->Take("col"));
+    ColumnDef col;
+    std::string_view col_name;
+    std::string_view type_tag;
+    if (!col_fields.Read(&col_name) || !col_fields.Read(&type_tag)) {
+      return Status::InvalidArgument("malformed col record");
+    }
+    DSM_ASSIGN_OR_RETURN(
+        col.distinct_values,
+        ReadFiniteNonNegative(&col_fields, "distinct count"));
+    if (!col_fields.Read(&col.min_value) ||
+        !col_fields.Read(&col.max_value) || !std::isfinite(col.min_value) ||
+        !std::isfinite(col.max_value)) {
+      return Status::InvalidArgument("malformed col record");
+    }
+    DSM_ASSIGN_OR_RETURN(col.name, Unescape(col_name));
+    DSM_ASSIGN_OR_RETURN(col.type, ParseType(type_tag));
+    def.columns.push_back(std::move(col));
   }
-  if (column < 0 || column > 0xffff) {
-    return Status::InvalidArgument("predicate column out of range");
-  }
-  if (op < 0 || op > 2) {
-    return Status::InvalidArgument("bad predicate op");
-  }
-  if (!std::isfinite(value)) {
-    return Status::InvalidArgument("non-finite predicate value");
-  }
-  Predicate p;
-  p.table = static_cast<TableId>(table);
-  p.column = static_cast<uint16_t>(column);
-  p.op = static_cast<CompareOp>(op);
-  p.value = value;
-  return p;
+  return def;
 }
 
-// Incremental parser for the "sharing"/"pred"/"plan"/"node" grammar. Both
-// the full market-state reader and ParseSharingRecord feed records through
-// one instance; entries become visible only once their block is complete
-// (predicates, plan and every node fully read).
-class SharingBlockParser {
- public:
-  explicit SharingBlockParser(size_t num_servers)
-      : num_servers_(num_servers) {}
-
-  // Handles one record line. Sets *handled to false when `kind` is not
-  // part of the sharing grammar (the caller owns such records).
-  Status Feed(const std::string& kind, std::istringstream* fields,
-              bool* handled) {
-    *handled = true;
-    if (kind == "sharing") return BeginSharing(fields);
-    if (kind == "pred") return AddPredicate(fields);
-    if (kind == "plan") return BeginPlan(fields);
-    if (kind == "node") return AddNode(fields);
-    *handled = false;
-    return Status::OK();
+// `count` `pred` records. Table ids are bounded once the whole block is
+// read (CheckIds).
+Result<std::vector<Predicate>> ReadPredicates(LineCursor* in,
+                                              size_t count) {
+  std::vector<Predicate> preds;
+  for (size_t i = 0; i < count; ++i) {
+    DSM_ASSIGN_OR_RETURN(Fields fields, in->Take("pred"));
+    Predicate p;
+    int op = 0;
+    if (!fields.Read(&p.table) || !fields.Read(&p.column) ||
+        !fields.Read(&op) || !fields.Read(&p.value)) {
+      return Status::InvalidArgument("malformed pred record");
+    }
+    if (op < 0 || op > 2) {
+      return Status::InvalidArgument("bad predicate op");
+    }
+    if (!std::isfinite(p.value)) {
+      return Status::InvalidArgument("non-finite predicate value");
+    }
+    p.op = static_cast<CompareOp>(op);
+    preds.push_back(p);
   }
+  return preds;
+}
 
-  // Error unless every started block was completed.
-  Status Finish() const {
-    if (open_) {
-      return Status::InvalidArgument("truncated sharing record");
-    }
-    return Status::OK();
+// A `plan` record, then its n `node` records, each followed by its own
+// `pred` records.
+Result<SharingPlan> ReadPlan(LineCursor* in) {
+  DSM_ASSIGN_OR_RETURN(Fields plan_fields, in->Take("plan"));
+  DSM_ASSIGN_OR_RETURN(const size_t nodes,
+                       ReadCount(&plan_fields, "plan node count"));
+  if (nodes == 0) {
+    return Status::InvalidArgument("empty plan");
   }
-
-  std::vector<SharingStateEntry>& entries() { return entries_; }
-
- private:
-  Status CheckServer(long long server, const char* what) const {
-    if (server < 0 ||
-        (num_servers_ != 0 &&
-         server >= static_cast<long long>(num_servers_))) {
-      return Status::InvalidArgument(std::string(what) +
-                                     " server out of range");
-    }
-    return Status::OK();
-  }
-
-  Status BeginSharing(std::istringstream* fields) {
-    if (open_) {
-      return Status::InvalidArgument("sharing record inside open sharing");
-    }
-    unsigned long long id = 0;
-    long long dest = 0;
-    std::string buyer;
-    unsigned long long mask = 0;
-    if (!(*fields >> id >> dest >> buyer >> mask)) {
-      return Status::InvalidArgument("malformed sharing record");
-    }
-    DSM_RETURN_IF_ERROR(CheckServer(dest, "sharing destination"));
-    if (mask == 0) {
-      return Status::InvalidArgument("sharing has no member tables");
-    }
-    DSM_ASSIGN_OR_RETURN(const long long preds,
-                         ReadCount(fields, "sharing predicate count"));
-    DSM_ASSIGN_OR_RETURN(buyer_, Unescape(buyer));
-    open_ = true;
-    id_ = id;
-    dest_ = static_cast<ServerId>(dest);
-    tables_ = TableSet(mask);
-    preds_.clear();
-    preds_left_ = static_cast<size_t>(preds);
-    plan_ = SharingPlan{};
-    plan_seen_ = false;
-    nodes_left_ = 0;
-    node_preds_left_ = 0;
-    return MaybeComplete();
-  }
-
-  Status AddPredicate(std::istringstream* fields) {
-    DSM_ASSIGN_OR_RETURN(const Predicate p, ParsePredicate(fields));
-    if (!open_) {
-      return Status::InvalidArgument("pred record outside sharing");
-    }
-    if (preds_left_ > 0) {
-      preds_.push_back(p);
-      --preds_left_;
-    } else if (node_preds_left_ > 0) {
-      plan_.nodes.back().key.predicates.push_back(p);
-      if (--node_preds_left_ == 0) {
-        NormalizePredicates(&plan_.nodes.back().key.predicates);
-      }
-    } else {
-      return Status::InvalidArgument("unexpected pred record");
-    }
-    return MaybeComplete();
-  }
-
-  Status BeginPlan(std::istringstream* fields) {
-    if (!open_ || preds_left_ != 0 || plan_seen_) {
-      return Status::InvalidArgument("plan record outside sharing");
-    }
-    DSM_ASSIGN_OR_RETURN(const long long nodes,
-                         ReadCount(fields, "plan node count"));
-    if (nodes == 0) {
-      return Status::InvalidArgument("empty plan");
-    }
-    plan_seen_ = true;
-    nodes_left_ = static_cast<size_t>(nodes);
-    plan_.nodes.reserve(nodes_left_);
-    return Status::OK();
-  }
-
-  Status AddNode(std::istringstream* fields) {
-    if (!open_ || !plan_seen_ || nodes_left_ == 0 ||
-        node_preds_left_ != 0) {
-      return Status::InvalidArgument("unexpected node record");
-    }
+  SharingPlan plan;
+  for (size_t i = 0; i < nodes; ++i) {
+    DSM_ASSIGN_OR_RETURN(Fields fields, in->Take("node"));
+    PlanNode node;
     int type = 0;
-    long long server = 0;
-    long long left = 0;
-    long long right = 0;
-    long long base_table = 0;
     unsigned long long mask = 0;
-    if (!(*fields >> type >> server >> left >> right >> base_table >>
-          mask)) {
+    if (!fields.Read(&type) || !fields.Read(&node.server) ||
+        !fields.Read(&node.left) || !fields.Read(&node.right) ||
+        !fields.Read(&node.base_table) || !fields.Read(&mask)) {
       return Status::InvalidArgument("malformed node record");
     }
-    DSM_ASSIGN_OR_RETURN(const long long preds,
-                         ReadCount(fields, "node predicate count"));
+    DSM_ASSIGN_OR_RETURN(const size_t preds,
+                         ReadCount(&fields, "node predicate count"));
     if (type < 0 || type > 2) {
       return Status::InvalidArgument("bad node type");
     }
-    DSM_RETURN_IF_ERROR(CheckServer(server, "node"));
     // Children must precede their parent (plans are topological); the
     // tree is checked once the plan is complete.
-    const long long index = static_cast<long long>(plan_.nodes.size());
-    if (left < -1 || left >= index || right < -1 || right >= index) {
+    const auto index = static_cast<int>(i);
+    if (node.left < -1 || node.left >= index || node.right < -1 ||
+        node.right >= index) {
       return Status::InvalidArgument("node child index out of range");
-    }
-    if (base_table < 0 || base_table >= TableSet::kMaxTables) {
-      return Status::InvalidArgument("node base table out of range");
     }
     if (mask == 0) {
       return Status::InvalidArgument("node covers no tables");
     }
-    PlanNode node;
     node.type = static_cast<PlanNodeType>(type);
-    node.server = static_cast<ServerId>(server);
-    node.left = static_cast<int>(left);
-    node.right = static_cast<int>(right);
-    node.base_table = static_cast<TableId>(base_table);
     node.key.tables = TableSet(mask);
-    plan_.nodes.push_back(std::move(node));
-    --nodes_left_;
-    node_preds_left_ = static_cast<size_t>(preds);
-    return MaybeComplete();
+    DSM_ASSIGN_OR_RETURN(node.key.predicates, ReadPredicates(in, preds));
+    NormalizePredicates(&node.key.predicates);
+    plan.nodes.push_back(std::move(node));
   }
+  return plan;
+}
 
-  // Publishes the open block once it is complete, if its plan computes
-  // its sharing.
-  Status MaybeComplete() {
-    if (!open_ || preds_left_ != 0 || !plan_seen_ || nodes_left_ != 0 ||
-        node_preds_left_ != 0) {
-      return Status::OK();
+// A `sharing` record, its predicates, then its plan, which must compute
+// the sharing.
+Result<SharingStateEntry> ReadSharing(LineCursor* in) {
+  DSM_ASSIGN_OR_RETURN(Fields fields, in->Take("sharing"));
+  SharingStateEntry entry;
+  ServerId destination = 0;
+  std::string_view buyer;
+  unsigned long long mask = 0;
+  if (!fields.Read(&entry.id) || !fields.Read(&destination) ||
+      !fields.Read(&buyer) || !fields.Read(&mask)) {
+    return Status::InvalidArgument("malformed sharing record");
+  }
+  if (mask == 0) {
+    return Status::InvalidArgument("sharing has no member tables");
+  }
+  DSM_ASSIGN_OR_RETURN(const size_t preds,
+                       ReadCount(&fields, "sharing predicate count"));
+  DSM_ASSIGN_OR_RETURN(std::string buyer_name, Unescape(buyer));
+  DSM_ASSIGN_OR_RETURN(std::vector<Predicate> predicates,
+                       ReadPredicates(in, preds));
+  entry.sharing = Sharing(TableSet(mask), std::move(predicates),
+                          destination, std::move(buyer_name));
+  DSM_ASSIGN_OR_RETURN(entry.plan, ReadPlan(in));
+  DSM_RETURN_IF_ERROR(CheckPlanComputes(entry.plan, entry.sharing));
+  return entry;
+}
+
+// kInvalidArgument unless every server id in `entry` is below
+// `num_servers` and every table id below `num_tables` (at most 64). Every
+// reader runs it on every entry it returns.
+Status CheckIds(const SharingStateEntry& entry, size_t num_servers,
+                size_t num_tables) {
+  const TableSet catalog(num_tables >= TableSet::kMaxTables
+                             ? ~0ULL
+                             : (1ULL << num_tables) - 1);
+  const auto in_catalog = [&](const ViewKey& key) {
+    if (!catalog.ContainsAll(key.tables)) return false;
+    for (const Predicate& p : key.predicates) {
+      if (p.table >= num_tables) return false;
     }
-    SharingStateEntry entry;
-    entry.id = id_;
-    entry.sharing = Sharing(tables_, preds_, dest_, buyer_);
-    entry.plan = std::move(plan_);
-    open_ = false;
-    DSM_RETURN_IF_ERROR(CheckPlanComputes(entry.plan, entry.sharing));
-    entries_.push_back(std::move(entry));
-    return Status::OK();
+    return true;
+  };
+  if (entry.sharing.destination() >= num_servers) {
+    return Status::InvalidArgument("sharing destination out of range");
   }
-
-  size_t num_servers_;
-  std::vector<SharingStateEntry> entries_;
-
-  bool open_ = false;
-  SharingId id_ = 0;
-  ServerId dest_ = 0;
-  std::string buyer_;
-  TableSet tables_;
-  std::vector<Predicate> preds_;
-  size_t preds_left_ = 0;
-  SharingPlan plan_;
-  bool plan_seen_ = false;
-  size_t nodes_left_ = 0;
-  size_t node_preds_left_ = 0;
-};
+  if (!in_catalog(entry.sharing.ResultKey())) {
+    return Status::InvalidArgument("sharing table outside the catalog");
+  }
+  for (const PlanNode& node : entry.plan.nodes) {
+    if (node.server >= num_servers) {
+      return Status::InvalidArgument("plan node server out of range");
+    }
+    if (node.base_table >= num_tables || !in_catalog(node.key)) {
+      return Status::InvalidArgument("plan node table outside the catalog");
+    }
+  }
+  return Status::OK();
+}
 
 void WritePredicates(const std::vector<Predicate>& preds,
                      std::ostream* out) {
@@ -338,25 +380,16 @@ void WriteSharingRecord(SharingId id, const Sharing& sharing,
 
 Result<SharingStateEntry> ParseSharingRecord(const std::string& block,
                                              size_t num_servers) {
-  SharingBlockParser parser(num_servers);
-  std::istringstream in(block);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string kind;
-    fields >> kind;
-    bool handled = false;
-    DSM_RETURN_IF_ERROR(parser.Feed(kind, &fields, &handled));
-    if (!handled) {
-      return Status::InvalidArgument("unknown record kind: " + kind);
-    }
-  }
-  DSM_RETURN_IF_ERROR(parser.Finish());
-  if (parser.entries().size() != 1) {
+  LineCursor in(block);
+  DSM_ASSIGN_OR_RETURN(SharingStateEntry entry, ReadSharing(&in));
+  if (!in.done()) {
     return Status::InvalidArgument("expected exactly one sharing record");
   }
-  return std::move(parser.entries().front());
+  DSM_RETURN_IF_ERROR(CheckIds(
+      entry,
+      num_servers == 0 ? std::numeric_limits<size_t>::max() : num_servers,
+      TableSet::kMaxTables));
+  return entry;
 }
 
 Status WriteMarketState(const Catalog& catalog, const Cluster& cluster,
@@ -404,148 +437,71 @@ Result<std::string> MarketStateToString(const Catalog& catalog,
   return out.str();
 }
 
-Result<MarketState> ReadMarketState(std::istream* in) {
-  MarketState state;
-  std::string line;
-  if (!std::getline(*in, line) || line != kHeader) {
+namespace io_internal {
+
+Status CheckMarketIds(const MarketState& state) {
+  const size_t num_tables = state.catalog.num_tables();
+  for (const SharingStateEntry& entry : state.sharings) {
+    DSM_RETURN_IF_ERROR(CheckIds(
+        entry, state.cluster.num_servers(),
+        num_tables == 0 ? TableSet::kMaxTables : num_tables));
+  }
+  return Status::OK();
+}
+
+}  // namespace io_internal
+
+// The header line, the servers, each table with its columns and optional
+// placement, then the sharings.
+Result<MarketState> MarketStateFromString(const std::string& text) {
+  const std::string_view header =
+      std::string_view(text).substr(0, text.find('\n'));
+  if (header != kHeader) {
     return Status::InvalidArgument("missing dsm-market header");
   }
-
-  TableDef pending_table;
-  size_t pending_columns = 0;
-  bool table_open = false;
-  auto flush_table = [&]() -> Status {
-    if (!table_open) return Status::OK();
-    if (pending_table.columns.size() != pending_columns) {
-      return Status::InvalidArgument("table column count mismatch");
+  LineCursor in(std::string_view(text).substr(header.size()));
+  MarketState state;
+  while (in.kind() == "server") {
+    DSM_ASSIGN_OR_RETURN(Fields fields, in.Take("server"));
+    std::string_view name;
+    double capacity = 0.0;
+    if (!fields.Read(&name)) {
+      return Status::InvalidArgument("malformed server record");
     }
-    if (state.catalog.num_tables() >=
-        static_cast<size_t>(TableSet::kMaxTables)) {
-      return Status::InvalidArgument("too many tables");
+    // "inf" is legal: the common case of an uncapped server.
+    if (!fields.Read(&capacity) || std::isnan(capacity) || capacity < 0.0) {
+      return Status::InvalidArgument("bad server capacity");
     }
-    DSM_RETURN_IF_ERROR(
-        state.catalog.AddTable(std::move(pending_table)).status());
-    pending_table = TableDef();
-    table_open = false;
-    return Status::OK();
-  };
-
-  SharingBlockParser sharings(/*num_servers=*/0);
-  bool any_sharing_seen = false;
-
-  while (std::getline(*in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string kind;
-    fields >> kind;
-
-    if (kind == "server") {
-      DSM_RETURN_IF_ERROR(flush_table());
-      std::string name;
-      std::string capacity_text;
-      if (!(fields >> name >> capacity_text)) {
-        return Status::InvalidArgument("malformed server record");
-      }
-      // strtod (unlike istream extraction) accepts "inf" — the common
-      // case of an uncapped server.
-      char* end = nullptr;
-      const double capacity = std::strtod(capacity_text.c_str(), &end);
-      if (end == capacity_text.c_str() || *end != '\0' ||
-          std::isnan(capacity) || capacity < 0.0) {
-        return Status::InvalidArgument("bad server capacity");
-      }
-      if (any_sharing_seen) {
-        return Status::InvalidArgument("server record after sharings");
-      }
-      DSM_ASSIGN_OR_RETURN(std::string server_name, Unescape(name));
-      state.cluster.AddServer(std::move(server_name), capacity);
-    } else if (kind == "table") {
-      DSM_RETURN_IF_ERROR(flush_table());
-      std::string name;
-      if (!(fields >> name)) {
-        return Status::InvalidArgument("malformed table record");
-      }
-      DSM_ASSIGN_OR_RETURN(pending_table.stats.cardinality,
-                           ReadFiniteNonNegative(&fields, "cardinality"));
-      DSM_ASSIGN_OR_RETURN(pending_table.stats.update_rate,
-                           ReadFiniteNonNegative(&fields, "update rate"));
-      DSM_ASSIGN_OR_RETURN(pending_table.stats.tuple_bytes,
-                           ReadFiniteNonNegative(&fields, "tuple bytes"));
-      DSM_ASSIGN_OR_RETURN(
-          const long long columns,
-          ReadCount(&fields, "column count", kMaxColumnsPerTable));
-      pending_columns = static_cast<size_t>(columns);
-      DSM_ASSIGN_OR_RETURN(pending_table.name, Unescape(name));
-      table_open = true;
-    } else if (kind == "col") {
-      if (!table_open) {
-        return Status::InvalidArgument("col record outside table");
-      }
-      if (pending_table.columns.size() >= pending_columns) {
-        return Status::InvalidArgument("more col records than declared");
-      }
-      std::string name;
-      std::string type_tag;
-      ColumnDef col;
-      if (!(fields >> name >> type_tag)) {
-        return Status::InvalidArgument("malformed col record");
-      }
-      DSM_ASSIGN_OR_RETURN(col.distinct_values,
-                           ReadFiniteNonNegative(&fields, "distinct count"));
-      if (!(fields >> col.min_value >> col.max_value) ||
-          !std::isfinite(col.min_value) || !std::isfinite(col.max_value)) {
-        return Status::InvalidArgument("malformed col record");
-      }
-      DSM_ASSIGN_OR_RETURN(col.name, Unescape(name));
-      DSM_ASSIGN_OR_RETURN(col.type, ParseType(type_tag));
-      pending_table.columns.push_back(std::move(col));
-    } else if (kind == "place") {
-      DSM_RETURN_IF_ERROR(flush_table());
-      DSM_ASSIGN_OR_RETURN(
-          const long long table,
-          ReadCount(&fields, "place table", TableSet::kMaxTables - 1));
-      DSM_ASSIGN_OR_RETURN(
-          const long long server,
-          ReadCount(&fields, "place server",
-                    static_cast<long long>(state.cluster.num_servers()) -
-                        1));
-      DSM_RETURN_IF_ERROR(state.cluster.PlaceTable(
-          static_cast<TableId>(table), static_cast<ServerId>(server)));
-    } else {
-      bool handled = false;
-      if (kind == "sharing") {
-        DSM_RETURN_IF_ERROR(flush_table());
-        any_sharing_seen = true;
-      }
-      DSM_RETURN_IF_ERROR(sharings.Feed(kind, &fields, &handled));
-      if (!handled) {
-        return Status::InvalidArgument("unknown record kind: " + kind);
-      }
-    }
+    DSM_ASSIGN_OR_RETURN(std::string server_name, Unescape(name));
+    state.cluster.AddServer(std::move(server_name), capacity);
   }
-  DSM_RETURN_IF_ERROR(flush_table());
-  DSM_RETURN_IF_ERROR(sharings.Finish());
-  state.sharings = std::move(sharings.entries());
-
-  // Server ids inside sharing blocks are validated against the final
-  // cluster (the parser above runs before all servers are known only when
-  // the file is malformed; writers emit servers first).
-  for (const SharingStateEntry& entry : state.sharings) {
-    if (entry.sharing.destination() >= state.cluster.num_servers()) {
-      return Status::InvalidArgument("sharing destination out of range");
-    }
-    for (const PlanNode& node : entry.plan.nodes) {
-      if (node.server >= state.cluster.num_servers()) {
-        return Status::InvalidArgument("plan node server out of range");
-      }
-    }
+  while (in.kind() == "table") {
+    DSM_ASSIGN_OR_RETURN(TableDef def, ReadTable(&in));
+    DSM_ASSIGN_OR_RETURN(const TableId table,
+                         state.catalog.AddTable(std::move(def)));
+    if (in.kind() != "place") continue;
+    DSM_ASSIGN_OR_RETURN(Fields fields, in.Take("place"));
+    DSM_ASSIGN_OR_RETURN(
+        const size_t placed,
+        ReadCount(&fields, "place table", static_cast<long long>(table)));
+    DSM_ASSIGN_OR_RETURN(
+        const size_t server,
+        ReadCount(&fields, "place server",
+                  static_cast<long long>(state.cluster.num_servers()) - 1));
+    DSM_RETURN_IF_ERROR(state.cluster.PlaceTable(
+        static_cast<TableId>(placed), static_cast<ServerId>(server)));
   }
+  while (!in.done()) {
+    DSM_ASSIGN_OR_RETURN(SharingStateEntry entry, ReadSharing(&in));
+    state.sharings.push_back(std::move(entry));
+  }
+  DSM_RETURN_IF_ERROR(io_internal::CheckMarketIds(state));
   return state;
 }
 
-Result<MarketState> MarketStateFromString(const std::string& text) {
-  std::istringstream in(text);
-  return ReadMarketState(&in);
+Result<MarketState> ReadMarketState(std::istream* in) {
+  return MarketStateFromString(
+      std::string(std::istreambuf_iterator<char>(*in), {}));
 }
 
 Status RestoreGlobalPlan(const MarketState& state, GlobalPlan* global_plan) {

@@ -8,7 +8,17 @@
 // replaying the stored plans in the original arrival order (integration
 // is deterministic, so the restored DAG matches the saved one).
 //
-// The format is versioned for forward evolution.
+// The format is versioned for forward evolution. After the header line a
+// file holds its servers, then each table, then each sharing. A record
+// that opens a block declares how many records follow, and the reader
+// reads exactly those, top-down:
+//   table <name> <stats...> <n>    then n col records, then at most one
+//                                  place record
+//   sharing <id> <dest> <buyer> <tables> <n>   then n pred records, then
+//   plan <n>                       then n node records, each followed by
+//                                  the pred records its last field counts
+// Input the writer never emits (records out of this order, a number with
+// trailing characters) is rejected, not reinterpreted.
 
 #ifndef DSM_IO_MARKET_IO_H_
 #define DSM_IO_MARKET_IO_H_
@@ -60,7 +70,8 @@ void WriteSharingRecord(SharingId id, const Sharing& sharing,
 
 // Parses one complete block produced by WriteSharingRecord. When
 // `num_servers` is nonzero every server id in the block must be below it;
-// 0 skips the range check (for callers with no cluster at hand).
+// 0 skips the range check (for callers with no cluster at hand). Table ids
+// are bounded by TableSet's 64 tables only.
 Result<SharingStateEntry> ParseSharingRecord(const std::string& block,
                                              size_t num_servers = 0);
 
@@ -69,7 +80,9 @@ Result<SharingStateEntry> ParseSharingRecord(const std::string& block,
 // Parses a market-state file. Malformed input — negative counts,
 // out-of-range server/table ids, non-finite statistics, truncated blocks —
 // is rejected with kInvalidArgument; the parser never crashes or silently
-// mis-reads.
+// mis-reads. Once the file is read, every server and table id in every
+// sharing is checked against the file's cluster and catalog (a file
+// without table records bounds table ids by 64 only).
 Result<MarketState> ReadMarketState(std::istream* in);
 Result<MarketState> MarketStateFromString(const std::string& text);
 

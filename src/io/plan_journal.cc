@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "common/fault.h"
+#include "io/market_ids.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -198,6 +199,8 @@ Result<MarketState> RecoverMarketState(const std::string& snapshot_text,
     have.insert(entry.id);
     state.sharings.push_back(std::move(entry));
   }
+  // Journaled sharings must fit the snapshot's catalog too.
+  DSM_RETURN_IF_ERROR(io_internal::CheckMarketIds(state));
   if (replay_out != nullptr) {
     replay.entries.clear();
     *replay_out = std::move(replay);

@@ -84,8 +84,10 @@ Result<JournalReplay> ReplayJournal(const std::string& journal_text,
                                     size_t num_servers = 0);
 
 // Full crash recovery: parses the market snapshot, then appends every
-// journaled sharing that the snapshot does not already contain. `replay`
-// (optional) receives the journal replay statistics.
+// journaled sharing that the snapshot does not already contain. The
+// merged sharings' ids are checked against the snapshot's cluster and
+// catalog as ReadMarketState checks its own. `replay` (optional) receives
+// the journal replay statistics.
 Result<MarketState> RecoverMarketState(const std::string& snapshot_text,
                                        const std::string& journal_text,
                                        JournalReplay* replay = nullptr);

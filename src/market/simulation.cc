@@ -256,13 +256,7 @@ obs::RunReport MarketSimulation::BuildRunReport() const {
   report.updates_applied = updates_applied_;
   report.maintenance_work = engine_.work();
 
-  report.recovery.failures = stats_.failures;
-  report.recovery.recoveries = stats_.recoveries;
-  report.recovery.migrated = stats_.migrated;
-  report.recovery.parked_total = stats_.parked;
-  report.recovery.readmitted = stats_.readmitted;
-  report.recovery.last_event_tick = stats_.last_event_tick;
-  report.recovery.migration_cost_delta = stats_.migration_cost_delta;
+  report.recovery = stats_;
   report.parked_now = parked_sharings();
 
   for (const auto& [id, view] : buyer_views_) {

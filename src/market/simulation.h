@@ -41,18 +41,8 @@ Tuple RandomTupleForTable(const Catalog& catalog, TableId table, Rng* rng);
 
 class MarketSimulation {
  public:
-  // Cumulative fault/recovery bookkeeping for reporting.
-  struct RecoveryStats {
-    int failures = 0;    // server-down events processed
-    int recoveries = 0;  // server-up events processed
-    int migrated = 0;    // sharings re-planned onto live servers
-    int parked = 0;      // sharings parked (cumulative)
-    int readmitted = 0;  // parked sharings later re-admitted
-    int last_event_tick = -1;
-    // Σ (new − old) marginal cost over migrations: what the failures cost
-    // the provider per time unit, the input to FAIRCOST re-pricing.
-    double migration_cost_delta = 0.0;
-  };
+  // Cumulative fault/recovery bookkeeping, reported as is.
+  using RecoveryStats = obs::RunReport::Recovery;
 
   // `domain_compression` < 1 shrinks every column's value domain by that
   // factor when generating tuples, raising join hit rates — useful for

@@ -18,7 +18,7 @@ JsonValue RunReport::ToJson(const RunReportOptions& options) const {
   rec.Set("failures", JsonValue(recovery.failures));
   rec.Set("recoveries", JsonValue(recovery.recoveries));
   rec.Set("migrated", JsonValue(recovery.migrated));
-  rec.Set("parked_total", JsonValue(recovery.parked_total));
+  rec.Set("parked_total", JsonValue(recovery.parked));
   rec.Set("readmitted", JsonValue(recovery.readmitted));
   rec.Set("last_event_tick", JsonValue(recovery.last_event_tick));
   rec.Set("migration_cost_delta", JsonValue(recovery.migration_cost_delta));

@@ -43,13 +43,17 @@ struct RunReport {
   uint64_t updates_applied = 0;
   uint64_t maintenance_work = 0;  // tuple-pairs probed by view maintenance
 
+  // A market simulation's fault/recovery tallies
+  // (MarketSimulation::RecoveryStats).
   struct Recovery {
-    int failures = 0;
-    int recoveries = 0;
-    int migrated = 0;
-    int parked_total = 0;  // cumulative parkings
-    int readmitted = 0;
+    int failures = 0;    // server-down events processed
+    int recoveries = 0;  // server-up events processed
+    int migrated = 0;    // sharings re-planned onto live servers
+    int parked = 0;      // sharings parked (cumulative); JSON "parked_total"
+    int readmitted = 0;  // parked sharings later re-admitted
     int last_event_tick = -1;
+    // Σ (new − old) marginal cost over migrations: what the failures cost
+    // the provider per time unit, the input to FAIRCOST re-pricing.
     double migration_cost_delta = 0.0;
   };
   Recovery recovery;

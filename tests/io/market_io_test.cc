@@ -6,16 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "costing/costing_session.h"
 #include "io/plan_journal.h"
 #include "market/rig.h"
 #include "online/managed_risk.h"
 #include "testing/plans.h"
 #include "workload/adversarial.h"
+#include "workload/predicate_gen.h"
 #include "workload/twitter.h"
 
 namespace dsm {
@@ -439,6 +442,7 @@ TEST(MarketIoTest, FuzzedInputNeverCrashes) {
   ASSERT_TRUE(text.ok());
 
   Rng rng(0xfadedbee);
+  int billed = 0;
   for (int iter = 0; iter < 300; ++iter) {
     std::string mutated = *text;
     // Truncate at a random point...
@@ -453,8 +457,132 @@ TEST(MarketIoTest, FuzzedInputNeverCrashes) {
           0, static_cast<int64_t>(mutated.size()) - 1));
       mutated[pos] = static_cast<char>(rng.UniformInt(0, 255));
     }
-    const auto result = MarketStateFromString(mutated);
-    (void)result;  // any Status is fine; not crashing is the assertion
+    // Any Status is fine; not crashing is the assertion. A state that
+    // parses is restored and billed on a world of its own, as dsm_inspect
+    // does, so every id it names must fit its catalog and cluster.
+    auto state = MarketStateFromString(mutated);
+    if (!state.ok()) continue;
+    Scenario restored_world;
+    restored_world.catalog =
+        std::make_unique<Catalog>(std::move(state->catalog));
+    restored_world.cluster =
+        std::make_unique<Cluster>(std::move(state->cluster));
+    restored_world.FillDefaults();
+    const Rig restored = MakeRig(restored_world);
+    if (!RestoreGlobalPlan(*state, restored.global_plan.get()).ok()) continue;
+    LpcCalculator lpc(restored.enumerator.get(), restored_world.model.get());
+    CostingSession costing(restored.global_plan.get(), &lpc);
+    (void)costing.Refresh();
+    ++billed;
+  }
+  EXPECT_GT(billed, 0);
+}
+
+// Each kind of table id outside the catalog: restoring such a market
+// would index the cost model's catalog out of bounds.
+TEST(MarketIoTest, TableIdsOutsideTheCatalogRejected) {
+  const std::string market =
+      "dsm-market v1\n"
+      "server s0 inf\n"
+      "table t 100 1 8 1\n"
+      "col a i64 10 0 10\n"
+      "place 0 0\n";
+  ASSERT_TRUE(MarketStateFromString(market + kValidTail).ok());
+  const std::vector<std::string> outside = {
+      // Every id names table 5.
+      "sharing 1 0 b 32 1\npred 5 0 0 1\nplan 1\n"
+      "node 0 0 -1 -1 5 32 1\npred 5 0 0 1\n",
+      // A predicate table only.
+      "sharing 1 0 b 1 1\npred 5 0 0 1\nplan 1\n"
+      "node 0 0 -1 -1 0 1 1\npred 5 0 0 1\n",
+      // A node base table only.
+      "sharing 1 0 b 1 0\nplan 1\nnode 0 0 -1 -1 5 1 0\n",
+      // A node key mask only: a leaf over {0, 1} below the root.
+      "sharing 1 0 b 1 0\nplan 2\nnode 0 0 -1 -1 0 3 0\n"
+      "node 2 0 0 -1 0 1 0\n",
+  };
+  for (const std::string& sharing : outside) {
+    EXPECT_EQ(MarketStateFromString(market + sharing).status().code(),
+              StatusCode::kInvalidArgument)
+        << sharing;
+  }
+}
+
+// Seeded Twitter and star markets whose sharings carry 0-3 predicates:
+// the file reads back to the same bytes and the same global plan, and
+// every journaled commit replays to the sharing and plan it recorded.
+TEST(MarketIoTest, SeededMarketsRoundTripExactly) {
+  TwitterScenario twitter = MakeTwitterScenario(4);
+  TwitterSequenceOptions twitter_options;
+  twitter_options.num_sharings = 60;
+  twitter_options.max_predicates = 3;
+  twitter_options.frac_with_predicates = 0.75;
+  twitter_options.seed = 5;
+  twitter.sharings = GenerateTwitterSequence(
+      *twitter.catalog, twitter.tables, *twitter.cluster, twitter_options);
+  StarScenario star = MakeStarScenario(2, 12, 4);
+  StarSequenceOptions star_options;
+  star_options.num_sharings = 60;
+  star_options.max_tables = 4;
+  star_options.seed = 5;
+  Rng rng(5);
+  for (const Sharing& s :
+       GenerateStarSharings(star.schema, *star.cluster, star_options)) {
+    const int preds = static_cast<int>(star.sharings.size() % 4);
+    star.sharings.emplace_back(
+        s.tables(), RandomPredicates(*star.catalog, s.tables(), preds, &rng),
+        s.destination(), s.buyer());
+  }
+
+  for (const Scenario* world : {static_cast<Scenario*>(&twitter),
+                                static_cast<Scenario*>(&star)}) {
+    const Rig rig = MakeRig(*world);
+    const GlobalPlan& gp = *rig.global_plan;
+    ManagedRiskPlanner planner(rig.ctx);
+    PlanJournal journal;
+    ASSERT_TRUE(journal.Open().ok());
+    std::vector<SharingStateEntry> committed;
+    for (const Sharing& sharing : world->sharings) {
+      const auto choice = planner.ProcessSharing(sharing);
+      if (!choice.ok()) continue;
+      ASSERT_TRUE(journal.Append(choice->id, sharing, choice->plan).ok());
+      committed.push_back({choice->id, sharing, choice->plan});
+    }
+    ASSERT_GE(committed.size(), 50u);
+
+    const auto text =
+        MarketStateToString(*world->catalog, *world->cluster, &gp);
+    ASSERT_TRUE(text.ok());
+    const auto state = MarketStateFromString(*text);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    GlobalPlan restored(world->cluster.get(), world->model.get());
+    ASSERT_TRUE(RestoreGlobalPlan(*state, &restored).ok());
+    const auto rewritten =
+        MarketStateToString(state->catalog, state->cluster, &restored);
+    ASSERT_TRUE(rewritten.ok());
+    EXPECT_EQ(*rewritten, *text);
+    EXPECT_EQ(std::bit_cast<uint64_t>(restored.TotalCost()),
+              std::bit_cast<uint64_t>(gp.TotalCost()));
+    ASSERT_EQ(restored.num_sharings(), gp.num_sharings());
+    for (const SharingId id : gp.sharing_ids()) {
+      ASSERT_NE(restored.record(id), nullptr) << id;
+      EXPECT_EQ(restored.record(id)->plan, gp.record(id)->plan) << id;
+    }
+
+    const auto replay =
+        ReplayJournal(journal.contents(), world->cluster->num_servers());
+    ASSERT_TRUE(replay.ok());
+    EXPECT_FALSE(replay->tail_dropped);
+    ASSERT_EQ(replay->entries.size(), committed.size());
+    for (size_t i = 0; i < committed.size(); ++i) {
+      const SharingStateEntry& got = replay->entries[i];
+      const SharingStateEntry& want = committed[i];
+      EXPECT_EQ(got.id, want.id);
+      EXPECT_TRUE(got.sharing.ResultKey() == want.sharing.ResultKey());
+      EXPECT_EQ(got.sharing.destination(), want.sharing.destination());
+      EXPECT_EQ(got.sharing.buyer(), want.sharing.buyer());
+      EXPECT_EQ(got.plan, want.plan);
+    }
   }
 }
 

@@ -321,5 +321,33 @@ TEST(PlanJournalTest, RecoverMarketStatePrefersSnapshotOnDuplicates) {
   EXPECT_EQ(restored.num_alive_views(), rig.global_plan->num_alive_views());
 }
 
+// A journaled sharing over a table the snapshot's catalog lacks is
+// refused like one in the snapshot itself: restoring it would index the
+// cost model's catalog out of bounds.
+TEST(PlanJournalTest, RecoveryRejectsJournaledTablesOutsideTheCatalog) {
+  const TwitterScenario world = MakeTwitterScenario(3);
+  const auto snapshot =
+      MarketStateToString(*world.catalog, *world.cluster, nullptr);
+  ASSERT_TRUE(snapshot.ok());
+  const auto journal_over = [](TableId table) {
+    PlanNode leaf;
+    leaf.key.tables = TableSet::Of(table);
+    leaf.base_table = table;
+    PlanJournal journal;
+    EXPECT_TRUE(journal.Open().ok());
+    EXPECT_TRUE(journal
+                    .Append(1, Sharing(TableSet::Of(table), {}, 0),
+                            SharingPlan{{leaf}})
+                    .ok());
+    return journal.contents();
+  };
+  const TableId last = static_cast<TableId>(world.catalog->num_tables() - 1);
+  EXPECT_TRUE(RecoverMarketState(*snapshot, journal_over(last)).ok());
+  EXPECT_EQ(RecoverMarketState(*snapshot, journal_over(last + 1))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace dsm
