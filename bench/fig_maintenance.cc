@@ -22,6 +22,10 @@
 
 #include <time.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <cstdlib>
 #include <string>
@@ -367,4 +371,14 @@ int Main(int argc, char** argv) {
 }  // namespace bench
 }  // namespace dsm
 
-int main(int argc, char** argv) { return dsm::bench::Main(argc, argv); }
+int main(int argc, char** argv) {
+#if defined(__GLIBC__)
+  // Every pass builds a fresh engine and frees the last one. With glibc's
+  // adaptive thresholds the freed heap goes back to the kernel and the
+  // next pass page-faults it in again, so a run's CPU time was ~15% system
+  // time. Fixed thresholds keep the heap mapped across passes.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+#endif
+  return dsm::bench::Main(argc, argv);
+}

@@ -9,7 +9,8 @@
 namespace dsm::io_internal {
 
 // kInvalidArgument unless every server and table id in `state`'s sharings
-// is in its cluster and catalog (with no catalog: tables below 64).
+// is in its cluster and catalog; a state with sharings and no table
+// records is refused too.
 Status CheckMarketIds(const MarketState& state);
 
 }  // namespace dsm::io_internal

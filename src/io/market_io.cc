@@ -440,11 +440,14 @@ Result<std::string> MarketStateToString(const Catalog& catalog,
 namespace io_internal {
 
 Status CheckMarketIds(const MarketState& state) {
-  const size_t num_tables = state.catalog.num_tables();
+  // A sharing reads tables, so a state with sharings needs the catalog
+  // that defines them.
+  if (!state.sharings.empty() && state.catalog.num_tables() == 0) {
+    return Status::InvalidArgument("sharings without table records");
+  }
   for (const SharingStateEntry& entry : state.sharings) {
-    DSM_RETURN_IF_ERROR(CheckIds(
-        entry, state.cluster.num_servers(),
-        num_tables == 0 ? TableSet::kMaxTables : num_tables));
+    DSM_RETURN_IF_ERROR(CheckIds(entry, state.cluster.num_servers(),
+                                 state.catalog.num_tables()));
   }
   return Status::OK();
 }

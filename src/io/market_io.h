@@ -81,8 +81,8 @@ Result<SharingStateEntry> ParseSharingRecord(const std::string& block,
 // out-of-range server/table ids, non-finite statistics, truncated blocks —
 // is rejected with kInvalidArgument; the parser never crashes or silently
 // mis-reads. Once the file is read, every server and table id in every
-// sharing is checked against the file's cluster and catalog (a file
-// without table records bounds table ids by 64 only).
+// sharing is checked against the file's cluster and catalog; a file with
+// sharings but no table records is rejected.
 Result<MarketState> ReadMarketState(std::istream* in);
 Result<MarketState> MarketStateFromString(const std::string& text);
 

@@ -428,16 +428,17 @@ void DeltaEngine::MergeRound(const Round& round) {
 uint64_t DeltaEngine::RouteRows(const TupleStore& rows,
                                const std::vector<RowFilter>& filters,
                                Relation* into) {
-  uint64_t merged = 0;
+  // The rows every filter keeps, then one batched merge of them.
+  selected_.clear();
   rows.ForEachLive([&](uint32_t r) {
     const Slot* slots = rows.row_slots(r);
     for (const RowFilter& f : filters) {
       if (!SlotSatisfies(slots[f.position], f.op, f.value)) return;
     }
-    into->ApplyEncoded(slots, rows.row_hash(r), rows.row_count(r));
-    ++merged;
+    selected_.push_back(r);
   });
-  return merged;
+  into->ApplyRows(rows, selected_);
+  return selected_.size();
 }
 
 Status DeltaEngine::ApplyUpdate(TableId table,

@@ -276,10 +276,10 @@ class DeltaEngine {
   // commits the round's counts.
   void MergeRound(const Round& round);
   // Merges into `into` each row of `rows` (in the set's column order) that
-  // passes every filter, with its stored hash; returns the rows merged.
-  static uint64_t RouteRows(const TupleStore& rows,
-                            const std::vector<RowFilter>& filters,
-                            Relation* into);
+  // passes every filter, with its stored hash, in one batched merge;
+  // returns the rows merged.
+  uint64_t RouteRows(const TupleStore& rows,
+                     const std::vector<RowFilter>& filters, Relation* into);
 
   const Catalog* catalog_;
   std::map<TableId, Relation> bases_;
@@ -289,6 +289,8 @@ class DeltaEngine {
   size_t live_nodes_ = 0;  // the dsm.maintain.view_nodes gauge
   std::map<TableSet, TableSetJoin> joins_;
   uint64_t work_ = 0;
+  // RouteRows' selection of row ids, reused across calls.
+  std::vector<uint32_t> selected_;
 };
 
 }  // namespace dsm

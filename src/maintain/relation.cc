@@ -70,6 +70,12 @@ Relation::Relation(std::vector<std::string> column_names)
       store_(std::make_shared<TupleStore>(
           static_cast<uint32_t>(columns_.size()))) {}
 
+Relation::Relation(std::vector<std::string> column_names, TupleStore rows)
+    : columns_(std::move(column_names)),
+      store_(std::make_shared<TupleStore>(std::move(rows))) {
+  assert(store_->arity() == columns_.size() && "store arity != schema");
+}
+
 TupleStore* Relation::MutableStore() {
   // Copy-on-write: relations that merely returned the bag unchanged (no-op
   // filters, a join delta handed to its consumers) share one store; the
@@ -111,12 +117,34 @@ void Relation::ApplyEncoded(const Slot* slots, uint64_t hash,
 
 void Relation::ApplyAll(const Relation& src, int64_t sign) {
   assert(src.columns_ == columns_ && "ApplyAll requires matching schemas");
+  // Same schema, same global hash function: the stored hashes transfer.
   const TupleStore& from = *src.store_;
-  from.ForEachLive([&](uint32_t r) {
-    // Same schema, same global hash function: the stored hash transfers.
-    ApplyEncoded(from.row_slots(r), from.row_hash(r),
-                 sign * from.row_count(r));
-  });
+  if (indexes_.empty()) {
+    MutableStore()->MergeAll(from, sign);
+    return;
+  }
+  std::vector<uint32_t> landed;
+  MutableStore()->MergeAll(from, sign, &landed);
+  for (uint32_t r = 0; r < landed.size(); ++r) {
+    if (landed[r] == TupleStore::kNoRow) continue;  // a dead source row
+    PatchIndexesEncoded(from.row_slots(r), landed[r],
+                        sign * from.row_count(r));
+  }
+}
+
+void Relation::ApplyRows(const TupleStore& src,
+                         std::span<const uint32_t> rows) {
+  assert(src.arity() == columns_.size() && "ApplyRows requires the schema");
+  if (indexes_.empty()) {
+    MutableStore()->MergeRows(src, rows, 1);
+    return;
+  }
+  std::vector<uint32_t> landed;
+  MutableStore()->MergeRows(src, rows, 1, &landed);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    PatchIndexesEncoded(src.row_slots(rows[i]), landed[i],
+                        src.row_count(rows[i]));
+  }
 }
 
 void Relation::PatchIndexesEncoded(const Slot* slots, uint32_t row,
@@ -219,8 +247,9 @@ Relation Relation::Filter(const std::string& column, CompareOp op,
     return *this;
   }
   // Columnar kernel: pass 1 scans one column of slots and collects
-  // surviving row ids; pass 2 copies the flat rows. The schema is
-  // unchanged, so every surviving row keeps its stored hash.
+  // surviving row ids; pass 2 appends the flat rows. The schema is
+  // unchanged, so every surviving row keeps its stored hash, and the rows
+  // of a bag are distinct, so none needs a probe.
   const TupleStore& st = *store_;
   std::vector<uint32_t> keep;
   keep.reserve(st.live_rows());
@@ -229,13 +258,12 @@ Relation Relation::Filter(const std::string& column, CompareOp op,
       keep.push_back(r);
     }
   });
-  Relation out(columns_);
-  TupleStore* dst = out.store_.get();
-  dst->Reserve(keep.size());
+  TupleStore out(st.arity());
+  out.Reserve(keep.size());
   for (const uint32_t r : keep) {
-    dst->Apply(st.row_slots(r), st.row_hash(r), st.row_count(r));
+    out.Append(st.row_slots(r), st.row_hash(r), st.row_count(r));
   }
-  return out;
+  return Relation(columns_, std::move(out));
 }
 
 std::vector<std::string> SharedJoinColumns(
@@ -256,7 +284,9 @@ namespace {
 // slot copies, each slot written straight to its position in the shape's
 // output order. `b_index` is either a transient index built here or a
 // persistent one patched by b's Apply. Work counts probed pairs — which
-// tuple pairs meet is a property of the bags.
+// tuple pairs meet is a property of the bags. An output row holds its
+// a-row and its b-row whole, and a and b each hold distinct rows, so the
+// output rows are distinct: each is appended, with no probe of the result.
 Relation ProbeJoin(const Relation& a, const Relation& b,
                    const JoinShape& shape, const SlotKeyIndex& b_index,
                    uint64_t* work) {
@@ -265,9 +295,7 @@ Relation ProbeJoin(const Relation& a, const Relation& b,
   const size_t key_arity = shape.shared_a.size();
   const size_t out_arity = shape.out_columns.size();
 
-  Relation out(shape.out_columns);
-  // Writing through the private store would need friendship; ApplyEncoded
-  // on a fresh relation has no indexes to patch, so it is equivalent.
+  TupleStore out(static_cast<uint32_t>(out_arity));
   std::vector<Slot> key(key_arity);
   std::vector<Slot> joined(out_arity);
   uint64_t probes = 0;
@@ -289,14 +317,13 @@ Relation ProbeJoin(const Relation& a, const Relation& b,
         joined[static_cast<size_t>(shape.b_extra_out[j])] =
             brow[static_cast<size_t>(shape.b_extra[j])];
       }
-      out.ApplyEncoded(joined.data(),
-                       HashTupleSlots(joined.data(), out_arity),
-                       ca * e.count);
+      out.Append(joined.data(), HashTupleSlots(joined.data(), out_arity),
+                 ca * e.count);
     }
   });
   TupleStoreStats::Global().probes.fetch_add(probes,
                                              std::memory_order_relaxed);
-  return out;
+  return Relation(shape.out_columns, std::move(out));
 }
 
 }  // namespace

@@ -3,27 +3,31 @@
 // maintenance engine. Negative counts occur only transiently inside delta
 // relations; materialized views and base tables stay non-negative.
 //
-// Rows live in a compact columnar TupleStore (DESIGN.md §12): every Value
-// is a tagged 8-byte slot (maintain/value_dict.h), a tuple is a flat
-// fixed-width uint64_t array, and the bag table is open addressing over
-// precomputed row hashes. Copies share the store (copy-on-write), so
+// Rows live in a compact TupleStore (DESIGN.md §12): every Value is a
+// tagged 8-byte slot (maintain/value_dict.h), and a row is one flat record
+// of its hash, its count and its slots, found through an open-addressing
+// table over the stored hashes. Copies share the store (copy-on-write), so
 // returning a relation "unfiltered" or handing one join delta to many
-// consumers costs one shared_ptr. Filter is a loop over one column's flat
-// slots; Filter and same-schema merges reuse the stored hashes outright.
-// A join writes its rows straight into the column order its caller asks
+// consumers costs one shared_ptr. Merges move rows with their stored
+// hashes through one batched loop (TupleStore::MergeAll / MergeRows).
+// Filter and joins append their rows, which are distinct by construction,
+// without probing; such a relation's table is built on its first lookup,
+// and a join delta that is only routed into views never builds one. A
+// join writes its rows straight into the column order its caller asks
 // for, so no relation needs a second pass to reorder its columns.
 //
 // A relation can carry persistent equi-join indexes (EnsureIndex): each
 // maps the projection of a row onto a fixed column subset to the rows
 // carrying that key, with multiplicities. Indexes are patched in place by
-// every Apply(), so a long-lived operand (a base table) pays the hash
-// build once instead of once per join. Copies drop indexes (a copy is a
-// fresh operand); moves keep them.
+// every Apply() and merge, so a long-lived operand (a base table) pays the
+// hash build once instead of once per join. Copies drop indexes (a copy is
+// a fresh operand); moves keep them.
 
 #ifndef DSM_MAINTAIN_RELATION_H_
 #define DSM_MAINTAIN_RELATION_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,6 +59,8 @@ class Relation {
 
   Relation() : Relation(std::vector<std::string>{}) {}
   explicit Relation(std::vector<std::string> column_names);
+  // Adopts `rows` (of arity column_names.size()) as the row store.
+  Relation(std::vector<std::string> column_names, TupleStore rows);
 
   // Copies carry rows but not indexes (consumers index what they need);
   // moves carry both. A copy shares the row store copy-on-write — the deep
@@ -121,8 +127,8 @@ class Relation {
   // absent from the schema leave the relation unfiltered — that path shares
   // the row store instead of deep-copying it. The predicate runs as a
   // columnar kernel: one pass over the column's slots collects surviving
-  // row ids, a second pass copies the flat rows with their stored hashes
-  // (never recomputed).
+  // row ids, a second pass appends those rows with their stored hashes
+  // (never recomputed; a subset of distinct rows is distinct).
   Relation Filter(const std::string& column, CompareOp op,
                   double constant) const;
 
@@ -131,18 +137,21 @@ class Relation {
   // The row store.
   const TupleStore& store() const { return *store_; }
 
-  // Apply on already-encoded slots with a precomputed hash
-  // (HashTupleSlots); patches persistent indexes like Apply.
-  void ApplyEncoded(const Slot* slots, uint64_t hash, int64_t delta);
-
   // Merges every row of `src` (same schema, in this relation's column
   // order) into this relation, its count times `sign` (-1 takes back an
-  // earlier merge of `src`). The stored row hashes transfer directly —
-  // the merge never rehashes a tuple.
+  // earlier merge of `src`), in one batched loop. The stored row hashes
+  // transfer directly — the merge never rehashes a tuple. Persistent
+  // indexes are patched to match.
   void ApplyAll(const Relation& src, int64_t sign = 1);
+  // The same merge for the live rows `rows` of `src`, a store in this
+  // relation's column order (a routed selection of a join delta).
+  void ApplyRows(const TupleStore& src, std::span<const uint32_t> rows);
 
  private:
   TupleStore* MutableStore();
+  // Apply on already-encoded slots with a precomputed hash
+  // (HashTupleSlots); patches persistent indexes like Apply.
+  void ApplyEncoded(const Slot* slots, uint64_t hash, int64_t delta);
   void PatchIndexesEncoded(const Slot* slots, uint32_t row, int64_t delta);
   void BuildIndex(JoinIndex* index) const;
 
@@ -155,8 +164,9 @@ class Relation {
 // Natural join on all shared column names; multiplicities multiply
 // (counting algorithm). `work` is incremented per probed pair, giving the
 // measured-cost counter the cost model's CPU term mirrors. The kernel
-// probes pre-hashed slot buckets and assembles output rows as flat slot
-// copies. The result's columns are a's, then b's columns absent from a,
+// probes pre-hashed slot buckets and appends output rows as flat slot
+// copies, with no probe of the result: the inputs' rows are distinct, so
+// are the pairs'. The result's columns are a's, then b's columns absent from a,
 // unless `out_columns` names a permutation of those: then every row is
 // written in that order (and hashed in it), so a caller that needs
 // another schema order gets it with no second pass.

@@ -1,5 +1,6 @@
 #include "maintain/tuple_store.h"
 
+#include <cassert>
 #include <cstring>
 #include <utility>
 
@@ -26,18 +27,20 @@ TupleStoreStats& TupleStoreStats::Global() {
   return *stats;
 }
 
-TupleStore::TupleStore(uint32_t arity) : arity_(arity) {}
+TupleStore::TupleStore(uint32_t arity)
+    : arity_(arity), stride_(kHeader + arity) {}
 
 TupleStore::TupleStore(const TupleStore& other)
     : arity_(other.arity_),
-      slots_(other.slots_),
-      hashes_(other.hashes_),
-      counts_(other.counts_),
+      stride_(other.stride_),
+      records_(other.records_),
+      rows_(other.rows_),
       free_(other.free_),
+      live_(other.live_),
       table_(other.table_),
       mask_(other.mask_),
-      live_(other.live_),
-      tombstones_(other.tombstones_) {
+      tombstones_(other.tombstones_),
+      table_stale_(other.table_stale_) {
   TupleStoreStats::Global().deep_copies.fetch_add(1,
                                                   std::memory_order_relaxed);
   SyncResidentBytes();
@@ -46,14 +49,15 @@ TupleStore::TupleStore(const TupleStore& other)
 TupleStore& TupleStore::operator=(const TupleStore& other) {
   if (this == &other) return *this;
   arity_ = other.arity_;
-  slots_ = other.slots_;
-  hashes_ = other.hashes_;
-  counts_ = other.counts_;
+  stride_ = other.stride_;
+  records_ = other.records_;
+  rows_ = other.rows_;
   free_ = other.free_;
+  live_ = other.live_;
   table_ = other.table_;
   mask_ = other.mask_;
-  live_ = other.live_;
   tombstones_ = other.tombstones_;
+  table_stale_ = other.table_stale_;
   TupleStoreStats::Global().deep_copies.fetch_add(1,
                                                   std::memory_order_relaxed);
   SyncResidentBytes();
@@ -62,18 +66,21 @@ TupleStore& TupleStore::operator=(const TupleStore& other) {
 
 TupleStore::TupleStore(TupleStore&& other) noexcept
     : arity_(other.arity_),
-      slots_(std::move(other.slots_)),
-      hashes_(std::move(other.hashes_)),
-      counts_(std::move(other.counts_)),
+      stride_(other.stride_),
+      records_(std::move(other.records_)),
+      rows_(other.rows_),
       free_(std::move(other.free_)),
+      live_(other.live_),
       table_(std::move(other.table_)),
       mask_(other.mask_),
-      live_(other.live_),
       tombstones_(other.tombstones_),
+      table_stale_(other.table_stale_),
       reported_bytes_(other.reported_bytes_) {
-  other.mask_ = 0;
+  other.rows_ = 0;
   other.live_ = 0;
+  other.mask_ = 0;
   other.tombstones_ = 0;
+  other.table_stale_ = false;
   other.reported_bytes_ = 0;
 }
 
@@ -82,18 +89,21 @@ TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
   TupleStoreStats::Global().resident_bytes.fetch_sub(
       reported_bytes_, std::memory_order_relaxed);
   arity_ = other.arity_;
-  slots_ = std::move(other.slots_);
-  hashes_ = std::move(other.hashes_);
-  counts_ = std::move(other.counts_);
+  stride_ = other.stride_;
+  records_ = std::move(other.records_);
+  rows_ = other.rows_;
   free_ = std::move(other.free_);
+  live_ = other.live_;
   table_ = std::move(other.table_);
   mask_ = other.mask_;
-  live_ = other.live_;
   tombstones_ = other.tombstones_;
+  table_stale_ = other.table_stale_;
   reported_bytes_ = other.reported_bytes_;
-  other.mask_ = 0;
+  other.rows_ = 0;
   other.live_ = 0;
+  other.mask_ = 0;
   other.tombstones_ = 0;
+  other.table_stale_ = false;
   other.reported_bytes_ = 0;
   return *this;
 }
@@ -104,14 +114,12 @@ TupleStore::~TupleStore() {
 }
 
 size_t TupleStore::HeapBytes() const {
-  return slots_.capacity() * sizeof(Slot) +
-         hashes_.capacity() * sizeof(uint64_t) +
-         counts_.capacity() * sizeof(int64_t) +
+  return records_.capacity() * sizeof(uint64_t) +
          free_.capacity() * sizeof(uint32_t) +
          table_.capacity() * sizeof(uint32_t);
 }
 
-void TupleStore::SyncResidentBytes() {
+void TupleStore::SyncResidentBytes() const {
   const auto bytes = static_cast<int64_t>(HeapBytes());
   if (bytes == reported_bytes_) return;
   TupleStoreStats::Global().resident_bytes.fetch_add(
@@ -120,53 +128,85 @@ void TupleStore::SyncResidentBytes() {
 }
 
 void TupleStore::Reserve(size_t rows) {
-  slots_.reserve(rows * arity_);
-  hashes_.reserve(rows);
-  counts_.reserve(rows);
-  if (table_.empty() || rows * 4 > table_.size() * 3) Rehash(rows);
+  records_.reserve(rows * stride_);
   SyncResidentBytes();
 }
 
-void TupleStore::Rehash(size_t min_live) {
+bool TupleStore::SameRow(uint32_t row, const Slot* slots,
+                         uint64_t hash) const {
+  return row_hash(row) == hash && SlotsEqual(row_slots(row), slots, arity_);
+}
+
+void TupleStore::Rehash(size_t min_live) const {
   const size_t size = TableSizeFor(min_live);
   table_.assign(size, kEmpty);
   mask_ = size - 1;
   tombstones_ = 0;
-  const uint32_t n = physical_rows();
-  for (uint32_t row = 0; row < n; ++row) {
-    if (counts_[row] == 0) continue;
-    // Stored hash: the whole point — a rehash never re-reads slot bytes.
-    size_t i = hashes_[row] & mask_;
-    while (table_[i] != kEmpty) i = (i + 1) & mask_;
+  table_stale_ = false;
+  ForEachLive([&](uint32_t row) {
+    // Stored hash: the whole point — a rehash never re-reads slot bytes
+    // (except to check, with asserts on, that appends kept rows distinct).
+    const uint64_t hash = row_hash(row);
+    size_t i = hash & mask_;
+    while (table_[i] != kEmpty) {
+      assert(!SameRow(table_[i], row_slots(row), hash) &&
+             "two live rows hold one tuple: a row was appended twice");
+      i = (i + 1) & mask_;
+    }
     table_[i] = row;
-  }
+  });
   TupleStoreStats::Global().rehashes.fetch_add(1, std::memory_order_relaxed);
   SyncResidentBytes();
 }
 
 uint32_t TupleStore::FindRow(const Slot* slots, uint64_t hash) const {
-  if (live_ == 0 || table_.empty()) return kNoRow;
+  if (live_ == 0) return kNoRow;
+  EnsureTable();
   size_t i = hash & mask_;
   while (true) {
     const uint32_t entry = table_[i];
     if (entry == kEmpty) return kNoRow;
-    if (entry != kTombstone && hashes_[entry] == hash &&
-        SlotsEqual(row_slots(entry), slots, arity_)) {
-      return entry;
-    }
+    if (entry != kTombstone && SameRow(entry, slots, hash)) return entry;
     i = (i + 1) & mask_;
   }
 }
 
+uint32_t TupleStore::AppendRecord(const Slot* slots, uint64_t hash,
+                                  int64_t count) {
+  const size_t capacity = records_.capacity();
+  records_.resize(records_.size() + stride_);
+  uint64_t* rec = record(rows_);
+  rec[0] = hash;
+  rec[1] = static_cast<uint64_t>(count);
+  if (arity_ > 0) {
+    std::memcpy(rec + kHeader, slots,
+                static_cast<size_t>(arity_) * sizeof(Slot));
+  }
+  if (records_.capacity() != capacity) SyncResidentBytes();
+  return rows_++;
+}
+
+void TupleStore::Append(const Slot* slots, uint64_t hash, int64_t count) {
+  assert(count != 0 && "an appended row is live");
+  AppendRecord(slots, hash, count);
+  ++live_;
+  table_stale_ = true;
+}
+
 uint32_t TupleStore::Apply(const Slot* slots, uint64_t hash, int64_t delta) {
   if (delta == 0) return FindRow(slots, hash);
-  if (table_.empty() || (live_ + tombstones_ + 1) * 4 > table_.size() * 3) {
-    Rehash(live_ + 1);
-  }
   // Counted at once (not batched) so the exported counter is exact at any
   // serial point — the run-report goldens depend on it.
   TupleStoreStats::Global().probes.fetch_add(1, std::memory_order_relaxed);
+  return Upsert(slots, hash, delta);
+}
 
+uint32_t TupleStore::Upsert(const Slot* slots, uint64_t hash,
+                            int64_t delta) {
+  if (table_stale_ || table_.empty() ||
+      (live_ + tombstones_ + 1) * 4 > table_.size() * 3) {
+    Rehash(live_ + 1);
+  }
   size_t i = hash & mask_;
   size_t insert_at = static_cast<size_t>(-1);
   while (true) {
@@ -177,10 +217,10 @@ uint32_t TupleStore::Apply(const Slot* slots, uint64_t hash, int64_t delta) {
     }
     if (entry == kTombstone) {
       if (insert_at == static_cast<size_t>(-1)) insert_at = i;
-    } else if (hashes_[entry] == hash &&
-               SlotsEqual(row_slots(entry), slots, arity_)) {
-      counts_[entry] += delta;
-      if (counts_[entry] == 0) {
+    } else if (SameRow(entry, slots, hash)) {
+      uint64_t& count = record(entry)[1];
+      count += static_cast<uint64_t>(delta);
+      if (count == 0) {
         free_.push_back(entry);
         table_[i] = kTombstone;
         ++tombstones_;
@@ -195,23 +235,67 @@ uint32_t TupleStore::Apply(const Slot* slots, uint64_t hash, int64_t delta) {
   if (!free_.empty()) {
     row = free_.back();
     free_.pop_back();
+    uint64_t* rec = record(row);
+    rec[0] = hash;
+    rec[1] = static_cast<uint64_t>(delta);
     if (arity_ > 0) {
-      std::memcpy(slots_.data() + static_cast<size_t>(row) * arity_, slots,
+      std::memcpy(rec + kHeader, slots,
                   static_cast<size_t>(arity_) * sizeof(Slot));
     }
-    hashes_[row] = hash;
-    counts_[row] = delta;
   } else {
-    row = physical_rows();
-    if (arity_ > 0) slots_.insert(slots_.end(), slots, slots + arity_);
-    hashes_.push_back(hash);
-    counts_.push_back(delta);
-    SyncResidentBytes();
+    row = AppendRecord(slots, hash, delta);
   }
   if (table_[insert_at] == kTombstone) --tombstones_;
   table_[insert_at] = row;
   ++live_;
   return row;
+}
+
+template <typename RowAt>
+void TupleStore::MergeBatch(const TupleStore& src, size_t n, RowAt row_at,
+                            int64_t sign, std::vector<uint32_t>* landed) {
+  assert(&src != this && src.arity_ == arity_);
+  if (landed != nullptr) landed->assign(n, kNoRow);
+  if (n == 0) return;
+  if (table_stale_ || table_.empty()) Rehash(live_ + 1);
+  // A two-stage software pipeline: kAhead rows before its probe, a row's
+  // table entry is fetched; one stage later the entry is read and the
+  // record it names is fetched. The probe then finds both in cache. A
+  // rehash mid-batch only wastes the prefetches in flight.
+  constexpr size_t kAhead = 8;
+  const auto entry_of = [&](size_t i) {
+    return &table_[src.row_hash(row_at(i)) & mask_];
+  };
+  uint64_t probes = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i + 2 * kAhead < n) __builtin_prefetch(entry_of(i + 2 * kAhead));
+    if (i + kAhead < n) {
+      const uint32_t entry = *entry_of(i + kAhead);
+      if (entry < kTombstone) __builtin_prefetch(record(entry));
+    }
+    const uint32_t r = row_at(i);
+    const int64_t count = src.row_count(r);
+    if (count == 0) continue;  // a dead row of MergeAll's source
+    ++probes;
+    const uint32_t at = Upsert(src.row_slots(r), src.row_hash(r), sign * count);
+    if (landed != nullptr) (*landed)[i] = at;
+  }
+  // One flush per batch, like a join's index probes.
+  TupleStoreStats::Global().probes.fetch_add(probes,
+                                             std::memory_order_relaxed);
+}
+
+void TupleStore::MergeAll(const TupleStore& src, int64_t sign,
+                          std::vector<uint32_t>* landed) {
+  MergeBatch(src, src.physical_rows(),
+             [](size_t i) { return static_cast<uint32_t>(i); }, sign, landed);
+}
+
+void TupleStore::MergeRows(const TupleStore& src,
+                           std::span<const uint32_t> rows, int64_t sign,
+                           std::vector<uint32_t>* landed) {
+  MergeBatch(src, rows.size(), [rows](size_t i) { return rows[i]; }, sign,
+             landed);
 }
 
 // --- SlotKeyIndex -----------------------------------------------------------

@@ -168,8 +168,31 @@ constexpr const char* kValidTail =
     "plan 1\n"
     "node 0 0 -1 -1 0 1 0\n";
 
+// The header, one server and two one-column tables: enough catalog for
+// the sharings over tables {0, 1} that the fixtures below parse.
 std::string WithHeader(const std::string& body) {
-  return std::string("dsm-market v1\nserver s0 1e30\n") + body;
+  return std::string(
+             "dsm-market v1\nserver s0 1e30\n"
+             "table t0 10 1 8 1\ncol a i64 5 0 9\n"
+             "table t1 10 1 8 1\ncol a i64 5 0 9\n") +
+         body;
+}
+
+// A file with servers and a sharing but no table records names tables no
+// catalog defines; its reader must refuse it, not hand a state with an
+// empty catalog to code that indexes tables by id.
+TEST(MarketIoTest, SharingsWithoutTableRecordsRejected) {
+  const std::string text =
+      "dsm-market v1\nserver s0 inf\nsharing 1 0 b 1 0\nplan 1\n"
+      "node 0 0 -1 -1 0 1 0\n";
+  EXPECT_EQ(MarketStateFromString(text).status().code(),
+            StatusCode::kInvalidArgument);
+  // The same file with its table record parses.
+  const std::string with_table =
+      "dsm-market v1\nserver s0 inf\ntable t0 10 1 8 1\n"
+      "col a i64 5 0 9\nsharing 1 0 b 1 0\nplan 1\n"
+      "node 0 0 -1 -1 0 1 0\n";
+  EXPECT_TRUE(MarketStateFromString(with_table).ok());
 }
 
 TEST(MarketIoTest, NegativeCountsRejected) {

@@ -6,8 +6,12 @@
 //    bags that never touches slots, hashes or the row store;
 //  * a join written in a caller's column order stores every row under
 //    the hash of its slots in that order, so later merges find it;
+//  * a store filled by Append (as a join fills its output) answers Count,
+//    FindRow, BagEquals and Apply like the oracle bag, before and after its
+//    lazily built table exists, and so does a copy-on-write copy of it;
 //  * the pre-hashed tables stay correct under forced hash collisions
-//    (probe chains, tombstones, row-id recycling);
+//    (probe chains, tombstones, row-id recycling), appended rows included,
+//    and the lazy table build refuses a row appended twice;
 //  * Relation::Filter on an absent column shares the row store instead of
 //    copying it, and the first later mutation pays exactly one deep copy.
 
@@ -57,6 +61,24 @@ Relation Materialize(const std::vector<std::string>& columns,
   Relation rel(columns);
   for (const auto& [tuple, count] : bag) rel.Apply(tuple, count);
   return rel;
+}
+
+std::vector<Slot> EncodeTuple(const Tuple& tuple) {
+  std::vector<Slot> slots;
+  for (const Value& v : tuple) slots.push_back(ValueDict::Global().Encode(v));
+  return slots;
+}
+
+// A relation whose rows were appended, as a join writes its output:
+// `bag` must hold distinct tuples with nonzero counts.
+Relation Appended(const std::vector<std::string>& columns, const Bag& bag) {
+  TupleStore rows(static_cast<uint32_t>(columns.size()));
+  for (const auto& [tuple, count] : bag) {
+    const std::vector<Slot> slots = EncodeTuple(tuple);
+    rows.Append(slots.data(), HashTupleSlots(slots.data(), slots.size()),
+                count);
+  }
+  return Relation(columns, std::move(rows));
 }
 
 // --- the oracle: plain bags, nested loops --------------------------------
@@ -301,6 +323,74 @@ TEST_P(ColumnarPropertyTest, BagEqualsMatchesOracle) {
   EXPECT_TRUE(rel.BagEquals(bumped));
 }
 
+TEST_P(ColumnarPropertyTest, AppendedRowsMatchOracle) {
+  Rng rng(GetParam());
+  const std::vector<std::string> columns = {"x", "y", "z"};
+  const Bag oracle = Canonical(RandomBag(rng, columns.size(), 60));
+  ASSERT_GT(oracle.size(), 2u);
+  const Tuple absent = {Value(std::string("absent")), Value(int64_t{0}),
+                        Value(0.5)};
+
+  // Lookups first: the first Count builds the table from stored hashes.
+  const Relation looked_up = Appended(columns, oracle);
+  EXPECT_EQ(looked_up.DistinctSize(), oracle.size());
+  EXPECT_EQ(Decode(looked_up), oracle);
+  for (const auto& [tuple, count] : oracle) {
+    EXPECT_EQ(looked_up.Count(tuple), count);
+    const std::vector<Slot> slots = EncodeTuple(tuple);
+    const TupleStore& rows = looked_up.store();
+    const uint32_t row =
+        rows.FindRow(slots.data(), HashTupleSlots(slots.data(), 3));
+    ASSERT_NE(row, TupleStore::kNoRow);
+    EXPECT_TRUE(std::equal(slots.begin(), slots.end(), rows.row_slots(row)));
+  }
+  EXPECT_EQ(looked_up.Count(absent), 0);
+
+  // BagEquals both ways against the same bag merged row by row, before
+  // either appended relation has a table.
+  const Relation merged = Materialize(columns, oracle);
+  const Relation fresh = Appended(columns, oracle);
+  EXPECT_TRUE(fresh.BagEquals(merged));
+  EXPECT_TRUE(merged.BagEquals(Appended(columns, oracle)));
+
+  // Apply straight onto appended rows, with no lookup before it: delete
+  // one appended row, raise another, add a new one.
+  Bag expected = oracle;
+  Relation applied = Appended(columns, oracle);
+  applied.Apply(oracle[0].first, -oracle[0].second);
+  applied.Apply(oracle[1].first, 3);
+  applied.Apply(absent, 2);
+  expected.emplace_back(oracle[0].first, -oracle[0].second);
+  expected.emplace_back(oracle[1].first, 3);
+  expected.emplace_back(absent, 2);
+  expected = Canonical(std::move(expected));
+  EXPECT_EQ(Decode(applied), expected);
+  EXPECT_EQ(applied.Count(oracle[0].first), 0);
+  EXPECT_EQ(applied.Count(oracle[1].first), oracle[1].second + 3);
+  EXPECT_EQ(applied.Count(absent), 2);
+  EXPECT_TRUE(applied.BagEquals(Materialize(columns, expected)));
+
+  // A copy-on-write copy taken before any lookup: its first mutation
+  // deep-copies the stale store, and both sides stay right.
+  const Relation original = Appended(columns, oracle);
+  Relation copy = original;
+  EXPECT_EQ(&copy.store(), &original.store());
+  copy.Apply(oracle[0].first, -oracle[0].second);
+  copy.ApplyAll(Materialize(columns, Bag{{absent, 1}}));
+  EXPECT_NE(&copy.store(), &original.store());
+  EXPECT_EQ(copy.Count(oracle[0].first), 0);
+  EXPECT_EQ(copy.Count(absent), 1);
+  EXPECT_EQ(copy.DistinctSize(), oracle.size());
+  EXPECT_EQ(original.Count(oracle[0].first), oracle[0].second);
+  EXPECT_EQ(original.Count(absent), 0);
+  EXPECT_EQ(Decode(original), oracle);
+
+  // Taking the appended bag back out of a merged copy leaves nothing.
+  Relation target = Materialize(columns, oracle);
+  target.ApplyAll(Appended(columns, oracle), -1);
+  EXPECT_EQ(target.DistinctSize(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarPropertyTest,
                          ::testing::Values(3, 17, 4242, 90210));
 
@@ -344,6 +434,63 @@ TEST(TupleStoreCollisionTest, ForcedCollisionsKeepTuplesDistinct) {
     const Slot s = MakeSlot(SlotTag::kInlineInt, i);
     EXPECT_EQ(store.Count(&s, kHash), 7) << i;
   }
+}
+
+TEST(TupleStoreCollisionTest, ForcedCollisionsOnAppendedRows) {
+  // The same chain, but filled by Append: the lazy table build must place
+  // every appended row, the later probes must walk its chain, and a second
+  // round of appends must make the table stale again.
+  TupleStore store(1);
+  constexpr uint64_t kHash = 0x9e3779b97f4a7c15ull;
+  constexpr uint64_t kN = 48;
+  for (uint64_t i = 0; i < kN; ++i) {
+    const Slot s = MakeSlot(SlotTag::kInlineInt, i);
+    store.Append(&s, kHash, static_cast<int64_t>(i + 1));
+  }
+  EXPECT_EQ(store.live_rows(), kN);
+  for (uint64_t i = 0; i < kN; ++i) {
+    const Slot s = MakeSlot(SlotTag::kInlineInt, i);
+    EXPECT_EQ(store.Count(&s, kHash), static_cast<int64_t>(i + 1)) << i;
+  }
+  // Delete the even tuples through the built table.
+  for (uint64_t i = 0; i < kN; i += 2) {
+    const Slot s = MakeSlot(SlotTag::kInlineInt, i);
+    store.ApplyWithHashForTest(&s, kHash, -static_cast<int64_t>(i + 1));
+  }
+  // Append a second run into the same chain, past the recyclable ids.
+  for (uint64_t i = kN; i < 2 * kN; ++i) {
+    const Slot s = MakeSlot(SlotTag::kInlineInt, i);
+    store.Append(&s, kHash, 5);
+  }
+  EXPECT_EQ(store.live_rows(), kN / 2 + kN);
+  for (uint64_t i = 0; i < 2 * kN; ++i) {
+    const Slot s = MakeSlot(SlotTag::kInlineInt, i);
+    const int64_t want =
+        i >= kN ? 5 : (i % 2 == 0 ? 0 : static_cast<int64_t>(i + 1));
+    EXPECT_EQ(store.Count(&s, kHash), want) << i;
+  }
+  // Reinsert the deleted half by Apply: recycled ids, still distinct.
+  for (uint64_t i = 0; i < kN; i += 2) {
+    const Slot s = MakeSlot(SlotTag::kInlineInt, i);
+    store.ApplyWithHashForTest(&s, kHash, 7);
+  }
+  EXPECT_EQ(store.live_rows(), 2 * kN);
+  for (uint64_t i = 0; i < kN; i += 2) {
+    const Slot s = MakeSlot(SlotTag::kInlineInt, i);
+    EXPECT_EQ(store.Count(&s, kHash), 7) << i;
+  }
+}
+
+TEST(TupleStoreDeathTest, RowAppendedTwiceFailsTheTableBuild) {
+  // Append's caller promises the row is absent; with asserts on, the lazy
+  // table build checks that promise for every pair of rows in a chain.
+  TupleStore store(2);
+  const Slot row[2] = {MakeSlot(SlotTag::kInlineInt, 4),
+                       MakeSlot(SlotTag::kInlineInt, 2)};
+  const uint64_t hash = HashTupleSlots(row, 2);
+  store.Append(row, hash, 1);
+  store.Append(row, hash, 1);
+  EXPECT_DEBUG_DEATH(store.Count(row, hash), "appended twice");
 }
 
 Tuple T2(int64_t a, int64_t b) { return Tuple{Value(a), Value(b)}; }
