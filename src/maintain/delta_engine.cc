@@ -162,7 +162,8 @@ Result<DeltaEngine::TableSetJoin*> DeltaEngine::JoinOf(
 }
 
 std::vector<DeltaEngine::JoinStep> DeltaEngine::BuildJoinPlan(
-    std::vector<std::string> schema, const TableSet& others) const {
+    std::vector<std::string> schema, const TableSet& others,
+    const std::vector<std::string>& out_columns) const {
   // Orders the probes by connectivity: each step joins the lowest-id
   // remaining table that shares a column with the schema accumulated so
   // far, so a delta entering mid-chain never takes a cartesian product
@@ -184,13 +185,11 @@ std::vector<DeltaEngine::JoinStep> DeltaEngine::BuildJoinPlan(
     JoinStep step;
     step.other = remaining[pick];
     step.key_columns = SharedJoinColumns(schema, rel);
-    for (const std::string& col : rel.columns()) {
-      if (std::find(schema.begin(), schema.end(), col) == schema.end()) {
-        schema.push_back(col);
-      }
-    }
-    steps.push_back(std::move(step));
     remaining.erase(remaining.begin() + static_cast<long>(pick));
+    step.shape = PrepareJoin(schema, rel.columns(),
+                             remaining.empty() ? &out_columns : nullptr);
+    schema = step.shape.out_columns;
+    steps.push_back(std::move(step));
   }
   return steps;
 }
@@ -327,7 +326,8 @@ Relation DeltaEngine::JoinDelta(const TableSet& tables, TableSetJoin* join,
   if (plan == join->plans.end()) {
     plan = join->plans
                .emplace(source, BuildJoinPlan(source_delta.columns(),
-                                              tables.Minus(source)))
+                                              tables.Minus(source),
+                                              join->columns))
                .first;
   }
   // No steps only for a single-table set, whose columns are its base's.
@@ -337,9 +337,8 @@ Relation DeltaEngine::JoinDelta(const TableSet& tables, TableSetJoin* join,
   Relation owned;
   for (size_t i = 0; i < steps.size(); ++i) {
     Relation& base = bases_.at(steps[i].other);
-    owned = NaturalJoin(*cur, base, *base.EnsureIndex(steps[i].key_columns),
-                        work,
-                        i + 1 == steps.size() ? &join->columns : nullptr);
+    owned = NaturalJoin(*cur, base, steps[i].shape,
+                        *base.EnsureIndex(steps[i].key_columns), work);
     cur = &owned;
   }
   return owned;

@@ -28,6 +28,9 @@
 // sub-join, or else the updated table's own delta. Only the tables
 // outside the source are joined on, and the last probe writes its rows
 // in the set's column order, which is every node's over the set. The
+// probe steps for a (set, source) pair are planned once, each with its
+// join shape prepared (PrepareJoin), so a round redoes no column
+// bookkeeping. The
 // group's join delta is then routed into its nodes: an unpredicated node
 // merges it whole, a predicated one merges the rows its predicates keep
 // (σ commutes with the natural join, so this is exact under bag
@@ -156,12 +159,16 @@ class DeltaEngine {
  private:
   using NodeId = size_t;
 
-  // One probe step of a table set's delta-propagation join.
+  // One probe step of a table set's delta-propagation join, prepared
+  // once: the schemas a step joins never change.
   struct JoinStep {
     TableId other = 0;
     // Shared columns between the accumulated join schema and `other`, in
     // `other`-schema order — the key the base's index is built on.
     std::vector<std::string> key_columns;
+    // The join of the accumulated schema with `other`'s; the last step's
+    // writes the set's columns.
+    JoinShape shape;
   };
 
   // The join every node over one table set takes its delta from. Its
@@ -173,8 +180,8 @@ class DeltaEngine {
     // The nodes over the set, in registration order.
     std::vector<NodeId> nodes;
     // Per source table set (a sub-join's, or the updated table alone): the
-    // set's other tables in join order with the index key for each probe.
-    // Built on first use.
+    // set's other tables in join order with the index key and the
+    // prepared shape of each probe. Built on first use.
     std::map<TableSet, std::vector<JoinStep>> plans;
   };
 
@@ -231,9 +238,11 @@ class DeltaEngine {
   // table of the set has no registered base.
   Result<TableSetJoin*> JoinOf(const TableSet& tables);
   // Probe steps joining a relation with columns `schema` to the tables
-  // `others`, ordered by connectivity.
-  std::vector<JoinStep> BuildJoinPlan(std::vector<std::string> schema,
-                                      const TableSet& others) const;
+  // `others`, ordered by connectivity, each with its prepared shape; the
+  // last step writes its rows in `out_columns`, the set's column order.
+  std::vector<JoinStep> BuildJoinPlan(
+      std::vector<std::string> schema, const TableSet& others,
+      const std::vector<std::string>& out_columns) const;
 
   // Counts one more active handle on each of `nodes` (a node may repeat).
   // The nodes that were not live are filled first, one FillNodes per table

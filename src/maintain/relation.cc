@@ -6,56 +6,6 @@
 namespace dsm {
 namespace {
 
-// Column bookkeeping shared by all NaturalJoin paths.
-struct JoinShape {
-  std::vector<int> shared_a;  // positions in a of the join columns
-  std::vector<int> shared_b;  // positions in b of the join columns
-  std::vector<int> b_extra;   // positions in b of the non-shared columns
-  // Output position of each column of a, and of each b_extra column.
-  std::vector<int> a_out;
-  std::vector<int> b_extra_out;
-  std::vector<std::string> out_columns;
-};
-
-// `out_columns`, when given, must be a permutation of the natural output
-// schema (a's columns, then b's columns absent from a).
-JoinShape ComputeJoinShape(const Relation& a, const Relation& b,
-                           const std::vector<std::string>* out_columns) {
-  JoinShape shape;
-  for (size_t i = 0; i < b.columns().size(); ++i) {
-    const int in_a = a.FindColumn(b.columns()[i]);
-    if (in_a >= 0) {
-      shape.shared_a.push_back(in_a);
-      shape.shared_b.push_back(static_cast<int>(i));
-    } else {
-      shape.b_extra.push_back(static_cast<int>(i));
-    }
-  }
-  shape.out_columns = a.columns();
-  for (const int i : shape.b_extra) {
-    shape.out_columns.push_back(b.columns()[static_cast<size_t>(i)]);
-  }
-  // Where each column of that natural order lands in the output.
-  std::vector<int> out(shape.out_columns.size());
-  for (size_t i = 0; i < out.size(); ++i) out[i] = static_cast<int>(i);
-  if (out_columns != nullptr) {
-    assert(out_columns->size() == out.size() &&
-           "join output order is not a permutation");
-    for (size_t i = 0; i < out.size(); ++i) {
-      const auto at = std::find(out_columns->begin(), out_columns->end(),
-                                shape.out_columns[i]);
-      assert(at != out_columns->end() &&
-             "join output order is not a permutation");
-      out[i] = static_cast<int>(at - out_columns->begin());
-    }
-    shape.out_columns = *out_columns;
-  }
-  const auto a_end = out.begin() + static_cast<long>(a.columns().size());
-  shape.a_out.assign(out.begin(), a_end);
-  shape.b_extra_out.assign(a_end, out.end());
-  return shape;
-}
-
 void GatherSlots(const Slot* row, const std::vector<int>& positions,
                  Slot* out) {
   for (size_t i = 0; i < positions.size(); ++i) {
@@ -266,6 +216,45 @@ Relation Relation::Filter(const std::string& column, CompareOp op,
   return Relation(columns_, std::move(out));
 }
 
+JoinShape PrepareJoin(const std::vector<std::string>& a_columns,
+                      const std::vector<std::string>& b_columns,
+                      const std::vector<std::string>* out_columns) {
+  JoinShape shape;
+  for (size_t i = 0; i < b_columns.size(); ++i) {
+    const auto in_a =
+        std::find(a_columns.begin(), a_columns.end(), b_columns[i]);
+    if (in_a != a_columns.end()) {
+      shape.shared_a.push_back(static_cast<int>(in_a - a_columns.begin()));
+      shape.shared_b.push_back(static_cast<int>(i));
+    } else {
+      shape.b_extra.push_back(static_cast<int>(i));
+    }
+  }
+  shape.out_columns = a_columns;
+  for (const int i : shape.b_extra) {
+    shape.out_columns.push_back(b_columns[static_cast<size_t>(i)]);
+  }
+  // Where each column of that natural order lands in the output.
+  std::vector<int> out(shape.out_columns.size());
+  for (size_t i = 0; i < out.size(); ++i) out[i] = static_cast<int>(i);
+  if (out_columns != nullptr) {
+    assert(out_columns->size() == out.size() &&
+           "join output order is not a permutation");
+    for (size_t i = 0; i < out.size(); ++i) {
+      const auto at = std::find(out_columns->begin(), out_columns->end(),
+                                shape.out_columns[i]);
+      assert(at != out_columns->end() &&
+             "join output order is not a permutation");
+      out[i] = static_cast<int>(at - out_columns->begin());
+    }
+    shape.out_columns = *out_columns;
+  }
+  const auto a_end = out.begin() + static_cast<long>(a_columns.size());
+  shape.a_out.assign(out.begin(), a_end);
+  shape.b_extra_out.assign(a_end, out.end());
+  return shape;
+}
+
 std::vector<std::string> SharedJoinColumns(
     const std::vector<std::string>& a_columns, const Relation& b) {
   std::vector<std::string> shared;
@@ -330,7 +319,7 @@ Relation ProbeJoin(const Relation& a, const Relation& b,
 
 Relation NaturalJoin(const Relation& a, const Relation& b, uint64_t* work,
                      const std::vector<std::string>* out_columns) {
-  const JoinShape shape = ComputeJoinShape(a, b, out_columns);
+  const JoinShape shape = PrepareJoin(a.columns(), b.columns(), out_columns);
   // Transient pre-hashed index on b's shared-column projection.
   const TupleStore& sb = b.store();
   const size_t key_arity = shape.shared_b.size();
@@ -345,16 +334,17 @@ Relation NaturalJoin(const Relation& a, const Relation& b, uint64_t* work,
 }
 
 Relation NaturalJoin(const Relation& a, const Relation& b,
-                     const Relation::JoinIndex& b_index, uint64_t* work,
-                     const std::vector<std::string>* out_columns) {
-  const JoinShape shape = ComputeJoinShape(a, b, out_columns);
-  // The prebuilt index must be keyed on exactly the shared columns; a
-  // mismatched index cannot answer this join, so fall back to the
-  // transient-index path rather than probe garbage.
-  if (shape.shared_b != b_index.key_positions) {
-    assert(false && "join index key does not match the shared columns");
-    return NaturalJoin(a, b, work, out_columns);
-  }
+                     const JoinShape& shape,
+                     const Relation::JoinIndex& b_index, uint64_t* work) {
+  // The shape was prepared for these schemas, and the index is keyed on
+  // exactly its shared columns.
+  assert(shape.a_out.size() == a.columns().size() &&
+         "join shape prepared for another left schema");
+  assert(shape.shared_b.size() + shape.b_extra.size() ==
+             b.columns().size() &&
+         "join shape prepared for another right schema");
+  assert(shape.shared_b == b_index.key_positions &&
+         "join index key does not match the shared columns");
   return ProbeJoin(a, b, shape, b_index.slots, work);
 }
 

@@ -14,7 +14,9 @@
 // without probing; such a relation's table is built on its first lookup,
 // and a join delta that is only routed into views never builds one. A
 // join writes its rows straight into the column order its caller asks
-// for, so no relation needs a second pass to reorder its columns.
+// for, so no relation needs a second pass to reorder its columns, and a
+// caller that repeats a join step prepares its column bookkeeping
+// (JoinShape) once.
 //
 // A relation can carry persistent equi-join indexes (EnsureIndex): each
 // maps the projection of a row onto a fixed column subset to the rows
@@ -161,25 +163,51 @@ class Relation {
   std::vector<std::unique_ptr<JoinIndex>> indexes_;
 };
 
+// The column bookkeeping of one natural join of a relation with columns
+// `a_columns` and one with `b_columns`: which positions are joined on,
+// which of b's columns are appended, and where each input slot lands in
+// the output row. A shape depends on the two schemas only, so a caller
+// that runs the same join step many times (DeltaEngine's join plans)
+// prepares it once.
+struct JoinShape {
+  std::vector<int> shared_a;  // positions in a of the join columns
+  std::vector<int> shared_b;  // positions in b of the join columns
+  std::vector<int> b_extra;   // positions in b of the non-shared columns
+  // Output position of each column of a, and of each b_extra column.
+  std::vector<int> a_out;
+  std::vector<int> b_extra_out;
+  std::vector<std::string> out_columns;
+};
+
+// The shape of the join of `a_columns` with `b_columns` on every shared
+// column name. Its output columns are a's, then b's columns absent from a,
+// unless `out_columns` names a permutation of those (asserted): then every
+// output row is written in that order (and hashed in it), so a caller that
+// needs another schema order gets it with no second pass.
+JoinShape PrepareJoin(const std::vector<std::string>& a_columns,
+                      const std::vector<std::string>& b_columns,
+                      const std::vector<std::string>* out_columns = nullptr);
+
 // Natural join on all shared column names; multiplicities multiply
 // (counting algorithm). `work` is incremented per probed pair, giving the
 // measured-cost counter the cost model's CPU term mirrors. The kernel
 // probes pre-hashed slot buckets and appends output rows as flat slot
 // copies, with no probe of the result: the inputs' rows are distinct, so
-// are the pairs'. The result's columns are a's, then b's columns absent from a,
-// unless `out_columns` names a permutation of those: then every row is
-// written in that order (and hashed in it), so a caller that needs
-// another schema order gets it with no second pass.
+// are the pairs'. This overload prepares its shape (PrepareJoin, with
+// `out_columns`) and builds a transient index on b per call: the
+// from-scratch path of DeltaEngine::Recompute and of tests.
 Relation NaturalJoin(const Relation& a, const Relation& b, uint64_t* work,
                      const std::vector<std::string>* out_columns = nullptr);
 
-// Same join, probing `b_index` — a persistent index on `b` whose key must
-// equal the shared columns of (a, b) in b-schema order (see
-// SharedJoinColumns). Skips the per-call hash build; output and `work`
-// accounting are identical to the index-free overload.
+// Same join with a prepared `shape` (PrepareJoin of a's and b's columns),
+// probing `b_index` — a persistent index on `b` whose key must equal the
+// shape's shared columns (see SharedJoinColumns). Skips the per-call shape
+// and hash build; output and `work` accounting are identical to the
+// transient overload's. With asserts on, the shape is checked against
+// both operands' arity and the index's key positions.
 Relation NaturalJoin(const Relation& a, const Relation& b,
-                     const Relation::JoinIndex& b_index, uint64_t* work,
-                     const std::vector<std::string>* out_columns = nullptr);
+                     const JoinShape& shape,
+                     const Relation::JoinIndex& b_index, uint64_t* work);
 
 // The columns NaturalJoin(a-with-schema `a_columns`, b) would join on:
 // b's column names also present in `a_columns`, in b-schema order. This is

@@ -186,12 +186,17 @@ Status MarketSimulation::Run(int ticks, double scale,
     // generated first, then applied through the engine's batched path so
     // every view is refreshed once per table per tick.
     std::vector<TableUpdate> tick_updates;
-    // Per update, its edits to live_tuples_ in order: the position a
-    // delete erased, or kAppended for an insert. They are taken back,
-    // newest first, if the engine refuses the tick, so the live lists keep
-    // matching the bases.
+    // Per update, its edits to the live list in order: the position a
+    // delete erased and the id it held, or kAppended and the id an insert
+    // took. They are taken back, newest first, if the engine refuses the
+    // tick, so the live lists keep matching the bases; the deleted ids
+    // are freed only once the tick is applied.
     constexpr size_t kAppended = static_cast<size_t>(-1);
-    std::vector<std::vector<size_t>> edits;
+    struct Edit {
+      size_t position = 0;
+      uint32_t id = 0;
+    };
+    std::vector<std::vector<Edit>> edits;
     uint64_t tick_tuples = 0;
     for (TableId t = 0; t < catalog_->num_tables(); ++t) {
       if (engine_.base(t) == nullptr) continue;
@@ -201,21 +206,31 @@ Status MarketSimulation::Run(int ticks, double scale,
       if (batch == 0) continue;
       TableUpdate update;
       update.table = t;
-      std::vector<Tuple>& live = live_tuples_[t];
-      std::vector<size_t>& log = edits.emplace_back();
+      LiveTuples& live = live_tuples_[t];
+      std::vector<Edit>& log = edits.emplace_back();
       for (int i = 0; i < batch; ++i) {
-        if (!live.empty() && rng_.Bernoulli(delete_fraction)) {
+        if (!live.ids.empty() && rng_.Bernoulli(delete_fraction)) {
           const size_t idx = static_cast<size_t>(rng_.UniformInt(
-              0, static_cast<int64_t>(live.size()) - 1));
-          update.deletes.push_back(std::move(live[idx]));
-          live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-          log.push_back(idx);
+              0, static_cast<int64_t>(live.ids.size()) - 1));
+          const uint32_t id = live.ids[idx];
+          update.deletes.push_back(std::move(live.pool[id]));
+          live.ids.erase(live.ids.begin() + static_cast<std::ptrdiff_t>(idx));
+          log.push_back({idx, id});
         } else {
           Tuple tuple = RandomTupleCompressed(*catalog_, t, &rng_,
                                               domain_compression_);
-          live.push_back(tuple);
+          uint32_t id;
+          if (live.free_ids.empty()) {
+            id = static_cast<uint32_t>(live.pool.size());
+            live.pool.push_back(tuple);
+          } else {
+            id = live.free_ids.back();
+            live.free_ids.pop_back();
+            live.pool[id] = tuple;
+          }
+          live.ids.push_back(id);
           update.inserts.push_back(std::move(tuple));
-          log.push_back(kAppended);
+          log.push_back({kAppended, id});
         }
       }
       tick_tuples += update.inserts.size() + update.deletes.size();
@@ -223,22 +238,29 @@ Status MarketSimulation::Run(int ticks, double scale,
     }
     if (!tick_updates.empty()) {
       const Status applied = engine_.ApplyUpdates(tick_updates);
-      if (!applied.ok()) {
-        for (size_t u = 0; u < tick_updates.size(); ++u) {
-          const TableUpdate& update = tick_updates[u];
-          std::vector<Tuple>& live = live_tuples_[update.table];
-          size_t deletes = update.deletes.size();
-          for (auto e = edits[u].rbegin(); e != edits[u].rend(); ++e) {
-            if (*e == kAppended) {
-              live.pop_back();
-            } else {
-              live.insert(live.begin() + static_cast<std::ptrdiff_t>(*e),
-                          update.deletes[--deletes]);
-            }
+      for (size_t u = 0; u < tick_updates.size(); ++u) {
+        const TableUpdate& update = tick_updates[u];
+        LiveTuples& live = live_tuples_[update.table];
+        if (applied.ok()) {
+          for (const Edit& e : edits[u]) {
+            if (e.position != kAppended) live.free_ids.push_back(e.id);
+          }
+          continue;
+        }
+        size_t deletes = update.deletes.size();
+        for (auto e = edits[u].rbegin(); e != edits[u].rend(); ++e) {
+          if (e->position == kAppended) {
+            live.ids.pop_back();
+            live.free_ids.push_back(e->id);
+          } else {
+            live.ids.insert(
+                live.ids.begin() + static_cast<std::ptrdiff_t>(e->position),
+                e->id);
+            live.pool[e->id] = update.deletes[--deletes];
           }
         }
-        return applied;
       }
+      if (!applied.ok()) return applied;
     }
     updates_applied_ += tick_tuples;
     ++ticks_elapsed_;

@@ -133,8 +133,17 @@ class MarketSimulation {
   Rng rng_;
   uint64_t seed_ = 0;
   double domain_compression_ = 1.0;
+  // A table's live tuples: a pool of tuples and the pool ids of the live
+  // ones in arrival order. A delete draws a position in `ids` and erases a
+  // 4-byte id there, not a tuple; later inserts reuse the freed pool slot.
+  struct LiveTuples {
+    std::vector<Tuple> pool;
+    std::vector<uint32_t> ids;
+    std::vector<uint32_t> free_ids;
+  };
+
   std::map<SharingId, ViewId> buyer_views_;
-  std::map<TableId, std::vector<Tuple>> live_tuples_;
+  std::map<TableId, LiveTuples> live_tuples_;
   uint64_t updates_applied_ = 0;
   int ticks_elapsed_ = 0;
   int epoch_ = 0;

@@ -1,7 +1,8 @@
 // Property and oracle tests for the compact columnar data plane
 // (DESIGN.md §12):
-//  * every relational kernel — NaturalJoin (transient and persistent
-//    index, natural and caller-ordered output), Filter, BagEquals —
+//  * every relational kernel — NaturalJoin (transient index, and prepared
+//    shape with a persistent index; natural and caller-ordered output on
+//    random schemas), Filter, BagEquals —
 //    matches a nested-loop oracle over plain vector<pair<Tuple, int64_t>>
 //    bags that never touches slots, hashes or the row store;
 //  * a join written in a caller's column order stores every row under
@@ -9,6 +10,9 @@
 //  * a store filled by Append (as a join fills its output) answers Count,
 //    FindRow, BagEquals and Apply like the oracle bag, before and after its
 //    lazily built table exists, and so does a copy-on-write copy of it;
+//  * the row hash separates every small-domain row of arity 1-3, spreads
+//    structured rows evenly over the low bits, and tells a row from its
+//    permutation;
 //  * the pre-hashed tables stay correct under forced hash collisions
 //    (probe chains, tombstones, row-id recycling), appended rows included,
 //    and the lazy table build refuses a row appended twice;
@@ -18,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -209,7 +214,8 @@ TEST_P(ColumnarPropertyTest, JoinMatchesNestedLoopOracle) {
         shape.a, Canonical(bag_a), shape.b, Canonical(final_b),
         &indexed_pairs);
     uint64_t indexed_work = 0;
-    EXPECT_EQ(Decode(NaturalJoin(a, b, *index, &indexed_work)),
+    EXPECT_EQ(Decode(NaturalJoin(a, b, PrepareJoin(shape.a, shape.b),
+                                 *index, &indexed_work)),
               indexed_expected);
     EXPECT_EQ(indexed_work, indexed_pairs);
   }
@@ -240,20 +246,62 @@ TEST_P(ColumnarPropertyTest, FilterMatchesOracle) {
 }
 
 TEST_P(ColumnarPropertyTest, ReorderMatchesOracle) {
-  // The join written in a random permutation of its natural columns, by
-  // both overloads: the oracle's join permuted, the same work, and every
-  // row stored under the hash of its slots in the new order.
+  // The join of random schemas written in a random permutation of its
+  // natural columns, by the transient overload and by the prepared one
+  // (PrepareJoin, then a persistent index): the oracle's join permuted,
+  // the same work, and every row stored under the hash of its slots in the
+  // new order.
   Rng rng(GetParam());
-  const std::vector<std::string> a_columns = {"k", "a1", "j"};
-  const std::vector<std::string> b_columns = {"j", "b1", "k", "b2"};
-  const std::vector<std::string> natural = {"k", "a1", "j", "b1", "b2"};
-  for (int trial = 0; trial < 6; ++trial) {
+  const std::vector<std::string> names = {"k", "j", "m", "x", "y", "z"};
+  for (int trial = 0; trial < 8; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
+    // 0-2 shared columns, then 0-2 private ones on each side (at least
+    // one column each), every schema in a random order.
+    std::vector<std::string> pool = names;
+    for (size_t k = pool.size(); k > 1; --k) {
+      std::swap(pool[k - 1], pool[static_cast<size_t>(rng.UniformInt(
+                                 0, static_cast<int64_t>(k) - 1))]);
+    }
+    const auto shared = static_cast<size_t>(rng.UniformInt(0, 2));
+    const auto a_own = static_cast<size_t>(rng.UniformInt(shared == 0, 2));
+    const auto b_own = static_cast<size_t>(rng.UniformInt(shared == 0, 2));
+    std::vector<std::string> a_columns(pool.begin(),
+                                       pool.begin() + shared + a_own);
+    std::vector<std::string> b_columns(pool.begin(), pool.begin() + shared);
+    b_columns.insert(b_columns.end(), pool.begin() + shared + a_own,
+                     pool.begin() + shared + a_own + b_own);
+    for (std::vector<std::string>* columns : {&a_columns, &b_columns}) {
+      for (size_t k = columns->size(); k > 1; --k) {
+        std::swap((*columns)[k - 1],
+                  (*columns)[static_cast<size_t>(
+                      rng.UniformInt(0, static_cast<int64_t>(k) - 1))]);
+      }
+    }
+    std::vector<std::string> natural = a_columns;
+    for (const std::string& name : b_columns) {
+      if (Position(a_columns, name) < 0) natural.push_back(name);
+    }
+
     const Bag bag_a = RandomBag(rng, a_columns.size(), 60);
-    const Bag bag_b = RandomBag(rng, b_columns.size(), 60);
+    Bag bag_b = RandomBag(rng, b_columns.size(), 60);
+    // Half of b's rows take their join key from a row of a, so the
+    // inputs meet on every schema.
+    for (size_t r = 0; r < bag_b.size(); r += 2) {
+      const Tuple& from = bag_a[static_cast<size_t>(rng.UniformInt(
+                                    0, static_cast<int64_t>(bag_a.size()) -
+                                           1))]
+                              .first;
+      for (size_t c = 0; c < b_columns.size(); ++c) {
+        const int in_a = Position(a_columns, b_columns[c]);
+        if (in_a >= 0) bag_b[r].first[c] = from[static_cast<size_t>(in_a)];
+      }
+    }
     const Relation a = Materialize(a_columns, bag_a);
     Relation b = Materialize(b_columns, bag_b);
-    std::vector<int> positions = {0, 1, 2, 3, 4};
+    std::vector<int> positions(natural.size());
+    for (size_t i = 0; i < positions.size(); ++i) {
+      positions[i] = static_cast<int>(i);
+    }
     for (size_t k = positions.size(); k > 1; --k) {
       std::swap(positions[k - 1], positions[static_cast<size_t>(rng.UniformInt(
                                       0, static_cast<int64_t>(k) - 1))]);
@@ -269,15 +317,18 @@ TEST_P(ColumnarPropertyTest, ReorderMatchesOracle) {
                    &pairs),
         positions);
     EXPECT_GT(pairs, 0u);
+    const JoinShape prepared = PrepareJoin(a_columns, b_columns, &order);
+    EXPECT_EQ(prepared.out_columns, order);
     const Relation::JoinIndex* index =
         b.EnsureIndex(SharedJoinColumns(a_columns, b));
     uint64_t work = 0;
-    uint64_t indexed_work = 0;
+    uint64_t prepared_work = 0;
+    const Relation transient = NaturalJoin(a, b, &work, &order);
     for (const Relation& joined :
-         {NaturalJoin(a, b, &work, &order),
-          NaturalJoin(a, b, *index, &indexed_work, &order)}) {
+         {transient, NaturalJoin(a, b, prepared, *index, &prepared_work)}) {
       EXPECT_EQ(joined.columns(), order);
       EXPECT_EQ(Decode(joined), expected);
+      EXPECT_TRUE(joined.BagEquals(transient));
       const TupleStore& rows = joined.store();
       rows.ForEachLive([&](uint32_t r) {
         EXPECT_EQ(rows.row_hash(r),
@@ -290,7 +341,7 @@ TEST_P(ColumnarPropertyTest, ReorderMatchesOracle) {
       EXPECT_EQ(target.DistinctSize(), 0u);
     }
     EXPECT_EQ(work, pairs);
-    EXPECT_EQ(indexed_work, pairs);
+    EXPECT_EQ(prepared_work, pairs);
   }
 }
 
@@ -478,6 +529,78 @@ TEST(TupleStoreCollisionTest, ForcedCollisionsOnAppendedRows) {
   for (uint64_t i = 0; i < kN; i += 2) {
     const Slot s = MakeSlot(SlotTag::kInlineInt, i);
     EXPECT_EQ(store.Count(&s, kHash), 7) << i;
+  }
+}
+
+// Every row of arity 1-3 whose slots are drawn from `domain` values of
+// one tag, in row-major order.
+std::vector<std::vector<Slot>> SmallDomainRows(SlotTag tag, uint64_t domain) {
+  std::vector<std::vector<Slot>> rows;
+  for (size_t arity = 1; arity <= 3; ++arity) {
+    uint64_t count = 1;
+    for (size_t c = 0; c < arity; ++c) count *= domain;
+    for (uint64_t n = 0; n < count; ++n) {
+      std::vector<Slot> row(arity);
+      uint64_t rest = n;
+      for (size_t c = 0; c < arity; ++c, rest /= domain) {
+        row[c] = MakeSlot(tag, rest % domain);
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
+TEST(RowHashTest, NoCollisionOnSmallDomains) {
+  // 64 values per slot, arity 1-3, inline ints and string ids: 266,304
+  // rows per tag, and no two share a 64-bit hash, within an arity or
+  // across arities.
+  for (const SlotTag tag : {SlotTag::kInlineInt, SlotTag::kString}) {
+    std::vector<uint64_t> hashes;
+    for (const std::vector<Slot>& row : SmallDomainRows(tag, 64)) {
+      hashes.push_back(HashTupleSlots(row.data(), row.size()));
+    }
+    EXPECT_EQ(hashes.size(), 64u + 64u * 64u + 64u * 64u * 64u);
+    std::sort(hashes.begin(), hashes.end());
+    EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end())
+        << "tag " << static_cast<uint64_t>(tag);
+  }
+}
+
+TEST(RowHashTest, LowBitsSpreadEvenly) {
+  // Open addressing masks the low bits of the hash. 100,000 structured
+  // rows (arity 2, both slots small and correlated) over 1,024 buckets:
+  // every bucket is used, none holds twice its share, and Pearson's
+  // chi-square stays within 6 standard deviations of its mean (1,023).
+  constexpr int kRows = 100000;
+  constexpr int kBuckets = 1024;
+  std::vector<int> buckets(kBuckets, 0);
+  for (int i = 0; i < kRows; ++i) {
+    const Slot row[2] = {
+        MakeSlot(SlotTag::kInlineInt, static_cast<uint64_t>(i % 317)),
+        MakeSlot(SlotTag::kInlineInt, static_cast<uint64_t>(i / 317))};
+    ++buckets[HashTupleSlots(row, 2) & (kBuckets - 1)];
+  }
+  const double expected = static_cast<double>(kRows) / kBuckets;
+  double chi_square = 0.0;
+  for (const int n : buckets) {
+    EXPECT_GT(n, 0);
+    EXPECT_LT(n, 2 * expected);
+    chi_square += (n - expected) * (n - expected) / expected;
+  }
+  EXPECT_LT(chi_square, 1023.0 + 6.0 * std::sqrt(2.0 * 1023.0));
+}
+
+TEST(RowHashTest, SlotOrderMatters) {
+  // (a, b) and (b, a) hash apart: a join writes rows in its caller's
+  // column order, and a row must not collide with its own permutation.
+  for (uint64_t a = 0; a < 64; ++a) {
+    for (uint64_t b = a + 1; b < 64; ++b) {
+      const Slot ab[2] = {MakeSlot(SlotTag::kInlineInt, a),
+                          MakeSlot(SlotTag::kInlineInt, b)};
+      const Slot ba[2] = {ab[1], ab[0]};
+      EXPECT_NE(HashTupleSlots(ab, 2), HashTupleSlots(ba, 2)) << a << "," << b;
+    }
   }
 }
 

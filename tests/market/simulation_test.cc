@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/fault.h"
@@ -101,6 +104,108 @@ TEST_F(SimulationTest, RefusedTickAppliesNothingAndRetriesCleanly) {
   ASSERT_TRUE(sim.Run(/*ticks=*/6, /*scale=*/0.1,
                       /*delete_fraction=*/0.5)
                   .ok());
+  const auto verified = sim.VerifyViews();
+  ASSERT_TRUE(verified.ok());
+  EXPECT_TRUE(*verified);
+}
+
+// The tuple stream MarketSimulation::Run must reproduce, generated the
+// plain way: per table a vector of live tuples in arrival order, deleted
+// from by an order-keeping erase, with the same Rng calls (compression
+// 1.0, no fault domain, so the Rng serves tuple generation only).
+class ReferenceStream {
+ public:
+  ReferenceStream(const Catalog* catalog, uint64_t seed,
+                  std::vector<TableId> tables)
+      : catalog_(catalog), rng_(seed), tables_(std::move(tables)) {
+    std::sort(tables_.begin(), tables_.end());
+  }
+
+  void Tick(double scale, double delete_fraction) {
+    for (const TableId t : tables_) {
+      const int batch = std::max(
+          0, static_cast<int>(std::llround(
+                 catalog_->table(t).stats.update_rate * scale)));
+      std::vector<Tuple>& live = live_[t];
+      for (int i = 0; i < batch; ++i) {
+        if (!live.empty() && rng_.Bernoulli(delete_fraction)) {
+          const auto idx = rng_.UniformInt(
+              0, static_cast<int64_t>(live.size()) - 1);
+          live.erase(live.begin() + idx);
+        } else {
+          live.push_back(RandomTupleForTable(*catalog_, t, &rng_));
+        }
+      }
+    }
+  }
+
+  // A tick the engine refused: its draws are spent, its edits undone.
+  void RefusedTick(double scale, double delete_fraction) {
+    const std::map<TableId, std::vector<Tuple>> before = live_;
+    Tick(scale, delete_fraction);
+    live_ = before;
+  }
+
+  // True when `base` holds exactly the live tuples of `table`.
+  bool Matches(TableId table, const Relation& base) const {
+    Relation expected(base.columns());
+    const auto it = live_.find(table);
+    if (it != live_.end()) {
+      for (const Tuple& tuple : it->second) expected.Apply(tuple, 1);
+    }
+    return base.BagEquals(expected);
+  }
+
+ private:
+  const Catalog* catalog_;
+  Rng rng_;
+  std::vector<TableId> tables_;
+  std::map<TableId, std::vector<Tuple>> live_;
+};
+
+TEST_F(SimulationTest, TupleStreamMatchesTheReferenceGenerator) {
+  // Churn-heavy ticks over three tables, a refused tick, then its retry
+  // and more ticks: after every tick each base holds exactly the
+  // reference's live tuples, so deletes pick the same tuples the plain
+  // erase loop picks.
+  constexpr uint64_t kSeed = 97;
+  constexpr double kScale = 0.1;
+  constexpr double kDeletes = 0.45;
+  const std::vector<TableId> tables = {tables_.users, tables_.tweets,
+                                       tables_.curloc};
+  MarketSimulation sim(&catalog_, kSeed);
+  ASSERT_TRUE(
+      sim.AddBuyerView(1, ViewKey(TS({tables_.users, tables_.tweets})))
+          .ok());
+  ASSERT_TRUE(
+      sim.AddBuyerView(2, ViewKey(TS({tables_.tweets, tables_.curloc})))
+          .ok());
+  ReferenceStream reference(&catalog_, kSeed, tables);
+  const auto expect_match = [&](const std::string& when) {
+    for (const TableId t : tables) {
+      EXPECT_TRUE(reference.Matches(t, *sim.engine().base(t)))
+          << when << ", table " << t;
+    }
+  };
+  for (int tick = 0; tick < 12; ++tick) {
+    ASSERT_TRUE(sim.Run(1, kScale, kDeletes).ok());
+    reference.Tick(kScale, kDeletes);
+    expect_match("tick " + std::to_string(tick));
+  }
+  {
+    FaultSpec spec;
+    spec.fail_after = 1;
+    spec.max_fires = 1;
+    ScopedFault fault("maintain/join", spec);
+    EXPECT_EQ(sim.Run(1, kScale, kDeletes).code(), StatusCode::kInternal);
+  }
+  reference.RefusedTick(kScale, kDeletes);
+  expect_match("the refused tick");
+  for (int tick = 0; tick < 8; ++tick) {
+    ASSERT_TRUE(sim.Run(1, kScale, kDeletes).ok());
+    reference.Tick(kScale, kDeletes);
+    expect_match("retry tick " + std::to_string(tick));
+  }
   const auto verified = sim.VerifyViews();
   ASSERT_TRUE(verified.ok());
   EXPECT_TRUE(*verified);
